@@ -5,12 +5,10 @@
 # kernel + full evaluation) to BENCH_sim.json, the end-to-end GA solve
 # path (paper-scale ε-constraint run, cache on/off) to BENCH_ga.json, the
 # observability overhead lane (solve and Monte-Carlo with telemetry on
-# vs off, plus the no-op instrument microbenchmarks) to BENCH_obs.json,
-# and the incremental-decode lane (delta vs full decode of GA children,
-# operator microbenchmarks, paper solve with delta on vs off) to
-# BENCH_delta.json. The multi-process scatter/gather lane (Monte-Carlo
-# evaluation at 1/2/4/8 worker processes and an islands-GA solve sharded
-# across workers, each against its in-process twin) goes to
+# vs off, plus the no-op instrument microbenchmarks) to BENCH_obs.json.
+# The multi-process scatter/gather lane (Monte-Carlo evaluation at 1/2/4/8
+# worker processes and an islands-GA solve sharded across workers, each
+# against its in-process twin) goes to
 # BENCH_dist.json; worker-side parallelism is pinned to 1 there, so the
 # shard speedup reflects the processes (expect ~min(shards, cores)× on a
 # multi-core box and pure overhead on one core). The same file carries the
@@ -50,12 +48,6 @@ go test -run '^$' \
     -benchmem "$@" . ./internal/sim ./internal/obs \
   | tee /dev/stderr \
   | go run ./cmd/benchjson -o BENCH_obs.json
-
-go test -run '^$' \
-    -bench 'BenchmarkDecodeDelta$|BenchmarkDecodeFull$|BenchmarkCrossover$|BenchmarkMutate$|BenchmarkSolvePaper/cache|BenchmarkSolvePaper/nodelta' \
-    -benchmem "$@" ./internal/schedule ./internal/robust . \
-  | tee /dev/stderr \
-  | go run ./cmd/benchjson -o BENCH_delta.json
 
 go test -run '^$' \
     -bench 'BenchmarkDistEvaluateAll|BenchmarkDistEvaluateAllTCP|BenchmarkDistPipelineRTT|BenchmarkDistSolveIslands' \

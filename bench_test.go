@@ -340,19 +340,17 @@ func BenchmarkAblationSlackMetric(b *testing.B) {
 // tasks, 8 processors, Np=20, the full 1000-generation horizon with the
 // stagnation window disabled so every run does identical work). This is the
 // headline number of the BENCH_ga.json lane; the nocache variant isolates
-// what the genotype→metrics cache is worth on top of the engine arenas, and
-// the nodelta variant (cache on, delta decoding off) isolates the
-// incremental suffix re-evaluation — all three produce bit-identical
-// results. Workers=1 keeps the number a single-core figure.
+// what the genotype→metrics cache is worth on top of the engine arenas —
+// both produce bit-identical results. Workers=1 keeps the number a
+// single-core figure.
 func BenchmarkSolvePaper(b *testing.B) {
 	w := benchWorkload(b, 100, 8, 4)
-	run := func(b *testing.B, noCache, noDelta bool) {
+	run := func(b *testing.B, noCache bool) {
 		opt := robsched.PaperSolveOptions(robsched.EpsilonConstraint, 1.4)
 		opt.MaxGenerations = 1000
 		opt.Stagnation = 0
 		opt.Workers = 1
 		opt.NoMetricsCache = noCache
-		opt.NoDeltaDecode = noDelta
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := robsched.Solve(w, opt, robsched.NewRNG(7)); err != nil {
@@ -360,9 +358,8 @@ func BenchmarkSolvePaper(b *testing.B) {
 			}
 		}
 	}
-	b.Run("cache", func(b *testing.B) { run(b, false, false) })
-	b.Run("nocache", func(b *testing.B) { run(b, true, false) })
-	b.Run("nodelta", func(b *testing.B) { run(b, false, true) })
+	b.Run("cache", func(b *testing.B) { run(b, false) })
+	b.Run("nocache", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkSolveObs measures the end-to-end observability overhead on a

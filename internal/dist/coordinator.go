@@ -736,7 +736,6 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 			Stagnation:     opt.Stagnation,
 			NoHEFTSeed:     opt.NoHEFTSeed,
 			NoMetricsCache: opt.NoMetricsCache,
-			NoDeltaDecode:  opt.NoDeltaDecode,
 			Workers:        opt.Workers,
 		},
 		k:     k,

@@ -218,7 +218,6 @@ type SolverOptions struct {
 
 	NoHEFTSeed     bool `json:"no_heft_seed,omitempty"`
 	NoMetricsCache bool `json:"no_metrics_cache,omitempty"`
-	NoDeltaDecode  bool `json:"no_delta_decode,omitempty"`
 	// Workers bounds the decode fan-out inside the worker process.
 	Workers int `json:"workers,omitempty"`
 }

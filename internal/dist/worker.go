@@ -452,7 +452,6 @@ func newIslandHost(payload []byte) (*islandHost, error) {
 		Stagnation:     o.Stagnation,
 		NoHEFTSeed:     o.NoHEFTSeed,
 		NoMetricsCache: o.NoMetricsCache,
-		NoDeltaDecode:  o.NoDeltaDecode,
 		Workers:        o.Workers,
 	})
 	if err != nil {

@@ -106,7 +106,7 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	cooling := math.Pow(opt.FinalTemp/opt.InitialTemp, 1/float64(opt.Steps))
 	temp := opt.InitialTemp * scale
 	for step := 0; step < opt.Steps; step++ {
-		next, _ := Mutate(w, cur, r)
+		next := Mutate(w, cur, r)
 		nextS, err := next.DecodeWith(dec)
 		if err != nil {
 			return nil, err

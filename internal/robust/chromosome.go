@@ -42,21 +42,11 @@ type Chromosome struct {
 	metr    schedMetrics
 	hasMetr bool
 
-	// Parentage for delta decoding: parent, when non-nil, is a chromosome
-	// this one was derived from whose genotype agrees with ours on every
-	// scheduling-string position before firstDirty (and on the processor of
-	// every task named there). The operators record it; the evaluator
-	// resolves it — compressing chains through undecoded intermediates,
-	// composing firstDirty by minimum — into the nearest decoded ancestor
-	// for schedule.Decoder.DecodeDelta.
-	parent     *Chromosome
-	firstDirty int
-
 	// Rolling genotype hash: raw is the position-weighted polynomial
 	// Σ (gene_i+1)·base^i over the order genes (positions 0..n-1) then the
 	// proc genes (positions n..2n-1); key is its avalanched form served by
-	// Key. Operators derive a child's raw from its parent's in O(changed
-	// genes) instead of re-hashing the unchanged prefix. Lazy computation
+	// Key. Operators derive a child's raw from its parent's over just the
+	// genes they rewrote instead of re-hashing the rest. Lazy computation
 	// writes the memo, which is safe across islands because every consumer
 	// that keys chromosomes (initial-population dedup, the metrics cache,
 	// observer diversity) keys its whole population each generation, so a
@@ -135,7 +125,6 @@ func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
 	c.decoded = s
-	c.parent = nil // a decoded chromosome no longer needs its ancestry
 	return s, nil
 }
 
@@ -150,7 +139,6 @@ func (c *Chromosome) DecodeWith(d *schedule.Decoder) (*schedule.Schedule, error)
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
 	c.decoded = &c.decodedVal
-	c.parent = nil // a decoded chromosome no longer needs its ancestry
 	return c.decoded, nil
 }
 
@@ -202,8 +190,8 @@ func mixKey(h uint64) uint64 {
 // Key fingerprints the genotype for the GA's initial-population uniqueness
 // check and the solver's metrics cache. It is the avalanched form of a
 // position-weighted polynomial over the genes, memoized on the chromosome:
-// the operators update the polynomial incrementally from the parent's in
-// O(changed genes), so keying a child stops re-hashing the unchanged
+// the operators update the polynomial incrementally from the parent's over
+// the genes they rewrote, so keying a child never re-hashes the untouched
 // prefix (Key was the single hottest function of a cached ε-constraint
 // solve before memoization). Equal genotypes always collide by
 // construction; a collision between distinct genotypes is benign everywhere
@@ -239,79 +227,44 @@ func (c *Chromosome) Key() uint64 {
 //
 // Assignment strings: each parent's assignment is viewed as a processor
 // string indexed by task; a second random cut exchanges the right parts.
-//
-// Alongside the children, Crossover reports each child's first divergence
-// from its base parent (c1 from a, c2 from b): the smallest scheduling-
-// string position at which the child's (order, processor-of-ordered-task)
-// pair differs, i.e. a valid firstDirty for schedule.Decoder.DecodeDelta.
-// The proc exchange is by task id, so a reassigned task can sit anywhere
-// in the child's scheduling string; the scan below resolves its child
-// position. len(Order) means the child is genotype-identical to the parent.
-func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome, int, int) {
+func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
 	n := len(a.Order)
 	c1, c2 := a.Clone(), b.Clone()
-	d1, d2 := n, n
 	if n >= 2 {
 		sc := getOpScratch(n)
 		cut := 1 + r.Intn(n-1)
 		reorderTail(c1.Order, cut, b.Order, sc.mark)
 		reorderTail(c2.Order, cut, a.Order, sc.mark)
+		putOpScratch(sc)
 		pcut := 1 + r.Intn(n-1)
 		for v := pcut; v < n; v++ {
 			c1.Proc[v], c2.Proc[v] = b.Proc[v], a.Proc[v]
 		}
-		d1 = finishChild(c1, a, cut, pcut, sc.pos)
-		d2 = finishChild(c2, b, cut, pcut, sc.pos)
-		putOpScratch(sc)
+		finishChild(c1, a, cut, pcut)
+		finishChild(c2, b, cut, pcut)
 	}
-	c1.parent, c1.firstDirty = a, d1
-	c2.parent, c2.firstDirty = b, d2
-	return c1, c2, d1, d2
+	return c1, c2
 }
 
-// finishChild computes a crossover child's first divergence from its base
-// parent and, when the parent's key memo carried over through Clone,
-// adjusts the child's rolling hash by differencing exactly the changed
-// genes. It reads the parent but never writes to it. pos must have
-// capacity n; its contents are overwritten.
-func finishChild(c, p *Chromosome, cut, pcut int, pos []int) int {
+// finishChild adjusts a crossover child's rolling hash, when the parent's
+// key memo carried over through Clone, by differencing the genes after the
+// order cut and the proc cut (unchanged genes contribute zero). It reads
+// the parent but never writes to it.
+func finishChild(c, p *Chromosome, cut, pcut int) {
+	if !c.hasKey {
+		return
+	}
 	n := len(c.Order)
-	d := n
-	upd := c.hasKey
-	var pow []uint64
+	pow := keyPowers(2 * n)
 	var delta uint64
-	if upd {
-		pow = keyPowers(2 * n)
-	}
 	for i := cut; i < n; i++ {
-		if nv, ov := c.Order[i], p.Order[i]; nv != ov {
-			if i < d {
-				d = i
-			}
-			if upd {
-				delta += (keyGene(nv) - keyGene(ov)) * pow[i]
-			}
-		}
-	}
-	pos = pos[:n]
-	for i, t := range c.Order {
-		pos[t] = i
+		delta += (keyGene(c.Order[i]) - keyGene(p.Order[i])) * pow[i]
 	}
 	for v := pcut; v < n; v++ {
-		if np, op := c.Proc[v], p.Proc[v]; np != op {
-			if pos[v] < d {
-				d = pos[v]
-			}
-			if upd {
-				delta += (keyGene(np) - keyGene(op)) * pow[n+v]
-			}
-		}
+		delta += (keyGene(c.Proc[v]) - keyGene(p.Proc[v])) * pow[n+v]
 	}
-	if upd {
-		c.raw += delta
-		c.key = mixKey(c.raw)
-	}
-	return d
+	c.raw += delta
+	c.key = mixKey(c.raw)
 }
 
 // reorderTail rewrites order[cut:] so its tasks appear in the relative
@@ -359,14 +312,7 @@ func putOpScratch(sc *opScratch) { opPool.Put(sc) }
 // scheduling string — strictly after the last of its immediate predecessors
 // and strictly before the first of its immediate successors — and then
 // reassigned to a uniformly random processor.
-//
-// The second result is the child's first divergence from c, in the same
-// sense as Crossover's: the move rewrites every scheduling-string position
-// between the old and new index of v (a permutation shift changes all of
-// them), and the reassignment dirties v at its new position, so the
-// divergence is min(from, to) when v moved and to when only its processor
-// changed; len(Order) if the mutation was a no-op.
-func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) (*Chromosome, int) {
+func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) *Chromosome {
 	out := c.Clone()
 	n := len(out.Order)
 	v := r.Intn(n)
@@ -394,14 +340,6 @@ func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) (*Chromosome, in
 	op := out.Proc[v]
 	np := r.Intn(w.M())
 	out.Proc[v] = np
-	d := n
-	if from != to {
-		if d = to; from < to {
-			d = from
-		}
-	} else if np != op {
-		d = to
-	}
 	if out.hasKey {
 		pow := keyPowers(2 * n)
 		var delta uint64
@@ -417,8 +355,7 @@ func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) (*Chromosome, in
 		out.raw += delta
 		out.key = mixKey(out.raw)
 	}
-	out.parent, out.firstDirty = c, d
-	return out, d
+	return out
 }
 
 // moveWithin moves the element at index from to index to, shifting the

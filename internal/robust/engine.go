@@ -43,7 +43,6 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 		def.HEFT = opt.HEFT
 		def.Cache = opt.Cache
 		def.NoMetricsCache = opt.NoMetricsCache
-		def.NoDeltaDecode = opt.NoDeltaDecode
 		def.Islands = opt.Islands
 		def.MigrationEvery = opt.MigrationEvery
 		def.Obs = opt.Obs
@@ -71,8 +70,6 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 			eval.cache = NewMetricsCache()
 		}
 	}
-	// Nil-safe: a nil registry hands out a nil (no-op) histogram.
-	eval.frontierHist = opt.Obs.Histogram("decode.delta_frontier", deltaFrontierBounds)
 	cfg := ga.Config[*Chromosome]{
 		PopSize:        opt.PopSize,
 		CrossoverRate:  opt.CrossoverRate,
@@ -80,8 +77,8 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
 		Random:         func(r *rng.Source) *Chromosome { return Random(w, r) },
-		Crossover:      crossoverGA,
-		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { out, _ := Mutate(w, c, r); return out },
+		Crossover:      Crossover,
+		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { return Mutate(w, c, r) },
 		Evaluate:       eval.evaluate,
 		EvaluateInto:   eval.evaluateInto,
 		Key:            (*Chromosome).Key,

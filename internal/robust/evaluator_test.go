@@ -3,7 +3,6 @@ package robust
 import (
 	"testing"
 
-	"robsched/internal/obs"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
@@ -123,105 +122,5 @@ func BenchmarkEvaluatePopulation(b *testing.B) {
 				eval.evaluate(pop)
 			}
 		})
-	}
-}
-
-// TestSolveDeltaDecodeTrajectoryIdentity: delta decoding is a pure
-// performance optimization — a full Solve run with it on must be
-// bit-identical to one with it off: same best genotype, same generation
-// count, same per-generation (makespan, slack) trace. Exercised across the
-// worker and island configurations, whose interaction with the parentage
-// bookkeeping (chains through undecoded intermediates, migrants with
-// severed parents) is where a regression would hide.
-func TestSolveDeltaDecodeTrajectoryIdentity(t *testing.T) {
-	for _, cfg := range []struct {
-		name             string
-		workers, islands int
-		noCache          bool
-	}{
-		{"serial", 1, 1, false},
-		{"parallel", 0, 1, false},
-		{"islands", 0, 3, false},
-		{"nocache", 1, 1, true},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, shape := range []struct{ n, m int }{{25, 3}, {60, 5}} {
-				w := testWorkload(t, 13, shape.n, shape.m)
-				run := func(noDelta bool) (*Result, []float64) {
-					var trace []float64
-					opt := PaperOptions(EpsilonConstraint, 1.4)
-					opt.MaxGenerations = 40
-					opt.Stagnation = 0
-					opt.Workers = cfg.workers
-					opt.NoMetricsCache = cfg.noCache
-					opt.NoDeltaDecode = noDelta
-					if cfg.islands > 1 {
-						opt.Islands = cfg.islands
-						opt.MigrationEvery = 10
-					} else {
-						opt.OnGeneration = func(gen int, best *schedule.Schedule) {
-							trace = append(trace, best.Makespan(), best.AvgSlack())
-						}
-					}
-					res, err := Solve(w, opt, rng.New(7000+uint64(shape.n)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, trace
-				}
-				on, tOn := run(false)
-				off, tOff := run(true)
-				if on.Schedule.Makespan() != off.Schedule.Makespan() ||
-					on.Schedule.AvgSlack() != off.Schedule.AvgSlack() ||
-					on.Generations != off.Generations {
-					t.Fatalf("n=%d: delta-on result differs from delta-off", shape.n)
-				}
-				oOn, oOff := on.Schedule.Order(), off.Schedule.Order()
-				pOn, pOff := on.Schedule.ProcAssignment(), off.Schedule.ProcAssignment()
-				for v := 0; v < shape.n; v++ {
-					if oOn[v] != oOff[v] || pOn[v] != pOff[v] {
-						t.Fatalf("n=%d: best genotype differs at task %d", shape.n, v)
-					}
-				}
-				if len(tOn) != len(tOff) {
-					t.Fatalf("trace lengths differ: %d vs %d", len(tOn), len(tOff))
-				}
-				for i := range tOn {
-					if tOn[i] != tOff[i] {
-						t.Fatalf("n=%d: generation trace differs at index %d", shape.n, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSolveDeltaDecodeActuallyFires guards against the optimization
-// silently disabling itself: a paper-scale run must take the delta path for
-// a substantial share of its decodes, with zero fallbacks (a fallback means
-// the operators' divergence bookkeeping handed DecodeDelta a wrong prefix).
-func TestSolveDeltaDecodeActuallyFires(t *testing.T) {
-	w := testWorkload(t, 17, 60, 5)
-	reg := obs.NewRegistry()
-	opt := PaperOptions(EpsilonConstraint, 1.4)
-	opt.MaxGenerations = 60
-	opt.Stagnation = 0
-	opt.Obs = reg
-	if _, err := Solve(w, opt, rng.New(18)); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	hits := snap.Counters["decode.delta_hits"]
-	if fb := snap.Counters["decode.delta_fallbacks"]; fb != 0 {
-		t.Fatalf("%d delta fallbacks — the operators reported a wrong divergence index", fb)
-	}
-	if hits < 100 {
-		t.Fatalf("only %d delta hits over 60 generations — the delta path is not firing", hits)
-	}
-	if ft := snap.Counters["decode.delta_frontier_tasks"]; ft >= hits*int64(w.N()) {
-		t.Fatalf("mean frontier %d tasks is the whole graph — no work is being saved", ft/hits)
-	}
-	if h := snap.Histograms["decode.delta_frontier"]; h.Count != hits {
-		t.Fatalf("frontier histogram saw %d observations, want %d", h.Count, hits)
 	}
 }

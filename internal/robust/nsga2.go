@@ -113,15 +113,15 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 			pa, pb := pop[pick()], pop[pick()]
 			var c1, c2 *Chromosome
 			if r.Float64() < opt.CrossoverRate {
-				c1, c2, _, _ = Crossover(pa, pb, r)
+				c1, c2 = Crossover(pa, pb, r)
 			} else {
 				c1, c2 = pa.Clone(), pb.Clone()
 			}
 			if r.Float64() < opt.MutationRate {
-				c1, _ = Mutate(w, c1, r)
+				c1 = Mutate(w, c1, r)
 			}
 			if r.Float64() < opt.MutationRate {
-				c2, _ = Mutate(w, c2, r)
+				c2 = Mutate(w, c2, r)
 			}
 			offspring = append(offspring, c1, c2)
 		}

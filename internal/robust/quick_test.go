@@ -37,7 +37,7 @@ func TestQuickCrossoverInvariants(t *testing.T) {
 		w := testWorkload(t, uint64(wSeed)%64, 12+int(wSeed)%20, 2+int(wSeed)%3)
 		r := rng.New(uint64(opSeed))
 		a, b := Random(w, r), Random(w, r)
-		c1, c2, _, _ := Crossover(a, b, r)
+		c1, c2 := Crossover(a, b, r)
 		n, m := w.N(), w.M()
 		return validChromosome(uint64(wSeed), c1, n, m) &&
 			validChromosome(uint64(wSeed), c2, n, m) &&
@@ -54,7 +54,7 @@ func TestQuickMutateInvariants(t *testing.T) {
 		w := testWorkload(t, uint64(wSeed)%64, 12+int(wSeed)%20, 2+int(wSeed)%3)
 		r := rng.New(uint64(opSeed))
 		c := Random(w, r)
-		mutated, _ := Mutate(w, c, r)
+		mutated := Mutate(w, c, r)
 		return validChromosome(uint64(wSeed), mutated, w.N(), w.M()) &&
 			w.G.IsTopologicalOrder(mutated.Order)
 	}
@@ -71,7 +71,7 @@ func TestQuickRepeatedMutationStaysValid(t *testing.T) {
 		r := rng.New(uint64(opSeed))
 		c := Random(w, r)
 		for k := 0; k < 30; k++ {
-			c, _ = Mutate(w, c, r)
+			c = Mutate(w, c, r)
 		}
 		if !w.G.IsTopologicalOrder(c.Order) {
 			return false

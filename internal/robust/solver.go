@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"robsched/internal/ga"
 	"robsched/internal/heft"
@@ -103,13 +102,6 @@ type Options struct {
 	// property tests). The GA trajectory is bit-identical either way — the
 	// cache only skips redundant decodes.
 	NoMetricsCache bool
-
-	// NoDeltaDecode forces every chromosome decode down the full path
-	// instead of delta-decoding against the parent it diverged from
-	// (ablation and property tests). Delta decodes are bit-identical to
-	// full decodes, so the GA trajectory — and every recorded figure — is
-	// unchanged either way; only speed differs.
-	NoDeltaDecode bool
 
 	// OnGeneration, if set, observes the best schedule of each generation
 	// (generation 0 is the initial population). Used to trace Figs. 2–3.
@@ -216,9 +208,6 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 	if eval.cache != nil && (opt.Obs != nil || opt.Trace != nil) {
 		recordCacheStats(opt.Obs, opt.Trace, eval.cache.Stats().Sub(cachePre))
 	}
-	if opt.Obs != nil || opt.Trace != nil {
-		recordDeltaStats(opt.Obs, opt.Trace, eval.deltaStats())
-	}
 	return eng.Result(res)
 }
 
@@ -259,8 +248,8 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
 		Random:         func(r *rng.Source) *Chromosome { return Random(w, r) },
-		Crossover:      crossoverGA,
-		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { out, _ := Mutate(w, c, r); return out },
+		Crossover:      Crossover,
+		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { return Mutate(w, c, r) },
 		Key:            (*Chromosome).Key,
 		Evaluate: func(pop []*Chromosome) []float64 {
 			fit := make([]float64, len(pop))
@@ -284,14 +273,6 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 	return &Result{Schedule: s, Generations: res.Generations, Stagnated: res.Stagnated}, nil
 }
 
-// crossoverGA adapts Crossover to the engine's two-result hook; the
-// divergence indices ride along inside the children (parent/firstDirty),
-// where the evaluator's delta-decode pass picks them up.
-func crossoverGA(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
-	c1, c2, _, _ := Crossover(a, b, r)
-	return c1, c2
-}
-
 // evaluator computes the population fitness for each mode. It is reentrant
 // — islands call evaluate concurrently — so it holds no mutable scratch;
 // per-chromosome decode/metrics state lives in the chromosomes themselves,
@@ -305,30 +286,6 @@ type evaluator struct {
 	// cache is the genotype→metrics cache; nil when Options.NoMetricsCache
 	// disabled it.
 	cache *MetricsCache
-
-	// frontierHist receives one observation (the number of re-swept tasks)
-	// per successful delta decode; nil — and therefore a no-op — when
-	// telemetry is off.
-	frontierHist *obs.Histogram
-	// Delta-decode traffic, accumulated atomically across the decode
-	// workers. The totals are deterministic: which chromosomes decode, and
-	// each decode's frontier size, are pure functions of the GA trajectory,
-	// independent of Workers and scheduling.
-	deltaHits      atomic.Int64
-	deltaFallbacks atomic.Int64
-	deltaFrontier  atomic.Int64
-}
-
-// deltaFrontierBounds buckets frontier sizes (tasks re-swept per delta
-// decode); paper-scale graphs have tens to hundreds of tasks.
-var deltaFrontierBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-
-func (e *evaluator) deltaStats() deltaStats {
-	return deltaStats{
-		Hits:          e.deltaHits.Load(),
-		Fallbacks:     e.deltaFallbacks.Load(),
-		FrontierTasks: e.deltaFrontier.Load(),
-	}
 }
 
 // slackOf returns the configured robustness surrogate of a schedule.
@@ -367,7 +324,6 @@ func (e *evaluator) metricsOf(c *Chromosome) schedMetrics {
 		k := e.cache.key(c)
 		if met, ok := e.cache.lookup(k, c); ok {
 			c.metr, c.hasMetr = met, true
-			c.parent = nil
 			return c.metr
 		}
 		c.metr = metricsFromSchedule(e.schedOf(c))
@@ -401,12 +357,14 @@ func dedupPending(pop []*Chromosome, needsWork func(*Chromosome) bool) []*Chromo
 	return pending
 }
 
-// decodeAll fans the pending chromosomes out across worker goroutines
+// decodeAll decodes the pending chromosomes across `workers` goroutines
 // (0 = GOMAXPROCS) and waits for all of them; each finished chromosome runs
 // the optional done hook on its worker. Decode order cannot influence
-// results: each schedule depends only on its own genotype.
+// results: each schedule depends only on its own genotype. A decode error
+// panics after the barrier — the operators guarantee genotype validity, so
+// a decode failure is a bug, not an input condition.
 func decodeAll(dec *schedule.Decoder, pending []*Chromosome, workers int, done func(i int, c *Chromosome)) {
-	fanOut(pending, workers, func(i int, c *Chromosome) error {
+	work := func(i int, c *Chromosome) error {
 		if _, err := c.DecodeWith(dec); err != nil {
 			return err
 		}
@@ -414,14 +372,7 @@ func decodeAll(dec *schedule.Decoder, pending []*Chromosome, workers int, done f
 			done(i, c)
 		}
 		return nil
-	})
-}
-
-// fanOut runs work(i, c) for every pending chromosome across `workers`
-// goroutines (0 = GOMAXPROCS) and waits for all of them. A work error
-// panics after the barrier — the operators guarantee genotype validity, so
-// a decode failure is a bug, not an input condition.
-func fanOut(pending []*Chromosome, workers int, work func(i int, c *Chromosome) error) {
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -458,92 +409,6 @@ func fanOut(pending []*Chromosome, workers int, work func(i int, c *Chromosome) 
 	}
 }
 
-// deltaPlan is one pending chromosome's decode decision: a nil parent means
-// a full decode; otherwise DecodeDelta reuses the parent schedule's prefix
-// before position fd. Plans are resolved serially before the parallel
-// fan-out so no worker ever reads another chromosome's parentage fields.
-type deltaPlan struct {
-	parent *schedule.Schedule
-	fd     int
-}
-
-// planDeltas resolves each miss's parent chain to its nearest decoded
-// ancestor — composing the first-divergence indices by minimum, which keeps
-// the prefix-agreement invariant transitively — and decides full vs delta
-// on a cheap cost model: a clean prefix shorter than n/8 pays the delta
-// path's per-suffix-task overhead on nearly the whole graph, and more than
-// n/4 changed genes seeds the dirty sweeps so densely (each moved task
-// rewires disjunctive arcs, each reassignment re-costs its arcs) that the
-// branch-free full sweep is faster than tracking what survived. Both scans
-// are O(n) in the serial section, noise next to the decode they steer. All
-// parent links are severed afterwards so discarded generations (and their
-// schedule arenas) stay collectable.
-func (e *evaluator) planDeltas(misses []*Chromosome) []deltaPlan {
-	var plans []deltaPlan
-	if !e.opt.NoDeltaDecode {
-		plans = make([]deltaPlan, len(misses))
-		for i, c := range misses {
-			d := c.firstDirty
-			p := c.parent
-			for p != nil && p.decoded == nil {
-				if p.firstDirty < d {
-					d = p.firstDirty
-				}
-				p = p.parent
-			}
-			n := len(c.Order)
-			if p == nil || d*8 < n {
-				continue // plans[i] stays the zero full-decode plan
-			}
-			changes := 0
-			for j := d; j < n; j++ {
-				if c.Order[j] != p.Order[j] {
-					changes++
-				}
-			}
-			for v := range c.Proc {
-				if c.Proc[v] != p.Proc[v] {
-					changes++
-				}
-			}
-			if changes*4 > n {
-				continue
-			}
-			plans[i] = deltaPlan{parent: p.decoded, fd: d}
-		}
-	}
-	// Sever only after every chain is resolved: a miss's chain may pass
-	// through another miss of the same batch.
-	for _, c := range misses {
-		c.parent = nil
-	}
-	return plans
-}
-
-// decodeOne executes one plan, routing telemetry by outcome. A fallback
-// (DecodeDelta rejecting the claimed prefix) means the parentage
-// bookkeeping is wrong; it stays correct — DecodeDelta re-runs the full
-// path — but is counted separately so it can be alarmed on.
-func (e *evaluator) decodeOne(c *Chromosome, pl deltaPlan) error {
-	if pl.parent == nil {
-		_, err := c.DecodeWith(e.dec)
-		return err
-	}
-	frontier, full, err := e.dec.DecodeDelta(pl.parent, &c.decodedVal, c.Order, c.Proc, pl.fd)
-	if err != nil {
-		return fmt.Errorf("robust: invalid chromosome: %w", err)
-	}
-	c.decoded = &c.decodedVal
-	if full {
-		e.deltaFallbacks.Add(1)
-		return nil
-	}
-	e.deltaHits.Add(1)
-	e.deltaFrontier.Add(int64(frontier))
-	e.frontierHist.Observe(float64(frontier))
-	return nil
-}
-
 // decodePopulation decodes every not-yet-decoded chromosome of pop (used by
 // the custom-fitness and NSGA-II paths, which need full schedules rather
 // than the metrics triple).
@@ -561,9 +426,6 @@ func decodePopulation(dec *schedule.Decoder, pop []*Chromosome, workers int) {
 // metrics into the cache as they finish. The barrier guarantees the serial
 // fitness combination that follows sees every metric.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
-	// No parent severing in this closure: every path that sets hasMetr or
-	// decoded already severed, so the fields are nil here — and writing
-	// them would race between islands, which share migrant pointers.
 	pending := dedupPending(pop, func(c *Chromosome) bool {
 		if c.hasMetr {
 			return false
@@ -586,28 +448,18 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 			k := e.cache.key(c)
 			if met, ok := e.cache.lookup(k, c); ok {
 				c.metr, c.hasMetr = met, true
-				c.parent = nil
 				continue
 			}
 			misses = append(misses, c)
 			keys = append(keys, k)
 		}
 	}
-	plans := e.planDeltas(misses)
-	fanOut(misses, e.opt.Workers, func(i int, c *Chromosome) error {
-		var pl deltaPlan
-		if plans != nil {
-			pl = plans[i]
-		}
-		if err := e.decodeOne(c, pl); err != nil {
-			return err
-		}
+	decodeAll(e.dec, misses, e.opt.Workers, func(i int, c *Chromosome) {
 		c.metr = metricsFromSchedule(c.decoded)
 		c.hasMetr = true
 		if keys != nil {
 			e.cache.insert(keys[i], c, c.metr)
 		}
-		return nil
 	})
 }
 

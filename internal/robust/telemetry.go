@@ -50,32 +50,6 @@ func telemetryObserver(reg *obs.Registry, tr *obs.Tracer) ga.Observer {
 	})
 }
 
-// deltaStats is one run's delta-decode traffic: how many decodes reused a
-// parent prefix, how many fell back to the full path after a failed prefix
-// verification (0 unless the parentage bookkeeping regresses), and the
-// total number of tasks re-swept across all delta decodes.
-type deltaStats struct {
-	Hits          int64
-	Fallbacks     int64
-	FrontierTasks int64
-}
-
-// recordDeltaStats adds one run's delta-decode traffic to the registry and
-// emits it as a trace event. Like the cache counters, every value is a
-// deterministic function of the GA trajectory. The per-decode frontier
-// distribution is observed live into the decode.delta_frontier histogram
-// by the evaluator rather than here.
-func recordDeltaStats(reg *obs.Registry, tr *obs.Tracer, d deltaStats) {
-	reg.Counter("decode.delta_hits").Add(d.Hits)
-	reg.Counter("decode.delta_fallbacks").Add(d.Fallbacks)
-	reg.Counter("decode.delta_frontier_tasks").Add(d.FrontierTasks)
-	tr.Scope("decode").Event("delta",
-		obs.F("hits", float64(d.Hits)),
-		obs.F("fallbacks", float64(d.Fallbacks)),
-		obs.F("frontier_tasks", float64(d.FrontierTasks)),
-	)
-}
-
 // recordCacheStats adds one run's metrics-cache traffic (a delta between
 // two Stats snapshots, so shared caches attribute per-run counts correctly)
 // to the registry and emits it as a trace event.

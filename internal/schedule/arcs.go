@@ -8,25 +8,23 @@ import (
 
 // arcSet is the processor-independent half of a disjunctive graph in CSR
 // form: the task graph's data arcs, in both directions, with the raw data
-// size of every arc and the index mapping between the two directions.
+// size of every arc and the mapping from each succ arc to its pred twin.
 //
 // Every schedule of the same task graph shares one arcSet; only the
 // per-arc communication costs (which depend on the processor assignment)
 // and the at-most-one disjunctive arc per task (which depends on the
 // processor orders) vary per schedule, and those live in the Schedule
-// itself. Splitting the CSR this way is what makes delta decoding cheap:
-// a child schedule can copy its parent's per-arc costs and patch only the
-// arcs incident to reassigned tasks, instead of re-deriving the whole
-// adjacency structure.
+// itself. Splitting the CSR this way means a chromosome decode never
+// re-derives the adjacency structure: it fills one cost per arc (mirrored
+// into the pred direction through sMirror) and the two analysis sweeps.
 type arcSet struct {
 	n        int
 	succOff  []int32   // n+1 offsets into succTo/succData/sMirror
 	succTo   []int32   // data-arc targets, grouped by source
 	succData []float64 // data size of each succ arc
-	predOff  []int32   // n+1 offsets into predTo/pMirror
+	predOff  []int32   // n+1 offsets into predTo
 	predTo   []int32   // data-arc sources, grouped by target
 	sMirror  []int32   // succ arc k -> index of the same arc in the pred CSR
-	pMirror  []int32   // pred arc j -> index of the same arc in the succ CSR
 }
 
 // newArcSet builds the static CSR of a task graph. The pred-side fill
@@ -43,7 +41,6 @@ func newArcSet(g *dag.Graph) *arcSet {
 		predOff:  make([]int32, n+1),
 		predTo:   make([]int32, nE),
 		sMirror:  make([]int32, nE),
-		pMirror:  make([]int32, nE),
 	}
 	off := int32(0)
 	for v := 0; v < n; v++ {
@@ -68,7 +65,6 @@ func newArcSet(g *dag.Graph) *arcSet {
 			cur[arc.To]++
 			a.predTo[j] = int32(u)
 			a.sMirror[k] = j
-			a.pMirror[j] = k
 		}
 	}
 	return a

@@ -49,18 +49,15 @@ func (d *Decoder) DecodeInto(s *Schedule, order, proc []int) error {
 // decodeScratch holds every transient buffer one schedule construction
 // needs. Instances are pooled; ensure grows them to the workload at hand.
 type decodeScratch struct {
-	proc    []int32 // validated task -> processor copy
-	porder  []int32 // tasks grouped by processor
-	dsucc   []int32 // disjunctive successor of each task, -1 if none
-	dpred   []int32 // disjunctive predecessor of each task, -1 if none
-	cursor  []int32 // Kahn indegrees (explicit-list construction only)
-	pos     []int32 // position of each task in the scheduling string
-	poff    []int32 // m+1 per-processor offsets into porder
-	pcur    []int32 // per-processor fill cursors
-	plast   []int32 // last task seen on each processor, -1 if none
-	changed []bool  // delta decode: tasks with a reassigned processor
-	sdirty  []bool  // delta decode: start/finish recompute frontier
-	bdirty  []bool  // delta decode: bottom-level recompute frontier
+	proc   []int32 // validated task -> processor copy
+	porder []int32 // tasks grouped by processor
+	dsucc  []int32 // disjunctive successor of each task, -1 if none
+	dpred  []int32 // disjunctive predecessor of each task, -1 if none
+	cursor []int32 // Kahn indegrees (explicit-list construction only)
+	pos    []int32 // position of each task in the scheduling string
+	poff   []int32 // m+1 per-processor offsets into porder
+	pcur   []int32 // per-processor fill cursors
+	plast  []int32 // last task seen on each processor, -1 if none
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -74,9 +71,6 @@ func getScratch(n, m int) *decodeScratch {
 		sc.dpred = make([]int32, n)
 		sc.cursor = make([]int32, n)
 		sc.pos = make([]int32, n)
-		sc.changed = make([]bool, n)
-		sc.sdirty = make([]bool, n)
-		sc.bdirty = make([]bool, n)
 	}
 	if cap(sc.poff) < m+1 {
 		sc.poff = make([]int32, m+1)

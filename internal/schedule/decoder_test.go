@@ -9,6 +9,89 @@ import (
 	"robsched/internal/rng"
 )
 
+// sameSchedule fails the test unless every piece of state of got — exported
+// and internal, analysis and adjacency — is bit-identical to want.
+func sameSchedule(t *testing.T, ctx string, got, want *Schedule) {
+	t.Helper()
+	if got.makespan != want.makespan || got.avgSlack != want.avgSlack || got.minSlack != want.minSlack {
+		t.Fatalf("%s: summary differs: (%v %v %v) != (%v %v %v)", ctx,
+			got.makespan, got.avgSlack, got.minSlack, want.makespan, want.avgSlack, want.minSlack)
+	}
+	intSlices := [][2][]int32{
+		{got.proc, want.proc}, {got.topo, want.topo}, {got.porder, want.porder},
+		{got.porderOff, want.porderOff}, {got.dsucc, want.dsucc}, {got.dpred, want.dpred},
+	}
+	for si, pair := range intSlices {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("%s: int slice %d length %d != %d", ctx, si, len(pair[0]), len(pair[1]))
+		}
+		for i := range pair[0] {
+			if pair[0][i] != pair[1][i] {
+				t.Fatalf("%s: int slice %d differs at %d: %d != %d", ctx, si, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+	floatSlices := [][2][]float64{
+		{got.succComm, want.succComm}, {got.predComm, want.predComm}, {got.expDur, want.expDur},
+		{got.start, want.start}, {got.finish, want.finish}, {got.bl, want.bl}, {got.slack, want.slack},
+	}
+	for si, pair := range floatSlices {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("%s: float slice %d length %d != %d", ctx, si, len(pair[0]), len(pair[1]))
+		}
+		for i := range pair[0] {
+			if pair[0][i] != pair[1][i] {
+				t.Fatalf("%s: float slice %d differs at %d: %v != %v", ctx, si, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+}
+
+// feasibleMove relocates the task at position i of order to a random
+// position within its precedence-feasible window, like the GA's mutation
+// operator, keeping the order topological.
+func feasibleMove(r *rng.Source, w *platform.Workload, order []int, i int) {
+	n := len(order)
+	pos := make([]int, n)
+	for p, v := range order {
+		pos[v] = p
+	}
+	v := order[i]
+	lo, hi := 0, n-1
+	for _, a := range w.G.Predecessors(v) {
+		if p := pos[a.To]; p+1 > lo {
+			lo = p + 1
+		}
+	}
+	for _, a := range w.G.Successors(v) {
+		if p := pos[a.To]; p-1 < hi {
+			hi = p - 1
+		}
+	}
+	j := lo + r.Intn(hi-lo+1)
+	if j < i {
+		copy(order[j+1:i+1], order[j:i])
+	} else {
+		copy(order[i:j], order[i+1:j+1])
+	}
+	order[j] = v
+}
+
+// deriveChild perturbs a parent chromosome with GA-like edits — feasible
+// order moves plus processor reassignments — returning fresh slices.
+func deriveChild(r *rng.Source, w *platform.Workload, pOrder, pProc []int) (order, proc []int) {
+	n := len(pOrder)
+	order = append([]int(nil), pOrder...)
+	proc = append([]int(nil), pProc...)
+	for moves := r.Intn(3); moves >= 0; moves-- {
+		feasibleMove(r, w, order, r.Intn(n))
+	}
+	for changes := 1 + r.Intn(3); changes > 0; changes-- {
+		proc[r.Intn(n)] = r.Intn(w.M())
+	}
+	return order, proc
+}
+
 // TestTrustedDecodeMatchesFromOrder: the trusted constructor and the pooled
 // decoder must reproduce FromOrder exactly — same topological order, same
 // analysis, bit for bit — across many random workloads and chromosomes.

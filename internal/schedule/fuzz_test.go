@@ -7,19 +7,20 @@ import (
 	"robsched/internal/rng"
 )
 
-// FuzzDecodeDelta hammers the incremental decoder with arbitrary
-// workloads, GA-like parent/child derivations and arbitrary — including
-// deliberately wrong — dirty-frontier claims. The invariant is total: for
-// any claim, DecodeDelta either produces a schedule bit-identical to the
-// full decode of the same chromosome, or reports full=true and produces
-// the full decode's result; it must never panic and never return a
-// schedule that disagrees with DecodeInto.
-func FuzzDecodeDelta(f *testing.F) {
-	f.Add(uint64(1), uint64(2), 3, 0)
-	f.Add(uint64(7), uint64(11), 1, 5)
-	f.Add(uint64(42), uint64(13), 1000, 1)
-	f.Add(uint64(99), uint64(3), -4, 2)
-	f.Fuzz(func(t *testing.T, wseed, dseed uint64, claim, edits int) {
+// FuzzDecode hammers the chromosome decoder with arbitrary workloads,
+// GA-like chromosomes (a random topological order and random processors,
+// then up to three chained derivations like the GA's operators apply) and
+// byte-directed corruptions of them: out-of-range and duplicate tasks,
+// out-of-range processors, precedence inversions and wrong lengths. The
+// invariant is total: DecodeInto accepts exactly the well-formed
+// chromosomes, producing a schedule bit-identical to FromOrder's, rejects
+// every malformed one with an error, and never panics.
+func FuzzDecode(f *testing.F) {
+	f.Add(uint64(1), uint64(2), 0, []byte(nil))
+	f.Add(uint64(7), uint64(11), 5, []byte{2, 3, 9})
+	f.Add(uint64(42), uint64(13), 1, []byte{0, 200, 1, 7})
+	f.Add(uint64(99), uint64(3), 2, []byte{3, 1, 1, 255})
+	f.Fuzz(func(t *testing.T, wseed, dseed uint64, edits int, corrupt []byte) {
 		p := gen.PaperParams()
 		p.N = 2 + int(wseed%40)
 		p.M = 1 + int(wseed%6)
@@ -27,49 +28,68 @@ func FuzzDecodeDelta(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n := w.N()
+		n, m := w.N(), w.M()
 		r := rng.New(dseed)
-		pOrder := w.G.RandomTopologicalOrder(r)
-		pProc := make([]int, n)
-		for i := range pProc {
-			pProc[i] = r.Intn(w.M())
+		order := w.G.RandomTopologicalOrder(r)
+		proc := make([]int, n)
+		for i := range proc {
+			proc[i] = r.Intn(m)
 		}
-		dec := NewDecoder(w)
-		var parent Schedule
-		if err := dec.DecodeInto(&parent, pOrder, pProc); err != nil {
-			t.Fatalf("parent decode failed: %v", err)
-		}
-		// Chain up to three GA-like derivations so children can be several
-		// operator applications away from the decoded parent, like the
-		// evaluator's composed parent chains.
-		order, proc := pOrder, pProc
 		for e := 0; e < edits%4; e++ {
-			order, proc, _ = deriveChild(r, w, order, proc)
+			order, proc = deriveChild(r, w, order, proc)
 		}
-		var want Schedule
-		if err := dec.DecodeInto(&want, order, proc); err != nil {
-			t.Fatalf("full decode of derived child failed: %v", err)
-		}
-		// The exact divergence against the *original* parent, for the
-		// overclaim assertion below.
-		trueD := n
-		for i := 0; i < n; i++ {
-			if order[i] != pOrder[i] || proc[order[i]] != pProc[order[i]] {
-				trueD = i
-				break
+		// Each (op, arg) byte pair applies one corruption; the signed arg
+		// reaches negative and out-of-range values.
+		for i := 0; i+1 < len(corrupt); i += 2 {
+			arg := int(int8(corrupt[i+1]))
+			switch corrupt[i] % 4 {
+			case 0:
+				if len(order) > 0 {
+					order[abs(arg)%len(order)] = arg
+				}
+			case 1:
+				if len(proc) > 0 {
+					proc[abs(arg)%len(proc)] = arg
+				}
+			case 2:
+				if len(order) > 1 {
+					a, b := abs(arg)%len(order), (abs(arg)+1)%len(order)
+					order[a], order[b] = order[b], order[a]
+				}
+			case 3:
+				if arg < 0 && len(order) > 0 {
+					order = order[:len(order)-1]
+				} else {
+					proc = append(proc, arg)
+				}
 			}
 		}
+		valid := len(order) == n && len(proc) == n && w.G.IsTopologicalOrder(order)
+		for _, q := range proc {
+			valid = valid && q >= 0 && q < m
+		}
 		var got Schedule
-		frontier, full, err := dec.DecodeDelta(&parent, &got, order, proc, claim)
+		err = NewDecoder(w).DecodeInto(&got, order, proc)
+		if !valid {
+			if err == nil {
+				t.Fatalf("malformed chromosome accepted: order=%v proc=%v", order, proc)
+			}
+			return
+		}
 		if err != nil {
-			t.Fatalf("DecodeDelta(claim=%d) rejected a valid child: %v", claim, err)
+			t.Fatalf("valid chromosome rejected: %v", err)
 		}
-		if !full && claim > trueD && trueD < n {
-			t.Fatalf("claim %d exceeds true divergence %d but the prefix verified", claim, trueD)
+		want, err := FromOrder(w, order, proc)
+		if err != nil {
+			t.Fatalf("FromOrder rejected a chromosome DecodeInto accepted: %v", err)
 		}
-		if frontier < 0 || frontier > n {
-			t.Fatalf("frontier %d out of range [0,%d]", frontier, n)
-		}
-		sameSchedule(t, "fuzz", &got, &want)
+		sameSchedule(t, "fuzz", &got, want)
 	})
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -18,8 +18,7 @@
 // in one int32 arena and all float state in one float64 arena, so building
 // a schedule costs exactly two heap allocations beyond its struct and the
 // longest-path passes walk contiguous memory. See Decoder (decoder.go) for
-// the pooled fast path used by the GA's chromosome decoding and for
-// DecodeDelta, the incremental path that reuses a parent schedule's prefix.
+// the pooled fast path used by the GA's chromosome decoding.
 package schedule
 
 import (
