@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"robsched/internal/platform"
@@ -21,10 +22,11 @@ func (m refMirrored) Uniform(a, b float64) float64 {
 }
 
 // refMakespans is an independent reimplementation of the pre-batching scalar
-// engine: one realization at a time, full n×m matrix sampled through
-// Workload.SampleDuration, one MakespanInto pass per schedule. The batched
-// engine must reproduce it bit for bit for every worker count and batch
-// width.
+// engine: one realization at a time, full n×m matrix sampled, one
+// MakespanInto pass per schedule. The uniform model samples through
+// Workload.SampleDuration; every other model (or correlation mode) through
+// refGeneralMatrix. The batched engine must reproduce it bit for bit for
+// every worker count and batch width.
 func refMakespans(tb testing.TB, ss []*schedule.Schedule, opt Options, root *rng.Source) [][]float64 {
 	tb.Helper()
 	w := ss[0].Workload()
@@ -45,15 +47,21 @@ func refMakespans(tb testing.TB, ss []*schedule.Schedule, opt Options, root *rng
 	dur := make([]float64, n)
 	startBuf := make([]float64, n)
 	finishBuf := make([]float64, n)
+	general := opt.Model != ModelUniform || opt.Corr != CorrNone
 	for i := 0; i < opt.Realizations; i++ {
 		r := rng.New(seeds[i])
-		var src interface{ Uniform(a, b float64) float64 } = r
-		if opt.Antithetic && i%2 == 1 {
-			src = refMirrored{r}
-		}
-		for t := 0; t < n; t++ {
-			for p := 0; p < m; p++ {
-				durs[t*m+p] = w.SampleDuration(t, p, src)
+		mirrored := opt.Antithetic && i%2 == 1
+		if general {
+			refGeneralMatrix(durs, w, opt, r, mirrored)
+		} else {
+			var src interface{ Uniform(a, b float64) float64 } = r
+			if mirrored {
+				src = refMirrored{r}
+			}
+			for t := 0; t < n; t++ {
+				for p := 0; p < m; p++ {
+					durs[t*m+p] = w.SampleDuration(t, p, src)
+				}
 			}
 		}
 		for j, s := range ss {
@@ -66,6 +74,70 @@ func refMakespans(tb testing.TB, ss []*schedule.Schedule, opt Options, root *rng
 	return out
 }
 
+// refGeneralMatrix samples one full n×m duration matrix under opt's model
+// and correlation mode, straight from the specification: the realization's
+// whole uniform block (load-factor draws — m under CorrShared, n·m under
+// CorrIndep — then one draw per non-degenerate pair in pair order) is drawn
+// with one rng.Float64s call and, when mirrored, every draw becomes 1−u.
+// Every pair is transformed with the public quantile functions, then
+// multiplied by its mean-1 lognormal load factor.
+func refGeneralMatrix(durs []float64, w *platform.Workload, opt Options, r *rng.Source, mirrored bool) {
+	n, m := w.N(), w.M()
+	loadDraws := 0
+	switch opt.Corr {
+	case CorrShared:
+		loadDraws = m
+	case CorrIndep:
+		loadDraws = n * m
+	}
+	draws := 0
+	for k := 0; k < n*m; k++ {
+		b := w.BCET.At(k/m, k%m)
+		if (2*w.UL.At(k/m, k%m)-1)*b > b {
+			draws++
+		}
+	}
+	u := make([]float64, loadDraws+draws)
+	r.Float64s(u)
+	if mirrored {
+		for i := range u {
+			u[i] = 1 - u[i]
+		}
+	}
+	s2 := math.Log(1 + opt.LoadCOV*opt.LoadCOV)
+	loadMu, loadSigma := -s2/2, math.Sqrt(s2)
+	j := loadDraws
+	for k := 0; k < n*m; k++ {
+		b := w.BCET.At(k/m, k%m)
+		hi := (2*w.UL.At(k/m, k%m) - 1) * b
+		v := b
+		if hi > b {
+			uu := u[j]
+			j++
+			switch opt.Model {
+			case ModelUniform:
+				v = b + (hi-b)*uu
+			case ModelLognormal:
+				mean := (b + hi) / 2
+				variance := (hi - b) * (hi - b) / 12
+				ls2 := math.Log(1 + variance/(mean*mean))
+				v = rng.LogNormalQuantile(math.Log(mean)-ls2/2, math.Sqrt(ls2), uu)
+			case ModelBoundedPareto:
+				// The support's upper end is lo + width, as the engine
+				// stores it; it can differ from hi in the last bit.
+				v = rng.BoundedParetoQuantile(b, b+(hi-b), opt.ParetoShape, uu)
+			}
+		}
+		switch opt.Corr {
+		case CorrShared:
+			v *= rng.LogNormalQuantile(loadMu, loadSigma, u[k%m])
+		case CorrIndep:
+			v *= rng.LogNormalQuantile(loadMu, loadSigma, u[k])
+		}
+		durs[k] = v
+	}
+}
+
 // equivSchedules builds a small family of schedules over one workload: HEFT
 // plus deterministic round-robin variants.
 func equivSchedules(tb testing.TB, w *platform.Workload, count int) []*schedule.Schedule {
@@ -73,11 +145,11 @@ func equivSchedules(tb testing.TB, w *platform.Workload, count int) []*schedule.
 }
 
 // TestBatchedMatchesScalar is the batched-vs-scalar equivalence property:
-// over random workloads (including a fully deterministic one, which
-// exercises the no-draw degenerate sampling path), batch widths 1, 3, 8 and
-// 17, several worker counts and antithetic on/off, every per-realization
-// makespan and every metric field must be bit-identical to the scalar
-// reference pass.
+// over random workloads (including one with mean UL 1, whose many
+// degenerate pairs exercise the no-draw sampling path), the uniform model
+// and every modelCases() entry, batch widths 1, 3, 8 and 17, several worker
+// counts and antithetic on/off, every per-realization makespan and every
+// metric field must be bit-identical to the scalar reference pass.
 func TestBatchedMatchesScalar(t *testing.T) {
 	workloads := []*platform.Workload{
 		testWorkload(t, 101, 30, 4, 4),
@@ -86,44 +158,44 @@ func TestBatchedMatchesScalar(t *testing.T) {
 		testWorkload(t, 107, 23, 5, 1), // UL == 1: degenerate distributions
 	}
 	const realizations = 101 // odd: tail batch + an unpaired antithetic draw
-	for wi, w := range workloads {
-		ss := equivSchedules(t, w, 3)
-		for _, anti := range []bool{false, true} {
-			base := Options{Realizations: realizations, Antithetic: anti}
-			ref := refMakespans(t, ss, base, rng.New(uint64(900+wi)))
-			refMetrics, err := EvaluateAll(ss, Options{Realizations: realizations, Antithetic: anti, Workers: 1, BatchSize: 1}, rng.New(uint64(900+wi)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, batch := range []int{1, 3, 8, 17} {
-				for _, workers := range []int{1, 2, 5} {
-					opt := Options{
-						Realizations: realizations,
-						Workers:      workers,
-						Antithetic:   anti,
-						BatchSize:    batch,
-					}
-					label := fmt.Sprintf("workload=%d anti=%v batch=%d workers=%d", wi, anti, batch, workers)
-					mks, err := RealizeAll(ss, opt, rng.New(uint64(900+wi)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := range ss {
-						for i := range mks[j] {
-							if mks[j][i] != ref[j][i] {
-								t.Fatalf("%s: schedule %d realization %d: batched %v != scalar %v",
-									label, j, i, mks[j][i], ref[j][i])
+	for _, model := range append([]Options{{}}, modelCases()...) {
+		for wi, w := range workloads {
+			ss := equivSchedules(t, w, 3)
+			for _, anti := range []bool{false, true} {
+				base := model
+				base.Realizations = realizations
+				base.Antithetic = anti
+				ref := refMakespans(t, ss, base, rng.New(uint64(900+wi)))
+				refMetrics, err := EvaluateAll(ss, withWB(base, 1, 1), rng.New(uint64(900+wi)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, batch := range []int{1, 3, 8, 17} {
+					for _, workers := range []int{1, 2, 5} {
+						opt := withWB(base, workers, batch)
+						label := fmt.Sprintf("model=%s-%s workload=%d anti=%v batch=%d workers=%d",
+							model.Model, model.Corr, wi, anti, batch, workers)
+						mks, err := RealizeAll(ss, opt, rng.New(uint64(900+wi)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j := range ss {
+							for i := range mks[j] {
+								if mks[j][i] != ref[j][i] {
+									t.Fatalf("%s: schedule %d realization %d: batched %v != scalar %v",
+										label, j, i, mks[j][i], ref[j][i])
+								}
 							}
 						}
-					}
-					ms, err := EvaluateAll(ss, opt, rng.New(uint64(900+wi)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := range ss {
-						if !metricsIdentical(ms[j], refMetrics[j]) {
-							t.Fatalf("%s: schedule %d metrics diverged:\n%+v\n%+v",
-								label, j, ms[j], refMetrics[j])
+						ms, err := EvaluateAll(ss, opt, rng.New(uint64(900+wi)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j := range ss {
+							if !metricsIdentical(ms[j], refMetrics[j]) {
+								t.Fatalf("%s: schedule %d metrics diverged:\n%+v\n%+v",
+									label, j, ms[j], refMetrics[j])
+							}
 						}
 					}
 				}

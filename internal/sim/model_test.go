@@ -14,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
@@ -126,6 +127,16 @@ func withWB(o Options, workers, batch int) Options {
 	return o
 }
 
+// allPairs is the read set of every (task, processor) pair of w, so a
+// sampler built over it samples the full matrix with entry k == pair k.
+func allPairs(w *platform.Workload) []int32 {
+	pairs := make([]int32, w.N()*w.M())
+	for k := range pairs {
+		pairs[k] = int32(k)
+	}
+	return pairs
+}
+
 // TestGeneralMirrorExact is the white-box antithetic contract for the
 // general path: the mirrored realization must evaluate exactly the same
 // transforms at exactly 1−u, for every duration model and correlation mode.
@@ -135,7 +146,7 @@ func TestGeneralMirrorExact(t *testing.T) {
 	w := testWorkload(t, 12, 15, 3, 3)
 	n, m := w.N(), w.M()
 	for ci, opt := range modelCases() {
-		sp := newSampler(w, opt)
+		sp := newSampler(w, opt, allPairs(w))
 		if !sp.general() {
 			t.Fatalf("case %d: expected general sampler", ci)
 		}
@@ -200,7 +211,7 @@ func TestGeneralMirrorExact(t *testing.T) {
 // (hi−b)²/12, to floating-point accuracy.
 func TestLognormalMomentMatch(t *testing.T) {
 	w := testWorkload(t, 13, 20, 4, 3)
-	sp := newSampler(w, Options{Model: ModelLognormal})
+	sp := newSampler(w, Options{Model: ModelLognormal}, allPairs(w))
 	for k := range sp.lo {
 		if sp.width[k] <= 0 {
 			continue
@@ -228,7 +239,7 @@ func TestEqualMarginals(t *testing.T) {
 	n, m := w.N(), w.M()
 	const N = 30000
 	moments := func(corr Correlation) (mean, variance float64) {
-		sp := newSampler(w, Options{Corr: corr, LoadCOV: 0.5})
+		sp := newSampler(w, Options{Corr: corr, LoadCOV: 0.5}, allPairs(w))
 		u := make([]float64, sp.scratch())
 		load := make([]float64, m)
 		dst := make([]float64, n*m)

@@ -229,6 +229,30 @@ func TestEvaluateAllCommonRandomNumbers(t *testing.T) {
 		ms[0].MeanTardiness != ms[1].MeanTardiness || ms[0].P95 != ms[1].P95 {
 		t.Fatalf("identical schedules diverged under common random numbers:\n%+v\n%+v", ms[0], ms[1])
 	}
+	// A schedule's samples do not depend on its batch mates: evaluated
+	// alone it reads only its own pairs, next to two round-robin schedules
+	// the sampled read set is wider, and under every model the metrics
+	// must agree bit for bit.
+	ss := benchSchedules(t, w, 3)
+	for _, model := range append([]Options{{}}, modelCases()...) {
+		for _, anti := range []bool{false, true} {
+			opt := model
+			opt.Realizations = 101
+			opt.Antithetic = anti
+			alone, err := Evaluate(ss[0], opt, rng.New(19))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := EvaluateAll(ss, opt, rng.New(19))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !metricsIdentical(alone, all[0]) {
+				t.Fatalf("model=%s-%s anti=%v: Evaluate(s) != EvaluateAll([s, a, b])[0]:\n%+v\n%+v",
+					model.Model, model.Corr, anti, alone, all[0])
+			}
+		}
+	}
 }
 
 func TestEvaluateAllRejectsMixedWorkloads(t *testing.T) {
@@ -274,31 +298,6 @@ func TestSlackImprovesRobustness(t *testing.T) {
 	if ms[1].MeanTardiness >= ms[0].MeanTardiness {
 		t.Errorf("higher slack did not reduce tardiness: %g >= %g",
 			ms[1].MeanTardiness, ms[0].MeanTardiness)
-	}
-}
-
-func TestRealize(t *testing.T) {
-	w := testWorkload(t, 25, 20, 3, 2)
-	s := heftSchedule(t, w)
-	r := rng.New(29)
-	dur := Realize(s, r)
-	if len(dur) != w.N() {
-		t.Fatalf("Realize returned %d durations", len(dur))
-	}
-	for i, d := range dur {
-		b := w.BCET.At(i, s.Proc(i))
-		hi := (2*w.UL.At(i, s.Proc(i)) - 1) * b
-		if d < b || d > hi {
-			t.Fatalf("duration %g outside [%g, %g]", d, b, hi)
-		}
-	}
-	// A realized makespan must be at least the all-best-case makespan.
-	bcet := make([]float64, w.N())
-	for i := range bcet {
-		bcet[i] = w.BCET.At(i, s.Proc(i))
-	}
-	if s.MakespanWith(dur) < s.MakespanWith(bcet)-1e-9 {
-		t.Fatal("realized makespan below best-case makespan")
 	}
 }
 
