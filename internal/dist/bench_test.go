@@ -181,8 +181,8 @@ func BenchmarkDistSolveIslands(b *testing.B) {
 			}
 		}
 	})
-	// Liveness + epoch checkpointing armed on a fault-free solve: measures
-	// the standing cost of heartbeats, deadlines and checkpoint rounds.
+	// Liveness armed on a fault-free solve: measures the standing cost of
+	// heartbeats, frame deadlines and job budgets.
 	b.Run("sharded/hardened", func(b *testing.B) {
 		pool := benchProcPool(b, 4)
 		coord := &Coordinator{Pool: pool, Timeout: 5 * time.Second}

@@ -110,8 +110,8 @@ func TestChaosSimRanges(t *testing.T) {
 }
 
 // TestChaosIslandSolve drives the island solve — init, epochs, migrations,
-// checkpoints, recovery — through the injection matrix, with respawn armed
-// so recovery itself runs under fire (respawned workers are wrapped too).
+// replay recovery — through the injection matrix, with respawn armed so
+// recovery itself runs under fire (respawned workers are wrapped too).
 func TestChaosIslandSolve(t *testing.T) {
 	w := testWorkload(t, 13, 20, 3, 3)
 	opt := defaultIslandOpts()

@@ -36,10 +36,6 @@ type Coordinator struct {
 
 	// Timeout is the per-frame liveness deadline; see the type comment.
 	Timeout time.Duration
-	// NoCheckpoint disables the per-barrier island checkpoints (and with
-	// them, mid-solve recovery): a worker death then aborts the solve after
-	// the pool's own bookkeeping. Ablation and benchmarking knob.
-	NoCheckpoint bool
 
 	// PipelineDepth is the credit window of the sim dispatcher: how many
 	// realization ranges are kept in flight per worker connection. 1
@@ -563,53 +559,6 @@ func (d *simDispatch) recvRange(conn *Conn, ri int, seq uint64) error {
 	return nil
 }
 
-// dispatchSim runs the KSimJob exchange on one connection: the job frame
-// out; the sequence-echoing KAck, one vector per schedule and KSimDone
-// back. Protocol violations — including an ack for a different job, the
-// fingerprint of a duplicated or replayed frame — are worker-fatal
-// *WorkerErrors.
-func dispatchSim(conn *Conn, job SimJob, schedules int) ([][]float64, error) {
-	if err := conn.send(KSimJob, job); err != nil {
-		return nil, err
-	}
-	kind, payload, err := conn.recv()
-	if err != nil {
-		return nil, err
-	}
-	if kind != KAck {
-		return nil, conn.werr(kind, fmt.Errorf("dist: frame kind %d, want job ack", kind))
-	}
-	var ack Ack
-	if err := parseJSON(payload, &ack); err != nil {
-		return nil, conn.werr(KAck, err)
-	}
-	if ack.Seq != job.Seq {
-		return nil, conn.werr(KAck, fmt.Errorf("dist: job ack for seq %d, want %d", ack.Seq, job.Seq))
-	}
-	out := make([][]float64, schedules)
-	for j := 0; j < schedules; j++ {
-		kind, payload, err := conn.recv()
-		if err != nil {
-			return nil, err
-		}
-		if kind != KSimVec {
-			return nil, conn.werr(kind, fmt.Errorf("dist: frame kind %d, want sim vector", kind))
-		}
-		out[j] = make([]float64, len(job.Seeds))
-		if err := decodeVecInto(out[j], j, payload); err != nil {
-			return nil, conn.werr(KSimVec, err)
-		}
-	}
-	kind, _, err = conn.recv()
-	if err != nil {
-		return nil, err
-	}
-	if kind != KSimDone {
-		return nil, conn.werr(kind, fmt.Errorf("dist: frame kind %d, want sim done", kind))
-	}
-	return out, nil
-}
-
 // EvaluateAll is the scatter/gather form of sim.EvaluateAll: metrics
 // assembled from the sharded realization vectors, bit-identical to the
 // single-process call for any shard count.
@@ -625,12 +574,12 @@ func (c *Coordinator) EvaluateAll(ss []*schedule.Schedule, opt sim.Options, root
 	return out, nil
 }
 
-// islandOp is one barrier operation of an island solve, recorded since the
-// last checkpoint so a recovered host can replay its way back to the
-// current round. Exactly one field is set. Migrants hold the full ring's
+// islandOp is one barrier operation of an island solve, recorded in the op
+// log so a recovered host can replay its way from the island seeds back to
+// the current round. Exactly one field is set. Migrants hold the full ring's
 // routing for that barrier — the genotypes as they were at the barrier, not
 // references into mutable state — so a replay is a pure function of
-// (checkpoint, oplog).
+// (seeds, oplog).
 type islandOp struct {
 	epoch    *EpochReq
 	migrants []Migrant
@@ -655,9 +604,8 @@ func (h *solveHost) owns(island int) bool {
 }
 
 // solveRun is the mutable state of one island-sharded Solve: the per-island
-// seeds and latest checkpoints (together, the recovery baseline), the op
-// log since the last checkpoint, and the current best states folded from
-// host responses.
+// seeds (the recovery baseline), the op log of every barrier so far, and
+// the current best states folded from host responses.
 type solveRun struct {
 	c     *Coordinator
 	eng   *robust.Engine
@@ -665,7 +613,6 @@ type solveRun struct {
 	sopt  SolverOptions
 	k     int
 	seeds []uint64
-	ckpts []*IslandCheckpoint
 	oplog []islandOp
 	bests []IslandState
 	hosts []*solveHost
@@ -679,16 +626,16 @@ type solveRun struct {
 // so the trajectory and the returned schedule are bit-identical for any
 // worker count.
 //
-// Unless NoCheckpoint is set, the coordinator pulls a full state checkpoint
-// of every island (population, fitnesses, best, stagnation counter, rng
-// stream position) at each barrier. A worker that dies mid-run is then no
-// longer fatal: its islands are restored from their last checkpoints onto a
-// fresh worker (respawned by the pool when armed) or a surviving one, the
-// barrier ops since the checkpoint are replayed, and the trajectory
-// continues bit-identically — the GA step is a pure function of the
-// checkpointed state. With the pool exhausted the islands fold into the
-// coordinator process itself (graceful degradation) and the solve still
-// completes, still bit-identically.
+// A worker that dies mid-run is not fatal: its islands are re-initialised
+// from their seeds on a fresh worker (respawned by the pool when armed) or a
+// surviving one, every barrier op so far is replayed from the op log, and
+// the trajectory continues bit-identically — an island's state is a pure
+// function of its seed and the migrants it received. With the pool
+// exhausted the islands fold into the coordinator process itself (graceful
+// degradation) and the solve still completes, still bit-identically. A
+// recovery replays the whole run so far, so it costs at most one more
+// solve's worth of GA work for the dead host's islands; the fault-free path
+// pays nothing for it.
 //
 // Telemetry (Options.Obs/Trace/Observer) and OnGeneration stay in the
 // coordinator process and are not forwarded to workers; Solve rejects the
@@ -740,7 +687,6 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 		},
 		k:     k,
 		seeds: seeds,
-		ckpts: make([]*IslandCheckpoint, k),
 		bests: make([]IslandState, k),
 	}
 
@@ -773,27 +719,12 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 	totalGens := opt.MaxGenerations
 	gen := 0
 	stagnated := false
-	// Checkpoints overlap with dispatch: instead of a dedicated round trip
-	// after each barrier, the checkpoint pull is deferred and pipelined with
-	// the next round's epoch in one flush (see runOverlappedRound). The
-	// worker answers the checkpoint from its post-barrier state — byte-
-	// identical to the eager pull — before starting the epoch, so the
-	// recovery baseline is the same and a whole round trip per round
-	// disappears. The final round's checkpoint is simply dropped: there is
-	// nothing left to recover after the solve returns.
-	pendingCkpt := false
 	for gen < totalGens {
 		epoch := every
 		if gen+epoch > totalGens {
 			epoch = totalGens - gen
 		}
-		op := islandOp{epoch: &EpochReq{StartGen: gen, Gens: epoch}}
-		if pendingCkpt {
-			pendingCkpt = false
-			if err := s.runOverlappedRound(op); err != nil {
-				return nil, err
-			}
-		} else if err := s.runOp(op); err != nil {
+		if err := s.runOp(islandOp{epoch: &EpochReq{StartGen: gen, Gens: epoch}}); err != nil {
 			return nil, err
 		}
 		gen += epoch
@@ -809,9 +740,6 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 			if err := s.runOp(islandOp{migrants: migrants}); err != nil {
 				return nil, err
 			}
-		}
-		if !c.NoCheckpoint {
-			pendingCkpt = true
 		}
 		if opt.Stagnation > 0 {
 			all := true
@@ -846,7 +774,7 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 }
 
 // initFor builds the (re)init message for a host: every owned island with
-// its seed and, when one exists, its latest checkpoint to restore from.
+// its seed.
 func (s *solveRun) initFor(h *solveHost) IslandInit {
 	init := IslandInit{
 		Workload:        s.wlDoc,
@@ -855,7 +783,7 @@ func (s *solveRun) initFor(h *solveHost) IslandInit {
 		HeartbeatMillis: s.c.heartbeatMillis(),
 	}
 	for _, i := range h.islands {
-		init.Islands = append(init.Islands, IslandSeed{Island: i, Seed: s.seeds[i], Restore: s.ckpts[i]})
+		init.Islands = append(init.Islands, IslandSeed{Island: i, Seed: s.seeds[i]})
 	}
 	return init
 }
@@ -950,7 +878,10 @@ func (s *solveRun) localOp(h *solveHost, op islandOp) error {
 }
 
 // foldStates receives one KIslandState response, verifies its sequence and
-// island ownership, and folds the states into bests.
+// that it lists every island the host owns exactly once, in ascending order,
+// and folds the states into bests. Any other answer is a worker-fatal
+// *WorkerError: folding an incomplete one would leave an island's stale best
+// feeding migration, the stagnation rule and the final pick.
 func (s *solveRun) foldStates(h *solveHost, conn *Conn, seq uint64) error {
 	kind, payload, err := conn.recv()
 	if err != nil {
@@ -966,9 +897,12 @@ func (s *solveRun) foldStates(h *solveHost, conn *Conn, seq uint64) error {
 	if states.Seq != seq {
 		return conn.werr(KIslandState, fmt.Errorf("dist: island state for seq %d, want %d", states.Seq, seq))
 	}
-	for _, st := range states.States {
-		if st.Island < 0 || st.Island >= s.k || !h.owns(st.Island) {
-			return conn.werr(KIslandState, fmt.Errorf("dist: worker %d reported foreign island %d", conn.id, st.Island))
+	if len(states.States) != len(h.islands) {
+		return conn.werr(KIslandState, fmt.Errorf("dist: worker %d reported %d island states, hosts %d islands", conn.id, len(states.States), len(h.islands)))
+	}
+	for i, st := range states.States {
+		if st.Island != h.islands[i] {
+			return conn.werr(KIslandState, fmt.Errorf("dist: worker %d reported island %d in place of island %d", conn.id, st.Island, h.islands[i]))
 		}
 		s.bests[st.Island] = st
 	}
@@ -983,61 +917,47 @@ func (s *solveRun) foldLocalStates(h *solveHost) {
 
 // runOp appends one barrier op to the oplog and executes it on every host
 // in parallel. A host whose exchange fails in transport is recovered —
-// restored from checkpoints and replayed through the oplog, which includes
-// this op — before the round completes, so callers observe only success or
-// a genuine error.
+// re-seeded and replayed through the oplog, which includes this op — before
+// the round completes, so callers observe only success or a genuine error.
 func (s *solveRun) runOp(op islandOp) error {
 	s.oplog = append(s.oplog, op)
 	name := "epochs"
 	if op.epoch == nil {
 		name = "migrations"
 	}
-	return s.eachHost(name, func(h *solveHost) error {
-		if h.local != nil {
-			return s.localOp(h, op)
-		}
-		return s.remoteOp(h.conn, h, op)
-	}, false)
-}
-
-// eachHost runs fn on every host in parallel; hosts that fail in transport
-// are recovered. retry re-runs fn on the recovered host (for rounds whose
-// effect is not part of the oplog replay, i.e. checkpoints).
-func (s *solveRun) eachHost(name string, fn func(h *solveHost) error, retry bool) error {
 	errs := make([]error, len(s.hosts))
 	var wg sync.WaitGroup
 	for j, h := range s.hosts {
 		wg.Add(1)
 		go func(j int, h *solveHost) {
 			defer wg.Done()
-			errs[j] = fn(h)
-			if errs[j] == nil && h.conn != nil {
+			if h.local != nil {
+				errs[j] = s.localOp(h, op)
+				return
+			}
+			if errs[j] = s.remoteOp(h.conn, h, op); errs[j] == nil {
 				s.c.counter(name, h.conn.id)
 			}
 		}(j, h)
 	}
 	wg.Wait()
 	for j, err := range errs {
-		for err != nil {
-			if !transient(err) {
-				return fmt.Errorf("dist: island %s failed: %w", name, err)
-			}
-			if rerr := s.recoverHost(s.hosts[j], err); rerr != nil {
-				return rerr
-			}
-			err = nil
-			if retry {
-				err = fn(s.hosts[j])
-			}
+		if err == nil {
+			continue
+		}
+		if !transient(err) {
+			return fmt.Errorf("dist: island %s failed: %w", name, err)
+		}
+		if err := s.recoverHost(s.hosts[j], err); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// recoverHost replaces a dead remote host: restore its islands from their
-// latest checkpoints (or fresh seeds when none was taken yet) on a fresh
-// worker — respawned by the pool when armed — and replay the barrier ops
-// since the checkpoint. With the pool exhausted the islands fold into the
+// recoverHost replaces a dead remote host: re-seed its islands on a fresh
+// worker — respawned by the pool when armed — and replay every barrier op
+// of the solve so far. With the pool exhausted the islands fold into the
 // coordinator process instead. Either way the host ends bit-identically
 // caught up with the no-fault trajectory.
 func (s *solveRun) recoverHost(h *solveHost, cause error) error {
@@ -1057,9 +977,9 @@ func (s *solveRun) recoverHost(h *solveHost, cause error) error {
 }
 
 // foldLocal degrades a host into the coordinator process: its islands are
-// rebuilt on the coordinator's own engine from their latest checkpoints and
-// replayed through the oplog. From here on the host computes in-process —
-// slower, never wrong.
+// rebuilt on the coordinator's own engine from their seeds and replayed
+// through the oplog. From here on the host computes in-process — slower,
+// never wrong.
 func (s *solveRun) foldLocal(h *solveHost) error {
 	init := s.initFor(h)
 	local, err := hostIslands(s.eng, init.Islands)
@@ -1075,164 +995,6 @@ func (s *solveRun) foldLocal(h *solveHost) error {
 		}
 	}
 	s.c.Obs.Counter("dist.degraded_solves").Inc()
-	return nil
-}
-
-// checkpointRound pulls a fresh checkpoint of every island, and only once
-// every host has delivered one does it commit: the per-island baselines
-// advance and the oplog resets. A host dying mid-round is recovered (to the
-// *old* baseline plus replay) and asked again, so the invariant — baseline
-// plus oplog always reproduces the current state — holds at every instant.
-func (s *solveRun) checkpointRound() error {
-	if s.c.NoCheckpoint {
-		return nil
-	}
-	fresh := make([]*IslandCheckpoint, s.k)
-	var mu sync.Mutex
-	err := s.eachHost("checkpoint_rounds", func(h *solveHost) error {
-		var cks IslandCheckpoints
-		if h.local != nil {
-			cks = h.local.checkpoints()
-		} else {
-			seq := s.c.seq.Add(1)
-			h.conn.arm(s.c.Timeout, s.c.jobBudget(float64(s.sopt.PopSize*len(h.islands))))
-			if err := h.conn.send(KCheckpoint, CheckpointReq{Seq: seq}); err != nil {
-				return err
-			}
-			kind, payload, err := h.conn.recv()
-			if err != nil {
-				return err
-			}
-			if kind != KCheckpointState {
-				return h.conn.werr(kind, fmt.Errorf("dist: frame kind %d, want checkpoint state", kind))
-			}
-			if err := parseJSON(payload, &cks); err != nil {
-				return h.conn.werr(KCheckpointState, err)
-			}
-			if cks.Seq != seq {
-				return h.conn.werr(KCheckpointState, fmt.Errorf("dist: checkpoint for seq %d, want %d", cks.Seq, seq))
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for ci := range cks.Checkpoints {
-			ck := &cks.Checkpoints[ci]
-			if ck.Island < 0 || ck.Island >= s.k || !h.owns(ck.Island) {
-				return fmt.Errorf("dist: checkpoint for foreign island %d", ck.Island)
-			}
-			fresh[ck.Island] = ck
-		}
-		return nil
-	}, true)
-	if err != nil {
-		return err
-	}
-	for i, ck := range fresh {
-		if ck == nil {
-			return fmt.Errorf("dist: checkpoint round missed island %d", i)
-		}
-		s.ckpts[i] = ck
-	}
-	s.oplog = s.oplog[:0]
-	s.c.Obs.Counter("dist.checkpoints").Add(int64(s.k))
-	return nil
-}
-
-// runOverlappedRound runs one epoch barrier with the previous round's
-// deferred checkpoint piggybacked: KCheckpoint and KEpoch go out in a
-// single coalesced flush, the worker answers the checkpoint from its
-// post-barrier (pre-epoch) state and then runs the epoch — one round trip
-// where the eager scheme pays two. The op-log ordering makes the overlap
-// safe: the epoch op is appended before any frame goes out, so a host that
-// dies mid-round is recovered from the *old* baseline and replayed through
-// this epoch like any other op. The fresh baselines commit only when every
-// island delivered a checkpoint; a recovery mid-round leaves holes (the
-// recovered host replayed instead of answering), and the round falls back
-// to a standalone checkpointRound to advance the baseline.
-//
-// Commit is sound even when only some hosts delivered before another's
-// recovery: every delivered checkpoint is a valid pre-epoch state, and the
-// trimmed oplog (just this epoch) replays each of them to the current
-// state.
-func (s *solveRun) runOverlappedRound(op islandOp) error {
-	s.oplog = append(s.oplog, op)
-	fresh := make([]*IslandCheckpoint, s.k)
-	var mu sync.Mutex
-	fold := func(h *solveHost, cks IslandCheckpoints, conn *Conn) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for ci := range cks.Checkpoints {
-			ck := &cks.Checkpoints[ci]
-			if ck.Island < 0 || ck.Island >= s.k || !h.owns(ck.Island) {
-				err := fmt.Errorf("dist: checkpoint for foreign island %d", ck.Island)
-				if conn != nil {
-					return conn.werr(KCheckpointState, err)
-				}
-				return err
-			}
-			fresh[ck.Island] = ck
-		}
-		return nil
-	}
-	err := s.eachHost("epochs", func(h *solveHost) error {
-		if h.local != nil {
-			if err := fold(h, h.local.checkpoints(), nil); err != nil {
-				return err
-			}
-			return s.localOp(h, op)
-		}
-		conn := h.conn
-		ckSeq := s.c.seq.Add(1)
-		req := *op.epoch
-		req.Seq = s.c.seq.Add(1)
-		conn.armWrite(s.c.Timeout, 0)
-		if err := conn.sendNoFlush(KCheckpoint, CheckpointReq{Seq: ckSeq}); err != nil {
-			return err
-		}
-		if err := conn.sendNoFlush(KEpoch, req); err != nil {
-			return err
-		}
-		if err := conn.flush(); err != nil {
-			return err
-		}
-		conn.armRead(s.c.Timeout,
-			s.c.jobBudget(float64(s.sopt.PopSize*len(h.islands)))+
-				s.c.jobBudget(float64(req.Gens*s.sopt.PopSize*len(h.islands))))
-		kind, payload, err := conn.recv()
-		if err != nil {
-			return err
-		}
-		if kind != KCheckpointState {
-			return conn.werr(kind, fmt.Errorf("dist: frame kind %d, want checkpoint state", kind))
-		}
-		var cks IslandCheckpoints
-		if err := parseJSON(payload, &cks); err != nil {
-			return conn.werr(KCheckpointState, err)
-		}
-		if cks.Seq != ckSeq {
-			return conn.werr(KCheckpointState, fmt.Errorf("dist: checkpoint for seq %d, want %d", cks.Seq, ckSeq))
-		}
-		if err := fold(h, cks, conn); err != nil {
-			return err
-		}
-		return s.foldStates(h, conn, req.Seq)
-	}, false)
-	if err != nil {
-		return err
-	}
-	for _, ck := range fresh {
-		if ck == nil {
-			// A recovery interleaved with this round: the recovered host
-			// replayed from the old baseline instead of answering the
-			// piggybacked pull. Re-establish the invariant eagerly.
-			return s.checkpointRound()
-		}
-	}
-	for _, ck := range fresh {
-		s.ckpts[ck.Island] = ck
-	}
-	s.oplog = append(s.oplog[:0], op)
-	s.c.Obs.Counter("dist.checkpoints").Add(int64(s.k))
 	return nil
 }
 

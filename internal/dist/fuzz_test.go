@@ -13,10 +13,10 @@ func FuzzControlMessage(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"seq":18446744073709551615}`))
 	f.Add([]byte(`{"workload":{"n":3,"m":2},"base":0,"seeds":[1,2,3],"hb_ms":25,"seq":7}`))
-	f.Add([]byte(`{"islands":[{"island":0,"seed":42,"restore":{"island":0,"pop":[{"order":[0],"proc":[0]}],"fit_bits":[0],"rng":{"s":[1,2,3,4],"has_spare":true}}}]}`))
+	f.Add([]byte(`{"islands":[{"island":0,"seed":42},{"island":2,"seed":7}],"opt":{"mode":1,"pop_size":6},"heartbeat_millis":25}`))
 	f.Add([]byte(`{"migrants":[{"island":1,"genotype":{"order":[2,0,1],"proc":[1,0,1]}}],"seq":3}`))
 	f.Add([]byte(`{"states":[{"island":0,"best_fitness_bits":4638387860618067575}]}`))
-	f.Add([]byte(`{"checkpoints":[{"island":2,"since_improve":5}],"seq":9}`))
+	f.Add([]byte(`{"start_gen":6,"gens":6,"seq":9}`))
 	f.Add([]byte(`{"error":"dist: island 7 not hosted here","code":"setup"}`))
 	f.Add([]byte(`{"id":3,"workload":{"n":3,"m":2},"schedules":[],"batch_size":8}`))
 	f.Add([]byte(`{"setup":3,"base":64,"seeds":[9,8,7],"seq":12}`))
@@ -25,9 +25,8 @@ func FuzzControlMessage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFE, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		targets := []any{
-			&SimJob{}, &SimSetup{}, &SimRange{}, &Ack{}, &IslandInit{},
-			&EpochReq{}, &MigrateReq{}, &IslandStates{}, &CheckpointReq{},
-			&IslandCheckpoints{}, &ErrMsg{},
+			&SimSetup{}, &SimRange{}, &Ack{}, &IslandInit{}, &EpochReq{},
+			&MigrateReq{}, &IslandStates{}, &ErrMsg{},
 		}
 		for _, v := range targets {
 			if err := parseJSON(data, v); err != nil {

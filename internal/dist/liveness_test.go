@@ -3,8 +3,8 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -92,80 +92,123 @@ func scriptedEndpoint(fn func(r io.Reader, w *io.PipeWriter)) Endpoint {
 	}
 }
 
-// TestHeartbeatExtendsDeadline: a worker that takes far longer than the
-// frame deadline but pulses heartbeats stays alive; the identical worker
-// without pulses is declared dead. This pins down exactly what a heartbeat
-// buys: it re-arms the per-frame deadline, nothing more.
-func TestHeartbeatExtendsDeadline(t *testing.T) {
-	respond := func(w *io.PipeWriter, job SimJob) {
-		bw := bufio.NewWriter(w)
-		_ = sendJSON(bw, KAck, Ack{Seq: job.Seq})
-		_ = wio.WriteFrame(bw, KSimVec, encodeVec(0, make([]float64, len(job.Seeds))))
-		_ = wio.WriteFrame(bw, KSimDone, nil)
-		_ = bw.Flush()
+// sameVectors reports whether two sets of makespan vectors agree bit for bit.
+func sameVectors(got, want [][]float64) bool {
+	if len(got) != len(want) {
+		return false
 	}
-	slowWorker := func(pulse bool) func(r io.Reader, w *io.PipeWriter) {
-		return func(r io.Reader, w *io.PipeWriter) {
-			_, payload, err := wio.ReadFrame(r, nil)
-			if err != nil {
-				w.CloseWithError(err)
-				return
-			}
-			var job SimJob
-			if err := parseJSON(payload, &job); err != nil {
-				w.CloseWithError(err)
-				return
-			}
-			for i := 0; i < 10; i++ { // 300ms of "compute", 3x the deadline
-				time.Sleep(30 * time.Millisecond)
-				if pulse {
-					if err := wio.WriteFrame(w, KHeartbeat, nil); err != nil {
-						return
-					}
-				}
-			}
-			respond(w, job)
-			for { // drain further frames (e.g. Close's KShutdown) until torn down
-				if _, _, err := wio.ReadFrame(r, nil); err != nil {
-					w.CloseWithError(err)
-					return
-				}
+	for j := range want {
+		if len(got[j]) != len(want[j]) {
+			return false
+		}
+		for i := range want[j] {
+			if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+				return false
 			}
 		}
 	}
-	job := SimJob{Seq: 7, Seeds: []uint64{1, 2, 3}}
+	return true
+}
 
-	pool := NewPool([]Endpoint{scriptedEndpoint(slowWorker(true))})
-	defer pool.Close()
-	conn, err := pool.get()
+// readSetupAndRange reads the two frames that open a connection's first
+// range dispatch: the setup, then the range.
+func readSetupAndRange(r io.Reader) (setup, rangeReq []byte, err error) {
+	if _, setup, err = wio.ReadFrame(r, nil); err != nil {
+		return nil, nil, err
+	}
+	_, rangeReq, err = wio.ReadFrame(r, nil)
+	return setup, rangeReq, err
+}
+
+// slowRangeWorker reads the setup frame and then the range frame, stalls
+// for 300ms — three frame deadlines — before answering the range as a real
+// worker would, then drains frames (e.g. Close's KShutdown) until torn down.
+// With pulse set it emits the heartbeats the setup asks for throughout the
+// stall and the compute; without it, none at all.
+func slowRangeWorker(pulse bool) func(r io.Reader, w *io.PipeWriter) {
+	return func(r io.Reader, w *io.PipeWriter) {
+		setupDoc, rangeDoc, err := readSetupAndRange(r)
+		if err != nil {
+			w.CloseWithError(err)
+			return
+		}
+		setup, err := newSimState(setupDoc)
+		if err != nil {
+			w.CloseWithError(err)
+			return
+		}
+		if !pulse {
+			setup.hbMillis = 0
+		}
+		fw := &frameWriter{w: bufio.NewWriter(w)}
+		_ = withHeartbeat(fw, setup.hbMillis, func() error { time.Sleep(300 * time.Millisecond); return nil })
+		if err := handleSimRange(fw, setup, rangeDoc); err != nil {
+			w.CloseWithError(err)
+			return
+		}
+		for {
+			if _, _, err := wio.ReadFrame(r, nil); err != nil {
+				w.CloseWithError(err)
+				return
+			}
+		}
+	}
+}
+
+// TestHeartbeatExtendsDeadline: a worker that takes far longer than the
+// frame deadline but pulses heartbeats stays alive; the identical worker
+// without pulses is declared dead and its range realized inline. This pins
+// down exactly what a heartbeat buys: it re-arms the per-frame deadline,
+// nothing more.
+func TestHeartbeatExtendsDeadline(t *testing.T) {
+	w := testWorkload(t, 7, 20, 3, 3)
+	ss := testSchedules(t, w)
+	// One range of 5000 realizations × 3 schedules: its job budget of
+	// Timeout × (1 + 15000/1000) outlasts the stall and the compute, so only
+	// the frame deadline can fire.
+	opt := sim.Options{Realizations: 5000, Workers: 1}
+	want, err := sim.RealizeAll(ss, opt, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.arm(100*time.Millisecond, 0)
-	if _, err := dispatchSim(conn, job, 1); err != nil {
-		t.Fatalf("heartbeating slow worker declared dead: %v", err)
+	for _, pulse := range []bool{true, false} {
+		pool := NewPool([]Endpoint{scriptedEndpoint(slowRangeWorker(pulse))})
+		reg := obs.NewRegistry()
+		pool.Obs = reg
+		coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 100 * time.Millisecond, RangeSize: opt.Realizations}
+		got, err := coord.RealizeAll(ss, opt, rng.New(5))
+		if err != nil {
+			t.Fatalf("pulse=%v: %v", pulse, err)
+		}
+		if !sameVectors(got, want) {
+			t.Errorf("pulse=%v: makespan vectors differ from the in-process run", pulse)
+		}
+		misses, inline := reg.Counter("dist.heartbeat_misses").Value(), reg.Counter("dist.inline_ranges").Value()
+		if pulse && (misses != 0 || inline != 0) {
+			t.Errorf("heartbeating slow worker declared dead: %d heartbeat misses, %d inline ranges", misses, inline)
+		}
+		if !pulse && (misses != 1 || inline != 1) {
+			t.Errorf("silent slow worker: %d heartbeat misses, %d inline ranges; want 1 and 1", misses, inline)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pool.put(conn)
-
-	silent := NewPool([]Endpoint{scriptedEndpoint(slowWorker(false))})
-	defer silent.Close()
-	conn, err = silent.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.arm(100*time.Millisecond, 0)
-	if _, err := dispatchSim(conn, job, 1); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("silent slow worker: %v, want ErrDeadline", err)
-	}
-	silent.discard(conn)
 }
 
 // TestJobBudgetBoundsHeartbeats: heartbeats re-arm the frame deadline but
 // never the whole-job budget, so a worker stuck in a loop that still pulses
-// is eventually declared dead too.
+// is eventually declared dead too, and its range realized inline.
 func TestJobBudgetBoundsHeartbeats(t *testing.T) {
+	w := testWorkload(t, 7, 20, 3, 3)
+	ss := testSchedules(t, w)
+	opt := sim.Options{Realizations: 60, Workers: 1}
+	want, err := sim.RealizeAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool := NewPool([]Endpoint{scriptedEndpoint(func(r io.Reader, w *io.PipeWriter) {
-		if _, _, err := wio.ReadFrame(r, nil); err != nil {
+		if _, _, err := readSetupAndRange(r); err != nil {
 			w.CloseWithError(err)
 			return
 		}
@@ -177,20 +220,27 @@ func TestJobBudgetBoundsHeartbeats(t *testing.T) {
 		}
 	})})
 	defer pool.Close()
-	conn, err := pool.get()
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 100 * time.Millisecond, RangeSize: opt.Realizations}
+	start := time.Now()
+	got, err := coord.RealizeAll(ss, opt, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
-	}
-	conn.arm(100*time.Millisecond, 300*time.Millisecond)
-	start := time.Now()
-	_, err = dispatchSim(conn, SimJob{Seq: 1, Seeds: []uint64{1}}, 1)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("immortal heartbeater: %v, want ErrDeadline", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("job budget took %v to fire", d)
 	}
-	pool.discard(conn)
+	if !sameVectors(got, want) {
+		t.Error("makespan vectors differ from the in-process run")
+	}
+	if n := reg.Counter("dist.heartbeats").Value(); n == 0 {
+		t.Error("no heartbeat reached the coordinator")
+	}
+	misses, inline := reg.Counter("dist.heartbeat_misses").Value(), reg.Counter("dist.inline_ranges").Value()
+	if misses != 1 || inline != 1 {
+		t.Errorf("immortal heartbeater: %d heartbeat misses, %d inline ranges; want 1 and 1", misses, inline)
+	}
 }
 
 // TestWithHeartbeatPulses: the worker-side pulse generator emits heartbeat

@@ -105,9 +105,6 @@ type Conn struct {
 	dead bool  // set under p.mu by discard; a dead conn is never re-idled
 }
 
-// ID returns the worker's index in the pool (stable for telemetry labels).
-func (c *Conn) ID() int { return c.id }
-
 // arm configures liveness for the next exchange on both directions: frame
 // is the per-frame deadline, budget the whole-exchange bound (either 0
 // disables that check).

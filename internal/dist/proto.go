@@ -3,12 +3,13 @@
 // the results over pipes:
 //
 //   - realization sharding: the Monte-Carlo realizations of sim.EvaluateAll
-//     are partitioned into contiguous index ranges, one job per worker; each
-//     worker realizes its window with the coordinator-derived seed slice
-//     (sim.RealizeSeeded) and streams the raw makespan vectors back. The
-//     coordinator reassembles them in range order, so every metric —
-//     quantiles included — is bit-identical to the single-process run for
-//     any shard count.
+//     are partitioned into contiguous index ranges, several per worker and
+//     pipelined over each connection after one setup frame binds the
+//     workload and schedules; each worker realizes a range with the
+//     coordinator-derived seed slice (sim.RealizeSeeded) and streams the raw
+//     makespan vectors back. The coordinator places them by range index, so
+//     every metric — quantiles included — is bit-identical to the
+//     single-process run for any shard count.
 //
 //   - island sharding: the GA islands of robust.Solve are hosted by worker
 //     processes (ga.Island, one state machine shared with the in-process
@@ -38,14 +39,15 @@ import (
 
 // Frame kinds. The coordinator only ever sends job/control kinds; workers
 // only ever send response kinds. An unknown kind is a protocol error on
-// either side.
+// either side. Kinds 1, 13 and 14 are retired and stay unassigned, so a
+// frame from a peer built before their retirement can never parse as a
+// different message.
 const (
-	// KSimJob carries a SimJob (JSON): realize one seed window.
-	KSimJob byte = 1
-	// KSimVec carries one schedule's makespan vector for the current job as
-	// raw little-endian float64s, one frame per schedule in schedule order.
+	// KSimVec carries one schedule's makespan vector for the current range
+	// as raw little-endian float64s, one frame per schedule in schedule
+	// order.
 	KSimVec byte = 2
-	// KSimDone (empty payload) terminates a KSimJob response sequence.
+	// KSimDone (empty payload) terminates a KSimRange response sequence.
 	KSimDone byte = 3
 	// KErr carries an ErrMsg (JSON) in place of any normal response.
 	KErr byte = 4
@@ -75,14 +77,9 @@ const (
 	// coordinator's receive path consumes and discards it, resetting the
 	// per-frame deadline; it is never a response by itself.
 	KHeartbeat byte = 12
-	// KCheckpoint carries a CheckpointReq (JSON): serialize every hosted
-	// island's full state. Response: KCheckpointState.
-	KCheckpoint byte = 13
-	// KCheckpointState carries an IslandCheckpoints (JSON).
-	KCheckpointState byte = 14
-	// KAck carries an Ack (JSON) echoing a SimJob's sequence number before
+	// KAck carries an Ack (JSON) echoing a SimRange's sequence number before
 	// the response vectors, so a response stream can never be attributed to
-	// the wrong job (a duplicated or replayed frame shows up as a sequence
+	// the wrong range (a duplicated or replayed frame shows up as a sequence
 	// mismatch instead of silently corrupting the gather).
 	KAck byte = 15
 	// KSimSetup carries a SimSetup (JSON): bind the workload and schedules
@@ -93,59 +90,13 @@ const (
 	KSimSetup byte = 16
 	// KSimRange carries a SimRange (JSON): realize one seed window against
 	// the connection's current setup. Response: KAck, one KSimVec per
-	// schedule, KSimDone — the same stream shape as KSimJob.
+	// schedule, KSimDone.
 	KSimRange byte = 17
 )
-
-// SimJob asks a worker to realize one contiguous window of a Monte-Carlo
-// evaluation. The seed window plus the global base index are the entire
-// stream-derivation state: sim.RealizeSeeded(…, Seeds, Base) in the worker
-// produces exactly the makespans the coordinator's full-range run would
-// produce at [Base, Base+len(Seeds)).
-type SimJob struct {
-	// Workload is the problem instance (workers are stateless between
-	// jobs, so every job is self-contained).
-	Workload wio.WorkloadJSON `json:"workload"`
-	// Schedules are evaluated under common random numbers, like
-	// sim.EvaluateAll.
-	Schedules []wio.ScheduleJSON `json:"schedules"`
-	// Base is the window's global realization index; it carries the
-	// antithetic parity across shard boundaries.
-	Base int `json:"base"`
-	// Seeds is the window of the coordinator's seed vector.
-	Seeds []uint64 `json:"seeds"`
-	// Antithetic mirrors odd global realizations (matching the seed
-	// pairing of the coordinator's sim.SeedVector call).
-	Antithetic bool `json:"antithetic,omitempty"`
-	// BatchSize and Workers are the worker-side engine knobs; neither can
-	// change a bit of the results.
-	BatchSize int `json:"batch_size,omitempty"`
-	Workers   int `json:"workers,omitempty"`
-	// Model, Corr, LoadCOV and ParetoShape select the scenario layer's
-	// duration model (sim.Options fields of the same names). All four are
-	// omitted at their zero values, so the default uniform-independent wire
-	// encoding is byte-identical to the pre-scenario protocol.
-	Model       sim.DurationModel `json:"model,omitempty"`
-	Corr        sim.Correlation   `json:"corr,omitempty"`
-	LoadCOV     float64           `json:"load_cov,omitempty"`
-	ParetoShape float64           `json:"pareto_shape,omitempty"`
-	// Seq is echoed back in the response's KAck frame; 0 disables the
-	// handshake (bare protocol tests).
-	Seq uint64 `json:"seq,omitempty"`
-	// HeartbeatMillis asks the worker to emit KHeartbeat frames at this
-	// interval while computing; 0 disables heartbeats entirely (the
-	// fault-free fast path pays nothing for the feature).
-	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
-}
 
 // Ack echoes a request's sequence number ahead of its response stream.
 type Ack struct {
 	Seq uint64 `json:"seq"`
-}
-
-// CheckpointReq asks for a full state snapshot of every hosted island.
-type CheckpointReq struct {
-	Seq uint64 `json:"seq,omitempty"`
 }
 
 // ErrMsg is a worker-side failure, shipped back in place of a response.
@@ -171,13 +122,17 @@ type SimSetup struct {
 	ID        uint64             `json:"id"`
 	Workload  wio.WorkloadJSON   `json:"workload"`
 	Schedules []wio.ScheduleJSON `json:"schedules"`
-	// Antithetic, BatchSize and Workers mirror the SimJob fields: parity
-	// comes from each range's global Base, knobs never change result bits.
+	// Antithetic mirrors odd global realizations (matching the seed pairing
+	// of the coordinator's sim.SeedVector call); the parity comes from each
+	// range's global Base. BatchSize and Workers are the worker-side engine
+	// knobs; neither can change a bit of the results.
 	Antithetic bool `json:"antithetic,omitempty"`
 	BatchSize  int  `json:"batch_size,omitempty"`
 	Workers    int  `json:"workers,omitempty"`
-	// Model, Corr, LoadCOV and ParetoShape mirror the SimJob fields; zero
-	// values are omitted, keeping the default wire encoding unchanged.
+	// Model, Corr, LoadCOV and ParetoShape select the scenario layer's
+	// duration model (sim.Options fields of the same names). All four are
+	// omitted at their zero values, so the default uniform-independent wire
+	// encoding is byte-identical to the pre-scenario protocol.
 	Model       sim.DurationModel `json:"model,omitempty"`
 	Corr        sim.Correlation   `json:"corr,omitempty"`
 	LoadCOV     float64           `json:"load_cov,omitempty"`
@@ -187,8 +142,11 @@ type SimSetup struct {
 }
 
 // SimRange asks for one contiguous window of the setup's evaluation:
-// sim.RealizeSeeded(…, Seeds, Base) against the bound schedules. Seq is
-// echoed in the response's KAck, ordering the pipelined response streams.
+// sim.RealizeSeeded(…, Seeds, Base) against the bound schedules. The seed
+// window plus the global base index are the entire stream-derivation state,
+// so the worker produces exactly the makespans the coordinator's full-range
+// run would produce at [Base, Base+len(Seeds)). Seq is echoed in the
+// response's KAck, ordering the pipelined response streams.
 type SimRange struct {
 	Setup uint64   `json:"setup"`
 	Base  int      `json:"base"`
@@ -230,10 +188,6 @@ type SolverOptions struct {
 type IslandSeed struct {
 	Island int    `json:"island"`
 	Seed   uint64 `json:"seed"`
-	// Restore, when set, resumes the island from a checkpoint instead of
-	// seeding it fresh — the recovery path after a worker death. The Seed is
-	// ignored in that case; the checkpoint carries the exact rng position.
-	Restore *IslandCheckpoint `json:"restore,omitempty"`
 }
 
 // IslandInit asks a worker to build the solver engine for the workload and
@@ -291,41 +245,6 @@ func (s IslandState) BestFitness() float64 { return math.Float64frombits(s.BestF
 type IslandStates struct {
 	States []IslandState `json:"states"`
 	Seq    uint64        `json:"seq,omitempty"`
-}
-
-// RNGState is an rng.State on the wire. The cached polar-method spare is
-// carried as IEEE-754 bits so the resumed stream is bit-identical (a JSON
-// number round-trip could perturb the last ulp).
-type RNGState struct {
-	S         [4]uint64 `json:"s"`
-	SpareBits uint64    `json:"spare_bits,omitempty"`
-	HasSpare  bool      `json:"has_spare,omitempty"`
-}
-
-// IslandCheckpoint is the complete resumable state of one island at an
-// epoch barrier: the full population with its fitness values (as IEEE-754
-// bits — ε-constraint fitnesses can be ±Inf), the running best, the
-// stagnation counter and the exact rng stream position. Restoring it on any
-// worker (or in-process) and replaying the barrier ops since it was taken
-// reproduces the no-fault trajectory bit for bit: the GA step is a pure
-// function of (population, fitness, best, sinceImprove, rng stream), and
-// everything else a worker memoizes (decoded schedules, metric caches) only
-// affects speed, never values.
-type IslandCheckpoint struct {
-	Island          int        `json:"island"`
-	Pop             []Genotype `json:"pop"`
-	FitBits         []uint64   `json:"fit_bits"`
-	Best            Genotype   `json:"best"`
-	BestFitnessBits uint64     `json:"best_fitness_bits"`
-	SinceImprove    int        `json:"since_improve"`
-	Rng             RNGState   `json:"rng"`
-}
-
-// IslandCheckpoints is a worker's response to KCheckpoint: every hosted
-// island's checkpoint in ascending island order.
-type IslandCheckpoints struct {
-	Checkpoints []IslandCheckpoint `json:"checkpoints"`
-	Seq         uint64             `json:"seq,omitempty"`
 }
 
 // encodeVec converts a makespan vector to a KSimVec payload: the schedule

@@ -98,9 +98,10 @@ func withHeartbeat(fw *frameWriter, millis int, compute func() error) error {
 //
 // Job-level failures (a malformed workload, invalid options) are reported
 // back as KErr frames and the worker keeps serving; transport failures
-// terminate the loop with an error. The worker is stateless between sim
-// jobs; island hosting holds state from KIslandInit until KIslandFinish or
-// a replacing init.
+// terminate the loop with an error. The worker holds two pieces of state
+// per connection: the sim setup bound by KSimSetup, until the next setup
+// replaces it, and the island host built by KIslandInit, until
+// KIslandFinish or a replacing init.
 //
 // Island requests carry sequence numbers: a request whose Seq matches the
 // last one processed is answered from the cached response without
@@ -162,8 +163,6 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 		switch kind {
 		case KShutdown:
 			return nil
-		case KSimJob:
-			jobErr = handleSimJob(fw, payload)
 		case KSimSetup:
 			setup, jobErr = newSimState(payload)
 		case KSimRange:
@@ -171,14 +170,12 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 		case KIslandInit:
 			host, jobErr = newIslandHost(payload)
 			if jobErr == nil {
-				jobErr = host.reply(fw, KIslandState, host.statesSeq(host.initSeq))
+				jobErr = host.reply(fw, host.statesSeq(host.initSeq))
 			}
 		case KEpoch:
 			jobErr = handleEpoch(fw, host, payload)
 		case KMigrate:
 			jobErr = handleMigrate(fw, host, payload)
-		case KCheckpoint:
-			jobErr = handleCheckpoint(fw, host, payload)
 		case KIslandFinish:
 			host = nil
 			jobErr = fw.write(KOK, nil)
@@ -201,50 +198,6 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 			return nil // graceful stop: the in-flight op answered; exit
 		}
 	}
-}
-
-// handleSimJob realizes one seed window and streams the makespan vectors
-// back: a KAck echoing the job's sequence number, one KSimVec frame per
-// schedule in schedule order, then KSimDone. Everything is computed before
-// the first response byte, so a failure never leaves a half-written
-// response sequence. Heartbeats pulse during the compute when the job asks
-// for them.
-func handleSimJob(fw *frameWriter, payload []byte) error {
-	var job SimJob
-	if err := parseJSON(payload, &job); err != nil {
-		return err
-	}
-	var mks [][]float64
-	err := withHeartbeat(fw, job.HeartbeatMillis, func() error {
-		wl, err := job.Workload.Build()
-		if err != nil {
-			return err
-		}
-		ss := make([]*schedule.Schedule, len(job.Schedules))
-		for i, doc := range job.Schedules {
-			if ss[i], err = doc.Bind(wl); err != nil {
-				return err
-			}
-		}
-		opt := sim.Options{
-			Antithetic: job.Antithetic, BatchSize: job.BatchSize, Workers: job.Workers,
-			Model: job.Model, Corr: job.Corr, LoadCOV: job.LoadCOV, ParetoShape: job.ParetoShape,
-		}
-		mks, err = sim.RealizeSeeded(ss, opt, job.Seeds, job.Base)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if err := fw.sendJSON(KAck, Ack{Seq: job.Seq}); err != nil {
-		return err
-	}
-	for j, v := range mks {
-		if err := fw.write(KSimVec, encodeVec(j, v)); err != nil {
-			return err
-		}
-	}
-	return fw.write(KSimDone, nil)
 }
 
 // simState is the per-connection sim setup bound by KSimSetup: the decoded
@@ -344,7 +297,7 @@ func handleEpoch(fw *frameWriter, host *islandHost, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return host.reply(fw, KIslandState, host.statesSeq(req.Seq))
+	return host.reply(fw, host.statesSeq(req.Seq))
 }
 
 func handleMigrate(fw *frameWriter, host *islandHost, payload []byte) error {
@@ -361,23 +314,7 @@ func handleMigrate(fw *frameWriter, host *islandHost, payload []byte) error {
 	if err := host.runMigrate(req); err != nil {
 		return err
 	}
-	return host.reply(fw, KIslandState, host.statesSeq(req.Seq))
-}
-
-func handleCheckpoint(fw *frameWriter, host *islandHost, payload []byte) error {
-	if host == nil {
-		return fmt.Errorf("dist: checkpoint before init")
-	}
-	var req CheckpointReq
-	if err := parseJSON(payload, &req); err != nil {
-		return err
-	}
-	if host.replayCached(fw, req.Seq) {
-		return nil
-	}
-	cks := host.checkpoints()
-	cks.Seq = req.Seq
-	return host.reply(fw, KCheckpointState, cks)
+	return host.reply(fw, host.statesSeq(req.Seq))
 }
 
 // islandHost is the worker-side state of an island-sharded solve: the
@@ -392,10 +329,9 @@ type islandHost struct {
 	hbMillis int
 	initSeq  uint64
 
-	// At-most-once replay cache: the kind and encoded body of the last
-	// response, keyed by the request sequence that produced it.
+	// At-most-once replay cache: the encoded body of the last response,
+	// keyed by the request sequence that produced it.
 	lastSeq  uint64
-	lastKind byte
 	lastBody []byte
 }
 
@@ -405,27 +341,20 @@ func (h *islandHost) replayCached(fw *frameWriter, seq uint64) bool {
 	if seq == 0 || seq != h.lastSeq || h.lastBody == nil {
 		return false
 	}
-	_ = fw.write(h.lastKind, h.lastBody)
+	_ = fw.write(KIslandState, h.lastBody)
 	return true
 }
 
-// reply sends a response and records it for duplicate replay.
-func (h *islandHost) reply(fw *frameWriter, kind byte, v any) error {
-	body, err := marshalJSON(v)
+// reply sends a KIslandState response and records it for duplicate replay.
+func (h *islandHost) reply(fw *frameWriter, states IslandStates) error {
+	body, err := marshalJSON(states)
 	if err != nil {
 		return err
 	}
-	var seq uint64
-	switch resp := v.(type) {
-	case IslandStates:
-		seq = resp.Seq
-	case IslandCheckpoints:
-		seq = resp.Seq
+	if states.Seq != 0 {
+		h.lastSeq, h.lastBody = states.Seq, body
 	}
-	if seq != 0 {
-		h.lastSeq, h.lastKind, h.lastBody = seq, kind, body
-	}
-	return fw.write(kind, body)
+	return fw.write(KIslandState, body)
 }
 
 func newIslandHost(payload []byte) (*islandHost, error) {
@@ -466,9 +395,8 @@ func newIslandHost(payload []byte) (*islandHost, error) {
 	return h, nil
 }
 
-// hostIslands builds the island state machines on an existing engine: fresh
-// from each seed, or resumed from a checkpoint when one is attached (the
-// recovery path). The coordinator's in-process degradation uses this
+// hostIslands builds the island state machines on an existing engine, each
+// fresh from its seed. The coordinator's in-process degradation uses this
 // directly with its own engine.
 func hostIslands(eng *robust.Engine, seeds []IslandSeed) (*islandHost, error) {
 	h := &islandHost{eng: eng}
@@ -476,48 +404,13 @@ func hostIslands(eng *robust.Engine, seeds []IslandSeed) (*islandHost, error) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Island < sorted[j].Island })
 	cfg := eng.Config()
 	for _, is := range sorted {
-		var st *ga.Island[*robust.Chromosome]
-		var err error
-		if is.Restore != nil {
-			if is.Restore.Island != is.Island {
-				return nil, fmt.Errorf("dist: checkpoint for island %d attached to island %d", is.Restore.Island, is.Island)
-			}
-			st, err = restoredIsland(cfg, is.Restore)
-		} else {
-			st, err = ga.NewIsland(cfg, is.Island, rng.New(is.Seed))
-		}
+		st, err := ga.NewIsland(cfg, is.Island, rng.New(is.Seed))
 		if err != nil {
 			return nil, err
 		}
 		h.islands = append(h.islands, st)
 	}
 	return h, nil
-}
-
-// restoredIsland rebuilds a ga.Island from its wire checkpoint.
-func restoredIsland(cfg ga.Config[*robust.Chromosome], ck *IslandCheckpoint) (*ga.Island[*robust.Chromosome], error) {
-	if len(ck.Pop) != len(ck.FitBits) {
-		return nil, fmt.Errorf("dist: checkpoint for island %d has %d genotypes, %d fitnesses", ck.Island, len(ck.Pop), len(ck.FitBits))
-	}
-	snap := ga.IslandSnapshot[*robust.Chromosome]{
-		Pop:          make([]*robust.Chromosome, len(ck.Pop)),
-		Fit:          make([]float64, len(ck.FitBits)),
-		Best:         robust.NewChromosome(ck.Best.Order, ck.Best.Proc),
-		BestFit:      math.Float64frombits(ck.BestFitnessBits),
-		SinceImprove: ck.SinceImprove,
-		Rng: rng.State{
-			S:        ck.Rng.S,
-			Spare:    math.Float64frombits(ck.Rng.SpareBits),
-			HasSpare: ck.Rng.HasSpare,
-		},
-	}
-	for i, g := range ck.Pop {
-		snap.Pop[i] = robust.NewChromosome(g.Order, g.Proc)
-	}
-	for i, b := range ck.FitBits {
-		snap.Fit[i] = math.Float64frombits(b)
-	}
-	return ga.RestoreIsland(cfg, ck.Island, snap)
 }
 
 // states snapshots every hosted island's running best in island order.
@@ -539,39 +432,6 @@ func (h *islandHost) states() IslandStates {
 func (h *islandHost) statesSeq(seq uint64) IslandStates {
 	out := h.states()
 	out.Seq = seq
-	return out
-}
-
-// checkpoints serializes every hosted island's full resumable state, in
-// island order. Snapshot is a pure read: the rng stream does not advance,
-// so checkpointing never perturbs the trajectory.
-func (h *islandHost) checkpoints() IslandCheckpoints {
-	out := IslandCheckpoints{Checkpoints: make([]IslandCheckpoint, 0, len(h.islands))}
-	for _, st := range h.islands {
-		snap := st.Snapshot()
-		ck := IslandCheckpoint{
-			Island:          st.Index(),
-			Pop:             make([]Genotype, len(snap.Pop)),
-			FitBits:         make([]uint64, len(snap.Fit)),
-			SinceImprove:    snap.SinceImprove,
-			BestFitnessBits: math.Float64bits(snap.BestFit),
-			Rng: RNGState{
-				S:         snap.Rng.S,
-				SpareBits: math.Float64bits(snap.Rng.Spare),
-				HasSpare:  snap.Rng.HasSpare,
-			},
-		}
-		bo, bp := snap.Best.Genes()
-		ck.Best = Genotype{Order: bo, Proc: bp}
-		for i, ch := range snap.Pop {
-			o, p := ch.Genes()
-			ck.Pop[i] = Genotype{Order: o, Proc: p}
-		}
-		for i, f := range snap.Fit {
-			ck.FitBits[i] = math.Float64bits(f)
-		}
-		out.Checkpoints = append(out.Checkpoints, ck)
-	}
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"robsched/internal/obs"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
 	"robsched/internal/sim"
@@ -84,6 +85,11 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	d.sendRaw(99, nil)
 	d.expectErr("unknown frame kind")
 
+	for _, retired := range []byte{1, 13, 14} {
+		d.sendRaw(retired, nil)
+		d.expectErr("unknown frame kind")
+	}
+
 	d.send(KEpoch, EpochReq{StartGen: 0, Gens: 1})
 	d.expectErr("before init")
 
@@ -96,10 +102,10 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	d.send(KIslandInit, IslandInit{})
 	d.expectErr("no islands")
 
-	d.sendRaw(KSimJob, []byte("###"))
+	d.sendRaw(KSimSetup, []byte("###"))
 	d.expectErr("decoding")
 
-	d.send(KSimJob, SimJob{}) // empty workload document
+	d.send(KSimSetup, SimSetup{}) // empty workload document
 	d.expectErr("tasks")
 
 	// Finish without islands is harmless (idempotent teardown).
@@ -167,47 +173,53 @@ func TestWorkerIslandConversation(t *testing.T) {
 	}
 }
 
-// TestWorkerErrorSurfacesToCaller: a job-level failure (here: a workload
-// whose schedules don't validate) comes back as *WorkerError and does not
-// kill the worker.
+// TestWorkerErrorSurfacesToCaller: a job-level failure — a KErr answer to a
+// range over a healthy connection — comes back as a remote *WorkerError and
+// does not kill the worker: nothing is counted dead or realized inline, and
+// the same worker serves the next evaluation.
 func TestWorkerErrorSurfacesToCaller(t *testing.T) {
-	pool := NewLocalPool(1)
+	pool := NewPool([]Endpoint{scriptedEndpoint(func(r io.Reader, w *io.PipeWriter) {
+		if _, _, err := readSetupAndRange(r); err != nil {
+			w.CloseWithError(err)
+			return
+		}
+		if err := sendJSON(w, KErr, ErrMsg{Error: "injected job failure"}); err != nil {
+			return
+		}
+		w.CloseWithError(ServeWorker(r, w))
+	})})
 	defer pool.Close()
-	coord := &Coordinator{Pool: pool}
-
-	conn, err := pool.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conn.ID() != 0 {
-		t.Fatalf("conn id %d", conn.ID())
-	}
-	_, err = dispatchSim(conn, SimJob{Seeds: []uint64{1}}, 0)
-	var we *WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("error %v, want *WorkerError", err)
-	}
-	if we.Worker != 0 || we.Error() == "" {
-		t.Fatalf("worker error %+v", we)
-	}
-	pool.put(conn)
-
-	// The worker survived the bad job: a real evaluation still works.
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	coord := &Coordinator{Pool: pool, Obs: reg}
 	w := testWorkload(t, 4, 15, 2, 2)
 	ss := testSchedules(t, w)
 	opt := sim.Options{Realizations: 20, Workers: 1}
-	want, err := sim.EvaluateAll(ss, opt, rng.New(3))
+
+	_, err := coord.RealizeAll(ss, opt, rng.New(3))
+	var we *WorkerError
+	if !errors.As(err, &we) || !we.Remote || we.Worker != 0 || we.Error() == "" {
+		t.Fatalf("error %v, want a remote *WorkerError from worker 0", err)
+	}
+	deaths, inline := reg.Counter("dist.worker_deaths").Value(), reg.Counter("dist.inline_ranges").Value()
+	if deaths != 0 || inline != 0 {
+		t.Errorf("job error counted %d worker deaths and %d inline ranges, want none", deaths, inline)
+	}
+
+	// The worker survived the bad job: a real evaluation still works.
+	want, err := sim.RealizeAll(ss, opt, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.EvaluateAll(ss, opt, rng.New(3))
+	got, err := coord.RealizeAll(ss, opt, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range ss {
-		if !metricsBitEqual(got[j], want[j]) {
-			t.Errorf("schedule %d: metrics differ after recovered job error", j)
-		}
+	if !sameVectors(got, want) {
+		t.Error("makespan vectors differ after the recovered job error")
+	}
+	if inline := reg.Counter("dist.inline_ranges").Value(); inline != 0 {
+		t.Errorf("%d ranges realized inline, want the surviving worker to serve them", inline)
 	}
 }
 

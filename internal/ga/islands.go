@@ -152,75 +152,6 @@ func (is *Island[T]) Migrate(migrant T) error {
 	return nil
 }
 
-// IslandSnapshot is the complete evolution state of one island at an epoch
-// barrier: population, fitnesses, running best, stagnation counter and the
-// exact RNG position. Restoring it with RestoreIsland yields an island whose
-// subsequent epochs are bit-identical to the snapshotted island continuing —
-// the checkpoint/restart substrate of the distributed coordinator
-// (internal/dist), which serializes snapshots over the wire so a dead
-// worker's islands resume elsewhere without perturbing the trajectory.
-//
-// The Pop and Fit slices are fresh copies, but the individuals themselves
-// are shared with the live island: the GA's operators never mutate an
-// individual after creation (they clone), so sharing is safe as long as
-// callers uphold the same rule.
-type IslandSnapshot[T any] struct {
-	Pop          []T
-	Fit          []float64
-	Best         T
-	BestFit      float64
-	SinceImprove int
-	Rng          rng.State
-}
-
-// Snapshot captures the island's state. Call it only at an epoch boundary
-// (never concurrently with Epoch or Migrate); buffered observer stats are
-// not part of the snapshot — they belong to the runner's barrier, which has
-// already drained them when a checkpoint is taken.
-func (is *Island[T]) Snapshot() IslandSnapshot[T] {
-	return IslandSnapshot[T]{
-		Pop:          append([]T(nil), is.pop...),
-		Fit:          append([]float64(nil), is.fit...),
-		Best:         is.best,
-		BestFit:      is.bf,
-		SinceImprove: is.sinceImprove,
-		Rng:          is.rng.State(),
-	}
-}
-
-// RestoreIsland rebuilds island idx from a snapshot taken against the same
-// configuration. The restored island evolves bit-identically to the
-// snapshotted one: fitnesses are adopted as recorded (they are pure
-// functions of the genotypes, so re-evaluation would produce the same
-// values, only slower) and the RNG resumes at the captured position.
-func RestoreIsland[T any](c Config[T], idx int, snap IslandSnapshot[T]) (*Island[T], error) {
-	if c.OnGeneration != nil {
-		return nil, fmt.Errorf("ga: OnGeneration is not supported with islands")
-	}
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if len(snap.Pop) != c.PopSize {
-		return nil, fmt.Errorf("ga: snapshot population %d does not match PopSize %d", len(snap.Pop), c.PopSize)
-	}
-	if len(snap.Fit) != len(snap.Pop) {
-		return nil, fmt.Errorf("ga: snapshot has %d fitnesses for %d individuals", len(snap.Fit), len(snap.Pop))
-	}
-	if idx != 0 {
-		c.Seeds = nil // parity with NewIsland; unused after init but kept consistent
-	}
-	return &Island[T]{
-		cfg: c, idx: idx,
-		pop:          append([]T(nil), snap.Pop...),
-		fit:          append([]float64(nil), snap.Fit...),
-		rng:          rng.FromState(snap.Rng),
-		best:         snap.Best,
-		bf:           snap.BestFit,
-		sinceImprove: snap.SinceImprove,
-		ar:           newArena[T](c.PopSize),
-	}, nil
-}
-
 // takeStats drains the buffered epoch stats without freeing the backing
 // array, so the next epoch appends into the same buffer.
 func (is *Island[T]) takeStats() []GenStats {

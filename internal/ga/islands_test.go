@@ -105,130 +105,3 @@ func TestRunIslandsStagnation(t *testing.T) {
 		t.Fatal("ran to the cap despite stagnation")
 	}
 }
-
-// TestIslandSnapshotRestoreBitIdentical: an island restored from a snapshot
-// evolves exactly like the original continuing — best fitness, stagnation
-// counter and RNG stream all agree after every subsequent epoch, for
-// snapshots taken at several different barriers.
-func TestIslandSnapshotRestoreBitIdentical(t *testing.T) {
-	c := oneMaxConfig(20)
-	c.MaxGenerations = 100
-	for _, cutEpoch := range []int{0, 1, 3} {
-		orig, err := NewIsland(c, 1, rng.New(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := 0
-		for e := 0; e < cutEpoch; e++ {
-			if err := orig.Epoch(gen, 7); err != nil {
-				t.Fatal(err)
-			}
-			gen += 7
-		}
-		snap := orig.Snapshot()
-		restored, err := RestoreIsland(c, 1, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if restored.Index() != 1 {
-			t.Fatalf("restored index %d", restored.Index())
-		}
-		for e := 0; e < 4; e++ {
-			if err := orig.Epoch(gen, 5); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Epoch(gen, 5); err != nil {
-				t.Fatal(err)
-			}
-			gen += 5
-			_, obf := orig.Best()
-			_, rbf := restored.Best()
-			if obf != rbf {
-				t.Fatalf("cut %d epoch %d: best fitness %g != %g", cutEpoch, e, obf, rbf)
-			}
-			if orig.SinceImprove() != restored.SinceImprove() {
-				t.Fatalf("cut %d epoch %d: sinceImprove %d != %d",
-					cutEpoch, e, orig.SinceImprove(), restored.SinceImprove())
-			}
-			for i := range orig.fit {
-				if orig.fit[i] != restored.fit[i] {
-					t.Fatalf("cut %d epoch %d: fitness %d diverged", cutEpoch, e, i)
-				}
-			}
-		}
-		// The RNG streams stayed in lockstep through all of it.
-		if orig.rng.Uint64() != restored.rng.Uint64() {
-			t.Fatalf("cut %d: rng streams diverged", cutEpoch)
-		}
-	}
-}
-
-// TestIslandSnapshotRestoreWithMigration: snapshot, then both copies receive
-// the same migrant and keep evolving identically.
-func TestIslandSnapshotRestoreWithMigration(t *testing.T) {
-	c := oneMaxConfig(16)
-	c.MaxGenerations = 100
-	orig, err := NewIsland(c, 0, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.Epoch(0, 6); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreIsland(c, 0, orig.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	migrant := make(bits, 16)
-	for i := range migrant {
-		migrant[i] = 1
-	}
-	if err := orig.Migrate(migrant); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Migrate(migrant); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.Epoch(6, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Epoch(6, 6); err != nil {
-		t.Fatal(err)
-	}
-	_, obf := orig.Best()
-	_, rbf := restored.Best()
-	if obf != rbf {
-		t.Fatalf("post-migration best %g != %g", obf, rbf)
-	}
-}
-
-// TestRestoreIslandValidation: bad snapshots are rejected with errors.
-func TestRestoreIslandValidation(t *testing.T) {
-	c := oneMaxConfig(8)
-	is, err := NewIsland(c, 0, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := is.Snapshot()
-
-	short := snap
-	short.Pop = snap.Pop[:len(snap.Pop)-1]
-	if _, err := RestoreIsland(c, 0, short); err == nil {
-		t.Error("short population accepted")
-	}
-	mismatch := snap
-	mismatch.Fit = snap.Fit[:len(snap.Fit)-1]
-	if _, err := RestoreIsland(c, 0, mismatch); err == nil {
-		t.Error("fitness/population length mismatch accepted")
-	}
-	bad := c
-	bad.PopSize = 1
-	if _, err := RestoreIsland(bad, 0, snap); err == nil {
-		t.Error("invalid config accepted")
-	}
-	hook := c
-	hook.OnGeneration = func(int, []bits, []float64) {}
-	if _, err := RestoreIsland(hook, 0, snap); err == nil {
-		t.Error("OnGeneration accepted")
-	}
-}

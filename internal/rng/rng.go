@@ -60,34 +60,6 @@ func New(seed uint64) *Source {
 	return &s
 }
 
-// State is the complete serializable position of a Source: the xoshiro256++
-// word state plus the cached polar-method normal variate. Capturing a State
-// and later resuming via FromState continues the stream bit-identically —
-// the checkpoint/restart mechanism of the distributed island solver
-// (internal/dist) rides on this to resume a dead worker's RNG mid-run.
-type State struct {
-	S        [4]uint64
-	Spare    float64
-	HasSpare bool
-}
-
-// State snapshots the source's current position. The source is not advanced.
-func (r *Source) State() State {
-	return State{S: r.s, Spare: r.spare, HasSpare: r.hasSpare}
-}
-
-// FromState reconstructs a Source at the captured position: every draw after
-// FromState(st) is bit-identical to the draws the snapshotted source would
-// have produced, including a pending cached normal variate.
-func FromState(st State) *Source {
-	s := &Source{s: st.S, spare: st.Spare, hasSpare: st.HasSpare}
-	// Same guard as New: the all-zero xoshiro state is absorbing.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
-	}
-	return s
-}
-
 // Split returns a new Source whose stream is independent of the parent's
 // subsequent output. The parent is advanced.
 func (r *Source) Split() *Source {

@@ -102,9 +102,9 @@ func (c *Chromosome) Clone() *Chromosome {
 }
 
 // Genes returns independent copies of the genotype's order and assignment
-// strings. Serializers that outlive the chromosome — the dist runtime's
-// island checkpoints — use it instead of aliasing Order/Proc, so a frozen
-// snapshot can never observe a slice some later consumer re-wraps.
+// strings. Serializers that outlive the chromosome use it instead of
+// aliasing Order/Proc, so a frozen copy can never observe a slice some later
+// consumer re-wraps.
 func (c *Chromosome) Genes() (order, proc []int) {
 	order = append([]int(nil), c.Order...)
 	proc = append([]int(nil), c.Proc...)
