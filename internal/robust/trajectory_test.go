@@ -23,8 +23,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // best schedule's (M0, AvgSlack) bits, every generation's (M0, AvgSlack)
 // of its best schedule (single-population runs; OnGeneration does not
 // compose with islands) and every generation's observer stats (island,
-// generation, best and mean fitness bits).
-func trajectoryDigest(t *testing.T, mode Mode, workers, islands int, noCache bool, n, m int) string {
+// generation, best and mean fitness bits). Island runs migrate every
+// `every` generations.
+func trajectoryDigest(t *testing.T, mode Mode, workers, islands, every int, noCache bool, n, m int) string {
 	t.Helper()
 	w := testWorkload(t, 13, n, m)
 	h := sha256.New()
@@ -44,7 +45,7 @@ func trajectoryDigest(t *testing.T, mode Mode, workers, islands int, noCache boo
 	opt.Observer = ga.ObserverFunc(func(s ga.GenStats) { gens = append(gens, s) })
 	if islands > 1 {
 		opt.Islands = islands
-		opt.MigrationEvery = 10
+		opt.MigrationEvery = every
 	} else {
 		opt.OnGeneration = func(gen int, best *schedule.Schedule) {
 			put(uint64(gen), math.Float64bits(best.Makespan()), math.Float64bits(best.AvgSlack()))
@@ -74,19 +75,22 @@ func trajectoryDigest(t *testing.T, mode Mode, workers, islands int, noCache boo
 func TestSolveTrajectoryPinned(t *testing.T) {
 	var lines []string
 	for _, cfg := range []struct {
-		name             string
-		workers, islands int
-		noCache          bool
+		name                    string
+		workers, islands, every int
+		noCache                 bool
 	}{
-		{"serial", 1, 1, false},
-		{"parallel", 0, 1, false},
-		{"islands", 0, 3, false},
-		{"nocache", 1, 1, true},
+		{"serial", 1, 1, 0, false},
+		{"parallel", 0, 1, 0, false},
+		{"islands", 0, 3, 10, false},
+		{"nocache", 1, 1, 0, true},
+		// Migrating after every generation puts one individual into two
+		// populations that run on different goroutines, 39 times per run.
+		{"migrate-every", 0, 4, 1, false},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, mode := range []Mode{EpsilonConstraint, MinMakespan, MaxSlack} {
 				for _, shape := range []struct{ n, m int }{{25, 3}, {60, 5}} {
-					d := trajectoryDigest(t, mode, cfg.workers, cfg.islands, cfg.noCache, shape.n, shape.m)
+					d := trajectoryDigest(t, mode, cfg.workers, cfg.islands, cfg.every, cfg.noCache, shape.n, shape.m)
 					lines = append(lines, fmt.Sprintf("%s/%s/%dx%d %s", cfg.name, mode, shape.n, shape.m, d))
 				}
 			}
