@@ -320,7 +320,7 @@ func TestIslandSolveBitIdentical(t *testing.T) {
 	w := testWorkload(t, 13, 25, 3, 3)
 	cases := []robust.Options{
 		{
-			Mode: robust.MinMakespan,
+			Mode:    robust.MinMakespan,
 			PopSize: 10, CrossoverRate: 0.9, MutationRate: 0.1,
 			MaxGenerations: 40, Stagnation: 0,
 			Islands: 3, MigrationEvery: 10,

@@ -413,14 +413,17 @@ func hostIslands(eng *robust.Engine, seeds []IslandSeed) (*islandHost, error) {
 	return h, nil
 }
 
-// states snapshots every hosted island's running best in island order.
+// states snapshots every hosted island's running best in island order. The
+// genes are copies: the in-process fallback keeps the states across epochs,
+// and the island recycles its best once a later epoch drops it.
 func (h *islandHost) states() IslandStates {
 	out := IslandStates{States: make([]IslandState, 0, len(h.islands))}
 	for _, st := range h.islands {
 		b, bf := st.Best()
+		order, proc := b.Genes()
 		out.States = append(out.States, IslandState{
 			Island:          st.Index(),
-			Best:            Genotype{Order: b.Order, Proc: b.Proc},
+			Best:            Genotype{Order: order, Proc: proc},
 			BestFitnessBits: math.Float64bits(bf),
 			SinceImprove:    st.SinceImprove(),
 		})
@@ -459,9 +462,15 @@ func (h *islandHost) runEpoch(req EpochReq) error {
 	return nil
 }
 
-// runMigrate delivers this barrier's migrants to their target islands.
+// runMigrate delivers this barrier's migrants to their target islands. Every
+// migrant is checked before any is delivered: one that names an island
+// hosted elsewhere or does not decode on the workload fails the whole
+// request, which leaves the islands untouched — the evaluator would treat
+// an undecodable genotype as a bug and panic.
 func (h *islandHost) runMigrate(req MigrateReq) error {
-	for _, m := range req.Migrants {
+	targets := make([]*ga.Island[*robust.Chromosome], len(req.Migrants))
+	migrants := make([]*robust.Chromosome, len(req.Migrants))
+	for i, m := range req.Migrants {
 		st, err := h.find(m.Island)
 		if err != nil {
 			return err
@@ -469,7 +478,14 @@ func (h *islandHost) runMigrate(req MigrateReq) error {
 		// The migrant arrives as a bare genotype; the island re-evaluates
 		// it locally. The fitness is a pure function of the genotype, so
 		// losing the sender's memoized metrics changes speed, never values.
-		if err := st.Migrate(robust.NewChromosome(m.Genotype.Order, m.Genotype.Proc)); err != nil {
+		c := robust.NewChromosome(m.Genotype.Order, m.Genotype.Proc)
+		if err := h.eng.Validate(c); err != nil {
+			return fmt.Errorf("dist: migrant for island %d: %w", m.Island, err)
+		}
+		targets[i], migrants[i] = st, c
+	}
+	for i, st := range targets {
+		if err := st.Migrate(migrants[i]); err != nil {
 			return err
 		}
 	}

@@ -108,10 +108,81 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	d.send(KSimSetup, SimSetup{}) // empty workload document
 	d.expectErr("tasks")
 
-	// Finish without islands is harmless (idempotent teardown).
-	d.sendRaw(KIslandFinish, nil)
-	if kind, _ := d.recv(); kind != KOK {
-		t.Fatalf("finish response kind %d, want KOK", kind)
+	// Migrants that do not decode on the workload are refused with a KErr
+	// before they reach an island's evaluator; the worker keeps serving.
+	w := testWorkload(t, 2, 12, 2, 2)
+	d.send(KIslandInit, IslandInit{
+		Workload: wio.NewWorkloadJSON(w),
+		Opt: SolverOptions{
+			Mode:    int(robust.EpsilonConstraint),
+			Eps:     1.3,
+			PopSize: 6, CrossoverRate: 0.9, MutationRate: 0.1,
+			MaxGenerations: 10,
+		},
+		Islands: []IslandSeed{{Island: 0, Seed: 7}},
+	})
+	kind, payload := d.recv()
+	if kind != KIslandState {
+		t.Fatalf("init response kind %d", kind)
+	}
+	var states IslandStates
+	if err := parseJSON(payload, &states); err != nil {
+		t.Fatal(err)
+	}
+	good := states.States[0].Best
+	var edge [2]int
+	for u := 0; u < w.N() && edge == [2]int{}; u++ {
+		if succ := w.G.Successors(u); len(succ) > 0 {
+			edge = [2]int{u, succ[0].To}
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		edit func(g *Genotype)
+	}{
+		{"short order", func(g *Genotype) { g.Order = g.Order[1:] }},
+		{"long proc", func(g *Genotype) { g.Proc = append(g.Proc, 0) }},
+		{"repeated task", func(g *Genotype) { g.Order[1] = g.Order[0] }},
+		{"task out of range", func(g *Genotype) { g.Order[0] = w.N() }},
+		{"processor out of range", func(g *Genotype) { g.Proc[0] = w.M() }},
+		{"negative processor", func(g *Genotype) { g.Proc[0] = -1 }},
+		{"precedence inversion", func(g *Genotype) {
+			i, j := indexOf(g.Order, edge[0]), indexOf(g.Order, edge[1])
+			g.Order[i], g.Order[j] = g.Order[j], g.Order[i]
+		}},
+	} {
+		g := Genotype{Order: append([]int(nil), good.Order...), Proc: append([]int(nil), good.Proc...)}
+		bad.edit(&g)
+		d.send(KMigrate, MigrateReq{Migrants: []Migrant{{Island: 0, Genotype: g}}})
+		kind, payload := d.recv()
+		if kind != KErr {
+			t.Fatalf("%s: migrate answered kind %d, want KErr", bad.name, kind)
+		}
+		var em ErrMsg
+		if err := parseJSON(payload, &em); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(em.Error, "migrant for island 0") {
+			t.Fatalf("%s: error %q does not name the migrant", bad.name, em.Error)
+		}
+	}
+	// The island still evolves and takes a valid migrant.
+	d.send(KEpoch, EpochReq{StartGen: 0, Gens: 2})
+	if kind, _ := d.recv(); kind != KIslandState {
+		t.Fatalf("epoch after refused migrants answered kind %d", kind)
+	}
+	d.send(KMigrate, MigrateReq{Migrants: []Migrant{{Island: 0, Genotype: good}}})
+	if kind, _ := d.recv(); kind != KIslandState {
+		t.Fatalf("valid migrant answered kind %d", kind)
+	}
+
+	// Finish ends the island session, and finishing again without islands
+	// is harmless (idempotent teardown).
+	for i := 0; i < 2; i++ {
+		d.sendRaw(KIslandFinish, nil)
+		if kind, _ := d.recv(); kind != KOK {
+			t.Fatalf("finish response kind %d, want KOK", kind)
+		}
 	}
 
 	d.sendRaw(KShutdown, nil)
@@ -255,4 +326,13 @@ func TestPoolClosedGet(t *testing.T) {
 	if _, err := pool.get(); err == nil {
 		t.Error("get on closed pool succeeded")
 	}
+}
+
+func indexOf(xs []int, v int) int {
+	for i, x := range xs {
+		if x == v {
+			return i
+		}
+	}
+	return -1
 }

@@ -63,10 +63,19 @@ type Config[T any] struct {
 	// for population-relative fitness such as the ε-constraint mode.
 	EvaluateOne func(ind T) float64
 	// Key returns a fingerprint used to reject duplicate individuals when
-	// building the initial population (e.g. an FNV-1a hash of the genotype).
+	// building the initial population (e.g. a hash of the genotype).
 	// Optional; nil disables the check. Collisions are benign: a colliding
 	// fresh individual is rejected as a duplicate and redrawn.
 	Key func(ind T) uint64
+
+	// Recycle, if non-nil, receives every individual a generation dropped:
+	// one that no population slot, elite, running best or migrant refers to
+	// any more. The operators may then overwrite it instead of allocating a
+	// new one. Setting it promises that Random, Crossover and Mutate always
+	// return new individuals that share no storage with any live one. Seeds
+	// and individuals that crossed a migration are never recycled. Island
+	// runs call Recycle from several goroutines at once.
+	Recycle func(ind T)
 
 	// Seeds are injected into the initial population before random filling
 	// (the paper seeds one HEFT chromosome).
@@ -76,6 +85,8 @@ type Config[T any] struct {
 	// the generation index (0 = initial population), the population and its
 	// fitness values. Both slices are engine-owned arenas reused across
 	// generations — observers that retain them past the callback must copy.
+	// With Recycle set, the individuals themselves may be overwritten once
+	// the callback returns, so an observer that keeps one must copy it too.
 	// Used by the Fig. 2/3 evolution-trace experiments.
 	OnGeneration func(gen int, pop []T, fit []float64)
 
@@ -136,23 +147,123 @@ type Result[T any] struct {
 
 // genArena holds the engine-owned buffers one population reuses across
 // generations: the tournament output, the recombination target (ping-ponged
-// with the live population slice), a spare fitness slice and the Fisher–
-// Yates permutation scratch. With EvaluateInto set and non-allocating hooks,
-// a steady-state generation performs zero slice allocations beyond what the
-// operators themselves require.
+// with the live population slice), a spare fitness slice, the Fisher–Yates
+// permutation scratch and the ownership bookkeeping behind Recycle. With
+// EvaluateInto set and non-allocating hooks, a steady-state generation
+// performs zero slice allocations beyond what the operators themselves
+// require.
 type genArena[T any] struct {
 	inter []T
 	spare []T
 	fit   []float64
 	perm  []int
+
+	// src[i] is the slot of the current population that slot i of the
+	// next one copies (a tournament winner, or the elite), or freshSlot for
+	// an individual an operator returned.
+	src []int32
+	// Ownership, kept only when Config.Recycle is set. One individual may
+	// fill several slots (tournament copies, the elite), so id[i] names the
+	// individual in slot i of the current population by the lowest slot
+	// holding it, or is pinnedID when it must never be recycled. nextID is
+	// id for the population being built, and first maps a current id to
+	// the first next slot holding that individual.
+	id, nextID, first []int32
 }
 
-func newArena[T any](np int) *genArena[T] {
-	return &genArena[T]{
-		inter: make([]T, np),
-		spare: make([]T, np),
-		fit:   make([]float64, np),
-		perm:  make([]int, np),
+const (
+	freshSlot = -1 // src: an individual no current slot holds
+	pinnedID  = -1 // id: a seed or an individual shared with another island
+)
+
+// newArena sizes the buffers for np individuals whose first seeds slots
+// hold the configured seeds.
+func newArena[T any](np, seeds int) *genArena[T] {
+	ar := &genArena[T]{
+		inter:  make([]T, np),
+		spare:  make([]T, np),
+		fit:    make([]float64, np),
+		perm:   make([]int, np),
+		src:    make([]int32, np),
+		id:     make([]int32, np),
+		nextID: make([]int32, np),
+		first:  make([]int32, np),
+	}
+	for i := range ar.id {
+		ar.id[i] = int32(i)
+		if i < seeds {
+			ar.id[i] = pinnedID
+		}
+	}
+	return ar
+}
+
+// release hands recycle every individual of pop, the population a step
+// just replaced, that no slot of the next population holds, and derives
+// the next population's ids from src. A pinned individual stays pinned in
+// every slot it is copied to and is never handed out.
+func (ar *genArena[T]) release(pop []T, recycle func(T)) {
+	for j := range ar.first {
+		ar.first[j] = -1
+	}
+	for i, s := range ar.src {
+		switch {
+		case s == freshSlot:
+			ar.nextID[i] = int32(i)
+		case ar.id[s] == pinnedID:
+			ar.nextID[i] = pinnedID
+		default:
+			g := ar.id[s]
+			if ar.first[g] < 0 {
+				ar.first[g] = int32(i)
+			}
+			ar.nextID[i] = ar.first[g]
+		}
+	}
+	for j, g := range ar.id {
+		if g == int32(j) && ar.first[j] < 0 {
+			recycle(pop[j])
+		}
+	}
+	ar.id, ar.nextID = ar.nextID, ar.id
+}
+
+// evict gives slot k of pop to a migrant, which is pinned: it is shared
+// with the island that sent it. The individual leaving the slot goes to
+// recycle when no other slot holds it.
+func (ar *genArena[T]) evict(pop []T, k int, recycle func(T)) {
+	g := ar.id[k]
+	ar.id[k] = pinnedID
+	if g != int32(k) {
+		return // pinned, or also held by the lower slot g
+	}
+	// Every other holder sits above k, its lowest slot; the next lowest
+	// becomes their id.
+	next := int32(-1)
+	for i := k + 1; i < len(ar.id); i++ {
+		if ar.id[i] == g {
+			if next < 0 {
+				next = int32(i)
+			}
+			ar.id[i] = next
+		}
+	}
+	if next < 0 {
+		recycle(pop[k])
+	}
+}
+
+// pin marks the individual in slot k, in every slot holding it, as never
+// to be recycled: it is about to join another island's population.
+func (ar *genArena[T]) pin(k int) {
+	g := ar.id[k]
+	if g == pinnedID {
+		return
+	}
+	for i, x := range ar.id {
+		if x == g {
+			ar.id[i] = pinnedID
+		}
 	}
 }
 
@@ -172,15 +283,20 @@ func (c Config[T]) evalInto(pop []T, fit []float64) ([]float64, error) {
 }
 
 // advance runs one generation step — tournament, recombination, evaluation,
-// elitism (the worst of the new population is replaced by elite, then
+// elitism (the worst of the new population is replaced by the elite, then
 // re-scored) — using ar's buffers, and returns the new population and its
-// fitness. The buffers previously holding pop and fit are recycled into ar
-// for the next call, so the steady state allocates nothing. The trajectory
-// is bit-identical to the historical allocate-per-generation loop.
-func (c Config[T]) advance(pop []T, fit []float64, elite T, ar *genArena[T], r *rng.Source) ([]T, []float64, opCounts, error) {
-	c.tournamentInto(ar.inter, pop, fit, ar.perm, r)
+// fitness. The elite is pop's first fittest individual, which is the
+// running best Run and Island track. The buffers previously holding pop and
+// fit are recycled into ar for the next call, so the steady state allocates
+// nothing; with Recycle set, so are the individuals the step dropped. The
+// trajectory is bit-identical to the historical allocate-per-generation
+// loop.
+func (c Config[T]) advance(pop []T, fit []float64, ar *genArena[T], r *rng.Source) ([]T, []float64, opCounts, error) {
+	ei := argmax(fit)
+	elite := pop[ei]
+	c.tournamentInto(ar.inter, ar.src, pop, fit, ar.perm, r)
 	next := ar.spare
-	oc := c.recombineInto(next, ar.inter, r)
+	oc := c.recombineInto(next, ar.inter, ar.src, r)
 	nextFit, err := c.evalInto(next, ar.fit)
 	if err != nil {
 		return nil, nil, oc, err
@@ -193,7 +309,8 @@ func (c Config[T]) advance(pop []T, fit []float64, elite T, ar *genArena[T], r *
 	// population-independent fitness only needs the one replaced slot
 	// re-scored via EvaluateOne.
 	worst := argmin(nextFit)
-	next[worst] = elite
+	c.dropFresh(next[worst], ar.src[worst])
+	next[worst], ar.src[worst] = elite, int32(ei)
 	if c.EvaluateOne != nil {
 		nextFit[worst] = c.EvaluateOne(elite)
 	} else {
@@ -202,8 +319,20 @@ func (c Config[T]) advance(pop []T, fit []float64, elite T, ar *genArena[T], r *
 			return nil, nil, oc, err
 		}
 	}
+	if c.Recycle != nil {
+		ar.release(pop, c.Recycle)
+	}
 	ar.spare, ar.fit = pop, fit
 	return next, nextFit, oc, nil
+}
+
+// dropFresh recycles ind, which is leaving its slot of the population being
+// built, when an operator returned it this step: then no other slot holds
+// it.
+func (c Config[T]) dropFresh(ind T, src int32) {
+	if src == freshSlot && c.Recycle != nil {
+		c.Recycle(ind)
+	}
 }
 
 // Run evolves a population and returns the best individual found.
@@ -212,8 +341,8 @@ func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
 	if err := c.validate(); err != nil {
 		return zero, err
 	}
-	pop := c.initialPopulation(r)
-	ar := newArena[T](c.PopSize)
+	pop, seeds := c.initialPopulation(r)
+	ar := newArena[T](c.PopSize, seeds)
 	fit, err := c.evalInto(pop, make([]float64, c.PopSize))
 	if err != nil {
 		return zero, err
@@ -230,7 +359,7 @@ func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
 	gen := 0
 	for gen = 1; gen <= c.MaxGenerations; gen++ {
 		var oc opCounts
-		pop, fit, oc, err = c.advance(pop, fit, best, ar, r)
+		pop, fit, oc, err = c.advance(pop, fit, ar, r)
 		if err != nil {
 			return zero, err
 		}
@@ -259,10 +388,11 @@ func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
 }
 
 // initialPopulation seeds, then fills with unique random individuals
-// (Section 4.2.2). After a bounded number of duplicate rejections the
-// uniqueness requirement is dropped so degenerate search spaces (e.g. a
-// one-task graph) cannot hang the run.
-func (c Config[T]) initialPopulation(r *rng.Source) []T {
+// (Section 4.2.2), and reports how many leading slots hold seeds. After a
+// bounded number of duplicate rejections the uniqueness requirement is
+// dropped so degenerate search spaces (e.g. a one-task graph) cannot hang
+// the run.
+func (c Config[T]) initialPopulation(r *rng.Source) ([]T, int) {
 	pop := make([]T, 0, c.PopSize)
 	seen := make(map[uint64]bool, c.PopSize)
 	add := func(ind T) bool {
@@ -279,6 +409,7 @@ func (c Config[T]) initialPopulation(r *rng.Source) []T {
 	for _, s := range c.Seeds {
 		add(s)
 	}
+	seeds := len(pop)
 	misses := 0
 	for len(pop) < c.PopSize {
 		if add(c.Random(r)) {
@@ -296,29 +427,29 @@ func (c Config[T]) initialPopulation(r *rng.Source) []T {
 			c.Key = saved
 		}
 	}
-	return pop
+	return pop, seeds
 }
 
-// tournamentInto runs the systematic binary tournament into dst (len(pop)):
-// the population is shuffled twice and adjacent pairs compete, so every
-// individual participates in exactly two tournaments; the best individual
-// always wins both (two copies), the worst always loses both (eliminated).
-// perm is the engine-owned Fisher–Yates scratch (len(pop)); the RNG draw
-// sequence — including the odd-population leftover bout whose second-round
-// winner is discarded to keep size Np — matches the historical allocating
+// tournamentInto runs the systematic binary tournament into dst (len(pop)),
+// recording in src the slot of pop each winner came from: the population is
+// shuffled twice and adjacent pairs compete, so every individual
+// participates in exactly two tournaments; the best individual always wins
+// both (two copies), the worst always loses both (eliminated). perm is the
+// engine-owned Fisher–Yates scratch (len(pop)); the RNG draw sequence —
+// including the odd-population leftover bout whose second-round winner is
+// discarded to keep size Np — matches the historical allocating
 // implementation exactly.
-func (c Config[T]) tournamentInto(dst, pop []T, fit []float64, perm []int, r *rng.Source) {
+func (c Config[T]) tournamentInto(dst []T, src []int32, pop []T, fit []float64, perm []int, r *rng.Source) {
 	np := len(pop)
 	k := 0
 	for round := 0; round < 2; round++ {
 		r.PermInto(perm)
 		for i := 0; i+1 < np; i += 2 {
 			a, b := perm[i], perm[i+1]
-			if fit[a] >= fit[b] {
-				dst[k] = pop[a]
-			} else {
-				dst[k] = pop[b]
+			if !(fit[a] >= fit[b]) {
+				a = b
 			}
+			dst[k], src[k] = pop[a], int32(a)
 			k++
 		}
 		if np%2 == 1 {
@@ -328,56 +459,52 @@ func (c Config[T]) tournamentInto(dst, pop []T, fit []float64, perm []int, r *rn
 			// but its opponent draw is still consumed.
 			a := perm[np-1]
 			b := perm[r.Intn(np-1)]
-			w := pop[a]
 			if !(fit[a] >= fit[b]) {
-				w = pop[b]
+				a = b
 			}
 			if k < np {
-				dst[k] = w
+				dst[k], src[k] = pop[a], int32(a)
 				k++
 			}
 		}
 	}
 }
 
-// tournament is the allocating form of tournamentInto, kept for tests and
-// one-off callers.
+// tournament is the allocating form of tournamentInto, kept for tests.
 func (c Config[T]) tournament(pop []T, fit []float64, r *rng.Source) []T {
 	out := make([]T, len(pop))
-	c.tournamentInto(out, pop, fit, make([]int, len(pop)), r)
+	c.tournamentInto(out, make([]int32, len(pop)), pop, fit, make([]int, len(pop)), r)
 	return out
 }
 
 // recombineInto applies crossover to a pc fraction of the intermediate
 // population (pairing adjacent individuals, which the tournament already
 // shuffled) and mutation with probability pm per individual, writing the
-// offspring into dst (len(inter), disjoint from inter). The returned
-// operator counts feed the Observer; tallying them costs no allocation.
-func (c Config[T]) recombineInto(dst, inter []T, r *rng.Source) opCounts {
+// offspring into dst (len(inter), disjoint from inter) and marking each
+// operator's output freshSlot in src. A crossover child that is mutated
+// in turn leaves the population at once, so it is recycled on the spot.
+// The returned operator counts feed the Observer; tallying them costs no
+// allocation.
+func (c Config[T]) recombineInto(dst, inter []T, src []int32, r *rng.Source) opCounts {
 	np := len(inter)
 	var oc opCounts
 	copy(dst, inter)
 	for i := 0; i+1 < np; i += 2 {
 		if r.Float64() < c.CrossoverRate {
 			dst[i], dst[i+1] = c.Crossover(inter[i], inter[i+1], r)
+			src[i], src[i+1] = freshSlot, freshSlot
 			oc.crossovers++
 		}
 	}
 	for i := range dst {
 		if r.Float64() < c.MutationRate {
-			dst[i] = c.Mutate(dst[i], r)
+			m := c.Mutate(dst[i], r)
+			c.dropFresh(dst[i], src[i])
+			dst[i], src[i] = m, freshSlot
 			oc.mutations++
 		}
 	}
 	return oc
-}
-
-// recombine is the allocating form of recombineInto, kept for tests and
-// one-off callers.
-func (c Config[T]) recombine(inter []T, r *rng.Source) []T {
-	next := make([]T, len(inter))
-	c.recombineInto(next, inter, r)
-	return next
 }
 
 func argmax(xs []float64) int {

@@ -73,7 +73,7 @@ func NewIsland[T any](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
 	if idx != 0 {
 		c.Seeds = nil // the paper's heuristic seed goes to island 0
 	}
-	pop := c.initialPopulation(r)
+	pop, seeds := c.initialPopulation(r)
 	fit, err := c.evalInto(pop, make([]float64, c.PopSize))
 	if err != nil {
 		return nil, err
@@ -82,7 +82,7 @@ func NewIsland[T any](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
 	return &Island[T]{
 		cfg: c, idx: idx,
 		pop: pop, fit: fit, rng: r, best: pop[bi], bf: fit[bi],
-		ar: newArena[T](c.PopSize),
+		ar: newArena[T](c.PopSize, seeds),
 	}, nil
 }
 
@@ -90,7 +90,9 @@ func NewIsland[T any](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
 func (is *Island[T]) Index() int { return is.idx }
 
 // Best returns the island's current best individual and its fitness (as
-// valued within the island's own population at its last evaluation).
+// valued within the island's own population at its last evaluation). With
+// Recycle set, a later Epoch may overwrite the individual once the island
+// drops it, so a caller that keeps it past the next Epoch must copy it.
 func (is *Island[T]) Best() (T, float64) { return is.best, is.bf }
 
 // SinceImprove returns the number of consecutive generations the island's
@@ -111,7 +113,7 @@ func (is *Island[T]) InitStats() GenStats {
 // observed trajectory is independent of how epochs are scheduled.
 func (is *Island[T]) Epoch(startGen, gens int) error {
 	for e := 0; e < gens; e++ {
-		next, fit, oc, err := is.cfg.advance(is.pop, is.fit, is.best, is.ar, is.rng)
+		next, fit, oc, err := is.cfg.advance(is.pop, is.fit, is.ar, is.rng)
 		if err != nil {
 			return err
 		}
@@ -135,8 +137,12 @@ func (is *Island[T]) Epoch(startGen, gens int) error {
 // and fitness is refreshed — population-independent fitnesses re-score just
 // the replaced slot via EvaluateOne, population-relative ones re-evaluate
 // the whole island. The running best is updated from the refreshed values.
+// The migrant is never recycled: it may live on in the sender's population.
 func (is *Island[T]) Migrate(migrant T) error {
 	worst := argmin(is.fit)
+	if is.cfg.Recycle != nil {
+		is.ar.evict(is.pop, worst, is.cfg.Recycle)
+	}
 	is.pop[worst] = migrant
 	if is.cfg.EvaluateOne != nil {
 		is.fit[worst] = is.cfg.EvaluateOne(migrant)
@@ -150,6 +156,14 @@ func (is *Island[T]) Migrate(migrant T) error {
 	bi := argmax(is.fit)
 	is.best, is.bf = is.pop[bi], is.fit[bi]
 	return nil
+}
+
+// pinBest keeps the island's best individual from ever being recycled,
+// before RunIslands shares it with the next island's population.
+func (is *Island[T]) pinBest() {
+	if is.cfg.Recycle != nil {
+		is.ar.pin(argmax(is.fit))
+	}
 }
 
 // takeStats drains the buffered epoch stats without freeing the backing
@@ -244,6 +258,7 @@ func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 			bests := make([]T, c.Islands)
 			for i, st := range states {
 				bests[i], _ = st.Best()
+				st.pinBest()
 			}
 			for i, st := range states {
 				from := (i - 1 + c.Islands) % c.Islands

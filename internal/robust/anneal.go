@@ -86,6 +86,8 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 		return (s.Makespan() - bound) / mheft * (1 + mheft)
 	}
 
+	// Every state is decoded into one scratch schedule only for its
+	// energy; the best state is decoded anew at the end.
 	dec := schedule.NewDecoder(w)
 	var cur *Chromosome
 	if opt.NoHEFTSeed {
@@ -93,12 +95,12 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	} else {
 		cur = FromSchedule(hs)
 	}
-	curS, err := cur.DecodeWith(dec)
-	if err != nil {
+	s := new(schedule.Schedule)
+	if err := cur.decodeInto(dec, s); err != nil {
 		return nil, err
 	}
-	curE := energy(curS)
-	bestS, bestE := curS, curE
+	curE := energy(s)
+	best, bestE := cur, curE
 
 	// Temperature scale anchored to the makespan bound so acceptance
 	// probabilities are dimensionless across instances.
@@ -107,18 +109,21 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	temp := opt.InitialTemp * scale
 	for step := 0; step < opt.Steps; step++ {
 		next := Mutate(w, cur, r)
-		nextS, err := next.DecodeWith(dec)
-		if err != nil {
+		if err := next.decodeInto(dec, s); err != nil {
 			return nil, err
 		}
-		nextE := energy(nextS)
+		nextE := energy(s)
 		if nextE <= curE || r.Float64() < math.Exp((curE-nextE)/temp) {
-			cur, curS, curE = next, nextS, nextE
+			cur, curE = next, nextE
 			if curE < bestE {
-				bestS, bestE = curS, curE
+				best, bestE = cur, curE
 			}
 		}
 		temp *= cooling
+	}
+	bestS, err := best.Decode(w)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		Schedule:    bestS,

@@ -27,18 +27,12 @@ type Chromosome struct {
 	Order []int // scheduling string: a topological order of the tasks
 	Proc  []int // assignment: processor of each task (indexed by task id)
 
-	// decoded memoizes the schedule; operators always produce fresh
-	// chromosomes, so the cache never goes stale. When the chromosome is
-	// decoded through a schedule.Decoder the schedule lives in decodedVal,
-	// so the steady-state cost per decode is just the two arena
-	// allocations inside DecodeInto.
-	decoded    *schedule.Schedule
-	decodedVal schedule.Schedule
-
-	// metr memoizes the fitness-relevant metrics triple. It is populated
-	// either from the decoded schedule or — via the solver's MetricsCache —
-	// without decoding at all, which is what makes re-evaluations and
-	// genotype-duplicate individuals free.
+	// metr memoizes the fitness-relevant metrics triple: the only thing the
+	// GA reads of a chromosome's schedule. It is populated either by a
+	// decode into the evaluator's scratch schedule or — via the solver's
+	// MetricsCache — without decoding at all, which is what makes
+	// re-evaluations and genotype-duplicate individuals free. Code that
+	// needs the full schedule decodes it on demand (Decode).
 	metr    schedMetrics
 	hasMetr bool
 
@@ -77,28 +71,36 @@ func Random(w *platform.Workload, r *rng.Source) *Chromosome {
 // used to seed the initial population.
 func FromSchedule(s *schedule.Schedule) *Chromosome {
 	c := NewChromosome(s.Order(), s.ProcAssignment())
-	c.decoded = s
 	c.metr = metricsFromSchedule(s)
 	c.hasMetr = true
 	return c
 }
 
-// Clone returns a deep copy without the memoized schedule. Order and Proc
+// Clone returns a deep copy without the memoized metrics. Order and Proc
 // share one backing array (carved with full-capacity subslices, so neither
-// can grow into the other) — the GA's operators clone every offspring, and
-// one allocation instead of two is measurable over a long run.
+// can grow into the other) — one allocation instead of two.
 //
 // A computed key memo carries over, so cloning an evaluated elite never
 // re-hashes; the operators adjust it incrementally as they edit genes.
 // Callers that edit a clone's genes directly must not rely on Key.
-func (c *Chromosome) Clone() *Chromosome {
+func (c *Chromosome) Clone() *Chromosome { return c.cloneInto(nil) }
+
+// cloneInto is Clone into dst, a chromosome nothing refers to any more,
+// overwriting its genes in place when its buffers are large enough; a nil
+// dst gets a new chromosome, a too small one new buffers.
+func (c *Chromosome) cloneInto(dst *Chromosome) *Chromosome {
 	n, p := len(c.Order), len(c.Proc)
-	buf := make([]int, n+p)
-	copy(buf[:n], c.Order)
-	copy(buf[n:], c.Proc)
-	out := NewChromosome(buf[:n:n], buf[n:])
-	out.raw, out.key, out.hasKey = c.raw, c.key, c.hasKey
-	return out
+	if dst == nil {
+		dst = new(Chromosome)
+	}
+	if cap(dst.Order) < n || cap(dst.Proc) < p {
+		buf := make([]int, n+p)
+		dst.Order, dst.Proc = buf[:n:n], buf[n:]
+	}
+	*dst = Chromosome{Order: dst.Order[:n], Proc: dst.Proc[:p], raw: c.raw, key: c.key, hasKey: c.hasKey}
+	copy(dst.Order, c.Order)
+	copy(dst.Proc, c.Proc)
+	return dst
 }
 
 // Genes returns independent copies of the genotype's order and assignment
@@ -111,35 +113,25 @@ func (c *Chromosome) Genes() (order, proc []int) {
 	return order, proc
 }
 
-// Decode builds (and memoizes) the schedule the chromosome represents.
-// Operators maintain the invariant that Order is a topological order, so the
-// trusted constructor applies; malformed genotypes (non-permutations,
-// out-of-range processors, same-processor precedence inversions) are still
-// rejected with an error.
+// Decode builds a new schedule the chromosome represents, which the caller
+// owns. Operators maintain the invariant that Order is a topological order,
+// so the trusted constructor applies; malformed genotypes
+// (non-permutations, out-of-range processors, precedence inversions) are
+// still rejected with an error.
 func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
-	if c.decoded != nil {
-		return c.decoded, nil
-	}
 	s, err := schedule.FromOrderTrusted(w, c.Order, c.Proc)
 	if err != nil {
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
-	c.decoded = s
 	return s, nil
 }
 
-// DecodeWith is Decode on the solver's pooled decoder: the schedule is built
-// into storage embedded in the chromosome, so a steady-state decode costs
-// exactly the decoder's two arena allocations.
-func (c *Chromosome) DecodeWith(d *schedule.Decoder) (*schedule.Schedule, error) {
-	if c.decoded != nil {
-		return c.decoded, nil
+// decodeInto is Decode into the caller's reusable target s.
+func (c *Chromosome) decodeInto(d *schedule.Decoder, s *schedule.Schedule) error {
+	if err := d.DecodeInto(s, c.Order, c.Proc); err != nil {
+		return fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
-	if err := d.DecodeInto(&c.decodedVal, c.Order, c.Proc); err != nil {
-		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
-	}
-	c.decoded = &c.decodedVal
-	return c.decoded, nil
+	return nil
 }
 
 // keyBase is the (odd, invertible mod 2^64) weight base of the rolling
@@ -228,8 +220,14 @@ func (c *Chromosome) Key() uint64 {
 // Assignment strings: each parent's assignment is viewed as a processor
 // string indexed by task; a second random cut exchanges the right parts.
 func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
+	return crossoverInto(nil, nil, a, b, r)
+}
+
+// crossoverInto is Crossover writing the children into d1 and d2,
+// chromosomes nothing refers to any more (either may be nil).
+func crossoverInto(d1, d2, a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
 	n := len(a.Order)
-	c1, c2 := a.Clone(), b.Clone()
+	c1, c2 := a.cloneInto(d1), b.cloneInto(d2)
 	if n >= 2 {
 		sc := getOpScratch(n)
 		cut := 1 + r.Intn(n-1)
@@ -247,7 +245,7 @@ func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
 }
 
 // finishChild adjusts a crossover child's rolling hash, when the parent's
-// key memo carried over through Clone, by differencing the genes after the
+// key memo carried over through cloneInto, by differencing the genes after the
 // order cut and the proc cut (unchanged genes contribute zero). It reads
 // the parent but never writes to it.
 func finishChild(c, p *Chromosome, cut, pcut int) {
@@ -313,7 +311,13 @@ func putOpScratch(sc *opScratch) { opPool.Put(sc) }
 // and strictly before the first of its immediate successors — and then
 // reassigned to a uniformly random processor.
 func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) *Chromosome {
-	out := c.Clone()
+	return mutateInto(nil, w, c, r)
+}
+
+// mutateInto is Mutate writing the mutant into dst, a chromosome nothing
+// refers to any more (or nil).
+func mutateInto(dst *Chromosome, w *platform.Workload, c *Chromosome, r *rng.Source) *Chromosome {
+	out := c.cloneInto(dst)
 	n := len(out.Order)
 	v := r.Intn(n)
 	sc := getOpScratch(n)

@@ -231,7 +231,11 @@ func TestKeyDistinguishesGenotypes(t *testing.T) {
 	}
 }
 
-func TestDecodeMemoizes(t *testing.T) {
+// TestDecodeReturnsOwnedSchedule: chromosomes memoize only their metrics
+// triple, so every Decode builds a new schedule the caller owns — equal
+// genotypes, a clone included, decode to bit-identical schedules that share
+// no storage.
+func TestDecodeReturnsOwnedSchedule(t *testing.T) {
 	w := testWorkload(t, 17, 15, 3)
 	r := rng.New(18)
 	c := Random(w, r)
@@ -239,24 +243,15 @@ func TestDecodeMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.Decode(w)
+	s2, err := c.Clone().Decode(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Fatal("Decode did not memoize")
+	if s1 == s2 {
+		t.Fatal("two decodes share one schedule")
 	}
-	// Clone drops the memo.
-	cl := c.Clone()
-	s3, err := cl.Decode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 == s1 {
-		t.Fatal("clone shares the memoized schedule")
-	}
-	if s3.Makespan() != s1.Makespan() {
-		t.Fatal("clone decodes to a different schedule")
+	if s1.String() != s2.String() || s1.Makespan() != s2.Makespan() || s1.AvgSlack() != s2.AvgSlack() {
+		t.Fatal("equal genotypes decode to different schedules")
 	}
 }
 
@@ -333,7 +328,8 @@ func TestOperatorKeysWithoutMemo(t *testing.T) {
 
 // TestOperatorsAllocationFree pins the operator allocation budget: after
 // scratch pools warm up, Crossover costs its two child clones (one backing
-// array each) and Mutate one — nothing else.
+// array each) and Mutate one — nothing else, and nothing at all when they
+// overwrite chromosomes a generation dropped.
 func TestOperatorsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -349,6 +345,14 @@ func TestOperatorsAllocationFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { Mutate(w, a, r) }); avg > 2 {
 		t.Fatalf("Mutate allocates %.1f times per call, budget 2", avg)
+	}
+	// Overwriting chromosomes a generation dropped allocates nothing.
+	d1, d2 := a.Clone(), b.Clone()
+	if avg := testing.AllocsPerRun(200, func() { crossoverInto(d1, d2, a, b, r) }); avg != 0 {
+		t.Fatalf("crossover into dropped chromosomes allocates %.1f times per call", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { mutateInto(d1, w, a, r) }); avg != 0 {
+		t.Fatalf("mutation into a dropped chromosome allocates %.1f times per call", avg)
 	}
 }
 

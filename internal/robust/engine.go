@@ -2,6 +2,7 @@ package robust
 
 import (
 	"fmt"
+	"sync"
 
 	"robsched/internal/ga"
 	"robsched/internal/platform"
@@ -76,14 +77,11 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 		MutationRate:   opt.MutationRate,
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
-		Random:         func(r *rng.Source) *Chromosome { return Random(w, r) },
-		Crossover:      Crossover,
-		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { return Mutate(w, c, r) },
 		Evaluate:       eval.evaluate,
 		EvaluateInto:   eval.evaluateInto,
-		Key:            (*Chromosome).Key,
 		Observer:       ga.MultiObserver(opt.Observer, telemetryObserver(opt.Obs, opt.Trace)),
 	}
+	setOperators(&cfg, w)
 	// The two single-objective modes are population-independent, so the
 	// engine's post-elitism pass only needs the replaced slot re-scored. The
 	// ε-constraint fitness (Eqn. 8) is population-relative and keeps the
@@ -93,7 +91,7 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 	case MinMakespan:
 		cfg.EvaluateOne = func(c *Chromosome) float64 { return -eval.metricsOf(c).m0 }
 	case MaxSlack:
-		cfg.EvaluateOne = func(c *Chromosome) float64 { return eval.slackMet(eval.metricsOf(c)) }
+		cfg.EvaluateOne = func(c *Chromosome) float64 { return eval.metricsOf(c).slack(opt.SlackMetric) }
 	}
 	if !opt.NoHEFTSeed {
 		cfg.Seeds = []*Chromosome{FromSchedule(hs)}
@@ -102,10 +100,21 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 }
 
 // Config returns the engine's GA configuration. The returned value shares
-// the engine's evaluator (reentrant — islands call it concurrently); callers
-// may adjust the copy's hooks (e.g. OnGeneration) without affecting the
-// engine.
+// the engine's evaluator (reentrant — islands call it concurrently) and its
+// free list of dropped chromosomes; callers may adjust the copy's hooks
+// (e.g. OnGeneration) without affecting the engine.
 func (e *Engine) Config() ga.Config[*Chromosome] { return e.cfg }
+
+// Validate reports an error when c does not decode on the engine's
+// workload: a wrong length, a non-permutation, a processor out of range or
+// a precedence inversion. Chromosomes from outside the engine's own
+// operators — migrants read off the wire — must pass it before they reach
+// the evaluator, which treats a decode failure as a bug.
+func (e *Engine) Validate(c *Chromosome) error {
+	s := e.eval.scheds.get()
+	defer e.eval.scheds.put(s)
+	return c.decodeInto(e.eval.dec, s)
+}
 
 // Result decodes a finished GA run into the solver's result type.
 func (e *Engine) Result(res ga.Result[*Chromosome]) (*Result, error) {
@@ -120,4 +129,46 @@ func (e *Engine) Result(res ga.Result[*Chromosome]) (*Result, error) {
 		Generations: res.Generations,
 		Stagnated:   res.Stagnated,
 	}, nil
+}
+
+// setOperators wires the paper's operators into cfg. The chromosomes a
+// generation drops go to one free list, which the crossover and mutation
+// hooks overwrite before they allocate; every island the config runs
+// shares the list under its mutex.
+func setOperators(cfg *ga.Config[*Chromosome], w *platform.Workload) {
+	free := new(freeList[Chromosome])
+	cfg.Random = func(r *rng.Source) *Chromosome { return Random(w, r) }
+	cfg.Crossover = func(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
+		return crossoverInto(free.get(), free.get(), a, b, r)
+	}
+	cfg.Mutate = func(c *Chromosome, r *rng.Source) *Chromosome { return mutateInto(free.get(), w, c, r) }
+	cfg.Recycle = free.put
+	cfg.Key = (*Chromosome).Key
+}
+
+// freeList is a mutex-guarded stack of reusable values, shared by the
+// goroutines of one engine: islands breed and evaluate concurrently.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get pops a value, or returns a new zero one when the list is empty.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return new(T)
+	}
+	x := f.items[n-1]
+	f.items = f.items[:n-1]
+	return x
+}
+
+// put pushes a value nothing refers to any more.
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.items = append(f.items, x)
+	f.mu.Unlock()
 }

@@ -21,6 +21,14 @@ func metricsFromSchedule(s *schedule.Schedule) schedMetrics {
 	return schedMetrics{m0: s.Makespan(), avgSlack: s.AvgSlack(), minSlack: s.MinSlack()}
 }
 
+// slack returns the robustness surrogate the slack metric selects.
+func (m schedMetrics) slack(metric SlackMetric) float64 {
+	if metric == MinSlack {
+		return m.minSlack
+	}
+	return m.avgSlack
+}
+
 const (
 	// cacheShardCount stripes the cache so concurrent islands (and the
 	// parallel population decoders) rarely contend on the same mutex.
@@ -31,12 +39,13 @@ const (
 	cacheShardCap = 1024
 )
 
-// MetricsCache memoizes schedule metrics by genotype fingerprint, so the GA
-// only pays the O(V+E) decode for genuinely novel genotypes: elitism copies,
-// tournament-duplicated winners, crossovers of converged parents and no-op
-// mutations all produce fresh *Chromosome pointers with already-seen
-// genotypes. Every hit is confirmed by full genotype equality, so an FNV-1a
-// collision degrades to a decode instead of corrupting a run.
+// MetricsCache memoizes schedule metrics by genotype fingerprint
+// (Chromosome.Key: a rolling position-weighted polynomial over the genes,
+// finished with the murmur3 avalanche), so the GA only pays the O(V+E)
+// decode for genuinely novel genotypes: crossovers of converged parents and
+// no-op mutations produce children with already-seen genotypes. Every hit
+// is confirmed by full genotype equality, so a fingerprint collision
+// degrades to a decode instead of corrupting a run.
 //
 // A MetricsCache is safe for concurrent use and MAY be shared across Solve
 // calls — the metrics are independent of Mode, ε and the slack metric — but
@@ -49,10 +58,13 @@ type MetricsCache struct {
 	keyFn  func(*Chromosome) uint64
 	shards [cacheShardCount]cacheShard
 
-	// Traffic counters (atomic; see Stats). The counts are deterministic
-	// for a fixed GA trajectory: every lookup happens either in the serial
+	// Traffic counters (atomic; see Stats). For a single population the
+	// counts are deterministic: every lookup happens either in the serial
 	// cache pass of ensureMetrics or on the serial EvaluateOne path, so
-	// they cannot depend on Workers or scheduling.
+	// they cannot depend on Workers or scheduling. Islands share the cache
+	// concurrently, so when two of them meet the same new genotype in one
+	// epoch, which one misses depends on timing; their split of hits and
+	// misses can vary by a few between runs, never the trajectory.
 	hits       atomic.Int64
 	misses     atomic.Int64
 	collisions atomic.Int64
@@ -65,8 +77,8 @@ type CacheStats struct {
 	Hits   int64
 	Misses int64
 	// Collisions counts the misses that found entries under the same
-	// fingerprint but failed the full genotype comparison — the FNV-1a
-	// collision fallback degrading to a decode instead of a wrong metric.
+	// fingerprint but failed the full genotype comparison — the collision
+	// fallback degrading to a decode instead of a wrong metric.
 	Collisions int64
 	// Evictions counts wholesale shard resets (capacity pressure).
 	Evictions int64
@@ -148,13 +160,7 @@ func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
 // (two workers decoding different pointers with equal genotypes) collapse
 // to one entry.
 func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
-	geno := make([]int32, 0, len(c.Order)+len(c.Proc))
-	for _, v := range c.Order {
-		geno = append(geno, int32(v))
-	}
-	for _, v := range c.Proc {
-		geno = append(geno, int32(v))
-	}
+	geno := packGenes(make([]int32, 0, len(c.Order)+len(c.Proc)), c)
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -173,6 +179,17 @@ func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
 	}
 	sh.m[k] = append(sh.m[k], cacheEntry{geno: geno, met: met})
 	sh.n++
+}
+
+// packGenes appends c's genotype, order then proc, to dst as int32.
+func packGenes(dst []int32, c *Chromosome) []int32 {
+	for _, v := range c.Order {
+		dst = append(dst, int32(v))
+	}
+	for _, v := range c.Proc {
+		dst = append(dst, int32(v))
+	}
+	return dst
 }
 
 // genoEqual reports whether the packed genotype equals (order, proc).

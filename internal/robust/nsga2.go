@@ -60,25 +60,16 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 		return nil, fmt.Errorf("robust: rates out of [0,1]")
 	}
 
-	slackOf := func(s *schedule.Schedule) float64 {
-		if opt.SlackMetric == MinSlack {
-			return s.MinSlack()
-		}
-		return s.AvgSlack()
-	}
-	// Objectives are minimized: (makespan, -slack).
-	dec := schedule.NewDecoder(w)
-	objectives := func(pop []*Chromosome) ([][]float64, error) {
-		decodePopulation(dec, pop, opt.Workers)
+	// Objectives are minimized: (makespan, -slack), read off each
+	// chromosome's metrics memo.
+	eval := &evaluator{w: w, opt: Options{Workers: opt.Workers}, dec: schedule.NewDecoder(w)}
+	objectives := func(pop []*Chromosome) [][]float64 {
+		eval.ensureMetrics(pop)
 		objs := make([][]float64, len(pop))
 		for i, c := range pop {
-			s, err := c.DecodeWith(dec)
-			if err != nil {
-				return nil, err
-			}
-			objs[i] = []float64{s.Makespan(), -slackOf(s)}
+			objs[i] = []float64{c.metr.m0, -c.metr.slack(opt.SlackMetric)}
 		}
-		return objs, nil
+		return objs
 	}
 
 	pop := make([]*Chromosome, 0, opt.PopSize)
@@ -92,10 +83,7 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 	for len(pop) < opt.PopSize {
 		pop = append(pop, Random(w, r))
 	}
-	objs, err := objectives(pop)
-	if err != nil {
-		return nil, err
-	}
+	objs := objectives(pop)
 	rank, crowd := rankAndCrowd(objs)
 
 	for gen := 0; gen < opt.MaxGenerations; gen++ {
@@ -127,10 +115,7 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 		}
 		// (µ+λ) survival by front rank, then crowding.
 		combined := append(append([]*Chromosome{}, pop...), offspring...)
-		cobjs, err := objectives(combined)
-		if err != nil {
-			return nil, err
-		}
+		cobjs := objectives(combined)
 		fronts := pareto.NonDominatedSort(cobjs)
 		next := make([]*Chromosome, 0, opt.PopSize)
 		nextObjs := make([][]float64, 0, opt.PopSize)
@@ -224,14 +209,8 @@ func SolveWeightedSum(w *platform.Workload, weight float64, opt Options, r *rng.
 		opt.MaxGenerations = def.MaxGenerations
 		opt.Stagnation = def.Stagnation
 	}
-	slackOf := func(s *schedule.Schedule) float64 {
-		if opt.SlackMetric == MinSlack {
-			return s.MinSlack()
-		}
-		return s.AvgSlack()
-	}
-	res, err := runCustomFitness(w, opt, r, hs, func(s *schedule.Schedule) float64 {
-		return weight*(mheft/s.Makespan()) + (1-weight)*(slackOf(s)/mheft)
+	res, err := runCustomFitness(w, opt, r, hs, func(m schedMetrics) float64 {
+		return weight*(mheft/m.m0) + (1-weight)*(m.slack(opt.SlackMetric)/mheft)
 	})
 	if err != nil {
 		return nil, err

@@ -76,8 +76,6 @@ type Options struct {
 	// OnGeneration.
 	Islands        int
 	MigrationEvery int
-	// NoElitism is reserved for engine-level ablation and currently unused;
-	// elitism is integral to the engine.
 
 	// Workers bounds the goroutines used to decode each population before
 	// the fitness combination (0 = GOMAXPROCS, 1 = serial). Decoding is the
@@ -105,6 +103,7 @@ type Options struct {
 
 	// OnGeneration, if set, observes the best schedule of each generation
 	// (generation 0 is the initial population). Used to trace Figs. 2–3.
+	// The schedule is the callback's to keep.
 	OnGeneration func(gen int, best *schedule.Schedule)
 
 	// Obs, if non-nil, receives solver telemetry: per-generation engine
@@ -113,7 +112,8 @@ type Options struct {
 	// traffic of this run (cache.hits/misses/collisions/evictions). Every
 	// registry value is a deterministic count over the GA trajectory —
 	// independent of Workers and wall-clock — so snapshots reproduce across
-	// runs. Nil disables with zero overhead.
+	// runs; the one exception is the hit/miss split of an island run (see
+	// MetricsCache). Nil disables with zero overhead.
 	Obs *obs.Registry
 	// Trace, if non-nil, receives structured records: one "ga/generation"
 	// event per evaluated generation, a "cache/stats" event, and a
@@ -173,16 +173,7 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 	eval := eng.eval
 	cfg := eng.cfg
 	if opt.OnGeneration != nil {
-		on := opt.OnGeneration
-		cfg.OnGeneration = func(gen int, pop []*Chromosome, fit []float64) {
-			best := 0
-			for i, f := range fit {
-				if f > fit[best] {
-					best = i
-				}
-			}
-			on(gen, eval.schedOf(pop[best]))
-		}
+		cfg.OnGeneration = bestScheduleHook(eng.w, opt.OnGeneration)
 	}
 	if opt.Trace != nil {
 		defer opt.Trace.Scope("robust").Span("solve",
@@ -211,34 +202,50 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 	return eng.Result(res)
 }
 
-// runCustomFitness evolves the standard chromosome with an arbitrary
-// per-schedule fitness function (larger is better). Used by the
+// bestScheduleHook adapts Options.OnGeneration to the engine's hook: each
+// generation's best individual is decoded into a new schedule the callback
+// keeps. The individual may be recycled once the hook returns, so the hook
+// remembers the genotype it last decoded, not the pointer, and hands the
+// same schedule on while the best genotype stays the same.
+func bestScheduleHook(w *platform.Workload, on func(gen int, best *schedule.Schedule)) func(int, []*Chromosome, []float64) {
+	var last *schedule.Schedule
+	var lastGenes []int32
+	return func(gen int, pop []*Chromosome, fit []float64) {
+		best := 0
+		for i, f := range fit {
+			if f > fit[best] {
+				best = i
+			}
+		}
+		c := pop[best]
+		if last == nil || !genoEqual(lastGenes, c.Order, c.Proc) {
+			s, err := c.Decode(w)
+			if err != nil {
+				panic(err) // operators guarantee validity
+			}
+			last, lastGenes = s, packGenes(lastGenes[:0], c)
+		}
+		on(gen, last)
+	}
+}
+
+// runCustomFitness evolves the standard chromosome with a fitness combined
+// from each schedule's metrics triple (larger is better). Used by the
 // weighted-sum comparator; the ε-constraint path goes through Solve
 // because its fitness is population-relative.
 //
 // Of the engine-level options it honors opt.Workers — each population's
-// undecoded chromosomes fan out across that many goroutines, with results
-// (and the whole trajectory) bit-identical for every setting — but NOT
-// opt.Islands: the fitness is an opaque hook, so the run is always a single
-// population (unlike Solve, which spawns islands). The post-elitism
-// EvaluateOne path re-scores exactly one chromosome and therefore decodes
-// serially on the calling goroutine; its value is the same fitness function,
-// so EvaluateOne and Evaluate agree by construction. The genotype metrics
-// cache does not apply here — the custom fitness needs the full schedule,
-// which the per-chromosome decode memo already makes single-decode.
-func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *schedule.Schedule, fitness func(*schedule.Schedule) float64) (*Result, error) {
-	dec := schedule.NewDecoder(w)
-	schedOf := func(c *Chromosome) *schedule.Schedule {
-		s, err := c.DecodeWith(dec)
-		if err != nil {
-			panic(err) // operators guarantee validity
-		}
-		return s
-	}
+// novel chromosomes fan out across that many goroutines, with results (and
+// the whole trajectory) bit-identical for every setting — but NOT
+// opt.Islands: the run is always a single population (unlike Solve, which
+// spawns islands). The genotype metrics cache does not apply: each
+// chromosome's metrics memo already makes it single-decode.
+func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *schedule.Schedule, fitness func(schedMetrics) float64) (*Result, error) {
+	eval := &evaluator{w: w, opt: opt, dec: schedule.NewDecoder(w)}
 	evaluateInto := func(pop []*Chromosome, fit []float64) {
-		decodePopulation(dec, pop, opt.Workers)
+		eval.ensureMetrics(pop)
 		for i, c := range pop {
-			fit[i] = fitness(schedOf(c))
+			fit[i] = fitness(c.metr)
 		}
 	}
 	cfg := ga.Config[*Chromosome]{
@@ -247,18 +254,15 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 		MutationRate:   opt.MutationRate,
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
-		Random:         func(r *rng.Source) *Chromosome { return Random(w, r) },
-		Crossover:      Crossover,
-		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { return Mutate(w, c, r) },
-		Key:            (*Chromosome).Key,
 		Evaluate: func(pop []*Chromosome) []float64 {
 			fit := make([]float64, len(pop))
 			evaluateInto(pop, fit)
 			return fit
 		},
 		EvaluateInto: evaluateInto,
-		EvaluateOne:  func(c *Chromosome) float64 { return fitness(schedOf(c)) },
+		EvaluateOne:  func(c *Chromosome) float64 { return fitness(eval.metricsOf(c)) },
 	}
+	setOperators(&cfg, w)
 	if seed != nil && !opt.NoHEFTSeed {
 		cfg.Seeds = []*Chromosome{FromSchedule(seed)}
 	}
@@ -274,10 +278,10 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 }
 
 // evaluator computes the population fitness for each mode. It is reentrant
-// — islands call evaluate concurrently — so it holds no mutable scratch;
-// per-chromosome decode/metrics state lives in the chromosomes themselves,
-// the decoder's buffer pool is concurrency-safe and the metrics cache is
-// mutex-striped.
+// — islands call evaluate concurrently. Each chromosome carries its own
+// metrics memo, the metrics cache is mutex-striped, and the mutable scratch
+// (the dedup map, the cache keys and the schedules misses are decoded into)
+// is taken per call from free lists, so no two goroutines share any.
 type evaluator struct {
 	w     *platform.Workload
 	opt   Options
@@ -286,31 +290,31 @@ type evaluator struct {
 	// cache is the genotype→metrics cache; nil when Options.NoMetricsCache
 	// disabled it.
 	cache *MetricsCache
+
+	scratch freeList[evalScratch]
+	scheds  freeList[schedule.Schedule]
 }
 
-// slackOf returns the configured robustness surrogate of a schedule.
-func (e *evaluator) slackOf(s *schedule.Schedule) float64 {
-	if e.opt.SlackMetric == MinSlack {
-		return s.MinSlack()
-	}
-	return s.AvgSlack()
+// evalScratch is the working state of one ensureMetrics call, reused across
+// generations.
+type evalScratch struct {
+	seen    map[*Chromosome]struct{}
+	pending []*Chromosome
+	keys    []uint64
 }
 
-// slackMet is slackOf over the cached metrics triple.
-func (e *evaluator) slackMet(m schedMetrics) float64 {
-	if e.opt.SlackMetric == MinSlack {
-		return m.minSlack
+// decodeMetrics decodes c into the scratch schedule s and memoizes its
+// metrics triple on c, inserting it into the cache under key k when there
+// is a cache.
+func (e *evaluator) decodeMetrics(c *Chromosome, s *schedule.Schedule, k uint64) error {
+	if err := c.decodeInto(e.dec, s); err != nil {
+		return err
 	}
-	return m.avgSlack
-}
-
-// schedOf returns the chromosome's memoized schedule, decoding on demand.
-func (e *evaluator) schedOf(c *Chromosome) *schedule.Schedule {
-	s, err := c.DecodeWith(e.dec)
-	if err != nil {
-		panic(err) // operators guarantee validity
+	c.metr, c.hasMetr = metricsFromSchedule(s), true
+	if e.cache != nil {
+		e.cache.insert(k, c, c.metr)
 	}
-	return s
+	return nil
 }
 
 // metricsOf returns the chromosome's metrics triple, consulting the cache
@@ -320,70 +324,93 @@ func (e *evaluator) metricsOf(c *Chromosome) schedMetrics {
 	if c.hasMetr {
 		return c.metr
 	}
-	if c.decoded == nil && e.cache != nil {
-		k := e.cache.key(c)
+	var k uint64
+	if e.cache != nil {
+		k = e.cache.key(c)
 		if met, ok := e.cache.lookup(k, c); ok {
 			c.metr, c.hasMetr = met, true
-			return c.metr
+			return met
 		}
-		c.metr = metricsFromSchedule(e.schedOf(c))
-		c.hasMetr = true
-		e.cache.insert(k, c, c.metr)
-		return c.metr
 	}
-	c.metr = metricsFromSchedule(e.schedOf(c))
-	c.hasMetr = true
+	s := e.scheds.get()
+	err := e.decodeMetrics(c, s, k)
+	e.scheds.put(s)
+	if err != nil {
+		panic(err) // operators guarantee validity
+	}
 	return c.metr
 }
 
-// dedupPending collects pop's entries that still need work (no memoized
-// metrics and no decoded schedule), deduplicated by pointer — selection and
-// elitism alias chromosomes, so the same pointer can fill several slots.
-// The map replaces a historical O(Np²) scan; it matters once PopSize rises
-// above the paper's 20.
-func dedupPending(pop []*Chromosome, needsWork func(*Chromosome) bool) []*Chromosome {
-	pending := make([]*Chromosome, 0, len(pop))
-	seen := make(map[*Chromosome]struct{}, len(pop))
+// pendingOf collects pop's entries without a metrics memo into sc.pending,
+// deduplicated by pointer — selection and elitism alias chromosomes, so the
+// same pointer can fill several slots.
+func (sc *evalScratch) pendingOf(pop []*Chromosome) []*Chromosome {
+	if sc.seen == nil {
+		sc.seen = make(map[*Chromosome]struct{}, len(pop))
+	}
+	clear(sc.seen)
+	pending := sc.pending[:0]
 	for _, c := range pop {
-		if !needsWork(c) {
+		if c.hasMetr {
 			continue
 		}
-		if _, dup := seen[c]; dup {
+		if _, dup := sc.seen[c]; dup {
 			continue
 		}
-		seen[c] = struct{}{}
+		sc.seen[c] = struct{}{}
 		pending = append(pending, c)
 	}
+	sc.pending = pending
 	return pending
 }
 
-// decodeAll decodes the pending chromosomes across `workers` goroutines
-// (0 = GOMAXPROCS) and waits for all of them; each finished chromosome runs
-// the optional done hook on its worker. Decode order cannot influence
-// results: each schedule depends only on its own genotype. A decode error
+// ensureMetrics guarantees every chromosome of pop carries its metrics
+// triple, decoding only genuinely novel genotypes: memoized chromosomes are
+// free, cache hits (genotype-equal to any previously decoded individual,
+// across generations, islands and — via a shared Options.Cache — sibling
+// Solve runs) skip the decode entirely, and only the misses are decoded,
+// each into a scratch schedule of the decoding goroutine, inserting their
+// metrics into the cache as they finish.
+func (e *evaluator) ensureMetrics(pop []*Chromosome) {
+	sc := e.scratch.get()
+	defer e.scratch.put(sc)
+	pending := sc.pendingOf(pop)
+	// Serial cache pass: hashing is cheap next to a decode, and resolving
+	// hits up front keeps the parallel section to pure decode work.
+	misses := pending
+	var keys []uint64
+	if e.cache != nil {
+		misses = pending[:0]
+		keys = sc.keys[:0]
+		for _, c := range pending {
+			k := e.cache.key(c)
+			if met, ok := e.cache.lookup(k, c); ok {
+				c.metr, c.hasMetr = met, true
+				continue
+			}
+			misses = append(misses, c)
+			keys = append(keys, k)
+		}
+		sc.keys = keys
+	}
+	e.decodeAll(misses, keys)
+}
+
+// decodeAll decodes the misses across Options.Workers goroutines (0 =
+// GOMAXPROCS) and waits for all of them; keys holds their cache keys, nil
+// without a cache. Decode order cannot influence results: each schedule
+// depends only on its own genotype, and the barrier guarantees the serial
+// fitness combination that follows sees every metric. A decode error
 // panics after the barrier — the operators guarantee genotype validity, so
 // a decode failure is a bug, not an input condition.
-func decodeAll(dec *schedule.Decoder, pending []*Chromosome, workers int, done func(i int, c *Chromosome)) {
-	work := func(i int, c *Chromosome) error {
-		if _, err := c.DecodeWith(dec); err != nil {
-			return err
-		}
-		if done != nil {
-			done(i, c)
-		}
-		return nil
+func (e *evaluator) decodeAll(misses []*Chromosome, keys []uint64) {
+	if len(misses) == 0 {
+		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		for i, c := range pending {
-			if err := work(i, c); err != nil {
-				panic(err) // operators guarantee validity
-			}
+	workers := e.decodeWorkers(len(misses))
+	if workers == 1 {
+		if err := e.decodeStride(misses, keys, 0, 1); err != nil {
+			panic(err) // operators guarantee validity
 		}
 		return
 	}
@@ -393,12 +420,7 @@ func decodeAll(dec *schedule.Decoder, pending []*Chromosome, workers int, done f
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			for i := wk; i < len(pending); i += workers {
-				if err := work(i, pending[i]); err != nil {
-					errs[wk] = err
-					return
-				}
-			}
+			errs[wk] = e.decodeStride(misses, keys, wk, workers)
 		}(wk)
 	}
 	wg.Wait()
@@ -409,58 +431,29 @@ func decodeAll(dec *schedule.Decoder, pending []*Chromosome, workers int, done f
 	}
 }
 
-// decodePopulation decodes every not-yet-decoded chromosome of pop (used by
-// the custom-fitness and NSGA-II paths, which need full schedules rather
-// than the metrics triple).
-func decodePopulation(dec *schedule.Decoder, pop []*Chromosome, workers int) {
-	pending := dedupPending(pop, func(c *Chromosome) bool { return c.decoded == nil })
-	decodeAll(dec, pending, workers, nil)
+// decodeWorkers is the number of goroutines decoding n misses.
+func (e *evaluator) decodeWorkers(n int) int {
+	if e.opt.Workers <= 0 {
+		return min(runtime.GOMAXPROCS(0), n)
+	}
+	return min(e.opt.Workers, n)
 }
 
-// ensureMetrics guarantees every chromosome of pop carries its metrics
-// triple, decoding only genuinely novel genotypes: already-memoized and
-// already-decoded chromosomes are free, cache hits (genotype-equal to any
-// previously decoded individual, across generations, islands and — via a
-// shared Options.Cache — sibling Solve runs) skip the decode entirely, and
-// only the misses fan out across the worker goroutines, inserting their
-// metrics into the cache as they finish. The barrier guarantees the serial
-// fitness combination that follows sees every metric.
-func (e *evaluator) ensureMetrics(pop []*Chromosome) {
-	pending := dedupPending(pop, func(c *Chromosome) bool {
-		if c.hasMetr {
-			return false
+// decodeStride decodes every stride-th miss from first on into one scratch
+// schedule of the calling goroutine.
+func (e *evaluator) decodeStride(misses []*Chromosome, keys []uint64, first, stride int) error {
+	s := e.scheds.get()
+	defer e.scheds.put(s)
+	for i := first; i < len(misses); i += stride {
+		var k uint64
+		if keys != nil {
+			k = keys[i]
 		}
-		if c.decoded != nil {
-			c.metr = metricsFromSchedule(c.decoded)
-			c.hasMetr = true
-			return false
-		}
-		return true
-	})
-	// Serial cache pass: hashing is cheap next to a decode, and resolving
-	// hits up front keeps the parallel section to pure decode work.
-	misses := pending
-	var keys []uint64
-	if e.cache != nil {
-		misses = pending[:0]
-		keys = make([]uint64, 0, len(pending))
-		for _, c := range pending {
-			k := e.cache.key(c)
-			if met, ok := e.cache.lookup(k, c); ok {
-				c.metr, c.hasMetr = met, true
-				continue
-			}
-			misses = append(misses, c)
-			keys = append(keys, k)
+		if err := e.decodeMetrics(misses[i], s, k); err != nil {
+			return err
 		}
 	}
-	decodeAll(e.dec, misses, e.opt.Workers, func(i int, c *Chromosome) {
-		c.metr = metricsFromSchedule(c.decoded)
-		c.hasMetr = true
-		if keys != nil {
-			e.cache.insert(keys[i], c, c.metr)
-		}
-	})
+	return nil
 }
 
 // evaluateInto implements the three objectives over the metrics triples,
@@ -477,7 +470,7 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 		}
 	case MaxSlack:
 		for i, c := range pop {
-			fit[i] = e.slackMet(e.metricsOf(c))
+			fit[i] = e.metricsOf(c).slack(e.opt.SlackMetric)
 		}
 	case EpsilonConstraint:
 		// Eqn. 8. Feasible individuals score their slack; infeasible ones
@@ -487,7 +480,7 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 		minFeasible := math.Inf(1)
 		for _, c := range pop {
 			m := e.metricsOf(c)
-			if slack := e.slackMet(m); m.m0 <= bound && slack < minFeasible {
+			if slack := m.slack(e.opt.SlackMetric); m.m0 <= bound && slack < minFeasible {
 				minFeasible = slack
 			}
 		}
@@ -495,7 +488,7 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 			m := e.metricsOf(c)
 			switch {
 			case m.m0 <= bound:
-				fit[i] = e.slackMet(m)
+				fit[i] = m.slack(e.opt.SlackMetric)
 			case math.IsInf(minFeasible, 1):
 				// No feasible individual this generation — a case the
 				// paper leaves unspecified. Rank purely by (inverse)

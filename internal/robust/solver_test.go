@@ -2,6 +2,7 @@ package robust
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"robsched/internal/heft"
@@ -315,5 +316,47 @@ func TestSolveWithIslands(t *testing.T) {
 	opt.OnGeneration = func(int, *schedule.Schedule) {}
 	if _, err := Solve(w, opt, rng.New(21)); err == nil {
 		t.Fatal("islands with OnGeneration accepted")
+	}
+}
+
+// TestSolveGenerationAllocatesOnlyCacheInserts pins the allocation-free
+// generation: a serial ε-constraint Solve allocates more for more
+// generations only through the metrics cache's inserts — per novel
+// genotype its packed copy and its entry list, plus the shards' map growth.
+// Decode targets, dropped chromosomes and the evaluator's scratch are all
+// reused.
+func TestSolveGenerationAllocatesOnlyCacheInserts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	// A collection would empty the sync.Pools behind the decoder and the
+	// operators' scratch; refilling them is set-up cost, not a generation's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w := testWorkload(t, 61, 60, 4)
+	hs, err := HEFTBaseline(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(gens int) (allocs float64, misses int64) {
+		allocs = testing.AllocsPerRun(2, func() {
+			opt := PaperOptions(EpsilonConstraint, 1.3)
+			opt.MaxGenerations, opt.Stagnation, opt.Workers = gens, 0, 1
+			opt.HEFT, opt.Cache = hs, NewMetricsCache()
+			if _, err := Solve(w, opt, rng.New(9)); err != nil {
+				t.Fatal(err)
+			}
+			misses = opt.Cache.Stats().Misses
+		})
+		return allocs, misses
+	}
+	shortAllocs, shortMisses := measure(100)
+	longAllocs, longMisses := measure(400)
+	if longMisses <= shortMisses {
+		t.Fatalf("%d misses in 400 generations, %d in 100", longMisses, shortMisses)
+	}
+	budget := 2*float64(longMisses-shortMisses) + 2*cacheShardCount
+	if extra := longAllocs - shortAllocs; extra > budget {
+		t.Fatalf("300 more generations allocate %.0f more times (100 gens: %.0f, 400 gens: %.0f); "+
+			"their %d extra cache inserts allow %.0f", extra, shortAllocs, longAllocs, longMisses-shortMisses, budget)
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // Decoder is the fast path for decoding GA chromosomes (scheduling string +
 // assignment string) into schedules. All transient construction state comes
-// from a package-level pool and the data-arc CSR is shared per task graph,
-// so steady-state decoding costs exactly two heap allocations per schedule
-// (its int32 and float64 arenas).
+// from a package-level pool and the data-arc CSR is shared per task graph.
+// A fresh schedule costs two heap allocations (its int32 and float64
+// arenas); decoding into a reused target whose arenas are large enough
+// allocates nothing.
 //
 // A Decoder is safe for concurrent use by multiple goroutines as long as
 // each goroutine decodes distinct Schedule targets.
@@ -34,9 +35,12 @@ func (d *Decoder) Decode(order, proc []int) (*Schedule, error) {
 	return s, nil
 }
 
-// DecodeInto builds the schedule into an existing (typically embedded)
-// Schedule value, overwriting all of its state. On error the target is left
-// in an unspecified state and must not be used.
+// DecodeInto builds the schedule into an existing Schedule value,
+// overwriting all of its state and reusing its arenas when they are large
+// enough, so a caller that keeps one target decodes without allocating.
+// Whatever the target held before — and every slice read from it — is
+// invalidated. On error the target is left in an unspecified state: it must
+// not be read, but it may be decoded into again.
 func (d *Decoder) DecodeInto(s *Schedule, order, proc []int) error {
 	sc := getScratch(d.w.N(), d.w.M())
 	defer putScratch(sc)
@@ -195,8 +199,9 @@ func (sc *decodeScratch) prepassFromLists(w *platform.Workload, proc []int, proc
 func carveI(a []int32, k int) ([]int32, []int32)       { return a[:k:k], a[k:] }
 func carveF(a []float64, k int) ([]float64, []float64) { return a[:k:k], a[k:] }
 
-// buildWith constructs the schedule from the scratch prepass, allocating
-// exactly two arenas (one int32, one float64). When order is non-nil it
+// buildWith constructs the schedule from the scratch prepass into two
+// arenas (one int32, one float64), reusing the target's when they are large
+// enough and allocating them otherwise. When order is non-nil it
 // doubles as the topological order of G_s — validated arc-by-arc during the
 // communication-cost fill — so downstream passes iterate the scheduling
 // string itself. The explicit-list path (order nil) derives the order with
@@ -208,14 +213,24 @@ func buildWith(s *Schedule, w *platform.Workload, arcs *arcSet, sc *decodeScratc
 	n, m := w.N(), w.M()
 	nE := len(arcs.succTo)
 
-	ints := make([]int32, 5*n+m+1)
+	if k := 5*n + m + 1; cap(s.ints) < k {
+		s.ints = make([]int32, k)
+	} else {
+		s.ints = s.ints[:k]
+	}
+	if k := 5*n + 2*nE; cap(s.floats) < k {
+		s.floats = make([]float64, k)
+	} else {
+		s.floats = s.floats[:k]
+	}
+	ints := s.ints
 	s.proc, ints = carveI(ints, n)
 	s.topo, ints = carveI(ints, n)
 	s.porder, ints = carveI(ints, n)
 	s.porderOff, ints = carveI(ints, m+1)
 	s.dsucc, ints = carveI(ints, n)
 	s.dpred, _ = carveI(ints, n)
-	floats := make([]float64, 5*n+2*nE)
+	floats := s.floats
 	s.succComm, floats = carveF(floats, nE)
 	s.predComm, floats = carveF(floats, nE)
 	s.expDur, floats = carveF(floats, n)

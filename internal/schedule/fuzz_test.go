@@ -14,7 +14,10 @@ import (
 // out-of-range processors, precedence inversions and wrong lengths. The
 // invariant is total: DecodeInto accepts exactly the well-formed
 // chromosomes, producing a schedule bit-identical to FromOrder's, rejects
-// every malformed one with an error, and never panics.
+// every malformed one with an error, and never panics. The target already
+// holds another workload's schedule, so its arenas are reused when large
+// enough; after a rejection the uncorrupted chromosome is decoded into the
+// same target and must still match FromOrder bit for bit.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint64(1), uint64(2), 0, []byte(nil))
 	f.Add(uint64(7), uint64(11), 5, []byte{2, 3, 9})
@@ -38,6 +41,10 @@ func FuzzDecode(f *testing.F) {
 		for e := 0; e < edits%4; e++ {
 			order, proc = deriveChild(r, w, order, proc)
 		}
+		cleanOrder := append([]int(nil), order...)
+		cleanProc := append([]int(nil), proc...)
+		var got Schedule
+		fillWithOther(t, &got, wseed)
 		// Each (op, arg) byte pair applies one corruption; the signed arg
 		// reaches negative and out-of-range values.
 		for i := 0; i+1 < len(corrupt); i += 2 {
@@ -68,15 +75,17 @@ func FuzzDecode(f *testing.F) {
 		for _, q := range proc {
 			valid = valid && q >= 0 && q < m
 		}
-		var got Schedule
-		err = NewDecoder(w).DecodeInto(&got, order, proc)
+		dec := NewDecoder(w)
+		err = dec.DecodeInto(&got, order, proc)
 		if !valid {
 			if err == nil {
 				t.Fatalf("malformed chromosome accepted: order=%v proc=%v", order, proc)
 			}
-			return
-		}
-		if err != nil {
+			order, proc = cleanOrder, cleanProc
+			if err := dec.DecodeInto(&got, order, proc); err != nil {
+				t.Fatalf("valid chromosome rejected after a failed decode: %v", err)
+			}
+		} else if err != nil {
 			t.Fatalf("valid chromosome rejected: %v", err)
 		}
 		want, err := FromOrder(w, order, proc)
@@ -85,6 +94,29 @@ func FuzzDecode(f *testing.F) {
 		}
 		sameSchedule(t, "fuzz", &got, want)
 	})
+}
+
+// fillWithOther decodes into s a random chromosome of a workload derived
+// from seed, with a different task count and usually a different processor
+// count than the fuzzed one.
+func fillWithOther(t *testing.T, s *Schedule, seed uint64) {
+	t.Helper()
+	p := gen.PaperParams()
+	p.N = 2 + int((seed+17)%40)
+	p.M = 1 + int((seed+2)%6)
+	w, err := gen.Random(p, rng.New(seed^0x5eed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(seed + 1)
+	order := w.G.RandomTopologicalOrder(r)
+	proc := make([]int, w.N())
+	for i := range proc {
+		proc[i] = r.Intn(w.M())
+	}
+	if err := NewDecoder(w).DecodeInto(s, order, proc); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func abs(x int) int {

@@ -3,7 +3,8 @@
 // (Definition 3.1), the makespan of any duration realization as the critical
 // path of G_s (Claim 3.2), and per-task / average slack (Definition 3.3).
 //
-// A Schedule is immutable once built. Construction precomputes one
+// A Schedule is immutable once built, except that its owner may decode a
+// new chromosome into it (Decoder.DecodeInto). Construction precomputes one
 // topological order of the disjunctive graph together with the communication
 // cost of every arc, so that each Monte-Carlo realization costs a single
 // O(V+E) longest-path pass with no allocation — the property that makes the
@@ -16,9 +17,10 @@
 // determines — per-arc communication costs, the at-most-one disjunctive arc
 // per task, and the analysis vectors. All per-schedule integer state lives
 // in one int32 arena and all float state in one float64 arena, so building
-// a schedule costs exactly two heap allocations beyond its struct and the
+// a new schedule costs two heap allocations beyond its struct and the
 // longest-path passes walk contiguous memory. See Decoder (decoder.go) for
-// the pooled fast path used by the GA's chromosome decoding.
+// the pooled fast path used by the GA's chromosome decoding, which reuses a
+// target schedule's arenas and then allocates nothing.
 package schedule
 
 import (
@@ -68,6 +70,11 @@ type Schedule struct {
 	slack    []float64 // σ_i = M - Bl(i) - Tl(i)
 	avgSlack float64
 	minSlack float64
+
+	// The two arenas the slices above are carved from, kept whole so
+	// Decoder.DecodeInto can reuse them for the next schedule.
+	ints   []int32
+	floats []float64
 }
 
 // New builds and validates a schedule from a task→processor map and
