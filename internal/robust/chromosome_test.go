@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"math"
 	"testing"
 
 	"robsched/internal/dag"
@@ -279,6 +280,40 @@ func TestDecodeRejectsBrokenChromosome(t *testing.T) {
 	c := NewChromosome([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 8}, make([]int, 10))
 	if _, err := c.Decode(w); err == nil {
 		t.Fatal("broken chromosome decoded")
+	}
+}
+
+// keyCase builds an n-task genotype whose order and assignment are the
+// formulas' values at each position.
+func keyCase(n int, order, proc func(i int) int) *Chromosome {
+	c := NewChromosome(make([]int, n), make([]int, n))
+	for i := 0; i < n; i++ {
+		c.Order[i], c.Proc[i] = order(i), proc(i)
+	}
+	return c
+}
+
+// TestKeyPinned pins Chromosome.Key on fixed genotypes. The key places a
+// genotype's metrics-cache entry in its shard, so every cache counter of a
+// pinned run depends on these values.
+func TestKeyPinned(t *testing.T) {
+	zero := func(int) int { return 0 }
+	for _, tc := range []struct {
+		name string
+		c    *Chromosome
+		want uint64
+	}{
+		{"one task", keyCase(1, zero, zero), 0xe5fdc025e13eeed5},
+		{"all zero", keyCase(6, zero, zero), 0x353f4b32caf2e831},
+		{"identity", keyCase(8, func(i int) int { return i }, func(i int) int { return i % 3 }), 0x20a87b89553c1455},
+		{"highest processor of 8", keyCase(5, func(i int) int { return 4 - i }, func(int) int { return 7 }), 0x91fb6bb5ea2df867},
+		{"processor 2^31-1", keyCase(3, func(i int) int { return i }, func(i int) int { return math.MaxInt32 - i }), 0xf1ea2334a8aace00},
+		{"n=65", keyCase(65, func(i int) int { return i * 2 % 65 }, func(i int) int { return i * i % 4 }), 0x770138c6e589d6f6},
+		{"n=300", keyCase(300, func(i int) int { return i * 7 % 300 }, func(i int) int { return (i*i + 3*i) % 16 }), 0xa7e273116e8d6d54},
+	} {
+		if got := tc.c.Key(); got != tc.want {
+			t.Errorf("%s: Key() = %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }
 
