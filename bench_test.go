@@ -341,15 +341,14 @@ func BenchmarkAblationSlackMetric(b *testing.B) {
 // stagnation window disabled so every run does identical work). This is the
 // headline number of the BENCH_ga.json lane; the nocache variant isolates
 // what the genotype→metrics cache is worth on top of the engine arenas —
-// both produce bit-identical results. Workers=1 keeps the number a
-// single-core figure.
+// both produce bit-identical results. A single-population solve runs on
+// one goroutine.
 func BenchmarkSolvePaper(b *testing.B) {
 	w := benchWorkload(b, 100, 8, 4)
 	run := func(b *testing.B, noCache bool) {
 		opt := robsched.PaperSolveOptions(robsched.EpsilonConstraint, 1.4)
 		opt.MaxGenerations = 1000
 		opt.Stagnation = 0
-		opt.Workers = 1
 		opt.NoMetricsCache = noCache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -373,7 +372,6 @@ func BenchmarkSolveObs(b *testing.B) {
 		opt := robsched.PaperSolveOptions(robsched.EpsilonConstraint, 1.4)
 		opt.MaxGenerations = 100
 		opt.Stagnation = 0
-		opt.Workers = 1
 		if instrument {
 			opt.Obs = obs.NewRegistry()
 			opt.Trace = obs.NewTracer(io.Discard, 64)

@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,50 +42,95 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
+// run executes the command line args, writing tables to stdout and
+// progress and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if err := execute(args, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
+	return 0
+}
+
+func execute(args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 && args[0] == "worker" {
 		wfs := flag.NewFlagSet("experiments worker", flag.ContinueOnError)
+		wfs.SetOutput(stderr)
 		listen := wfs.String("listen", "", "serve the worker protocol on this TCP `address` (host:port) instead of stdin/stdout")
-		if err := wfs.Parse(os.Args[2:]); err != nil {
+		if err := wfs.Parse(args[1:]); err != nil {
 			return err
 		}
 		return dist.RunWorker(*listen)
 	}
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig          = flag.String("fig", "all", "figure to regenerate: 1..8 or all (empty with -ablation set)")
-		ablation     = flag.String("ablation", "", "ablation to run instead/in addition: seed, slackmetric, risk, policies, or all")
-		sensitivity  = flag.String("sensitivity", "", "sensitivity sweep to run: ccr, shape, procs")
-		faultExp     = flag.Bool("faults", false, "run the slack-vs-fault-resilience experiment")
-		corrGap      = flag.Bool("corrgap", false, "run the correlated-load robustness-gap experiment: the same schedules under independent vs shared per-processor load at equal marginal variance")
-		scenName     = flag.String("scenario", "", "named scenario `family[-model]` (montage-lognormal, cybershake-pareto, random-correlated, ...; see internal/scenario): workload family and duration model for every runner (empty = the paper's path)")
-		mtbf         = flag.Float64("mtbf", 2.0, "fault experiment: MTBF per processor in multiples of the HEFT makespan")
-		retries      = flag.Int("retries", 2, "fault experiment: max retries per killed task")
-		drop         = flag.Float64("drop", 4.0, "fault experiment: drop non-critical tasks starting past this multiple of M0 (0 disables)")
-		scale        = flag.String("scale", "quick", "experiment scale: quick or paper")
-		seed         = flag.Uint64("seed", 1, "root random seed")
-		graphs       = flag.Int("graphs", 0, "override: graphs per data point")
-		realizations = flag.Int("realizations", 0, "override: Monte-Carlo realizations")
-		gens         = flag.Int("generations", 0, "override: GA generations")
-		nTasks       = flag.Int("n", 0, "override: tasks per graph")
-		mProcs       = flag.Int("m", 0, "override: processors")
-		workers      = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		shards       = flag.Int("shards", 0, "shard Monte-Carlo evaluation over this many worker processes (0 = in-process); results are bit-identical")
-		remote       = flag.String("remote", "", "comma-separated TCP worker `addresses` (each started with `experiments worker -listen`): scatter over the network instead of local subprocesses")
-		pipeline     = flag.Int("pipeline", 0, "realization ranges in flight per worker connection; 0 derives the depth from the transport RTT, 1 restores strict request/response")
-		workerTO     = flag.Duration("worker-timeout", 0, "with -shards: liveness deadline per worker exchange — a silent worker is declared dead and its range reassigned; also arms worker respawn (0 disables)")
-		chaosSeed    = flag.Uint64("chaos", 0, "with -shards: inject seeded transport faults between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
-		csvDir       = flag.String("csv", "", "also write figN.csv files into this directory (plus a manifest.json run record)")
-		svgDir       = flag.String("svg", "", "also write figN.svg line charts into this directory")
-		obsPath      = flag.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof, expvar and /debug/obs on this address (e.g. localhost:6060)")
+		fig          = fs.String("fig", "all", "figure to regenerate: 1..8 or all (empty with -ablation set)")
+		ablation     = fs.String("ablation", "", "ablation to run instead/in addition: seed, slackmetric, risk, policies, or all")
+		sensitivity  = fs.String("sensitivity", "", "sensitivity sweep to run: ccr, shape, procs")
+		faultExp     = fs.Bool("faults", false, "run the slack-vs-fault-resilience experiment")
+		corrGap      = fs.Bool("corrgap", false, "run the correlated-load robustness-gap experiment: the same schedules under independent vs shared per-processor load at equal marginal variance")
+		scenName     = fs.String("scenario", "", "named scenario `family[-model]` (montage-lognormal, cybershake-pareto, random-correlated, ...; see internal/scenario): workload family and duration model for every runner (empty = the paper's path)")
+		mtbf         = fs.Float64("mtbf", 2.0, "fault experiment: MTBF per processor in multiples of the HEFT makespan")
+		retries      = fs.Int("retries", 2, "fault experiment: max retries per killed task")
+		drop         = fs.Float64("drop", 4.0, "fault experiment: drop non-critical tasks starting past this multiple of M0 (0 disables)")
+		scale        = fs.String("scale", "quick", "experiment scale: quick or paper")
+		seed         = fs.Uint64("seed", 1, "root random seed")
+		graphs       = fs.Int("graphs", 0, "override: graphs per data point")
+		realizations = fs.Int("realizations", 0, "override: Monte-Carlo realizations")
+		gens         = fs.Int("generations", 0, "override: GA generations")
+		nTasks       = fs.Int("n", 0, "override: tasks per graph")
+		mProcs       = fs.Int("m", 0, "override: processors")
+		workers      = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		shards       = fs.Int("shards", 0, "shard Monte-Carlo evaluation over this many worker processes (0 = in-process); results are bit-identical")
+		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (each started with `experiments worker -listen`): scatter over the network instead of local subprocesses")
+		pipeline     = fs.Int("pipeline", 0, "realization ranges in flight per worker connection; 0 derives the depth from the transport RTT, 1 restores strict request/response")
+		workerTO     = fs.Duration("worker-timeout", 0, "with -shards: liveness deadline per worker exchange — a silent worker is declared dead and its range reassigned; also arms worker respawn (0 disables)")
+		chaosSeed    = fs.Uint64("chaos", 0, "with -shards: inject seeded transport faults between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
+		csvDir       = fs.String("csv", "", "also write figN.csv files into this directory (plus a manifest.json run record)")
+		svgDir       = fs.String("svg", "", "also write figN.svg line charts into this directory")
+		obsPath      = fs.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")
+		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof, expvar and /debug/obs on this address (e.g. localhost:6060)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	want := map[string]bool{}
+	switch {
+	case *fig == "all" && (*ablation != "" || *sensitivity != "" || *faultExp || *corrGap):
+		// -ablation alone runs only the ablations unless figures are also
+		// requested explicitly.
+	case *fig == "all":
+		for _, f := range []string{"1", "2", "3", "4", "5", "6", "7", "8"} {
+			want[f] = true
+		}
+	default:
+		for _, f := range strings.Split(*fig, ",") {
+			switch f = strings.TrimSpace(f); f {
+			case "":
+			case "1", "2", "3", "4", "5", "6", "7", "8":
+				want[f] = true
+			default:
+				return fmt.Errorf("unknown -fig %q: want 1..8, a comma-separated list of them, or all", f)
+			}
+		}
+	}
+	wantAbl := map[string]bool{}
+	if *ablation != "" {
+		if *ablation == "all" {
+			for _, a := range []string{"seed", "slackmetric", "risk", "policies", "gaparams"} {
+				wantAbl[a] = true
+			}
+		} else {
+			for _, a := range strings.Split(*ablation, ",") {
+				wantAbl[strings.TrimSpace(a)] = true
+			}
+		}
+	}
 
 	var (
 		reg       *obs.Registry
@@ -110,7 +156,7 @@ func run() error {
 		}
 		defer stop()
 		obs.PublishExpvar(reg)
-		fmt.Fprintf(os.Stderr, "experiments: pprof serving on http://%s/debug/pprof/\n", addr)
+		fmt.Fprintf(stderr, "experiments: pprof serving on http://%s/debug/pprof/\n", addr)
 	}
 
 	var cfg experiments.Config
@@ -198,36 +244,9 @@ func run() error {
 		cfg.Sim = coord.EvaluateAll
 	}
 
-	want := map[string]bool{}
-	switch {
-	case *fig == "all" && (*ablation != "" || *sensitivity != "" || *faultExp || *corrGap):
-		// -ablation alone runs only the ablations unless figures are also
-		// requested explicitly.
-	case *fig == "all":
-		for _, f := range []string{"1", "2", "3", "4", "5", "6", "7", "8"} {
-			want[f] = true
-		}
-	default:
-		for _, f := range strings.Split(*fig, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-	wantAbl := map[string]bool{}
-	if *ablation != "" {
-		if *ablation == "all" {
-			for _, a := range []string{"seed", "slackmetric", "risk", "policies", "gaparams"} {
-				wantAbl[a] = true
-			}
-		} else {
-			for _, a := range strings.Split(*ablation, ",") {
-				wantAbl[strings.TrimSpace(a)] = true
-			}
-		}
-	}
-
 	emit := func(figName, title, xlabel string, series []experiments.Series) error {
-		fmt.Print(experiments.FormatSeries(title, xlabel, series))
-		fmt.Println()
+		fmt.Fprint(stdout, experiments.FormatSeries(title, xlabel, series))
+		fmt.Fprintln(stdout)
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				return err
@@ -266,8 +285,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(out)
-		fmt.Println()
+		fmt.Fprint(stdout, out)
+		fmt.Fprintln(stdout)
 	}
 	if want["2"] || want["3"] {
 		modes := []struct {
@@ -292,7 +311,7 @@ func run() error {
 		}
 	}
 	if want["4"] || want["5"] || want["6"] || want["7"] || want["8"] {
-		fmt.Fprintf(os.Stderr, "experiments: running UL×ε sweep (%d ULs × %d ε × %d graphs)...\n",
+		fmt.Fprintf(stderr, "experiments: running UL×ε sweep (%d ULs × %d ε × %d graphs)...\n",
 			len(cfg.ULs), len(cfg.Eps), cfg.Graphs)
 		sw, err := cfg.RunSweep()
 		if err != nil {
@@ -401,23 +420,23 @@ func run() error {
 		fc.MTBFFactor = *mtbf
 		fc.Policy.Retry.MaxRetries = *retries
 		fc.Policy.DropFactor = *drop
-		fmt.Fprintf(os.Stderr, "experiments: running fault-resilience experiment (%d graphs, mtbf %g·M0)...\n",
+		fmt.Fprintf(stderr, "experiments: running fault-resilience experiment (%d graphs, mtbf %g·M0)...\n",
 			cfg.Graphs, *mtbf)
 		res, err := cfg.FaultResilience(fc)
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
-		fmt.Println()
+		fmt.Fprint(stdout, res.String())
+		fmt.Fprintln(stdout)
 	}
 	if *corrGap {
-		fmt.Fprintf(os.Stderr, "experiments: running correlated-load gap experiment (%d graphs)...\n", cfg.Graphs)
+		fmt.Fprintf(stderr, "experiments: running correlated-load gap experiment (%d graphs)...\n", cfg.Graphs)
 		res, err := cfg.CorrelationGap(experiments.DefaultCorrGapConfig())
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
-		fmt.Println()
+		fmt.Fprint(stdout, res.String())
+		fmt.Fprintln(stdout)
 		title := fmt.Sprintf("Correlated vs independent load — mean relative tardiness (family %s)", res.Family)
 		if err := emit("corrgap", title, "loadCOV", res.Series()); err != nil {
 			return err
@@ -433,7 +452,7 @@ func run() error {
 		if err := experiments.WriteManifest(filepath.Join(*csvDir, "manifest.json"), cfg.Manifest(reg)); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "experiments: manifest written to %s\n", filepath.Join(*csvDir, "manifest.json"))
+		fmt.Fprintf(stderr, "experiments: manifest written to %s\n", filepath.Join(*csvDir, "manifest.json"))
 	}
 	if *obsPath != "" {
 		tracer.SnapshotRegistry("final", reg)
@@ -443,13 +462,13 @@ func run() error {
 		if err := traceFile.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("\n--- observability ---\n")
-		if err := reg.Snapshot().WriteSummary(os.Stdout); err != nil {
+		fmt.Fprintf(stdout, "\n--- observability ---\n")
+		if err := reg.Snapshot().WriteSummary(stdout); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "experiments: trace written to %s\n", *obsPath)
+		fmt.Fprintf(stderr, "experiments: trace written to %s\n", *obsPath)
 	}
-	fmt.Fprintf(os.Stderr, "experiments: done in %v (seed %d, %d graphs, %d realizations, %d tasks, %d processors)\n",
+	fmt.Fprintf(stderr, "experiments: done in %v (seed %d, %d graphs, %d realizations, %d tasks, %d processors)\n",
 		time.Since(start).Round(time.Millisecond), cfg.Seed, cfg.Graphs, cfg.Realizations, cfg.Gen.N, cfg.Gen.M)
 	return nil
 }

@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		drop         = fs.Float64("drop", 0, "graceful degradation: drop non-critical tasks starting past this multiple of M0 (0 disables)")
 		clarkEst     = fs.Bool("clark", false, "also print Clark's analytic makespan estimate")
 		svgPath      = fs.String("svg", "", "write an SVG Gantt chart (with slack windows) to this file")
-		workers      = fs.Int("workers", 0, "worker goroutines for population decoding and Monte-Carlo batches (0 = all cores)")
+		workers      = fs.Int("workers", 0, "worker goroutines for Monte-Carlo batches (0 = all cores)")
 		shards       = fs.Int("shards", 0, "scatter work over this many `robsched worker` subprocesses (0 = in-process); shards Monte-Carlo realizations, and the GA islands when -islands > 1")
 		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (host:port,... — each started with `robsched worker -listen`): scatter over the network instead of local subprocesses; with -worker-timeout a dead connection is redialed into the rotation")
 		pipeline     = fs.Int("pipeline", 0, "realization ranges in flight per worker connection (credit window); 0 derives the depth from the transport round-trip time, 1 restores strict request/response")
@@ -269,7 +269,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res, err = robust.SolveWeightedSum(w, *weight, robust.Options{
 			PopSize: *pop, CrossoverRate: 0.9, MutationRate: 0.1,
 			MaxGenerations: *gens, Stagnation: *stagnation,
-			Workers: *workers,
 		}, r)
 		if err == nil {
 			s = res.Schedule
@@ -299,7 +298,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			MaxGenerations: *gens,
 			Stagnation:     *stagnation,
 			Islands:        *islands,
-			Workers:        *workers,
 			Obs:            reg,
 			Trace:          tracer,
 		}

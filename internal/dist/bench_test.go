@@ -161,7 +161,7 @@ func BenchmarkDistSolveIslands(b *testing.B) {
 	opt := robust.Options{
 		Mode: robust.EpsilonConstraint, Eps: 1.4,
 		PopSize: 20, MaxGenerations: 50, Stagnation: 0,
-		Islands: 4, MigrationEvery: 10, Workers: 1,
+		Islands: 4, MigrationEvery: 10,
 	}
 
 	b.Run("inproc", func(b *testing.B) {

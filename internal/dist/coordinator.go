@@ -683,7 +683,6 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 			Stagnation:     opt.Stagnation,
 			NoHEFTSeed:     opt.NoHEFTSeed,
 			NoMetricsCache: opt.NoMetricsCache,
-			Workers:        opt.Workers,
 		},
 		k:     k,
 		seeds: seeds,
@@ -859,9 +858,7 @@ func (s *solveRun) remoteOp(conn *Conn, h *solveHost, op islandOp) error {
 // localOp runs one barrier op on an in-process host and folds its states.
 func (s *solveRun) localOp(h *solveHost, op islandOp) error {
 	if op.epoch != nil {
-		if err := h.local.runEpoch(*op.epoch); err != nil {
-			return err
-		}
+		h.local.runEpoch(*op.epoch)
 	} else {
 		req := MigrateReq{}
 		for _, m := range op.migrants {

@@ -176,8 +176,6 @@ type SolverOptions struct {
 
 	NoHEFTSeed     bool `json:"no_heft_seed,omitempty"`
 	NoMetricsCache bool `json:"no_metrics_cache,omitempty"`
-	// Workers bounds the decode fan-out inside the worker process.
-	Workers int `json:"workers,omitempty"`
 }
 
 // IslandSeed assigns one island (by its global ring index) to the receiving

@@ -293,7 +293,7 @@ func handleEpoch(fw *frameWriter, host *islandHost, payload []byte) error {
 	if host.replayCached(fw, req.Seq) {
 		return nil
 	}
-	err := withHeartbeat(fw, host.hbMillis, func() error { return host.runEpoch(req) })
+	err := withHeartbeat(fw, host.hbMillis, func() error { host.runEpoch(req); return nil })
 	if err != nil {
 		return err
 	}
@@ -381,7 +381,6 @@ func newIslandHost(payload []byte) (*islandHost, error) {
 		Stagnation:     o.Stagnation,
 		NoHEFTSeed:     o.NoHEFTSeed,
 		NoMetricsCache: o.NoMetricsCache,
-		Workers:        o.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -453,13 +452,10 @@ func (h *islandHost) find(island int) (*ga.Island[*robust.Chromosome], error) {
 // runEpoch advances every hosted island. Pure state transition — the
 // serving layer (or the coordinator's in-process fallback) owns the
 // response.
-func (h *islandHost) runEpoch(req EpochReq) error {
+func (h *islandHost) runEpoch(req EpochReq) {
 	for _, st := range h.islands {
-		if err := st.Epoch(req.StartGen, req.Gens); err != nil {
-			return err
-		}
+		st.Epoch(req.StartGen, req.Gens)
 	}
-	return nil
 }
 
 // runMigrate delivers this barrier's migrants to their target islands. Every
@@ -485,9 +481,7 @@ func (h *islandHost) runMigrate(req MigrateReq) error {
 		targets[i], migrants[i] = st, c
 	}
 	for i, st := range targets {
-		if err := st.Migrate(migrants[i]); err != nil {
-			return err
-		}
+		st.Migrate(migrants[i])
 	}
 	return nil
 }

@@ -41,24 +41,18 @@ type Config[T any] struct {
 	// Mutate returns a mutated copy of the individual. It must not modify
 	// its argument.
 	Mutate func(ind T, r *rng.Source) T
-	// Evaluate returns the fitness of every individual (larger is better).
-	// It must be pure with respect to the population: it must not mutate
-	// pop (memoizing per-individual decode state is fine), and it must
-	// return the same values when called again on the same individuals.
-	// The engine relies on this — elitism may evaluate a population twice
-	// per generation.
-	Evaluate func(pop []T) []float64
-	// EvaluateInto, if non-nil, is preferred over Evaluate on the steady-
-	// state path: it writes the fitness of pop into fit (len(fit) ==
-	// len(pop)), letting the engine reuse one fitness arena across
-	// generations instead of allocating a fresh slice per evaluation. It
-	// must agree exactly with Evaluate and obey the same purity contract.
-	// At least one of Evaluate and EvaluateInto is required.
+	// EvaluateInto writes the fitness of every individual of pop into fit
+	// (len(fit) == len(pop); larger is better), so the engine reuses one
+	// fitness arena across generations. It must be pure with respect to
+	// the population: it must not mutate pop (memoizing per-individual
+	// decode state is fine), and it must write the same values when called
+	// again on the same individuals. The engine relies on this — elitism
+	// may evaluate a population twice per generation.
 	EvaluateInto func(pop []T, fit []float64)
 	// EvaluateOne returns the fitness of a single individual. Optional: set
 	// it only when fitness is population-independent (each individual's
 	// value does not depend on its peers), and it must agree exactly with
-	// Evaluate. When present, the engine re-scores only the elite individual
+	// EvaluateInto. When present, the engine re-scores only the elite individual
 	// after elitism instead of re-evaluating the whole population. Leave nil
 	// for population-relative fitness such as the ε-constraint mode.
 	EvaluateOne func(ind T) float64
@@ -94,8 +88,7 @@ type Config[T any] struct {
 	// best/mean fitness, genotype diversity and operator counts. Unlike
 	// OnGeneration it is also supported by RunIslands, which buffers each
 	// island's stats and emits them deterministically at the epoch
-	// barriers. The trajectory is bit-identical for every evaluation-hook
-	// parallelism; with no Observer the engine skips all stats work.
+	// barriers. With no Observer the engine skips all stats work.
 	Observer Observer
 }
 
@@ -122,9 +115,8 @@ func (c *Config[T]) validate() error {
 		return fmt.Errorf("ga: MaxGenerations=%d must be >= 1", c.MaxGenerations)
 	case c.Stagnation < 0:
 		return fmt.Errorf("ga: Stagnation=%d must be >= 0", c.Stagnation)
-	case c.Random == nil || c.Crossover == nil || c.Mutate == nil ||
-		(c.Evaluate == nil && c.EvaluateInto == nil):
-		return fmt.Errorf("ga: Random, Crossover, Mutate and Evaluate (or EvaluateInto) hooks are required")
+	case c.Random == nil || c.Crossover == nil || c.Mutate == nil || c.EvaluateInto == nil:
+		return fmt.Errorf("ga: Random, Crossover, Mutate and EvaluateInto hooks are required")
 	case len(c.Seeds) > c.PopSize:
 		return fmt.Errorf("ga: %d seeds exceed population size %d", len(c.Seeds), c.PopSize)
 	}
@@ -148,15 +140,17 @@ type Result[T any] struct {
 // genArena holds the engine-owned buffers one population reuses across
 // generations: the tournament output, the recombination target (ping-ponged
 // with the live population slice), a spare fitness slice, the Fisher–Yates
-// permutation scratch and the ownership bookkeeping behind Recycle. With
-// EvaluateInto set and non-allocating hooks, a steady-state generation
-// performs zero slice allocations beyond what the operators themselves
-// require.
+// permutation scratch, the Observer's diversity set and the ownership
+// bookkeeping behind Recycle. With non-allocating hooks, a steady-state
+// generation performs zero allocations beyond what the operators
+// themselves require.
 type genArena[T any] struct {
 	inter []T
 	spare []T
 	fit   []float64
 	perm  []int
+	// seen is genStats' set of distinct genotype keys, made on first use.
+	seen map[uint64]struct{}
 
 	// src[i] is the slot of the current population that slot i of the
 	// next one copies (a tournament winner, or the elite), or freshSlot for
@@ -267,21 +261,6 @@ func (ar *genArena[T]) pin(k int) {
 	}
 }
 
-// evalInto evaluates pop, writing into fit when EvaluateInto is configured
-// and falling back to the allocating Evaluate hook otherwise. The returned
-// slice is the population's fitness either way.
-func (c Config[T]) evalInto(pop []T, fit []float64) ([]float64, error) {
-	if c.EvaluateInto != nil {
-		c.EvaluateInto(pop, fit)
-		return fit, nil
-	}
-	out := c.Evaluate(pop)
-	if len(out) != len(pop) {
-		return nil, fmt.Errorf("ga: Evaluate returned %d values for %d individuals", len(out), len(pop))
-	}
-	return out, nil
-}
-
 // advance runs one generation step — tournament, recombination, evaluation,
 // elitism (the worst of the new population is replaced by the elite, then
 // re-scored) — using ar's buffers, and returns the new population and its
@@ -291,16 +270,13 @@ func (c Config[T]) evalInto(pop []T, fit []float64) ([]float64, error) {
 // nothing; with Recycle set, so are the individuals the step dropped. The
 // trajectory is bit-identical to the historical allocate-per-generation
 // loop.
-func (c Config[T]) advance(pop []T, fit []float64, ar *genArena[T], r *rng.Source) ([]T, []float64, opCounts, error) {
+func (c Config[T]) advance(pop []T, fit []float64, ar *genArena[T], r *rng.Source) ([]T, []float64, opCounts) {
 	ei := argmax(fit)
 	elite := pop[ei]
 	c.tournamentInto(ar.inter, ar.src, pop, fit, ar.perm, r)
-	next := ar.spare
+	next, nextFit := ar.spare, ar.fit
 	oc := c.recombineInto(next, ar.inter, ar.src, r)
-	nextFit, err := c.evalInto(next, ar.fit)
-	if err != nil {
-		return nil, nil, oc, err
-	}
+	c.EvaluateInto(next, nextFit)
 	// Elitism: the worst of the new population is replaced by the best
 	// of the current one (Section 4.2.3), then re-scored within the new
 	// population. With a population-relative fitness (ε-constraint,
@@ -314,16 +290,13 @@ func (c Config[T]) advance(pop []T, fit []float64, ar *genArena[T], r *rng.Sourc
 	if c.EvaluateOne != nil {
 		nextFit[worst] = c.EvaluateOne(elite)
 	} else {
-		nextFit, err = c.evalInto(next, nextFit)
-		if err != nil {
-			return nil, nil, oc, err
-		}
+		c.EvaluateInto(next, nextFit)
 	}
 	if c.Recycle != nil {
 		ar.release(pop, c.Recycle)
 	}
 	ar.spare, ar.fit = pop, fit
-	return next, nextFit, oc, nil
+	return next, nextFit, oc
 }
 
 // dropFresh recycles ind, which is leaving its slot of the population being
@@ -337,38 +310,32 @@ func (c Config[T]) dropFresh(ind T, src int32) {
 
 // Run evolves a population and returns the best individual found.
 func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
-	var zero Result[T]
 	if err := c.validate(); err != nil {
-		return zero, err
+		return Result[T]{}, err
 	}
 	pop, seeds := c.initialPopulation(r)
 	ar := newArena[T](c.PopSize, seeds)
-	fit, err := c.evalInto(pop, make([]float64, c.PopSize))
-	if err != nil {
-		return zero, err
-	}
+	fit := make([]float64, c.PopSize)
+	c.EvaluateInto(pop, fit)
 	bestIdx := argmax(fit)
 	best, bestFit := pop[bestIdx], fit[bestIdx]
 	if c.OnGeneration != nil {
 		c.OnGeneration(0, pop, fit)
 	}
 	if c.Observer != nil {
-		c.Observer.ObserveGeneration(c.genStats(0, 0, pop, fit, opCounts{}))
+		c.Observer.ObserveGeneration(c.genStats(ar, 0, 0, pop, fit, opCounts{}))
 	}
 	sinceImprove := 0
 	gen := 0
 	for gen = 1; gen <= c.MaxGenerations; gen++ {
 		var oc opCounts
-		pop, fit, oc, err = c.advance(pop, fit, ar, r)
-		if err != nil {
-			return zero, err
-		}
+		pop, fit, oc = c.advance(pop, fit, ar, r)
 		bestIdx = argmax(fit)
 		if c.OnGeneration != nil {
 			c.OnGeneration(gen, pop, fit)
 		}
 		if c.Observer != nil {
-			c.Observer.ObserveGeneration(c.genStats(0, gen, pop, fit, oc))
+			c.Observer.ObserveGeneration(c.genStats(ar, 0, gen, pop, fit, oc))
 		}
 		if fit[bestIdx] > bestFit+1e-12 {
 			best, bestFit = pop[bestIdx], fit[bestIdx]
@@ -468,13 +435,6 @@ func (c Config[T]) tournamentInto(dst []T, src []int32, pop []T, fit []float64, 
 			}
 		}
 	}
-}
-
-// tournament is the allocating form of tournamentInto, kept for tests.
-func (c Config[T]) tournament(pop []T, fit []float64, r *rng.Source) []T {
-	out := make([]T, len(pop))
-	c.tournamentInto(out, make([]int32, len(pop)), pop, fit, make([]int, len(pop)), r)
-	return out
 }
 
 // recombineInto applies crossover to a pc fraction of the intermediate

@@ -1,7 +1,6 @@
 package ga
 
 import (
-	"strings"
 	"testing"
 
 	"robsched/internal/rng"
@@ -32,14 +31,13 @@ func oneMaxConfig(n int) Config[bits] {
 			out[r.Intn(n)] ^= 1
 			return out
 		},
-		Evaluate: func(pop []bits) []float64 {
-			fit := make([]float64, len(pop))
+		EvaluateInto: func(pop []bits, fit []float64) {
 			for i, ind := range pop {
+				fit[i] = 0
 				for _, b := range ind {
 					fit[i] += float64(b)
 				}
 			}
-			return fit
 		},
 		Key: func(ind bits) uint64 {
 			const prime64 = 1099511628211
@@ -74,7 +72,7 @@ func TestValidate(t *testing.T) {
 		{"pm", func(c *Config[bits]) { c.MutationRate = -0.1 }},
 		{"gens", func(c *Config[bits]) { c.MaxGenerations = 0 }},
 		{"stag", func(c *Config[bits]) { c.Stagnation = -1 }},
-		{"hooks", func(c *Config[bits]) { c.Evaluate = nil }},
+		{"hooks", func(c *Config[bits]) { c.EvaluateInto = nil }},
 		{"seeds", func(c *Config[bits]) { c.Seeds = make([]bits, 21) }},
 	}
 	for _, m := range muts {
@@ -237,11 +235,9 @@ func TestTournamentProperties(t *testing.T) {
 	pop := []bits{{0, 0, 0, 0}, {1, 0, 0, 0}, {1, 1, 0, 0}, {1, 1, 1, 0}, {1, 1, 1, 1}, {0, 1, 0, 0}}
 	fit := []float64{0, 1, 2, 3, 4, 1}
 	r := rng.New(17)
+	out, src, perm := make([]bits, len(pop)), make([]int32, len(pop)), make([]int, len(pop))
 	for trial := 0; trial < 50; trial++ {
-		out := c.tournament(pop, fit, r)
-		if len(out) != len(pop) {
-			t.Fatalf("tournament changed population size: %d", len(out))
-		}
+		c.tournamentInto(out, src, pop, fit, perm, r)
 		bestCopies, worstCopies := 0, 0
 		for _, ind := range out {
 			switch string(ind) {
@@ -273,14 +269,6 @@ func TestZeroRatesStillRun(t *testing.T) {
 	// Selection alone should at least keep the initial best.
 	if res.BestFitness < 4 {
 		t.Fatalf("best fitness %g suspiciously low", res.BestFitness)
-	}
-}
-
-func TestEvaluateSizeMismatchRejected(t *testing.T) {
-	c := oneMaxConfig(8)
-	c.Evaluate = func(pop []bits) []float64 { return make([]float64, 1) }
-	if _, err := Run(c, rng.New(1)); err == nil || !strings.Contains(err.Error(), "Evaluate returned") {
-		t.Fatalf("mismatched Evaluate not rejected: %v", err)
 	}
 }
 
@@ -363,16 +351,18 @@ func TestConstantKeyOnlyAffectsInitialDedup(t *testing.T) {
 	}
 }
 
-// TestRunSteadyStateAllocationFree: with EvaluateInto and non-allocating
-// hooks, the per-generation cost of Run must be constant — the engine's
-// arenas are reused, so 16x more generations may not allocate measurably
-// more than the baseline run. This pins the tentpole property that the
-// steady-state loop performs no per-generation slice allocations. The
-// chromosome is a value type (a 16-bit mask in an int) so the hooks
-// themselves cannot allocate; every allocation belongs to the engine.
+// TestRunSteadyStateAllocationFree: with non-allocating hooks, the
+// per-generation cost of Run must be constant — the engine's arenas are
+// reused, so 16x more generations may not allocate measurably more than
+// the baseline run. This pins the property that the steady-state loop
+// performs no per-generation allocations, with and without an Observer
+// (whose diversity set the arena keeps). The chromosome is a value type (a
+// 16-bit mask in an int) so the hooks themselves cannot allocate; every
+// allocation belongs to the engine.
 func TestRunSteadyStateAllocationFree(t *testing.T) {
-	newConfig := func(gens int) Config[int] {
-		return Config[int]{
+	observed := 0
+	newConfig := func(gens int, observe bool) Config[int] {
+		c := Config[int]{
 			PopSize: 20, CrossoverRate: 0.9, MutationRate: 0.1,
 			MaxGenerations: gens, Stagnation: 0,
 			Random: func(r *rng.Source) int { return r.Intn(1 << 16) },
@@ -387,19 +377,31 @@ func TestRunSteadyStateAllocationFree(t *testing.T) {
 				}
 			},
 		}
+		if observe {
+			c.Key = func(ind int) uint64 { return uint64(ind) }
+			c.Observer = ObserverFunc(func(GenStats) { observed++ })
+		}
+		return c
 	}
-	measure := func(gens int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(newConfig(gens), rng.New(1)); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, observe := range []bool{false, true} {
+		measure := func(gens int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(newConfig(gens, observe), rng.New(1)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := measure(8), measure(128)
+		// Fixed setup cost (initial population, arenas) plus a small slop;
+		// the 120 extra generations must not contribute ~per-generation
+		// allocations.
+		if long > short+8 {
+			t.Fatalf("observer=%v: steady state allocates per generation: 8 gens → %.0f allocs, 128 gens → %.0f",
+				observe, short, long)
+		}
 	}
-	short, long := measure(8), measure(128)
-	// Fixed setup cost (initial population, arenas) plus a small slop; the
-	// 120 extra generations must not contribute ~per-generation allocations.
-	if long > short+8 {
-		t.Fatalf("steady state allocates per generation: 8 gens → %.0f allocs, 128 gens → %.0f", short, long)
+	if observed == 0 {
+		t.Fatal("the Observer saw no generation")
 	}
 }
 

@@ -74,10 +74,8 @@ func NewIsland[T any](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
 		c.Seeds = nil // the paper's heuristic seed goes to island 0
 	}
 	pop, seeds := c.initialPopulation(r)
-	fit, err := c.evalInto(pop, make([]float64, c.PopSize))
-	if err != nil {
-		return nil, err
-	}
+	fit := make([]float64, c.PopSize)
+	c.EvaluateInto(pop, fit)
 	bi := argmax(fit)
 	return &Island[T]{
 		cfg: c, idx: idx,
@@ -103,7 +101,7 @@ func (is *Island[T]) SinceImprove() int { return is.sinceImprove }
 // Only meaningful when an Observer is configured on the base config; the
 // island-model runner emits it before the first epoch.
 func (is *Island[T]) InitStats() GenStats {
-	return is.cfg.genStats(is.idx, 0, is.pop, is.fit, opCounts{})
+	return is.cfg.genStats(is.ar, is.idx, 0, is.pop, is.fit, opCounts{})
 }
 
 // Epoch advances the island by gens generations. startGen is the number of
@@ -111,15 +109,12 @@ func (is *Island[T]) InitStats() GenStats {
 // configured the per-generation stats are buffered on the island — the
 // caller emits them at its barrier in (generation, island) order so the
 // observed trajectory is independent of how epochs are scheduled.
-func (is *Island[T]) Epoch(startGen, gens int) error {
+func (is *Island[T]) Epoch(startGen, gens int) {
 	for e := 0; e < gens; e++ {
-		next, fit, oc, err := is.cfg.advance(is.pop, is.fit, is.ar, is.rng)
-		if err != nil {
-			return err
-		}
+		next, fit, oc := is.cfg.advance(is.pop, is.fit, is.ar, is.rng)
 		is.pop, is.fit = next, fit
 		if is.cfg.Observer != nil {
-			is.stats = append(is.stats, is.cfg.genStats(is.idx, startGen+e+1, is.pop, is.fit, oc))
+			is.stats = append(is.stats, is.cfg.genStats(is.ar, is.idx, startGen+e+1, is.pop, is.fit, oc))
 		}
 		bi := argmax(fit)
 		if fit[bi] > is.bf+1e-12 {
@@ -129,7 +124,6 @@ func (is *Island[T]) Epoch(startGen, gens int) error {
 		}
 		is.best, is.bf = is.pop[bi], fit[bi]
 	}
-	return nil
 }
 
 // Migrate implements the receiving half of the ring migration: the island's
@@ -138,7 +132,7 @@ func (is *Island[T]) Epoch(startGen, gens int) error {
 // the replaced slot via EvaluateOne, population-relative ones re-evaluate
 // the whole island. The running best is updated from the refreshed values.
 // The migrant is never recycled: it may live on in the sender's population.
-func (is *Island[T]) Migrate(migrant T) error {
+func (is *Island[T]) Migrate(migrant T) {
 	worst := argmin(is.fit)
 	if is.cfg.Recycle != nil {
 		is.ar.evict(is.pop, worst, is.cfg.Recycle)
@@ -147,15 +141,10 @@ func (is *Island[T]) Migrate(migrant T) error {
 	if is.cfg.EvaluateOne != nil {
 		is.fit[worst] = is.cfg.EvaluateOne(migrant)
 	} else {
-		fit, err := is.cfg.evalInto(is.pop, is.fit)
-		if err != nil {
-			return err
-		}
-		is.fit = fit
+		is.cfg.EvaluateInto(is.pop, is.fit)
 	}
 	bi := argmax(is.fit)
 	is.best, is.bf = is.pop[bi], is.fit[bi]
-	return nil
 }
 
 // pinBest keeps the island's best individual from ever being recycled,
@@ -226,20 +215,14 @@ func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 			epoch = totalGens - gen
 		}
 		var wg sync.WaitGroup
-		errs := make([]error, c.Islands)
-		for i := range states {
+		for _, st := range states {
 			wg.Add(1)
-			go func(st *Island[T], idx int) {
+			go func() {
 				defer wg.Done()
-				errs[idx] = st.Epoch(gen, epoch)
-			}(states[i], i)
+				st.Epoch(gen, epoch)
+			}()
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return zero, err
-			}
-		}
 		if c.Base.Observer != nil {
 			buffered := make([][]GenStats, len(states))
 			for i, st := range states {
@@ -261,10 +244,7 @@ func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 				st.pinBest()
 			}
 			for i, st := range states {
-				from := (i - 1 + c.Islands) % c.Islands
-				if err := st.Migrate(bests[from]); err != nil {
-					return zero, err
-				}
+				st.Migrate(bests[(i-1+c.Islands)%c.Islands])
 			}
 		}
 		// Global stagnation: stop when every island has stagnated.

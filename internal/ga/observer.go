@@ -4,11 +4,10 @@ import "math"
 
 // GenStats is the engine telemetry of one evaluated generation. Every field
 // is computed serially from the population in index order, so for a fixed
-// configuration the emitted trajectory is bit-identical regardless of how
-// the evaluation hooks parallelize internally (e.g. robust's Workers
-// setting), and deterministically ordered across runs — including island
-// runs, where stats are buffered per island and emitted at the epoch
-// barriers in (generation, island) order.
+// configuration the emitted trajectory is bit-identical and
+// deterministically ordered across runs — including island runs, where
+// stats are buffered per island and emitted at the epoch barriers in
+// (generation, island) order.
 type GenStats struct {
 	// Island is the population's island index (0 for single-population
 	// runs).
@@ -76,21 +75,24 @@ type opCounts struct {
 	mutations  int
 }
 
-// genStats assembles the telemetry of an evaluated generation. Only called
-// when an Observer is configured — the diversity map is the one allocation
-// the observer path adds per generation.
-func (c Config[T]) genStats(island, gen int, pop []T, fit []float64, oc opCounts) GenStats {
+// genStats assembles the telemetry of an evaluated generation of the
+// population that owns ar. Only called when an Observer is configured; the
+// diversity set is the arena's, made once and cleared on every call.
+func (c Config[T]) genStats(ar *genArena[T], island, gen int, pop []T, fit []float64, oc opCounts) GenStats {
 	sum := 0.0
 	for _, f := range fit {
 		sum += f
 	}
 	div := math.NaN()
 	if c.Key != nil {
-		seen := make(map[uint64]struct{}, len(pop))
-		for _, ind := range pop {
-			seen[c.Key(ind)] = struct{}{}
+		if ar.seen == nil {
+			ar.seen = make(map[uint64]struct{}, len(pop))
 		}
-		div = float64(len(seen)) / float64(len(pop))
+		clear(ar.seen)
+		for _, ind := range pop {
+			ar.seen[c.Key(ind)] = struct{}{}
+		}
+		div = float64(len(ar.seen)) / float64(len(pop))
 	}
 	return GenStats{
 		Island:     island,

@@ -58,14 +58,17 @@ func NonDominatedSort(objs [][]float64) [][]int {
 	dominatedBy := make([]int, n) // how many points dominate i
 	dominates := make([][]int, n) // which points i dominates
 	var first []int
+	// Each pair is compared once, when its lower index is i; by the end of
+	// row i every pair holding i has been, so dominatedBy[i] is final. Every
+	// dominates list still grows in increasing index order.
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if Dominates(objs[i], objs[j]) {
+		for j := i + 1; j < n; j++ {
+			switch {
+			case Dominates(objs[i], objs[j]):
 				dominates[i] = append(dominates[i], j)
-			} else if Dominates(objs[j], objs[i]) {
+				dominatedBy[j]++
+			case Dominates(objs[j], objs[i]):
+				dominates[j] = append(dominates[j], i)
 				dominatedBy[i]++
 			}
 		}

@@ -126,6 +126,73 @@ func TestNonDominatedSortCoversAll(t *testing.T) {
 	}
 }
 
+// TestNonDominatedSortOrder: the fronts, and the order of the indices in
+// each, equal those of the textbook all-ordered-pairs loop, on points with
+// many ties (coordinates drawn from a few values) in two and three
+// objectives. NSGA-II's survivors and crowding depend on that order.
+func TestNonDominatedSortOrder(t *testing.T) {
+	allPairs := func(objs [][]float64) [][]int {
+		n := len(objs)
+		dominatedBy := make([]int, n)
+		dominates := make([][]int, n)
+		var cur []int
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i == j {
+					continue
+				}
+				if Dominates(objs[i], objs[j]) {
+					dominates[i] = append(dominates[i], j)
+				} else if Dominates(objs[j], objs[i]) {
+					dominatedBy[i]++
+				}
+			}
+			if dominatedBy[i] == 0 {
+				cur = append(cur, i)
+			}
+		}
+		var fronts [][]int
+		for len(cur) > 0 {
+			fronts = append(fronts, cur)
+			var next []int
+			for _, i := range cur {
+				for _, j := range dominates[i] {
+					if dominatedBy[j]--; dominatedBy[j] == 0 {
+						next = append(next, j)
+					}
+				}
+			}
+			cur = next
+		}
+		return fronts
+	}
+	r := rng.New(3)
+	for trial := 0; trial < 300; trial++ {
+		n, dim := 1+r.Intn(60), 2+r.Intn(2)
+		objs := make([][]float64, n)
+		for i := range objs {
+			objs[i] = make([]float64, dim)
+			for k := range objs[i] {
+				objs[i][k] = float64(r.Intn(5))
+			}
+		}
+		got, want := NonDominatedSort(objs), allPairs(objs)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d fronts, want %d", trial, len(got), len(want))
+		}
+		for f := range want {
+			if len(got[f]) != len(want[f]) {
+				t.Fatalf("trial %d: front %d = %v, want %v", trial, f, got[f], want[f])
+			}
+			for k := range want[f] {
+				if got[f][k] != want[f][k] {
+					t.Fatalf("trial %d: front %d = %v, want %v", trial, f, got[f], want[f])
+				}
+			}
+		}
+	}
+}
+
 func TestFilterMatchesFirstFront(t *testing.T) {
 	r := rng.New(2)
 	for trial := 0; trial < 50; trial++ {

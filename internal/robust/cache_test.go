@@ -89,13 +89,12 @@ func assertTracesIdentical(t *testing.T, label string, a, b solveTrace) {
 	}
 }
 
-// TestSolveCacheWorkersIslandsBitIdentical is the tentpole invariance
-// property: the metrics cache (off / private / shared-prefilled), the decode
-// worker count and the island count must each leave the GA trajectory and
-// final schedule bit-identical — the cache only skips redundant decodes and
-// the workers only parallelize them, so every float the fitness combination
-// sees is the same.
-func TestSolveCacheWorkersIslandsBitIdentical(t *testing.T) {
+// TestSolveCacheIslandsBitIdentical is the cache's invariance property: for
+// one and for four islands, the metrics cache (off / private /
+// shared-prefilled) must leave the GA trajectory and final schedule
+// bit-identical — the cache only skips redundant decodes, so every float
+// the fitness combination sees is the same.
+func TestSolveCacheIslandsBitIdentical(t *testing.T) {
 	base := Options{
 		Mode: EpsilonConstraint, Eps: 1.3,
 		PopSize: 14, CrossoverRate: 0.9, MutationRate: 0.15,
@@ -104,36 +103,30 @@ func TestSolveCacheWorkersIslandsBitIdentical(t *testing.T) {
 	for _, islands := range []int{1, 4} {
 		opt := base
 		opt.Islands = islands
-		opt.Workers = 1
 		opt.NoMetricsCache = true
 		ref := solveTraced(t, opt, 99, 7, 40, 4)
 
-		for _, workers := range []int{1, 4} {
-			for _, cache := range []string{"off", "private", "shared"} {
-				v := base
-				v.Islands = islands
-				v.Workers = workers
-				switch cache {
-				case "off":
-					v.NoMetricsCache = true
-				case "shared":
-					// Pre-warm a shared cache with a full sibling solve:
-					// hits from a foreign run must return the exact floats
-					// a decode would.
-					c := NewMetricsCache()
-					warm := base
-					warm.Islands = islands
-					warm.Cache = c
-					if _, err := Solve(testWorkload(t, 7, 40, 4), warm, rng.New(1234)); err != nil {
-						t.Fatal(err)
-					}
-					v.Cache = c
+		for _, cache := range []string{"off", "private", "shared"} {
+			v := base
+			v.Islands = islands
+			switch cache {
+			case "off":
+				v.NoMetricsCache = true
+			case "shared":
+				// Pre-warm a shared cache with a full sibling solve: hits
+				// from a foreign run must return the exact floats a decode
+				// would.
+				c := NewMetricsCache()
+				warm := base
+				warm.Islands = islands
+				warm.Cache = c
+				if _, err := Solve(testWorkload(t, 7, 40, 4), warm, rng.New(1234)); err != nil {
+					t.Fatal(err)
 				}
-				got := solveTraced(t, v, 99, 7, 40, 4)
-				assertTracesIdentical(t,
-					fmt.Sprintf("islands=%d workers=%d cache=%s", islands, workers, cache),
-					ref, got)
+				v.Cache = c
 			}
+			got := solveTraced(t, v, 99, 7, 40, 4)
+			assertTracesIdentical(t, fmt.Sprintf("islands=%d cache=%s", islands, cache), ref, got)
 		}
 	}
 }

@@ -35,20 +35,6 @@ type Chromosome struct {
 	// needs the full schedule decodes it on demand (Decode).
 	metr    schedMetrics
 	hasMetr bool
-
-	// Rolling genotype hash: raw is the position-weighted polynomial
-	// Σ (gene_i+1)·base^i over the order genes (positions 0..n-1) then the
-	// proc genes (positions n..2n-1); key is its avalanched form served by
-	// Key. Operators derive a child's raw from its parent's over just the
-	// genes they rewrote instead of re-hashing the rest. Lazy computation
-	// writes the memo, which is safe across islands because every consumer
-	// that keys chromosomes (initial-population dedup, the metrics cache,
-	// observer diversity) keys its whole population each generation, so a
-	// migrant is always keyed before the migration barrier — afterwards the
-	// memo is only read. Operators never write to the parents they read.
-	raw    uint64
-	key    uint64
-	hasKey bool
 }
 
 // NewChromosome wraps the given order and assignment without copying.
@@ -79,10 +65,6 @@ func FromSchedule(s *schedule.Schedule) *Chromosome {
 // Clone returns a deep copy without the memoized metrics. Order and Proc
 // share one backing array (carved with full-capacity subslices, so neither
 // can grow into the other) — one allocation instead of two.
-//
-// A computed key memo carries over, so cloning an evaluated elite never
-// re-hashes; the operators adjust it incrementally as they edit genes.
-// Callers that edit a clone's genes directly must not rely on Key.
 func (c *Chromosome) Clone() *Chromosome { return c.cloneInto(nil) }
 
 // cloneInto is Clone into dst, a chromosome nothing refers to any more,
@@ -97,7 +79,7 @@ func (c *Chromosome) cloneInto(dst *Chromosome) *Chromosome {
 		buf := make([]int, n+p)
 		dst.Order, dst.Proc = buf[:n:n], buf[n:]
 	}
-	*dst = Chromosome{Order: dst.Order[:n], Proc: dst.Proc[:p], raw: c.raw, key: c.key, hasKey: c.hasKey}
+	*dst = Chromosome{Order: dst.Order[:n], Proc: dst.Proc[:p]}
 	copy(dst.Order, c.Order)
 	copy(dst.Proc, c.Proc)
 	return dst
@@ -134,9 +116,9 @@ func (c *Chromosome) decodeInto(d *schedule.Decoder, s *schedule.Schedule) error
 	return nil
 }
 
-// keyBase is the (odd, invertible mod 2^64) weight base of the rolling
-// genotype hash; keyGene biases every gene by one so task/processor 0
-// still contributes to its position's term.
+// keyBase is the odd weight base of the genotype hash; keyGene biases
+// every gene by one so task/processor 0 still contributes to its
+// position's term.
 const keyBase = 0x9e3779b97f4a7c15
 
 func keyGene(v int) uint64 { return uint64(uint32(v)) + 1 }
@@ -167,9 +149,9 @@ func keyPowers(k int) []uint64 {
 	return nt
 }
 
-// mixKey is the 64-bit murmur3 finalizer: the rolling raw hash is additive
-// and position-weighted, so low-entropy genotypes need the avalanche to
-// spread across the metrics-cache shards.
+// mixKey is the 64-bit murmur3 finalizer: the raw hash is additive and
+// position-weighted, so low-entropy genotypes need the avalanche to spread
+// across the metrics-cache shards.
 func mixKey(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -180,19 +162,16 @@ func mixKey(h uint64) uint64 {
 }
 
 // Key fingerprints the genotype for the GA's initial-population uniqueness
-// check and the solver's metrics cache. It is the avalanched form of a
-// position-weighted polynomial over the genes, memoized on the chromosome:
-// the operators update the polynomial incrementally from the parent's over
-// the genes they rewrote, so keying a child never re-hashes the untouched
-// prefix (Key was the single hottest function of a cached ε-constraint
-// solve before memoization). Equal genotypes always collide by
-// construction; a collision between distinct genotypes is benign everywhere
-// it is consumed — the GA redraws one "duplicate" random individual, and
-// the metrics cache verifies full genotype equality before trusting a hit.
+// check and the solver's metrics cache: the avalanched form of the
+// position-weighted polynomial Σ keyGene(g_i)·keyBase^i over the order
+// genes (positions 0..n-1) then the proc genes (positions n..2n-1). It is
+// a pure function of the genes, computed afresh on every call and never
+// written to the chromosome, so islands may key a shared migrant
+// concurrently. Equal genotypes always collide by construction; a
+// collision between distinct genotypes is benign everywhere it is
+// consumed — the GA redraws one "duplicate" random individual, and the
+// metrics cache verifies full genotype equality before trusting a hit.
 func (c *Chromosome) Key() uint64 {
-	if c.hasKey {
-		return c.key
-	}
 	n := len(c.Order)
 	pow := keyPowers(n + len(c.Proc))
 	raw := uint64(0)
@@ -202,10 +181,7 @@ func (c *Chromosome) Key() uint64 {
 	for v, p := range c.Proc {
 		raw += keyGene(p) * pow[n+v]
 	}
-	c.raw = raw
-	c.key = mixKey(raw)
-	c.hasKey = true
-	return c.key
+	return mixKey(raw)
 }
 
 // Crossover implements the paper's single-point operator (Section 4.2.5).
@@ -238,31 +214,8 @@ func crossoverInto(d1, d2, a, b *Chromosome, r *rng.Source) (*Chromosome, *Chrom
 		for v := pcut; v < n; v++ {
 			c1.Proc[v], c2.Proc[v] = b.Proc[v], a.Proc[v]
 		}
-		finishChild(c1, a, cut, pcut)
-		finishChild(c2, b, cut, pcut)
 	}
 	return c1, c2
-}
-
-// finishChild adjusts a crossover child's rolling hash, when the parent's
-// key memo carried over through cloneInto, by differencing the genes after the
-// order cut and the proc cut (unchanged genes contribute zero). It reads
-// the parent but never writes to it.
-func finishChild(c, p *Chromosome, cut, pcut int) {
-	if !c.hasKey {
-		return
-	}
-	n := len(c.Order)
-	pow := keyPowers(2 * n)
-	var delta uint64
-	for i := cut; i < n; i++ {
-		delta += (keyGene(c.Order[i]) - keyGene(p.Order[i])) * pow[i]
-	}
-	for v := pcut; v < n; v++ {
-		delta += (keyGene(c.Proc[v]) - keyGene(p.Proc[v])) * pow[n+v]
-	}
-	c.raw += delta
-	c.key = mixKey(c.raw)
 }
 
 // reorderTail rewrites order[cut:] so its tasks appear in the relative
@@ -338,27 +291,9 @@ func mutateInto(dst *Chromosome, w *platform.Workload, c *Chromosome, r *rng.Sou
 			hi = p
 		}
 	}
-	from := pos[v]
 	to := lo + r.Intn(hi-lo+1)
-	moveWithin(out.Order, from, to)
-	op := out.Proc[v]
-	np := r.Intn(w.M())
-	out.Proc[v] = np
-	if out.hasKey {
-		pow := keyPowers(2 * n)
-		var delta uint64
-		lo, hi := from, to
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		// c.Order still holds the pre-move values over the shifted span.
-		for i := lo; i <= hi; i++ {
-			delta += (keyGene(out.Order[i]) - keyGene(c.Order[i])) * pow[i]
-		}
-		delta += (keyGene(np) - keyGene(op)) * pow[n+v]
-		out.raw += delta
-		out.key = mixKey(out.raw)
-	}
+	moveWithin(out.Order, pos[v], to)
+	out.Proc[v] = r.Intn(w.M())
 	return out
 }
 

@@ -215,10 +215,7 @@ func TestKeyDistinguishesGenotypes(t *testing.T) {
 	if a.Key() != a.Clone().Key() {
 		t.Fatal("clone has a different key")
 	}
-	// Built fresh rather than via Clone: a clone carries the key memo, so
-	// editing its genes directly (which no production caller does) would
-	// serve the stale key by design.
-	b := NewChromosome(append([]int(nil), a.Order...), append([]int(nil), a.Proc...))
+	b := a.Clone()
 	b.Proc[0] = (b.Proc[0] + 1) % w.M()
 	if a.Key() == b.Key() {
 		t.Fatal("different assignments share a key")
@@ -317,47 +314,47 @@ func TestKeyPinned(t *testing.T) {
 	}
 }
 
-// freshKey recomputes a chromosome's key from scratch, bypassing any
-// incremental memo the operators maintained.
-func freshKey(c *Chromosome) uint64 {
-	return NewChromosome(append([]int(nil), c.Order...), append([]int(nil), c.Proc...)).Key()
-}
-
-// TestOperatorKeys pins the operators' incremental rolling key: for
-// children of keyed parents it must equal a from-scratch rehash of the
-// child genotype.
+// TestOperatorKeys: a child's key depends on its genes alone. A population
+// evolves by chains of crossovers and mutations that overwrite the
+// chromosomes it dropped, whose buffers held other genotypes and were
+// keyed before; every child must have the key of a new chromosome built
+// from copies of its genes.
 func TestOperatorKeys(t *testing.T) {
 	w := testWorkload(t, 33, 30, 4)
 	r := rng.New(34)
-	for trial := 0; trial < 300; trial++ {
-		a, b := Random(w, r), Random(w, r)
-		a.Key() // seed the memo so children take the incremental path
-		b.Key()
-		c1, c2 := Crossover(a, b, r)
-		for i, c := range []*Chromosome{c1, c2} {
-			if got, want := c.Key(), freshKey(c); got != want {
-				t.Fatalf("trial %d child %d: incremental key %x != recomputed %x", trial, i, got, want)
+	pop := make([]*Chromosome, 8)
+	for i := range pop {
+		pop[i] = Random(w, r)
+		pop[i].Key()
+	}
+	var free []*Chromosome
+	recycled := func() *Chromosome {
+		n := len(free)
+		if n == 0 {
+			return nil
+		}
+		c := free[n-1]
+		free = free[:n-1]
+		return c
+	}
+	for step := 0; step < 600; step++ {
+		a, b := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
+		var kids []*Chromosome
+		if step%3 == 2 {
+			kids = append(kids, mutateInto(recycled(), w, a, r))
+		} else {
+			c1, c2 := crossoverInto(recycled(), recycled(), a, b, r)
+			kids = append(kids, c1, c2)
+		}
+		for _, c := range kids {
+			order, proc := c.Genes()
+			if got, want := c.Key(), NewChromosome(order, proc).Key(); got != want {
+				t.Fatalf("step %d: child key %#x, a new chromosome with its genes %#x", step, got, want)
 			}
+			k := r.Intn(len(pop))
+			free = append(free, pop[k])
+			pop[k] = c
 		}
-		m := Mutate(w, c1, r)
-		if got, want := m.Key(), freshKey(m); got != want {
-			t.Fatalf("trial %d: mutated incremental key %x != recomputed %x", trial, got, want)
-		}
-	}
-}
-
-// TestOperatorKeysWithoutMemo checks the cold path: children of unkeyed
-// parents carry no memo and hash correctly on first demand.
-func TestOperatorKeysWithoutMemo(t *testing.T) {
-	w := testWorkload(t, 35, 20, 3)
-	r := rng.New(36)
-	a, b := Random(w, r), Random(w, r)
-	c1, c2 := Crossover(a, b, r)
-	if c1.hasKey || c2.hasKey {
-		t.Fatal("children of unkeyed parents carry a key memo")
-	}
-	if c1.Key() != freshKey(c1) || c2.Key() != freshKey(c2) {
-		t.Fatal("cold-path key differs from recomputed key")
 	}
 }
 
@@ -372,9 +369,7 @@ func TestOperatorsAllocationFree(t *testing.T) {
 	w := testWorkload(t, 37, 60, 4)
 	r := rng.New(38)
 	a, b := Random(w, r), Random(w, r)
-	a.Key()
-	b.Key()
-	Crossover(a, b, r) // warm the scratch pool and power table
+	Crossover(a, b, r) // warm the scratch pool
 	if avg := testing.AllocsPerRun(200, func() { Crossover(a, b, r) }); avg > 4 {
 		t.Fatalf("Crossover allocates %.1f times per call, budget 4", avg)
 	}
@@ -395,8 +390,6 @@ func BenchmarkCrossover(b *testing.B) {
 	w := testWorkload(b, 39, 100, 8)
 	r := rng.New(40)
 	pa, pb := Random(w, r), Random(w, r)
-	pa.Key()
-	pb.Key()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -408,7 +401,6 @@ func BenchmarkMutate(b *testing.B) {
 	w := testWorkload(b, 41, 100, 8)
 	r := rng.New(42)
 	c := Random(w, r)
-	c.Key()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -40,7 +40,6 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 		def.SlackMetric = opt.SlackMetric
 		def.NoHEFTSeed = opt.NoHEFTSeed
 		def.OnGeneration = opt.OnGeneration
-		def.Workers = opt.Workers
 		def.HEFT = opt.HEFT
 		def.Cache = opt.Cache
 		def.NoMetricsCache = opt.NoMetricsCache
@@ -64,20 +63,13 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 	}
 	mheft := hs.Makespan()
 
-	eval := &evaluator{w: w, opt: opt, mheft: mheft, dec: schedule.NewDecoder(w)}
-	if !opt.NoMetricsCache {
-		eval.cache = opt.Cache
-		if eval.cache == nil {
-			eval.cache = NewMetricsCache()
-		}
-	}
+	eval := newEvaluator(w, opt, mheft)
 	cfg := ga.Config[*Chromosome]{
 		PopSize:        opt.PopSize,
 		CrossoverRate:  opt.CrossoverRate,
 		MutationRate:   opt.MutationRate,
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
-		Evaluate:       eval.evaluate,
 		EvaluateInto:   eval.evaluateInto,
 		Observer:       ga.MultiObserver(opt.Observer, telemetryObserver(opt.Obs, opt.Trace)),
 	}
@@ -111,9 +103,9 @@ func (e *Engine) Config() ga.Config[*Chromosome] { return e.cfg }
 // operators — migrants read off the wire — must pass it before they reach
 // the evaluator, which treats a decode failure as a bug.
 func (e *Engine) Validate(c *Chromosome) error {
-	s := e.eval.scheds.get()
-	defer e.eval.scheds.put(s)
-	return c.decodeInto(e.eval.dec, s)
+	sc := e.eval.scratch.get()
+	defer e.eval.scratch.put(sc)
+	return c.decodeInto(e.eval.dec, &sc.sched)
 }
 
 // Result decodes a finished GA run into the solver's result type.

@@ -30,8 +30,8 @@ func (m schedMetrics) slack(metric SlackMetric) float64 {
 }
 
 const (
-	// cacheShardCount stripes the cache so concurrent islands (and the
-	// parallel population decoders) rarely contend on the same mutex.
+	// cacheShardCount stripes the cache so concurrent islands rarely
+	// contend on the same mutex.
 	cacheShardCount = 16
 	// cacheShardCap bounds the entries per shard; a full shard is reset
 	// wholesale. At the paper's n=100 this caps the cache near 26 MB —
@@ -40,8 +40,8 @@ const (
 )
 
 // MetricsCache memoizes schedule metrics by genotype fingerprint
-// (Chromosome.Key: a rolling position-weighted polynomial over the genes,
-// finished with the murmur3 avalanche), so the GA only pays the O(V+E)
+// (Chromosome.Key: a position-weighted polynomial over the genes, finished
+// with the murmur3 avalanche), so the GA only pays the O(V+E)
 // decode for genuinely novel genotypes: crossovers of converged parents and
 // no-op mutations produce children with already-seen genotypes. Every hit
 // is confirmed by full genotype equality, so a fingerprint collision
@@ -59,9 +59,9 @@ type MetricsCache struct {
 	shards [cacheShardCount]cacheShard
 
 	// Traffic counters (atomic; see Stats). For a single population the
-	// counts are deterministic: every lookup happens either in the serial
-	// cache pass of ensureMetrics or on the serial EvaluateOne path, so
-	// they cannot depend on Workers or scheduling. Islands share the cache
+	// counts are deterministic: every lookup happens either in the cache
+	// pass of ensureMetrics or on the EvaluateOne path, both on the one
+	// goroutine that runs the population. Islands share the cache
 	// concurrently, so when two of them meet the same new genotype in one
 	// epoch, which one misses depends on timing; their split of hits and
 	// misses can vary by a few between runs, never the trajectory.
@@ -156,9 +156,9 @@ func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
 
 // insert records the metrics of c's genotype under key k (= mc.key(c)),
 // copying the genotype so later mutations of the caller's slices cannot
-// corrupt the entry. Duplicate concurrent inserts of the same genotype
-// (two workers decoding different pointers with equal genotypes) collapse
-// to one entry.
+// corrupt the entry. Duplicate inserts of the same genotype (two
+// chromosomes of one generation, or of two islands, that share a new
+// genotype) collapse to one entry.
 func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
 	geno := packGenes(make([]int32, 0, len(c.Order)+len(c.Proc)), c)
 	sh := &mc.shards[k%cacheShardCount]

@@ -25,9 +25,6 @@ type ParetoOptions struct {
 	SlackMetric    SlackMetric
 	// NoHEFTSeed drops the HEFT chromosome from the initial population.
 	NoHEFTSeed bool
-	// Workers bounds the goroutines decoding each population (0 =
-	// GOMAXPROCS, 1 = serial); results are identical for every setting.
-	Workers int
 }
 
 // PaperParetoOptions mirrors the paper's GA parameters for the front solver.
@@ -61,8 +58,9 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 	}
 
 	// Objectives are minimized: (makespan, -slack), read off each
-	// chromosome's metrics memo.
-	eval := &evaluator{w: w, opt: Options{Workers: opt.Workers}, dec: schedule.NewDecoder(w)}
+	// chromosome's metrics memo. No metrics cache: about a third of the
+	// offspring repeat a genotype, too few to pay for the inserts.
+	eval := newEvaluator(w, Options{NoMetricsCache: true}, 0)
 	objectives := func(pop []*Chromosome) [][]float64 {
 		eval.ensureMetrics(pop)
 		objs := make([][]float64, len(pop))

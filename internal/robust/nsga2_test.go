@@ -123,33 +123,39 @@ func TestSolveWeightedSumExtremes(t *testing.T) {
 	}
 }
 
-// TestSolveWeightedSumWorkersIdentical pins the runCustomFitness contract:
-// opt.Workers only parallelizes population decoding, so Workers=4 and
-// Workers=1 must produce identical schedules and results for every weight.
-func TestSolveWeightedSumWorkersIdentical(t *testing.T) {
+// TestSolveWeightedSumCacheIdentical: the weighted-sum run consults the
+// metrics cache as Solve does, and a hit returns the exact floats a decode
+// would, so turning the cache off, or handing in one a sibling run filled,
+// changes no result for any weight.
+func TestSolveWeightedSumCacheIdentical(t *testing.T) {
 	w := testWorkload(t, 1010, 30, 4)
-	opt := quickOptions(EpsilonConstraint, 1)
 	for _, weight := range []float64{0, 0.5, 1} {
-		serial := opt
-		serial.Workers = 1
-		want, err := SolveWeightedSum(w, weight, serial, rng.New(9))
+		off := quickOptions(EpsilonConstraint, 1)
+		off.NoMetricsCache = true
+		want, err := SolveWeightedSum(w, weight, off, rng.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := opt
-		par.Workers = 4
-		got, err := SolveWeightedSum(w, weight, par, rng.New(9))
-		if err != nil {
+		shared := quickOptions(EpsilonConstraint, 1)
+		shared.Cache = NewMetricsCache()
+		if _, err := SolveWeightedSum(w, 1-weight, shared, rng.New(10)); err != nil {
 			t.Fatal(err)
 		}
-		if !eqInts(want.Schedule.Order(), got.Schedule.Order()) ||
-			!eqInts(want.Schedule.ProcAssignment(), got.Schedule.ProcAssignment()) {
-			t.Fatalf("weight=%g: Workers=4 schedule differs from Workers=1", weight)
+		for name, opt := range map[string]Options{"private": quickOptions(EpsilonConstraint, 1), "shared": shared} {
+			got, err := SolveWeightedSum(w, weight, opt, rng.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eqInts(want.Schedule.Order(), got.Schedule.Order()) ||
+				!eqInts(want.Schedule.ProcAssignment(), got.Schedule.ProcAssignment()) ||
+				want.Schedule.Makespan() != got.Schedule.Makespan() ||
+				want.Schedule.AvgSlack() != got.Schedule.AvgSlack() ||
+				want.Generations != got.Generations || want.Stagnated != got.Stagnated {
+				t.Fatalf("weight=%g: the run with a %s cache differs from the run without one", weight, name)
+			}
 		}
-		if want.Schedule.Makespan() != got.Schedule.Makespan() ||
-			want.Schedule.AvgSlack() != got.Schedule.AvgSlack() ||
-			want.Generations != got.Generations || want.Stagnated != got.Stagnated {
-			t.Fatalf("weight=%g: Workers=4 result differs from Workers=1", weight)
+		if shared.Cache.Stats().Hits == 0 {
+			t.Fatalf("weight=%g: the shared cache was never hit", weight)
 		}
 	}
 }

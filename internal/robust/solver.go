@@ -3,8 +3,6 @@ package robust
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"robsched/internal/ga"
 	"robsched/internal/heft"
@@ -77,10 +75,10 @@ type Options struct {
 	Islands        int
 	MigrationEvery int
 
-	// Workers bounds the goroutines used to decode each population before
-	// the fitness combination (0 = GOMAXPROCS, 1 = serial). Decoding is the
-	// only parallel part; the fitness values — and therefore the whole GA
-	// trajectory — are bit-identical for every setting.
+	// Workers is ignored: a population's cache misses are decoded on the
+	// calling goroutine, and the only parallelism inside a solve is
+	// Islands. The field remains so that callers which set it, such as the
+	// benchmark harness in bench/, still compile.
 	Workers int
 
 	// HEFT supplies a precomputed baseline schedule for this exact
@@ -111,8 +109,8 @@ type Options struct {
 	// ga.best_fitness, ga.mean_fitness, ga.diversity) and the metrics-cache
 	// traffic of this run (cache.hits/misses/collisions/evictions). Every
 	// registry value is a deterministic count over the GA trajectory —
-	// independent of Workers and wall-clock — so snapshots reproduce across
-	// runs; the one exception is the hit/miss split of an island run (see
+	// independent of wall-clock — so snapshots reproduce across runs; the
+	// one exception is the hit/miss split of an island run (see
 	// MetricsCache). Nil disables with zero overhead.
 	Obs *obs.Registry
 	// Trace, if non-nil, receives structured records: one "ga/generation"
@@ -122,8 +120,8 @@ type Options struct {
 	Trace *obs.Tracer
 	// Observer, if non-nil, receives the raw per-generation ga.GenStats.
 	// Composes with Obs/Trace; supported with Islands (unlike OnGeneration),
-	// with a trajectory that is bit-identical and identically ordered for
-	// every Workers setting.
+	// with a trajectory that is bit-identical and identically ordered
+	// across runs.
 	Observer ga.Observer
 }
 
@@ -234,33 +232,24 @@ func bestScheduleHook(w *platform.Workload, on func(gen int, best *schedule.Sche
 // weighted-sum comparator; the ε-constraint path goes through Solve
 // because its fitness is population-relative.
 //
-// Of the engine-level options it honors opt.Workers — each population's
-// novel chromosomes fan out across that many goroutines, with results (and
-// the whole trajectory) bit-identical for every setting — but NOT
-// opt.Islands: the run is always a single population (unlike Solve, which
-// spawns islands). The genotype metrics cache does not apply: each
-// chromosome's metrics memo already makes it single-decode.
+// Of opt it reads the GA parameters, NoHEFTSeed, Cache and NoMetricsCache:
+// the run is always a single population (unlike Solve, which spawns
+// islands), and it consults the metrics cache as Solve does.
 func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *schedule.Schedule, fitness func(schedMetrics) float64) (*Result, error) {
-	eval := &evaluator{w: w, opt: opt, dec: schedule.NewDecoder(w)}
-	evaluateInto := func(pop []*Chromosome, fit []float64) {
-		eval.ensureMetrics(pop)
-		for i, c := range pop {
-			fit[i] = fitness(c.metr)
-		}
-	}
+	eval := newEvaluator(w, opt, 0)
 	cfg := ga.Config[*Chromosome]{
 		PopSize:        opt.PopSize,
 		CrossoverRate:  opt.CrossoverRate,
 		MutationRate:   opt.MutationRate,
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
-		Evaluate: func(pop []*Chromosome) []float64 {
-			fit := make([]float64, len(pop))
-			evaluateInto(pop, fit)
-			return fit
+		EvaluateInto: func(pop []*Chromosome, fit []float64) {
+			eval.ensureMetrics(pop)
+			for i, c := range pop {
+				fit[i] = fitness(c.metr)
+			}
 		},
-		EvaluateInto: evaluateInto,
-		EvaluateOne:  func(c *Chromosome) float64 { return fitness(eval.metricsOf(c)) },
+		EvaluateOne: func(c *Chromosome) float64 { return fitness(eval.metricsOf(c)) },
 	}
 	setOperators(&cfg, w)
 	if seed != nil && !opt.NoHEFTSeed {
@@ -277,11 +266,11 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 	return &Result{Schedule: s, Generations: res.Generations, Stagnated: res.Stagnated}, nil
 }
 
-// evaluator computes the population fitness for each mode. It is reentrant
-// — islands call evaluate concurrently. Each chromosome carries its own
-// metrics memo, the metrics cache is mutex-striped, and the mutable scratch
-// (the dedup map, the cache keys and the schedules misses are decoded into)
-// is taken per call from free lists, so no two goroutines share any.
+// evaluator computes the population fitness for each mode, decoding on the
+// calling goroutine. It is reentrant — islands evaluate concurrently. Each
+// chromosome carries its own metrics memo, the metrics cache is
+// mutex-striped, and the mutable scratch is taken per call from a free
+// list, so no two goroutines share any.
 type evaluator struct {
 	w     *platform.Workload
 	opt   Options
@@ -292,15 +281,30 @@ type evaluator struct {
 	cache *MetricsCache
 
 	scratch freeList[evalScratch]
-	scheds  freeList[schedule.Schedule]
 }
 
-// evalScratch is the working state of one ensureMetrics call, reused across
-// generations.
+// newEvaluator builds the evaluator of one run on w, with the metrics cache
+// opt asks for: opt.Cache, a private one, or none under NoMetricsCache.
+// mheft anchors the ε-constraint; runs that do not use it pass 0.
+func newEvaluator(w *platform.Workload, opt Options, mheft float64) *evaluator {
+	e := &evaluator{w: w, opt: opt, mheft: mheft, dec: schedule.NewDecoder(w)}
+	if !opt.NoMetricsCache {
+		e.cache = opt.Cache
+		if e.cache == nil {
+			e.cache = NewMetricsCache()
+		}
+	}
+	return e
+}
+
+// evalScratch is the working state of one evaluator call, reused across
+// generations: ensureMetrics' dedup map, pending list and cache keys, and
+// the schedule each miss is decoded into.
 type evalScratch struct {
 	seen    map[*Chromosome]struct{}
 	pending []*Chromosome
 	keys    []uint64
+	sched   schedule.Schedule
 }
 
 // decodeMetrics decodes c into the scratch schedule s and memoizes its
@@ -332,9 +336,9 @@ func (e *evaluator) metricsOf(c *Chromosome) schedMetrics {
 			return met
 		}
 	}
-	s := e.scheds.get()
-	err := e.decodeMetrics(c, s, k)
-	e.scheds.put(s)
+	sc := e.scratch.get()
+	err := e.decodeMetrics(c, &sc.sched, k)
+	e.scratch.put(sc)
 	if err != nil {
 		panic(err) // operators guarantee validity
 	}
@@ -369,14 +373,15 @@ func (sc *evalScratch) pendingOf(pop []*Chromosome) []*Chromosome {
 // free, cache hits (genotype-equal to any previously decoded individual,
 // across generations, islands and — via a shared Options.Cache — sibling
 // Solve runs) skip the decode entirely, and only the misses are decoded,
-// each into a scratch schedule of the decoding goroutine, inserting their
-// metrics into the cache as they finish.
+// one after another into the call's scratch schedule, each inserting its
+// metrics into the cache.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	sc := e.scratch.get()
 	defer e.scratch.put(sc)
 	pending := sc.pendingOf(pop)
-	// Serial cache pass: hashing is cheap next to a decode, and resolving
-	// hits up front keeps the parallel section to pure decode work.
+	// Look every pending chromosome up before decoding any miss: two
+	// chromosomes of one generation sharing a new genotype both miss. Cache
+	// counters of pinned runs depend on that order.
 	misses := pending
 	var keys []uint64
 	if e.cache != nil {
@@ -393,74 +398,22 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 		}
 		sc.keys = keys
 	}
-	e.decodeAll(misses, keys)
-}
-
-// decodeAll decodes the misses across Options.Workers goroutines (0 =
-// GOMAXPROCS) and waits for all of them; keys holds their cache keys, nil
-// without a cache. Decode order cannot influence results: each schedule
-// depends only on its own genotype, and the barrier guarantees the serial
-// fitness combination that follows sees every metric. A decode error
-// panics after the barrier — the operators guarantee genotype validity, so
-// a decode failure is a bug, not an input condition.
-func (e *evaluator) decodeAll(misses []*Chromosome, keys []uint64) {
-	if len(misses) == 0 {
-		return
-	}
-	workers := e.decodeWorkers(len(misses))
-	if workers == 1 {
-		if err := e.decodeStride(misses, keys, 0, 1); err != nil {
-			panic(err) // operators guarantee validity
-		}
-		return
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			errs[wk] = e.decodeStride(misses, keys, wk, workers)
-		}(wk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			panic(err) // operators guarantee validity
-		}
-	}
-}
-
-// decodeWorkers is the number of goroutines decoding n misses.
-func (e *evaluator) decodeWorkers(n int) int {
-	if e.opt.Workers <= 0 {
-		return min(runtime.GOMAXPROCS(0), n)
-	}
-	return min(e.opt.Workers, n)
-}
-
-// decodeStride decodes every stride-th miss from first on into one scratch
-// schedule of the calling goroutine.
-func (e *evaluator) decodeStride(misses []*Chromosome, keys []uint64, first, stride int) error {
-	s := e.scheds.get()
-	defer e.scheds.put(s)
-	for i := first; i < len(misses); i += stride {
+	for i, c := range misses {
 		var k uint64
 		if keys != nil {
 			k = keys[i]
 		}
-		if err := e.decodeMetrics(misses[i], s, k); err != nil {
-			return err
+		if err := e.decodeMetrics(c, &sc.sched, k); err != nil {
+			panic(err) // operators guarantee validity
 		}
 	}
-	return nil
 }
 
 // evaluateInto implements the three objectives over the metrics triples,
 // writing the fitness into fit (the GA engine's reusable arena). The novel
-// genotypes are decoded in parallel first; the fitness combination itself
-// is serial and deterministic, so the values — and the whole GA trajectory
-// — are bit-identical for every Workers count and with the cache on or off.
+// genotypes are decoded first; the fitness combination is deterministic,
+// so the values — and the whole GA trajectory — are bit-identical with the
+// cache on or off.
 func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 	e.ensureMetrics(pop)
 	switch e.opt.Mode {
@@ -502,12 +455,4 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 	default:
 		panic(fmt.Sprintf("robust: unknown mode %d", e.opt.Mode))
 	}
-}
-
-// evaluate is the allocating form of evaluateInto, kept for the ga.Config
-// Evaluate hook and direct tests.
-func (e *evaluator) evaluate(pop []*Chromosome) []float64 {
-	fit := make([]float64, len(pop))
-	e.evaluateInto(pop, fit)
-	return fit
 }

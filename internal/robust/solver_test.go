@@ -220,7 +220,8 @@ func TestEqn8FitnessOrdering(t *testing.T) {
 		pop = append(pop, Random(w, r))
 	}
 	pop = append(pop, FromSchedule(hs)) // certainly feasible
-	fit := eval.evaluate(pop)
+	fit := make([]float64, len(pop))
+	eval.evaluateInto(pop, fit)
 	minFeasible, maxInfeasible := math.Inf(1), math.Inf(-1)
 	nFeas, nInfeas := 0, 0
 	for i, c := range pop {
@@ -284,7 +285,8 @@ func TestEqn8NoFeasibleFallback(t *testing.T) {
 	for len(pop) < 10 {
 		pop = append(pop, Random(w, r))
 	}
-	fit := eval.evaluate(pop)
+	fit := make([]float64, len(pop))
+	eval.evaluateInto(pop, fit)
 	for i := range pop {
 		for j := range pop {
 			si, _ := pop[i].Decode(w)
@@ -340,7 +342,7 @@ func TestSolveGenerationAllocatesOnlyCacheInserts(t *testing.T) {
 	measure := func(gens int) (allocs float64, misses int64) {
 		allocs = testing.AllocsPerRun(2, func() {
 			opt := PaperOptions(EpsilonConstraint, 1.3)
-			opt.MaxGenerations, opt.Stagnation, opt.Workers = gens, 0, 1
+			opt.MaxGenerations, opt.Stagnation = gens, 0
 			opt.HEFT, opt.Cache = hs, NewMetricsCache()
 			if _, err := Solve(w, opt, rng.New(9)); err != nil {
 				t.Fatal(err)

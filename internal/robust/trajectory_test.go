@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // compose with islands) and every generation's observer stats (island,
 // generation, best and mean fitness bits). Island runs migrate every
 // `every` generations.
-func trajectoryDigest(t *testing.T, mode Mode, workers, islands, every int, noCache bool, n, m int) string {
+func trajectoryDigest(t *testing.T, mode Mode, islands, every int, noCache bool, n, m int) string {
 	t.Helper()
 	w := testWorkload(t, 13, n, m)
 	h := sha256.New()
@@ -39,7 +39,6 @@ func trajectoryDigest(t *testing.T, mode Mode, workers, islands, every int, noCa
 	opt := PaperOptions(mode, 1.4)
 	opt.MaxGenerations = 40
 	opt.Stagnation = 0
-	opt.Workers = workers
 	opt.NoMetricsCache = noCache
 	var gens []ga.GenStats
 	opt.Observer = ga.ObserverFunc(func(s ga.GenStats) { gens = append(gens, s) })
@@ -68,29 +67,32 @@ func trajectoryDigest(t *testing.T, mode Mode, workers, islands, every int, noCa
 }
 
 // TestSolveTrajectoryPinned pins complete GA trajectories to stored SHA-256
-// digests in testdata/trajectories.golden, across the worker, island and
-// cache configurations and all three modes. Any change to the operators,
-// the decoder or the evaluator that alters a single float bit of any
+// digests in testdata/trajectories.golden, across the island and cache
+// configurations and all three modes. Any change to the operators, the
+// decoder or the evaluator that alters a single float bit of any
 // generation shows up here. Refresh with: go test ./internal/robust -update
 func TestSolveTrajectoryPinned(t *testing.T) {
 	var lines []string
 	for _, cfg := range []struct {
-		name                    string
-		workers, islands, every int
-		noCache                 bool
+		name           string
+		islands, every int
+		noCache        bool
 	}{
-		{"serial", 1, 1, 0, false},
-		{"parallel", 0, 1, 0, false},
-		{"islands", 0, 3, 10, false},
-		{"nocache", 1, 1, 0, true},
+		// "serial" and "parallel" once set one decode goroutine and
+		// GOMAXPROCS of them. Decoding is serial now, so both rows run the
+		// same solve and must keep their common digests.
+		{"serial", 1, 0, false},
+		{"parallel", 1, 0, false},
+		{"islands", 3, 10, false},
+		{"nocache", 1, 0, true},
 		// Migrating after every generation puts one individual into two
 		// populations that run on different goroutines, 39 times per run.
-		{"migrate-every", 0, 4, 1, false},
+		{"migrate-every", 4, 1, false},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, mode := range []Mode{EpsilonConstraint, MinMakespan, MaxSlack} {
 				for _, shape := range []struct{ n, m int }{{25, 3}, {60, 5}} {
-					d := trajectoryDigest(t, mode, cfg.workers, cfg.islands, cfg.every, cfg.noCache, shape.n, shape.m)
+					d := trajectoryDigest(t, mode, cfg.islands, cfg.every, cfg.noCache, shape.n, shape.m)
 					lines = append(lines, fmt.Sprintf("%s/%s/%dx%d %s", cfg.name, mode, shape.n, shape.m, d))
 				}
 			}
