@@ -52,9 +52,10 @@ type Config[T any] struct {
 	// EvaluateOne returns the fitness of a single individual. Optional: set
 	// it only when fitness is population-independent (each individual's
 	// value does not depend on its peers), and it must agree exactly with
-	// EvaluateInto. When present, the engine re-scores only the elite individual
-	// after elitism instead of re-evaluating the whole population. Leave nil
-	// for population-relative fitness such as the ε-constraint mode.
+	// EvaluateInto. When present, the engine re-scores only the elite
+	// individual after elitism instead of re-evaluating the whole
+	// population. Leave nil for population-relative fitness such as the
+	// ε-constraint mode.
 	EvaluateOne func(ind T) float64
 	// Key returns a fingerprint used to reject duplicate individuals when
 	// building the initial population (e.g. a hash of the genotype).

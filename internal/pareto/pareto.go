@@ -58,9 +58,10 @@ func NonDominatedSort(objs [][]float64) [][]int {
 	dominatedBy := make([]int, n) // how many points dominate i
 	dominates := make([][]int, n) // which points i dominates
 	var first []int
-	// Each pair is compared once, when its lower index is i; by the end of
-	// row i every pair holding i has been, so dominatedBy[i] is final. Every
-	// dominates list still grows in increasing index order.
+	// Each pair is compared once, in the row of its lower index; by the end
+	// of row i every pair holding i has been, so dominatedBy[i] is final.
+	// Every dominates list grows in increasing index order, which fixes the
+	// order of the indices in each front.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			switch {

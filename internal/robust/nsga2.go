@@ -58,8 +58,8 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 	}
 
 	// Objectives are minimized: (makespan, -slack), read off each
-	// chromosome's metrics memo. No metrics cache: about a third of the
-	// offspring repeat a genotype, too few to pay for the inserts.
+	// chromosome's metrics memo. No metrics cache: only about a quarter of
+	// the offspring repeat a genotype, too few to pay for the inserts.
 	eval := newEvaluator(w, Options{NoMetricsCache: true}, 0)
 	objectives := func(pop []*Chromosome) [][]float64 {
 		eval.ensureMetrics(pop)

@@ -307,40 +307,12 @@ type evalScratch struct {
 	sched   schedule.Schedule
 }
 
-// decodeMetrics decodes c into the scratch schedule s and memoizes its
-// metrics triple on c, inserting it into the cache under key k when there
-// is a cache.
-func (e *evaluator) decodeMetrics(c *Chromosome, s *schedule.Schedule, k uint64) error {
-	if err := c.decodeInto(e.dec, s); err != nil {
-		return err
-	}
-	c.metr, c.hasMetr = metricsFromSchedule(s), true
-	if e.cache != nil {
-		e.cache.insert(k, c, c.metr)
-	}
-	return nil
-}
-
-// metricsOf returns the chromosome's metrics triple, consulting the cache
-// and falling back to a decode. Not safe for concurrent calls on the same
+// metricsOf returns the chromosome's metrics triple, through ensureMetrics
+// when it has none yet. Not safe for concurrent calls on the same
 // chromosome; the GA's evaluation paths only reach it serially.
 func (e *evaluator) metricsOf(c *Chromosome) schedMetrics {
-	if c.hasMetr {
-		return c.metr
-	}
-	var k uint64
-	if e.cache != nil {
-		k = e.cache.key(c)
-		if met, ok := e.cache.lookup(k, c); ok {
-			c.metr, c.hasMetr = met, true
-			return met
-		}
-	}
-	sc := e.scratch.get()
-	err := e.decodeMetrics(c, &sc.sched, k)
-	e.scratch.put(sc)
-	if err != nil {
-		panic(err) // operators guarantee validity
+	if !c.hasMetr {
+		e.ensureMetrics([]*Chromosome{c})
 	}
 	return c.metr
 }
@@ -399,12 +371,12 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 		sc.keys = keys
 	}
 	for i, c := range misses {
-		var k uint64
-		if keys != nil {
-			k = keys[i]
-		}
-		if err := e.decodeMetrics(c, &sc.sched, k); err != nil {
+		if err := c.decodeInto(e.dec, &sc.sched); err != nil {
 			panic(err) // operators guarantee validity
+		}
+		c.metr, c.hasMetr = metricsFromSchedule(&sc.sched), true
+		if e.cache != nil {
+			e.cache.insert(keys[i], c, c.metr)
 		}
 	}
 }

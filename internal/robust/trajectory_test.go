@@ -78,9 +78,8 @@ func TestSolveTrajectoryPinned(t *testing.T) {
 		islands, every int
 		noCache        bool
 	}{
-		// "serial" and "parallel" once set one decode goroutine and
-		// GOMAXPROCS of them. Decoding is serial now, so both rows run the
-		// same solve and must keep their common digests.
+		// Decoding is serial, so "serial" and "parallel" run the same
+		// solve; both rows stay so the golden file keeps every digest.
 		{"serial", 1, 0, false},
 		{"parallel", 1, 0, false},
 		{"islands", 3, 10, false},
