@@ -338,8 +338,8 @@ func BenchmarkAblationSlackMetric(b *testing.B) {
 
 // BenchmarkSolvePaper times the full paper-scale ε-constraint solve (100
 // tasks, 8 processors, Np=20, the full 1000-generation horizon with the
-// stagnation window disabled so every run does identical work). This is the
-// headline number of the BENCH_ga.json lane; the nocache variant isolates
+// stagnation window disabled so every run does identical work). It is the
+// GA's profiling entry point; the nocache variant isolates
 // what the genotype→metrics cache is worth on top of the engine arenas —
 // both produce bit-identical results. A single-population solve runs on
 // one goroutine.
@@ -365,7 +365,7 @@ func BenchmarkSolvePaper(b *testing.B) {
 // reduced solve (100 generations): "off" is the plain run — its ns/op and
 // allocs/op must stay within noise of a build without the obs package at
 // all — and "on" attaches the registry plus a JSONL tracer writing to
-// io.Discard. Tracked in BENCH_obs.json via bench.sh.
+// io.Discard.
 func BenchmarkSolveObs(b *testing.B) {
 	w := benchWorkload(b, 100, 8, 4)
 	run := func(b *testing.B, instrument bool) {

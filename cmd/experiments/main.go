@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -69,7 +70,7 @@ func execute(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		fig          = fs.String("fig", "all", "figure to regenerate: 1..8 or all (empty with -ablation set)")
-		ablation     = fs.String("ablation", "", "ablation to run instead/in addition: seed, slackmetric, risk, policies, or all")
+		ablation     = fs.String("ablation", "", "ablation to run instead/in addition: seed, slackmetric, risk, policies, gaparams, a comma-separated list of them, or all")
 		sensitivity  = fs.String("sensitivity", "", "sensitivity sweep to run: ccr, shape, procs")
 		faultExp     = fs.Bool("faults", false, "run the slack-vs-fault-resilience experiment")
 		corrGap      = fs.Bool("corrgap", false, "run the correlated-load robustness-gap experiment: the same schedules under independent vs shared per-processor load at equal marginal variance")
@@ -88,8 +89,8 @@ func execute(args []string, stdout, stderr io.Writer) error {
 		shards       = fs.Int("shards", 0, "shard Monte-Carlo evaluation over this many worker processes (0 = in-process); results are bit-identical")
 		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (each started with `experiments worker -listen`): scatter over the network instead of local subprocesses")
 		pipeline     = fs.Int("pipeline", 0, "realization ranges in flight per worker connection; 0 derives the depth from the transport RTT, 1 restores strict request/response")
-		workerTO     = fs.Duration("worker-timeout", 0, "with -shards: liveness deadline per worker exchange — a silent worker is declared dead and its range reassigned; also arms worker respawn (0 disables)")
-		chaosSeed    = fs.Uint64("chaos", 0, "with -shards: inject seeded transport faults between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
+		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead and its work reassigned; also arms worker respawn (0 disables)")
+		chaosSeed    = fs.Uint64("chaos", 0, "with -shards or -remote: inject seeded transport faults between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
 		csvDir       = fs.String("csv", "", "also write figN.csv files into this directory (plus a manifest.json run record)")
 		svgDir       = fs.String("svg", "", "also write figN.svg line charts into this directory")
 		obsPath      = fs.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")
@@ -119,15 +120,20 @@ func execute(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
+	ablations := []string{"seed", "slackmetric", "risk", "policies", "gaparams"}
 	wantAbl := map[string]bool{}
-	if *ablation != "" {
-		if *ablation == "all" {
-			for _, a := range []string{"seed", "slackmetric", "risk", "policies", "gaparams"} {
+	if *ablation == "all" {
+		for _, a := range ablations {
+			wantAbl[a] = true
+		}
+	} else if *ablation != "" {
+		for _, a := range strings.Split(*ablation, ",") {
+			switch a = strings.TrimSpace(a); {
+			case a == "":
+			case slices.Contains(ablations, a):
 				wantAbl[a] = true
-			}
-		} else {
-			for _, a := range strings.Split(*ablation, ",") {
-				wantAbl[strings.TrimSpace(a)] = true
+			default:
+				return fmt.Errorf("unknown -ablation %q: want %s, a comma-separated list of them, or all", a, strings.Join(ablations, ", "))
 			}
 		}
 	}
@@ -194,53 +200,14 @@ func execute(args []string, stdout, stderr io.Writer) error {
 		}
 		cfg.Scenario = &sc
 	}
-	if *shards > 0 && *remote != "" {
-		return fmt.Errorf("-shards and -remote are mutually exclusive: local subprocesses or remote TCP workers, not both")
+	coord, err := dist.OpenCoordinator(dist.Flags{
+		Shards: *shards, Remote: *remote, Timeout: *workerTO, Chaos: *chaosSeed, Pipeline: *pipeline,
+	}, reg, tracer)
+	if err != nil {
+		return err
 	}
-	if *shards > 0 || *remote != "" {
-		var (
-			spawn    func() (dist.Endpoint, error)
-			nworkers int
-		)
-		if *remote != "" {
-			var addrs []string
-			for _, a := range strings.Split(*remote, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					addrs = append(addrs, a)
-				}
-			}
-			if len(addrs) == 0 {
-				return fmt.Errorf("-remote lists no worker addresses")
-			}
-			spawn = dist.TCPSpawner(addrs, 0)
-			nworkers = len(addrs)
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				return fmt.Errorf("locating executable for workers: %w", err)
-			}
-			spawn = dist.ProcEndpoint(exe, "worker")
-			nworkers = *shards
-		}
-		if *chaosSeed != 0 {
-			if *workerTO <= 0 {
-				return fmt.Errorf("-chaos requires -worker-timeout: a stalled link is only unmasked by a deadline")
-			}
-			spawn = dist.ChaosSpawner(dist.DefaultChaos(*chaosSeed), spawn)
-		}
-		pool, err := dist.NewSpawnPool(nworkers, spawn)
-		if err != nil {
-			return err
-		}
-		defer pool.Close()
-		pool.Obs = reg
-		if *workerTO > 0 {
-			pool.Respawn(spawn, 2*nworkers)
-		}
-		coord := &dist.Coordinator{
-			Pool: pool, Obs: reg, Trace: tracer,
-			Timeout: *workerTO, PipelineDepth: *pipeline,
-		}
+	if coord != nil {
+		defer coord.Pool.Close()
 		cfg.Sim = coord.EvaluateAll
 	}
 

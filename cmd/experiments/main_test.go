@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,16 +65,25 @@ func TestFigAllWritesCSVs(t *testing.T) {
 	}
 }
 
-// TestUnknownFigFails: a -fig value naming no figure is an error, reported
-// on stderr with a non-zero exit status.
+// TestUnknownFigFails: a -fig or -ablation value naming no figure or
+// ablation is an error, reported on stderr with a non-zero exit status
+// before anything runs.
 func TestUnknownFigFails(t *testing.T) {
-	for _, fig := range []string{"9", "2,x"} {
+	for _, tc := range []struct{ flag, value, bad string }{
+		{"-fig", "9", "9"},
+		{"-fig", "2,x", "x"},
+		{"-ablation", "nope", "nope"},
+		{"-ablation", "seed,nope", "nope"},
+	} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-fig", fig}, &stdout, &stderr); code == 0 {
-			t.Errorf("-fig %s: exit status 0", fig)
+		if code := run([]string{tc.flag, tc.value}, &stdout, &stderr); code == 0 {
+			t.Errorf("%s %s: exit status 0", tc.flag, tc.value)
 		}
-		if !strings.Contains(stderr.String(), "unknown -fig") {
-			t.Errorf("-fig %s: stderr %q does not name the bad value", fig, stderr.String())
+		if want := fmt.Sprintf("unknown %s %q", tc.flag, tc.bad); !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s %s: stderr %q does not name the bad value", tc.flag, tc.value, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: ran before rejecting the value:\n%s", tc.flag, tc.value, stdout.String())
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"robsched/internal/clark"
 	"robsched/internal/dist"
@@ -113,8 +112,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		shards       = fs.Int("shards", 0, "scatter work over this many `robsched worker` subprocesses (0 = in-process); shards Monte-Carlo realizations, and the GA islands when -islands > 1")
 		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (host:port,... — each started with `robsched worker -listen`): scatter over the network instead of local subprocesses; with -worker-timeout a dead connection is redialed into the rotation")
 		pipeline     = fs.Int("pipeline", 0, "realization ranges in flight per worker connection (credit window); 0 derives the depth from the transport round-trip time, 1 restores strict request/response")
-		workerTO     = fs.Duration("worker-timeout", 0, "with -shards: liveness deadline per worker exchange — a worker silent this long (no frame, no heartbeat) is declared dead and its work reassigned; also arms worker respawn (0 disables)")
-		chaosSeed    = fs.Uint64("chaos", 0, "with -shards: inject seeded transport faults (stalls, drops, corruption, duplicate frames) between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
+		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead and its work reassigned; also arms worker respawn (0 disables)")
+		chaosSeed    = fs.Uint64("chaos", 0, "with -shards or -remote: inject seeded transport faults (stalls, drops, corruption, duplicate frames) between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
 		islands      = fs.Int("islands", 1, "GA island populations with ring migration (1 = the paper's single population)")
 		obsPath      = fs.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof, expvar and /debug/obs on this address (e.g. localhost:6060)")
@@ -174,57 +173,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// evaluation (and, with -islands, the GA) through the dist coordinator.
 	// Results are bit-identical to the in-process path for every shard and
 	// worker count.
-	var coord *dist.Coordinator
-	if *shards > 0 && *remote != "" {
-		return fmt.Errorf("-shards and -remote are mutually exclusive: local subprocesses or remote TCP workers, not both")
+	coord, err := dist.OpenCoordinator(dist.Flags{
+		Shards: *shards, Remote: *remote, Timeout: *workerTO, Chaos: *chaosSeed, Pipeline: *pipeline,
+	}, reg, tracer)
+	if err != nil {
+		return err
 	}
-	if *shards > 0 || *remote != "" {
-		var (
-			spawn    func() (dist.Endpoint, error)
-			nworkers int
-		)
-		if *remote != "" {
-			var addrs []string
-			for _, a := range strings.Split(*remote, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					addrs = append(addrs, a)
-				}
-			}
-			if len(addrs) == 0 {
-				return fmt.Errorf("-remote lists no worker addresses")
-			}
-			spawn = dist.TCPSpawner(addrs, 0)
-			nworkers = len(addrs)
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				return fmt.Errorf("locating worker binary: %w", err)
-			}
-			spawn = dist.ProcEndpoint(exe, "worker")
-			nworkers = *shards
-		}
-		if *chaosSeed != 0 {
-			if *workerTO <= 0 {
-				return fmt.Errorf("-chaos requires -worker-timeout: a stalled link is only unmasked by a deadline")
-			}
-			spawn = dist.ChaosSpawner(dist.DefaultChaos(*chaosSeed), spawn)
-		}
-		pool, err := dist.NewSpawnPool(nworkers, spawn)
-		if err != nil {
-			return err
-		}
-		defer pool.Close()
-		pool.Obs = reg
-		if *workerTO > 0 {
-			// With liveness armed, dead workers are worth replacing: budget a
-			// couple of respawns (subprocess re-execs, or redials back into
-			// the -remote rotation) per worker before degrading in-process.
-			pool.Respawn(spawn, 2*nworkers)
-		}
-		coord = &dist.Coordinator{
-			Pool: pool, Obs: reg, Trace: tracer,
-			Timeout: *workerTO, PipelineDepth: *pipeline,
-		}
+	if coord != nil {
+		defer coord.Pool.Close()
 	}
 	evalAll := func(ss []*schedule.Schedule, opt sim.Options, root *rng.Source) ([]sim.Metrics, error) {
 		if coord != nil {

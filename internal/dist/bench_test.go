@@ -57,9 +57,9 @@ func BenchmarkDistEvaluateAll(b *testing.B) {
 			}
 		})
 	}
-	// The hardened lane arms liveness (frame deadlines, job budgets, worker
-	// heartbeats) on a fault-free run: its gap to shards=4 is the price of
-	// the failure detector when nothing fails.
+	// The hardened lane arms liveness (a send deadline per frame, a job
+	// budget per range) on a fault-free run: its gap to shards=4 is the
+	// price of the failure detector when nothing fails.
 	b.Run("shards=4/hardened", func(b *testing.B) {
 		pool := benchProcPool(b, 4)
 		coord := &Coordinator{Pool: pool, Timeout: 5 * time.Second}
@@ -182,7 +182,7 @@ func BenchmarkDistSolveIslands(b *testing.B) {
 		}
 	})
 	// Liveness armed on a fault-free solve: measures the standing cost of
-	// heartbeats, frame deadlines and job budgets.
+	// the send deadlines and job budgets.
 	b.Run("sharded/hardened", func(b *testing.B) {
 		pool := benchProcPool(b, 4)
 		coord := &Coordinator{Pool: pool, Timeout: 5 * time.Second}

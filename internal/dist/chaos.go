@@ -3,6 +3,7 @@ package dist
 import (
 	"io"
 	"math"
+	"net"
 	"sync/atomic"
 	"time"
 
@@ -101,7 +102,7 @@ type chaosLink struct {
 	t     float64 // link clock, seconds
 	src   io.Reader
 	dst   io.Writer
-	close func(err error) // tears down both ends of this direction
+	close func() // tears down both ends of this direction
 
 	// Latency queue, active only when Delay or DelayJitter is set: the
 	// pump stamps each frame with a due time and moves on, and writerLoop
@@ -109,15 +110,14 @@ type chaosLink struct {
 	// the pipelining this knob exists to measure depends on.
 	delayq  chan delayed
 	lastDue time.Time
-	ferr    error // final close cause, read by writerLoop after delayq closes
 }
 
 // delayed is one queued delivery: bytes due at a time, optionally followed
-// by tearing the direction down (a terminal item ends the queue).
+// by tearing the direction down (a last item ends the queue).
 type delayed struct {
-	raw []byte
-	due time.Time
-	err error
+	raw  []byte
+	due  time.Time
+	last bool
 }
 
 // Wrap returns ep with the chaos plan's fault timeline spliced into both
@@ -139,25 +139,26 @@ func (pl ChaosPlan) Wrap(ep Endpoint, worker int) Endpoint {
 		}
 	}
 
-	// coordinator→worker: the caller writes into outW; the pump relays
-	// frames from outR to the real endpoint.
-	outR, outW := io.Pipe()
+	// One net.Pipe per direction, so each closes on its own and the
+	// caller's ends take deadlines. coordinator→worker: the caller writes
+	// into outW; the pump relays frames from outR to the real endpoint.
+	outW, outR := net.Pipe()
 	// worker→coordinator: the pump relays frames from the real endpoint
 	// into inW; the caller reads from inR.
-	inR, inW := io.Pipe()
+	inR, inW := net.Pipe()
 
 	out := &chaosLink{
 		pl: pl, sc: &sc, p: 0, r: rng.New(base.SplitSeed()),
 		src: outR, dst: ep.W,
-		close: func(err error) {
-			outR.CloseWithError(err)
+		close: func() {
+			_ = outR.Close()
 			_ = ep.W.Close()
 		},
 	}
 	in := &chaosLink{
 		pl: pl, sc: &sc, p: 1, r: rng.New(base.SplitSeed()),
 		src: ep.R, dst: inW,
-		close: func(err error) { inW.CloseWithError(err) },
+		close: func() { _ = inW.Close() },
 	}
 	rtt := ep.RTT
 	if pl.Delay > 0 || pl.DelayJitter > 0 {
@@ -176,8 +177,8 @@ func (pl ChaosPlan) Wrap(ep Endpoint, worker int) Endpoint {
 		W: outW,
 		R: inR,
 		Kill: func() {
-			outW.CloseWithError(io.ErrClosedPipe)
-			inR.CloseWithError(io.ErrClosedPipe)
+			_ = outW.Close()
+			_ = inR.Close()
 			if ep.Kill != nil {
 				ep.Kill()
 			}
@@ -196,7 +197,7 @@ func (l *chaosLink) pump() {
 	for {
 		kind, payload, err := wio.ReadFrame(l.src, buf)
 		if err != nil {
-			l.fail(err)
+			l.fail()
 			return
 		}
 		if cap(payload) > cap(buf) {
@@ -204,7 +205,7 @@ func (l *chaosLink) pump() {
 		}
 		raw, err := wio.AppendFrame(nil, kind, payload)
 		if err != nil {
-			l.fail(err)
+			l.fail()
 			return
 		}
 		if !l.deliver(raw) {
@@ -213,38 +214,37 @@ func (l *chaosLink) pump() {
 	}
 }
 
-// fail ends this direction with err — directly, or (with the latency queue
-// active) ordered behind every frame already in flight.
-func (l *chaosLink) fail(err error) {
+// fail ends this direction — directly, or (with the latency queue active)
+// ordered behind every frame already in flight.
+func (l *chaosLink) fail() {
 	if l.delayq == nil {
-		l.close(err)
+		l.close()
 		return
 	}
-	l.ferr = err
 	close(l.delayq)
 }
 
 // emit delivers raw at due — immediately when the latency queue is off —
-// and, when err is non-nil, tears the direction down right after (the
-// terminal queue item; no further emits may follow). It reports false when
-// the direction is gone.
-func (l *chaosLink) emit(raw []byte, due time.Time, err error) bool {
+// and, when last is set, tears the direction down right after (the last
+// queue item; no further emits may follow). It reports false when the
+// direction is gone.
+func (l *chaosLink) emit(raw []byte, due time.Time, last bool) bool {
 	if l.delayq != nil {
-		l.delayq <- delayed{raw: raw, due: due, err: err}
-		if err != nil {
+		l.delayq <- delayed{raw: raw, due: due, last: last}
+		if last {
 			close(l.delayq)
 			return false
 		}
 		return true
 	}
 	if len(raw) > 0 {
-		if _, werr := l.dst.Write(raw); werr != nil {
-			l.close(werr)
+		if _, err := l.dst.Write(raw); err != nil {
+			l.close()
 			return false
 		}
 	}
-	if err != nil {
-		l.close(err)
+	if last {
+		l.close()
 		return false
 	}
 	return true
@@ -253,7 +253,7 @@ func (l *chaosLink) emit(raw []byte, due time.Time, err error) bool {
 // writerLoop drains the latency queue in stamp order, sleeping each item to
 // its due time. On a write failure it keeps draining (so the pump never
 // blocks on a full queue) without writing. When the queue closes the
-// direction closes with the pump's recorded cause.
+// direction closes.
 func (l *chaosLink) writerLoop() {
 	dead := false
 	for d := range l.delayq {
@@ -263,18 +263,18 @@ func (l *chaosLink) writerLoop() {
 		l.sleepUntil(d.due)
 		if len(d.raw) > 0 {
 			if _, err := l.dst.Write(d.raw); err != nil {
-				l.close(err)
+				l.close()
 				dead = true
 				continue
 			}
 		}
-		if d.err != nil {
-			l.close(d.err)
+		if d.last {
+			l.close()
 			dead = true
 		}
 	}
 	if !dead {
-		l.close(l.ferr)
+		l.close()
 	}
 }
 
@@ -315,7 +315,7 @@ func (l *chaosLink) deliver(raw []byte) bool {
 	// frame (pure stall — the peer sees nothing until its deadline fires);
 	// otherwise the transfer takes scenario time, slowdowns included.
 	if !l.sc.Alive(l.p, l.t) {
-		l.fail(io.ErrClosedPipe)
+		l.fail()
 		return false
 	}
 	start := l.sc.NextStart(l.p, l.t)
@@ -332,7 +332,7 @@ func (l *chaosLink) deliver(raw []byte) bool {
 		l.sleep(killTime - l.t)
 		next := l.sc.NextStart(l.p, killTime)
 		if math.IsInf(next, 1) {
-			l.fail(io.ErrClosedPipe)
+			l.fail()
 			return false
 		}
 		l.t = next
@@ -353,14 +353,14 @@ func (l *chaosLink) deliver(raw []byte) bool {
 	}
 	if truncate {
 		n := l.r.Intn(len(raw)) // always short of a full frame
-		return l.emit(raw[:n], l.due(), io.ErrUnexpectedEOF)
+		return l.emit(raw[:n], l.due(), true)
 	}
 	due := l.due() // one stamp per frame: a duplicate arrives back-to-back
-	if !l.emit(raw, due, nil) {
+	if !l.emit(raw, due, false) {
 		return false
 	}
 	if duplicate {
-		return l.emit(raw, due, nil)
+		return l.emit(raw, due, false)
 	}
 	return true
 }

@@ -22,19 +22,18 @@ import (
 // optional (nil disables telemetry). Per-worker counters are published as
 // dist.worker<id>.* so a skewed or dying worker is visible in a snapshot.
 //
-// Timeout, when positive, arms the liveness machinery: every frame exchange
-// with a worker must produce a frame (a response or a heartbeat — workers
-// are asked to pulse at Timeout/4 while computing) within Timeout, and every
-// whole job exchange must finish within a budget derived from its cost
-// estimate, or the worker is declared dead, killed, and its work reassigned.
-// Timeout 0 (the default) disables deadlines and heartbeats entirely: the
+// Timeout, when positive, arms liveness: every frame sent to a worker must
+// be taken within Timeout, and the worker's whole answer must arrive within
+// the exchange's job budget (see jobBudget), or the worker is declared
+// dead, killed, and its work reassigned. The transport ends enforce both
+// deadlines themselves. Timeout 0 (the default) disables them: the
 // fault-free fast path pays nothing for the machinery.
 type Coordinator struct {
 	Pool  *Pool
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 
-	// Timeout is the per-frame liveness deadline; see the type comment.
+	// Timeout is the liveness unit; see the type comment.
 	Timeout time.Duration
 
 	// PipelineDepth is the credit window of the sim dispatcher: how many
@@ -61,34 +60,18 @@ func (c *Coordinator) counter(name string, worker int) {
 }
 
 // noteDeath records a dead worker, distinguishing deadline expiries (the
-// heartbeat the coordinator was owed never came) from transport failures.
+// answer the coordinator was owed never came) from transport failures.
 func (c *Coordinator) noteDeath(worker int, err error) {
 	if errors.Is(err, ErrDeadline) {
-		c.counter("heartbeat_misses", worker)
+		c.counter("deadline_expiries", worker)
 	}
 	c.counter("worker_deaths", worker)
 }
 
-// heartbeatMillis is the pulse interval requested from workers: a quarter
-// of the frame deadline, so a healthy-but-busy worker always lands several
-// pulses per deadline window. 0 when liveness is off.
-func (c *Coordinator) heartbeatMillis() int {
-	if c.Timeout <= 0 {
-		return 0
-	}
-	ms := int(c.Timeout / 4 / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
-}
-
-// jobBudget bounds a whole job exchange from a per-job cost estimate in
-// work units (realizations×schedules for sim windows, generations×popsize
-// for epochs): one frame deadline per 1000 units on top of the base, capped
-// at 64 deadlines. Heartbeats bound the gap between frames; the budget
-// bounds the total, so a worker stuck in a loop that still pulses is
-// eventually declared dead too.
+// jobBudget bounds the reads of one exchange from its cost estimate in work
+// units (realizations×schedules for a sim range, generations×population×
+// hosted islands for an epoch): Timeout × (1 + units/1000), capped at 64
+// Timeouts. 0 when liveness is off.
 func (c *Coordinator) jobBudget(units float64) time.Duration {
 	if c.Timeout <= 0 {
 		return 0
@@ -241,17 +224,16 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 		seeds:  seeds,
 		ranges: ranges,
 		setup: SimSetup{
-			ID:              c.seq.Add(1),
-			Workload:        wlDoc,
-			Schedules:       sDocs,
-			Antithetic:      opt.Antithetic,
-			BatchSize:       opt.BatchSize,
-			Workers:         opt.Workers,
-			Model:           opt.Model,
-			Corr:            opt.Corr,
-			LoadCOV:         opt.LoadCOV,
-			ParetoShape:     opt.ParetoShape,
-			HeartbeatMillis: c.heartbeatMillis(),
+			ID:          c.seq.Add(1),
+			Workload:    wlDoc,
+			Schedules:   sDocs,
+			Antithetic:  opt.Antithetic,
+			BatchSize:   opt.BatchSize,
+			Workers:     opt.Workers,
+			Model:       opt.Model,
+			Corr:        opt.Corr,
+			LoadCOV:     opt.LoadCOV,
+			ParetoShape: opt.ParetoShape,
 		},
 		committed: make([]bool, len(ranges)),
 	}
@@ -457,7 +439,7 @@ func (d *simDispatch) runConn(conn *Conn, first int) {
 					return
 				}
 			}
-			conn.armWrite(d.c.Timeout, 0)
+			conn.ws.arm(d.c.Timeout)
 			if !setupSent {
 				if err := conn.sendNoFlush(KSimSetup, d.setup); err != nil {
 					sendErr = err
@@ -519,7 +501,7 @@ func (d *simDispatch) runConn(conn *Conn, first int) {
 // wrong schedule or of the wrong width — are worker-fatal *WorkerErrors.
 func (d *simDispatch) recvRange(conn *Conn, ri int, seq uint64) error {
 	sh := d.ranges[ri]
-	conn.armRead(d.c.Timeout, d.c.jobBudget(float64(sh.width*len(d.out))))
+	conn.rs.arm(d.c.jobBudget(float64(sh.width * len(d.out))))
 	kind, payload, err := conn.recv()
 	if err != nil {
 		return err
@@ -776,10 +758,9 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 // its seed.
 func (s *solveRun) initFor(h *solveHost) IslandInit {
 	init := IslandInit{
-		Workload:        s.wlDoc,
-		Opt:             s.sopt,
-		Seq:             s.c.seq.Add(1),
-		HeartbeatMillis: s.c.heartbeatMillis(),
+		Workload: s.wlDoc,
+		Opt:      s.sopt,
+		Seq:      s.c.seq.Add(1),
 	}
 	for _, i := range h.islands {
 		init.Islands = append(init.Islands, IslandSeed{Island: i, Seed: s.seeds[i]})
@@ -1006,7 +987,7 @@ func (s *solveRun) release() {
 		}
 		conn := h.conn
 		h.conn = nil
-		conn.arm(s.c.Timeout, 0)
+		conn.arm(s.c.Timeout, s.c.jobBudget(0))
 		if err := conn.sendEmpty(KIslandFinish); err == nil {
 			if kind, _, err := conn.recv(); err == nil && kind == KOK {
 				s.c.Pool.put(conn)

@@ -180,22 +180,6 @@ func sabotagedEndpoint() Endpoint {
 	}
 }
 
-// liveEndpoint is one in-process protocol worker (what NewLocalPool builds).
-func liveEndpoint() Endpoint {
-	jobR, jobW := io.Pipe()
-	resR, resW := io.Pipe()
-	go func() {
-		err := ServeWorker(jobR, resW)
-		resW.CloseWithError(err)
-		jobR.CloseWithError(err)
-	}()
-	return Endpoint{
-		W:    jobW,
-		R:    resR,
-		Kill: func() { jobW.CloseWithError(io.ErrClosedPipe); resR.CloseWithError(io.ErrClosedPipe) },
-	}
-}
-
 // TestWorkerKillMidRange kills a worker after it receives its range; the
 // coordinator must discard it, reassign the window to a live worker and
 // produce bit-identical final metrics.
@@ -207,7 +191,7 @@ func TestWorkerKillMidRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool([]Endpoint{sabotagedEndpoint(), liveEndpoint(), liveEndpoint()})
+	pool := NewPool([]Endpoint{sabotagedEndpoint(), LocalEndpoint(), LocalEndpoint()})
 	defer pool.Close()
 	reg := obs.NewRegistry()
 	coord := &Coordinator{Pool: pool, Obs: reg}

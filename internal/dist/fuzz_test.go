@@ -13,7 +13,7 @@ func FuzzControlMessage(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"seq":18446744073709551615}`))
 	f.Add([]byte(`{"workload":{"n":3,"m":2},"base":0,"seeds":[1,2,3],"hb_ms":25,"seq":7}`))
-	f.Add([]byte(`{"islands":[{"island":0,"seed":42},{"island":2,"seed":7}],"opt":{"mode":1,"pop_size":6},"heartbeat_millis":25}`))
+	f.Add([]byte(`{"islands":[{"island":0,"seed":42},{"island":2,"seed":7}],"opt":{"mode":1,"pop_size":6}}`))
 	f.Add([]byte(`{"migrants":[{"island":1,"genotype":{"order":[2,0,1],"proc":[1,0,1]}}],"seq":3}`))
 	f.Add([]byte(`{"states":[{"island":0,"best_fitness_bits":4638387860618067575}]}`))
 	f.Add([]byte(`{"start_gen":6,"gens":6,"seq":9}`))

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,11 +20,16 @@ import (
 // is a *WorkerError wrapping one of these (or the underlying I/O error), so
 // callers discriminate with errors.Is/As instead of string matching.
 var (
-	// ErrDeadline marks a liveness deadline expiry: the worker produced no
-	// frame (not even a heartbeat) within the per-frame window, or the whole
-	// exchange overran its job budget. The connection is killed to unblock
-	// the pending pipe operation, so the worker is gone either way.
+	// ErrDeadline marks a liveness deadline expiry: the worker did not
+	// finish its exchange within the job budget, or did not take a frame
+	// within Coordinator.Timeout. The connection is killed to unblock the
+	// pending transport operation, so the worker is gone either way.
 	ErrDeadline = errors.New("dist: liveness deadline exceeded")
+	// ErrNoDeadline marks an exchange armed with a deadline on a transport
+	// end that cannot enforce one (no SetReadDeadline/SetWriteDeadline, or
+	// the call failed). The exchange fails at once instead of waiting
+	// unbounded.
+	ErrNoDeadline = errors.New("dist: transport end cannot enforce a deadline")
 	// ErrPoolExhausted is returned by checkouts once every worker has died
 	// and the respawn budget (if any) is spent — the caller should degrade
 	// to in-process computation rather than wait forever.
@@ -33,13 +40,15 @@ var (
 
 // Endpoint is the coordinator's side of one worker's transport. W carries
 // frames to the worker, R carries its responses — a pipe pair for local
-// workers, the two halves of one net.Conn for TCP workers. Kill, when
-// non-nil, tears the worker down abruptly (used by the pool's fault
-// injection, deadline enforcement and by Close for workers that no longer
-// respond); Wait, when non-nil, reaps the worker after its transport
-// closes. RTT, when positive, is the transport's measured (or injected)
-// round-trip hint; the coordinator's flow control sizes its per-worker
-// pipeline window from it.
+// workers, the two halves of one net.Conn for TCP workers. Liveness needs
+// W to implement SetWriteDeadline and R SetReadDeadline, as OS pipes,
+// sockets and net.Pipe do; an end without them fails every exchange armed
+// with a deadline (ErrNoDeadline). Kill, when non-nil, tears the worker
+// down abruptly (used by the pool's fault injection, deadline enforcement
+// and by Close for workers that no longer respond); Wait, when non-nil,
+// reaps the worker after its transport closes. RTT, when positive, is the
+// transport's measured (or injected) round-trip hint; the coordinator's
+// flow control sizes its per-worker pipeline window from it.
 type Endpoint struct {
 	W    io.WriteCloser
 	R    io.Reader
@@ -48,49 +57,31 @@ type Endpoint struct {
 	RTT  time.Duration
 }
 
-// readDeadliner and writeDeadliner match transport ends that enforce
-// deadlines natively per direction (*os.File over OS pipes, net.Conn over
-// TCP). When an end supports its direction, withDeadline arms the kernel
-// poller instead of spawning a watchdog goroutine per operation — the
-// hardened fault-free path then costs one timer update per frame instead
-// of a goroutine, a channel and two scheduler handoffs. The directions are
-// armed independently, so a sender goroutine and a receiver goroutine can
-// run deadlines on one connection concurrently.
-type readDeadliner interface {
-	SetReadDeadline(t time.Time) error
-}
-type writeDeadliner interface {
-	SetWriteDeadline(t time.Time) error
-}
-
-// connSide is the liveness state of one direction of a connection. timeout
-// bounds the wall-clock of each frame operation; jobDeadline bounds the
-// whole in-flight exchange (heartbeats re-arm the former, never the
-// latter, so a worker stuck in a loop that still pulses is eventually
-// declared dead). Both zero by default: the fault-free path takes the
-// direct call with no goroutine or timer. set is the native per-direction
-// deadline hook, nil when the transport lacks one (in-memory pipes) or a
-// call ever failed.
+// connSide is the liveness state of one direction of a connection: the
+// deadline its transport operations must meet, and the end's own hook that
+// enforces it (SetReadDeadline or SetWriteDeadline; nil when the end has
+// none). The directions are armed independently, so a sender goroutine and
+// a receiver goroutine can run deadlines on one connection concurrently.
+// The deadline is zero by default, and the fault-free path then makes the
+// direct call.
 type connSide struct {
-	timeout     time.Duration
-	jobDeadline time.Time
-	set         func(time.Time) error
+	deadline time.Time
+	set      func(time.Time) error
 }
 
-func (s *connSide) arm(frame, budget time.Duration) {
-	s.timeout = frame
-	if budget > 0 {
-		s.jobDeadline = time.Now().Add(budget)
-	} else {
-		s.jobDeadline = time.Time{}
+// arm gives the side d from now; d <= 0 disarms it.
+func (s *connSide) arm(d time.Duration) {
+	s.deadline = time.Time{}
+	if d > 0 {
+		s.deadline = time.Now().Add(d)
 	}
 }
 
 // Conn is one live worker connection. A Conn is checked out of the Pool by
 // exactly one goroutine at a time. Within that checkout, at most one
-// goroutine may write (send/sendNoFlush/flush, guarded by ws) while one
-// other reads (recv, guarded by rs) — the split the pipelined dispatcher
-// relies on; no further concurrency is supported.
+// goroutine may write (send/sendNoFlush/flush, under ws) while one other
+// reads (recv, under rs) — the split the pipelined dispatcher relies on; no
+// further concurrency is supported.
 type Conn struct {
 	id  int
 	ep  Endpoint
@@ -105,73 +96,35 @@ type Conn struct {
 	dead bool  // set under p.mu by discard; a dead conn is never re-idled
 }
 
-// arm configures liveness for the next exchange on both directions: frame
-// is the per-frame deadline, budget the whole-exchange bound (either 0
-// disables that check).
-func (c *Conn) arm(frame, budget time.Duration) {
-	c.rs.arm(frame, budget)
-	c.ws.arm(frame, budget)
+// arm configures liveness for the next exchange: its sends must each finish
+// within send, and every read of its answer before read from now (either 0
+// disarms that direction).
+func (c *Conn) arm(send, read time.Duration) {
+	c.ws.arm(send)
+	c.rs.arm(read)
 }
 
-// armRead and armWrite configure one direction's liveness independently —
-// the pipelined dispatcher budgets its sender and receiver separately.
-func (c *Conn) armRead(frame, budget time.Duration)  { c.rs.arm(frame, budget) }
-func (c *Conn) armWrite(frame, budget time.Duration) { c.ws.arm(frame, budget) }
-
-// withDeadline runs one transport operation under side s's liveness
-// bounds. Transports that enforce deadlines natively (subprocess workers:
-// OS pipes are pollable; TCP sockets) take the cheap path — arm the kernel
-// poller for that direction, run, disarm. In-memory pipes carry no
-// SetDeadline, so expiry is enforced the only way that cannot leak: kill
-// the endpoint (closing its pipes), which unblocks the pending read or
-// write, then reap the operation goroutine. Either way an expired
-// operation leaves the worker dead, never half-trusted.
+// withDeadline runs one transport operation under side s's deadline,
+// enforced by the transport end itself. An expiry kills the endpoint and
+// returns ErrDeadline, so an expired worker is left dead, never
+// half-trusted. No goroutine is started, and with no deadline
+// armed the operation is a direct call.
 func (c *Conn) withDeadline(s *connSide, op func() error) error {
-	wait := s.timeout
-	if !s.jobDeadline.IsZero() {
-		rem := time.Until(s.jobDeadline)
-		if rem <= 0 {
-			if c.ep.Kill != nil {
-				c.ep.Kill()
-			}
-			return ErrDeadline
-		}
-		if wait <= 0 || rem < wait {
-			wait = rem
-		}
-	}
-	if wait <= 0 {
+	if s.deadline.IsZero() {
 		return op()
 	}
-	if s.set != nil {
-		if s.set(time.Now().Add(wait)) == nil {
-			err := op()
-			_ = s.set(time.Time{})
-			if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-				if c.ep.Kill != nil {
-					c.ep.Kill()
-				}
-				return ErrDeadline
-			}
-			return err
-		}
-		// Native deadlines refused (non-pollable fd): fall back for good.
-		s.set = nil
+	if s.set == nil || s.set(s.deadline) != nil {
+		return ErrNoDeadline
 	}
-	done := make(chan error, 1)
-	go func() { done <- op() }()
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
+	err := op()
+	_ = s.set(time.Time{})
+	if errors.Is(err, os.ErrDeadlineExceeded) {
 		if c.ep.Kill != nil {
 			c.ep.Kill()
 		}
-		<-done // the kill unblocked the pipe op; reap it
 		return ErrDeadline
 	}
+	return err
 }
 
 // werr attributes a transport failure to this worker, preserving the cause
@@ -224,43 +177,33 @@ func (c *Conn) sendEmpty(kind byte) error {
 	}))
 }
 
-// recv reads the next non-heartbeat frame. The payload aliases the
-// connection's frame reader buffer and is valid until the next recv.
-// KHeartbeat frames are consumed silently, each one re-arming the
-// per-frame deadline — a computing worker that pulses stays alive; a stuck
-// one times out. A KErr frame is decoded into a *WorkerError with Remote
-// set (the job failed, the worker is healthy) — except one coded "setup",
-// which means a pipelined range outran its lost setup frame: that is a
-// transport casualty (Remote false), so the dispatcher reassigns the range
-// instead of failing the job. Transport failures come back as *WorkerError
-// wrapping the I/O cause.
+// recv reads the next frame. The payload aliases the connection's frame
+// reader buffer and is valid until the next recv. A KErr frame is decoded
+// into a *WorkerError with Remote set (the job failed, the worker is
+// healthy) — except one coded "setup", which means a pipelined range
+// outran its lost setup frame: that is a transport casualty (Remote
+// false), so the dispatcher reassigns the range instead of failing the
+// job. Transport failures come back as *WorkerError wrapping the I/O
+// cause.
 func (c *Conn) recv() (byte, []byte, error) {
-	for {
-		var kind byte
-		var payload []byte
-		err := c.withDeadline(&c.rs, func() error {
-			var e error
-			kind, payload, e = c.fr.Read()
-			return e
-		})
-		if err != nil {
-			return 0, nil, c.werr(kind, err)
-		}
-		if kind == KHeartbeat {
-			if c.p != nil {
-				c.p.Obs.Counter("dist.heartbeats").Inc()
-			}
-			continue
-		}
-		if kind == KErr {
-			var em ErrMsg
-			if err := parseJSON(payload, &em); err != nil {
-				return 0, nil, c.werr(KErr, err)
-			}
-			return 0, nil, &WorkerError{Worker: c.id, Frame: KErr, Remote: em.Code != ErrCodeSetup, Err: errors.New(em.Error)}
-		}
-		return kind, payload, nil
+	var kind byte
+	var payload []byte
+	err := c.withDeadline(&c.rs, func() error {
+		var e error
+		kind, payload, e = c.fr.Read()
+		return e
+	})
+	if err != nil {
+		return 0, nil, c.werr(kind, err)
 	}
+	if kind == KErr {
+		var em ErrMsg
+		if err := parseJSON(payload, &em); err != nil {
+			return 0, nil, c.werr(KErr, err)
+		}
+		return 0, nil, &WorkerError{Worker: c.id, Frame: KErr, Remote: em.Code != ErrCodeSetup, Err: errors.New(em.Error)}
+	}
+	return kind, payload, nil
 }
 
 // WorkerError attributes a failure to one worker. Remote distinguishes the
@@ -300,7 +243,7 @@ type Pool struct {
 	closed bool
 
 	// Obs, when set, receives pool-level counters (dist.respawns,
-	// dist.respawn_failures, dist.heartbeats). Nil is a no-op.
+	// dist.respawn_failures). Nil is a no-op.
 	Obs *obs.Registry
 
 	spawn       func() (Endpoint, error)
@@ -341,10 +284,10 @@ func (p *Pool) addConnLocked(ep Endpoint) *Conn {
 		rtt: ep.RTT,
 		p:   p,
 	}
-	if wd, ok := ep.W.(writeDeadliner); ok {
+	if wd, ok := ep.W.(interface{ SetWriteDeadline(time.Time) error }); ok {
 		c.ws.set = wd.SetWriteDeadline
 	}
-	if rd, ok := ep.R.(readDeadliner); ok {
+	if rd, ok := ep.R.(interface{ SetReadDeadline(time.Time) error }); ok {
 		c.rs.set = rd.SetReadDeadline
 	}
 	p.all = append(p.all, c)
@@ -363,26 +306,21 @@ func (p *Pool) Respawn(spawn func() (Endpoint, error), budget int) {
 	p.spawnLeft = budget
 }
 
-// LocalEndpoint serves one protocol worker on in-memory pipes inside this
-// process: the full wire codec and worker loop with no process boundary.
+// LocalEndpoint serves one protocol worker on an in-memory net.Pipe inside
+// this process: the full wire codec and worker loop with no process
+// boundary, and per-direction deadlines like a socket's.
 func LocalEndpoint() Endpoint {
-	jobR, jobW := io.Pipe()
-	resR, resW := io.Pipe()
+	coord, worker := net.Pipe()
 	go func() {
-		err := ServeWorker(jobR, resW)
-		resW.CloseWithError(err)
-		jobR.CloseWithError(err)
+		// However the worker ends, the coordinator sees its end close.
+		_ = ServeWorker(worker, worker)
+		_ = worker.Close()
 	}()
-	return Endpoint{
-		W:    jobW,
-		R:    resR,
-		Kill: func() { jobW.CloseWithError(io.ErrClosedPipe); resR.CloseWithError(io.ErrClosedPipe) },
-	}
+	return Endpoint{W: coord, R: coord, Kill: func() { _ = coord.Close() }}
 }
 
-// NewLocalPool serves n protocol workers on in-memory pipes. It backs the
-// property tests and the -shards path in environments where subprocess
-// spawning is unavailable.
+// NewLocalPool serves n protocol workers on in-memory pipes (LocalEndpoint).
+// It backs the property tests.
 func NewLocalPool(n int) *Pool {
 	eps := make([]Endpoint, n)
 	for i := range eps {
@@ -442,6 +380,60 @@ func NewSpawnPool(n int, spawn func() (Endpoint, error)) (*Pool, error) {
 	return NewPool(eps), nil
 }
 
+// Flags are the scatter options both CLIs expose: -shards, -remote,
+// -worker-timeout, -chaos and -pipeline.
+type Flags struct {
+	Shards   int
+	Remote   string
+	Timeout  time.Duration
+	Chaos    uint64
+	Pipeline int
+}
+
+// OpenCoordinator builds the coordinator the flags ask for: Shards local
+// subprocesses running this executable's `worker` subcommand, or one TCP
+// worker per Remote address. It returns nil when neither is set. With
+// Timeout armed, the pool replaces (respawns or redials) up to two workers
+// per slot before degrading in process. The caller closes the pool.
+func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, error) {
+	var addrs []string
+	for _, a := range strings.Split(f.Remote, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	switch {
+	case f.Shards > 0 && f.Remote != "":
+		return nil, errors.New("-shards and -remote are mutually exclusive: local subprocesses or remote TCP workers, not both")
+	case f.Remote != "" && len(addrs) == 0:
+		return nil, errors.New("-remote lists no worker addresses")
+	case f.Shards <= 0 && f.Remote == "":
+		return nil, nil
+	case f.Chaos != 0 && f.Timeout <= 0:
+		return nil, errors.New("-chaos requires -worker-timeout: a stalled link is only unmasked by a deadline")
+	}
+	spawn, n := TCPSpawner(addrs, 0), len(addrs)
+	if f.Shards > 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("locating worker binary: %w", err)
+		}
+		spawn, n = ProcEndpoint(exe, "worker"), f.Shards
+	}
+	if f.Chaos != 0 {
+		spawn = ChaosSpawner(DefaultChaos(f.Chaos), spawn)
+	}
+	pool, err := NewSpawnPool(n, spawn)
+	if err != nil {
+		return nil, err
+	}
+	pool.Obs = reg
+	if f.Timeout > 0 {
+		pool.Respawn(spawn, 2*n)
+	}
+	return &Coordinator{Pool: pool, Obs: reg, Trace: tr, Timeout: f.Timeout, PipelineDepth: f.Pipeline}, nil
+}
+
 // NewProcPool spawns n worker subprocesses and connects to their
 // stdin/stdout.
 func NewProcPool(n int, bin string, args ...string) (*Pool, error) {
@@ -464,39 +456,20 @@ func (p *Pool) Live() int {
 }
 
 // get checks out an idle worker, blocking while all live workers are busy.
-// It fails with ErrPoolClosed once the pool is closed, and with
-// ErrPoolExhausted once every worker has died and respawn (if armed) is out
-// of budget — never blocking forever on a pool that cannot recover.
-func (p *Pool) get() (*Conn, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed {
-			return nil, ErrPoolClosed
-		}
-		// FIFO checkout spreads jobs across workers instead of re-hammering
-		// the most recently returned one.
-		if len(p.idle) > 0 {
-			c := p.idle[0]
-			p.idle = append(p.idle[:0], p.idle[1:]...)
-			return c, nil
-		}
-		if p.live == 0 {
-			if !p.respawnLocked() {
-				return nil, fmt.Errorf("%w: every worker is dead", ErrPoolExhausted)
-			}
-			continue
-		}
-		p.cond.Wait()
-	}
-}
+func (p *Pool) get() (*Conn, error) { return p.checkout(true) }
 
-// tryGet checks a worker out without waiting for busy workers to free up:
-// an idle worker is returned immediately; otherwise a respawn is attempted
-// (when armed), and failing that the call errors with ErrPoolExhausted.
+// tryGet checks a worker out without waiting for busy workers to free up.
 // Recovery paths that already hold other connections use this — blocking in
 // get would deadlock against themselves.
-func (p *Pool) tryGet() (*Conn, error) {
+func (p *Pool) tryGet() (*Conn, error) { return p.checkout(false) }
+
+// checkout hands out the longest-idle worker (FIFO spreads jobs across
+// workers instead of re-hammering the most recently returned one). With no
+// worker idle it waits, when wait is set and a live worker is busy, or
+// else respawns one (when armed). It fails with ErrPoolClosed once the pool
+// is closed, and with ErrPoolExhausted once respawn is off or out of
+// budget — never blocking forever on a pool that cannot recover.
+func (p *Pool) checkout(wait bool) (*Conn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -508,7 +481,9 @@ func (p *Pool) tryGet() (*Conn, error) {
 			p.idle = append(p.idle[:0], p.idle[1:]...)
 			return c, nil
 		}
-		if !p.respawnLocked() {
+		if wait && p.live > 0 {
+			p.cond.Wait()
+		} else if !p.respawnLocked() {
 			return nil, fmt.Errorf("%w: no idle worker and no respawn budget", ErrPoolExhausted)
 		}
 	}
@@ -573,8 +548,7 @@ func (p *Pool) put(c *Conn) {
 		p.mu.Unlock()
 		return
 	}
-	c.rs.arm(0, 0)
-	c.ws.arm(0, 0)
+	c.arm(0, 0)
 	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 	p.cond.Signal()
@@ -636,37 +610,27 @@ func (p *Pool) Close() error {
 		idle[c] = true
 	}
 	p.idle = nil
-	conns := make([]*Conn, len(p.all))
-	copy(conns, p.all)
-	dead := make(map[*Conn]bool)
-	for _, c := range conns {
-		if c.dead {
-			dead[c] = true
+	var live []*Conn // the dead ones were torn down by discard
+	for _, c := range p.all {
+		if !c.dead {
+			live = append(live, c)
 		}
 	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	for _, c := range conns {
-		switch {
-		case dead[c]:
-			// Already torn down by discard.
-		case idle[c]:
+	for _, c := range live {
+		if idle[c] {
 			// Bounded politeness: a worker that no longer drains its pipe
 			// would block the shutdown frame forever; the deadline kills it
 			// instead (withDeadline's expiry path).
-			c.arm(closeGrace, 0)
+			c.ws.arm(closeGrace)
 			_ = c.sendEmpty(KShutdown)
 			_ = c.ep.W.Close()
-			if c.ep.Wait != nil {
-				_ = c.ep.Wait()
-			}
-		default:
-			if c.ep.Kill != nil {
-				c.ep.Kill()
-			}
-			if c.ep.Wait != nil {
-				_ = c.ep.Wait()
-			}
+		} else if c.ep.Kill != nil {
+			c.ep.Kill()
+		}
+		if c.ep.Wait != nil {
+			_ = c.ep.Wait()
 		}
 	}
 	return nil

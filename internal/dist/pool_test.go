@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // worker is checked out must fail with ErrPoolExhausted — not block forever —
 // when the holders discard their connections instead of returning them.
 func TestPoolExhaustedUnblocksWaiters(t *testing.T) {
-	pool := NewPool([]Endpoint{liveEndpoint(), liveEndpoint()})
+	pool := NewPool([]Endpoint{LocalEndpoint(), LocalEndpoint()})
 	defer pool.Close()
 	c1, err := pool.get()
 	if err != nil {
@@ -54,7 +55,7 @@ func TestPoolExhaustedUnblocksWaiters(t *testing.T) {
 // TestPoolDiscardIdempotent: repeated discards of one connection decrement
 // the live count exactly once, and put after discard never re-idles it.
 func TestPoolDiscardIdempotent(t *testing.T) {
-	pool := NewPool([]Endpoint{liveEndpoint(), liveEndpoint()})
+	pool := NewPool([]Endpoint{LocalEndpoint(), LocalEndpoint()})
 	defer pool.Close()
 	c, err := pool.get()
 	if err != nil {
@@ -81,7 +82,7 @@ func TestPoolDiscardIdempotent(t *testing.T) {
 // budget, tryGet fails immediately with ErrPoolExhausted (the recovery path
 // calls it while holding other connections — blocking would self-deadlock).
 func TestTryGetDoesNotBlock(t *testing.T) {
-	pool := NewPool([]Endpoint{liveEndpoint()})
+	pool := NewPool([]Endpoint{LocalEndpoint()})
 	defer pool.Close()
 	c, err := pool.tryGet()
 	if err != nil {
@@ -155,7 +156,7 @@ func TestPoolConcurrentAccounting(t *testing.T) {
 	const workers = 8
 	eps := make([]Endpoint, workers)
 	for i := range eps {
-		eps[i] = liveEndpoint()
+		eps[i] = LocalEndpoint()
 	}
 	pool := NewPool(eps)
 	defer pool.Close()
@@ -200,5 +201,57 @@ func TestPoolConcurrentAccounting(t *testing.T) {
 	}
 	if want := workers - int(discards.Load()); live != want {
 		t.Errorf("Live() = %d, want %d (%d discards)", live, want, discards.Load())
+	}
+}
+
+// TestOpenCoordinator: the CLIs' scatter flags are checked before any
+// worker starts, neither -shards nor -remote means in process, and a valid
+// set builds a working pool: here chaos-wrapped subprocess workers (the test
+// binary re-execs into RunWorker, see TestMain) with liveness and respawn
+// armed, whose results stay bit-identical.
+func TestOpenCoordinator(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    Flags
+		want string
+	}{
+		{"shards and remote", Flags{Shards: 2, Remote: "127.0.0.1:1"}, "mutually exclusive"},
+		{"empty remote list", Flags{Remote: " , "}, "no worker addresses"},
+		{"chaos without timeout", Flags{Shards: 2, Chaos: 7}, "-chaos requires -worker-timeout"},
+	} {
+		coord, err := OpenCoordinator(tc.f, nil, nil)
+		if coord != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got (%v, %v), want an error mentioning %q", tc.name, coord, err, tc.want)
+		}
+	}
+	if coord, err := OpenCoordinator(Flags{Chaos: 7, Timeout: time.Second}, nil, nil); coord != nil || err != nil {
+		t.Errorf("no -shards or -remote: got (%v, %v), want (nil, nil)", coord, err)
+	}
+
+	t.Setenv("ROBSCHED_DIST_TEST_WORKER", "1")
+	reg := obs.NewRegistry()
+	coord, err := OpenCoordinator(Flags{Shards: 2, Timeout: 5 * time.Second, Chaos: 3}, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Pool.Close()
+	w := testWorkload(t, 17, 15, 3, 3)
+	ss := testSchedules(t, w)
+	opt := sim.Options{Realizations: 64, Workers: 1}
+	want, err := sim.EvaluateAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coord.EvaluateAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range ss {
+		if !metricsBitEqual(got[j], want[j]) {
+			t.Errorf("schedule %d: metrics differ over the flag-built pool", j)
+		}
+	}
+	if n := reg.Counter("dist.sim_ranges").Value(); n == 0 {
+		t.Error("no range was realized by a worker")
 	}
 }

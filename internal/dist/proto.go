@@ -39,8 +39,8 @@ import (
 
 // Frame kinds. The coordinator only ever sends job/control kinds; workers
 // only ever send response kinds. An unknown kind is a protocol error on
-// either side. Kinds 1, 13 and 14 are retired and stay unassigned, so a
-// frame from a peer built before their retirement can never parse as a
+// either side. Kinds 1, 12, 13 and 14 are retired and stay unassigned, so
+// a frame from a peer built before their retirement can never parse as a
 // different message.
 const (
 	// KSimVec carries one schedule's makespan vector for the current range
@@ -72,11 +72,6 @@ const (
 	// KShutdown (empty payload) asks the worker to exit cleanly. No
 	// response; the worker closes its end.
 	KShutdown byte = 11
-	// KHeartbeat (empty payload) is a worker-side liveness pulse emitted
-	// while a long computation holds the response stream open. The
-	// coordinator's receive path consumes and discards it, resetting the
-	// per-frame deadline; it is never a response by itself.
-	KHeartbeat byte = 12
 	// KAck carries an Ack (JSON) echoing a SimRange's sequence number before
 	// the response vectors, so a response stream can never be attributed to
 	// the wrong range (a duplicated or replayed frame shows up as a sequence
@@ -137,8 +132,6 @@ type SimSetup struct {
 	Corr        sim.Correlation   `json:"corr,omitempty"`
 	LoadCOV     float64           `json:"load_cov,omitempty"`
 	ParetoShape float64           `json:"pareto_shape,omitempty"`
-	// HeartbeatMillis asks the worker to pulse while computing each range.
-	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
 }
 
 // SimRange asks for one contiguous window of the setup's evaluation:
@@ -195,9 +188,6 @@ type IslandInit struct {
 	Opt      SolverOptions    `json:"opt"`
 	Islands  []IslandSeed     `json:"islands"`
 	Seq      uint64           `json:"seq,omitempty"`
-	// HeartbeatMillis asks the worker to emit KHeartbeat frames at this
-	// interval during epoch and migration computations; 0 disables.
-	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
 }
 
 // EpochReq advances every hosted island by Gens generations. StartGen is

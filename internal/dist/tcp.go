@@ -17,8 +17,8 @@ import (
 // serveWorker per accepted connection, a dialer that wraps the socket in an
 // Endpoint, and a spawner that redials dead workers (the "reconnect" rung
 // of the pool's respawn ladder). net.Conn implements SetReadDeadline and
-// SetWriteDeadline, so the liveness machinery takes the same native-
-// deadline fast path subprocess pipes do.
+// SetWriteDeadline, so the socket enforces the liveness deadlines itself,
+// as subprocess pipes do.
 
 // tcpDialTimeout bounds a single connection attempt when the caller does
 // not specify one.

@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
-	"time"
 
 	"robsched/internal/ga"
 	"robsched/internal/rng"
@@ -18,18 +16,13 @@ import (
 	"robsched/internal/wio"
 )
 
-// frameWriter serializes frame writes to the response stream. Heartbeat
-// pulses are emitted from a side goroutine while a computation runs, so
-// every write must take the whole frame (header + payload + flush) under
-// one lock — interleaving half-frames would corrupt the stream.
+// frameWriter is a worker connection's response stream. The serve loop is
+// its only writer, and every response leaves in one flush.
 type frameWriter struct {
-	mu sync.Mutex
-	w  *bufio.Writer
+	w *bufio.Writer
 }
 
 func (fw *frameWriter) write(kind byte, payload []byte) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	if err := wio.WriteFrame(fw.w, kind, payload); err != nil {
 		return err
 	}
@@ -37,59 +30,22 @@ func (fw *frameWriter) write(kind byte, payload []byte) error {
 }
 
 func (fw *frameWriter) sendJSON(kind byte, v any) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	if err := sendJSON(fw.w, kind, v); err != nil {
 		return err
 	}
 	return fw.w.Flush()
 }
 
-// batch runs fn against the locked write buffer and flushes once at the
-// end — the write-coalescing path: a whole response sequence (ack, vector
-// frames, done marker) leaves in one flush, one syscall, one packet train,
-// instead of a flush per frame. A mid-batch error can only come from the
+// batch runs fn against the write buffer and flushes once at the end — the
+// write-coalescing path: a whole response sequence (ack, vector frames,
+// done marker) leaves in one flush, one syscall, one packet train, instead
+// of a flush per frame. A mid-batch error can only come from the
 // underlying writer failing, at which point the stream is dead anyway.
 func (fw *frameWriter) batch(fn func(w *bufio.Writer) error) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	if err := fn(fw.w); err != nil {
 		return err
 	}
 	return fw.w.Flush()
-}
-
-// withHeartbeat runs compute while emitting KHeartbeat frames every millis
-// milliseconds, so the coordinator's per-frame deadline sees life from a
-// worker that is busy rather than stuck. millis <= 0 runs compute directly —
-// the fault-free default costs nothing. The pulse goroutine is stopped and
-// reaped before returning, so the response that follows never races a
-// heartbeat for the stream (and a heartbeat can never land after KErr).
-func withHeartbeat(fw *frameWriter, millis int, compute func() error) error {
-	if millis <= 0 {
-		return compute()
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(time.Duration(millis) * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if fw.write(KHeartbeat, nil) != nil {
-					return // pipe gone; the main loop will notice
-				}
-			}
-		}
-	}()
-	err := compute()
-	close(stop)
-	<-done
-	return err
 }
 
 // ServeWorker runs the worker half of the dist protocol over the (r, w)
@@ -203,10 +159,9 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 // simState is the per-connection sim setup bound by KSimSetup: the decoded
 // workload and schedules every subsequent KSimRange realizes against.
 type simState struct {
-	id       uint64
-	ss       []*schedule.Schedule
-	opt      sim.Options
-	hbMillis int
+	id  uint64
+	ss  []*schedule.Schedule
+	opt sim.Options
 }
 
 // setupError marks a range that referenced a setup this worker does not
@@ -244,7 +199,6 @@ func newSimState(payload []byte) (*simState, error) {
 			Antithetic: su.Antithetic, BatchSize: su.BatchSize, Workers: su.Workers,
 			Model: su.Model, Corr: su.Corr, LoadCOV: su.LoadCOV, ParetoShape: su.ParetoShape,
 		},
-		hbMillis: su.HeartbeatMillis,
 	}, nil
 }
 
@@ -260,12 +214,7 @@ func handleSimRange(fw *frameWriter, setup *simState, payload []byte) error {
 	if setup == nil || setup.id != req.Setup {
 		return &setupError{req.Setup}
 	}
-	var mks [][]float64
-	err := withHeartbeat(fw, setup.hbMillis, func() error {
-		var err error
-		mks, err = sim.RealizeSeeded(setup.ss, setup.opt, req.Seeds, req.Base)
-		return err
-	})
+	mks, err := sim.RealizeSeeded(setup.ss, setup.opt, req.Seeds, req.Base)
 	if err != nil {
 		return err
 	}
@@ -293,10 +242,7 @@ func handleEpoch(fw *frameWriter, host *islandHost, payload []byte) error {
 	if host.replayCached(fw, req.Seq) {
 		return nil
 	}
-	err := withHeartbeat(fw, host.hbMillis, func() error { host.runEpoch(req); return nil })
-	if err != nil {
-		return err
-	}
+	host.runEpoch(req)
 	return host.reply(fw, host.statesSeq(req.Seq))
 }
 
@@ -324,10 +270,9 @@ func handleMigrate(fw *frameWriter, host *islandHost, payload []byte) error {
 // graceful-degradation path reuses it verbatim via hostIslands when the
 // pool is exhausted.
 type islandHost struct {
-	eng      *robust.Engine
-	islands  []*ga.Island[*robust.Chromosome] // ascending island index
-	hbMillis int
-	initSeq  uint64
+	eng     *robust.Engine
+	islands []*ga.Island[*robust.Chromosome] // ascending island index
+	initSeq uint64
 
 	// At-most-once replay cache: the encoded body of the last response,
 	// keyed by the request sequence that produced it.
@@ -389,7 +334,6 @@ func newIslandHost(payload []byte) (*islandHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.hbMillis = init.HeartbeatMillis
 	h.initSeq = init.Seq
 	return h, nil
 }

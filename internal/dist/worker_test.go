@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	d.sendRaw(99, nil)
 	d.expectErr("unknown frame kind")
 
-	for _, retired := range []byte{1, 13, 14} {
+	for _, retired := range []byte{1, 12, 13, 14} {
 		d.sendRaw(retired, nil)
 		d.expectErr("unknown frame kind")
 	}
@@ -249,15 +250,15 @@ func TestWorkerIslandConversation(t *testing.T) {
 // does not kill the worker: nothing is counted dead or realized inline, and
 // the same worker serves the next evaluation.
 func TestWorkerErrorSurfacesToCaller(t *testing.T) {
-	pool := NewPool([]Endpoint{scriptedEndpoint(func(r io.Reader, w *io.PipeWriter) {
-		if _, _, err := readSetupAndRange(r); err != nil {
-			w.CloseWithError(err)
+	pool := NewPool([]Endpoint{scriptedEndpoint(func(c net.Conn) {
+		defer c.Close()
+		if _, _, err := readSetupAndRange(c); err != nil {
 			return
 		}
-		if err := sendJSON(w, KErr, ErrMsg{Error: "injected job failure"}); err != nil {
+		if err := sendJSON(c, KErr, ErrMsg{Error: "injected job failure"}); err != nil {
 			return
 		}
-		w.CloseWithError(ServeWorker(r, w))
+		_ = ServeWorker(c, c)
 	})})
 	defer pool.Close()
 	reg := obs.NewRegistry()

@@ -9,7 +9,6 @@ import (
 	"robsched/internal/rng"
 	"robsched/internal/robust"
 	"robsched/internal/schedule"
-	"robsched/internal/sim"
 	"robsched/internal/stats"
 	"robsched/internal/stoch"
 )
@@ -113,12 +112,12 @@ func (c Config) AblationSlackMetric() ([]Series, error) {
 				if err != nil {
 					return err
 				}
-				m, err := sim.Evaluate(res.Schedule, c.simOptions(), rng.New(c.graphSeed(u, g)^0xab3))
+				ms, err := c.evaluateAll([]*schedule.Schedule{res.Schedule}, c.simOptions(), rng.New(c.graphSeed(u, g)^0xab3))
 				if err != nil {
 					return err
 				}
-				gr1[g] = stats.LogRatio(m.R1, 1) // capped ln R1
-				gr2[g] = stats.LogRatio(m.R2, 1)
+				gr1[g] = stats.LogRatio(ms[0].R1, 1) // capped ln R1
+				gr2[g] = stats.LogRatio(ms[0].R2, 1)
 				return nil
 			})
 			if err != nil {

@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"robsched/internal/gen"
+	"robsched/internal/rng"
 	"robsched/internal/robust"
+	"robsched/internal/schedule"
+	"robsched/internal/sim"
 )
 
 // tinyConfig is small enough for unit tests yet large enough that the
@@ -358,5 +363,74 @@ func TestGAOptionsFillsDefaults(t *testing.T) {
 	opt := c.gaOptions()
 	if opt.PopSize != 20 || opt.MaxGenerations != 1000 || opt.CrossoverRate != 0.9 || opt.MutationRate != 0.1 {
 		t.Fatalf("gaOptions defaults wrong: %+v", opt)
+	}
+}
+
+// TestSimHookCoversEveryRunner: every runner that samples realizations goes
+// through Config.Sim, the hook -shards and -remote plug into, and produces
+// the same series with the hook as without it. Policies, faults and the
+// correlation gap also sample outside sim (repair, dynamic dispatch and
+// faulty execution); their static evaluations must still use the hook.
+func TestSimHookCoversEveryRunner(t *testing.T) {
+	base := tinyConfig()
+	base.Gen.N = 12
+	base.Gen.M = 2
+	base.Graphs = 2
+	base.Realizations = 20
+	base.ULs = []float64{2}
+	base.Eps = []float64{1.0, 1.4}
+	base.RGrid = []float64{0, 1}
+	base.GA.PopSize = 6
+	base.GA.MaxGenerations = 6
+	base.TraceEvery = 3
+	fc := DefaultFaultConfig()
+	fc.Policy.DropFactor = 4
+	runners := []struct {
+		name string
+		run  func(c Config) (any, error)
+	}{
+		{"sweep", func(c Config) (any, error) {
+			sw, err := c.RunSweep()
+			if err != nil {
+				return nil, err
+			}
+			return sw.Fig4()
+		}},
+		{"trace", func(c Config) (any, error) {
+			tr, err := c.EvolutionTrace(robust.MinMakespan)
+			if err != nil {
+				return nil, err
+			}
+			return tr.Series(), nil
+		}},
+		{"sensitivity", func(c Config) (any, error) { return c.Sensitivity(SweepCCR, []float64{0.5}, 1.4) }},
+		{"risk", func(c Config) (any, error) { return c.AblationRiskFactor([]float64{1}) }},
+		{"slackmetric", func(c Config) (any, error) { return c.AblationSlackMetric() }},
+		{"policies", func(c Config) (any, error) { return c.PolicyComparison(1.4, 0.05) }},
+		{"faults", func(c Config) (any, error) { return c.FaultResilience(fc) }},
+		{"corrgap", func(c Config) (any, error) { return c.CorrelationGap(CorrGapConfig{LoadCOVs: []float64{0.3}}) }},
+	}
+	for _, r := range runners {
+		want, err := r.run(base)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		var calls atomic.Int64
+		hooked := base
+		hooked.Sim = func(ss []*schedule.Schedule, opt sim.Options, root *rng.Source) ([]sim.Metrics, error) {
+			calls.Add(1)
+			return sim.EvaluateAll(ss, opt, root)
+		}
+		got, err := r.run(hooked)
+		if err != nil {
+			t.Fatalf("%s with the hook: %v", r.name, err)
+		}
+		if calls.Load() == 0 {
+			t.Errorf("%s sampled without calling Config.Sim", r.name)
+		}
+		// %v prints every float64 in its shortest exact form.
+		if g, w := fmt.Sprintf("%v", got), fmt.Sprintf("%v", want); g != w {
+			t.Errorf("%s: output differs with the hook:\n got %s\nwant %s", r.name, g, w)
+		}
 	}
 }

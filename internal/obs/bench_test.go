@@ -25,7 +25,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 
 // BenchmarkDisabledCounter measures the per-call cost of a counter update
 // when observability is off (nil instruments): the price every instrumented
-// hot path pays by default. Tracked in BENCH_obs.json.
+// hot path pays by default.
 func BenchmarkDisabledCounter(b *testing.B) {
 	var reg *Registry
 	c := reg.Counter("c")

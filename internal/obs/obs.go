@@ -7,8 +7,8 @@
 // *Counter, *Gauge, *Histogram or *Tracer is a no-op, and a nil Registry
 // hands out nil instruments. Instrumented hot paths therefore cost a single
 // predictable nil check — and zero allocations — when observability is
-// disabled, which is the default everywhere. The allocation benchmark in
-// bench_test.go and the obs-off lanes of BENCH_obs.json pin this down.
+// disabled, which is the default everywhere. The allocation test in
+// bench_test.go pins this down.
 //
 // The Registry deliberately holds only deterministic facts about a run —
 // how many generations evolved, how many cache lookups hit, how many

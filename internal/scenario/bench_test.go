@@ -11,13 +11,12 @@ import (
 	"robsched/internal/sim"
 )
 
-// BenchmarkScenarioEvaluateAll is the corpus-driven perf lane behind
-// BENCH_scenarios.json: the paper-scale Monte-Carlo evaluation (1000
-// realizations, ~100 tasks, 8 processors, 7 schedules under common random
-// numbers) for every scenario family × duration model, so kernel work is
-// measured across graph shapes and sampling paths instead of one layered
-// random graph. The "random-uniform" entry is the same path BENCH_sim.json's
-// BenchmarkEvaluateAll tracks; the others price the workflow shapes and the
+// BenchmarkScenarioEvaluateAll times the paper-scale Monte-Carlo evaluation
+// (1000 realizations, ~100 tasks, 8 processors, 7 schedules under common
+// random numbers) for every scenario family × duration model, so kernel
+// work is measured across graph shapes and sampling paths instead of one
+// layered random graph. The "random-uniform" entry is the same path internal/sim's
+// BenchmarkEvaluateAll times; the others price the workflow shapes and the
 // general sampling path (heavy tails, correlated load).
 func BenchmarkScenarioEvaluateAll(b *testing.B) {
 	for _, name := range Names() {

@@ -92,8 +92,7 @@ func benchWorkloadAndSchedule(b *testing.B) (*platform.Workload, *Schedule) {
 
 // BenchmarkRealizeBatch measures the batched forward kernel: 8 lanes of an
 // n=100, m=8 schedule per sweep, reported per single realization so it is
-// directly comparable to BenchmarkRealizeScalar. Tracked in BENCH_sim.json
-// via bench.sh.
+// directly comparable to BenchmarkRealizeScalar.
 func BenchmarkRealizeBatch(b *testing.B) {
 	w, s := benchWorkloadAndSchedule(b)
 	const lanes = 8

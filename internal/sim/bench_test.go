@@ -34,7 +34,7 @@ func benchSchedules(tb testing.TB, w *platform.Workload, count int) []*schedule.
 
 // BenchmarkEvaluateAll is the paper-scale Monte-Carlo hot path: 1000
 // realizations of an n=100, m=8 workload applied to 7 schedules under
-// common random numbers. Tracked in BENCH_sim.json via bench.sh.
+// common random numbers.
 func BenchmarkEvaluateAll(b *testing.B) {
 	w := testWorkload(b, 1, 100, 8, 4)
 	ss := benchSchedules(b, w, 7)
@@ -49,8 +49,7 @@ func BenchmarkEvaluateAll(b *testing.B) {
 
 // BenchmarkEvaluateAllObs is BenchmarkEvaluateAll with and without the
 // registry/tracer attached: the Monte-Carlo engine instruments per batch,
-// not per realization, so "on" must track "off" within noise. Tracked in
-// BENCH_obs.json via bench.sh.
+// not per realization, so "on" must track "off" within noise.
 func BenchmarkEvaluateAllObs(b *testing.B) {
 	w := testWorkload(b, 1, 100, 8, 4)
 	ss := benchSchedules(b, w, 7)
