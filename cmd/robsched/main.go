@@ -111,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers      = fs.Int("workers", 0, "worker goroutines for Monte-Carlo batches (0 = all cores)")
 		shards       = fs.Int("shards", 0, "scatter work over this many `robsched worker` subprocesses (0 = in-process); shards Monte-Carlo realizations, and the GA islands when -islands > 1")
 		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (host:port,... — each started with `robsched worker -listen`): scatter over the network instead of local subprocesses; with -worker-timeout a dead connection is redialed into the rotation")
-		pipeline     = fs.Int("pipeline", 0, "realization ranges in flight per worker connection (credit window); 0 derives the depth from the transport round-trip time, 1 restores strict request/response")
 		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead and its work reassigned; also arms worker respawn (0 disables)")
 		chaosSeed    = fs.Uint64("chaos", 0, "with -shards or -remote: inject seeded transport faults (stalls, drops, corruption, duplicate frames) between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
 		islands      = fs.Int("islands", 1, "GA island populations with ring migration (1 = the paper's single population)")
@@ -174,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Results are bit-identical to the in-process path for every shard and
 	// worker count.
 	coord, err := dist.OpenCoordinator(dist.Flags{
-		Shards: *shards, Remote: *remote, Timeout: *workerTO, Chaos: *chaosSeed, Pipeline: *pipeline,
+		Shards: *shards, Remote: *remote, Timeout: *workerTO, Chaos: *chaosSeed,
 	}, reg, tracer)
 	if err != nil {
 		return err

@@ -37,12 +37,6 @@ type ChaosPlan struct {
 	// Link samples the per-connection fault timeline. nil means no
 	// timeline faults (only the per-frame Corrupt/Truncate/Duplicate).
 	Link fault.Sampler
-	// Horizon is the scenario horizon in simulated link-seconds; 0 means 60.
-	Horizon float64
-	// Rate converts frame bytes to link-seconds of transfer work;
-	// 0 means 1 MiB/s. One link-second of delay costs one wall-clock
-	// millisecond, keeping chaos tests fast while preserving ordering.
-	Rate float64
 	// Corrupt, Truncate and Duplicate are independent per-frame
 	// probabilities: flip one random bit of the encoded frame; cut the
 	// frame short and drop the connection (a torn write never leaves the
@@ -52,8 +46,8 @@ type ChaosPlan struct {
 	Duplicate float64
 	// Delay defers every frame's delivery by a fixed wall-clock lag per
 	// direction (half an injected round trip), and DelayJitter adds a
-	// per-frame uniform draw on [0, DelayJitter). Unlike Rate — which
-	// models transfer time in scaled link-seconds — these are real time:
+	// per-frame uniform draw on [0, DelayJitter). Unlike the link timeline,
+	// which runs on scaled link-seconds, these are real time:
 	// the knob for emulating cross-machine latency on a local transport,
 	// e.g. to measure what pipelining buys at a given RTT. Delivery is
 	// overlapped, not serialized: frames queue behind the link with their
@@ -63,7 +57,15 @@ type ChaosPlan struct {
 	DelayJitter time.Duration
 }
 
-const chaosTick = time.Millisecond // wall-clock cost of one link-second
+// The link timeline runs on a simulated clock: a scenario spans
+// chaosHorizon link-seconds, a frame's transfer takes its bytes over
+// chaosRate, and one link-second of delay costs chaosTick of wall-clock
+// time, keeping chaos tests fast while preserving ordering.
+const (
+	chaosTick    = time.Millisecond
+	chaosHorizon = 60      // link-seconds
+	chaosRate    = 1 << 20 // bytes per link-second: 1 MiB/s
+)
 
 // DefaultChaos is the moderately hostile plan behind the CLIs' -chaos flag:
 // every injection kind at rates that bite a real run several times without
@@ -125,16 +127,10 @@ type delayed struct {
 // randomness; wrapping the same endpoint with the same (Seed, worker)
 // replays the same injections.
 func (pl ChaosPlan) Wrap(ep Endpoint, worker int) Endpoint {
-	if pl.Horizon <= 0 {
-		pl.Horizon = 60
-	}
-	if pl.Rate <= 0 {
-		pl.Rate = 1 << 20
-	}
 	base := rng.New(pl.Seed ^ (0x9e3779b97f4a7c15 * uint64(worker+1)))
 	sc := fault.None()
 	if pl.Link != nil {
-		if s, err := pl.Link.Scenario(2, pl.Horizon, base); err == nil {
+		if s, err := pl.Link.Scenario(2, chaosHorizon, base); err == nil {
 			sc = s
 		}
 	}
@@ -323,7 +319,7 @@ func (l *chaosLink) deliver(raw []byte) bool {
 		l.sleep(start - l.t)
 		l.t = start
 	}
-	work := float64(len(raw)) / l.pl.Rate
+	work := float64(len(raw)) / chaosRate
 	finish, killed, killTime := l.sc.Run(l.p, l.t, work)
 	if killed {
 		// The frame was crossing the link when the outage (or failure)

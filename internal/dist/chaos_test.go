@@ -32,12 +32,12 @@ func chaosPlans() map[string]ChaosPlan {
 		"corrupt": {Seed: 101, Corrupt: 0.2},
 		// Torn writes: part of a frame, then the connection dies.
 		"truncate": {Seed: 102, Truncate: 0.15},
-		// At-least-once delivery: frames arrive twice; sequence numbers and
-		// the workers' replay cache must keep effects at-most-once.
+		// At-least-once delivery: frames arrive twice. A repeated answer
+		// breaks the next answer's sequence check, a transport failure.
 		"duplicate": {Seed: 103, Duplicate: 0.5},
 		// Outages swallow in-flight frames: a stall, only a deadline
 		// unmasks it. Timescales are link-seconds; the clock advances by
-		// frame bytes / Rate, so they are tuned to the test's traffic.
+		// frame bytes / chaosRate, so they are tuned to the test's traffic.
 		"stall": {Seed: 104, Link: fault.Model{OutageEvery: 0.05, OutageMean: 0.1}},
 		// Permanent link failure: the connection drops mid-conversation.
 		"kill": {Seed: 105, Link: fault.Model{MTBF: 0.08}},
@@ -109,9 +109,9 @@ func TestChaosSimRanges(t *testing.T) {
 	}
 }
 
-// TestChaosIslandSolve drives the island solve — init, epochs, migrations,
-// replay recovery — through the injection matrix, with respawn armed so
-// recovery itself runs under fire (respawned workers are wrapped too).
+// TestChaosIslandSolve drives the island solve — init, epochs, migrations
+// and the in-process finish of a failed solve — through the injection
+// matrix, with respawn armed (respawned workers are wrapped too).
 func TestChaosIslandSolve(t *testing.T) {
 	w := testWorkload(t, 13, 20, 3, 3)
 	opt := defaultIslandOpts()

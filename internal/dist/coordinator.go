@@ -25,7 +25,8 @@ import (
 // Timeout, when positive, arms liveness: every frame sent to a worker must
 // be taken within Timeout, and the worker's whole answer must arrive within
 // the exchange's job budget (see jobBudget), or the worker is declared
-// dead, killed, and its work reassigned. The transport ends enforce both
+// dead and killed: its realization ranges are reassigned, and an island
+// solve finishes in process (see Solve). The transport ends enforce both
 // deadlines themselves. Timeout 0 (the default) disables them: the
 // fault-free fast path pays nothing for the machinery.
 type Coordinator struct {
@@ -96,26 +97,6 @@ func transient(err error) bool {
 
 // shardRange is one contiguous realization window.
 type shardRange struct{ base, width int }
-
-// partition cuts r realizations into at most n contiguous near-equal
-// windows in index order: the first r%n windows carry one extra
-// realization. With r < n the trailing empty windows are dropped.
-func partition(r, n int) []shardRange {
-	if n > r {
-		n = r
-	}
-	out := make([]shardRange, 0, n)
-	base := 0
-	for i := 0; i < n; i++ {
-		width := r / n
-		if i < r%n {
-			width++
-		}
-		out = append(out, shardRange{base, width})
-		base += width
-	}
-	return out
-}
 
 // partitionWidth cuts total realizations into contiguous windows of the
 // given width (the last one short) in index order.
@@ -364,12 +345,6 @@ func (d *simDispatch) fatal(err error) {
 	d.mu.Unlock()
 }
 
-func (d *simDispatch) hasWork() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fatalErr == nil && (len(d.requeued) > 0 || d.next < len(d.ranges))
-}
-
 // run is one dispatch runner: check a worker out, pipeline ranges over it
 // until the work dries up or the connection dies, repeat. It arrives with
 // its first range pre-taken (first) and re-takes between connections, so a
@@ -556,74 +531,50 @@ func (c *Coordinator) EvaluateAll(ss []*schedule.Schedule, opt sim.Options, root
 	return out, nil
 }
 
-// islandOp is one barrier operation of an island solve, recorded in the op
-// log so a recovered host can replay its way from the island seeds back to
-// the current round. Exactly one field is set. Migrants hold the full ring's
-// routing for that barrier — the genotypes as they were at the barrier, not
-// references into mutable state — so a replay is a pure function of
-// (seeds, oplog).
-type islandOp struct {
-	epoch    *EpochReq
-	migrants []Migrant
-}
-
-// solveHost is one island-hosting slot of a solve: a remote worker
-// connection, or — after graceful degradation — an in-process islandHost
-// built on the coordinator's own engine.
+// solveHost is one island-hosting worker of a solve: its connection (nil
+// once the worker has failed or been released) and the islands it owns, in
+// ascending order.
 type solveHost struct {
 	conn    *Conn
-	local   *islandHost
 	islands []int
 }
 
-func (h *solveHost) owns(island int) bool {
-	for _, i := range h.islands {
-		if i == island {
-			return true
-		}
-	}
-	return false
-}
-
-// solveRun is the mutable state of one island-sharded Solve: the per-island
-// seeds (the recovery baseline), the op log of every barrier so far, and
-// the current best states folded from host responses.
+// solveRun is the state of one island-sharded Solve: its hosts and the
+// islands' current bests, folded from the hosts' answers.
 type solveRun struct {
 	c     *Coordinator
-	eng   *robust.Engine
-	wlDoc wio.WorkloadJSON
 	sopt  SolverOptions
-	k     int
-	seeds []uint64
-	oplog []islandOp
 	bests []IslandState
 	hosts []*solveHost
 }
 
+// errUnhosted reports that the pool had no idle worker for a host.
+var errUnhosted = errors.New("dist: no idle worker to host islands")
+
 // Solve is the island-sharded form of robust.Solve: the GA islands are
 // hosted by worker processes (round-robin when there are more islands than
-// workers) and the coordinator drives the epoch barriers, routes the ring
-// migrants in island order, applies the global stagnation rule and picks
-// the final best — the exact control flow of the in-process ga.RunIslands,
-// so the trajectory and the returned schedule are bit-identical for any
-// worker count.
+// live workers) and the coordinator drives the epoch barriers, routes the
+// ring migrants in island order, applies the global stagnation rule and
+// picks the final best — the exact control flow of the in-process
+// ga.RunIslands, so the trajectory and the returned schedule are
+// bit-identical for any worker count.
 //
-// A worker that dies mid-run is not fatal: its islands are re-initialised
-// from their seeds on a fresh worker (respawned by the pool when armed) or a
-// surviving one, every barrier op so far is replayed from the op log, and
-// the trajectory continues bit-identically — an island's state is a pure
-// function of its seed and the migrants it received. With the pool
-// exhausted the islands fold into the coordinator process itself (graceful
-// degradation) and the solve still completes, still bit-identically. A
-// recovery replays the whole run so far, so it costs at most one more
-// solve's worth of GA work for the dead host's islands; the fault-free path
-// pays nothing for it.
+// Recovery has one rule. When the pool cannot host every island, or any
+// host's exchange fails in transport, the failed hosts are discarded, the
+// healthy ones go back to the pool, dist.degraded_solves counts the solve,
+// and robust.Solve runs it in process from root as the caller passed it.
+// robust.Solve is the reference the sharded trajectory reproduces, so the
+// result is the same, and root ends where the fault-free path leaves it. A
+// fault costs one in-process solve from generation 0; the fault-free path
+// pays nothing for it. A job-level error that a healthy worker reports
+// (KErr) is returned as a remote *WorkerError and never falls back.
+//
+// Concurrent Solve calls may share one pool. Hosting never waits for a busy
+// worker, so a call that finds too few idle workers solves in process.
 //
 // Telemetry (Options.Obs/Trace/Observer) and OnGeneration stay in the
 // coordinator process and are not forwarded to workers; Solve rejects the
-// hooks that would require cross-process streaming. Concurrent Solve calls
-// sharing one pool are not supported (each checks out several workers for
-// its whole run and could deadlock another).
+// hooks that would require cross-process streaming.
 func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.Source) (*robust.Result, error) {
 	eng, err := robust.NewEngine(w, opt)
 	if err != nil {
@@ -642,18 +593,16 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 			obs.F("workers", float64(c.Pool.Size())),
 		)()
 	}
-	k := opt.Islands
+	entry := *root
 	// Island seeds, derived in island order: rng.New(seeds[i]) in a worker
 	// is exactly the root.Split() fan-out of the in-process run, and root
 	// advances identically.
-	seeds := make([]uint64, k)
+	seeds := make([]uint64, opt.Islands)
 	for i := range seeds {
 		seeds[i] = root.SplitSeed()
 	}
 	s := &solveRun{
-		c:     c,
-		eng:   eng,
-		wlDoc: wio.NewWorkloadJSON(w),
+		c: c,
 		sopt: SolverOptions{
 			Mode:           int(opt.Mode),
 			Eps:            opt.Eps,
@@ -666,66 +615,68 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 			NoHEFTSeed:     opt.NoHEFTSeed,
 			NoMetricsCache: opt.NoMetricsCache,
 		},
-		k:     k,
-		seeds: seeds,
-		bests: make([]IslandState, k),
+		bests: make([]IslandState, opt.Islands),
 	}
+	res, err := s.run(eng, wio.NewWorkloadJSON(w), seeds)
+	s.release()
+	if errors.Is(err, errUnhosted) || transient(err) {
+		c.Obs.Counter("dist.degraded_solves").Inc()
+		return robust.Solve(w, opt, &entry)
+	}
+	return res, err
+}
 
-	nw := c.Pool.Size()
-	if nw > k {
-		nw = k
+// run hosts the islands, seeds them on their workers and drives them
+// through every barrier of the solve.
+func (s *solveRun) run(eng *robust.Engine, wl wio.WorkloadJSON, seeds []uint64) (*robust.Result, error) {
+	k := len(seeds)
+	if err := s.host(k); err != nil {
+		return nil, err
 	}
-	if nw < 1 {
-		nw = 1 // empty pool: one host, folded in-process immediately
-	}
-	// Round-robin hosting: host j owns islands {i : i mod nw == j}.
-	for j := 0; j < nw; j++ {
-		s.hosts = append(s.hosts, &solveHost{})
-	}
-	for i := 0; i < k; i++ {
-		h := s.hosts[i%nw]
-		h.islands = append(h.islands, i)
-	}
-	defer s.release()
-	for _, h := range s.hosts {
-		if err := s.attach(h); err != nil {
-			return nil, err
+	err := s.barrier(KIslandInit, "island_inits", 1, func(h *solveHost, seq uint64) any {
+		init := IslandInit{Workload: wl, Opt: s.sopt, Seq: seq}
+		for _, i := range h.islands {
+			init.Islands = append(init.Islands, IslandSeed{Island: i, Seed: seeds[i]})
 		}
+		return init
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	every := opt.MigrationEvery
+	every := eng.Opt.MigrationEvery
 	if every <= 0 {
 		every = ga.DefaultMigrationEvery
 	}
-	totalGens := opt.MaxGenerations
+	totalGens := eng.Opt.MaxGenerations
 	gen := 0
 	stagnated := false
 	for gen < totalGens {
-		epoch := every
-		if gen+epoch > totalGens {
-			epoch = totalGens - gen
-		}
-		if err := s.runOp(islandOp{epoch: &EpochReq{StartGen: gen, Gens: epoch}}); err != nil {
+		epoch := min(every, totalGens-gen)
+		err := s.barrier(KEpoch, "epochs", epoch, func(_ *solveHost, seq uint64) any {
+			return EpochReq{StartGen: gen, Gens: epoch, Seq: seq}
+		})
+		if err != nil {
 			return nil, err
 		}
 		gen += epoch
 		if gen < totalGens {
-			// Ring migration, snapshot first: island i receives the
-			// pre-migration best of island i-1, exactly like the in-process
-			// barrier.
-			migrants := make([]Migrant, 0, k)
-			for i := 0; i < k; i++ {
-				from := (i - 1 + k) % k
-				migrants = append(migrants, Migrant{Island: i, Genotype: s.bests[from].Best})
-			}
-			if err := s.runOp(islandOp{migrants: migrants}); err != nil {
+			// Ring migration: island i receives the pre-migration best of
+			// island i-1, exactly like the in-process barrier.
+			err := s.barrier(KMigrate, "migrations", 1, func(h *solveHost, seq uint64) any {
+				req := MigrateReq{Seq: seq}
+				for _, i := range h.islands {
+					req.Migrants = append(req.Migrants, Migrant{Island: i, Genotype: s.bests[(i-1+k)%k].Best})
+				}
+				return req
+			})
+			if err != nil {
 				return nil, err
 			}
 		}
-		if opt.Stagnation > 0 {
+		if eng.Opt.Stagnation > 0 {
 			all := true
 			for i := range s.bests {
-				if s.bests[i].SinceImprove < opt.Stagnation {
+				if s.bests[i].SinceImprove < eng.Opt.Stagnation {
 					all = false
 					break
 				}
@@ -754,113 +705,82 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 	})
 }
 
-// initFor builds the (re)init message for a host: every owned island with
-// its seed.
-func (s *solveRun) initFor(h *solveHost) IslandInit {
-	init := IslandInit{
-		Workload: s.wlDoc,
-		Opt:      s.sopt,
-		Seq:      s.c.seq.Add(1),
+// host checks out one worker per host, at most one per island, and deals
+// the islands round-robin: host j owns islands {i : i mod hosts == j}.
+// Hosts are sized by the live workers, so a pool with a dead slot still
+// hosts on the rest. Checkouts never wait for a busy worker; errUnhosted
+// reports that a host found none idle.
+func (s *solveRun) host(k int) error {
+	nw := min(s.c.Pool.Live(), k)
+	if nw < 1 {
+		return errUnhosted
 	}
-	for _, i := range h.islands {
-		init.Islands = append(init.Islands, IslandSeed{Island: i, Seed: s.seeds[i]})
-	}
-	return init
-}
-
-// attach brings a host online for the first time: a pool worker when one is
-// available, the in-process fallback otherwise. Transport failures recover
-// via recoverHost (which re-inits), so attach only fails on genuine errors.
-func (s *solveRun) attach(h *solveHost) error {
-	for {
+	for j := 0; j < nw; j++ {
 		conn, err := s.c.Pool.tryGet()
 		if err != nil {
-			return s.foldLocal(h)
+			return errUnhosted
 		}
-		if err := s.initRemote(conn, h); err != nil {
-			if !transient(err) {
-				return err
-			}
-			s.c.noteDeath(conn.id, err)
-			s.c.Pool.discard(conn)
+		s.hosts = append(s.hosts, &solveHost{conn: conn})
+	}
+	for i := 0; i < k; i++ {
+		h := s.hosts[i%nw]
+		h.islands = append(h.islands, i)
+	}
+	return nil
+}
+
+// barrier runs one exchange on every host. It first sends each host the
+// request msg builds for it, stamped with a fresh Seq, so msg reads the
+// bests as they stood before the barrier. It then reads every answer in
+// host order; the workers compute concurrently. gens sizes each read's job
+// budget, in generations of the host's islands; the budget is armed when
+// that read starts, so a host is not charged for the time spent reading
+// the hosts before it.
+//
+// The answer to every request sent is read even after another host has
+// failed: a healthy worker must not go back to the pool with an answer
+// unread. A host that fails in transport is discarded at once. The error
+// returned is the first remote one (a job the workers reject), else the
+// first transport failure.
+func (s *solveRun) barrier(kind byte, name string, gens int, msg func(h *solveHost, seq uint64) any) error {
+	seqs := make([]uint64, len(s.hosts))
+	errs := make([]error, len(s.hosts))
+	for j, h := range s.hosts {
+		seqs[j] = s.c.seq.Add(1)
+		h.conn.ws.arm(s.c.Timeout)
+		errs[j] = h.conn.send(kind, msg(h, seqs[j]))
+	}
+	var failed error
+	for j, h := range s.hosts {
+		err := errs[j]
+		if err == nil {
+			h.conn.rs.arm(s.c.jobBudget(float64(gens * s.sopt.PopSize * len(h.islands))))
+			err = s.foldStates(h, seqs[j])
+		}
+		if err == nil {
+			s.c.counter(name, h.conn.id)
 			continue
 		}
-		h.conn = conn
-		s.c.counter("island_inits", conn.id)
-		return nil
+		if transient(err) {
+			s.c.noteDeath(h.conn.id, err)
+			s.c.Pool.discard(h.conn)
+			h.conn = nil
+		}
+		if failed == nil || transient(failed) && !transient(err) {
+			failed = err
+		}
 	}
+	return failed
 }
 
-// initRemote runs the init exchange and replays the oplog on a candidate
-// connection, folding the resulting states. On success the host's islands
-// are fully caught up to the current round.
-func (s *solveRun) initRemote(conn *Conn, h *solveHost) error {
-	init := s.initFor(h)
-	conn.arm(s.c.Timeout, s.c.jobBudget(float64(s.sopt.PopSize*len(h.islands))))
-	if err := conn.send(KIslandInit, init); err != nil {
-		return err
-	}
-	if err := s.foldStates(h, conn, init.Seq); err != nil {
-		return err
-	}
-	for _, op := range s.oplog {
-		if err := s.remoteOp(conn, h, op); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// remoteOp runs one barrier op on a remote host and folds its states.
-func (s *solveRun) remoteOp(conn *Conn, h *solveHost, op islandOp) error {
-	seq := s.c.seq.Add(1)
-	if op.epoch != nil {
-		req := *op.epoch
-		req.Seq = seq
-		conn.arm(s.c.Timeout, s.c.jobBudget(float64(req.Gens*s.sopt.PopSize*len(h.islands))))
-		if err := conn.send(KEpoch, req); err != nil {
-			return err
-		}
-	} else {
-		req := MigrateReq{Seq: seq}
-		for _, m := range op.migrants {
-			if h.owns(m.Island) {
-				req.Migrants = append(req.Migrants, m)
-			}
-		}
-		conn.arm(s.c.Timeout, s.c.jobBudget(float64(s.sopt.PopSize*len(h.islands))))
-		if err := conn.send(KMigrate, req); err != nil {
-			return err
-		}
-	}
-	return s.foldStates(h, conn, seq)
-}
-
-// localOp runs one barrier op on an in-process host and folds its states.
-func (s *solveRun) localOp(h *solveHost, op islandOp) error {
-	if op.epoch != nil {
-		h.local.runEpoch(*op.epoch)
-	} else {
-		req := MigrateReq{}
-		for _, m := range op.migrants {
-			if h.owns(m.Island) {
-				req.Migrants = append(req.Migrants, m)
-			}
-		}
-		if err := h.local.runMigrate(req); err != nil {
-			return err
-		}
-	}
-	s.foldLocalStates(h)
-	return nil
-}
-
-// foldStates receives one KIslandState response, verifies its sequence and
-// that it lists every island the host owns exactly once, in ascending order,
-// and folds the states into bests. Any other answer is a worker-fatal
-// *WorkerError: folding an incomplete one would leave an island's stale best
-// feeding migration, the stagnation rule and the final pick.
-func (s *solveRun) foldStates(h *solveHost, conn *Conn, seq uint64) error {
+// foldStates receives host h's KIslandState answer, verifies that it echoes
+// seq and lists every island the host owns exactly once, in ascending
+// order, and folds the states into bests. Any other answer is a
+// worker-fatal *WorkerError: folding an incomplete one would leave an
+// island's stale best feeding migration, the stagnation rule and the final
+// pick.
+func (s *solveRun) foldStates(h *solveHost, seq uint64) error {
+	conn := h.conn
 	kind, payload, err := conn.recv()
 	if err != nil {
 		return err
@@ -887,105 +807,14 @@ func (s *solveRun) foldStates(h *solveHost, conn *Conn, seq uint64) error {
 	return nil
 }
 
-func (s *solveRun) foldLocalStates(h *solveHost) {
-	for _, st := range h.local.states().States {
-		s.bests[st.Island] = st
-	}
-}
-
-// runOp appends one barrier op to the oplog and executes it on every host
-// in parallel. A host whose exchange fails in transport is recovered —
-// re-seeded and replayed through the oplog, which includes this op — before
-// the round completes, so callers observe only success or a genuine error.
-func (s *solveRun) runOp(op islandOp) error {
-	s.oplog = append(s.oplog, op)
-	name := "epochs"
-	if op.epoch == nil {
-		name = "migrations"
-	}
-	errs := make([]error, len(s.hosts))
-	var wg sync.WaitGroup
-	for j, h := range s.hosts {
-		wg.Add(1)
-		go func(j int, h *solveHost) {
-			defer wg.Done()
-			if h.local != nil {
-				errs[j] = s.localOp(h, op)
-				return
-			}
-			if errs[j] = s.remoteOp(h.conn, h, op); errs[j] == nil {
-				s.c.counter(name, h.conn.id)
-			}
-		}(j, h)
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !transient(err) {
-			return fmt.Errorf("dist: island %s failed: %w", name, err)
-		}
-		if err := s.recoverHost(s.hosts[j], err); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recoverHost replaces a dead remote host: re-seed its islands on a fresh
-// worker — respawned by the pool when armed — and replay every barrier op
-// of the solve so far. With the pool exhausted the islands fold into the
-// coordinator process instead. Either way the host ends bit-identically
-// caught up with the no-fault trajectory.
-func (s *solveRun) recoverHost(h *solveHost, cause error) error {
-	if h.conn == nil {
-		// The in-process host cannot fail in transport; a transient-shaped
-		// error from it is a bug surfaced as a genuine failure.
-		return fmt.Errorf("dist: in-process island host failed: %w", cause)
-	}
-	s.c.noteDeath(h.conn.id, cause)
-	s.c.Pool.discard(h.conn)
-	h.conn = nil
-	if err := s.attach(h); err != nil {
-		return err
-	}
-	s.c.Obs.Counter("dist.recoveries").Inc()
-	return nil
-}
-
-// foldLocal degrades a host into the coordinator process: its islands are
-// rebuilt on the coordinator's own engine from their seeds and replayed
-// through the oplog. From here on the host computes in-process — slower,
-// never wrong.
-func (s *solveRun) foldLocal(h *solveHost) error {
-	init := s.initFor(h)
-	local, err := hostIslands(s.eng, init.Islands)
-	if err != nil {
-		return err
-	}
-	h.conn = nil
-	h.local = local
-	s.foldLocalStates(h)
-	for _, op := range s.oplog {
-		if err := s.localOp(h, op); err != nil {
-			return err
-		}
-	}
-	s.c.Obs.Counter("dist.degraded_solves").Inc()
-	return nil
-}
-
-// release winds the hosts down: remote workers get KIslandFinish and return
-// to the pool (or are discarded when they no longer answer); in-process
-// hosts are simply dropped.
+// release winds the hosts down: each remaining worker gets KIslandFinish
+// and goes back to the pool, or is discarded when it does not answer KOK.
 func (s *solveRun) release() {
 	for _, h := range s.hosts {
-		if h.conn == nil {
-			h.local = nil
+		conn := h.conn
+		if conn == nil {
 			continue
 		}
-		conn := h.conn
 		h.conn = nil
 		conn.arm(s.c.Timeout, s.c.jobBudget(0))
 		if err := conn.sendEmpty(KIslandFinish); err == nil {

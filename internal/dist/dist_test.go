@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"robsched/internal/gen"
@@ -299,7 +300,8 @@ func schedulesEqual(a, b *schedule.Schedule) bool {
 // TestIslandSolveBitIdentical drives the island-sharded solve against the
 // in-process robust.Solve with the same root seed: for every worker count
 // the returned schedule, generation count and stagnation flag must match
-// exactly — the trajectories are the same computation.
+// exactly — the trajectories are the same computation. The workers must
+// have run every epoch: a solve that fell back in process would match too.
 func TestIslandSolveBitIdentical(t *testing.T) {
 	w := testWorkload(t, 13, 25, 3, 3)
 	cases := []robust.Options{
@@ -323,11 +325,13 @@ func TestIslandSolveBitIdentical(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3} {
 			pool := NewLocalPool(workers)
-			coord := &Coordinator{Pool: pool}
+			reg := obs.NewRegistry()
+			coord := &Coordinator{Pool: pool, Obs: reg}
 			got, err := coord.Solve(w, opt, rng.New(31))
 			if err != nil {
 				t.Fatalf("case %d workers=%d: %v", ci, workers, err)
 			}
+			checkHosted(t, fmt.Sprintf("case %d workers=%d", ci, workers), reg, workers)
 			if got.Generations != want.Generations || got.Stagnated != want.Stagnated {
 				t.Errorf("case %d workers=%d: run shape (%d, %v), want (%d, %v)",
 					ci, workers, got.Generations, got.Stagnated, want.Generations, want.Stagnated)
@@ -343,6 +347,41 @@ func TestIslandSolveBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestConcurrentSolvesSharePool: Solve calls may share one pool. Three
+// concurrent solves on two workers each match robust.Solve: hosting never
+// waits for a busy worker, so a call that finds none idle solves in
+// process. No worker is counted dead.
+func TestConcurrentSolvesSharePool(t *testing.T) {
+	w := testWorkload(t, 13, 20, 3, 3)
+	opt := defaultIslandOpts()
+	want, err := robustSolveRef(t, w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewLocalPool(2)
+	defer pool.Close()
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	coord := &Coordinator{Pool: pool, Obs: reg}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := coord.Solve(w, opt, rng.New(31))
+			if err != nil {
+				t.Errorf("solve %d: %v", g, err)
+				return
+			}
+			checkSolveMatches(t, fmt.Sprintf("solve %d", g), got, want)
+		}()
+	}
+	wg.Wait()
+	if d := reg.Counter("dist.worker_deaths").Value(); d != 0 || pool.Live() != 2 {
+		t.Errorf("%d worker deaths, %d live workers; want 0 and 2", d, pool.Live())
 	}
 }
 
@@ -397,29 +436,6 @@ func TestProcPoolRoundTrip(t *testing.T) {
 	for j := range ss {
 		if !metricsBitEqual(got[j], want[j]) {
 			t.Errorf("schedule %d: metrics differ across process boundary", j)
-		}
-	}
-}
-
-func TestPartition(t *testing.T) {
-	cases := []struct {
-		r, n int
-		want []shardRange
-	}{
-		{10, 2, []shardRange{{0, 5}, {5, 5}}},
-		{101, 8, []shardRange{{0, 13}, {13, 13}, {26, 13}, {39, 13}, {52, 13}, {65, 12}, {77, 12}, {89, 12}}},
-		{3, 8, []shardRange{{0, 1}, {1, 1}, {2, 1}}},
-		{1, 1, []shardRange{{0, 1}}},
-	}
-	for _, tc := range cases {
-		got := partition(tc.r, tc.n)
-		if len(got) != len(tc.want) {
-			t.Fatalf("partition(%d, %d) = %v, want %v", tc.r, tc.n, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("partition(%d, %d) = %v, want %v", tc.r, tc.n, got, tc.want)
-			}
 		}
 	}
 }

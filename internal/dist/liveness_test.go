@@ -269,7 +269,8 @@ func TestSolveWithTimeoutBitIdentical(t *testing.T) {
 	}
 	pool := NewLocalPool(2)
 	defer pool.Close()
-	coord := &Coordinator{Pool: pool, Timeout: 2 * time.Second}
+	reg := obs.NewRegistry()
+	coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 2 * time.Second}
 	got, err := coord.Solve(w, opt, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
@@ -277,4 +278,5 @@ func TestSolveWithTimeoutBitIdentical(t *testing.T) {
 	if !schedulesEqual(got.Schedule, want.Schedule) || got.Generations != want.Generations {
 		t.Error("timeout-armed solve diverged from the in-process trajectory")
 	}
+	checkHosted(t, "timeout-armed", reg, 2)
 }

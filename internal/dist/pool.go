@@ -381,13 +381,12 @@ func NewSpawnPool(n int, spawn func() (Endpoint, error)) (*Pool, error) {
 }
 
 // Flags are the scatter options both CLIs expose: -shards, -remote,
-// -worker-timeout, -chaos and -pipeline.
+// -worker-timeout and -chaos.
 type Flags struct {
-	Shards   int
-	Remote   string
-	Timeout  time.Duration
-	Chaos    uint64
-	Pipeline int
+	Shards  int
+	Remote  string
+	Timeout time.Duration
+	Chaos   uint64
 }
 
 // OpenCoordinator builds the coordinator the flags ask for: Shards local
@@ -431,7 +430,7 @@ func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, 
 	if f.Timeout > 0 {
 		pool.Respawn(spawn, 2*n)
 	}
-	return &Coordinator{Pool: pool, Obs: reg, Trace: tr, Timeout: f.Timeout, PipelineDepth: f.Pipeline}, nil
+	return &Coordinator{Pool: pool, Obs: reg, Trace: tr, Timeout: f.Timeout}, nil
 }
 
 // NewProcPool spawns n worker subprocesses and connects to their
@@ -459,8 +458,9 @@ func (p *Pool) Live() int {
 func (p *Pool) get() (*Conn, error) { return p.checkout(true) }
 
 // tryGet checks a worker out without waiting for busy workers to free up.
-// Recovery paths that already hold other connections use this — blocking in
-// get would deadlock against themselves.
+// Solve hosts its islands with it: a solve holds its other hosts while it
+// checks out the next, so waiting in get could deadlock it against a
+// concurrent solve.
 func (p *Pool) tryGet() (*Conn, error) { return p.checkout(false) }
 
 // checkout hands out the longest-idle worker (FIFO spreads jobs across

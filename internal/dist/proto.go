@@ -16,7 +16,12 @@
 //     ga.RunIslands). The coordinator drives the epoch barriers and routes
 //     the ring migrants in (generation, island) order, so the trajectory —
 //     and the returned schedule — is bit-identical to the in-process island
-//     run for any worker count.
+//     run for any worker count. A solve whose workers fail in transport
+//     finishes in process, on robust.Solve, with the same result.
+//
+// Range and island requests carry a sequence number that their answers
+// echo, so a duplicated or stale answer shows up as a mismatch, which the
+// coordinator treats as a transport failure.
 //
 // The wire format is the length-prefixed binary frame of internal/wio:
 // control messages are JSON payloads (Go's encoding/json round-trips the

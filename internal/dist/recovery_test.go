@@ -10,6 +10,7 @@ import (
 	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
+	"robsched/internal/sim"
 	"robsched/internal/wio"
 )
 
@@ -84,8 +85,36 @@ func killAfterFrames(inner Endpoint, n int) Endpoint {
 	})
 }
 
-// checkSolveMatches asserts a recovered solve reproduced the fault-free
-// trajectory exactly.
+// duplicateRequest delivers the inner worker's n-th request frame (counting
+// from 0) twice, as a transport that duplicates frames would.
+func duplicateRequest(inner Endpoint, n int) Endpoint {
+	reqR, reqW := io.Pipe()
+	go func() {
+		for i := 0; ; i++ {
+			kind, payload, err := wio.ReadFrame(reqR, nil)
+			if err != nil {
+				_ = inner.W.Close()
+				return
+			}
+			raw, err := wio.AppendFrame(nil, kind, payload)
+			if err != nil {
+				reqR.CloseWithError(err)
+				return
+			}
+			if i == n {
+				raw = append(raw, raw...)
+			}
+			if _, err := inner.W.Write(raw); err != nil {
+				reqR.CloseWithError(err)
+				return
+			}
+		}
+	}()
+	return Endpoint{W: reqW, R: inner.R, Kill: inner.Kill, Wait: inner.Wait}
+}
+
+// checkSolveMatches asserts a solve reproduced the in-process trajectory
+// exactly.
 func checkSolveMatches(t *testing.T, tag string, got, want *robust.Result) {
 	t.Helper()
 	if got.Generations != want.Generations || got.Stagnated != want.Stagnated {
@@ -98,108 +127,148 @@ func checkSolveMatches(t *testing.T, tag string, got, want *robust.Result) {
 	}
 }
 
-// recoverySweep is the recovery property of one rung of the ladder. A
-// fault-free run counts the F island-state answers of worker 0 (the first
-// endpoint newPool is handed); then, for every n in [1, F), worker 0 is
-// killed after its n-th answer, and the solve must recover exactly once and
-// still reproduce the in-process trajectory bit for bit. check asserts the
-// rung's own counters.
-//
-// The final schedule shows a lagging island only while the islands are
-// still far from converged, so the sweep runs on 40 tasks over 4
-// processors: there a recovery that skips the replay, or only its last op,
-// changes the result at most kill points, where on 20 tasks over 3 it
-// changed at most one.
-func recoverySweep(t *testing.T, opt robust.Options, newPool func(first Endpoint) *Pool, check func(tag string, reg *obs.Registry)) {
+// checkHosted requires a fault-free sharded solve: nothing ran in process,
+// and each of the first n workers ran epochs.
+func checkHosted(t *testing.T, tag string, reg *obs.Registry, n int) {
 	t.Helper()
+	if d := reg.Counter("dist.degraded_solves").Value(); d != 0 {
+		t.Errorf("%s: %d degraded solves, want 0", tag, d)
+	}
+	for i := 0; i < n; i++ {
+		if reg.Counter(fmt.Sprintf("dist.worker%d.epochs", i)).Value() == 0 {
+			t.Errorf("%s: worker %d ran no epoch", tag, i)
+		}
+	}
+}
+
+// TestRecoveryFinishesInProcess is the recovery rule on three pool shapes:
+// a spare worker, respawn armed, and neither. A fault-free run counts the F
+// island-state answers of worker 0 (the first endpoint the pool is built
+// on); then, for every n in [0, F), worker 0 is killed after its n-th
+// answer. Every killed solve must finish in process exactly once,
+// bit-identical to robust.Solve, and leave its pool serving an evaluation
+// bit-identically with no deadline armed: a healthy worker put back with
+// an answer unread would hang it.
+func TestRecoveryFinishesInProcess(t *testing.T) {
 	w := testWorkload(t, 13, 40, 4, 3)
+	opt := defaultIslandOpts()
 	want, err := robustSolveRef(t, w, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var answers atomic.Int64
-	pool := newPool(relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, bool) {
-		if kind == KIslandState {
-			answers.Add(1)
-		}
-		return payload, true
-	}))
-	got, err := (&Coordinator{Pool: pool}).Solve(w, opt, rng.New(31))
+	ss := testSchedules(t, w)
+	simOpt := sim.Options{Realizations: 64, Workers: 1}
+	wantMetrics, err := sim.EvaluateAll(ss, simOpt, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSolveMatches(t, "fault-free", got, want)
-	if err := pool.Close(); err != nil {
+	shapes := []struct {
+		name    string
+		newPool func(first Endpoint) *Pool
+	}{
+		// 3 island hosts out of a 4-worker pool leave a spare.
+		{"spare", func(first Endpoint) *Pool {
+			return NewPool([]Endpoint{first, LocalEndpoint(), LocalEndpoint(), LocalEndpoint()})
+		}},
+		{"respawn", func(first Endpoint) *Pool {
+			pool := NewPool([]Endpoint{first, LocalEndpoint()})
+			pool.Respawn(func() (Endpoint, error) { return LocalEndpoint(), nil }, 2)
+			return pool
+		}},
+		{"none", func(first Endpoint) *Pool {
+			return NewPool([]Endpoint{first, LocalEndpoint()})
+		}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			var answers atomic.Int64
+			pool := shape.newPool(relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, bool) {
+				if kind == KIslandState {
+					answers.Add(1)
+				}
+				return payload, true
+			}))
+			reg := obs.NewRegistry()
+			hosts := min(pool.Live(), opt.Islands)
+			got, err := (&Coordinator{Pool: pool, Obs: reg}).Solve(w, opt, rng.New(31))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSolveMatches(t, "fault-free", got, want)
+			checkHosted(t, "fault-free", reg, hosts)
+			if err := pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f := int(answers.Load())
+			if f < 2 {
+				t.Fatalf("worker 0 answered %d island states; nothing to kill", f)
+			}
+			t.Logf("worker 0 answers %d island states in a fault-free solve", f)
+			for n := 0; n < f; n++ {
+				tag := fmt.Sprintf("kill after %d of %d answers", n, f)
+				pool := shape.newPool(killAfterFrames(LocalEndpoint(), n))
+				reg := obs.NewRegistry()
+				pool.Obs = reg
+				coord := &Coordinator{Pool: pool, Obs: reg}
+				got, err := coord.Solve(w, opt, rng.New(31))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				checkSolveMatches(t, tag, got, want)
+				if d := reg.Counter("dist.degraded_solves").Value(); d != 1 {
+					t.Errorf("%s: %d degraded solves, want 1", tag, d)
+				}
+				if reg.Counter("dist.worker_deaths").Value() == 0 {
+					t.Errorf("%s: the killed worker was not counted dead", tag)
+				}
+				ms, err := coord.EvaluateAll(ss, simOpt, rng.New(5))
+				if err != nil {
+					t.Fatalf("%s: evaluation after the solve: %v", tag, err)
+				}
+				for j := range ss {
+					if !metricsBitEqual(ms[j], wantMetrics[j]) {
+						t.Errorf("%s: schedule %d: metrics differ after the solve", tag, j)
+					}
+				}
+				if err := pool.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestDuplicatedRequestFinishesInProcess: worker 0 receives its first epoch
+// request twice, so it steps its islands twice and answers twice. The
+// coordinator folds the first answer; the repeated one arrives in place of
+// the next answer and fails its Seq check, a transport failure, so the
+// solve finishes in process with the same result.
+func TestDuplicatedRequestFinishesInProcess(t *testing.T) {
+	w := testWorkload(t, 13, 40, 4, 3)
+	opt := defaultIslandOpts()
+	want, err := robustSolveRef(t, w, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f := int(answers.Load())
-	if f < 2 {
-		t.Fatalf("worker 0 answered %d island states; nothing to kill", f)
+	pool := NewPool([]Endpoint{duplicateRequest(LocalEndpoint(), 1), LocalEndpoint()})
+	defer pool.Close()
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	got, err := (&Coordinator{Pool: pool, Obs: reg}).Solve(w, opt, rng.New(31))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("worker 0 answers %d island states in a fault-free solve", f)
-	for n := 1; n < f; n++ {
-		tag := fmt.Sprintf("kill after %d of %d frames", n, f)
-		pool := newPool(killAfterFrames(LocalEndpoint(), n))
-		reg := obs.NewRegistry()
-		pool.Obs = reg
-		got, err := (&Coordinator{Pool: pool, Obs: reg}).Solve(w, opt, rng.New(31))
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		checkSolveMatches(t, tag, got, want)
-		if r := reg.Counter("dist.recoveries").Value(); r != 1 {
-			t.Errorf("%s: %d recoveries, want 1", tag, r)
-		}
-		check(tag, reg)
-		if err := pool.Close(); err != nil {
-			t.Fatal(err)
-		}
+	checkSolveMatches(t, "duplicated epoch", got, want)
+	if d := reg.Counter("dist.degraded_solves").Value(); d != 1 {
+		t.Errorf("%d degraded solves, want 1", d)
+	}
+	if reg.Counter("dist.worker_deaths").Value() == 0 {
+		t.Error("the out-of-sequence answer did not count a worker death")
 	}
 }
 
-// TestRecoverySpareWorker: the dead host's islands are re-seeded on the
-// pool's spare worker and replayed there.
-func TestRecoverySpareWorker(t *testing.T) {
-	// 3 island hosts out of a 4-worker pool leave a spare for recovery.
-	recoverySweep(t, defaultIslandOpts(), func(first Endpoint) *Pool {
-		return NewPool([]Endpoint{first, LocalEndpoint(), LocalEndpoint(), LocalEndpoint()})
-	}, func(tag string, reg *obs.Registry) {
-		if reg.Counter("dist.degraded_solves").Value() != 0 {
-			t.Errorf("%s: degraded in-process despite a spare worker", tag)
-		}
-	})
-}
-
-// TestRecoveryRespawn: no spare workers, but respawn armed — the dead
-// host's islands are replayed on a freshly spawned worker.
-func TestRecoveryRespawn(t *testing.T) {
-	recoverySweep(t, defaultIslandOpts(), func(first Endpoint) *Pool {
-		pool := NewPool([]Endpoint{first, LocalEndpoint()})
-		pool.Respawn(func() (Endpoint, error) { return LocalEndpoint(), nil }, 2)
-		return pool
-	}, func(tag string, reg *obs.Registry) {
-		if reg.Counter("dist.respawns").Value() != 1 || reg.Counter("dist.degraded_solves").Value() != 0 {
-			t.Errorf("%s: %d respawns, %d degraded solves; want 1 and 0", tag,
-				reg.Counter("dist.respawns").Value(), reg.Counter("dist.degraded_solves").Value())
-		}
-	})
-}
-
-// TestRecoveryDegradesInProcess: no spares, no respawn — the dead host's
-// islands fold into the coordinator process and the solve still completes
-// bit-identically (graceful degradation, the last rung).
-func TestRecoveryDegradesInProcess(t *testing.T) {
-	recoverySweep(t, defaultIslandOpts(), func(first Endpoint) *Pool {
-		return NewPool([]Endpoint{first, LocalEndpoint()})
-	}, func(tag string, reg *obs.Registry) {
-		if reg.Counter("dist.degraded_solves").Value() != 1 {
-			t.Errorf("%s: expected in-process degradation", tag)
-		}
-	})
-}
-
-// TestEmptyPoolSolvesInProcess: a pool with no workers at all still solves
-// — everything folds in-process from the start.
+// TestEmptyPoolSolvesInProcess: a pool with no workers at all still solves,
+// in process from the start.
 func TestEmptyPoolSolvesInProcess(t *testing.T) {
 	w := testWorkload(t, 13, 20, 3, 3)
 	opt := defaultIslandOpts()
@@ -222,9 +291,9 @@ func TestEmptyPoolSolvesInProcess(t *testing.T) {
 }
 
 // TestIncompleteIslandStatesRecover: a worker whose state answers omit one
-// of its islands, or list one twice, is treated as dead and its islands are
-// recovered. Folding such an answer would leave an island's stale best
-// feeding migration, the stagnation rule and the final pick.
+// of its islands, or list one twice, is treated as dead and the solve
+// finishes in process. Folding such an answer would leave an island's stale
+// best feeding migration, the stagnation rule and the final pick.
 func TestIncompleteIslandStatesRecover(t *testing.T) {
 	w := testWorkload(t, 13, 20, 3, 3)
 	opt := defaultIslandOpts() // 3 islands on 2 workers: worker 0 hosts islands 0 and 2

@@ -88,12 +88,15 @@ func TestTCPSolveBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		coord := &Coordinator{Pool: pool, Timeout: 5 * time.Second}
+		reg := obs.NewRegistry()
+		coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 5 * time.Second}
 		got, err := coord.Solve(w, opt, rng.New(31))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		checkSolveMatches(t, fmt.Sprintf("tcp workers=%d", workers), got, want)
+		tag := fmt.Sprintf("tcp workers=%d", workers)
+		checkSolveMatches(t, tag, got, want)
+		checkHosted(t, tag, reg, min(workers, opt.Islands))
 		if err := pool.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -286,9 +289,6 @@ func TestSimDispatchLedger(t *testing.T) {
 	d.fatal(fmt.Errorf("boom"))
 	if _, ok := d.take(); ok {
 		t.Error("take issued work after a fatal error")
-	}
-	if d.hasWork() {
-		t.Error("hasWork true after a fatal error")
 	}
 }
 

@@ -59,10 +59,10 @@ func (fw *frameWriter) batch(fn func(w *bufio.Writer) error) error {
 // replaces it, and the island host built by KIslandInit, until
 // KIslandFinish or a replacing init.
 //
-// Island requests carry sequence numbers: a request whose Seq matches the
-// last one processed is answered from the cached response without
-// re-executing, so a transport that duplicates frames cannot advance an
-// island twice (at-most-once semantics; Seq 0 disables the check).
+// Every request is executed as it arrives, and each island answer echoes
+// its request's Seq. A transport that duplicates a request therefore
+// yields a second answer, which the coordinator reads as a Seq mismatch on
+// its next exchange: a transport failure, never a silently doubled step.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	return serveWorker(r, w, nil, nil)
 }
@@ -126,7 +126,7 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 		case KIslandInit:
 			host, jobErr = newIslandHost(payload)
 			if jobErr == nil {
-				jobErr = host.reply(fw, host.statesSeq(host.initSeq))
+				jobErr = fw.sendJSON(KIslandState, host.states(host.initSeq))
 			}
 		case KEpoch:
 			jobErr = handleEpoch(fw, host, payload)
@@ -239,11 +239,10 @@ func handleEpoch(fw *frameWriter, host *islandHost, payload []byte) error {
 	if err := parseJSON(payload, &req); err != nil {
 		return err
 	}
-	if host.replayCached(fw, req.Seq) {
-		return nil
+	for _, st := range host.islands {
+		st.Epoch(req.StartGen, req.Gens)
 	}
-	host.runEpoch(req)
-	return host.reply(fw, host.statesSeq(req.Seq))
+	return fw.sendJSON(KIslandState, host.states(req.Seq))
 }
 
 func handleMigrate(fw *frameWriter, host *islandHost, payload []byte) error {
@@ -254,54 +253,24 @@ func handleMigrate(fw *frameWriter, host *islandHost, payload []byte) error {
 	if err := parseJSON(payload, &req); err != nil {
 		return err
 	}
-	if host.replayCached(fw, req.Seq) {
-		return nil
-	}
 	if err := host.runMigrate(req); err != nil {
 		return err
 	}
-	return host.reply(fw, host.statesSeq(req.Seq))
+	return fw.sendJSON(KIslandState, host.states(req.Seq))
 }
 
 // islandHost is the worker-side state of an island-sharded solve: the
 // solver engine for the workload plus the hosted ga.Island states. It is
 // the same state machine ga.RunIslands drives in-process; the coordinator
-// supplies the barrier ordering and the ring migrants. The coordinator's
-// graceful-degradation path reuses it verbatim via hostIslands when the
-// pool is exhausted.
+// supplies the barrier ordering and the ring migrants.
 type islandHost struct {
 	eng     *robust.Engine
 	islands []*ga.Island[*robust.Chromosome] // ascending island index
 	initSeq uint64
-
-	// At-most-once replay cache: the encoded body of the last response,
-	// keyed by the request sequence that produced it.
-	lastSeq  uint64
-	lastBody []byte
 }
 
-// replayCached answers a duplicated request (same non-zero Seq as the last
-// one processed) from the cached response, reporting whether it did.
-func (h *islandHost) replayCached(fw *frameWriter, seq uint64) bool {
-	if seq == 0 || seq != h.lastSeq || h.lastBody == nil {
-		return false
-	}
-	_ = fw.write(KIslandState, h.lastBody)
-	return true
-}
-
-// reply sends a KIslandState response and records it for duplicate replay.
-func (h *islandHost) reply(fw *frameWriter, states IslandStates) error {
-	body, err := marshalJSON(states)
-	if err != nil {
-		return err
-	}
-	if states.Seq != 0 {
-		h.lastSeq, h.lastBody = states.Seq, body
-	}
-	return fw.write(KIslandState, body)
-}
-
+// newIslandHost builds the engine a KIslandInit describes and the islands
+// it lists, each fresh from its seed.
 func newIslandHost(payload []byte) (*islandHost, error) {
 	var init IslandInit
 	if err := parseJSON(payload, &init); err != nil {
@@ -330,23 +299,10 @@ func newIslandHost(payload []byte) (*islandHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := hostIslands(eng, init.Islands)
-	if err != nil {
-		return nil, err
-	}
-	h.initSeq = init.Seq
-	return h, nil
-}
-
-// hostIslands builds the island state machines on an existing engine, each
-// fresh from its seed. The coordinator's in-process degradation uses this
-// directly with its own engine.
-func hostIslands(eng *robust.Engine, seeds []IslandSeed) (*islandHost, error) {
-	h := &islandHost{eng: eng}
-	sorted := append([]IslandSeed(nil), seeds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Island < sorted[j].Island })
+	h := &islandHost{eng: eng, initSeq: init.Seq}
+	sort.Slice(init.Islands, func(i, j int) bool { return init.Islands[i].Island < init.Islands[j].Island })
 	cfg := eng.Config()
-	for _, is := range sorted {
+	for _, is := range init.Islands {
 		st, err := ga.NewIsland(cfg, is.Island, rng.New(is.Seed))
 		if err != nil {
 			return nil, err
@@ -356,28 +312,21 @@ func hostIslands(eng *robust.Engine, seeds []IslandSeed) (*islandHost, error) {
 	return h, nil
 }
 
-// states snapshots every hosted island's running best in island order. The
-// genes are copies: the in-process fallback keeps the states across epochs,
-// and the island recycles its best once a later epoch drops it.
-func (h *islandHost) states() IslandStates {
-	out := IslandStates{States: make([]IslandState, 0, len(h.islands))}
+// states snapshots every hosted island's running best in island order,
+// stamped with the request sequence it answers. The genotypes alias the
+// islands' bests: every answer is encoded before a later epoch can recycle
+// them.
+func (h *islandHost) states(seq uint64) IslandStates {
+	out := IslandStates{States: make([]IslandState, 0, len(h.islands)), Seq: seq}
 	for _, st := range h.islands {
 		b, bf := st.Best()
-		order, proc := b.Genes()
 		out.States = append(out.States, IslandState{
 			Island:          st.Index(),
-			Best:            Genotype{Order: order, Proc: proc},
+			Best:            Genotype{Order: b.Order, Proc: b.Proc},
 			BestFitnessBits: math.Float64bits(bf),
 			SinceImprove:    st.SinceImprove(),
 		})
 	}
-	return out
-}
-
-// statesSeq is states stamped with the request sequence it answers.
-func (h *islandHost) statesSeq(seq uint64) IslandStates {
-	out := h.states()
-	out.Seq = seq
 	return out
 }
 
@@ -391,15 +340,6 @@ func (h *islandHost) find(island int) (*ga.Island[*robust.Chromosome], error) {
 		}
 	}
 	return nil, fmt.Errorf("dist: island %d not hosted here", island)
-}
-
-// runEpoch advances every hosted island. Pure state transition — the
-// serving layer (or the coordinator's in-process fallback) owns the
-// response.
-func (h *islandHost) runEpoch(req EpochReq) {
-	for _, st := range h.islands {
-		st.Epoch(req.StartGen, req.Gens)
-	}
 }
 
 // runMigrate delivers this barrier's migrants to their target islands. Every

@@ -295,6 +295,62 @@ func TestWorkerErrorSurfacesToCaller(t *testing.T) {
 	}
 }
 
+// TestSolveWorkerErrorSurfacesToCaller: a KErr answer to an epoch fails the
+// solve with the worker's remote *WorkerError. The worker is healthy, so
+// nothing is counted dead and nothing runs in process, and both workers go
+// back to the pool clean: the next solve runs on them, bit-identically.
+func TestSolveWorkerErrorSurfacesToCaller(t *testing.T) {
+	w := testWorkload(t, 13, 20, 3, 3)
+	opt := defaultIslandOpts()
+	want, err := robustSolveRef(t, w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool([]Endpoint{scriptedEndpoint(func(c net.Conn) {
+		defer c.Close()
+		// Answer the init as a real worker does, then reject the epoch.
+		_, payload, err := wio.ReadFrame(c, nil)
+		if err != nil {
+			return
+		}
+		host, err := newIslandHost(payload)
+		if err != nil {
+			return
+		}
+		if err := sendJSON(c, KIslandState, host.states(host.initSeq)); err != nil {
+			return
+		}
+		if _, _, err := wio.ReadFrame(c, nil); err != nil {
+			return
+		}
+		if err := sendJSON(c, KErr, ErrMsg{Error: "injected epoch failure"}); err != nil {
+			return
+		}
+		_ = ServeWorker(c, c)
+	}), LocalEndpoint()})
+	defer pool.Close()
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	coord := &Coordinator{Pool: pool, Obs: reg}
+
+	_, err = coord.Solve(w, opt, rng.New(31))
+	var we *WorkerError
+	if !errors.As(err, &we) || !we.Remote || we.Worker != 0 {
+		t.Fatalf("error %v, want a remote *WorkerError from worker 0", err)
+	}
+	deaths, degraded := reg.Counter("dist.worker_deaths").Value(), reg.Counter("dist.degraded_solves").Value()
+	if deaths != 0 || degraded != 0 {
+		t.Errorf("job error counted %d worker deaths and %d degraded solves, want none", deaths, degraded)
+	}
+
+	got, err := coord.Solve(w, opt, rng.New(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSolveMatches(t, "after the job error", got, want)
+	checkHosted(t, "after the job error", reg, 2)
+}
+
 // TestCoordinatorValidation covers the coordinator's own input checks.
 func TestCoordinatorValidation(t *testing.T) {
 	pool := NewLocalPool(1)
