@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +17,8 @@ import (
 	"robsched/internal/schedule"
 	"robsched/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // tinyConfig is small enough for unit tests yet large enough that the
 // paper's qualitative shapes still emerge.
@@ -366,51 +372,84 @@ func TestGAOptionsFillsDefaults(t *testing.T) {
 	}
 }
 
-// TestSimHookCoversEveryRunner: every runner that samples realizations goes
-// through Config.Sim, the hook -shards and -remote plug into, and produces
-// the same series with the hook as without it. Policies, faults and the
-// correlation gap also sample outside sim (repair, dynamic dispatch and
-// faulty execution); their static evaluations must still use the hook.
-func TestSimHookCoversEveryRunner(t *testing.T) {
-	base := tinyConfig()
-	base.Gen.N = 12
-	base.Gen.M = 2
-	base.Graphs = 2
-	base.Realizations = 20
-	base.ULs = []float64{2}
-	base.Eps = []float64{1.0, 1.4}
-	base.RGrid = []float64{0, 1}
-	base.GA.PopSize = 6
-	base.GA.MaxGenerations = 6
-	base.TraceEvery = 3
+// runnerConfig is the small config every runner case runs on.
+func runnerConfig() Config {
+	c := tinyConfig()
+	c.Gen.N = 12
+	c.Gen.M = 2
+	c.Graphs = 2
+	c.Realizations = 20
+	c.ULs = []float64{2}
+	c.Eps = []float64{1.0, 1.4}
+	c.RGrid = []float64{0, 1}
+	c.GA.PopSize = 6
+	c.GA.MaxGenerations = 6
+	c.TraceEvery = 3
+	return c
+}
+
+// runnerCase is one experiment runner. Its value prints every float64 in
+// its shortest exact form under %v: result structs are passed by value, so
+// their String tables (rounded to four places) are not used.
+type runnerCase struct {
+	name string
+	// samples marks the runners that draw realizations.
+	samples bool
+	run     func(c Config) (any, error)
+}
+
+func runnerCases() []runnerCase {
 	fc := DefaultFaultConfig()
 	fc.Policy.DropFactor = 4
-	runners := []struct {
-		name string
-		run  func(c Config) (any, error)
-	}{
-		{"sweep", func(c Config) (any, error) {
+	return []runnerCase{
+		{"sweep", true, func(c Config) (any, error) {
 			sw, err := c.RunSweep()
 			if err != nil {
 				return nil, err
 			}
-			return sw.Fig4()
+			return []any{sw.ULs, sw.Eps, sw.GA, sw.HEFT}, nil
 		}},
-		{"trace", func(c Config) (any, error) {
+		{"trace", true, func(c Config) (any, error) {
 			tr, err := c.EvolutionTrace(robust.MinMakespan)
 			if err != nil {
 				return nil, err
 			}
-			return tr.Series(), nil
+			return *tr, nil
 		}},
-		{"sensitivity", func(c Config) (any, error) { return c.Sensitivity(SweepCCR, []float64{0.5}, 1.4) }},
-		{"risk", func(c Config) (any, error) { return c.AblationRiskFactor([]float64{1}) }},
-		{"slackmetric", func(c Config) (any, error) { return c.AblationSlackMetric() }},
-		{"policies", func(c Config) (any, error) { return c.PolicyComparison(1.4, 0.05) }},
-		{"faults", func(c Config) (any, error) { return c.FaultResilience(fc) }},
-		{"corrgap", func(c Config) (any, error) { return c.CorrelationGap(CorrGapConfig{LoadCOVs: []float64{0.3}}) }},
+		{"sensitivity", true, func(c Config) (any, error) { return c.Sensitivity(SweepCCR, []float64{0.5}, 1.4) }},
+		{"risk", true, func(c Config) (any, error) { return c.AblationRiskFactor([]float64{1}) }},
+		{"slackmetric", true, func(c Config) (any, error) { return c.AblationSlackMetric() }},
+		{"policies", true, func(c Config) (any, error) { return c.PolicyComparison(1.4, 0.05) }},
+		{"faults", true, func(c Config) (any, error) {
+			res, err := c.FaultResilience(fc)
+			if err != nil {
+				return nil, err
+			}
+			return *res, nil
+		}},
+		{"corrgap", true, func(c Config) (any, error) {
+			res, err := c.CorrelationGap(CorrGapConfig{LoadCOVs: []float64{0.3}})
+			if err != nil {
+				return nil, err
+			}
+			return *res, nil
+		}},
+		{"seed", false, func(c Config) (any, error) { return c.AblationSeed() }},
+		{"gaparams", false, func(c Config) (any, error) { return c.AblationGAParams(nil, nil) }},
 	}
-	for _, r := range runners {
+}
+
+// TestSimHookCoversEveryRunner: every runner that samples realizations goes
+// through Config.Sim, the hook -shards and -remote plug into, and produces
+// the same output with the hook as without it. Policies, faults and the
+// correlation gap also sample outside sim (repair, dynamic dispatch and
+// faulty execution); their static evaluations must still use the hook.
+func TestSimHookCoversEveryRunner(t *testing.T) {
+	base := runnerConfig()
+	for _, r := range runnerCases() {
+		if !r.samples {
+			continue
+		}
 		want, err := r.run(base)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -428,9 +467,40 @@ func TestSimHookCoversEveryRunner(t *testing.T) {
 		if calls.Load() == 0 {
 			t.Errorf("%s sampled without calling Config.Sim", r.name)
 		}
-		// %v prints every float64 in its shortest exact form.
 		if g, w := fmt.Sprintf("%v", got), fmt.Sprintf("%v", want); g != w {
 			t.Errorf("%s: output differs with the hook:\n got %s\nwant %s", r.name, g, w)
 		}
+	}
+}
+
+// TestRunnersPinned pins every runner's output on runnerConfig to stored
+// SHA-256 digests in testdata/runners.golden. Refresh with:
+// go test ./internal/experiments -run TestRunnersPinned -update
+func TestRunnersPinned(t *testing.T) {
+	var b strings.Builder
+	for _, r := range runnerCases() {
+		v, err := r.run(runnerConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		fmt.Fprintf(&b, "%s %x\n", r.name, sha256.Sum256([]byte(fmt.Sprintf("%v", v))))
+	}
+	got := b.String()
+	golden := filepath.Join("testdata", "runners.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("runner outputs differ from %s (refresh with -update):\n--- got ---\n%s--- want ---\n%s",
+			golden, got, want)
 	}
 }
