@@ -374,7 +374,7 @@ func BenchmarkSolveObs(b *testing.B) {
 		opt.Stagnation = 0
 		if instrument {
 			opt.Obs = obs.NewRegistry()
-			opt.Trace = obs.NewTracer(io.Discard, 64)
+			opt.Trace = obs.NewTracer(io.Discard)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -149,7 +149,7 @@ func execute(args []string, stdout, stderr io.Writer) error {
 		}
 		traceFile = f
 		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(f, 256)
+		tracer = obs.NewTracer(f)
 	}
 	if *pprofAddr != "" {
 		if reg == nil {

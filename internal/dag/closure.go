@@ -8,7 +8,6 @@ import "math/bits"
 // to simultaneous delays, each within its own slack, on any set of pairwise
 // independent tasks of the disjunctive graph.
 type Closure struct {
-	n     int
 	words int
 	bits  []uint64 // row-major: bits[v*words ...] = set of nodes reachable from v
 }
@@ -17,7 +16,7 @@ type Closure struct {
 // reverse topological order, O(V*E/64).
 func (g *Graph) TransitiveClosure() *Closure {
 	words := (g.n + 63) / 64
-	c := &Closure{n: g.n, words: words, bits: make([]uint64, g.n*words)}
+	c := &Closure{words: words, bits: make([]uint64, g.n*words)}
 	for i := len(g.topo) - 1; i >= 0; i-- {
 		v := g.topo[i]
 		row := c.bits[v*words : (v+1)*words]

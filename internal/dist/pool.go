@@ -92,8 +92,7 @@ type Conn struct {
 	// rs/ws are the read-side and write-side liveness states.
 	rs, ws connSide
 
-	p    *Pool // owning pool (telemetry + accounting)
-	dead bool  // set under p.mu by discard; a dead conn is never re-idled
+	dead bool // set under the pool's mu by discard; a dead conn is never re-idled
 }
 
 // arm configures liveness for the next exchange: its sends must each finish
@@ -282,7 +281,6 @@ func (p *Pool) addConnLocked(ep Endpoint) *Conn {
 		bw:  bufio.NewWriterSize(ep.W, 1<<16),
 		fr:  wio.NewFrameReader(bufio.NewReaderSize(ep.R, 1<<16)),
 		rtt: ep.RTT,
-		p:   p,
 	}
 	if wd, ok := ep.W.(interface{ SetWriteDeadline(time.Time) error }); ok {
 		c.ws.set = wd.SetWriteDeadline

@@ -81,8 +81,8 @@ func TestDeterministicDurationsMatchStaticSemantics(t *testing.T) {
 }
 
 func TestClairvoyantNoWorseOnAverage(t *testing.T) {
-	// Perfect knowledge of durations should beat expectation-based
-	// placement on average over realizations.
+	// Perfect knowledge of durations (estimate == reality) should beat
+	// expectation-based placement on average over realizations.
 	w := testWorkload(t, 7, 40, 4, 4)
 	r := rng.New(11)
 	ranks := heft.UpwardRanks(w)
@@ -95,7 +95,7 @@ func TestClairvoyantNoWorseOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clair, err := Clairvoyant(w, durs)
+		clair, err := Simulate(w, durs, durs, ranks)
 		if err != nil {
 			t.Fatal(err)
 		}

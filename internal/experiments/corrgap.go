@@ -137,8 +137,8 @@ func (c Config) CorrelationGap(gc CorrGapConfig) (*CorrGapResult, error) {
 	}
 
 	type cell struct {
-		gaTard, gaMiss, gaP95       float64
-		heftTard, heftMiss, heftP95 float64
+		gaTard, gaMiss, gaP95 float64
+		heftTard, heftP95     float64
 	}
 	// cells[graph][cov][corr] with corr 0 = indep, 1 = shared.
 	cells := make([][][2]cell, c.Graphs)
@@ -172,7 +172,6 @@ func (c Config) CorrelationGap(gc CorrGapConfig) (*CorrGapResult, error) {
 				}
 				cells[g][ci][corr] = cell{
 					heftTard: ms[0].MeanTardiness,
-					heftMiss: ms[0].MissRate,
 					heftP95:  ms[0].P95 / ms[0].M0,
 					gaTard:   ms[1].MeanTardiness,
 					gaMiss:   ms[1].MissRate,

@@ -213,14 +213,3 @@ func ULMatrix(n, m int, meanUL, v1, v2 float64, r *rng.Source) platform.Matrix {
 	}
 	return out
 }
-
-// ConstantULMatrix returns an n×m matrix with every uncertainty level equal
-// to ul — useful for controlled experiments and tests.
-func ConstantULMatrix(n, m int, ul float64) platform.Matrix {
-	if ul < 1 {
-		panic(fmt.Sprintf("gen: ConstantULMatrix ul=%g < 1", ul))
-	}
-	out := platform.NewMatrix(n, m)
-	out.Fill(ul)
-	return out
-}

@@ -172,23 +172,6 @@ func TestULMatrixBounds(t *testing.T) {
 	}
 }
 
-func TestConstantULMatrix(t *testing.T) {
-	ul := ConstantULMatrix(3, 2, 2.5)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 2; j++ {
-			if ul.At(i, j) != 2.5 {
-				t.Fatalf("At(%d,%d) = %g", i, j, ul.At(i, j))
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ul < 1 did not panic")
-		}
-	}()
-	ConstantULMatrix(1, 1, 0.5)
-}
-
 func TestRandomWorkloadIsValid(t *testing.T) {
 	r := rng.New(11)
 	p := PaperParams()

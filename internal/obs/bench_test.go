@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"testing"
 )
 
@@ -54,9 +55,10 @@ func BenchmarkEnabledHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerEvent measures an enabled ring-only trace event (no sink).
+// BenchmarkTracerEvent measures an enabled trace event encoded to a JSONL
+// sink that discards it.
 func BenchmarkTracerEvent(b *testing.B) {
-	tr := NewTracer(nil, 256)
+	tr := NewTracer(io.Discard)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Event("tick", F("i", float64(i)))

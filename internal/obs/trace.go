@@ -32,39 +32,26 @@ type Attr struct {
 // field.
 func F(key string, value float64) Attr { return Attr{Key: key, Value: value} }
 
-// Tracer emits trace records to an optional JSONL sink and keeps the most
-// recent records in a fixed in-memory ring (for tests and post-run
-// inspection). Tracers returned by Scope share the sink and the ring and
-// tag their records with the scope path. All methods are safe for
-// concurrent use; every method on a nil Tracer is a no-op.
+// Tracer emits trace records to an optional JSONL sink. Tracers returned
+// by Scope share the sink and tag their records with the scope path. All
+// methods are safe for concurrent use; every method on a nil Tracer is a
+// no-op.
 type Tracer struct {
 	core  *tracerCore
 	scope string
 }
 
 type tracerCore struct {
-	mu      sync.Mutex
-	enc     *json.Encoder // nil when no sink
-	ring    []Record
-	ringCap int
-	next    int   // ring write position
-	total   int64 // records emitted since creation
-	err     error // first sink write error
-	now     func() int64
+	mu  sync.Mutex
+	enc *json.Encoder // nil when no sink
+	err error         // first sink write error
+	now func() int64
 }
 
 // NewTracer returns a tracer writing JSONL records to w (nil disables the
-// sink) and retaining the last ringCap records in memory (<= 0 defaults to
-// 256).
-func NewTracer(w io.Writer, ringCap int) *Tracer {
-	if ringCap <= 0 {
-		ringCap = 256
-	}
-	core := &tracerCore{
-		ring:    make([]Record, 0, ringCap),
-		ringCap: ringCap,
-		now:     func() int64 { return time.Now().UnixNano() },
-	}
+// sink).
+func NewTracer(w io.Writer) *Tracer {
+	core := &tracerCore{now: func() int64 { return time.Now().UnixNano() }}
 	if w != nil {
 		core.enc = json.NewEncoder(w)
 	}
@@ -116,33 +103,6 @@ func (t *Tracer) SnapshotRegistry(name string, reg *Registry) {
 	t.emit(Record{Kind: "snapshot", Name: name, Registry: &snap})
 }
 
-// Records returns the ring contents, oldest first. Empty on a nil receiver.
-func (t *Tracer) Records() []Record {
-	if t == nil {
-		return nil
-	}
-	c := t.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Record, 0, len(c.ring))
-	if len(c.ring) == c.ringCap {
-		out = append(out, c.ring[c.next:]...)
-	}
-	return append(out, c.ring[:c.next]...)
-}
-
-// Total returns the number of records emitted since creation (including
-// records that have rotated out of the ring). Zero on a nil receiver.
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	c := t.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // Err returns the first error the JSONL sink reported, if any.
 func (t *Tracer) Err() error {
 	if t == nil {
@@ -160,14 +120,6 @@ func (t *Tracer) emit(rec Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec.TS = c.now()
-	if len(c.ring) < c.ringCap {
-		c.ring = append(c.ring, rec)
-		c.next = len(c.ring) % c.ringCap
-	} else {
-		c.ring[c.next] = rec
-		c.next = (c.next + 1) % c.ringCap
-	}
-	c.total++
 	if c.enc != nil {
 		if err := c.enc.Encode(rec); err != nil && c.err == nil {
 			c.err = err

@@ -75,7 +75,7 @@ func TestFaultTraceEvents(t *testing.T) {
 	pol := FaultPolicy{
 		Policy: NeverReschedule(),
 		Retry:  RetryPolicy{MaxRetries: 3, Backoff: 0, Migrate: true},
-		Trace:  obs.NewTracer(&buf, 0),
+		Trace:  obs.NewTracer(&buf),
 	}
 	out, err := ExecuteFaults(s, durs, sc, pol)
 	if err != nil {

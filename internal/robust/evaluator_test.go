@@ -12,7 +12,6 @@ import (
 func BenchmarkEvaluatePopulation(b *testing.B) {
 	w := testWorkload(b, 5, 100, 8)
 	eval := &evaluator{
-		w:     w,
 		opt:   Options{Mode: EpsilonConstraint, Eps: 1.4},
 		mheft: 100,
 		dec:   schedule.NewDecoder(w),

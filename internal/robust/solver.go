@@ -272,7 +272,6 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 // mutex-striped, and the mutable scratch is taken per call from a free
 // list, so no two goroutines share any.
 type evaluator struct {
-	w     *platform.Workload
 	opt   Options
 	mheft float64
 	dec   *schedule.Decoder
@@ -287,7 +286,7 @@ type evaluator struct {
 // opt asks for: opt.Cache, a private one, or none under NoMetricsCache.
 // mheft anchors the ε-constraint; runs that do not use it pass 0.
 func newEvaluator(w *platform.Workload, opt Options, mheft float64) *evaluator {
-	e := &evaluator{w: w, opt: opt, mheft: mheft, dec: schedule.NewDecoder(w)}
+	e := &evaluator{opt: opt, mheft: mheft, dec: schedule.NewDecoder(w)}
 	if !opt.NoMetricsCache {
 		e.cache = opt.Cache
 		if e.cache == nil {

@@ -212,7 +212,7 @@ func TestEqn8FitnessOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := evaluator{w: w, opt: Options{Mode: EpsilonConstraint, Eps: 1.2}, mheft: hs.Makespan(), dec: schedule.NewDecoder(w)}
+	eval := evaluator{opt: Options{Mode: EpsilonConstraint, Eps: 1.2}, mheft: hs.Makespan(), dec: schedule.NewDecoder(w)}
 	bound := 1.2 * hs.Makespan()
 	// Collect a population with both kinds.
 	var pop []*Chromosome
@@ -280,7 +280,7 @@ func TestEqn8NoFeasibleFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An absurdly tight bound makes everything infeasible.
-	eval := evaluator{w: w, opt: Options{Mode: EpsilonConstraint, Eps: 0.01}, mheft: hs.Makespan(), dec: schedule.NewDecoder(w)}
+	eval := evaluator{opt: Options{Mode: EpsilonConstraint, Eps: 0.01}, mheft: hs.Makespan(), dec: schedule.NewDecoder(w)}
 	var pop []*Chromosome
 	for len(pop) < 10 {
 		pop = append(pop, Random(w, r))

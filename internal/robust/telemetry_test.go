@@ -129,7 +129,7 @@ func TestCacheStatsCounters(t *testing.T) {
 func TestSolveTraceEvents(t *testing.T) {
 	w := testWorkload(t, 4400, 15, 3)
 	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf, 0)
+	tr := obs.NewTracer(&buf)
 	opt := Options{
 		Mode:    MinMakespan,
 		PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.1,

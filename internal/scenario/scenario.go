@@ -107,13 +107,6 @@ func Lookup(name string) (Scenario, error) {
 	return s, nil
 }
 
-// Default returns the paper's scenario: layered-random graphs under the
-// independent uniform duration model.
-func Default() Scenario {
-	s, _ := Lookup("random-uniform")
-	return s
-}
-
 // WidthFor derives the workflow width that brings the family's task count
 // closest to (but not above) n: montage/epigenomics generate 3W+4 tasks,
 // cybershake 2W+4. The minimum width is 2.

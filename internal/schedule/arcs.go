@@ -18,7 +18,6 @@ import (
 // re-derives the adjacency structure: it fills one cost per arc (mirrored
 // into the pred direction through sMirror) and the two analysis sweeps.
 type arcSet struct {
-	n        int
 	succOff  []int32   // n+1 offsets into succTo/succData/sMirror
 	succTo   []int32   // data-arc targets, grouped by source
 	succData []float64 // data size of each succ arc
@@ -34,7 +33,6 @@ type arcSet struct {
 func newArcSet(g *dag.Graph) *arcSet {
 	n, nE := g.N(), g.EdgeCount()
 	a := &arcSet{
-		n:        n,
 		succOff:  make([]int32, n+1),
 		succTo:   make([]int32, nE),
 		succData: make([]float64, nE),

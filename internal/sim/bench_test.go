@@ -57,7 +57,7 @@ func BenchmarkEvaluateAllObs(b *testing.B) {
 		opt := PaperOptions()
 		if instrument {
 			opt.Obs = obs.NewRegistry()
-			opt.Trace = obs.NewTracer(io.Discard, 64)
+			opt.Trace = obs.NewTracer(io.Discard)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

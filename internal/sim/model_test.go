@@ -70,27 +70,6 @@ func TestModelOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestModelParseRoundTrip(t *testing.T) {
-	for m := ModelUniform; m < numDurationModels; m++ {
-		got, err := ParseDurationModel(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseDurationModel(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	for c := CorrNone; c < numCorrelations; c++ {
-		got, err := ParseCorrelation(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseCorrelation(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseDurationModel("cauchy"); err == nil {
-		t.Error("unknown duration model accepted")
-	}
-	if _, err := ParseCorrelation("copula"); err == nil {
-		t.Error("unknown correlation mode accepted")
-	}
-}
-
 // TestModelWorkerBatchInvariance pins the bit-identity contract for every
 // model × correlation combination: the realized makespan vectors are exactly
 // equal for any Workers/BatchSize setting, antithetic or not.

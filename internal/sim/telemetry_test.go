@@ -60,7 +60,7 @@ func TestRealizeAllTelemetryDoesNotPerturb(t *testing.T) {
 	observed, err := RealizeAll([]*schedule.Schedule{s}, Options{
 		Realizations: 64,
 		Obs:          obs.NewRegistry(),
-		Trace:        obs.NewTracer(&buf, 0),
+		Trace:        obs.NewTracer(&buf),
 	}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,11 @@
 // Package stats provides the summary statistics and metric arithmetic the
-// experiment harness builds its tables from: means and deviations, safe
+// experiment harness builds its tables from: means, correlations, safe
 // log-ratios (the paper plots natural-log ratios of improvements, which
 // degenerate when a robustness metric is infinite), and the overall
 // performance score P(s) of Eqn. 9.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -21,94 +20,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs; NaN for fewer than
-// one element. It uses the two-pass formula for stability.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Min returns the smallest element; NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	min := xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the largest element; NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	max := xs[0]
-	for _, x := range xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs with linear
-// interpolation; NaN for an empty slice. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Median, Max float64
-	Q25, Q75         float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    Std(xs),
-		Min:    Min(xs),
-		Median: Quantile(xs, 0.5),
-		Max:    Max(xs),
-		Q25:    Quantile(xs, 0.25),
-		Q75:    Quantile(xs, 0.75),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p25=%.4g med=%.4g p75=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.Q25, s.Median, s.Q75, s.Max)
 }
 
 // RatioCap bounds the ratios fed to LogRatio when one side is infinite (a
@@ -211,15 +122,4 @@ func ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return out
-}
-
-// ArgmaxF returns the index in xs whose f value is largest (ties: first).
-func ArgmaxF(n int, f func(i int) float64) int {
-	best, bestV := 0, math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if v := f(i); v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
 }

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -18,78 +16,6 @@ func TestMean(t *testing.T) {
 	}
 	if Mean([]float64{7}) != 7 {
 		t.Error("Mean of singleton")
-	}
-}
-
-func TestStd(t *testing.T) {
-	if !almost(Std([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
-		t.Errorf("Std = %g, want 2", Std([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-	if Std([]float64{3}) != 0 {
-		t.Error("Std of singleton should be 0")
-	}
-	if !math.IsNaN(Std(nil)) {
-		t.Error("Std(nil) not NaN")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %g/%g", Min(xs), Max(xs))
-	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Error("empty Min/Max not NaN")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {1.0 / 3, 2},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almost(got, c.want) {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) || !math.IsNaN(Quantile(xs, -0.1)) || !math.IsNaN(Quantile(xs, 1.1)) {
-		t.Error("invalid quantile inputs not NaN")
-	}
-	// Input untouched.
-	if xs[0] != 4 {
-		t.Error("Quantile sorted its input")
-	}
-}
-
-func TestQuantileOrderingProperty(t *testing.T) {
-	check := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-		}
-		q1 := Quantile(raw, 0.25)
-		q2 := Quantile(raw, 0.5)
-		q3 := Quantile(raw, 0.75)
-		return q1 <= q2 && q2 <= q3 && Min(raw) <= q1 && q3 <= Max(raw)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summary = %+v", s)
-	}
-	str := s.String()
-	if !strings.Contains(str, "n=5") || !strings.Contains(str, "mean=3") {
-		t.Errorf("Summary.String = %q", str)
 	}
 }
 
@@ -169,16 +95,6 @@ func TestOverallPerformanceMonotonicity(t *testing.T) {
 	}
 	if OverallPerformance(0.5, 120, 100, 2, 2) >= base {
 		t.Error("more makespan did not lower P")
-	}
-}
-
-func TestArgmaxF(t *testing.T) {
-	xs := []float64{1, 5, 3, 5}
-	if got := ArgmaxF(len(xs), func(i int) float64 { return xs[i] }); got != 1 {
-		t.Errorf("ArgmaxF = %d, want 1 (first of ties)", got)
-	}
-	if got := ArgmaxF(1, func(int) float64 { return -7 }); got != 0 {
-		t.Errorf("ArgmaxF single = %d", got)
 	}
 }
 
