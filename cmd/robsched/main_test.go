@@ -198,3 +198,33 @@ func TestRunBadFlags(t *testing.T) {
 		t.Error("-scenario with -workload accepted")
 	}
 }
+
+// TestRepairAndFaultsNeedUniformScenario: repair and faulty execution
+// sample the uniform model only, so -repair and -faults under a scenario
+// with another duration model fail before anything is solved or printed,
+// with an error naming the model. A uniform scenario still runs them.
+func TestRepairAndFaultsNeedUniformScenario(t *testing.T) {
+	base := []string{"-n", "20", "-m", "3", "-seed", "5", "-scheduler", "heft", "-realizations", "20", "-q"}
+	for _, lane := range [][]string{{"-repair", "1e9"}, {"-faults", "auto"}} {
+		for _, sc := range []struct{ name, model string }{
+			{"random-lognormal", "lognormal"},
+			{"random-pareto", "pareto"},
+			{"random-correlated", "shared"},
+		} {
+			var out, errb bytes.Buffer
+			args := append(append([]string{"-scenario", sc.name}, base...), lane...)
+			err := run(args, &out, &errb)
+			if err == nil || !strings.Contains(err.Error(), "("+sc.model+")") {
+				t.Errorf("%s under %s: err = %v, want one naming %s", lane[0], sc.name, err, sc.model)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s under %s printed before failing:\n%s", lane[0], sc.name, out.String())
+			}
+		}
+		var out, errb bytes.Buffer
+		args := append(append([]string{"-scenario", "random-uniform"}, base...), lane...)
+		if err := run(args, &out, &errb); err != nil {
+			t.Errorf("%s under random-uniform: %v", lane[0], err)
+		}
+	}
+}

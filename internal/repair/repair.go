@@ -237,9 +237,13 @@ type Metrics struct {
 
 // Evaluate Monte-Carlo evaluates the schedule under the repair policy.
 // M0 is the schedule's planned makespan, so tardiness and miss rate are
-// directly comparable with the static (right-shift) evaluation.
+// directly comparable with the static (right-shift) evaluation. Durations
+// follow the independent uniform model (see sim.Options.CheckUniform).
 func Evaluate(s *schedule.Schedule, pol Policy, opt sim.Options, root *rng.Source) (Metrics, error) {
 	if err := opt.Validate(); err != nil {
+		return Metrics{}, err
+	}
+	if err := opt.CheckUniform(); err != nil {
 		return Metrics{}, err
 	}
 	w := s.Workload()
