@@ -1,7 +1,7 @@
 // Package obs is a zero-dependency, low-overhead observability layer for
 // the solver pipeline: atomic counters, gauges and fixed-bucket histograms
 // behind a Registry, plus a scoped Tracer (trace.go) that emits structured
-// span/event records to a JSONL sink and an in-memory ring.
+// span/event records to a JSONL sink.
 //
 // The whole package is nil-safe by design: every method on a nil *Registry,
 // *Counter, *Gauge, *Histogram or *Tracer is a no-op, and a nil Registry
