@@ -34,7 +34,6 @@ import (
 	"robsched/internal/scenario"
 	"robsched/internal/schedule"
 	"robsched/internal/sim"
-	"robsched/internal/stats"
 )
 
 // Config parameterizes every experiment runner.
@@ -282,5 +281,3 @@ func metricOf(ms sim.Metrics, m Metric) float64 {
 }
 
 func fmtUL(ul float64) string { return fmt.Sprintf("UL=%.1f", ul) }
-
-var _ = stats.Mean // stats is used by the sibling files
