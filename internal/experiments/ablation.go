@@ -76,9 +76,11 @@ func (c Config) AblationSeed() ([]Series, error) {
 }
 
 // AblationSlackMetric compares the paper's average-slack surrogate with
-// the conservative minimum-slack variant under the ε-constraint GA:
-// realized R1 and R2 per uncertainty level. Returned series (x = UL):
-// "avg,R1", "min,R1", "avg,R2", "min,R2".
+// the minimum-slack variant under the ε-constraint GA: realized R1 and R2
+// per uncertainty level. Returned series (x = UL): "avg,R1", "min,R1",
+// "avg,R2", "min,R2". The minimum slack of every schedule is 0 up to
+// rounding, so the "min" runs search on rounding residue rather than on
+// robustness (see robust.MinSlack).
 func (c Config) AblationSlackMetric() ([]Series, error) {
 	if err := c.validate(); err != nil {
 		return nil, err

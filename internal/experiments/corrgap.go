@@ -31,12 +31,6 @@ type CorrGapConfig struct {
 	// LoadCOVs is the shared-load coefficient-of-variation grid; empty
 	// defaults to {0.15, 0.3, 0.45, 0.6}.
 	LoadCOVs []float64
-	// UL is the mean uncertainty level of the generated workloads; 0
-	// defaults to the middle of the config's UL grid.
-	UL float64
-	// Eps relaxes the GA's makespan constraint (M0 ≤ ε·M_HEFT); 0
-	// defaults to 1.4, the same budget the fault experiment uses.
-	Eps float64
 }
 
 // DefaultCorrGapConfig returns the default load grid.
@@ -125,16 +119,10 @@ func (c Config) CorrelationGap(gc CorrGapConfig) (*CorrGapResult, error) {
 			return nil, fmt.Errorf("experiments: LoadCOV=%g must be > 0", cov)
 		}
 	}
-	ul := gc.UL
-	if ul == 0 {
-		ul = c.ULs[len(c.ULs)/2]
-	}
+	ul := c.midUL()
 	gaOpt := c.gaOptions()
 	gaOpt.Mode = robust.EpsilonConstraint
-	gaOpt.Eps = gc.Eps
-	if gaOpt.Eps == 0 {
-		gaOpt.Eps = 1.4
-	}
+	gaOpt.Eps = slackEps
 
 	type cell struct {
 		gaTard, gaMiss, gaP95 float64

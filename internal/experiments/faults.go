@@ -30,15 +30,17 @@ type FaultConfig struct {
 	MTBFFactor float64
 	// Policy is the fault-aware execution policy (retry/migration/drop).
 	Policy repair.FaultPolicy
-	// UL is the mean uncertainty level of the generated workloads; 0
-	// defaults to the middle of the config's UL grid.
-	UL float64
-	// Eps relaxes the makespan constraint M0 ≤ ε·M_HEFT for the SA and GA
-	// schedulers; 0 defaults to 1.4. At ε = 1.0 there is no makespan
-	// budget to buy slack with and all three schedulers collapse onto
-	// near-HEFT schedules, which makes the correlation vacuous.
-	Eps float64
 }
+
+// slackEps relaxes the makespan constraint M0 ≤ ε·M_HEFT of the SA and GA
+// schedulers in the fault and correlation-gap experiments. At ε = 1.0 there
+// is no makespan budget to buy slack with and all three schedulers
+// collapse onto near-HEFT schedules, which makes the correlation vacuous.
+const slackEps = 1.4
+
+// midUL is the mean uncertainty level the fault and correlation-gap
+// experiments generate their workloads at: the middle of the UL grid.
+func (c Config) midUL() float64 { return c.ULs[len(c.ULs)/2] }
 
 // DefaultFaultConfig pairs a 2·M0 MTBF with two migrating retries — enough
 // failures to differentiate schedules without overwhelming them.
@@ -107,17 +109,11 @@ func (c Config) FaultResilience(fc FaultConfig) (*FaultResilienceResult, error) 
 	if err := fc.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	ul := fc.UL
-	if ul == 0 {
-		ul = c.ULs[len(c.ULs)/2]
-	}
+	ul := c.midUL()
 	gaOpt := c.gaOptions()
 	gaOpt.Mode = robust.EpsilonConstraint
-	gaOpt.Eps = fc.Eps
-	if gaOpt.Eps == 0 {
-		gaOpt.Eps = 1.4
-	}
-	saOpt := robust.PaperishAnnealOptions(gaOpt.Eps)
+	gaOpt.Eps = slackEps
+	saOpt := robust.PaperishAnnealOptions(slackEps)
 	saOpt.Steps = gaOpt.PopSize * gaOpt.MaxGenerations // comparable budget
 
 	names := []string{"heft", "anneal", "ga"}

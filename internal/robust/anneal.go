@@ -70,36 +70,33 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	}
 	mheft := hs.Makespan()
 	bound := opt.Eps * mheft
-	slackOf := func(s *schedule.Schedule) float64 {
-		if opt.SlackMetric == MinSlack {
-			return s.MinSlack()
-		}
-		return s.AvgSlack()
-	}
 	// Energy: feasible states rank by slack; infeasible ones sit above any
 	// feasible energy by construction (violation scaled by M_HEFT keeps
-	// the units comparable).
-	energy := func(s *schedule.Schedule) float64 {
-		if s.Makespan() <= bound {
-			return -slackOf(s)
+	// the units comparable). A state's energy needs only its metrics
+	// triple, so no state's schedule is built until the best one's at the
+	// end.
+	dec := schedule.NewDecoder(w)
+	energy := func(c *Chromosome) (float64, error) {
+		m, err := c.metrics(dec)
+		if err != nil {
+			return 0, err
 		}
-		return (s.Makespan() - bound) / mheft * (1 + mheft)
+		if m.m0 <= bound {
+			return -m.slack(opt.SlackMetric), nil
+		}
+		return (m.m0 - bound) / mheft * (1 + mheft), nil
 	}
 
-	// Every state is decoded into one scratch schedule only for its
-	// energy; the best state is decoded anew at the end.
-	dec := schedule.NewDecoder(w)
 	var cur *Chromosome
 	if opt.NoHEFTSeed {
 		cur = Random(w, r)
 	} else {
 		cur = FromSchedule(hs)
 	}
-	s := new(schedule.Schedule)
-	if err := cur.decodeInto(dec, s); err != nil {
+	curE, err := energy(cur)
+	if err != nil {
 		return nil, err
 	}
-	curE := energy(s)
 	best, bestE := cur, curE
 
 	// Temperature scale anchored to the makespan bound so acceptance
@@ -109,10 +106,10 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	temp := opt.InitialTemp * scale
 	for step := 0; step < opt.Steps; step++ {
 		next := Mutate(w, cur, r)
-		if err := next.decodeInto(dec, s); err != nil {
+		nextE, err := energy(next)
+		if err != nil {
 			return nil, err
 		}
-		nextE := energy(s)
 		if nextE <= curE || r.Float64() < math.Exp((curE-nextE)/temp) {
 			cur, curE = next, nextE
 			if curE < bestE {

@@ -28,11 +28,12 @@ type Chromosome struct {
 	Proc  []int // assignment: processor of each task (indexed by task id)
 
 	// metr memoizes the fitness-relevant metrics triple: the only thing the
-	// GA reads of a chromosome's schedule. It is populated either by a
-	// decode into the evaluator's scratch schedule or — via the solver's
-	// MetricsCache — without decoding at all, which is what makes
-	// re-evaluations and genotype-duplicate individuals free. Code that
-	// needs the full schedule decodes it on demand (Decode).
+	// GA reads of a chromosome's schedule. It is populated either by the
+	// metrics-only decode (schedule.Decoder.Metrics), which never builds
+	// the schedule, or — via the solver's MetricsCache — without computing
+	// anything, which is what makes re-evaluations and genotype-duplicate
+	// individuals free. Code that needs the full schedule decodes it on
+	// demand (Decode).
 	metr    schedMetrics
 	hasMetr bool
 }
@@ -108,12 +109,14 @@ func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
 	return s, nil
 }
 
-// decodeInto is Decode into the caller's reusable target s.
-func (c *Chromosome) decodeInto(d *schedule.Decoder, s *schedule.Schedule) error {
-	if err := d.DecodeInto(s, c.Order, c.Proc); err != nil {
-		return fmt.Errorf("robust: invalid chromosome: %w", err)
+// metrics computes the metrics triple of the schedule the chromosome
+// represents without building it, rejecting the genotypes Decode rejects.
+func (c *Chromosome) metrics(d *schedule.Decoder) (schedMetrics, error) {
+	m0, avgSlack, minSlack, err := d.Metrics(c.Order, c.Proc)
+	if err != nil {
+		return schedMetrics{}, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
-	return nil
+	return schedMetrics{m0: m0, avgSlack: avgSlack, minSlack: minSlack}, nil
 }
 
 // keyBase is the odd weight base of the genotype hash; keyGene biases

@@ -103,9 +103,8 @@ func (e *Engine) Config() ga.Config[*Chromosome] { return e.cfg }
 // operators — migrants read off the wire — must pass it before they reach
 // the evaluator, which treats a decode failure as a bug.
 func (e *Engine) Validate(c *Chromosome) error {
-	sc := e.eval.scratch.get()
-	defer e.eval.scratch.put(sc)
-	return c.decodeInto(e.eval.dec, &sc.sched)
+	_, err := c.metrics(e.eval.dec)
+	return err
 }
 
 // Result decodes a finished GA run into the solver's result type.

@@ -35,17 +35,19 @@ const (
 	cacheShardCount = 16
 	// cacheShardCap bounds the entries per shard; a full shard is reset
 	// wholesale. At the paper's n=100 this caps the cache near 26 MB —
-	// an eviction can only cost a redundant decode, never correctness.
+	// an eviction can only cost a redundant metrics computation, never
+	// correctness.
 	cacheShardCap = 1024
 )
 
 // MetricsCache memoizes schedule metrics by genotype fingerprint
 // (Chromosome.Key: a position-weighted polynomial over the genes, finished
-// with the murmur3 avalanche), so the GA only pays the O(V+E)
-// decode for genuinely novel genotypes: crossovers of converged parents and
-// no-op mutations produce children with already-seen genotypes. Every hit
-// is confirmed by full genotype equality, so a fingerprint collision
-// degrades to a decode instead of corrupting a run.
+// with the murmur3 avalanche), so the GA only pays the O(V+E) metrics-only
+// decode (schedule.Decoder.Metrics) for genuinely novel genotypes:
+// crossovers of converged parents and no-op mutations produce children
+// with already-seen genotypes. Every hit is confirmed by full genotype
+// equality, so a fingerprint collision degrades to a recomputation instead
+// of corrupting a run.
 //
 // A MetricsCache is safe for concurrent use and MAY be shared across Solve
 // calls — the metrics are independent of Mode, ε and the slack metric — but
@@ -78,7 +80,7 @@ type CacheStats struct {
 	Misses int64
 	// Collisions counts the misses that found entries under the same
 	// fingerprint but failed the full genotype comparison — the collision
-	// fallback degrading to a decode instead of a wrong metric.
+	// fallback degrading to a recomputation instead of a wrong metric.
 	Collisions int64
 	// Evictions counts wholesale shard resets (capacity pressure).
 	Evictions int64

@@ -46,7 +46,11 @@ type SlackMetric int
 const (
 	// AvgSlack is the paper's surrogate (Eqn. 3).
 	AvgSlack SlackMetric = iota
-	// MinSlack is a more conservative extension: the smallest task slack.
+	// MinSlack is an extension: the smallest task slack. It is 0 up to
+	// rounding on every schedule (a critical path's tasks have zero
+	// slack), so under it Eqn. 8 scores every feasible individual about 0
+	// and every infeasible one about minFeasible·ε·M_HEFT/M0 ≈ 0:
+	// selection follows rounding residue.
 	MinSlack
 )
 
@@ -75,7 +79,7 @@ type Options struct {
 	Islands        int
 	MigrationEvery int
 
-	// Workers is ignored: a population's cache misses are decoded on the
+	// Workers is ignored: a population's cache misses are computed on the
 	// calling goroutine, and the only parallelism inside a solve is
 	// Islands. The field remains so that callers which set it, such as the
 	// benchmark harness in bench/, still compile.
@@ -87,16 +91,16 @@ type Options struct {
 	// (graph, ε) — the result is identical because HEFT is deterministic.
 	HEFT *schedule.Schedule
 
-	// Cache, if non-nil, is the genotype→metrics cache consulted before any
-	// chromosome decode and filled after it. It may be shared across Solve
-	// calls on the same workload (metrics are independent of Mode, ε and
-	// SlackMetric) but never across workloads. Nil gives the run a private
-	// cache; sharing only changes speed, never any result.
+	// Cache, if non-nil, is the genotype→metrics cache consulted before a
+	// chromosome's metrics are computed and filled after. It may be shared
+	// across Solve calls on the same workload (metrics are independent of
+	// Mode, ε and SlackMetric) but never across workloads. Nil gives the
+	// run a private cache; sharing only changes speed, never any result.
 	Cache *MetricsCache
 
 	// NoMetricsCache disables the metrics cache entirely (ablation and
 	// property tests). The GA trajectory is bit-identical either way — the
-	// cache only skips redundant decodes.
+	// cache only skips recomputing the metrics of genotypes already seen.
 	NoMetricsCache bool
 
 	// OnGeneration, if set, observes the best schedule of each generation
@@ -266,11 +270,11 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 	return &Result{Schedule: s, Generations: res.Generations, Stagnated: res.Stagnated}, nil
 }
 
-// evaluator computes the population fitness for each mode, decoding on the
-// calling goroutine. It is reentrant — islands evaluate concurrently. Each
-// chromosome carries its own metrics memo, the metrics cache is
-// mutex-striped, and the mutable scratch is taken per call from a free
-// list, so no two goroutines share any.
+// evaluator computes the population fitness for each mode, computing the
+// metrics of novel genotypes on the calling goroutine. It is reentrant —
+// islands evaluate concurrently. Each chromosome carries its own metrics
+// memo, the metrics cache is mutex-striped, and the mutable scratch is
+// taken per call from a free list, so no two goroutines share any.
 type evaluator struct {
 	opt   Options
 	mheft float64
@@ -297,13 +301,11 @@ func newEvaluator(w *platform.Workload, opt Options, mheft float64) *evaluator {
 }
 
 // evalScratch is the working state of one evaluator call, reused across
-// generations: ensureMetrics' dedup map, pending list and cache keys, and
-// the schedule each miss is decoded into.
+// generations: ensureMetrics' dedup map, pending list and cache keys.
 type evalScratch struct {
 	seen    map[*Chromosome]struct{}
 	pending []*Chromosome
 	keys    []uint64
-	sched   schedule.Schedule
 }
 
 // metricsOf returns the chromosome's metrics triple, through ensureMetrics
@@ -340,17 +342,17 @@ func (sc *evalScratch) pendingOf(pop []*Chromosome) []*Chromosome {
 }
 
 // ensureMetrics guarantees every chromosome of pop carries its metrics
-// triple, decoding only genuinely novel genotypes: memoized chromosomes are
-// free, cache hits (genotype-equal to any previously decoded individual,
-// across generations, islands and — via a shared Options.Cache — sibling
-// Solve runs) skip the decode entirely, and only the misses are decoded,
-// one after another into the call's scratch schedule, each inserting its
-// metrics into the cache.
+// triple, computing it only for genuinely novel genotypes: memoized
+// chromosomes are free, cache hits (genotype-equal to any individual seen
+// before, across generations, islands and — via a shared Options.Cache —
+// sibling Solve runs) cost a lookup, and only the misses run the
+// metrics-only decode (schedule.Decoder.Metrics), one after another, each
+// inserting its triple into the cache. No schedule is built.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	sc := e.scratch.get()
 	defer e.scratch.put(sc)
 	pending := sc.pendingOf(pop)
-	// Look every pending chromosome up before decoding any miss: two
+	// Look every pending chromosome up before computing any miss: two
 	// chromosomes of one generation sharing a new genotype both miss. Cache
 	// counters of pinned runs depend on that order.
 	misses := pending
@@ -370,10 +372,11 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 		sc.keys = keys
 	}
 	for i, c := range misses {
-		if err := c.decodeInto(e.dec, &sc.sched); err != nil {
+		met, err := c.metrics(e.dec)
+		if err != nil {
 			panic(err) // operators guarantee validity
 		}
-		c.metr, c.hasMetr = metricsFromSchedule(&sc.sched), true
+		c.metr, c.hasMetr = met, true
 		if e.cache != nil {
 			e.cache.insert(keys[i], c, c.metr)
 		}
@@ -381,10 +384,10 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 }
 
 // evaluateInto implements the three objectives over the metrics triples,
-// writing the fitness into fit (the GA engine's reusable arena). The novel
-// genotypes are decoded first; the fitness combination is deterministic,
-// so the values — and the whole GA trajectory — are bit-identical with the
-// cache on or off.
+// writing the fitness into fit (the GA engine's reusable arena). The
+// metrics of novel genotypes are computed first; the fitness combination
+// is deterministic, so the values — and the whole GA trajectory — are
+// bit-identical with the cache on or off.
 func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 	e.ensureMetrics(pop)
 	switch e.opt.Mode {

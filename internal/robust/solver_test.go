@@ -362,3 +362,41 @@ func TestSolveGenerationAllocatesOnlyCacheInserts(t *testing.T) {
 			"their %d extra cache inserts allow %.0f", extra, shortAllocs, longAllocs, longMisses-shortMisses, budget)
 	}
 }
+
+// TestMinSlackIsZeroOnGASchedules pins what makes the MinSlack surrogate
+// degenerate: every schedule has a critical path, whose tasks have zero
+// slack, so every genotype an ε-constraint GA scores — each entry of its
+// metrics cache, under either slack metric — and the best schedule of
+// every generation read MinSlack 0 up to rounding.
+func TestMinSlackIsZeroOnGASchedules(t *testing.T) {
+	w := testWorkload(t, 71, 60, 4)
+	zero := func(ctx string, v float64) {
+		t.Helper()
+		if math.Abs(v) > 1e-9 {
+			t.Fatalf("%s: MinSlack = %v, want 0 up to rounding", ctx, v)
+		}
+	}
+	for _, metric := range []SlackMetric{AvgSlack, MinSlack} {
+		opt := quickOptions(EpsilonConstraint, 1.3)
+		opt.SlackMetric = metric
+		opt.Cache = NewMetricsCache()
+		opt.OnGeneration = func(_ int, best *schedule.Schedule) { zero("generation best", best.MinSlack()) }
+		res, err := Solve(w, opt, rng.New(uint64(metric)+5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero("result", res.Schedule.MinSlack())
+		scored := 0
+		for i := range opt.Cache.shards {
+			for _, entries := range opt.Cache.shards[i].m {
+				for _, e := range entries {
+					zero("cache entry", e.met.minSlack)
+					scored++
+				}
+			}
+		}
+		if scored < 100 {
+			t.Fatalf("only %d genotypes scored", scored)
+		}
+	}
+}

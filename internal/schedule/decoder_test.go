@@ -310,6 +310,34 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMetricsSteadyStateAllocs: once the pool is warm, the metrics kernel
+// allocates nothing.
+func TestMetricsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	r := rng.New(43)
+	w := randomWorkload(t, r, 40, 4)
+	order := w.G.RandomTopologicalOrder(r)
+	proc := make([]int, w.N())
+	for i := range proc {
+		proc[i] = r.Intn(w.M())
+	}
+	dec := NewDecoder(w)
+	if _, _, _, err := dec.Metrics(order, proc); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	runtime.GC()
+	avg := testing.AllocsPerRun(200, func() {
+		if _, _, _, err := dec.Metrics(order, proc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Metrics costs %.1f allocs, want 0", avg)
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	r := rng.New(1)
 	w := benchWorkload(b, r, 100, 8)
@@ -324,6 +352,26 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := dec.DecodeInto(&s, order, proc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeMetrics is BenchmarkDecode's chromosome through the
+// metrics kernel, which computes the triple without building the schedule.
+func BenchmarkDecodeMetrics(b *testing.B) {
+	r := rng.New(1)
+	w := benchWorkload(b, r, 100, 8)
+	order := w.G.RandomTopologicalOrder(r)
+	proc := make([]int, w.N())
+	for i := range proc {
+		proc[i] = r.Intn(w.M())
+	}
+	dec := NewDecoder(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := dec.Metrics(order, proc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,10 @@ import (
 // every malformed one with an error, and never panics. The target already
 // holds another workload's schedule, so its arenas are reused when large
 // enough; after a rejection the uncorrupted chromosome is decoded into the
-// same target and must still match FromOrder bit for bit.
+// same target and must still match FromOrder bit for bit. The metrics
+// kernel (Decoder.Metrics) must accept exactly the chromosomes DecodeInto
+// accepts, fail with DecodeInto's error on the others, and return the
+// decoded schedule's makespan and slack summary bit for bit.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint64(1), uint64(2), 0, []byte(nil))
 	f.Add(uint64(7), uint64(11), 5, []byte{2, 3, 9})
@@ -77,14 +80,17 @@ func FuzzDecode(f *testing.F) {
 		}
 		dec := NewDecoder(w)
 		err = dec.DecodeInto(&got, order, proc)
+		sameMetrics(t, dec, order, proc, &got, err)
 		if !valid {
 			if err == nil {
 				t.Fatalf("malformed chromosome accepted: order=%v proc=%v", order, proc)
 			}
 			order, proc = cleanOrder, cleanProc
-			if err := dec.DecodeInto(&got, order, proc); err != nil {
+			err := dec.DecodeInto(&got, order, proc)
+			if err != nil {
 				t.Fatalf("valid chromosome rejected after a failed decode: %v", err)
 			}
+			sameMetrics(t, dec, order, proc, &got, err)
 		} else if err != nil {
 			t.Fatalf("valid chromosome rejected: %v", err)
 		}
@@ -94,6 +100,25 @@ func FuzzDecode(f *testing.F) {
 		}
 		sameSchedule(t, "fuzz", &got, want)
 	})
+}
+
+// sameMetrics fails the test unless Metrics agrees with the DecodeInto
+// call on (order, proc) that left s and derr: the same error, or on
+// success the triple of s bit for bit.
+func sameMetrics(t *testing.T, dec *Decoder, order, proc []int, s *Schedule, derr error) {
+	t.Helper()
+	m0, avg, lowest, err := dec.Metrics(order, proc)
+	switch {
+	case (err == nil) != (derr == nil):
+		t.Fatalf("Metrics error %v, DecodeInto error %v: order=%v proc=%v", err, derr, order, proc)
+	case err != nil:
+		if err.Error() != derr.Error() {
+			t.Fatalf("Metrics error %q, DecodeInto error %q", err, derr)
+		}
+	case !sameBits(m0, s.Makespan()) || !sameBits(avg, s.AvgSlack()) || !sameBits(lowest, s.MinSlack()):
+		t.Fatalf("Metrics gives (%v, %v, %v), DecodeInto (%v, %v, %v)",
+			m0, avg, lowest, s.Makespan(), s.AvgSlack(), s.MinSlack())
+	}
 }
 
 // fillWithOther decodes into s a random chromosome of a workload derived

@@ -19,8 +19,11 @@
 // in one int32 arena and all float state in one float64 arena, so building
 // a new schedule costs two heap allocations beyond its struct and the
 // longest-path passes walk contiguous memory. See Decoder (decoder.go) for
-// the pooled fast path used by the GA's chromosome decoding, which reuses a
-// target schedule's arenas and then allocates nothing.
+// the pooled fast paths the GA uses: Metrics computes a chromosome's
+// expected makespan and slack summary without building a schedule, with
+// the same code every constructor runs for its expected-duration analysis
+// (expected.go), and DecodeInto reuses a target schedule's arenas. Neither
+// allocates in steady state.
 package schedule
 
 import (
@@ -56,20 +59,13 @@ type Schedule struct {
 	dsucc []int32
 	dpred []int32
 
-	// Communication cost of each data arc, parallel to arcs.succTo and
-	// arcs.predTo; depends on the processor assignment.
-	succComm []float64
+	// Communication cost of each data arc, parallel to arcs.predTo: the
+	// analysis's succComm mirrored, for the realized-duration passes.
 	predComm []float64
 
-	// Analysis under expected durations.
-	expDur   []float64 // expected duration of each task on its processor
-	start    []float64 // earliest (ASAP) start times; equals top level
-	finish   []float64
-	makespan float64   // M0(s)
-	bl       []float64 // bottom levels (including own duration)
-	slack    []float64 // σ_i = M - Bl(i) - Tl(i)
-	avgSlack float64
-	minSlack float64
+	// The analysis under expected durations, with the per-arc
+	// communication costs in the succ direction.
+	analysis
 
 	// The two arenas the slices above are carved from, kept whole so
 	// Decoder.DecodeInto can reuse them for the next schedule.
@@ -115,12 +111,15 @@ func New(w *platform.Workload, proc []int, procOrder [][]int) (*Schedule, error)
 			return nil, fmt.Errorf("schedule: task %d assigned to processor %d out of range [0,%d)", v, p, m)
 		}
 	}
-	s := new(Schedule)
 	sc := getScratch(n, m)
 	defer putScratch(sc)
-	sc.prepassFromLists(w, proc, procOrder)
-	err := buildInto(s, w, sc, nil)
+	arcs := arcsFor(w.G)
+	order, err := sc.kahnOrder(w.G, arcs, procOrder)
 	if err != nil {
+		return nil, err
+	}
+	s := new(Schedule)
+	if err := buildWith(s, w, arcs, sc, order, proc); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -142,7 +141,7 @@ func FromOrder(w *platform.Workload, order []int, proc []int) (*Schedule, error)
 // topological, as the GA's operators guarantee by construction (Section
 // 4.2.5/4.2.6). Historically it skipped the O(V+E) precedence scan; since
 // the scheduling string became the stored topological order, precedence
-// validation is a byproduct of the communication-cost fill (one comparison
+// validation is a byproduct of the analysis's forward pass (one comparison
 // per arc, cheaper than the Kahn pass it replaced), so the trusted path now
 // rejects every inversion — including cross-processor ones — just like
 // FromOrder, at no extra cost.
@@ -156,7 +155,8 @@ func FromOrderTrusted(w *platform.Workload, order []int, proc []int) (*Schedule,
 
 // forward runs one ASAP longest-path pass over the disjunctive graph with
 // the given durations, filling start and finish, and returns the makespan.
-// start and finish must have length N.
+// start and finish must have length N. It serves realized durations; the
+// expected ones go through the analysis (expected.go).
 func (s *Schedule) forward(dur, start, finish []float64) float64 {
 	predOff, predTo, predComm := s.arcs.predOff, s.arcs.predTo, s.predComm
 	dpred := s.dpred
@@ -235,13 +235,7 @@ func (s *Schedule) SlackWith(dur []float64) (slack []float64, makespan float64) 
 	bl := make([]float64, n)
 	s.backward(dur, bl)
 	slack = make([]float64, n)
-	for v := 0; v < n; v++ {
-		sl := makespan - bl[v] - start[v]
-		if sl < 0 && sl > -1e-9 {
-			sl = 0
-		}
-		slack[v] = sl
-	}
+	slackInto(slack, makespan, start, bl)
 	return slack, makespan
 }
 
@@ -307,8 +301,11 @@ func (s *Schedule) Slack(v int) float64 { return s.slack[v] }
 // robustness surrogate.
 func (s *Schedule) AvgSlack() float64 { return s.avgSlack }
 
-// MinSlack returns the smallest task slack; an alternative, more
-// conservative robustness surrogate exposed as a fitness option.
+// MinSlack returns the smallest task slack, exposed as a fitness option.
+// It is 0 up to rounding on every schedule: the tasks of a critical path
+// have Tl + Bl = M0, so their slack is zero. Whatever it returns beyond 0
+// (at most a few 1e-13 on paper-size schedules) is rounding residue, so it
+// cannot rank schedules by robustness.
 func (s *Schedule) MinSlack() float64 { return s.minSlack }
 
 // ExpectedDurations returns a copy of the expected duration of each task on

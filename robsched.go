@@ -255,8 +255,10 @@ const (
 // SlackMetric selects the robustness surrogate the GA maximizes.
 type SlackMetric = robust.SlackMetric
 
-// Slack surrogates: the paper's average slack, or the more conservative
-// minimum slack extension.
+// Slack surrogates: the paper's average slack, or the minimum slack
+// extension. The minimum slack of every schedule is 0 up to rounding (a
+// critical path's tasks have zero slack), so a GA maximizing it selects on
+// rounding residue; see robust.MinSlack.
 const (
 	AvgSlackMetric = robust.AvgSlack
 	MinSlackMetric = robust.MinSlack
