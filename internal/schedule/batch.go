@@ -16,14 +16,20 @@ package schedule
 //
 // Every lane's floating-point operations are performed in exactly the order
 // of the scalar forward pass, so out[l] is bit-identical to
-// MakespanInto(dur-of-lane-l, ...) for any lane count.
+// MakespanInto(dur-of-lane-l, ...) for any lane count. Eight lanes run the
+// AVX kernel where the CPU and OS support AVX and makespanBatch8 elsewhere;
+// both give the same bits.
 func (s *Schedule) MakespanBatchInto(lanes int, dur, stBuf, finishBuf, out []float64) {
 	L := lanes
 	n := len(s.proc)
 	dur = dur[: n*L : n*L]
 	finish := finishBuf[: n*L : n*L]
 	if L == batchLanes {
-		s.makespanBatch8(n, dur, finish, out)
+		if hasAVX {
+			s.makespanBatch8AVX(n, dur, finish, out)
+		} else {
+			s.makespanBatch8(n, dur, finish, out)
+		}
 		return
 	}
 	st := stBuf[:L:L]
@@ -164,4 +170,19 @@ func (s *Schedule) makespanBatch8(n int, dur, finish, out []float64) {
 			}
 		}
 	}
+}
+
+// makespanBatch8AVX runs the assembly form of makespanBatch8. The assembly
+// does no bounds checks, so every slice length it relies on is checked
+// here. The index values it reads (topo a permutation of the tasks, predOff
+// nondecreasing, predTo and dpred in range) are guaranteed by every
+// constructor and fuzzed by FuzzDecode.
+func (s *Schedule) makespanBatch8AVX(n int, dur, finish, out []float64) {
+	const L = batchLanes
+	predOff, predTo := s.arcs.predOff, s.arcs.predTo
+	if len(s.topo) != n || len(predOff) != n+1 || int(predOff[n]) != len(predTo) ||
+		len(s.predComm) != len(predTo) || len(s.dpred) != n || len(dur) < n*L || len(finish) < n*L {
+		panic("schedule: batched kernel inputs have inconsistent lengths")
+	}
+	batch8AVX(s.topo, predOff, predTo, s.dpred, s.predComm, dur, finish, (*[L]float64)(out))
 }

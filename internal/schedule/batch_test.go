@@ -1,9 +1,11 @@
 package schedule
 
 import (
+	"math"
 	"testing"
 
 	"robsched/internal/dag"
+	"robsched/internal/gen"
 	"robsched/internal/platform"
 	"robsched/internal/rng"
 )
@@ -54,6 +56,102 @@ func TestMakespanBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// batchSpecials are the values on which the AVX kernel's VMAXPD and the Go
+// kernel's compare-and-branch would part ways if an operand were swapped
+// (NaN, signed zeros), plus infinities, subnormals and values whose sums
+// overflow.
+var batchSpecials = []float64{
+	math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1040, 1e308, -1e308, math.MaxFloat64,
+}
+
+// TestMakespanBatch8AVXMatchesGo: the assembly kernel and makespanBatch8
+// write the same bits into every finish time and every makespan, on random
+// workloads (n 1–60, m 1–5) and paper-size ones, with durations and
+// communication costs drawn from ordinary values mixed with NaN, −0, ±Inf,
+// subnormals and huge values. makespanBatch8 is the kernel every host
+// without AVX runs, so this holds the fallback to the dispatched path's
+// output.
+func TestMakespanBatch8AVXMatchesGo(t *testing.T) {
+	if !hasAVX {
+		t.Skip("the CPU or OS lacks AVX, so the assembly kernel never runs on this host")
+	}
+	const L = batchLanes
+	r := rng.New(307)
+	value := func(special, ordinary float64) float64 {
+		if r.Float64() < special {
+			return batchSpecials[r.Intn(len(batchSpecials))]
+		}
+		return ordinary
+	}
+	check := func(ctx string, w *platform.Workload, s *Schedule) {
+		t.Helper()
+		n := w.N()
+		for _, special := range []float64{0, 0.05, 0.3} {
+			for k := range s.predComm {
+				s.predComm[k] = value(special, r.Uniform(0, 8))
+			}
+			dur := make([]float64, n*L)
+			for i := range dur {
+				dur[i] = value(special, w.SampleDuration(i/L, s.Proc(i/L), r))
+			}
+			// Different fill in each kernel's buffers, so an entry one of
+			// them leaves unwritten cannot match by accident.
+			finAsm, finGo := make([]float64, n*L), make([]float64, n*L)
+			for i := range finAsm {
+				finAsm[i], finGo[i] = -1, -2
+			}
+			outAsm, outGo := make([]float64, L), make([]float64, L)
+			s.makespanBatch8AVX(n, dur, finAsm, outAsm)
+			s.makespanBatch8(n, dur, finGo, outGo)
+			for i := range finAsm {
+				if !sameBits(finAsm[i], finGo[i]) {
+					t.Fatalf("%s, special share %v: finish %d lane %d: go %v asm %v",
+						ctx, special, i/L, i%L, finGo[i], finAsm[i])
+				}
+			}
+			for l := range outAsm {
+				if !sameBits(outAsm[l], outGo[l]) {
+					t.Fatalf("%s, special share %v: lane %d makespan: go %v asm %v",
+						ctx, special, l, outGo[l], outAsm[l])
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 150; trial++ {
+		w := randomWorkload(t, r, 1+r.Intn(60), 1+r.Intn(5))
+		check("random workload", w, randomSchedule(t, r, w))
+	}
+	for _, ccr := range []float64{0.1, 1, 10} {
+		p := gen.PaperParams()
+		p.CCR = ccr
+		w, err := gen.Random(p, r.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 10; k++ {
+			check("paper workload", w, randomSchedule(t, r, w))
+		}
+	}
+}
+
+// TestMakespanBatch8AVXChecksLengths: the assembly does no bounds checks, so
+// its wrapper refuses inputs whose lengths disagree instead of reading past
+// a slice.
+func TestMakespanBatch8AVXChecksLengths(t *testing.T) {
+	r := rng.New(311)
+	w := randomWorkload(t, r, 12, 3)
+	s := randomSchedule(t, r, w)
+	n := w.N()
+	s.dpred = s.dpred[:n-1]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a short dpred did not panic")
+		}
+	}()
+	s.makespanBatch8AVX(n, make([]float64, n*batchLanes), make([]float64, n*batchLanes), make([]float64, batchLanes))
+}
+
 func benchWorkloadAndSchedule(b *testing.B) (*platform.Workload, *Schedule) {
 	b.Helper()
 	r := rng.New(7)
@@ -92,10 +190,12 @@ func benchWorkloadAndSchedule(b *testing.B) (*platform.Workload, *Schedule) {
 
 // BenchmarkRealizeBatch measures the batched forward kernel: 8 lanes of an
 // n=100, m=8 schedule per sweep, reported per single realization so it is
-// directly comparable to BenchmarkRealizeScalar.
+// directly comparable to BenchmarkRealizeScalar. The avx sub-benchmark runs
+// MakespanBatchInto, which dispatches to the assembly kernel (skipped
+// without AVX); go runs makespanBatch8, the kernel of every other host.
 func BenchmarkRealizeBatch(b *testing.B) {
 	w, s := benchWorkloadAndSchedule(b)
-	const lanes = 8
+	const lanes = batchLanes
 	n := w.N()
 	r := rng.New(11)
 	dur := make([]float64, n*lanes)
@@ -105,12 +205,22 @@ func BenchmarkRealizeBatch(b *testing.B) {
 	st := make([]float64, lanes)
 	finish := make([]float64, n*lanes)
 	out := make([]float64, lanes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MakespanBatchInto(lanes, dur, st, finish, out)
-	}
-	// One op = lanes realizations; normalize for comparability.
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/realization")
+	b.Run("avx", func(b *testing.B) {
+		if !hasAVX {
+			b.Skip("the CPU or OS lacks AVX")
+		}
+		for i := 0; i < b.N; i++ {
+			s.MakespanBatchInto(lanes, dur, st, finish, out)
+		}
+		// One op = lanes realizations; normalize for comparability.
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/realization")
+	})
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.makespanBatch8(n, dur, finish, out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/realization")
+	})
 }
 
 // BenchmarkRealizeScalar is the per-realization scalar baseline the batched

@@ -37,7 +37,8 @@ import (
 
 // DefaultBatchSize is the number of realizations a worker processes per
 // kernel batch when Options.BatchSize is zero. Eight lanes of float64 fill
-// one cache line, which measures fastest for the paper-scale workloads.
+// one cache line and two ymm registers of the AVX kernel, and only this
+// width has a specialized kernel (schedule.MakespanBatchInto).
 const DefaultBatchSize = 8
 
 // DurationModel selects the per-(task, processor) duration distribution.
