@@ -31,7 +31,7 @@ type Options struct {
 func HEFT(w *platform.Workload, opts Options) (*schedule.Schedule, error) {
 	ranks := UpwardRanks(w)
 	order := tasksByDescending(ranks)
-	return scheduleByList(w, order, opts, nil, -1)
+	return scheduleByList(w, order, opts, nil, -1, platform.Matrix{})
 }
 
 // CPOP schedules the workload with the CPOP heuristic: tasks on the
@@ -77,7 +77,7 @@ func CPOP(w *platform.Workload, opts Options) (*schedule.Schedule, error) {
 	}
 	// Ready-list scheduling in decreasing priority order.
 	order := readyOrder(w, prio)
-	return scheduleByList(w, order, opts, onCP, bestProc)
+	return scheduleByList(w, order, opts, onCP, bestProc, platform.Matrix{})
 }
 
 // UpwardRanks returns HEFT's upward rank of every task:
@@ -182,9 +182,11 @@ type slot struct {
 
 // scheduleByList runs insertion-based earliest-finish-time list scheduling
 // over the given task order. If pinned is non-nil, tasks with pinned[v] true
-// are forced onto pinnedProc (CPOP's critical-path rule). The order must be
-// a valid topological order.
-func scheduleByList(w *platform.Workload, order []int, opts Options, pinned []bool, pinnedProc int) (*schedule.Schedule, error) {
+// are forced onto pinnedProc (CPOP's critical-path rule). If oct is not the
+// zero matrix, each task goes to the processor minimizing its finish time
+// plus oct(v, p) instead of the finish time alone (PEFT's predicted EFT).
+// The order must be a valid topological order.
+func scheduleByList(w *platform.Workload, order []int, opts Options, pinned []bool, pinnedProc int, oct platform.Matrix) (*schedule.Schedule, error) {
 	if !w.G.IsTopologicalOrder(order) {
 		return nil, fmt.Errorf("heft: processing order is not topological")
 	}
@@ -196,7 +198,7 @@ func scheduleByList(w *platform.Workload, order []int, opts Options, pinned []bo
 		proc[i] = -1
 	}
 	for _, v := range order {
-		bestProc, bestStart, bestFinish := -1, 0.0, math.Inf(1)
+		bestProc, bestStart, bestFinish, bestKey := -1, 0.0, 0.0, math.Inf(1)
 		lo, hi := 0, m
 		if pinned != nil && pinned[v] {
 			lo, hi = pinnedProc, pinnedProc+1
@@ -212,8 +214,13 @@ func scheduleByList(w *platform.Workload, order []int, opts Options, pinned []bo
 			}
 			dur := w.ExpectedAt(v, p)
 			start := findStart(timelines[p], ready, dur, opts.NoInsertion)
-			if finish := start + dur; finish < bestFinish {
-				bestProc, bestStart, bestFinish = p, start, finish
+			finish := start + dur
+			key := finish
+			if !oct.IsZero() {
+				key += oct.At(v, p)
+			}
+			if key < bestKey {
+				bestProc, bestStart, bestFinish, bestKey = p, start, finish, key
 			}
 		}
 		proc[v] = bestProc

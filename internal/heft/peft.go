@@ -2,7 +2,6 @@ package heft
 
 import (
 	"math"
-	"sort"
 
 	"robsched/internal/platform"
 	"robsched/internal/schedule"
@@ -34,57 +33,7 @@ func PEFT(w *platform.Workload, opts Options) (*schedule.Schedule, error) {
 	}
 	// Ready-list scheduling in decreasing rank order with the
 	// OCT-augmented processor choice.
-	order := readyOrder(w, rank)
-	timelines := make([][]slot, m)
-	proc := make([]int, n)
-	aft := make([]float64, n)
-	for i := range proc {
-		proc[i] = -1
-	}
-	for _, v := range order {
-		bestProc, bestStart := -1, 0.0
-		bestPredicted := math.Inf(1)
-		for p := 0; p < m; p++ {
-			ready := 0.0
-			for _, a := range w.G.Predecessors(v) {
-				u := a.To
-				if t := aft[u] + w.Sys.CommCost(proc[u], p, a.Data); t > ready {
-					ready = t
-				}
-			}
-			dur := w.ExpectedAt(v, p)
-			start := findStart(timelines[p], ready, dur, opts.NoInsertion)
-			if predicted := start + dur + oct.At(v, p); predicted < bestPredicted {
-				bestProc, bestStart, bestPredicted = p, start, predicted
-			}
-		}
-		proc[v] = bestProc
-		aft[v] = bestStart + w.ExpectedAt(v, bestProc)
-		timelines[bestProc] = insertSlot(timelines[bestProc], slot{bestStart, aft[v], v})
-	}
-	procOrder := make([][]int, m)
-	for p, tl := range timelines {
-		for _, s := range tl {
-			procOrder[p] = append(procOrder[p], s.task)
-		}
-	}
-	// Defensive: timelines are sorted by start; re-sort in case of ties.
-	for p := range procOrder {
-		sort.SliceStable(procOrder[p], func(a, b int) bool {
-			va, vb := procOrder[p][a], procOrder[p][b]
-			return startOf(timelines[p], va) < startOf(timelines[p], vb)
-		})
-	}
-	return schedule.New(w, proc, procOrder)
-}
-
-func startOf(tl []slot, task int) float64 {
-	for _, s := range tl {
-		if s.task == task {
-			return s.start
-		}
-	}
-	return math.Inf(1)
+	return scheduleByList(w, readyOrder(w, rank), opts, nil, -1, oct)
 }
 
 // OptimisticCostTable computes PEFT's OCT matrix (n×m): zero for exit
