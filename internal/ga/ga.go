@@ -128,8 +128,6 @@ func (c *Config[T]) validate() error {
 type Result[T any] struct {
 	// Best is the fittest individual ever evaluated.
 	Best T
-	// BestFitness is its fitness in its final generation's evaluation.
-	BestFitness float64
 	// Generations is the number of evolution steps performed (excluding
 	// the initial population).
 	Generations int
@@ -309,50 +307,33 @@ func (c Config[T]) dropFresh(ind T, src int32) {
 	}
 }
 
-// Run evolves a population and returns the best individual found.
+// Run evolves a population and returns the best individual found. It is
+// one Island stepped a generation at a time, with OnGeneration, the
+// Observer and the stagnation stop applied after every step.
 func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
-	if err := c.validate(); err != nil {
+	is, err := NewIsland(c, 0, r)
+	if err != nil {
 		return Result[T]{}, err
 	}
-	pop, seeds := c.initialPopulation(r)
-	ar := newArena[T](c.PopSize, seeds)
-	fit := make([]float64, c.PopSize)
-	c.EvaluateInto(pop, fit)
-	bestIdx := argmax(fit)
-	best, bestFit := pop[bestIdx], fit[bestIdx]
 	if c.OnGeneration != nil {
-		c.OnGeneration(0, pop, fit)
+		c.OnGeneration(0, is.pop, is.fit)
 	}
 	if c.Observer != nil {
-		c.Observer.ObserveGeneration(c.genStats(ar, 0, 0, pop, fit, opCounts{}))
+		c.Observer.ObserveGeneration(is.InitStats())
 	}
-	sinceImprove := 0
-	gen := 0
-	for gen = 1; gen <= c.MaxGenerations; gen++ {
-		var oc opCounts
-		pop, fit, oc = c.advance(pop, fit, ar, r)
-		bestIdx = argmax(fit)
+	for gen := 1; gen <= c.MaxGenerations; gen++ {
+		oc := is.step()
 		if c.OnGeneration != nil {
-			c.OnGeneration(gen, pop, fit)
+			c.OnGeneration(gen, is.pop, is.fit)
 		}
 		if c.Observer != nil {
-			c.Observer.ObserveGeneration(c.genStats(ar, 0, gen, pop, fit, oc))
+			c.Observer.ObserveGeneration(c.genStats(is.ar, 0, gen, is.pop, is.fit, oc))
 		}
-		if fit[bestIdx] > bestFit+1e-12 {
-			best, bestFit = pop[bestIdx], fit[bestIdx]
-			sinceImprove = 0
-		} else {
-			// Track the current best individual even when fitness is flat,
-			// and refresh bestFit downward drift caused by the population-
-			// relative component.
-			best, bestFit = pop[bestIdx], fit[bestIdx]
-			sinceImprove++
-		}
-		if c.Stagnation > 0 && sinceImprove >= c.Stagnation {
-			return Result[T]{Best: best, BestFitness: bestFit, Generations: gen, Stagnated: true}, nil
+		if c.Stagnation > 0 && is.sinceImprove >= c.Stagnation {
+			return Result[T]{Best: is.best, Generations: gen, Stagnated: true}, nil
 		}
 	}
-	return Result[T]{Best: best, BestFitness: bestFit, Generations: c.MaxGenerations}, nil
+	return Result[T]{Best: is.best, Generations: c.MaxGenerations}, nil
 }
 
 // initialPopulation seeds, then fills with unique random individuals

@@ -61,12 +61,9 @@ type Island[T any] struct {
 // configuration, builds and evaluates the initial population from r (the
 // island's own stream — RunIslands derives one per island by root.Split()
 // in island order) and records the initial best. Heuristic Seeds go to
-// island 0 only, exactly as in RunIslands; OnGeneration is rejected because
-// its cross-island ordering would depend on scheduling.
+// island 0 only, exactly as in RunIslands. Island never calls OnGeneration;
+// Run, the one-island runner, does.
 func NewIsland[T any](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
-	if c.OnGeneration != nil {
-		return nil, fmt.Errorf("ga: OnGeneration is not supported with islands")
-	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -111,19 +108,29 @@ func (is *Island[T]) InitStats() GenStats {
 // observed trajectory is independent of how epochs are scheduled.
 func (is *Island[T]) Epoch(startGen, gens int) {
 	for e := 0; e < gens; e++ {
-		next, fit, oc := is.cfg.advance(is.pop, is.fit, is.ar, is.rng)
-		is.pop, is.fit = next, fit
+		oc := is.step()
 		if is.cfg.Observer != nil {
 			is.stats = append(is.stats, is.cfg.genStats(is.ar, is.idx, startGen+e+1, is.pop, is.fit, oc))
 		}
-		bi := argmax(fit)
-		if fit[bi] > is.bf+1e-12 {
-			is.sinceImprove = 0
-		} else {
-			is.sinceImprove++
-		}
-		is.best, is.bf = is.pop[bi], fit[bi]
 	}
+}
+
+// step advances the island one generation and updates its running best,
+// which follows the population's current best even when fitness is flat
+// (the ε-constraint fitness drifts with the population), and its count of
+// generations without a strict improvement. It returns the generation's
+// operator counts.
+func (is *Island[T]) step() opCounts {
+	next, fit, oc := is.cfg.advance(is.pop, is.fit, is.ar, is.rng)
+	is.pop, is.fit = next, fit
+	bi := argmax(fit)
+	if fit[bi] > is.bf+1e-12 {
+		is.sinceImprove = 0
+	} else {
+		is.sinceImprove++
+	}
+	is.best, is.bf = is.pop[bi], fit[bi]
+	return oc
 }
 
 // Migrate implements the receiving half of the ring migration: the island's
@@ -175,9 +182,6 @@ func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 	}
 	if c.Islands == 1 {
 		return Run(c.Base, root)
-	}
-	if err := c.Base.validate(); err != nil {
-		return zero, err
 	}
 	every := c.MigrationEvery
 	if every <= 0 {
@@ -257,15 +261,11 @@ func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 				}
 			}
 			if all {
-				best := pickBest(states)
-				b, bf := best.Best()
-				return Result[T]{Best: b, BestFitness: bf, Generations: gen, Stagnated: true}, nil
+				return Result[T]{Best: pickBest(states).best, Generations: gen, Stagnated: true}, nil
 			}
 		}
 	}
-	best := pickBest(states)
-	b, bf := best.Best()
-	return Result[T]{Best: b, BestFitness: bf, Generations: totalGens}, nil
+	return Result[T]{Best: pickBest(states).best, Generations: totalGens}, nil
 }
 
 // pickBest returns the island holding the globally best individual; ties

@@ -31,8 +31,8 @@ func TestRunIslandsSingleIslandDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestFitness < 14 {
-		t.Fatalf("single island fitness %g", res.BestFitness)
+	if f := ones(res.Best); f < 14 {
+		t.Fatalf("single island fitness %g", f)
 	}
 }
 
@@ -45,9 +45,9 @@ func TestRunIslandsSolvesOneMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestFitness != n {
+	if f := ones(res.Best); f != n {
 		t.Fatalf("islands reached fitness %g after %d generations, want %d",
-			res.BestFitness, res.Generations, n)
+			f, res.Generations, n)
 	}
 }
 
@@ -69,13 +69,13 @@ func TestRunIslandsSeedMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestFitness != n {
-		t.Fatalf("optimal seed lost: best %g", res.BestFitness)
+	if f := ones(res.Best); f != n {
+		t.Fatalf("optimal seed lost: best %g", f)
 	}
 }
 
 func TestRunIslandsDeterministic(t *testing.T) {
-	run := func() float64 {
+	run := func() string {
 		c := oneMaxConfig(20)
 		c.MaxGenerations = 60
 		c.Stagnation = 0
@@ -83,10 +83,10 @@ func TestRunIslandsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.BestFitness
+		return string(res.Best)
 	}
 	if a, b := run(), run(); a != b {
-		t.Fatalf("island run not deterministic: %g vs %g", a, b)
+		t.Fatalf("island run not deterministic: %v vs %v", []byte(a), []byte(b))
 	}
 }
 

@@ -84,7 +84,7 @@ func TestObserverDeterministic(t *testing.T) {
 }
 
 // TestObserverMatchesResult cross-checks the trajectory against the engine's
-// own result: the final best stat must equal Result.BestFitness and the
+// own result: the final best stat must equal the fitness of Result.Best and the
 // number of evolved generations must equal Result.Generations.
 func TestObserverMatchesResult(t *testing.T) {
 	c := oneMaxConfig(16)
@@ -100,8 +100,8 @@ func TestObserverMatchesResult(t *testing.T) {
 		t.Fatalf("observed %d stats, want Generations+1 = %d", len(got), res.Generations+1)
 	}
 	last := got[len(got)-1]
-	if last.Best != res.BestFitness {
-		t.Fatalf("final observed best %g != result best %g", last.Best, res.BestFitness)
+	if f := ones(res.Best); last.Best != f {
+		t.Fatalf("final observed best %g != result best %g", last.Best, f)
 	}
 }
 
