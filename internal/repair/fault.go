@@ -9,10 +9,9 @@
 // DropFactor·M0 (à la Mokhtari et al.'s autonomous task dropping) and the
 // run reports a completion fraction instead of failing.
 //
-// Under an empty scenario ExecuteFaults performs exactly the floating-
-// point operations of Execute, so its results are bit-identical to plain
-// right-shift / reactive execution — the property test in fault_test.go
-// pins this down.
+// Under an empty scenario ExecuteFaults is plain right-shift / reactive
+// execution, and Execute is exactly that call; fault_test.go holds it bit
+// for bit to a reference copy of the fault-oblivious event loop.
 package repair
 
 import (
@@ -124,8 +123,8 @@ type FaultOutcome struct {
 }
 
 // ExecuteFaults plays the realized duration matrix against the schedule
-// under the fault scenario and policy. With fault.None() it degenerates to
-// Execute bit-for-bit.
+// under the fault scenario and policy. With fault.None() and no retry or
+// drop settings it is Execute.
 func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario, pol FaultPolicy) (FaultOutcome, error) {
 	w := s.Workload()
 	n, m := w.N(), w.M()
@@ -147,8 +146,7 @@ func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 
 	// Telemetry handles (nil-safe no-ops when observability is off). The
 	// instrumentation only records decisions already taken — it cannot
-	// perturb the executor's floating-point sequence, so the bit-identity
-	// with Execute under an empty scenario is preserved.
+	// perturb the executor's floating-point sequence.
 	tsc := pol.Trace.Scope("repair")
 	cKills := pol.Obs.Counter("repair.kills")
 	cRetries := pol.Obs.Counter("repair.retries")
@@ -368,9 +366,9 @@ func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 			out.Makespan = fin
 		}
 		// Repair trigger: the observed finish ran past the plan by more
-		// than the window.
-		if !math.IsInf(pol.Threshold, 1) && fin-planned[v] > window && done+nAbandoned < n {
-			replanWith(w, ranks, completed, abandoned, aliveMaskOrNil(&sc, m, fin), notBefore, out.Outcome, procFree, queues, planned)
+		// than the window. With every processor dead by then there is
+		// nothing to plan onto; the stall handling above abandons the rest.
+		if !math.IsInf(pol.Threshold, 1) && fin-planned[v] > window && done+nAbandoned < n && replanFault(fin) {
 			out.Reschedules++
 			cResched.Inc()
 			tsc.Event("reschedule",
@@ -384,27 +382,10 @@ func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 	return out, nil
 }
 
-// aliveMaskOrNil returns the alive mask at time t, or nil when every
-// processor is alive (the mask-free path keeps the re-planner on the exact
-// instruction sequence of the fault-oblivious executor).
-func aliveMaskOrNil(sc *fault.Scenario, m int, t float64) []bool {
-	alive := make([]bool, m)
-	all := true
-	for p := 0; p < m; p++ {
-		alive[p] = sc.Alive(p, t)
-		all = all && alive[p]
-	}
-	if all {
-		return nil
-	}
-	return alive
-}
-
 // FaultMetrics extends the repair metrics with fault statistics averaged
 // over the realizations.
 type FaultMetrics struct {
 	Metrics
-	MeanKills      float64
 	MeanRetries    float64
 	MeanMigrations float64
 	MeanDropped    float64
@@ -510,7 +491,6 @@ func EvaluateFaults(s *schedule.Schedule, pol FaultPolicy, src fault.Sampler, ho
 		o := res.out
 		makespans[k] = o.Makespan
 		totalResched += o.Reschedules
-		fm.MeanKills += float64(o.Kills)
 		fm.MeanRetries += float64(o.Retries)
 		fm.MeanMigrations += float64(o.Migrations)
 		fm.MeanDropped += float64(len(o.Dropped))
@@ -520,7 +500,6 @@ func EvaluateFaults(s *schedule.Schedule, pol FaultPolicy, src fault.Sampler, ho
 		}
 	}
 	rf := float64(R)
-	fm.MeanKills /= rf
 	fm.MeanRetries /= rf
 	fm.MeanMigrations /= rf
 	fm.MeanDropped /= rf

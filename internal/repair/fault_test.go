@@ -2,23 +2,43 @@ package repair
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"robsched/internal/dynamic"
 	"robsched/internal/fault"
 	"robsched/internal/heft"
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 	"robsched/internal/sim"
 )
 
 // TestEmptyScenarioBitIdentical is the acceptance criterion of the fault
-// engine: with no faults, ExecuteFaults must perform exactly the same
-// floating-point operations as Execute — every start, finish, assignment
-// and reschedule count identical bit for bit, across repair thresholds.
+// engine: with no faults, Execute and ExecuteFaults must perform exactly the
+// floating-point operations of executeReference, the fault-oblivious event
+// loop — every start, finish, assignment and reschedule count identical bit
+// for bit, across repair thresholds — and stall exactly where it does.
 func TestEmptyScenarioBitIdentical(t *testing.T) {
 	r := rng.New(42)
+	same := func(name string, threshold float64, trial int, got, want Outcome) {
+		t.Helper()
+		if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) {
+			t.Fatalf("%s θ=%g trial %d: makespan %v != %v", name, threshold, trial, got.Makespan, want.Makespan)
+		}
+		if got.Reschedules != want.Reschedules {
+			t.Fatalf("%s θ=%g trial %d: reschedules %d != %d", name, threshold, trial, got.Reschedules, want.Reschedules)
+		}
+		for v := range want.Proc {
+			if math.Float64bits(got.Start[v]) != math.Float64bits(want.Start[v]) ||
+				math.Float64bits(got.Finish[v]) != math.Float64bits(want.Finish[v]) || got.Proc[v] != want.Proc[v] {
+				t.Fatalf("%s θ=%g trial %d task %d: (%v,%v,p%d) != (%v,%v,p%d)", name, threshold, trial, v,
+					got.Start[v], got.Finish[v], got.Proc[v], want.Start[v], want.Finish[v], want.Proc[v])
+			}
+		}
+	}
 	for _, threshold := range []float64{math.Inf(1), 0.05, 0} {
 		for trial := 0; trial < 15; trial++ {
 			w := testWorkload(t, uint64(500+trial), 35, 4, 5)
@@ -27,10 +47,15 @@ func TestEmptyScenarioBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			durs := dynamic.RealizeMatrix(w, r)
-			base, err := Execute(s, durs, Policy{Threshold: threshold})
+			base, err := executeReference(s, durs, Policy{Threshold: threshold})
 			if err != nil {
 				t.Fatal(err)
 			}
+			o, err := Execute(s, durs, Policy{Threshold: threshold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Execute", threshold, trial, o, base)
 			fo, err := ExecuteFaults(s, durs, fault.None(), FaultPolicy{
 				Policy: Policy{Threshold: threshold},
 				Retry:  RetryPolicy{MaxRetries: 3, Backoff: 0.5, Migrate: true},
@@ -38,24 +63,205 @@ func TestEmptyScenarioBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fo.Makespan != base.Makespan {
-				t.Fatalf("θ=%g trial %d: makespan %v != %v", threshold, trial, fo.Makespan, base.Makespan)
-			}
-			if fo.Reschedules != base.Reschedules {
-				t.Fatalf("θ=%g trial %d: reschedules %d != %d", threshold, trial, fo.Reschedules, base.Reschedules)
-			}
-			for v := 0; v < w.N(); v++ {
-				if fo.Start[v] != base.Start[v] || fo.Finish[v] != base.Finish[v] || fo.Proc[v] != base.Proc[v] {
-					t.Fatalf("θ=%g trial %d task %d: (%v,%v,p%d) != (%v,%v,p%d)", threshold, trial, v,
-						fo.Start[v], fo.Finish[v], fo.Proc[v], base.Start[v], base.Finish[v], base.Proc[v])
-				}
-			}
+			same("ExecuteFaults", threshold, trial, fo.Outcome, base)
 			if fo.Kills != 0 || fo.Retries != 0 || fo.Migrations != 0 || len(fo.Dropped) != 0 ||
 				fo.Failed || fo.CompletionFraction != 1 {
 				t.Fatalf("θ=%g trial %d: fault counters nonzero on empty scenario: %+v", threshold, trial, fo)
 			}
 		}
 	}
+	// A task that never finishes stalls its successors: both executors
+	// report the stall as an error.
+	w := testWorkload(t, 500, 35, 4, 5)
+	s, err := heft.HEFT(w, heft.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durs := dynamic.RealizeMatrix(w, r)
+	v := s.ProcOrder(0)[0]
+	durs.Set(v, 0, math.Inf(1))
+	_, refErr := executeReference(s, durs, NeverReschedule())
+	_, err = Execute(s, durs, NeverReschedule())
+	if refErr == nil || err == nil {
+		t.Fatalf("infinite duration: reference error %v, Execute error %v; want both to stall", refErr, err)
+	}
+}
+
+// executeReference is the fault-oblivious event loop Execute ran before it
+// became ExecuteFaults under the empty scenario, kept verbatim (with its
+// re-planner) as the reference TestEmptyScenarioBitIdentical holds both to.
+func executeReference(s *schedule.Schedule, durs platform.Matrix, pol Policy) (Outcome, error) {
+	w := s.Workload()
+	n, m := w.N(), w.M()
+	if durs.Rows() != n || durs.Cols() != m {
+		return Outcome{}, fmt.Errorf("repair: duration matrix is %dx%d, want %dx%d", durs.Rows(), durs.Cols(), n, m)
+	}
+	if pol.Threshold < 0 || math.IsNaN(pol.Threshold) {
+		return Outcome{}, &PolicyError{"Threshold", fmt.Sprintf("%g must be >= 0", pol.Threshold)}
+	}
+	window := pol.Threshold * s.Makespan()
+
+	out := Outcome{
+		Proc:   s.ProcAssignment(),
+		Start:  make([]float64, n),
+		Finish: make([]float64, n),
+	}
+	// Current plan: per-processor queues of unstarted tasks plus the
+	// planned finish time of every task.
+	queues := make([][]int, m)
+	for p := 0; p < m; p++ {
+		queues[p] = s.ProcOrder(p)
+	}
+	planned := make([]float64, n)
+	for v := 0; v < n; v++ {
+		planned[v] = s.Finish(v)
+	}
+	completed := make([]bool, n)
+	remainingPreds := make([]int, n)
+	for v := 0; v < n; v++ {
+		remainingPreds[v] = w.G.InDegree(v)
+	}
+	procFree := make([]float64, m)
+	ranks := heft.UpwardRanks(w)
+	done := 0
+	for done < n {
+		// Among processor-queue heads whose predecessors are all
+		// completed, execute the one with the earliest feasible start.
+		bestProc, bestStart := -1, math.Inf(1)
+		for p := 0; p < m; p++ {
+			if len(queues[p]) == 0 {
+				continue
+			}
+			v := queues[p][0]
+			if remainingPreds[v] > 0 {
+				continue
+			}
+			start := procFree[p]
+			for _, a := range w.G.Predecessors(v) {
+				u := a.To
+				if t := out.Finish[u] + w.Sys.CommCost(out.Proc[u], p, a.Data); t > start {
+					start = t
+				}
+			}
+			if start < bestStart {
+				bestProc, bestStart = p, start
+			}
+		}
+		if bestProc < 0 {
+			return Outcome{}, fmt.Errorf("repair: execution stalled with %d tasks left (plan inconsistency)", n-done)
+		}
+		v := queues[bestProc][0]
+		queues[bestProc] = queues[bestProc][1:]
+		out.Start[v] = bestStart
+		out.Finish[v] = bestStart + durs.At(v, bestProc)
+		out.Proc[v] = bestProc
+		procFree[bestProc] = out.Finish[v]
+		completed[v] = true
+		done++
+		for _, a := range w.G.Successors(v) {
+			remainingPreds[a.To]--
+		}
+		if out.Finish[v] > out.Makespan {
+			out.Makespan = out.Finish[v]
+		}
+		// Repair trigger: the observed finish ran past the plan by more
+		// than the window.
+		if !math.IsInf(pol.Threshold, 1) && out.Finish[v]-planned[v] > window && done < n {
+			replanReference(w, ranks, completed, out, procFree, queues, planned)
+			out.Reschedules++
+		}
+	}
+	return out, nil
+}
+
+// replanReference rebuilds the queues and planned finishes of every
+// unstarted task with an earliest-finish-time pass over expected durations,
+// seeded with the observed completions and processor availability.
+func replanReference(w *platform.Workload, ranks []float64, completed []bool, out Outcome,
+	procFree []float64, queues [][]int, planned []float64) {
+	n, m := w.N(), w.M()
+	var remaining []int
+	for v := 0; v < n; v++ {
+		if !completed[v] {
+			remaining = append(remaining, v)
+		}
+	}
+	// Decreasing upward rank is a topological order of the remaining
+	// sub-DAG (ranks strictly decrease along edges).
+	sort.SliceStable(remaining, func(a, b int) bool {
+		if ranks[remaining[a]] != ranks[remaining[b]] {
+			return ranks[remaining[a]] > ranks[remaining[b]]
+		}
+		return remaining[a] < remaining[b]
+	})
+	estFree := append([]float64(nil), procFree...)
+	estFinish := make([]float64, n)
+	estProc := make([]int, n)
+	for v := 0; v < n; v++ {
+		estProc[v] = out.Proc[v]
+		if completed[v] {
+			estFinish[v] = out.Finish[v]
+		}
+	}
+	for p := 0; p < m; p++ {
+		queues[p] = queues[p][:0]
+	}
+	for _, v := range remaining {
+		bestProc, bestFinish := -1, math.Inf(1)
+		for p := 0; p < m; p++ {
+			start := estFree[p]
+			for _, a := range w.G.Predecessors(v) {
+				u := a.To
+				if t := estFinish[u] + w.Sys.CommCost(estProc[u], p, a.Data); t > start {
+					start = t
+				}
+			}
+			if f := start + w.ExpectedAt(v, p); f < bestFinish {
+				bestProc, bestFinish = p, f
+			}
+		}
+		estProc[v] = bestProc
+		estFinish[v] = bestFinish
+		estFree[bestProc] = bestFinish
+		queues[bestProc] = append(queues[bestProc], v)
+		planned[v] = bestFinish
+		out.Proc[v] = bestProc
+	}
+}
+
+// TestReplanWithEveryProcessorDead: a threshold re-plan that fires when a
+// task finishes exactly at its processor's failure, with no other processor
+// left, has nothing to plan onto. The run abandons the remaining work
+// instead of panicking.
+func TestReplanWithEveryProcessorDead(t *testing.T) {
+	for seed := uint64(1); seed < 50; seed++ {
+		w := testWorkload(t, seed, 6, 1, 3)
+		s, err := heft.HEFT(w, heft.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		durs := dynamic.RealizeMatrix(w, rng.New(seed))
+		first := s.ProcOrder(0)[0]
+		d := durs.At(first, 0)
+		if d <= s.Finish(first) {
+			continue // the first task must overrun its plan to trigger
+		}
+		sc := fault.Scenario{M: 1, FailAt: []float64{d}}
+		o, err := ExecuteFaults(s, durs, sc, FaultPolicy{Policy: Policy{Threshold: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !o.Completed[first] || o.Finish[first] != d || o.Reschedules != 0 {
+			t.Fatalf("first task: completed %v finish %v (want %v), reschedules %d",
+				o.Completed[first], o.Finish[first], d, o.Reschedules)
+		}
+		if !o.Failed || len(o.Unfinished) != w.N()-1 {
+			t.Fatalf("failed %v with %d unfinished, want every other task of %d unfinished",
+				o.Failed, len(o.Unfinished), w.N())
+		}
+		return
+	}
+	t.Fatal("no seed overran its first task")
 }
 
 // checkValidFaultExecution verifies the fault-execution invariants:
@@ -303,7 +509,7 @@ func TestEvaluateFaultsReproducibleAcrossWorkers(t *testing.T) {
 		}
 		if i == 0 {
 			ref = fm
-			if fm.MeanKills == 0 {
+			if fm.MeanRetries == 0 {
 				t.Fatal("fault model never killed anything — test is vacuous")
 			}
 			continue

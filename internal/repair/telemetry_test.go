@@ -43,9 +43,6 @@ func TestFaultTelemetryMatchesOutcome(t *testing.T) {
 	if got := snap.Counters["repair.executions"]; got != R {
 		t.Errorf("repair.executions = %d, want %d", got, R)
 	}
-	if got, want := snap.Counters["repair.kills"], round(fm.MeanKills); got != want {
-		t.Errorf("repair.kills = %d, want %d", got, want)
-	}
 	if got, want := snap.Counters["repair.retries"], round(fm.MeanRetries); got != want {
 		t.Errorf("repair.retries = %d, want %d", got, want)
 	}
