@@ -97,12 +97,11 @@ func (c *Chromosome) Genes() (order, proc []int) {
 }
 
 // Decode builds a new schedule the chromosome represents, which the caller
-// owns. Operators maintain the invariant that Order is a topological order,
-// so the trusted constructor applies; malformed genotypes
-// (non-permutations, out-of-range processors, precedence inversions) are
-// still rejected with an error.
+// owns. Operators maintain the invariant that Order is a topological order;
+// malformed genotypes (non-permutations, out-of-range processors,
+// precedence inversions) are still rejected with an error.
 func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
-	s, err := schedule.FromOrderTrusted(w, c.Order, c.Proc)
+	s, err := schedule.FromOrder(w, c.Order, c.Proc)
 	if err != nil {
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}

@@ -89,14 +89,6 @@ func getScratch(n, m int) *decodeScratch {
 
 func putScratch(sc *decodeScratch) { scratchPool.Put(sc) }
 
-// decodeOrder is the shared implementation behind FromOrder and
-// FromOrderTrusted.
-func decodeOrder(s *Schedule, w *platform.Workload, order, proc []int) error {
-	sc := getScratch(w.N(), w.M())
-	defer putScratch(sc)
-	return buildWith(s, w, arcsFor(w.G), sc, order, proc)
-}
-
 // kahnOrder derives a scheduling string from explicit per-processor orders
 // (the New constructor): the FIFO Kahn order of the disjunctive graph they
 // induce, visiting each task's data arcs in CSR order and then its

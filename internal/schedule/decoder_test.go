@@ -92,9 +92,10 @@ func deriveChild(r *rng.Source, w *platform.Workload, pOrder, pProc []int) (orde
 	return order, proc
 }
 
-// TestTrustedDecodeMatchesFromOrder: the trusted constructor and the pooled
-// decoder must reproduce FromOrder exactly — same topological order, same
-// analysis, bit for bit — across many random workloads and chromosomes.
+// TestTrustedDecodeMatchesFromOrder: the pooled decoder, which GA callers
+// feed trusted chromosomes, must reproduce FromOrder exactly — same
+// topological order, same analysis, bit for bit — across many random
+// workloads and chromosomes.
 func TestTrustedDecodeMatchesFromOrder(t *testing.T) {
 	r := rng.New(41)
 	dur := []float64(nil)
@@ -109,81 +110,75 @@ func TestTrustedDecodeMatchesFromOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(w)
-		trusted, err := FromOrderTrusted(w, order, proc)
+		got, err := NewDecoder(w).Decode(order, proc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := dec.Decode(order, proc)
-		if err != nil {
-			t.Fatal(err)
+		if got.Makespan() != ref.Makespan() {
+			t.Fatalf("decoder: makespan %v != %v", got.Makespan(), ref.Makespan())
 		}
-		for name, got := range map[string]*Schedule{"FromOrderTrusted": trusted, "Decoder": pooled} {
-			if got.Makespan() != ref.Makespan() {
-				t.Fatalf("%s: makespan %v != %v", name, got.Makespan(), ref.Makespan())
+		if got.AvgSlack() != ref.AvgSlack() || got.MinSlack() != ref.MinSlack() {
+			t.Fatalf("decoder: slack summary differs")
+		}
+		gotOrder, refOrder := got.Order(), ref.Order()
+		gotProc, refProc := got.ProcAssignment(), ref.ProcAssignment()
+		for v := 0; v < w.N(); v++ {
+			if gotOrder[v] != refOrder[v] || gotProc[v] != refProc[v] {
+				t.Fatalf("decoder: order/proc differ at %d", v)
 			}
-			if got.AvgSlack() != ref.AvgSlack() || got.MinSlack() != ref.MinSlack() {
-				t.Fatalf("%s: slack summary differs", name)
+			if got.Start(v) != ref.Start(v) || got.Finish(v) != ref.Finish(v) ||
+				got.Slack(v) != ref.Slack(v) || got.BottomLevel(v) != ref.BottomLevel(v) {
+				t.Fatalf("decoder: analysis differs at task %d", v)
 			}
-			gotOrder, refOrder := got.Order(), ref.Order()
-			gotProc, refProc := got.ProcAssignment(), ref.ProcAssignment()
-			for v := 0; v < w.N(); v++ {
-				if gotOrder[v] != refOrder[v] || gotProc[v] != refProc[v] {
-					t.Fatalf("%s: order/proc differ at %d", name, v)
-				}
-				if got.Start(v) != ref.Start(v) || got.Finish(v) != ref.Finish(v) ||
-					got.Slack(v) != ref.Slack(v) || got.BottomLevel(v) != ref.BottomLevel(v) {
-					t.Fatalf("%s: analysis differs at task %d", name, v)
-				}
+		}
+		ge, re := got.DisjunctiveEdges(), ref.DisjunctiveEdges()
+		if len(ge) != len(re) {
+			t.Fatalf("decoder: %d disjunctive edges, want %d", len(ge), len(re))
+		}
+		for i := range ge {
+			if ge[i] != re[i] {
+				t.Fatalf("decoder: disjunctive edge %d differs", i)
 			}
-			ge, re := got.DisjunctiveEdges(), ref.DisjunctiveEdges()
-			if len(ge) != len(re) {
-				t.Fatalf("%s: %d disjunctive edges, want %d", name, len(ge), len(re))
-			}
-			for i := range ge {
-				if ge[i] != re[i] {
-					t.Fatalf("%s: disjunctive edge %d differs", name, i)
-				}
-			}
-			if got.String() != ref.String() {
-				t.Fatalf("%s: String() differs", name)
-			}
-			// A second forward pass under perturbed durations exercises the
-			// CSR arcs directly.
-			dur = append(dur[:0], ref.ExpectedDurations()...)
-			for v := range dur {
-				dur[v] *= 1.25
-			}
-			if got.MakespanWith(dur) != ref.MakespanWith(dur) {
-				t.Fatalf("%s: MakespanWith differs", name)
-			}
+		}
+		if got.String() != ref.String() {
+			t.Fatalf("decoder: String() differs")
+		}
+		// A second forward pass under perturbed durations exercises the
+		// CSR arcs directly.
+		dur = append(dur[:0], ref.ExpectedDurations()...)
+		for v := range dur {
+			dur[v] *= 1.25
+		}
+		if got.MakespanWith(dur) != ref.MakespanWith(dur) {
+			t.Fatalf("decoder: MakespanWith differs")
 		}
 	}
 }
 
-// TestTrustedDecodeRejectsInvalid: the trusted path skips only the
-// precedence scan; every other malformation is still rejected, and
-// same-processor precedence inversions surface as disjunctive-graph cycles.
+// TestTrustedDecodeRejectsInvalid: the pooled decoder GA callers feed
+// trusted chromosomes still rejects every malformation, and same-processor
+// precedence inversions surface as disjunctive-graph cycles.
 func TestTrustedDecodeRejectsInvalid(t *testing.T) {
 	b := dag.NewBuilder(2)
 	b.MustAddEdge(0, 1, 1)
 	w := twoTaskWorkload(t, b.MustBuild())
+	dec := NewDecoder(w)
 
-	if _, err := FromOrderTrusted(w, []int{0}, []int{0, 0}); err == nil {
+	if _, err := dec.Decode([]int{0}, []int{0, 0}); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := FromOrderTrusted(w, []int{0, 0}, []int{0, 0}); err == nil {
+	if _, err := dec.Decode([]int{0, 0}, []int{0, 0}); err == nil {
 		t.Fatal("duplicate entry accepted")
 	}
-	if _, err := FromOrderTrusted(w, []int{0, 2}, []int{0, 0}); err == nil {
+	if _, err := dec.Decode([]int{0, 2}, []int{0, 0}); err == nil {
 		t.Fatal("out-of-range task accepted")
 	}
-	if _, err := FromOrderTrusted(w, []int{0, 1}, []int{0, 2}); err == nil {
+	if _, err := dec.Decode([]int{0, 1}, []int{0, 2}); err == nil {
 		t.Fatal("out-of-range processor accepted")
 	}
 	// Same-processor inversion: order says 1 before 0 but 0→1 is an edge;
 	// the disjunctive arc 1→0 closes a cycle with it.
-	if _, err := FromOrderTrusted(w, []int{1, 0}, []int{0, 0}); err == nil {
+	if _, err := dec.Decode([]int{1, 0}, []int{0, 0}); err == nil {
 		t.Fatal("same-processor precedence inversion accepted")
 	}
 	// The untrusted path catches the inversion even across processors.

@@ -130,24 +130,10 @@ func New(w *platform.Workload, proc []int, procOrder [][]int) (*Schedule, error)
 // its tasks in their relative order within the scheduling string. This is
 // exactly the decoding of the paper's GA chromosome (Section 4.2.1).
 func FromOrder(w *platform.Workload, order []int, proc []int) (*Schedule, error) {
+	sc := getScratch(w.N(), w.M())
+	defer putScratch(sc)
 	s := new(Schedule)
-	if err := decodeOrder(s, w, order, proc); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// FromOrderTrusted is FromOrder for orders the caller already knows to be
-// topological, as the GA's operators guarantee by construction (Section
-// 4.2.5/4.2.6). Historically it skipped the O(V+E) precedence scan; since
-// the scheduling string became the stored topological order, precedence
-// validation is a byproduct of the analysis's forward pass (one comparison
-// per arc, cheaper than the Kahn pass it replaced), so the trusted path now
-// rejects every inversion — including cross-processor ones — just like
-// FromOrder, at no extra cost.
-func FromOrderTrusted(w *platform.Workload, order []int, proc []int) (*Schedule, error) {
-	s := new(Schedule)
-	if err := decodeOrder(s, w, order, proc); err != nil {
+	if err := buildWith(s, w, arcsFor(w.G), sc, order, proc); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -188,12 +188,12 @@ func ScheduleFromOrder(w *Workload, order, proc []int) (*Schedule, error) {
 	return schedule.FromOrder(w, order, proc)
 }
 
-// ScheduleFromOrderTrusted is ScheduleFromOrder without the O(V+E)
-// precedence re-validation, for orders known to be topological by
-// construction (e.g. produced by the GA operators). Non-permutations and
-// out-of-range processors are still rejected.
+// ScheduleFromOrderTrusted is ScheduleFromOrder: both validate the order
+// and the processor map in full.
+//
+// Deprecated: use ScheduleFromOrder.
 func ScheduleFromOrderTrusted(w *Workload, order, proc []int) (*Schedule, error) {
-	return schedule.FromOrderTrusted(w, order, proc)
+	return schedule.FromOrder(w, order, proc)
 }
 
 // ScheduleDecoder is the pooled fast path for decoding many trusted
