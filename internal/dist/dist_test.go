@@ -439,3 +439,16 @@ func TestProcPoolRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCountersFreeWithTelemetryOff: with no registry the coordinator's
+// per-worker counters build no names, so every range and every barrier
+// host pays nothing for telemetry that is off.
+func TestCountersFreeWithTelemetryOff(t *testing.T) {
+	c := &Coordinator{}
+	if a := testing.AllocsPerRun(100, func() {
+		c.counter("sim_ranges", 3)
+		c.noteDeath(1, ErrDeadline)
+	}); a != 0 {
+		t.Fatalf("%v allocations per call with Obs nil, want 0", a)
+	}
+}
