@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		shards       = fs.Int("shards", 0, "scatter work over this many `robsched worker` subprocesses (0 = in-process); shards Monte-Carlo realizations, and the GA islands when -islands > 1")
 		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (host:port,... — each started with `robsched worker -listen`): scatter over the network instead of local subprocesses; with -worker-timeout a dead connection is redialed into the rotation")
 		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead and its work reassigned; also arms worker respawn (0 disables)")
-		chaosSeed    = fs.Uint64("chaos", 0, "with -shards or -remote: inject seeded transport faults (stalls, drops, corruption, duplicate frames) between coordinator and workers as a self-test; results stay bit-identical (0 disables; requires -worker-timeout)")
 		islands      = fs.Int("islands", 1, "GA island populations with ring migration (1 = the paper's single population)")
 		obsPath      = fs.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof, expvar and /debug/obs on this address (e.g. localhost:6060)")
@@ -180,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Results are bit-identical to the in-process path for every shard and
 	// worker count.
 	coord, err := dist.OpenCoordinator(dist.Flags{
-		Shards: *shards, Remote: *remote, Timeout: *workerTO, Chaos: *chaosSeed,
+		Shards: *shards, Remote: *remote, Timeout: *workerTO,
 	}, reg, tracer)
 	if err != nil {
 		return err

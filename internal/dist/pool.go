@@ -378,13 +378,12 @@ func NewSpawnPool(n int, spawn func() (Endpoint, error)) (*Pool, error) {
 	return NewPool(eps), nil
 }
 
-// Flags are the scatter options both CLIs expose: -shards, -remote,
-// -worker-timeout and -chaos.
+// Flags are the scatter options both CLIs expose: -shards, -remote and
+// -worker-timeout.
 type Flags struct {
 	Shards  int
 	Remote  string
 	Timeout time.Duration
-	Chaos   uint64
 }
 
 // OpenCoordinator builds the coordinator the flags ask for: Shards local
@@ -406,8 +405,6 @@ func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, 
 		return nil, errors.New("-remote lists no worker addresses")
 	case f.Shards <= 0 && f.Remote == "":
 		return nil, nil
-	case f.Chaos != 0 && f.Timeout <= 0:
-		return nil, errors.New("-chaos requires -worker-timeout: a stalled link is only unmasked by a deadline")
 	}
 	spawn, n := TCPSpawner(addrs, 0), len(addrs)
 	if f.Shards > 0 {
@@ -416,9 +413,6 @@ func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, 
 			return nil, fmt.Errorf("locating worker binary: %w", err)
 		}
 		spawn, n = ProcEndpoint(exe, "worker"), f.Shards
-	}
-	if f.Chaos != 0 {
-		spawn = ChaosSpawner(DefaultChaos(f.Chaos), spawn)
 	}
 	pool, err := NewSpawnPool(n, spawn)
 	if err != nil {

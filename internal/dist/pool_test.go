@@ -206,9 +206,9 @@ func TestPoolConcurrentAccounting(t *testing.T) {
 
 // TestOpenCoordinator: the CLIs' scatter flags are checked before any
 // worker starts, neither -shards nor -remote means in process, and a valid
-// set builds a working pool: here chaos-wrapped subprocess workers (the test
-// binary re-execs into RunWorker, see TestMain) with liveness and respawn
-// armed, whose results stay bit-identical.
+// set builds a working pool: here subprocess workers (the test binary
+// re-execs into RunWorker, see TestMain) with liveness and respawn armed,
+// whose results stay bit-identical.
 func TestOpenCoordinator(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -217,20 +217,19 @@ func TestOpenCoordinator(t *testing.T) {
 	}{
 		{"shards and remote", Flags{Shards: 2, Remote: "127.0.0.1:1"}, "mutually exclusive"},
 		{"empty remote list", Flags{Remote: " , "}, "no worker addresses"},
-		{"chaos without timeout", Flags{Shards: 2, Chaos: 7}, "-chaos requires -worker-timeout"},
 	} {
 		coord, err := OpenCoordinator(tc.f, nil, nil)
 		if coord != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got (%v, %v), want an error mentioning %q", tc.name, coord, err, tc.want)
 		}
 	}
-	if coord, err := OpenCoordinator(Flags{Chaos: 7, Timeout: time.Second}, nil, nil); coord != nil || err != nil {
+	if coord, err := OpenCoordinator(Flags{Timeout: time.Second}, nil, nil); coord != nil || err != nil {
 		t.Errorf("no -shards or -remote: got (%v, %v), want (nil, nil)", coord, err)
 	}
 
 	t.Setenv("ROBSCHED_DIST_TEST_WORKER", "1")
 	reg := obs.NewRegistry()
-	coord, err := OpenCoordinator(Flags{Shards: 2, Timeout: 5 * time.Second, Chaos: 3}, reg, nil)
+	coord, err := OpenCoordinator(Flags{Shards: 2, Timeout: 5 * time.Second}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
