@@ -186,3 +186,27 @@ func TestTieBreakingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestInfiniteDurationNeverPanics: a task that never finishes leaves its
+// successors without any finite plan. Whatever the threshold, the run
+// reports the stall, completes with an infinite makespan, or was re-planned
+// off the processor where the task never finishes; the re-planner never
+// places a task on no processor.
+func TestInfiniteDurationNeverPanics(t *testing.T) {
+	for _, threshold := range []float64{math.Inf(1), 0.05, 0} {
+		for seed := uint64(1); seed < 40; seed++ {
+			w := testWorkload(t, seed, 20, 3, 3)
+			s, err := heft.HEFT(w, heft.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			durs := dynamic.RealizeMatrix(w, rng.New(seed))
+			v := s.ProcOrder(0)[0]
+			durs.Set(v, 0, math.Inf(1))
+			o, err := Execute(s, durs, Policy{Threshold: threshold})
+			if err == nil && o.Proc[v] == 0 && !math.IsInf(o.Makespan, 1) {
+				t.Fatalf("θ=%g seed %d: finite makespan %v with a never-finishing task", threshold, seed, o.Makespan)
+			}
+		}
+	}
+}
