@@ -88,7 +88,7 @@ func execute(args []string, stdout, stderr io.Writer) error {
 		workers      = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		shards       = fs.Int("shards", 0, "shard Monte-Carlo evaluation over this many worker processes (0 = in-process); results are bit-identical")
 		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (each started with `experiments worker -listen`): scatter over the network instead of local subprocesses")
-		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead and its work reassigned; also arms worker respawn (0 disables)")
+		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead for the rest of the run and its work goes to the live workers, or runs in process when none is left (0 disables)")
 		csvDir       = fs.String("csv", "", "also write figN.csv files into this directory (plus a manifest.json run record)")
 		svgDir       = fs.String("svg", "", "also write figN.svg line charts into this directory")
 		obsPath      = fs.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")

@@ -66,7 +66,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// The dist worker subcommand: binary frames on stdin/stdout until
 		// the coordinator closes the pipe, or — with -listen — a TCP server
 		// remote coordinators dial into (-remote). Either way SIGTERM/SIGINT
-		// drain gracefully: in-flight work answers before the process exits.
+		// end the worker at once; its coordinator moves the unanswered work
+		// to the live workers or runs it in process.
 		wfs := flag.NewFlagSet("robsched worker", flag.ContinueOnError)
 		wfs.SetOutput(stderr)
 		listen := wfs.String("listen", "", "serve the worker protocol on this TCP `address` (host:port; port 0 picks one, printed on stdout) instead of stdin/stdout")
@@ -110,8 +111,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		svgPath      = fs.String("svg", "", "write an SVG Gantt chart (with slack windows) to this file")
 		workers      = fs.Int("workers", 0, "worker goroutines for Monte-Carlo batches (0 = all cores)")
 		shards       = fs.Int("shards", 0, "scatter work over this many `robsched worker` subprocesses (0 = in-process); shards Monte-Carlo realizations, and the GA islands when -islands > 1")
-		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (host:port,... — each started with `robsched worker -listen`): scatter over the network instead of local subprocesses; with -worker-timeout a dead connection is redialed into the rotation")
-		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead and its work reassigned; also arms worker respawn (0 disables)")
+		remote       = fs.String("remote", "", "comma-separated TCP worker `addresses` (host:port,... — each started with `robsched worker -listen`): scatter over the network instead of local subprocesses; a connection that fails is not redialed: its work goes to the live workers, or runs in process when none is left")
+		workerTO     = fs.Duration("worker-timeout", 0, "with -shards or -remote: liveness budget per worker exchange — a worker that does not answer within this timeout, scaled by the exchange's size (up to 64×), is declared dead for the rest of the run and its work goes to the live workers, or runs in process when none is left (0 disables)")
 		islands      = fs.Int("islands", 1, "GA island populations with ring migration (1 = the paper's single population)")
 		obsPath      = fs.String("obs", "", "enable observability: write a JSONL trace to this file and print a telemetry summary")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof, expvar and /debug/obs on this address (e.g. localhost:6060)")

@@ -381,6 +381,12 @@ func (d *simDispatch) run(first int) {
 // error is fatal to the job but the remaining flights still drain so the
 // connection comes back clean. The caller's pre-taken range (first) is the
 // sender's first dispatch.
+//
+// Sending and receiving need two goroutines because a transport may be
+// synchronous: on a net.Pipe (LocalEndpoint) a write blocks until the peer
+// reads it, so one loop that sends and then reads deadlocks as soon as the
+// worker writes its answer while the coordinator is still writing the next
+// range.
 func (d *simDispatch) runConn(conn *Conn, first int) {
 	depth := d.c.pipelineDepth(conn.rtt)
 	inflight := make(chan flight, depth)

@@ -22,8 +22,8 @@ import (
 // TestMain doubles as the worker executable for the proc-pool and TCP
 // tests: when the re-exec marker is set, the test binary runs the full
 // production worker entry point — the protocol on stdin/stdout, or a TCP
-// server when the listen marker names an address — signal handling and
-// graceful drain included, the same shape as `robsched worker`.
+// server when the listen marker names an address — the same shape as
+// `robsched worker`.
 func TestMain(m *testing.M) {
 	if os.Getenv("ROBSCHED_DIST_TEST_WORKER") == "1" {
 		if err := RunWorker(os.Getenv("ROBSCHED_DIST_TEST_LISTEN")); err != nil {
@@ -364,7 +364,6 @@ func TestConcurrentSolvesSharePool(t *testing.T) {
 	pool := NewLocalPool(2)
 	defer pool.Close()
 	reg := obs.NewRegistry()
-	pool.Obs = reg
 	coord := &Coordinator{Pool: pool, Obs: reg}
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {

@@ -43,7 +43,6 @@ func TestStalledWorkerDeadline(t *testing.T) {
 	pool := NewPool([]Endpoint{stallEndpoint(), LocalEndpoint()})
 	defer pool.Close()
 	reg := obs.NewRegistry()
-	pool.Obs = reg
 	coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 150 * time.Millisecond}
 	done := make(chan struct{})
 	var got []sim.Metrics
@@ -161,7 +160,6 @@ func TestJobBudget(t *testing.T) {
 			pool := NewPool([]Endpoint{scriptedEndpoint(slowRangeWorker)})
 			defer pool.Close()
 			reg := obs.NewRegistry()
-			pool.Obs = reg
 			coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 100 * time.Millisecond, RangeSize: opt.Realizations}
 			start := time.Now()
 			got, err := coord.RealizeAll(ss, opt, rng.New(5))

@@ -30,9 +30,10 @@ var (
 	// the call failed). The exchange fails at once instead of waiting
 	// unbounded.
 	ErrNoDeadline = errors.New("dist: transport end cannot enforce a deadline")
-	// ErrPoolExhausted is returned by checkouts once every worker has died
-	// and the respawn budget (if any) is spent — the caller should degrade
-	// to in-process computation rather than wait forever.
+	// ErrPoolExhausted is returned by checkouts that find no idle worker
+	// and may not wait for a busy one: every worker has died, or the caller
+	// asked not to wait. The caller should degrade to in-process
+	// computation rather than wait forever.
 	ErrPoolExhausted = errors.New("dist: worker pool exhausted")
 	// ErrPoolClosed is returned by checkouts after Close.
 	ErrPoolClosed = errors.New("dist: pool is closed")
@@ -229,79 +230,47 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // connections are exclusive; concurrent coordinator calls (e.g. the
 // experiment harness evaluating several graphs at once) share the pool and
 // block until a worker frees up. A connection reported dead via discard
-// leaves the pool permanently; when the last live worker is gone, waiting
-// and future get calls fail with ErrPoolExhausted instead of blocking
-// forever — unless Respawn is armed, in which case the pool launches
-// replacement workers under a capped exponential backoff first.
+// leaves the pool for good: the pool never replaces a worker. When the last
+// live worker is gone, waiting and future get calls fail with
+// ErrPoolExhausted instead of blocking forever.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	idle   []*Conn
-	all    []*Conn
+	all    []*Conn // every worker, dead ones included; fixed by NewPool
 	live   int
 	closed bool
-
-	// Obs, when set, receives pool-level counters (dist.respawns,
-	// dist.respawn_failures). Nil is a no-op.
-	Obs *obs.Registry
-
-	spawn       func() (Endpoint, error)
-	spawnLeft   int
-	respawning  bool
-	nextBackoff time.Duration
 }
 
-const (
-	respawnBackoffBase = 50 * time.Millisecond
-	respawnBackoffCap  = 2 * time.Second
-	// closeGrace bounds the polite KShutdown handshake during Close; a
-	// worker that stopped reading its pipe is killed instead of hanging
-	// the shutdown forever.
-	closeGrace = time.Second
-)
+// closeGrace bounds the polite KShutdown handshake during Close; a worker
+// that stopped reading its pipe is killed instead of hanging the shutdown
+// forever.
+const closeGrace = time.Second
 
 // NewPool wraps caller-supplied endpoints (one per worker) into a pool.
 // NewLocalPool and NewProcPool are the stock constructors; tests inject
 // sabotaged endpoints through this one.
 func NewPool(eps []Endpoint) *Pool {
-	p := &Pool{}
+	p := &Pool{live: len(eps)}
 	p.cond = sync.NewCond(&p.mu)
-	for _, ep := range eps {
-		p.addConnLocked(ep)
+	for i, ep := range eps {
+		c := &Conn{
+			id:  i,
+			ep:  ep,
+			bw:  bufio.NewWriterSize(ep.W, 1<<16),
+			fr:  wio.NewFrameReader(bufio.NewReaderSize(ep.R, 1<<16)),
+			rtt: ep.RTT,
+		}
+		if wd, ok := ep.W.(interface{ SetWriteDeadline(time.Time) error }); ok {
+			c.ws.set = wd.SetWriteDeadline
+		}
+		if rd, ok := ep.R.(interface{ SetReadDeadline(time.Time) error }); ok {
+			c.rs.set = rd.SetReadDeadline
+		}
+		p.all = append(p.all, c)
+		p.idle = append(p.idle, c)
 	}
 	return p
-}
-
-// addConnLocked wraps an endpoint into a new live idle connection. The
-// caller must hold mu (or be the constructor, before the pool is shared).
-func (p *Pool) addConnLocked(ep Endpoint) *Conn {
-	c := &Conn{
-		id:  len(p.all),
-		ep:  ep,
-		bw:  bufio.NewWriterSize(ep.W, 1<<16),
-		fr:  wio.NewFrameReader(bufio.NewReaderSize(ep.R, 1<<16)),
-		rtt: ep.RTT,
-	}
-	if wd, ok := ep.W.(interface{ SetWriteDeadline(time.Time) error }); ok {
-		c.ws.set = wd.SetWriteDeadline
-	}
-	if rd, ok := ep.R.(interface{ SetReadDeadline(time.Time) error }); ok {
-		c.rs.set = rd.SetReadDeadline
-	}
-	p.all = append(p.all, c)
-	p.idle = append(p.idle, c)
-	p.live++
-	return c
-}
-
-// Respawn arms worker replacement: when no worker is available, checkouts
-// launch up to budget replacements via spawn, sleeping with exponential
-// backoff (50ms doubling, capped at 2s) between attempts. Off by default —
-// fault-injection tests rely on dead-is-dead accounting. Call before the
-// pool is shared across goroutines.
-func (p *Pool) Respawn(spawn func() (Endpoint, error), budget int) {
-	p.spawn = spawn
-	p.spawnLeft = budget
 }
 
 // LocalEndpoint serves one protocol worker on an in-memory net.Pipe inside
@@ -328,9 +297,9 @@ func NewLocalPool(n int) *Pool {
 }
 
 // ProcEndpoint returns a spawner for worker subprocesses running bin args...
-// (typically the running executable with the `worker` subcommand), suitable
-// both for building a pool and as a Respawn hook. Worker stderr passes
-// through to this process's stderr, so a crashing worker stays visible.
+// (typically the running executable with the `worker` subcommand), for
+// NewSpawnPool. Worker stderr passes through to this process's stderr, so a
+// crashing worker stays visible.
 func ProcEndpoint(bin string, args ...string) func() (Endpoint, error) {
 	return func() (Endpoint, error) {
 		cmd := exec.Command(bin, args...)
@@ -356,8 +325,7 @@ func ProcEndpoint(bin string, args ...string) func() (Endpoint, error) {
 }
 
 // NewSpawnPool builds a pool of n workers from a spawner, tearing down the
-// partial pool when any spawn fails. The same spawner can then be handed to
-// Respawn so replacements come up identically to the originals.
+// partial pool when any spawn fails.
 func NewSpawnPool(n int, spawn func() (Endpoint, error)) (*Pool, error) {
 	eps := make([]Endpoint, 0, n)
 	for i := 0; i < n; i++ {
@@ -388,9 +356,9 @@ type Flags struct {
 
 // OpenCoordinator builds the coordinator the flags ask for: Shards local
 // subprocesses running this executable's `worker` subcommand, or one TCP
-// worker per Remote address. It returns nil when neither is set. With
-// Timeout armed, the pool replaces (respawns or redials) up to two workers
-// per slot before degrading in process. The caller closes the pool.
+// worker per Remote address. It returns nil when neither is set. A worker
+// that dies stays gone; its work goes to the live workers, then runs in
+// process. The caller closes the pool.
 func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, error) {
 	var addrs []string
 	for _, a := range strings.Split(f.Remote, ",") {
@@ -418,10 +386,6 @@ func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, 
 	if err != nil {
 		return nil, err
 	}
-	pool.Obs = reg
-	if f.Timeout > 0 {
-		pool.Respawn(spawn, 2*n)
-	}
 	return &Coordinator{Pool: pool, Obs: reg, Trace: tr, Timeout: f.Timeout}, nil
 }
 
@@ -431,13 +395,9 @@ func NewProcPool(n int, bin string, args ...string) (*Pool, error) {
 	return NewSpawnPool(n, ProcEndpoint(bin, args...))
 }
 
-// Size returns the pool's current worker count including respawned and dead
-// workers (the scatter width), not the live count.
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.all)
-}
+// Size returns the pool's worker count including dead workers (the scatter
+// width), not the live count.
+func (p *Pool) Size() int { return len(p.all) }
 
 // Live returns the number of workers not yet reported dead.
 func (p *Pool) Live() int {
@@ -457,10 +417,10 @@ func (p *Pool) tryGet() (*Conn, error) { return p.checkout(false) }
 
 // checkout hands out the longest-idle worker (FIFO spreads jobs across
 // workers instead of re-hammering the most recently returned one). With no
-// worker idle it waits, when wait is set and a live worker is busy, or
-// else respawns one (when armed). It fails with ErrPoolClosed once the pool
-// is closed, and with ErrPoolExhausted once respawn is off or out of
-// budget — never blocking forever on a pool that cannot recover.
+// worker idle it waits only when wait is set and a live worker is busy. It
+// fails with ErrPoolClosed once the pool is closed, and with
+// ErrPoolExhausted otherwise — never blocking forever on a pool that
+// cannot hand out a worker.
 func (p *Pool) checkout(wait bool) (*Conn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -473,62 +433,11 @@ func (p *Pool) checkout(wait bool) (*Conn, error) {
 			p.idle = append(p.idle[:0], p.idle[1:]...)
 			return c, nil
 		}
-		if wait && p.live > 0 {
-			p.cond.Wait()
-		} else if !p.respawnLocked() {
-			return nil, fmt.Errorf("%w: no idle worker and no respawn budget", ErrPoolExhausted)
+		if !wait || p.live == 0 {
+			return nil, fmt.Errorf("%w: no idle worker", ErrPoolExhausted)
 		}
-	}
-}
-
-// respawnLocked attempts to bring one replacement worker up. It returns
-// false when respawn is off or out of budget (the caller should fail), and
-// true when pool state may have changed and the caller should re-check.
-// Called with mu held; the lock is dropped across the backoff sleep and the
-// spawn itself.
-func (p *Pool) respawnLocked() bool {
-	for p.respawning {
-		// Another goroutine is mid-respawn; wait for its outcome.
 		p.cond.Wait()
-		if p.closed || len(p.idle) > 0 || p.live > 0 {
-			return true
-		}
 	}
-	if p.spawn == nil || p.spawnLeft <= 0 {
-		return false
-	}
-	p.respawning = true
-	p.spawnLeft--
-	delay := p.nextBackoff
-	if p.nextBackoff == 0 {
-		p.nextBackoff = respawnBackoffBase
-	} else if p.nextBackoff < respawnBackoffCap {
-		p.nextBackoff *= 2
-	}
-	p.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	ep, err := p.spawn()
-	p.mu.Lock()
-	p.respawning = false
-	defer p.cond.Broadcast()
-	if err != nil {
-		p.Obs.Counter("dist.respawn_failures").Inc()
-		return true // budget may remain; the caller's loop re-decides
-	}
-	if p.closed {
-		if ep.Kill != nil {
-			ep.Kill()
-		}
-		if ep.Wait != nil {
-			_ = ep.Wait()
-		}
-		return true
-	}
-	p.addConnLocked(ep)
-	p.Obs.Counter("dist.respawns").Inc()
-	return true
 }
 
 // put returns a healthy worker to the pool. A connection already discarded

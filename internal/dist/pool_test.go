@@ -78,9 +78,9 @@ func TestPoolDiscardIdempotent(t *testing.T) {
 	pool.put(got)
 }
 
-// TestTryGetDoesNotBlock: with every worker checked out and no respawn
-// budget, tryGet fails immediately with ErrPoolExhausted (the recovery path
-// calls it while holding other connections — blocking would self-deadlock).
+// TestTryGetDoesNotBlock: with every worker checked out, tryGet fails
+// immediately with ErrPoolExhausted (an island solve calls it while holding
+// other connections — blocking would self-deadlock).
 func TestTryGetDoesNotBlock(t *testing.T) {
 	pool := NewPool([]Endpoint{LocalEndpoint()})
 	defer pool.Close()
@@ -96,57 +96,6 @@ func TestTryGetDoesNotBlock(t *testing.T) {
 		t.Fatalf("tryGet blocked for %v", d)
 	}
 	pool.put(c)
-}
-
-// TestPoolRespawnRecovers: with respawn armed, a pool whose only workers die
-// replaces them and the evaluation completes on the replacements —
-// bit-identical, with no inline fallback.
-func TestPoolRespawnRecovers(t *testing.T) {
-	w := testWorkload(t, 23, 20, 3, 3)
-	ss := testSchedules(t, w)
-	opt := sim.Options{Realizations: 60, Workers: 1}
-	want, err := sim.EvaluateAll(ss, opt, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool([]Endpoint{sabotagedEndpoint(), sabotagedEndpoint()})
-	defer pool.Close()
-	reg := obs.NewRegistry()
-	pool.Obs = reg
-	pool.Respawn(func() (Endpoint, error) { return LocalEndpoint(), nil }, 4)
-	coord := &Coordinator{Pool: pool, Obs: reg}
-	got, err := coord.EvaluateAll(ss, opt, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range ss {
-		if !metricsBitEqual(got[j], want[j]) {
-			t.Errorf("schedule %d: metrics differ after respawn", j)
-		}
-	}
-	if n := reg.Counter("dist.respawns").Value(); n == 0 {
-		t.Error("expected at least one respawn")
-	}
-	if n := reg.Counter("dist.inline_ranges").Value(); n != 0 {
-		t.Errorf("inline_ranges = %d, want 0 (respawn should cover the work)", n)
-	}
-}
-
-// TestPoolRespawnBudgetExhausted: when every spawn attempt fails, the budget
-// burns down and checkouts fail with ErrPoolExhausted instead of retrying
-// forever.
-func TestPoolRespawnBudgetExhausted(t *testing.T) {
-	pool := NewPool(nil)
-	defer pool.Close()
-	reg := obs.NewRegistry()
-	pool.Obs = reg
-	pool.Respawn(func() (Endpoint, error) { return Endpoint{}, errors.New("spawn refused") }, 2)
-	if _, err := pool.get(); !errors.Is(err, ErrPoolExhausted) {
-		t.Fatalf("get = %v, want ErrPoolExhausted", err)
-	}
-	if n := reg.Counter("dist.respawn_failures").Value(); n != 2 {
-		t.Errorf("respawn_failures = %d, want 2 (full budget burned)", n)
-	}
 }
 
 // TestPoolConcurrentAccounting hammers get/put/discard/KillWorker from many
@@ -207,8 +156,8 @@ func TestPoolConcurrentAccounting(t *testing.T) {
 // TestOpenCoordinator: the CLIs' scatter flags are checked before any
 // worker starts, neither -shards nor -remote means in process, and a valid
 // set builds a working pool: here subprocess workers (the test binary
-// re-execs into RunWorker, see TestMain) with liveness and respawn armed,
-// whose results stay bit-identical.
+// re-execs into RunWorker, see TestMain) with liveness armed, whose results
+// stay bit-identical.
 func TestOpenCoordinator(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -104,9 +104,9 @@ type ErrMsg struct {
 	Error string `json:"error"`
 	// Code classifies machine-actionable failures. "setup" means a
 	// KSimRange referenced a setup the worker does not hold — the setup
-	// frame was lost in transit (or the worker is a fresh respawn) — which
-	// the coordinator treats as transient: discard the connection and
-	// reassign the range, rather than failing the job.
+	// frame was lost in transit — which the coordinator treats as
+	// transient: discard the connection and reassign the range, rather
+	// than failing the job.
 	Code string `json:"code,omitempty"`
 }
 

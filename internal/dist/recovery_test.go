@@ -141,8 +141,8 @@ func checkHosted(t *testing.T, tag string, reg *obs.Registry, n int) {
 	}
 }
 
-// TestRecoveryFinishesInProcess is the recovery rule on three pool shapes:
-// a spare worker, respawn armed, and neither. A fault-free run counts the F
+// TestRecoveryFinishesInProcess is the recovery rule on two pool shapes:
+// with a spare worker and without one. A fault-free run counts the F
 // island-state answers of worker 0 (the first endpoint the pool is built
 // on); then, for every n in [0, F), worker 0 is killed after its n-th
 // answer. Every killed solve must finish in process exactly once,
@@ -169,11 +169,6 @@ func TestRecoveryFinishesInProcess(t *testing.T) {
 		// 3 island hosts out of a 4-worker pool leave a spare.
 		{"spare", func(first Endpoint) *Pool {
 			return NewPool([]Endpoint{first, LocalEndpoint(), LocalEndpoint(), LocalEndpoint()})
-		}},
-		{"respawn", func(first Endpoint) *Pool {
-			pool := NewPool([]Endpoint{first, LocalEndpoint()})
-			pool.Respawn(func() (Endpoint, error) { return LocalEndpoint(), nil }, 2)
-			return pool
 		}},
 		{"none", func(first Endpoint) *Pool {
 			return NewPool([]Endpoint{first, LocalEndpoint()})
@@ -208,7 +203,6 @@ func TestRecoveryFinishesInProcess(t *testing.T) {
 				tag := fmt.Sprintf("kill after %d of %d answers", n, f)
 				pool := shape.newPool(killAfterFrames(LocalEndpoint(), n))
 				reg := obs.NewRegistry()
-				pool.Obs = reg
 				coord := &Coordinator{Pool: pool, Obs: reg}
 				got, err := coord.Solve(w, opt, rng.New(31))
 				if err != nil {
@@ -253,7 +247,6 @@ func TestDuplicatedRequestFinishesInProcess(t *testing.T) {
 	pool := NewPool([]Endpoint{duplicateRequest(LocalEndpoint(), 1), LocalEndpoint()})
 	defer pool.Close()
 	reg := obs.NewRegistry()
-	pool.Obs = reg
 	got, err := (&Coordinator{Pool: pool, Obs: reg}).Solve(w, opt, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +310,6 @@ func TestIncompleteIslandStatesRecover(t *testing.T) {
 		})
 		pool := NewPool([]Endpoint{mangled, LocalEndpoint()})
 		reg := obs.NewRegistry()
-		pool.Obs = reg
 		got, err := (&Coordinator{Pool: pool, Obs: reg}).Solve(w, opt, rng.New(31))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

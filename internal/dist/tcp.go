@@ -1,40 +1,37 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
 // The TCP transport. The frame protocol is transport-agnostic — an Endpoint
 // is any (io.WriteCloser, io.Reader) pair — so serving it over sockets is
 // the same worker loop behind new plumbing: a listener that runs one
-// serveWorker per accepted connection, a dialer that wraps the socket in an
-// Endpoint, and a spawner that redials dead workers (the "reconnect" rung
-// of the pool's respawn ladder). net.Conn implements SetReadDeadline and
-// SetWriteDeadline, so the socket enforces the liveness deadlines itself,
-// as subprocess pipes do.
+// ServeWorker per accepted connection, a dialer that wraps the socket in an
+// Endpoint, and a spawner that dials the addresses in turn. net.Conn
+// implements SetReadDeadline and SetWriteDeadline, so the socket enforces
+// the liveness deadlines itself, as subprocess pipes do.
 
 // tcpDialTimeout bounds a single connection attempt when the caller does
 // not specify one.
 const tcpDialTimeout = 5 * time.Second
 
 // WorkerServer serves the dist worker protocol on a TCP listener: one
-// serveWorker loop per accepted connection, each independent (a coordinator
-// per connection). Shutdown drains gracefully — in-flight operations finish
-// and flush their responses before the connections close.
+// ServeWorker loop per accepted connection, each independent (a coordinator
+// per connection).
 type WorkerServer struct {
-	ln   net.Listener
-	stop chan struct{}
-	wg   sync.WaitGroup
+	ln net.Listener
+	wg sync.WaitGroup
 
-	mu    sync.Mutex
-	conns map[net.Conn]bool
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	closed bool
 }
 
 // ListenWorker binds a worker server to addr (host:port; port 0 picks a
@@ -44,7 +41,7 @@ func ListenWorker(addr string) (*WorkerServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker listen %s: %w", addr, err)
 	}
-	return &WorkerServer{ln: ln, stop: make(chan struct{}), conns: make(map[net.Conn]bool)}, nil
+	return &WorkerServer{ln: ln, conns: make(map[net.Conn]bool)}, nil
 }
 
 // Addr returns the bound listen address (the resolved port when the caller
@@ -57,27 +54,27 @@ func (s *WorkerServer) Addr() string { return s.ln.Addr().String() }
 func (s *WorkerServer) Serve() error {
 	for {
 		conn, err := s.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return nil
+		}
 		if err != nil {
-			select {
-			case <-s.stop:
-				return nil
-			default:
-				return fmt.Errorf("dist: worker accept: %w", err)
-			}
+			return fmt.Errorf("dist: worker accept: %w", err)
 		}
 		if tc, ok := conn.(*net.TCPConn); ok {
 			_ = tc.SetNoDelay(true) // latency over batching; we coalesce ourselves
 		}
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
 		s.conns[conn] = true
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func(conn net.Conn) {
 			defer s.wg.Done()
-			// The drain interrupt arms an immediate read deadline: the
-			// pending between-requests read unblocks while the write side
-			// stays usable for the in-flight response.
-			_ = serveWorker(conn, conn, s.stop, func() { _ = conn.SetReadDeadline(time.Now()) })
+			_ = ServeWorker(conn, conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -86,16 +83,17 @@ func (s *WorkerServer) Serve() error {
 	}
 }
 
-// Shutdown stops accepting, asks every serving connection to finish its
-// in-flight operation, and waits for them to drain.
+// Shutdown closes the listener and every serving connection, and waits for
+// their serve loops to end. A coordinator mid-exchange reads a transport
+// failure and moves the work elsewhere.
 func (s *WorkerServer) Shutdown() {
-	close(s.stop)
-	_ = s.ln.Close()
 	s.mu.Lock()
+	s.closed = true
 	for conn := range s.conns {
-		_ = conn.SetReadDeadline(time.Now())
+		_ = conn.Close()
 	}
 	s.mu.Unlock()
+	_ = s.ln.Close()
 	s.wg.Wait()
 }
 
@@ -124,13 +122,8 @@ func DialWorker(addr string, timeout time.Duration) (Endpoint, error) {
 	}, nil
 }
 
-// TCPSpawner returns a spawner that connects to the given worker addresses
-// round-robin — both the pool constructor and the Respawn hook for TCP
-// workers. As the respawn rung it is a lazy redial: a connection that dies
-// (worker crash, network partition, redeploy) is replaced by dialing the
-// next address in the rotation, so a restarted remote worker reattaches
-// without coordinator restarts. Dial failures burn respawn budget and back
-// off exactly like failed process spawns.
+// TCPSpawner returns a spawner that dials the given worker addresses in
+// turn, one per call: NewSpawnPool calls it once per address.
 func TCPSpawner(addrs []string, timeout time.Duration) func() (Endpoint, error) {
 	var n atomic.Int64
 	return func() (Endpoint, error) {
@@ -142,39 +135,20 @@ func TCPSpawner(addrs []string, timeout time.Duration) func() (Endpoint, error) 
 	}
 }
 
-// NewTCPPool connects one pool worker per address. Arm Respawn with the
-// same TCPSpawner to get reconnect-on-death.
+// NewTCPPool connects one pool worker per address.
 func NewTCPPool(addrs []string, timeout time.Duration) (*Pool, error) {
 	return NewSpawnPool(len(addrs), TCPSpawner(addrs, timeout))
 }
 
 // RunWorker is the process entry point behind the CLIs' `worker`
 // subcommand: the protocol over stdin/stdout when listen is empty, or a
-// TCP server on listen. Either way SIGTERM and SIGINT drain gracefully —
-// the in-flight operation finishes and flushes its response, the listener
-// closes, and the process exits 0 — so remote workers redeploy without
-// failing the coordinator mid-range (its seq/ack machinery reassigns
-// anything unanswered).
+// TCP server on listen. It installs no signal handler, so SIGTERM or SIGINT
+// ends the worker at once; its coordinator reads a transport failure and
+// moves the unanswered ranges to a live worker or in process, as after
+// Pool.KillWorker.
 func RunWorker(listen string) error {
-	drain := make(chan struct{})
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	var once sync.Once
-	go func() {
-		for range sigc {
-			once.Do(func() { close(drain) })
-		}
-	}()
-
 	if listen == "" {
-		return serveWorker(os.Stdin, os.Stdout, drain, func() {
-			// Pollable stdin (a pipe from the coordinator) unblocks via
-			// deadline; a non-pollable one falls back to closing it.
-			if os.Stdin.SetReadDeadline(time.Now()) != nil {
-				_ = os.Stdin.Close()
-			}
-		})
+		return ServeWorker(os.Stdin, os.Stdout)
 	}
 	srv, err := ListenWorker(listen)
 	if err != nil {
@@ -183,9 +157,5 @@ func RunWorker(listen string) error {
 	// The bound address on stdout: with -listen the frame stream is on the
 	// sockets, so stdout is free for scripts (and tests) to learn the port.
 	fmt.Printf("listening on %s\n", srv.Addr())
-	go func() {
-		<-drain
-		srv.Shutdown()
-	}()
 	return srv.Serve()
 }

@@ -64,55 +64,16 @@ func (fw *frameWriter) batch(fn func(w *bufio.Writer) error) error {
 // yields a second answer, which the coordinator reads as a Seq mismatch on
 // its next exchange: a transport failure, never a silently doubled step.
 func ServeWorker(r io.Reader, w io.Writer) error {
-	return serveWorker(r, w, nil, nil)
-}
-
-// drained reports whether the drain channel (nil when graceful shutdown is
-// not wired) has fired.
-func drained(drain <-chan struct{}) bool {
-	if drain == nil {
-		return false
-	}
-	select {
-	case <-drain:
-		return true
-	default:
-		return false
-	}
-}
-
-// serveWorker is the serve loop behind ServeWorker and the graceful-stop
-// transports. When drain is non-nil and fires, interrupt is invoked once to
-// unblock the pending between-requests read (closing the transport's read
-// direction or arming an immediate read deadline — writes must survive, so
-// the in-flight operation still answers and flushes); the loop then exits
-// cleanly instead of treating the unblocked read's error as a failure.
-func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func()) error {
-	br := bufio.NewReaderSize(r, 1<<16)
 	fw := &frameWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	fr := wio.NewFrameReader(br)
+	fr := wio.NewFrameReader(bufio.NewReaderSize(r, 1<<16))
 	var host *islandHost
 	var setup *simState
-	if drain != nil && interrupt != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-drain:
-				interrupt()
-			case <-done:
-			}
-		}()
-	}
 	for {
 		kind, payload, err := fr.Read()
 		if err == io.EOF {
 			return nil // coordinator closed between frames: clean exit
 		}
 		if err != nil {
-			if drained(drain) {
-				return nil // graceful stop unblocked the idle read
-			}
 			return fmt.Errorf("dist: worker read: %w", err)
 		}
 		var jobErr error
@@ -149,9 +110,6 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 			if err := fw.sendJSON(KErr, em); err != nil {
 				return err
 			}
-		}
-		if drained(drain) {
-			return nil // graceful stop: the in-flight op answered; exit
 		}
 	}
 }

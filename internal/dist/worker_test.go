@@ -262,7 +262,6 @@ func TestWorkerErrorSurfacesToCaller(t *testing.T) {
 	})})
 	defer pool.Close()
 	reg := obs.NewRegistry()
-	pool.Obs = reg
 	coord := &Coordinator{Pool: pool, Obs: reg}
 	w := testWorkload(t, 4, 15, 2, 2)
 	ss := testSchedules(t, w)
@@ -330,7 +329,6 @@ func TestSolveWorkerErrorSurfacesToCaller(t *testing.T) {
 	}), LocalEndpoint()})
 	defer pool.Close()
 	reg := obs.NewRegistry()
-	pool.Obs = reg
 	coord := &Coordinator{Pool: pool, Obs: reg}
 
 	_, err = coord.Solve(w, opt, rng.New(31))
