@@ -16,7 +16,8 @@
 // Scenarios are sampled from Model (per-processor exponential hazards, the
 // classic reliability assumption of the NSGA-II reliability-cost literature)
 // through deterministic rng streams, or loaded from JSON via internal/wio,
-// so a fault run is fully reproducible from (seed, scenario file).
+// so a fault run is fully reproducible from (seed, scenario file). Model
+// samples failures and outages; slowdowns come from scenario files.
 //
 // The timeline engine (NextStart, Run) is written so that a processor with
 // no events takes a fast path returning the exact same floating-point
@@ -25,11 +26,10 @@
 // scenario.
 //
 // The same vocabulary doubles as the distribution runtime's chaos model:
-// internal/dist wraps each coordinator↔worker connection in a two-
+// internal/dist's tests wrap each coordinator↔worker connection in a two-
 // "processor" Scenario (one per link direction), so outages become frame
-// stalls, failures become dropped connections and slowdowns become
-// stragglers on the wire — sampled by the same Model, replayable from the
-// same seeds.
+// stalls and failures become dropped connections — sampled by the same
+// Model, replayable from the same seeds.
 package fault
 
 import (
@@ -289,9 +289,8 @@ type Sampler interface {
 }
 
 // Model parameterizes random fault scenarios: per-processor exponential
-// hazards for permanent failures, Poisson arrivals of transient outages
-// and straggler degradations with exponential lengths. The zero value
-// generates empty scenarios.
+// hazards for permanent failures and Poisson arrivals of transient outages
+// with exponential lengths. The zero value generates empty scenarios.
 type Model struct {
 	// MTBF is the mean time to permanent fail-stop failure of each
 	// processor (exponential hazard). 0 disables permanent failures.
@@ -301,12 +300,6 @@ type Model struct {
 	// outage length (exponential).
 	OutageEvery float64
 	OutageMean  float64
-	// SlowEvery is the mean gap between degradation windows per processor;
-	// 0 disables. SlowMean is the mean window length, SlowFactor the rate
-	// multiplier (>= 1) applied while degraded.
-	SlowEvery  float64
-	SlowMean   float64
-	SlowFactor float64
 	// KeepOne, when set, guarantees at least one processor survives: if
 	// every processor drew a permanent failure inside the horizon, the
 	// latest failure is cancelled.
@@ -332,23 +325,12 @@ func (mo Model) Validate() error {
 			return err
 		}
 	}
-	if err := check("SlowEvery", mo.SlowEvery, true); err != nil {
-		return err
-	}
-	if mo.SlowEvery > 0 {
-		if err := check("SlowMean", mo.SlowMean, false); err != nil {
-			return err
-		}
-		if math.IsNaN(mo.SlowFactor) || math.IsInf(mo.SlowFactor, 0) || mo.SlowFactor < 1 {
-			return &ValidationError{"SlowFactor", fmt.Sprintf("%g must be a finite value >= 1", mo.SlowFactor)}
-		}
-	}
 	return nil
 }
 
 // Scenario samples one fault timeline for m processors over the horizon.
-// The draw sequence is fixed (per processor: failure, outages, slowdowns),
-// so the same (m, horizon, stream) triple always regenerates the same
+// The draw sequence is fixed (per processor: failure, then outages), so
+// the same (m, horizon, stream) triple always regenerates the same
 // scenario regardless of which model features are enabled elsewhere.
 func (mo Model) Scenario(m int, horizon float64, r *rng.Source) (Scenario, error) {
 	if err := mo.Validate(); err != nil {
@@ -383,20 +365,6 @@ func (mo Model) Scenario(m int, horizon float64, r *rng.Source) (Scenario, error
 			}
 		}
 		sc.Outages = append(sc.Outages, outs)
-		var slows []Slowdown
-		if mo.SlowEvery > 0 {
-			t := 0.0
-			for {
-				t += r.Exp(1 / mo.SlowEvery)
-				if t >= horizon {
-					break
-				}
-				d := r.Exp(1 / mo.SlowMean)
-				slows = append(slows, Slowdown{Start: t, End: t + d, Factor: mo.SlowFactor})
-				t += d
-			}
-		}
-		sc.Slowdowns = append(sc.Slowdowns, slows)
 	}
 	if mo.KeepOne {
 		last, lastAt := -1, math.Inf(-1)

@@ -137,7 +137,7 @@ func TestRunEntersSlowdownMidway(t *testing.T) {
 }
 
 func TestModelSamplingDeterministicAndValid(t *testing.T) {
-	mo := Model{MTBF: 50, OutageEvery: 30, OutageMean: 3, SlowEvery: 25, SlowMean: 5, SlowFactor: 2}
+	mo := Model{MTBF: 50, OutageEvery: 30, OutageMean: 3}
 	a, err := mo.Scenario(4, 100, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestModelSamplingDeterministicAndValid(t *testing.T) {
 		if a.FailAt[p] != b.FailAt[p] {
 			t.Fatalf("failure times differ on processor %d", p)
 		}
-		if len(a.Outages[p]) != len(b.Outages[p]) || len(a.Slowdowns[p]) != len(b.Slowdowns[p]) {
+		if len(a.Outages[p]) != len(b.Outages[p]) {
 			t.Fatalf("event counts differ on processor %d", p)
 		}
 		for i := range a.Outages[p] {
@@ -204,9 +204,7 @@ func TestModelValidation(t *testing.T) {
 		{MTBF: -1},
 		{MTBF: math.NaN()},
 		{OutageEvery: 5}, // missing OutageMean
-		{SlowEvery: 5, SlowMean: 1, SlowFactor: 0.5}, // factor < 1
-		{SlowEvery: 5, SlowMean: 0, SlowFactor: 2},   // missing SlowMean
-		{OutageEvery: math.Inf(1), OutageMean: 1},    // infinite rate
+		{OutageEvery: math.Inf(1), OutageMean: 1}, // infinite rate
 	}
 	for i, mo := range bad {
 		err := mo.Validate()

@@ -11,10 +11,17 @@ import (
 )
 
 func TestScenarioRoundTrip(t *testing.T) {
-	mo := fault.Model{MTBF: 40, OutageEvery: 25, OutageMean: 3, SlowEvery: 20, SlowMean: 4, SlowFactor: 2.5}
+	mo := fault.Model{MTBF: 40, OutageEvery: 25, OutageMean: 3}
 	sc, err := mo.Scenario(4, 120, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Model samples no slowdowns; scenario files carry them.
+	sc.Slowdowns = [][]fault.Slowdown{
+		{{Start: 5, End: 9.5, Factor: 2.5}, {Start: 40, End: 41.25, Factor: 2.5}},
+		nil,
+		{{Start: 0.5, End: 30, Factor: 1.75}},
+		nil,
 	}
 	var buf bytes.Buffer
 	if err := WriteScenario(&buf, sc); err != nil {
