@@ -126,6 +126,14 @@ type FaultOutcome struct {
 // under the fault scenario and policy. With fault.None() and no retry or
 // drop settings it is Execute.
 func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario, pol FaultPolicy) (FaultOutcome, error) {
+	return executeFaults(s, durs, sc, pol, nil)
+}
+
+// executeFaults is ExecuteFaults given the workload's upward ranks, which
+// only a re-plan reads. The evaluators compute them once per evaluation;
+// nil computes them at the first re-plan, so right-shift execution never
+// does.
+func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario, pol FaultPolicy, ranks []float64) (FaultOutcome, error) {
 	w := s.Workload()
 	n, m := w.N(), w.M()
 	if durs.Rows() != n || durs.Cols() != m {
@@ -178,7 +186,6 @@ func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 		remainingPreds[v] = w.G.InDegree(v)
 	}
 	procFree := make([]float64, m)
-	ranks := heft.UpwardRanks(w)
 	notBefore := make([]float64, n)
 	attempts := make([]int, n)
 	lastProc := make([]int, n)
@@ -227,6 +234,9 @@ func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 		alive, any := aliveAt(now)
 		if !any {
 			return false
+		}
+		if ranks == nil {
+			ranks = heft.UpwardRanks(w)
 		}
 		replanWith(w, ranks, completed, abandoned, alive, notBefore, out.Outcome, procFree, queues, planned)
 		return true
@@ -433,6 +443,7 @@ func EvaluateFaults(s *schedule.Schedule, pol FaultPolicy, src fault.Sampler, ho
 	}
 	w := s.Workload()
 	n, m := w.N(), w.M()
+	ranks := heft.UpwardRanks(w)
 	R := opt.Realizations
 	durSeeds := make([]uint64, R)
 	scenSeeds := make([]uint64, R)
@@ -475,7 +486,7 @@ func EvaluateFaults(s *schedule.Schedule, pol FaultPolicy, src fault.Sampler, ho
 					results[k] = result{err: err}
 					continue
 				}
-				o, err := ExecuteFaults(s, durs, sc, pol)
+				o, err := executeFaults(s, durs, sc, pol, ranks)
 				results[k] = result{out: o, err: err}
 			}
 		}()

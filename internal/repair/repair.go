@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"robsched/internal/fault"
+	"robsched/internal/heft"
 	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
@@ -72,7 +73,12 @@ type Outcome struct {
 // processor p (only the assigned processor's entry is consumed unless a
 // re-plan moves the task). It is ExecuteFaults under the empty scenario.
 func Execute(s *schedule.Schedule, durs platform.Matrix, pol Policy) (Outcome, error) {
-	o, err := ExecuteFaults(s, durs, fault.None(), FaultPolicy{Policy: pol})
+	return execute(s, durs, pol, nil)
+}
+
+// execute is Execute given the upward ranks (see executeFaults).
+func execute(s *schedule.Schedule, durs platform.Matrix, pol Policy, ranks []float64) (Outcome, error) {
+	o, err := executeFaults(s, durs, fault.None(), FaultPolicy{Policy: pol}, ranks)
 	if err == nil && o.Failed {
 		// With no faults a task is left behind only by an infinite finish
 		// time upstream, which no plan absorbs.
@@ -173,6 +179,7 @@ func Evaluate(s *schedule.Schedule, pol Policy, opt sim.Options, root *rng.Sourc
 	}
 	w := s.Workload()
 	n, m := w.N(), w.M()
+	ranks := heft.UpwardRanks(w)
 	makespans := make([]float64, opt.Realizations)
 	totalResched := 0
 	durs := platform.NewMatrix(n, m)
@@ -183,7 +190,7 @@ func Evaluate(s *schedule.Schedule, pol Policy, opt sim.Options, root *rng.Sourc
 				durs.Set(i, p, w.SampleDuration(i, p, r))
 			}
 		}
-		o, err := Execute(s, durs, pol)
+		o, err := execute(s, durs, pol, ranks)
 		if err != nil {
 			return Metrics{}, err
 		}

@@ -207,6 +207,31 @@ func TestEvaluateMetricsShape(t *testing.T) {
 	}
 }
 
+// TestExecuteRightShiftAllocs pins right-shift execution at 20 allocations
+// (n=100, m=8): the outcome and the executor's per-task state. Right-shift
+// never re-plans, so it must not pay for the re-planner's upward ranks.
+func TestExecuteRightShiftAllocs(t *testing.T) {
+	p := gen.PaperParams()
+	p.N, p.M = 100, 8
+	w, err := gen.Random(p, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := heft.HEFT(w, heft.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durs := dynamic.RealizeMatrix(w, rng.New(2))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Execute(s, durs, NeverReschedule()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("right-shift Execute costs %.0f allocations, want at most 20", allocs)
+	}
+}
+
 func BenchmarkExecuteRightShift(b *testing.B) {
 	p := gen.PaperParams()
 	w, err := gen.Random(p, rng.New(1))
