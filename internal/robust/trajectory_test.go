@@ -116,3 +116,64 @@ func TestSolveTrajectoryPinned(t *testing.T) {
 			golden, got, want)
 	}
 }
+
+// TestSolveWeightedSumPinned pins the weighted-sum comparator to one
+// SHA-256 digest in testdata/weighted.golden. The digest covers weights 0,
+// 0.3, 0.5 and 1 on two shapes under four option sets (a stagnation window
+// of 10, no window, NoHEFTSeed with MinSlack, and NoMetricsCache), and per
+// run the best genes, the generation count, the stagnation flag and the
+// bits of M0, AvgSlack and MHEFT. Refresh with:
+// go test ./internal/robust -run TestSolveWeightedSumPinned -update
+func TestSolveWeightedSumPinned(t *testing.T) {
+	h := sha256.New()
+	put := func(xs ...uint64) {
+		for _, x := range xs {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], x)
+			h.Write(b[:])
+		}
+	}
+	for _, set := range []func(*Options){
+		func(o *Options) {},
+		func(o *Options) { o.Stagnation = 0 },
+		func(o *Options) { o.NoHEFTSeed, o.SlackMetric = true, MinSlack },
+		func(o *Options) { o.NoMetricsCache = true },
+	} {
+		for _, shape := range []struct{ n, m int }{{25, 3}, {60, 5}} {
+			w := testWorkload(t, 17, shape.n, shape.m)
+			for _, weight := range []float64{0, 0.3, 0.5, 1} {
+				opt := Options{PopSize: 16, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 60, Stagnation: 10}
+				set(&opt)
+				res, err := SolveWeightedSum(w, weight, opt, rng.New(8000+uint64(shape.n)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, genes := range [][]int{res.Schedule.Order(), res.Schedule.ProcAssignment()} {
+					for _, g := range genes {
+						put(uint64(g))
+					}
+				}
+				stagnated := uint64(0)
+				if res.Stagnated {
+					stagnated = 1
+				}
+				put(uint64(res.Generations), stagnated, math.Float64bits(res.Schedule.Makespan()),
+					math.Float64bits(res.Schedule.AvgSlack()), math.Float64bits(res.MHEFT))
+			}
+		}
+	}
+	got := fmt.Sprintf("%x\n", h.Sum(nil))
+	golden := filepath.Join("testdata", "weighted.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("weighted-sum runs differ from %s (refresh with -update): got %s want %s", golden, got, want)
+	}
+}
