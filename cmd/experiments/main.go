@@ -383,7 +383,7 @@ func execute(args []string, stdout, stderr io.Writer) error {
 	if *faultExp {
 		fc := experiments.DefaultFaultConfig()
 		fc.MTBFFactor = *mtbf
-		fc.Policy.Retry.MaxRetries = *retries
+		fc.Policy.MaxRetries = *retries
 		fc.Policy.DropFactor = *drop
 		fmt.Fprintf(stderr, "experiments: running fault-resilience experiment (%d graphs, mtbf %g·M0)...\n",
 			cfg.Graphs, *mtbf)

@@ -372,7 +372,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		pol := repair.FaultPolicy{
 			Policy:     repair.NeverReschedule(),
-			Retry:      repair.RetryPolicy{MaxRetries: *retries, Migrate: true},
+			MaxRetries: *retries,
 			DropFactor: *drop,
 			Obs:        reg,
 			Trace:      tracer,

@@ -1,13 +1,13 @@
 // Fault-aware execution: this file extends the event-driven executor to
 // play a static schedule against a realized duration matrix *and* a fault
-// scenario (internal/fault). Tasks running on a processor that fails
-// permanently or suffers a transient outage are killed and retried under a
-// bounded RetryPolicy with deterministic backoff in simulated time,
-// optionally migrating via the same EFT re-planner the reactive policy
-// uses (never placing work on dead processors); an optional graceful-
-// degradation mode drops non-critical tasks whose start slips past
-// DropFactor·M0 (à la Mokhtari et al.'s autonomous task dropping) and the
-// run reports a completion fraction instead of failing.
+// scenario (internal/fault). A task running on a processor that fails
+// permanently or suffers a transient outage is killed and retried at once,
+// up to MaxRetries times: each kill re-plans every unstarted task with the
+// same EFT re-planner the reactive policy uses, onto the processors still
+// alive. An optional graceful-degradation mode drops non-critical tasks
+// whose start slips past DropFactor·M0 (à la Mokhtari et al.'s autonomous
+// task dropping) and the run reports a completion fraction instead of
+// failing.
 //
 // Under an empty scenario ExecuteFaults is plain right-shift / reactive
 // execution, and Execute is exactly that call; fault_test.go holds it bit
@@ -30,28 +30,18 @@ import (
 	"robsched/internal/sim"
 )
 
-// RetryPolicy bounds how killed tasks are re-attempted.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts a task may consume after
-	// kills; once exceeded the task is abandoned (dropped under graceful
-	// degradation, otherwise the run is marked failed).
-	MaxRetries int
-	// Backoff is the simulated-time wait before retry k, growing
-	// exponentially: Backoff·2^(k−1). Zero retries immediately.
-	Backoff float64
-	// Migrate re-plans every unstarted task (EFT over expected durations,
-	// alive processors only) after each kill, letting the killed task move
-	// off the faulty processor. Without it a killed task retries on its
-	// originally planned processor.
-	Migrate bool
-}
-
 // FaultPolicy configures fault-aware execution: the embedded reactive-
 // reschedule Policy (use NeverReschedule for pure right-shift), the retry
-// behaviour, and graceful degradation.
+// bound, and graceful degradation.
 type FaultPolicy struct {
 	Policy
-	Retry RetryPolicy
+	// MaxRetries is the number of re-attempts a task may consume after
+	// kills; once exceeded the task is abandoned (dropped under graceful
+	// degradation, otherwise the run is marked failed). A killed task
+	// retries at once: every unstarted task is re-planned (EFT over
+	// expected durations, alive processors only), so the killed task can
+	// move off the faulty processor.
+	MaxRetries int
 	// DropFactor d > 0 enables graceful degradation: a non-critical task
 	// (planned slack > 0) whose earliest feasible start exceeds d·M0 is
 	// dropped rather than executed, and abandoned tasks count as drops
@@ -73,13 +63,10 @@ type FaultPolicy struct {
 	Trace *obs.Tracer
 }
 
-// DefaultFaultPolicy is right-shift execution with two migrating retries
-// and no dropping — the configuration the CLI starts from.
+// DefaultFaultPolicy is right-shift execution with two retries and no
+// dropping — the configuration the CLI starts from.
 func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{
-		Policy: NeverReschedule(),
-		Retry:  RetryPolicy{MaxRetries: 2, Backoff: 0, Migrate: true},
-	}
+	return FaultPolicy{Policy: NeverReschedule(), MaxRetries: 2}
 }
 
 // Validate checks the policy, reporting *PolicyError.
@@ -87,11 +74,8 @@ func (pol FaultPolicy) Validate() error {
 	if pol.Threshold < 0 || math.IsNaN(pol.Threshold) {
 		return &PolicyError{"Threshold", fmt.Sprintf("%g must be >= 0", pol.Threshold)}
 	}
-	if pol.Retry.MaxRetries < 0 {
-		return &PolicyError{"Retry.MaxRetries", fmt.Sprintf("%d must be >= 0", pol.Retry.MaxRetries)}
-	}
-	if pol.Retry.Backoff < 0 || math.IsNaN(pol.Retry.Backoff) || math.IsInf(pol.Retry.Backoff, 0) {
-		return &PolicyError{"Retry.Backoff", fmt.Sprintf("%g must be finite and >= 0", pol.Retry.Backoff)}
+	if pol.MaxRetries < 0 {
+		return &PolicyError{"MaxRetries", fmt.Sprintf("%d must be >= 0", pol.MaxRetries)}
 	}
 	if pol.DropFactor < 0 || math.IsNaN(pol.DropFactor) || math.IsInf(pol.DropFactor, 0) {
 		return &PolicyError{"DropFactor", fmt.Sprintf("%g must be finite and >= 0", pol.DropFactor)}
@@ -123,8 +107,8 @@ type FaultOutcome struct {
 }
 
 // ExecuteFaults plays the realized duration matrix against the schedule
-// under the fault scenario and policy. With fault.None() and no retry or
-// drop settings it is Execute.
+// under the fault scenario and policy. With fault.None() and no drop
+// setting it is Execute.
 func ExecuteFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario, pol FaultPolicy) (FaultOutcome, error) {
 	return executeFaults(s, durs, sc, pol, nil)
 }
@@ -243,7 +227,7 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 	}
 
 	done := 0
-	stalled := false // one migration re-plan already spent on the current stall
+	stalled := false // one re-plan already spent on the current stall
 	for done+nAbandoned < n {
 		// Drop abandoned tasks off the queue heads so the scan below only
 		// sees live work.
@@ -290,10 +274,10 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 				return FaultOutcome{}, fmt.Errorf("repair: execution stalled with %d tasks left (plan inconsistency)", n-done-nAbandoned)
 			}
 			// Every runnable head sits on a processor that is dead by the
-			// time the task could start. Give migration one re-plan per
-			// stall; if that does not unstick the run (or migration is
-			// off), abandon the stuck heads — they have nowhere to go.
-			if pol.Retry.Migrate && !stalled {
+			// time the task could start. Spend one re-plan per stall; if
+			// that does not unstick the run, abandon the stuck heads —
+			// they have nowhere to go.
+			if !stalled {
 				now := 0.0
 				for p := 0; p < m; p++ {
 					if sc.Alive(p, procFree[p]) && procFree[p] > now {
@@ -342,24 +326,20 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 			)
 			procFree[bestProc] = killTime
 			attempts[v]++
-			if attempts[v] > pol.Retry.MaxRetries {
+			if attempts[v] > pol.MaxRetries {
 				abandon(v)
 				continue
 			}
 			out.Retries++
-			notBefore[v] = killTime + pol.Retry.Backoff*math.Pow(2, float64(attempts[v]-1))
+			notBefore[v] = killTime
 			cRetries.Inc()
 			tsc.Event("retry",
 				obs.F("task", float64(v)),
 				obs.F("attempt", float64(attempts[v])),
 				obs.F("not_before", notBefore[v]),
 			)
-			if pol.Retry.Migrate {
-				if !replanFault(killTime) {
-					abandon(v) // no processor left alive
-				}
-			} else {
-				queues[bestProc] = append([]int{v}, queues[bestProc]...)
+			if !replanFault(killTime) {
+				abandon(v) // no processor left alive
 			}
 			continue
 		}

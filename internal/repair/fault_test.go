@@ -57,8 +57,8 @@ func TestEmptyScenarioBitIdentical(t *testing.T) {
 			}
 			same("Execute", threshold, trial, o, base)
 			fo, err := ExecuteFaults(s, durs, fault.None(), FaultPolicy{
-				Policy: Policy{Threshold: threshold},
-				Retry:  RetryPolicy{MaxRetries: 3, Backoff: 0.5, Migrate: true},
+				Policy:     Policy{Threshold: threshold},
+				MaxRetries: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -316,24 +316,19 @@ func TestRetryRecoversFromTransientOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	durs := dynamic.RealizeMatrix(w, rng.New(22))
-	for _, migrate := range []bool{false, true} {
-		o, err := ExecuteFaults(s, durs, sc, FaultPolicy{
-			Policy: NeverReschedule(),
-			Retry:  RetryPolicy{MaxRetries: 5, Backoff: 0, Migrate: migrate},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkValidFaultExecution(t, s, sc, o)
-		if o.CompletionFraction != 1 || o.Failed {
-			t.Fatalf("migrate=%v: run did not complete: %+v", migrate, o)
-		}
-		if o.Kills > 0 && o.Retries == 0 {
-			t.Fatalf("migrate=%v: kills without retries", migrate)
-		}
-		if o.Makespan < m0*0.5 {
-			t.Fatalf("migrate=%v: implausible makespan %g (M0=%g)", migrate, o.Makespan, m0)
-		}
+	o, err := ExecuteFaults(s, durs, sc, FaultPolicy{Policy: NeverReschedule(), MaxRetries: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkValidFaultExecution(t, s, sc, o)
+	if o.CompletionFraction != 1 || o.Failed {
+		t.Fatalf("run did not complete: %+v", o)
+	}
+	if o.Kills > 0 && o.Retries == 0 {
+		t.Fatal("kills without retries")
+	}
+	if o.Makespan < m0*0.5 {
+		t.Fatalf("implausible makespan %g (M0=%g)", o.Makespan, m0)
 	}
 }
 
@@ -351,10 +346,7 @@ func TestPermanentFailureMigratesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	durs := dynamic.RealizeMatrix(w, rng.New(32))
-	o, err := ExecuteFaults(s, durs, sc, FaultPolicy{
-		Policy: NeverReschedule(),
-		Retry:  RetryPolicy{MaxRetries: 3, Backoff: 0.01 * m0, Migrate: true},
-	})
+	o, err := ExecuteFaults(s, durs, sc, FaultPolicy{Policy: NeverReschedule(), MaxRetries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,30 +363,35 @@ func TestPermanentFailureMigratesWork(t *testing.T) {
 	}
 }
 
-func TestNoMigrationAbandonsDeadProcessorWork(t *testing.T) {
-	// Without migration, work planned on a processor that dies at t=0 can
-	// never run: it must be abandoned, not spin forever.
+func TestDeadProcessorWorkMovesToSurvivors(t *testing.T) {
+	// Processor 0 is dead at t=0, so no task planned on it can start and
+	// nothing is ever killed: only the stall re-plan moves that work. The
+	// run must complete on the survivors, with no task on processor 0.
 	w := testWorkload(t, 41, 25, 3, 2)
 	s, err := heft.HEFT(w, heft.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(s.ProcOrder(0)) == 0 {
+		t.Fatal("HEFT planned nothing on processor 0 — test is vacuous")
+	}
 	sc := fault.Scenario{M: 3, FailAt: []float64{0, math.Inf(1), math.Inf(1)}}
 	durs := dynamic.RealizeMatrix(w, rng.New(42))
-	o, err := ExecuteFaults(s, durs, sc, FaultPolicy{
-		Policy: NeverReschedule(),
-		Retry:  RetryPolicy{MaxRetries: 2, Backoff: 0, Migrate: false},
-	})
+	o, err := ExecuteFaults(s, durs, sc, FaultPolicy{Policy: NeverReschedule(), MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValidFaultExecution(t, s, sc, o)
-	if len(s.ProcOrder(0)) > 0 {
-		if !o.Failed || len(o.Unfinished) == 0 {
-			t.Fatalf("dead-processor work not abandoned: %+v", o)
-		}
-		if o.CompletionFraction >= 1 {
-			t.Fatal("completion fraction 1 despite abandoned work")
+	if o.CompletionFraction != 1 || o.Failed {
+		t.Fatalf("dead-processor work not moved: completion=%g failed=%v unfinished=%v",
+			o.CompletionFraction, o.Failed, o.Unfinished)
+	}
+	if o.Kills != 0 {
+		t.Fatalf("%d kills on a processor dead from the start", o.Kills)
+	}
+	for v, p := range o.Proc {
+		if p == 0 {
+			t.Fatalf("task %d completed on dead processor 0", v)
 		}
 	}
 }
@@ -413,7 +410,7 @@ func TestGracefulDegradationDropsNonCritical(t *testing.T) {
 	durs := dynamic.RealizeMatrix(w, rng.New(52))
 	o, err := ExecuteFaults(s, durs, sc, FaultPolicy{
 		Policy:     NeverReschedule(),
-		Retry:      RetryPolicy{MaxRetries: 2, Backoff: 0, Migrate: true},
+		MaxRetries: 2,
 		DropFactor: 1.5,
 	})
 	if err != nil {
@@ -430,10 +427,7 @@ func TestGracefulDegradationDropsNonCritical(t *testing.T) {
 		t.Fatal("completion fraction 1 despite drops")
 	}
 	// Without degradation the same scenario is a failure.
-	o2, err := ExecuteFaults(s, durs, sc, FaultPolicy{
-		Policy: NeverReschedule(),
-		Retry:  RetryPolicy{MaxRetries: 2, Backoff: 0, Migrate: true},
-	})
+	o2, err := ExecuteFaults(s, durs, sc, FaultPolicy{Policy: NeverReschedule(), MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,9 +446,7 @@ func TestFaultPolicyValidation(t *testing.T) {
 	bad := []FaultPolicy{
 		{Policy: Policy{Threshold: -1}},
 		{Policy: Policy{Threshold: math.NaN()}},
-		{Policy: NeverReschedule(), Retry: RetryPolicy{MaxRetries: -1}},
-		{Policy: NeverReschedule(), Retry: RetryPolicy{Backoff: -0.5}},
-		{Policy: NeverReschedule(), Retry: RetryPolicy{Backoff: math.Inf(1)}},
+		{Policy: NeverReschedule(), MaxRetries: -1},
 		{Policy: NeverReschedule(), DropFactor: -2},
 		{Policy: NeverReschedule(), DropFactor: math.NaN()},
 	}
@@ -495,7 +487,7 @@ func TestEvaluateFaultsReproducibleAcrossWorkers(t *testing.T) {
 	}
 	pol := FaultPolicy{
 		Policy:     Policy{Threshold: 0.1},
-		Retry:      RetryPolicy{MaxRetries: 2, Backoff: 0.01 * s.Makespan(), Migrate: true},
+		MaxRetries: 2,
 		DropFactor: 3,
 	}
 	var ref FaultMetrics

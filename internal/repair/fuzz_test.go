@@ -19,13 +19,13 @@ import (
 // the completion fraction in [0, 1]. Invalid inputs must be rejected with
 // an error, not a crash.
 func FuzzExecute(f *testing.F) {
-	f.Add(uint64(1), `{"procs": 0}`, math.Inf(1), 2, 0.0, 0.0, true)
-	f.Add(uint64(2), `{"procs": 3, "failures": [{"proc": 0, "at": 10}]}`, 0.05, 1, 0.5, 0.0, true)
-	f.Add(uint64(3), `{"procs": 2, "outages": [{"proc": 1, "start": 5, "end": 9}]}`, 0.0, 3, 0.0, 2.0, false)
-	f.Add(uint64(4), `{"procs": 2, "slowdowns": [{"proc": 0, "start": 0, "end": 50, "factor": 4}]}`, math.Inf(1), 0, 0.0, 1.5, true)
-	f.Add(uint64(5), `{"procs": 1, "failures": [{"proc": 0, "at": 0}]}`, math.Inf(1), 2, 1.0, 3.0, true)
-	f.Add(uint64(6), `not json`, -1.0, -2, math.NaN(), -0.5, false)
-	f.Fuzz(func(t *testing.T, seed uint64, scenarioDoc string, threshold float64, retries int, backoff, drop float64, migrate bool) {
+	f.Add(uint64(1), `{"procs": 0}`, math.Inf(1), 2, 0.0)
+	f.Add(uint64(2), `{"procs": 3, "failures": [{"proc": 0, "at": 10}]}`, 0.05, 1, 0.0)
+	f.Add(uint64(3), `{"procs": 2, "outages": [{"proc": 1, "start": 5, "end": 9}]}`, 0.0, 3, 2.0)
+	f.Add(uint64(4), `{"procs": 2, "slowdowns": [{"proc": 0, "start": 0, "end": 50, "factor": 4}]}`, math.Inf(1), 0, 1.5)
+	f.Add(uint64(5), `{"procs": 1, "failures": [{"proc": 0, "at": 0}]}`, math.Inf(1), 2, 3.0)
+	f.Add(uint64(6), `not json`, -1.0, -2, -0.5)
+	f.Fuzz(func(t *testing.T, seed uint64, scenarioDoc string, threshold float64, retries int, drop float64) {
 		p := gen.PaperParams()
 		p.N = 5 + int(seed%8)
 		p.M = 1 + int(seed%4)
@@ -45,7 +45,7 @@ func FuzzExecute(f *testing.F) {
 		}
 		pol := FaultPolicy{
 			Policy:     Policy{Threshold: threshold},
-			Retry:      RetryPolicy{MaxRetries: retries, Backoff: backoff, Migrate: migrate},
+			MaxRetries: retries,
 			DropFactor: drop,
 		}
 		o, err := ExecuteFaults(s, durs, sc, pol)

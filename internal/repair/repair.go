@@ -88,12 +88,13 @@ func execute(s *schedule.Schedule, durs platform.Matrix, pol Policy, ranks []flo
 }
 
 // replanWith is the re-planner behind the reactive-reschedule policy and
-// fault migration: it rebuilds the queues and planned finishes of every
+// fault retries: it rebuilds the queues and planned finishes of every
 // task neither completed nor skipped (dropped or abandoned) with an
 // earliest-finish-time pass over expected durations, seeded with the
 // observed completions and processor availability. alive masks the
 // processors eligible for new work, at least one of which must be alive,
-// and notBefore holds per-task earliest-start bounds (retry backoff).
+// and notBefore holds per-task earliest-start bounds (a killed task's kill
+// time).
 func replanWith(w *platform.Workload, ranks []float64, completed, skip, alive []bool,
 	notBefore []float64, out Outcome, procFree []float64, queues [][]int, planned []float64) {
 	n, m := w.N(), w.M()

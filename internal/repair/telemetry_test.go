@@ -27,7 +27,7 @@ func TestFaultTelemetryMatchesOutcome(t *testing.T) {
 	reg := obs.NewRegistry()
 	pol := FaultPolicy{
 		Policy:     NeverReschedule(),
-		Retry:      RetryPolicy{MaxRetries: 2, Backoff: 0, Migrate: true},
+		MaxRetries: 2,
 		DropFactor: 3,
 		Obs:        reg,
 	}
@@ -70,9 +70,9 @@ func TestFaultTraceEvents(t *testing.T) {
 	sc := fault.Scenario{M: 3, FailAt: []float64{s.Makespan() * 0.25, math.Inf(1), math.Inf(1)}}
 	var buf bytes.Buffer
 	pol := FaultPolicy{
-		Policy: NeverReschedule(),
-		Retry:  RetryPolicy{MaxRetries: 3, Backoff: 0, Migrate: true},
-		Trace:  obs.NewTracer(&buf),
+		Policy:     NeverReschedule(),
+		MaxRetries: 3,
+		Trace:      obs.NewTracer(&buf),
 	}
 	out, err := ExecuteFaults(s, durs, sc, pol)
 	if err != nil {
