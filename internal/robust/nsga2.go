@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"robsched/internal/ga"
 	"robsched/internal/heft"
 	"robsched/internal/pareto"
 	"robsched/internal/platform"
@@ -60,7 +61,7 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 	// Objectives are minimized: (makespan, -slack), read off each
 	// chromosome's metrics memo. No metrics cache: only about a quarter of
 	// the offspring repeat a genotype, too few to pay for the inserts.
-	eval := newEvaluator(w, Options{NoMetricsCache: true}, 0)
+	eval := newEvaluator(w, Options{NoMetricsCache: true}, 0, nil)
 	objectives := func(pop []*Chromosome) [][]float64 {
 		eval.ensureMetrics(pop)
 		objs := make([][]float64, len(pop))
@@ -189,31 +190,22 @@ func rankAndCrowd(objs [][]float64) ([]int, []float64) {
 //
 // with the single-objective GA engine, normalizing both objectives by the
 // HEFT makespan so the weight is dimensionless. weight = 1 reduces to
-// makespan minimization, weight = 0 to slack maximization.
+// makespan minimization, weight = 0 to slack maximization. The run is
+// built as NewEngine builds Solve's, with this fitness in place of the
+// mode's, and is always a single population.
 func SolveWeightedSum(w *platform.Workload, weight float64, opt Options, r *rng.Source) (*Result, error) {
 	if weight < 0 || weight > 1 {
 		return nil, fmt.Errorf("robust: weight %g out of [0,1]", weight)
 	}
-	hs, err := heft.HEFT(w, heft.Options{})
-	if err != nil {
-		return nil, err
-	}
-	mheft := hs.Makespan()
-	if opt.PopSize == 0 {
-		def := PaperOptions(EpsilonConstraint, 1)
-		opt.PopSize = def.PopSize
-		opt.CrossoverRate = def.CrossoverRate
-		opt.MutationRate = def.MutationRate
-		opt.MaxGenerations = def.MaxGenerations
-		opt.Stagnation = def.Stagnation
-	}
-	res, err := runCustomFitness(w, opt, r, hs, func(m schedMetrics) float64 {
+	eng, err := newEngine(w, opt, func(m schedMetrics, mheft float64) float64 {
 		return weight*(mheft/m.m0) + (1-weight)*(m.slack(opt.SlackMetric)/mheft)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.HEFT = hs
-	res.MHEFT = mheft
-	return res, nil
+	res, err := ga.Run(eng.cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Result(res)
 }

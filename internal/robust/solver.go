@@ -54,8 +54,9 @@ const (
 	MinSlack
 )
 
-// Options configures the robust scheduler. ZeroOptions-with-PaperDefaults is
-// the paper's configuration.
+// Options configures the robust scheduler. A zero GA block (PopSize and
+// MaxGenerations both 0) takes the paper's parameters, as PaperOptions
+// spells them.
 type Options struct {
 	Mode        Mode
 	Eps         float64     // ε of the constraint method (paper sweeps 1.0..2.0)
@@ -131,11 +132,16 @@ type Options struct {
 
 // PaperOptions returns the paper's GA configuration for the given mode and ε.
 func PaperOptions(mode Mode, eps float64) Options {
-	return Options{
-		Mode: mode, Eps: eps,
-		PopSize: 20, CrossoverRate: 0.9, MutationRate: 0.1,
-		MaxGenerations: 1000, Stagnation: 100,
-	}
+	opt := Options{Mode: mode, Eps: eps}
+	opt.paperGA()
+	return opt
+}
+
+// paperGA sets the GA parameters of Section 5: Np=20, pc=0.9, pm=0.1, 1000
+// generations and a 100-generation stagnation window.
+func (o *Options) paperGA() {
+	o.PopSize, o.CrossoverRate, o.MutationRate = 20, 0.9, 0.1
+	o.MaxGenerations, o.Stagnation = 1000, 100
 }
 
 // Result is the outcome of a robust scheduling run.
@@ -231,53 +237,17 @@ func bestScheduleHook(w *platform.Workload, on func(gen int, best *schedule.Sche
 	}
 }
 
-// runCustomFitness evolves the standard chromosome with a fitness combined
-// from each schedule's metrics triple (larger is better). Used by the
-// weighted-sum comparator; the ε-constraint path goes through Solve
-// because its fitness is population-relative.
-//
-// Of opt it reads the GA parameters, NoHEFTSeed, Cache and NoMetricsCache:
-// the run is always a single population (unlike Solve, which spawns
-// islands), and it consults the metrics cache as Solve does.
-func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *schedule.Schedule, fitness func(schedMetrics) float64) (*Result, error) {
-	eval := newEvaluator(w, opt, 0)
-	cfg := ga.Config[*Chromosome]{
-		PopSize:        opt.PopSize,
-		CrossoverRate:  opt.CrossoverRate,
-		MutationRate:   opt.MutationRate,
-		MaxGenerations: opt.MaxGenerations,
-		Stagnation:     opt.Stagnation,
-		EvaluateInto: func(pop []*Chromosome, fit []float64) {
-			eval.ensureMetrics(pop)
-			for i, c := range pop {
-				fit[i] = fitness(c.metr)
-			}
-		},
-		EvaluateOne: func(c *Chromosome) float64 { return fitness(eval.metricsOf(c)) },
-	}
-	setOperators(&cfg, w)
-	if seed != nil && !opt.NoHEFTSeed {
-		cfg.Seeds = []*Chromosome{FromSchedule(seed)}
-	}
-	res, err := ga.Run(cfg, r)
-	if err != nil {
-		return nil, err
-	}
-	s, err := res.Best.Decode(w)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schedule: s, Generations: res.Generations, Stagnated: res.Stagnated}, nil
-}
-
-// evaluator computes the population fitness for each mode, computing the
-// metrics of novel genotypes on the calling goroutine. It is reentrant —
-// islands evaluate concurrently. Each chromosome carries its own metrics
-// memo, the metrics cache is mutex-striped, and the mutable scratch is
-// taken per call from a free list, so no two goroutines share any.
+// evaluator computes the population fitness, computing the metrics of
+// novel genotypes on the calling goroutine. It is reentrant — islands
+// evaluate concurrently. Each chromosome carries its own metrics memo, the
+// metrics cache is mutex-striped, and the mutable scratch is taken per call
+// from a free list, so no two goroutines share any.
 type evaluator struct {
 	opt   Options
 	mheft float64
+	// score is the fitness of one metrics triple under a
+	// population-independent objective; nil selects Eqn. 8.
+	score func(m schedMetrics, mheft float64) float64
 	dec   *schedule.Decoder
 	// cache is the genotype→metrics cache; nil when Options.NoMetricsCache
 	// disabled it.
@@ -287,10 +257,10 @@ type evaluator struct {
 }
 
 // newEvaluator builds the evaluator of one run on w, with the metrics cache
-// opt asks for: opt.Cache, a private one, or none under NoMetricsCache.
-// mheft anchors the ε-constraint; runs that do not use it pass 0.
-func newEvaluator(w *platform.Workload, opt Options, mheft float64) *evaluator {
-	e := &evaluator{opt: opt, mheft: mheft, dec: schedule.NewDecoder(w)}
+// opt asks for: opt.Cache, a private one, or none under NoMetricsCache. A
+// run that only reads metrics, never fitness, passes mheft 0 and no score.
+func newEvaluator(w *platform.Workload, opt Options, mheft float64, score func(schedMetrics, float64) float64) *evaluator {
+	e := &evaluator{opt: opt, mheft: mheft, score: score, dec: schedule.NewDecoder(w)}
 	if !opt.NoMetricsCache {
 		e.cache = opt.Cache
 		if e.cache == nil {
@@ -383,50 +353,45 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	}
 }
 
-// evaluateInto implements the three objectives over the metrics triples,
-// writing the fitness into fit (the GA engine's reusable arena). The
-// metrics of novel genotypes are computed first; the fitness combination
-// is deterministic, so the values — and the whole GA trajectory — are
-// bit-identical with the cache on or off.
+// evaluateInto writes the population's fitness into fit (the GA engine's
+// reusable arena): score applied to each metrics triple, or Eqn. 8 when
+// score is nil. The metrics of novel genotypes are computed first; the
+// fitness combination is deterministic, so the values — and the whole GA
+// trajectory — are bit-identical with the cache on or off.
 func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 	e.ensureMetrics(pop)
-	switch e.opt.Mode {
-	case MinMakespan:
+	if e.score != nil {
 		for i, c := range pop {
-			fit[i] = -e.metricsOf(c).m0
+			fit[i] = e.score(c.metr, e.mheft)
 		}
-	case MaxSlack:
-		for i, c := range pop {
-			fit[i] = e.metricsOf(c).slack(e.opt.SlackMetric)
+		return
+	}
+	// Eqn. 8. Feasible individuals score their slack; infeasible ones
+	// score min(feasible fitness) · ε·M_HEFT / M0, which is strictly below
+	// every feasible score and decreases with the violation.
+	bound := e.opt.Eps * e.mheft
+	minFeasible := math.Inf(1)
+	for _, c := range pop {
+		if slack := c.metr.slack(e.opt.SlackMetric); c.metr.m0 <= bound && slack < minFeasible {
+			minFeasible = slack
 		}
-	case EpsilonConstraint:
-		// Eqn. 8. Feasible individuals score their slack; infeasible ones
-		// score min(feasible fitness) · ε·M_HEFT / M0, which is strictly
-		// below every feasible score and decreases with the violation.
-		bound := e.opt.Eps * e.mheft
-		minFeasible := math.Inf(1)
-		for _, c := range pop {
-			m := e.metricsOf(c)
-			if slack := m.slack(e.opt.SlackMetric); m.m0 <= bound && slack < minFeasible {
-				minFeasible = slack
-			}
+	}
+	for i, c := range pop {
+		m := c.metr
+		switch {
+		case m.m0 <= bound:
+			fit[i] = m.slack(e.opt.SlackMetric)
+		case math.IsInf(minFeasible, 1):
+			// No feasible individual this generation — a case the paper
+			// leaves unspecified. Rank purely by (inverse) constraint
+			// violation, shifted below any plausible feasible score.
+			fit[i] = -m.m0 / bound
+		default:
+			fit[i] = minFeasible * bound / m.m0
 		}
-		for i, c := range pop {
-			m := e.metricsOf(c)
-			switch {
-			case m.m0 <= bound:
-				fit[i] = m.slack(e.opt.SlackMetric)
-			case math.IsInf(minFeasible, 1):
-				// No feasible individual this generation — a case the
-				// paper leaves unspecified. Rank purely by (inverse)
-				// constraint violation, shifted below any plausible
-				// feasible score.
-				fit[i] = -m.m0 / bound
-			default:
-				fit[i] = minFeasible * bound / m.m0
-			}
-		}
-	default:
-		panic(fmt.Sprintf("robust: unknown mode %d", e.opt.Mode))
 	}
 }
+
+// evaluateOne scores one chromosome under a population-independent
+// objective: the engine's re-score of the slot elitism replaced.
+func (e *evaluator) evaluateOne(c *Chromosome) float64 { return e.score(e.metricsOf(c), e.mheft) }

@@ -3,6 +3,7 @@ package robust
 import (
 	"math"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"robsched/internal/heft"
@@ -199,6 +200,22 @@ func TestOnGenerationObservesEveryGeneration(t *testing.T) {
 	}
 	if math.IsNaN(spans[0]) {
 		t.Fatal("NaN makespan observed")
+	}
+}
+
+// TestUnknownModeIsAnError: an out-of-range Mode is rejected when the
+// engine is built, before any evaluation could reach it.
+func TestUnknownModeIsAnError(t *testing.T) {
+	w := testWorkload(t, 970, 12, 3)
+	opt := quickOptions(Mode(7), 1.2)
+	if _, err := NewEngine(w, opt); err == nil || !strings.Contains(err.Error(), "unknown mode 7") {
+		t.Fatalf("NewEngine with Mode(7): %v, want an unknown-mode error", err)
+	}
+	for _, islands := range []int{1, 2} {
+		opt.Islands, opt.MigrationEvery = islands, 5
+		if _, err := Solve(w, opt, rng.New(1)); err == nil || !strings.Contains(err.Error(), "unknown mode 7") {
+			t.Fatalf("Solve with Mode(7), %d islands: %v, want an unknown-mode error", islands, err)
+		}
 	}
 }
 
