@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// A non-numeric -shape selects a scientific-workflow family, which
 		// builds the whole workload (graph, edge data and cost matrices
 		// follow the family's per-stage profiles) at parallel width -width.
-		w, _, err = gen.WorkflowByName(*shape, *width, p, r)
+		w, err = gen.WorkflowByName(*shape, *width, p, r)
 		if err != nil {
 			return err
 		}

@@ -23,11 +23,11 @@ import (
 	"robsched/internal/rng"
 )
 
-// Stage describes one named phase of a generated workflow: its task ids,
+// stage describes one named phase of a generated workflow: its task ids,
 // its effective CCR (the mean communication cost of an edge into the stage
 // is CC·CCR, sampled within [0.5, 1.5]× that mean), and its computation
 // multiplier (the stage's mean task computation cost is CC·Comp).
-type Stage struct {
+type stage struct {
 	Name string
 	// Tasks lists the stage's task ids (contiguous, in stage order).
 	Tasks []int
@@ -42,19 +42,23 @@ type Stage struct {
 // WorkflowByName (and the CLIs' -shape/-scenario flags).
 func WorkflowShapes() []string { return []string{"montage", "epigenomics", "cybershake"} }
 
-// WorkflowByName dispatches to the named family generator. width controls
+// WorkflowByName generates a workflow of the named family. width controls
 // the parallel width W of the family (Montage: 3W+4 tasks, Epigenomics:
 // 3W+4, CyberShake: 2W+4).
-func WorkflowByName(name string, width int, p Params, r *rng.Source) (*platform.Workload, []Stage, error) {
+func WorkflowByName(name string, width int, p Params, r *rng.Source) (*platform.Workload, error) {
+	var family func(int, Params, *rng.Source) (*platform.Workload, []stage, error)
 	switch name {
 	case "montage":
-		return Montage(width, p, r)
+		family = montage
 	case "epigenomics":
-		return Epigenomics(width, p, r)
+		family = epigenomics
 	case "cybershake":
-		return CyberShake(width, p, r)
+		family = cybershake
+	default:
+		return nil, fmt.Errorf("gen: unknown workflow shape %q (want montage|epigenomics|cybershake)", name)
 	}
-	return nil, nil, fmt.Errorf("gen: unknown workflow shape %q (want montage|epigenomics|cybershake)", name)
+	w, _, err := family(width, p, r)
+	return w, err
 }
 
 // wfEdge is a structural edge plus the consumer stage whose CCR profile
@@ -65,7 +69,7 @@ type wfEdge struct {
 
 // wfBuilder accumulates a workflow's structure before costs are sampled.
 type wfBuilder struct {
-	stages []Stage
+	stages []stage
 	edges  []wfEdge
 	n      int
 }
@@ -78,7 +82,7 @@ func (b *wfBuilder) stage(name string, count int, ccrMult, comp float64, p Param
 		ids[i] = b.n + i
 	}
 	b.n += count
-	b.stages = append(b.stages, Stage{
+	b.stages = append(b.stages, stage{
 		Name:  name,
 		Tasks: ids,
 		CCR:   ccrMult * p.CCR,
@@ -98,7 +102,7 @@ func (b *wfBuilder) edge(from, to int) {
 // heterogeneity model, and the paper's two-level Gamma UL matrix. The draw
 // order is fixed (edges in insertion order, then BCET in task order, then
 // UL), so one seed reproduces one workload exactly.
-func (b *wfBuilder) build(p Params, r *rng.Source) (*platform.Workload, []Stage, error) {
+func (b *wfBuilder) build(p Params, r *rng.Source) (*platform.Workload, []stage, error) {
 	p.N = b.n
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -136,13 +140,13 @@ func (b *wfBuilder) build(p Params, r *rng.Source) (*platform.Workload, []Stage,
 	return w, b.stages, nil
 }
 
-// Montage generates a Montage-like mosaic workflow of width W (3W+4 tasks):
+// montage generates a Montage-like mosaic workflow of width W (3W+4 tasks):
 // W parallel reprojections, W overlap-pair difference fits feeding one
 // fan-in concatenation, a background model broadcast back out to W
 // background corrections, then the communication-heavy mosaic add and a
 // final shrink. The fan-in/fan-out diamond around the background model and
 // the high-CCR add stage are the family's signature stresses.
-func Montage(width int, p Params, r *rng.Source) (*platform.Workload, []Stage, error) {
+func montage(width int, p Params, r *rng.Source) (*platform.Workload, []stage, error) {
 	if width < 2 {
 		return nil, nil, fmt.Errorf("gen: montage width=%d must be >= 2", width)
 	}
@@ -174,13 +178,13 @@ func Montage(width int, p Params, r *rng.Source) (*platform.Workload, []Stage, e
 	return b.build(p, r)
 }
 
-// Epigenomics generates an Epigenomics-like parallel sweep of width W
+// epigenomics generates an Epigenomics-like parallel sweep of width W
 // (3W+4 tasks): one split fans out to W independent three-step pipelines
 // (filter → convert → map, with the map step carrying most of the
 // computation), merged and indexed into a final pileup. Long independent
 // chains make it the schedule-length stress case: slack on one lane is
 // useless to the others.
-func Epigenomics(width int, p Params, r *rng.Source) (*platform.Workload, []Stage, error) {
+func epigenomics(width int, p Params, r *rng.Source) (*platform.Workload, []stage, error) {
 	if width < 2 {
 		return nil, nil, fmt.Errorf("gen: epigenomics width=%d must be >= 2", width)
 	}
@@ -209,13 +213,13 @@ func Epigenomics(width int, p Params, r *rng.Source) (*platform.Workload, []Stag
 	return b.build(p, r)
 }
 
-// CyberShake generates a CyberShake-like scatter workflow of width W
+// cybershake generates a CyberShake-like scatter workflow of width W
 // (2W+4 tasks): two strain-tensor extractions scatter to W seismogram
 // syntheses — each consuming both extraction outputs over the family's
 // signature very-high-CCR edges — with per-synthesis peak calculations and
 // two zip fan-ins. Communication dominates computation here, the opposite
 // regime from Epigenomics.
-func CyberShake(width int, p Params, r *rng.Source) (*platform.Workload, []Stage, error) {
+func cybershake(width int, p Params, r *rng.Source) (*platform.Workload, []stage, error) {
 	if width < 2 {
 		return nil, nil, fmt.Errorf("gen: cybershake width=%d must be >= 2", width)
 	}

@@ -5,18 +5,20 @@ import (
 	"testing"
 
 	"robsched/internal/heft"
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
 
-// wfCase enumerates the family generators with their task-count formulas.
+// wfCases enumerates the family generators with their task-count formulas.
 var wfCases = []struct {
-	name  string
-	tasks func(w int) int
+	name   string
+	family func(int, Params, *rng.Source) (*platform.Workload, []stage, error)
+	tasks  func(w int) int
 }{
-	{"montage", func(w int) int { return 3*w + 4 }},
-	{"epigenomics", func(w int) int { return 3*w + 4 }},
-	{"cybershake", func(w int) int { return 2*w + 4 }},
+	{"montage", montage, func(w int) int { return 3*w + 4 }},
+	{"epigenomics", epigenomics, func(w int) int { return 3*w + 4 }},
+	{"cybershake", cybershake, func(w int) int { return 2*w + 4 }},
 }
 
 // TestWorkflowValidDAGs is the satellite property test: every family, at
@@ -29,7 +31,7 @@ func TestWorkflowValidDAGs(t *testing.T) {
 	for _, tc := range wfCases {
 		for _, width := range []int{2, 5, 8} {
 			for seed := uint64(1); seed <= 5; seed++ {
-				w, stages, err := WorkflowByName(tc.name, width, p, rng.New(seed))
+				w, stages, err := tc.family(width, p, rng.New(seed))
 				if err != nil {
 					t.Fatalf("%s width=%d seed=%d: %v", tc.name, width, seed, err)
 				}
@@ -69,7 +71,7 @@ func TestWorkflowStageCCRBounds(t *testing.T) {
 	p := PaperParams()
 	p.CCR = 0.4
 	for _, tc := range wfCases {
-		w, stages, err := WorkflowByName(tc.name, 6, p, rng.New(7))
+		w, stages, err := tc.family(6, p, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,15 +108,15 @@ func TestWorkflowStageCCRBounds(t *testing.T) {
 func TestWorkflowDeterminism(t *testing.T) {
 	p := PaperParams()
 	for _, tc := range wfCases {
-		a, _, err := WorkflowByName(tc.name, 4, p, rng.New(3))
+		a, err := WorkflowByName(tc.name, 4, p, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := WorkflowByName(tc.name, 4, p, rng.New(3))
+		b, err := WorkflowByName(tc.name, 4, p, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _, err := WorkflowByName(tc.name, 4, p, rng.New(4))
+		c, err := WorkflowByName(tc.name, 4, p, rng.New(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +166,7 @@ func TestWorkflowStageCompProfile(t *testing.T) {
 		var meanOf map[string]float64
 		const seeds = 20
 		for seed := uint64(100); seed < 100+seeds; seed++ {
-			w, stages, err := WorkflowByName(tc.name, 6, p, rng.New(seed))
+			w, stages, err := tc.family(6, p, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,16 +194,16 @@ func TestWorkflowStageCompProfile(t *testing.T) {
 
 func TestWorkflowErrors(t *testing.T) {
 	p := PaperParams()
-	if _, _, err := WorkflowByName("pegasus", 4, p, rng.New(1)); err == nil {
+	if _, err := WorkflowByName("pegasus", 4, p, rng.New(1)); err == nil {
 		t.Error("unknown workflow shape accepted")
 	}
 	for _, name := range WorkflowShapes() {
-		if _, _, err := WorkflowByName(name, 1, p, rng.New(1)); err == nil {
+		if _, err := WorkflowByName(name, 1, p, rng.New(1)); err == nil {
 			t.Errorf("%s: width 1 accepted", name)
 		}
 		bad := p
 		bad.CC = 0
-		if _, _, err := WorkflowByName(name, 4, bad, rng.New(1)); err == nil {
+		if _, err := WorkflowByName(name, 4, bad, rng.New(1)); err == nil {
 			t.Errorf("%s: invalid params accepted", name)
 		}
 	}

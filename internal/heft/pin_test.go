@@ -57,7 +57,7 @@ func pinnedWorkloads(t *testing.T) (names []string, ws []*platform.Workload) {
 		p := gen.PaperParams()
 		p.M = 4
 		seed++
-		w, _, err := gen.WorkflowByName(shape, 8, p, rng.New(seed))
+		w, err := gen.WorkflowByName(shape, 8, p, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,7 +133,7 @@ func (s Scenario) Workload(p gen.Params, r *rng.Source) (*platform.Workload, err
 	if s.Family == "" || s.Family == "random" {
 		return gen.Random(p, r)
 	}
-	w, _, err := gen.WorkflowByName(s.Family, s.WidthFor(p.N), p, r)
+	w, err := gen.WorkflowByName(s.Family, s.WidthFor(p.N), p, r)
 	return w, err
 }
 
