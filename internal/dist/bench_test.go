@@ -20,7 +20,7 @@ func benchProcPool(b *testing.B, n int) *Pool {
 		b.Fatal(err)
 	}
 	b.Setenv("ROBSCHED_DIST_TEST_WORKER", "1")
-	pool, err := NewProcPool(n, exe)
+	pool, err := NewSpawnPool(n, ProcEndpoint(exe))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func benchTCPPool(b *testing.B, n int) *Pool {
 		b.Cleanup(srv.Shutdown)
 		addrs[i] = srv.Addr()
 	}
-	pool, err := NewTCPPool(addrs, 0)
+	pool, err := NewSpawnPool(len(addrs), TCPSpawner(addrs, 0))
 	if err != nil {
 		b.Fatal(err)
 	}

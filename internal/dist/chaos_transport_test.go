@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"net"
@@ -160,17 +161,14 @@ func (pl ChaosPlan) Wrap(ep Endpoint, worker int) Endpoint {
 // permanently fails, a truncation tears the stream, or either side of the
 // relay errors out.
 func (l *chaosLink) pump() {
-	var buf []byte
+	fr := wio.NewFrameReader(l.src)
 	for {
-		kind, payload, err := wio.ReadFrame(l.src, buf)
+		kind, payload, err := fr.Read()
 		if err != nil {
 			l.fail()
 			return
 		}
-		if cap(payload) > cap(buf) {
-			buf = payload[:cap(payload)]
-		}
-		raw, err := wio.AppendFrame(nil, kind, payload)
+		raw, err := encodeFrame(kind, payload)
 		if err != nil {
 			l.fail()
 			return
@@ -179,6 +177,14 @@ func (l *chaosLink) pump() {
 			return
 		}
 	}
+}
+
+// encodeFrame returns one frame's wire bytes, for relays that damage,
+// delay or repeat the encoded form.
+func encodeFrame(kind byte, payload []byte) ([]byte, error) {
+	var b bytes.Buffer
+	err := wio.WriteFrame(&b, kind, payload)
+	return b.Bytes(), err
 }
 
 // fail ends this direction — directly, or (with the latency queue active)

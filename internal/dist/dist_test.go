@@ -170,7 +170,7 @@ func sabotagedEndpoint() Endpoint {
 	resR, resW := io.Pipe()
 	go func() {
 		// Read one frame (the job), then die silently.
-		_, _, _ = wio.ReadFrame(jobR, nil)
+		_, _, _ = wio.NewFrameReader(jobR).Read()
 		resW.CloseWithError(io.ErrClosedPipe)
 		jobR.CloseWithError(io.ErrClosedPipe)
 	}()
@@ -415,7 +415,7 @@ func TestProcPoolRoundTrip(t *testing.T) {
 		t.Skipf("no executable path: %v", err)
 	}
 	t.Setenv("ROBSCHED_DIST_TEST_WORKER", "1")
-	pool, err := NewProcPool(2, exe)
+	pool, err := NewSpawnPool(2, ProcEndpoint(exe))
 	if err != nil {
 		t.Fatalf("spawning workers: %v", err)
 	}

@@ -19,8 +19,9 @@ import (
 // a hung process, not a dead one. Only a deadline can unmask it.
 func stallEndpoint() Endpoint {
 	return scriptedEndpoint(func(c net.Conn) {
+		fr := wio.NewFrameReader(c)
 		for {
-			if _, _, err := wio.ReadFrame(c, nil); err != nil {
+			if _, _, err := fr.Read(); err != nil {
 				_ = c.Close()
 				return
 			}
@@ -99,12 +100,13 @@ func sameVectors(got, want [][]float64) bool {
 }
 
 // readSetupAndRange reads the two frames that open a connection's first
-// range dispatch: the setup, then the range.
+// range dispatch: the setup, then the range. Both payloads stay alive, so
+// each is read by a reader of its own.
 func readSetupAndRange(r io.Reader) (setup, rangeReq []byte, err error) {
-	if _, setup, err = wio.ReadFrame(r, nil); err != nil {
+	if _, setup, err = wio.NewFrameReader(r).Read(); err != nil {
 		return nil, nil, err
 	}
-	_, rangeReq, err = wio.ReadFrame(r, nil)
+	_, rangeReq, err = wio.NewFrameReader(r).Read()
 	return setup, rangeReq, err
 }
 
@@ -126,8 +128,9 @@ func slowRangeWorker(c net.Conn) {
 	if err := handleSimRange(&frameWriter{w: bufio.NewWriter(c)}, setup, rangeDoc); err != nil {
 		return
 	}
+	fr := wio.NewFrameReader(c)
 	for {
-		if _, _, err := wio.ReadFrame(c, nil); err != nil {
+		if _, _, err := fr.Read(); err != nil {
 			return
 		}
 	}

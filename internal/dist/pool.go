@@ -248,7 +248,7 @@ type Pool struct {
 const closeGrace = time.Second
 
 // NewPool wraps caller-supplied endpoints (one per worker) into a pool.
-// NewLocalPool and NewProcPool are the stock constructors; tests inject
+// NewLocalPool and NewSpawnPool are the stock constructors; tests inject
 // sabotaged endpoints through this one.
 func NewPool(eps []Endpoint) *Pool {
 	p := &Pool{live: len(eps)}
@@ -387,12 +387,6 @@ func OpenCoordinator(f Flags, reg *obs.Registry, tr *obs.Tracer) (*Coordinator, 
 		return nil, err
 	}
 	return &Coordinator{Pool: pool, Obs: reg, Trace: tr, Timeout: f.Timeout}, nil
-}
-
-// NewProcPool spawns n worker subprocesses and connects to their
-// stdin/stdout.
-func NewProcPool(n int, bin string, args ...string) (*Pool, error) {
-	return NewSpawnPool(n, ProcEndpoint(bin, args...))
 }
 
 // Size returns the pool's worker count including dead workers (the scatter

@@ -34,26 +34,18 @@ func robustSolveRef(t *testing.T, w *platform.Workload, opt robust.Options) (*ro
 func relayResponses(inner Endpoint, fn func(kind byte, payload []byte) ([]byte, bool)) Endpoint {
 	resR, resW := io.Pipe()
 	go func() {
-		var buf []byte
+		fr := wio.NewFrameReader(inner.R)
 		for {
-			kind, payload, err := wio.ReadFrame(inner.R, buf)
+			kind, payload, err := fr.Read()
 			if err != nil {
 				resW.CloseWithError(err)
 				return
-			}
-			if cap(payload) > cap(buf) {
-				buf = payload[:cap(payload)]
 			}
 			out, ok := fn(kind, payload)
 			if !ok {
 				break
 			}
-			raw, err := wio.AppendFrame(nil, kind, out)
-			if err != nil {
-				resW.CloseWithError(err)
-				return
-			}
-			if _, err := resW.Write(raw); err != nil {
+			if err := wio.WriteFrame(resW, kind, out); err != nil {
 				return
 			}
 		}
@@ -90,13 +82,14 @@ func killAfterFrames(inner Endpoint, n int) Endpoint {
 func duplicateRequest(inner Endpoint, n int) Endpoint {
 	reqR, reqW := io.Pipe()
 	go func() {
+		fr := wio.NewFrameReader(reqR)
 		for i := 0; ; i++ {
-			kind, payload, err := wio.ReadFrame(reqR, nil)
+			kind, payload, err := fr.Read()
 			if err != nil {
 				_ = inner.W.Close()
 				return
 			}
-			raw, err := wio.AppendFrame(nil, kind, payload)
+			raw, err := encodeFrame(kind, payload)
 			if err != nil {
 				reqR.CloseWithError(err)
 				return

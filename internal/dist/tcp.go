@@ -135,11 +135,6 @@ func TCPSpawner(addrs []string, timeout time.Duration) func() (Endpoint, error) 
 	}
 }
 
-// NewTCPPool connects one pool worker per address.
-func NewTCPPool(addrs []string, timeout time.Duration) (*Pool, error) {
-	return NewSpawnPool(len(addrs), TCPSpawner(addrs, timeout))
-}
-
 // RunWorker is the process entry point behind the CLIs' `worker`
 // subcommand: the protocol over stdin/stdout when listen is empty, or a
 // TCP server on listen. It installs no signal handler, so SIGTERM or SIGINT

@@ -48,7 +48,7 @@ func TestTCPEvaluateAllBitIdentical(t *testing.T) {
 	wantNext := wantRoot.Uint64()
 	for _, workers := range []int{1, 2, 4} {
 		addrs := testWorkerServers(t, workers)
-		pool, err := NewTCPPool(addrs, 0)
+		pool, err := NewSpawnPool(len(addrs), TCPSpawner(addrs, 0))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -84,7 +84,7 @@ func TestTCPSolveBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		addrs := testWorkerServers(t, workers)
-		pool, err := NewTCPPool(addrs, 0)
+		pool, err := NewSpawnPool(len(addrs), TCPSpawner(addrs, 0))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -151,7 +151,7 @@ func TestTCPWorkerSIGTERMMidRange(t *testing.T) {
 			}
 		}
 	}
-	pool, err := NewTCPPool([]string{addr}, 0)
+	pool, err := NewSpawnPool(1, TCPSpawner([]string{addr}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 )
 
 // Config assembles the problem-specific hooks and the GA parameters.
-// PaperDefaults fills the parameter values used in Section 5.
 type Config[T any] struct {
 	// PopSize is Np, the constant population size.
 	PopSize int
@@ -91,17 +90,6 @@ type Config[T any] struct {
 	// island's stats and emits them deterministically at the epoch
 	// barriers. With no Observer the engine skips all stats work.
 	Observer Observer
-}
-
-// PaperDefaults sets the GA parameters of Section 5 (Np=20, pc=0.9, pm=0.1,
-// 1000 generations, 100-generation stagnation window) on the config,
-// leaving hooks untouched.
-func (c *Config[T]) PaperDefaults() {
-	c.PopSize = 20
-	c.CrossoverRate = 0.9
-	c.MutationRate = 0.1
-	c.MaxGenerations = 1000
-	c.Stagnation = 100
 }
 
 func (c *Config[T]) validate() error {

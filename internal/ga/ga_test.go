@@ -12,7 +12,10 @@ import (
 type bits []byte
 
 func oneMaxConfig(n int) Config[bits] {
-	c := Config[bits]{
+	return Config[bits]{
+		// Section 5's parameters.
+		PopSize: 20, CrossoverRate: 0.9, MutationRate: 0.1,
+		MaxGenerations: 1000, Stagnation: 100,
 		Random: func(r *rng.Source) bits {
 			b := make(bits, n)
 			for i := range b {
@@ -45,8 +48,6 @@ func oneMaxConfig(n int) Config[bits] {
 			return h
 		},
 	}
-	c.PaperDefaults()
-	return c
 }
 
 // ones is oneMax's fitness of one individual.
@@ -56,15 +57,6 @@ func ones(ind bits) float64 {
 		f += float64(b)
 	}
 	return f
-}
-
-func TestPaperDefaults(t *testing.T) {
-	var c Config[bits]
-	c.PaperDefaults()
-	if c.PopSize != 20 || c.CrossoverRate != 0.9 || c.MutationRate != 0.1 ||
-		c.MaxGenerations != 1000 || c.Stagnation != 100 {
-		t.Fatalf("PaperDefaults = %+v", c)
-	}
 }
 
 func TestValidate(t *testing.T) {

@@ -64,6 +64,7 @@ func pooledConfig(n int, rc *recycler) Config[*pooled] {
 		live = rc.live
 	}
 	c := Config[*pooled]{
+		PopSize: 20, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 60,
 		Random: func(r *rng.Source) *pooled {
 			p := get()
 			for i := range p.genes {
@@ -102,9 +103,6 @@ func pooledConfig(n int, rc *recycler) Config[*pooled] {
 	if rc != nil {
 		c.Recycle = rc.put
 	}
-	c.PaperDefaults()
-	c.MaxGenerations = 60
-	c.Stagnation = 0
 	return c
 }
 

@@ -21,9 +21,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("write kind %d: %v", kind, err)
 		}
 	}
-	scratch := make([]byte, 16)
+	fr := NewFrameReader(&buf)
 	for kind, want := range payloads {
-		k, got, err := ReadFrame(&buf, scratch)
+		k, got, err := fr.Read()
 		if err != nil {
 			t.Fatalf("read kind %d: %v", kind, err)
 		}
@@ -34,23 +34,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("kind %d payload mismatch: %d bytes, want %d", kind, len(got), len(want))
 		}
 	}
-	if _, _, err := ReadFrame(&buf, nil); err != io.EOF {
+	if _, _, err := fr.Read(); err != io.EOF {
 		t.Fatalf("drained stream returned %v, want io.EOF", err)
-	}
-}
-
-func TestFrameReusesBuffer(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 7, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]byte, 8)
-	_, payload, err := ReadFrame(&buf, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &payload[0] != &scratch[0] {
-		t.Error("payload not served from the caller's buffer")
 	}
 }
 
@@ -65,7 +50,10 @@ func TestFrameRejectsOversizedWrite(t *testing.T) {
 }
 
 func TestFrameReadErrors(t *testing.T) {
-	mk := func(b []byte) io.Reader { return bytes.NewReader(b) }
+	read := func(b []byte) error {
+		_, _, err := NewFrameReader(bytes.NewReader(b)).Read()
+		return err
+	}
 	// A well-formed empty frame, to corrupt field by field.
 	var good bytes.Buffer
 	if err := WriteFrame(&good, 0, nil); err != nil {
@@ -97,7 +85,7 @@ func TestFrameReadErrors(t *testing.T) {
 		{"truncated payload", payloadFrame.Bytes()[:len(payloadFrame.Bytes())-2], false},
 	}
 	for _, tc := range cases {
-		_, _, err := ReadFrame(mk(tc.in), nil)
+		err := read(tc.in)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -109,17 +97,19 @@ func TestFrameReadErrors(t *testing.T) {
 	}
 	// Truncations must be io.ErrUnexpectedEOF, not a silent io.EOF, so a
 	// reader loop can tell "peer closed cleanly" from "died mid-frame".
-	if _, _, err := ReadFrame(mk(hdr[:3]), nil); err != io.ErrUnexpectedEOF {
+	if err := read(hdr[:3]); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated header: %v, want io.ErrUnexpectedEOF", err)
 	}
-	if _, _, err := ReadFrame(mk(nil), nil); err != io.EOF {
+	if err := read(payloadFrame.Bytes()[:frameHeader]); err != io.ErrUnexpectedEOF {
+		t.Errorf("header without its payload: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := read(nil); err != io.EOF {
 		t.Errorf("empty stream: %v, want io.EOF", err)
 	}
 }
 
-// TestFrameReaderRoundTrip: FrameReader returns the same frames and errors
-// as bare ReadFrame, growing its buffer across mixed payload sizes, with
-// the payload aliasing the internal buffer between calls.
+// TestFrameReaderRoundTrip: FrameReader grows its buffer across mixed
+// payload sizes and still returns every frame as written.
 func TestFrameReaderRoundTrip(t *testing.T) {
 	payloads := [][]byte{
 		nil,
@@ -146,12 +136,6 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 	}
 	if _, _, err := fr.Read(); err != io.EOF {
 		t.Fatalf("drained stream returned %v, want io.EOF", err)
-	}
-	// Error contract matches ReadFrame's.
-	bad := []byte{'x', 'b', 2, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	var fe *FrameError
-	if _, _, err := NewFrameReader(bytes.NewReader(bad)).Read(); !errors.As(err, &fe) {
-		t.Fatalf("bad magic returned %v, want *FrameError", err)
 	}
 }
 
@@ -180,34 +164,22 @@ func TestFrameReaderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReadFrame contrasts the per-call allocation of bare ReadFrame
-// (nil buffer: one payload allocation per frame) with FrameReader's reused
-// buffer (zero steady-state allocations). Run with -benchmem.
+// BenchmarkReadFrame times FrameReader on a stream of equal 8 KB frames,
+// the shape of the dist vector stream; its steady state allocates nothing.
+// Run with -benchmem.
 func BenchmarkReadFrame(b *testing.B) {
 	var one bytes.Buffer
 	if err := WriteFrame(&one, 2, bytes.Repeat([]byte{0x3F}, 8+8*1024)); err != nil {
 		b.Fatal(err)
 	}
 	raw := one.Bytes()
-	b.Run("alloc", func(b *testing.B) {
-		r := bytes.NewReader(raw)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Reset(raw)
-			if _, _, err := ReadFrame(r, nil); err != nil {
-				b.Fatal(err)
-			}
+	r := bytes.NewReader(raw)
+	fr := NewFrameReader(r)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Reset(raw)
+		if _, _, err := fr.Read(); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("reader", func(b *testing.B) {
-		r := bytes.NewReader(raw)
-		fr := NewFrameReader(r)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Reset(raw)
-			if _, _, err := fr.Read(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -77,10 +77,10 @@ func FuzzReadSchedule(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame drives the binary frame codec with arbitrary bytes: the
-// reader must never panic or allocate past MaxFramePayload, a decoded frame
-// must re-encode to the bytes it was decoded from, and every frame produced
-// by WriteFrame must decode to exactly what was written.
+// FuzzReadFrame drives FrameReader with arbitrary bytes: the reader must
+// never panic or allocate past MaxFramePayload, a decoded frame must
+// re-encode to the bytes it was decoded from, and every frame produced by
+// WriteFrame must decode to exactly what was written.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteFrame(&seed, 3, []byte("payload"))
@@ -92,7 +92,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte("short"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		kind, payload, err := ReadFrame(r, nil)
+		kind, payload, err := NewFrameReader(r).Read()
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
