@@ -46,10 +46,12 @@ func chaosPlans() map[string]ChaosPlan {
 		"kill": {Seed: 105, Link: fault.Model{MTBF: 0.004}},
 		// Stragglers: frames arrive far past the liveness deadline.
 		"delay": {Seed: 106, DelayJitter: 400 * time.Millisecond},
-		// Everything at once.
+		// Everything at once. The link timeline is kill's and stall's
+		// together, tuned to the same traffic, so it bites on its own
+		// (TestChaosLinkTimelinesBite).
 		"storm": {
 			Seed: 107, Corrupt: 0.05, Truncate: 0.05, Duplicate: 0.2,
-			Link: fault.Model{MTBF: 0.3, OutageEvery: 0.1, OutageMean: 0.05},
+			Link: fault.Model{MTBF: 0.004, OutageEvery: 0.002, OutageMean: 0.5},
 		},
 		// Wide-area latency: fixed per-direction lag plus jitter. Pure
 		// delay must never change results — only completion order.
@@ -59,7 +61,7 @@ func chaosPlans() map[string]ChaosPlan {
 		"latency-storm": {
 			Seed: 109, Delay: 500 * time.Microsecond, DelayJitter: time.Millisecond,
 			Corrupt: 0.05, Truncate: 0.05, Duplicate: 0.2,
-			Link: fault.Model{MTBF: 0.3, OutageEvery: 0.1, OutageMean: 0.05},
+			Link: fault.Model{MTBF: 0.004, OutageEvery: 0.002, OutageMean: 0.5},
 		},
 	}
 }
@@ -147,6 +149,47 @@ func TestChaosIslandSolve(t *testing.T) {
 			}
 			checkSolveMatches(t, name, got, want)
 		})
+	}
+}
+
+// TestChaosLinkTimelinesBite: the storm plans' link timelines hurt on
+// their own. With the per-frame dice zeroed, each storm plan must still
+// kill a worker on both dispatch paths; a timeline that misses the traffic
+// would leave the plan biting on its dice alone.
+func TestChaosLinkTimelinesBite(t *testing.T) {
+	ws := testWorkload(t, 29, 20, 3, 3)
+	ss := testSchedules(t, ws)
+	wi := testWorkload(t, 13, 20, 3, 3)
+	paths := []struct {
+		name string
+		run  func(*Coordinator) error
+	}{
+		{"sim-ranges", func(c *Coordinator) error {
+			_, err := c.EvaluateAll(ss, sim.Options{Realizations: 80, Workers: 1}, rng.New(12))
+			return err
+		}},
+		{"island-solve", func(c *Coordinator) error {
+			_, err := c.Solve(wi, defaultIslandOpts(), rng.New(31))
+			return err
+		}},
+	}
+	for _, name := range []string{"storm", "latency-storm"} {
+		pl := chaosPlans()[name]
+		pl.Corrupt, pl.Truncate, pl.Duplicate = 0, 0, 0
+		for _, path := range paths {
+			t.Run(name+"/"+path.name, func(t *testing.T) {
+				pool := chaosPool(2, pl)
+				defer pool.Close()
+				reg := obs.NewRegistry()
+				err := path.run(&Coordinator{Pool: pool, Obs: reg, Timeout: 150 * time.Millisecond})
+				if err != nil && !typedTransportError(err) {
+					t.Fatalf("untyped error escaped: %v", err)
+				}
+				if reg.Counter("dist.worker_deaths").Value() == 0 {
+					t.Error("the link timeline killed no worker")
+				}
+			})
+		}
 	}
 }
 
