@@ -91,7 +91,10 @@ func chaosPool(n int, pl ChaosPlan) *Pool {
 // TestChaosSimRanges drives the scatter/gather realization path through the
 // whole injection matrix: every run must either produce bit-identical
 // metrics (faults absorbed by reassignment or the inline fallback) or fail
-// with a typed transport error — never hang, never silently differ.
+// with a typed transport error — never hang, never silently differ. Ranges
+// of 8 realizations make 10 answers: a duplicate of a connection's last
+// answer is read only by the next call, so with 3 ranges the duplicate plan
+// could pass without hitting a sequence check.
 func TestChaosSimRanges(t *testing.T) {
 	w := testWorkload(t, 29, 20, 3, 3)
 	ss := testSchedules(t, w)
@@ -105,7 +108,7 @@ func TestChaosSimRanges(t *testing.T) {
 			pool := chaosPool(2, pl)
 			defer pool.Close()
 			reg := obs.NewRegistry()
-			coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 150 * time.Millisecond}
+			coord := &Coordinator{Pool: pool, Obs: reg, Timeout: 150 * time.Millisecond, RangeSize: 8}
 			got, err := coord.EvaluateAll(ss, opt, rng.New(12))
 			checkBites(t, name, reg)
 			if err != nil {

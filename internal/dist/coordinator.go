@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"robsched/internal/ga"
@@ -47,11 +46,6 @@ type Coordinator struct {
 	// per dispatched range). 0 derives it from the workload and pool size —
 	// see rangeWidth.
 	RangeSize int
-
-	// seq numbers every request that expects an attributable response, so a
-	// transport that duplicates or replays frames can never pass a stale
-	// response off as the current one.
-	seq atomic.Uint64
 }
 
 // counter bumps both the aggregate and the per-worker form of a counter.
@@ -181,8 +175,9 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ss) == 0 {
-		return nil, fmt.Errorf("dist: no schedules to realize")
+	w, err := sim.SharedWorkload(ss)
+	if err != nil {
+		return nil, err
 	}
 	if c.Trace != nil {
 		defer c.Trace.Scope("dist").Span("realize_all",
@@ -192,7 +187,7 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 		)()
 	}
 	seeds := sim.SeedVector(opt.Realizations, opt.Antithetic, root)
-	wlDoc := wio.NewWorkloadJSON(ss[0].Workload())
+	wlDoc := wio.NewWorkloadJSON(w)
 	sDocs := make([]wio.ScheduleJSON, len(ss))
 	for i, s := range ss {
 		sDocs[i] = wio.NewScheduleJSON(s)
@@ -212,7 +207,7 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 		seeds:  seeds,
 		ranges: ranges,
 		setup: SimSetup{
-			ID:          c.seq.Add(1),
+			ID:          c.Pool.seq.Add(1),
 			Workload:    wlDoc,
 			Schedules:   sDocs,
 			Antithetic:  opt.Antithetic,
@@ -273,7 +268,7 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 }
 
 // flight is one dispatched range riding the credit window: its range index
-// and the seq its ack must echo.
+// and the seq its result must echo.
 type flight struct {
 	ri  int
 	seq uint64
@@ -408,7 +403,7 @@ func (d *simDispatch) runConn(conn *Conn, first int) {
 				}
 			}
 			next = -1
-			it := flight{ri: ri, seq: d.c.seq.Add(1)}
+			it := flight{ri: ri, seq: d.c.Pool.seq.Add(1)}
 			// Acquire a credit before the bytes go out. A full window is
 			// the flush point: the worker gets everything queued so far
 			// while we wait for a credit (or for the receiver to stop us).
@@ -457,7 +452,7 @@ func (d *simDispatch) runConn(conn *Conn, first int) {
 			d.giveBack(it.ri)
 			continue
 		}
-		if err := d.recvRange(conn, it.ri, it.seq); err != nil {
+		if err := d.recvRange(conn, it); err != nil {
 			if transient(err) {
 				recvErr = err
 				close(stopSend)
@@ -483,47 +478,23 @@ func (d *simDispatch) runConn(conn *Conn, first int) {
 	}
 }
 
-// recvRange retires one flight: the seq-echoing KAck, one vector per
-// schedule decoded straight into the range's window of each output vector,
-// and KSimDone. Protocol violations — a mismatched seq, a vector for the
-// wrong schedule or of the wrong width — are worker-fatal *WorkerErrors.
-func (d *simDispatch) recvRange(conn *Conn, ri int, seq uint64) error {
-	sh := d.ranges[ri]
+// recvRange retires one flight: one KSimResult of the expected size,
+// echoing the flight's seq, decoded straight into the range's window of
+// each output vector. Any other answer is a worker-fatal *WorkerError.
+func (d *simDispatch) recvRange(conn *Conn, it flight) error {
+	sh := d.ranges[it.ri]
 	conn.rs.arm(d.c.jobBudget(float64(sh.width * len(d.out))))
 	kind, payload, err := conn.recv()
 	if err != nil {
 		return err
 	}
-	if kind != KAck {
-		return conn.werr(kind, fmt.Errorf("dist: frame kind %d, want range ack", kind))
+	if kind != KSimResult {
+		return conn.werr(kind, fmt.Errorf("dist: frame kind %d, want range result", kind))
 	}
-	var ack Ack
-	if err := parseJSON(payload, &ack); err != nil {
-		return conn.werr(KAck, err)
+	if err := decodeResult(d.out, sh.base, sh.width, it.seq, payload); err != nil {
+		return conn.werr(KSimResult, err)
 	}
-	if ack.Seq != seq {
-		return conn.werr(KAck, fmt.Errorf("dist: range ack for seq %d, want %d", ack.Seq, seq))
-	}
-	for j := range d.out {
-		kind, payload, err := conn.recv()
-		if err != nil {
-			return err
-		}
-		if kind != KSimVec {
-			return conn.werr(kind, fmt.Errorf("dist: frame kind %d, want sim vector", kind))
-		}
-		if err := decodeVecInto(d.out[j][sh.base:sh.base+sh.width], j, payload); err != nil {
-			return conn.werr(KSimVec, err)
-		}
-	}
-	kind, _, err = conn.recv()
-	if err != nil {
-		return err
-	}
-	if kind != KSimDone {
-		return conn.werr(kind, fmt.Errorf("dist: frame kind %d, want sim done", kind))
-	}
-	if d.commit(ri) {
+	if d.commit(it.ri) {
 		d.c.counter("sim_ranges", conn.id)
 	}
 	return nil
@@ -758,7 +729,7 @@ func (s *solveRun) barrier(kind byte, name string, gens int, msg func(h *solveHo
 	seqs := make([]uint64, len(s.hosts))
 	errs := make([]error, len(s.hosts))
 	for j, h := range s.hosts {
-		seqs[j] = s.c.seq.Add(1)
+		seqs[j] = s.c.Pool.seq.Add(1)
 		h.conn.ws.arm(s.c.Timeout)
 		errs[j] = h.conn.send(kind, msg(h, seqs[j]))
 	}

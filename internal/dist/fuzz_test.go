@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +28,7 @@ func FuzzControlMessage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFE, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		targets := []any{
-			&SimSetup{}, &SimRange{}, &Ack{}, &IslandInit{}, &EpochReq{},
+			&SimSetup{}, &SimRange{}, &IslandInit{}, &EpochReq{},
 			&MigrateReq{}, &IslandStates{}, &ErrMsg{},
 		}
 		for _, v := range targets {
@@ -36,6 +39,54 @@ func FuzzControlMessage(f *testing.F) {
 			// encoder it answers with.
 			if _, err := marshalJSON(v); err != nil {
 				t.Fatalf("decoded %T does not re-encode: %v", v, err)
+			}
+		}
+	})
+}
+
+// FuzzSimResult throws arbitrary KSimResult payloads at the coordinator's
+// range-answer decoder, which reads bytes from remote workers: it must never
+// panic, must accept only a payload of exactly 8+8·k·width bytes that
+// carries the expected seq, and must write nothing outside
+// [base, base+width) of the k output vectors — nothing at all when it
+// rejects. An accepted payload must decode to the values it encodes.
+func FuzzSimResult(f *testing.F) {
+	f.Add(uint8(3), uint8(4), uint8(2), uint64(7), uint64(7), []byte(strings.Repeat("robsched", 12)))
+	f.Add(uint8(0), uint8(9), uint8(1), uint64(5), uint64(5), []byte{})
+	f.Add(uint8(1), uint8(1), uint8(0), uint64(1), uint64(2), make([]byte, 8))
+	f.Add(uint8(2), uint8(2), uint8(5), uint64(0), uint64(0), make([]byte, 24))
+	f.Add(uint8(0), uint8(9), uint8(1), uint64(5), uint64(5), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, k, width, base uint8, seq, sent uint64, body []byte) {
+		const pad = 3
+		out := make([][]float64, int(k)%9)
+		for j := range out {
+			out[j] = make([]float64, int(base)+int(width)+pad)
+			for i := range out[j] {
+				out[j][i] = -1
+			}
+		}
+		payload := binary.LittleEndian.AppendUint64(nil, sent)
+		payload = append(payload, body...)
+		err := decodeResult(out, int(base), int(width), seq, payload)
+		wantLen := 8 + 8*len(out)*int(width)
+		if (err == nil) != (len(payload) == wantLen && sent == seq) {
+			t.Fatalf("k=%d width=%d seq=%d: %d-byte payload for seq %d: err %v",
+				len(out), width, seq, len(payload), sent, err)
+		}
+		for j, v := range out {
+			for i, x := range v {
+				inside := i >= int(base) && i < int(base)+int(width)
+				if !inside || err != nil {
+					if math.Float64bits(x) != math.Float64bits(-1) {
+						t.Fatalf("schedule %d realization %d written outside the window (base %d, width %d, err %v)",
+							j, i, base, width, err)
+					}
+					continue
+				}
+				off := 8 + 8*(j*int(width)+i-int(base))
+				if want := binary.LittleEndian.Uint64(payload[off:]); math.Float64bits(x) != want {
+					t.Fatalf("schedule %d realization %d decoded %x, payload holds %x", j, i, math.Float64bits(x), want)
+				}
 			}
 		}
 	})

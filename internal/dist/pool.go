@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"robsched/internal/obs"
@@ -240,6 +241,13 @@ type Pool struct {
 	all    []*Conn // every worker, dead ones included; fixed by NewPool
 	live   int
 	closed bool
+
+	// seq numbers every sim setup and every request that expects an
+	// attributable answer, so a transport that duplicates or replays frames
+	// can never pass a stale answer off as the current one. Stale frames
+	// stay on the pool's connections, so the numbers are drawn per pool:
+	// coordinators sharing one never reuse a number.
+	seq atomic.Uint64
 }
 
 // closeGrace bounds the polite KShutdown handshake during Close; a worker

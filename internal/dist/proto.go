@@ -6,9 +6,9 @@
 //     are partitioned into contiguous index ranges, several per worker and
 //     pipelined over each connection after one setup frame binds the
 //     workload and schedules; each worker realizes a range with the
-//     coordinator-derived seed slice (sim.RealizeSeeded) and streams the raw
-//     makespan vectors back. The coordinator places them by range index, so
-//     every metric — quantiles included — is bit-identical to the
+//     coordinator-derived seed slice (sim.RealizeSeeded) and answers with
+//     one frame of raw makespans. The coordinator places them by range
+//     index, so every metric — quantiles included — is bit-identical to the
 //     single-process run for any shard count.
 //
 //   - island sharding: the GA islands of robust.Solve are hosted by worker
@@ -19,14 +19,15 @@
 //     run for any worker count. A solve whose workers fail in transport
 //     finishes in process, on robust.Solve, with the same result.
 //
-// Range and island requests carry a sequence number that their answers
-// echo, so a duplicated or stale answer shows up as a mismatch, which the
-// coordinator treats as a transport failure.
+// Range and island requests carry a sequence number, drawn from their
+// pool's counter, that their answers echo, so a duplicated or stale answer
+// shows up as a mismatch, which the coordinator treats as a transport
+// failure.
 //
 // The wire format is the length-prefixed binary frame of internal/wio:
 // control messages are JSON payloads (Go's encoding/json round-trips the
-// uint64 seeds exactly into uint64 struct fields), makespan vectors are raw
-// little-endian float64 blocks. Workers are plain `robsched worker`
+// uint64 seeds exactly into uint64 struct fields), range answers are raw
+// little-endian blocks. Workers are plain `robsched worker`
 // subprocesses speaking the protocol on stdin/stdout; stderr passes through
 // for crash visibility.
 package dist
@@ -44,16 +45,10 @@ import (
 
 // Frame kinds. The coordinator only ever sends job/control kinds; workers
 // only ever send response kinds. An unknown kind is a protocol error on
-// either side. Kinds 1, 12, 13 and 14 are retired and stay unassigned, so
-// a frame from a peer built before their retirement can never parse as a
-// different message.
+// either side. Kinds 1, 2, 3, 12, 13, 14 and 15 are retired and stay
+// unassigned, so a frame from a peer built before their retirement can
+// never parse as a different message.
 const (
-	// KSimVec carries one schedule's makespan vector for the current range
-	// as raw little-endian float64s, one frame per schedule in schedule
-	// order.
-	KSimVec byte = 2
-	// KSimDone (empty payload) terminates a KSimRange response sequence.
-	KSimDone byte = 3
 	// KErr carries an ErrMsg (JSON) in place of any normal response.
 	KErr byte = 4
 	// KIslandInit carries an IslandInit (JSON): build the engine and host
@@ -77,11 +72,6 @@ const (
 	// KShutdown (empty payload) asks the worker to exit cleanly. No
 	// response; the worker closes its end.
 	KShutdown byte = 11
-	// KAck carries an Ack (JSON) echoing a SimRange's sequence number before
-	// the response vectors, so a response stream can never be attributed to
-	// the wrong range (a duplicated or replayed frame shows up as a sequence
-	// mismatch instead of silently corrupting the gather).
-	KAck byte = 15
 	// KSimSetup carries a SimSetup (JSON): bind the workload and schedules
 	// once per connection, so the pipelined KSimRange requests that follow
 	// stay tiny (a seed window instead of a full problem document). No
@@ -89,15 +79,13 @@ const (
 	// range references it.
 	KSimSetup byte = 16
 	// KSimRange carries a SimRange (JSON): realize one seed window against
-	// the connection's current setup. Response: KAck, one KSimVec per
-	// schedule, KSimDone.
+	// the connection's current setup. Response: KSimResult.
 	KSimRange byte = 17
+	// KSimResult answers one KSimRange: the range's Seq as a little-endian
+	// uint64, then each bound schedule's makespans over the window as raw
+	// little-endian float64s, in schedule order (see encodeResult).
+	KSimResult byte = 18
 )
-
-// Ack echoes a request's sequence number ahead of its response stream.
-type Ack struct {
-	Seq uint64 `json:"seq"`
-}
 
 // ErrMsg is a worker-side failure, shipped back in place of a response.
 type ErrMsg struct {
@@ -116,7 +104,7 @@ const ErrCodeSetup = "setup"
 // SimSetup binds a Monte-Carlo evaluation's static state — the workload,
 // the schedule set under common random numbers, and the engine knobs — to a
 // worker connection, so each subsequent SimRange ships only its seed
-// window. ID is coordinator-unique; a range echoing a different ID is
+// window. ID is unique within the pool; a range naming another ID is
 // answered with a KErr coded "setup" (see ErrMsg.Code).
 type SimSetup struct {
 	ID        uint64             `json:"id"`
@@ -143,8 +131,8 @@ type SimSetup struct {
 // sim.RealizeSeeded(…, Seeds, Base) against the bound schedules. The seed
 // window plus the global base index are the entire stream-derivation state,
 // so the worker produces exactly the makespans the coordinator's full-range
-// run would produce at [Base, Base+len(Seeds)). Seq is echoed in the
-// response's KAck, ordering the pipelined response streams.
+// run would produce at [Base, Base+len(Seeds)). Seq heads the KSimResult
+// that answers it.
 type SimRange struct {
 	Setup uint64   `json:"setup"`
 	Base  int      `json:"base"`
@@ -240,32 +228,39 @@ type IslandStates struct {
 	Seq    uint64        `json:"seq,omitempty"`
 }
 
-// encodeVec converts a makespan vector to a KSimVec payload: the schedule
-// index as a little-endian uint64 followed by raw little-endian float64
-// bytes. The index makes every vector frame self-identifying — a duplicated
-// or reordered frame can never be mistaken for its stream neighbour, which
-// carries the same byte width.
-func encodeVec(idx int, mks []float64) []byte {
-	out := make([]byte, 8+8*len(mks))
-	binary.LittleEndian.PutUint64(out, uint64(idx))
-	for i, m := range mks {
-		binary.LittleEndian.PutUint64(out[8+8*i:], math.Float64bits(m))
+// encodeResult builds the KSimResult payload answering the range seq: the
+// seq, then every schedule's makespan window in schedule order.
+func encodeResult(seq uint64, mks [][]float64) []byte {
+	n := 0
+	for _, v := range mks {
+		n += len(v)
+	}
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+8*n), seq)
+	for _, v := range mks {
+		for _, m := range v {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(m))
+		}
 	}
 	return out
 }
 
-// decodeVecInto parses a KSimVec payload into dst, which must match its
-// length exactly, after checking the frame identifies as schedule wantIdx.
-func decodeVecInto(dst []float64, wantIdx int, payload []byte) error {
-	if len(payload) != 8+8*len(dst) {
-		return fmt.Errorf("dist: makespan vector is %d bytes, want %d", len(payload), 8+8*len(dst))
+// decodeResult checks that a KSimResult payload answers the range seq over
+// [base, base+width) of every out vector, then decodes it into those
+// windows. A payload of any other length or seq is rejected before
+// anything is written.
+func decodeResult(out [][]float64, base, width int, seq uint64, payload []byte) error {
+	if want := 8 + 8*len(out)*width; len(payload) != want {
+		return fmt.Errorf("dist: range result is %d bytes, want %d", len(payload), want)
 	}
-	if idx := binary.LittleEndian.Uint64(payload); idx != uint64(wantIdx) {
-		return fmt.Errorf("dist: makespan vector for schedule %d, want %d", idx, wantIdx)
+	if got := binary.LittleEndian.Uint64(payload); got != seq {
+		return fmt.Errorf("dist: range result for seq %d, want %d", got, seq)
 	}
 	payload = payload[8:]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	for _, v := range out {
+		for i := range v[base : base+width] {
+			v[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(payload))
+			payload = payload[8:]
+		}
 	}
 	return nil
 }

@@ -30,8 +30,9 @@ func robustSolveRef(t *testing.T, w *platform.Workload, opt robust.Options) (*ro
 
 // relayResponses splices fn into the inner worker's response stream: every
 // frame the worker answers passes through fn, which returns the payload to
-// forward, or false to kill the worker at that frame instead.
-func relayResponses(inner Endpoint, fn func(kind byte, payload []byte) ([]byte, bool)) Endpoint {
+// forward and how many copies of it to deliver; 0 kills the worker at that
+// frame instead.
+func relayResponses(inner Endpoint, fn func(kind byte, payload []byte) ([]byte, int)) Endpoint {
 	resR, resW := io.Pipe()
 	go func() {
 		fr := wio.NewFrameReader(inner.R)
@@ -41,12 +42,14 @@ func relayResponses(inner Endpoint, fn func(kind byte, payload []byte) ([]byte, 
 				resW.CloseWithError(err)
 				return
 			}
-			out, ok := fn(kind, payload)
-			if !ok {
+			out, copies := fn(kind, payload)
+			if copies == 0 {
 				break
 			}
-			if err := wio.WriteFrame(resW, kind, out); err != nil {
-				return
+			for ; copies > 0; copies-- {
+				if err := wio.WriteFrame(resW, kind, out); err != nil {
+					return
+				}
 			}
 		}
 		if inner.Kill != nil {
@@ -71,39 +74,48 @@ func relayResponses(inner Endpoint, fn func(kind byte, payload []byte) ([]byte, 
 // and kills it instead of forwarding the next one — a process crash at a
 // precisely controlled point of the island protocol.
 func killAfterFrames(inner Endpoint, n int) Endpoint {
-	return relayResponses(inner, func(_ byte, payload []byte) ([]byte, bool) {
-		n--
-		return payload, n >= 0
+	return relayResponses(inner, func(_ byte, payload []byte) ([]byte, int) {
+		if n--; n < 0 {
+			return nil, 0
+		}
+		return payload, 1
 	})
 }
 
-// duplicateRequest delivers the inner worker's n-th request frame (counting
-// from 0) twice, as a transport that duplicates frames would.
-func duplicateRequest(inner Endpoint, n int) Endpoint {
+// relayRequests splices fn into the inner worker's request stream: every
+// frame the coordinator sends passes through fn, which returns how many
+// copies of it the worker receives — 0 drops it, 2 duplicates it, as a
+// faulty transport would.
+func relayRequests(inner Endpoint, fn func(kind byte) int) Endpoint {
 	reqR, reqW := io.Pipe()
 	go func() {
 		fr := wio.NewFrameReader(reqR)
-		for i := 0; ; i++ {
+		for {
 			kind, payload, err := fr.Read()
 			if err != nil {
 				_ = inner.W.Close()
 				return
 			}
-			raw, err := encodeFrame(kind, payload)
-			if err != nil {
-				reqR.CloseWithError(err)
-				return
-			}
-			if i == n {
-				raw = append(raw, raw...)
-			}
-			if _, err := inner.W.Write(raw); err != nil {
-				reqR.CloseWithError(err)
-				return
+			for copies := fn(kind); copies > 0; copies-- {
+				if err := wio.WriteFrame(inner.W, kind, payload); err != nil {
+					reqR.CloseWithError(err)
+					return
+				}
 			}
 		}
 	}()
 	return Endpoint{W: reqW, R: inner.R, Kill: inner.Kill, Wait: inner.Wait}
+}
+
+// duplicateRequest delivers the inner worker's n-th request frame (counting
+// from 0) twice, as a transport that duplicates frames would.
+func duplicateRequest(inner Endpoint, n int) Endpoint {
+	return relayRequests(inner, func(byte) int {
+		if n--; n == -1 {
+			return 2
+		}
+		return 1
+	})
 }
 
 // checkSolveMatches asserts a solve reproduced the in-process trajectory
@@ -170,11 +182,11 @@ func TestRecoveryFinishesInProcess(t *testing.T) {
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
 			var answers atomic.Int64
-			pool := shape.newPool(relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, bool) {
+			pool := shape.newPool(relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, int) {
 				if kind == KIslandState {
 					answers.Add(1)
 				}
-				return payload, true
+				return payload, 1
 			}))
 			reg := obs.NewRegistry()
 			hosts := min(pool.Live(), opt.Islands)
@@ -253,6 +265,99 @@ func TestDuplicatedRequestFinishesInProcess(t *testing.T) {
 	}
 }
 
+// TestSeqIsPerPool: two Coordinators share one worker, and the relay drops
+// the second call's setup. Sequence numbers are drawn per pool, so the
+// second call's ranges name a setup the worker does not hold; the worker
+// answers with its setup error and the call finishes inline, bit-identical
+// to the in-process run. Numbered per Coordinator, both setups would have
+// ID 1, and the second call's ranges would run on the first call's
+// schedules without an error.
+func TestSeqIsPerPool(t *testing.T) {
+	first := testSchedules(t, testWorkload(t, 29, 20, 3, 3))
+	ss := testSchedules(t, testWorkload(t, 7, 30, 3, 3))
+	opt := sim.Options{Realizations: 64, Workers: 1}
+	want, err := sim.EvaluateAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setups := 0
+	pool := NewPool([]Endpoint{relayRequests(LocalEndpoint(), func(kind byte) int {
+		if kind == KSimSetup {
+			if setups++; setups == 2 {
+				return 0
+			}
+		}
+		return 1
+	})})
+	defer pool.Close()
+	if _, err := (&Coordinator{Pool: pool}).EvaluateAll(first, opt, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	got, err := (&Coordinator{Pool: pool, Obs: reg}).EvaluateAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range ss {
+		if !metricsBitEqual(got[j], want[j]) {
+			t.Errorf("schedule %d: mean makespan %v, want %v (M0 %v)", j, got[j].MeanMakespan, want[j].MeanMakespan, want[j].M0)
+		}
+	}
+	if d := reg.Counter("dist.worker_deaths").Value(); d != 1 {
+		t.Errorf("%d worker deaths, want 1", d)
+	}
+	if reg.Counter("dist.inline_ranges").Value() == 0 {
+		t.Error("no range ran inline after the worker's setup error")
+	}
+}
+
+// TestStaleResultNeverPasses: the relay delivers the last range answer of
+// one call twice, so the copy waits on the connection for the next call.
+// There it fails the next answer's seq check: the worker is counted dead
+// once, its ranges run inline, and the metrics match the in-process run.
+func TestStaleResultNeverPasses(t *testing.T) {
+	ss := testSchedules(t, testWorkload(t, 7, 20, 3, 3))
+	opt := sim.Options{Realizations: 24, Workers: 1}
+	want, err := sim.EvaluateAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rangeSize = 8 // 3 ranges per call
+	results := 0
+	pool := NewPool([]Endpoint{relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, int) {
+		if kind == KSimResult {
+			if results++; results == opt.Realizations/rangeSize {
+				return payload, 2
+			}
+		}
+		return payload, 1
+	})})
+	defer pool.Close()
+	reg := obs.NewRegistry()
+	coord := &Coordinator{Pool: pool, Obs: reg, RangeSize: rangeSize}
+	if _, err := coord.EvaluateAll(ss, opt, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	if d := reg.Counter("dist.worker_deaths").Value(); d != 0 {
+		t.Fatalf("the first call counted %d worker deaths, want 0", d)
+	}
+	got, err := coord.EvaluateAll(ss, opt, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range ss {
+		if !metricsBitEqual(got[j], want[j]) {
+			t.Errorf("schedule %d: metrics differ after the stale answer", j)
+		}
+	}
+	if d := reg.Counter("dist.worker_deaths").Value(); d != 1 {
+		t.Errorf("%d worker deaths, want 1", d)
+	}
+	if n := reg.Counter("dist.inline_ranges").Value(); n != 3 {
+		t.Errorf("%d inline ranges, want the second call's 3", n)
+	}
+}
+
 // TestEmptyPoolSolvesInProcess: a pool with no workers at all still solves,
 // in process from the start.
 func TestEmptyPoolSolvesInProcess(t *testing.T) {
@@ -292,14 +397,17 @@ func TestIncompleteIslandStatesRecover(t *testing.T) {
 		"duplicate": func(st []IslandState) []IslandState { return append(st[:len(st)-1], st[0]) },
 	}
 	for name, mangle := range mangles {
-		mangled := relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, bool) {
+		mangled := relayResponses(LocalEndpoint(), func(kind byte, payload []byte) ([]byte, int) {
 			var states IslandStates
 			if kind != KIslandState || parseJSON(payload, &states) != nil || len(states.States) < 2 {
-				return payload, true
+				return payload, 1
 			}
 			states.States = mangle(states.States)
 			out, err := marshalJSON(states)
-			return out, err == nil
+			if err != nil {
+				return nil, 0
+			}
+			return out, 1
 		})
 		pool := NewPool([]Endpoint{mangled, LocalEndpoint()})
 		reg := obs.NewRegistry()

@@ -170,15 +170,15 @@ func TestTCPWorkerSIGTERMMidRange(t *testing.T) {
 	}
 	exited := make(chan error, 1)
 	signalled := false
-	pool = NewPool([]Endpoint{relayResponses(ep, func(kind byte, payload []byte) ([]byte, bool) {
-		if kind == KSimDone && !signalled {
+	pool = NewPool([]Endpoint{relayResponses(ep, func(kind byte, payload []byte) ([]byte, int) {
+		if kind == KSimResult && !signalled {
 			signalled = true
 			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-				return nil, false
+				return nil, 0
 			}
 			exited <- cmd.Wait()
 		}
-		return payload, true
+		return payload, 1
 	})})
 	defer pool.Close()
 	reg := obs.NewRegistry()

@@ -36,18 +36,6 @@ func (fw *frameWriter) sendJSON(kind byte, v any) error {
 	return fw.w.Flush()
 }
 
-// batch runs fn against the write buffer and flushes once at the end — the
-// write-coalescing path: a whole response sequence (ack, vector frames,
-// done marker) leaves in one flush, one syscall, one packet train, instead
-// of a flush per frame. A mid-batch error can only come from the
-// underlying writer failing, at which point the stream is dead anyway.
-func (fw *frameWriter) batch(fn func(w *bufio.Writer) error) error {
-	if err := fn(fw.w); err != nil {
-		return err
-	}
-	return fw.w.Flush()
-}
-
 // ServeWorker runs the worker half of the dist protocol over the (r, w)
 // pipe pair — in production, the stdin/stdout of a `robsched worker`
 // subprocess — until the coordinator closes the stream or sends KShutdown.
@@ -59,10 +47,11 @@ func (fw *frameWriter) batch(fn func(w *bufio.Writer) error) error {
 // replaces it, and the island host built by KIslandInit, until
 // KIslandFinish or a replacing init.
 //
-// Every request is executed as it arrives, and each island answer echoes
-// its request's Seq. A transport that duplicates a request therefore
-// yields a second answer, which the coordinator reads as a Seq mismatch on
-// its next exchange: a transport failure, never a silently doubled step.
+// Every request is executed as it arrives, and each range or island answer
+// echoes its request's Seq. A transport that duplicates a request
+// therefore yields a second answer, which the coordinator reads as a Seq
+// mismatch on its next exchange: a transport failure, never a silently
+// doubled step.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	fw := &frameWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	fr := wio.NewFrameReader(bufio.NewReaderSize(r, 1<<16))
@@ -134,7 +123,7 @@ func (e *setupError) Error() string {
 // newSimState decodes and binds a KSimSetup. No response frame: the setup
 // is validated here, and a bad one surfaces as the KErr this handler's
 // error becomes — which the coordinator receives in place of the first
-// range's ack.
+// range's result.
 func newSimState(payload []byte) (*simState, error) {
 	var su SimSetup
 	if err := parseJSON(payload, &su); err != nil {
@@ -161,9 +150,9 @@ func newSimState(payload []byte) (*simState, error) {
 }
 
 // handleSimRange realizes one pipelined seed window against the bound
-// setup and streams the response — KAck, one KSimVec per schedule, KSimDone
-// — in a single coalesced flush. Everything is computed before the first
-// response byte, so a failure never leaves a half-written sequence.
+// setup and answers with one KSimResult frame in one flush. Everything is
+// computed before the first response byte, so a failure never leaves a
+// half-written answer.
 func handleSimRange(fw *frameWriter, setup *simState, payload []byte) error {
 	var req SimRange
 	if err := parseJSON(payload, &req); err != nil {
@@ -176,17 +165,7 @@ func handleSimRange(fw *frameWriter, setup *simState, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return fw.batch(func(w *bufio.Writer) error {
-		if err := sendJSON(w, KAck, Ack{Seq: req.Seq}); err != nil {
-			return err
-		}
-		for j, v := range mks {
-			if err := wio.WriteFrame(w, KSimVec, encodeVec(j, v)); err != nil {
-				return err
-			}
-		}
-		return wio.WriteFrame(w, KSimDone, nil)
-	})
+	return fw.write(KSimResult, encodeResult(req.Seq, mks))
 }
 
 func handleEpoch(fw *frameWriter, host *islandHost, payload []byte) error {

@@ -10,7 +10,9 @@ import (
 	"robsched/internal/obs"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
+	"robsched/internal/schedule"
 	"robsched/internal/sim"
+	"robsched/internal/stoch"
 	"robsched/internal/wio"
 )
 
@@ -86,7 +88,7 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	d.sendRaw(99, nil)
 	d.expectErr("unknown frame kind")
 
-	for _, retired := range []byte{1, 12, 13, 14} {
+	for _, retired := range []byte{1, 2, 3, 12, 13, 14, 15} {
 		d.sendRaw(retired, nil)
 		d.expectErr("unknown frame kind")
 	}
@@ -376,6 +378,22 @@ func TestCoordinatorValidation(t *testing.T) {
 	_, err := coord.EvaluateAll(ss, sim.Options{Realizations: -1}, rng.New(1))
 	if !errors.As(err, &oe) {
 		t.Errorf("error %v, want *sim.OptionError", err)
+	}
+	// A schedule rebound to a risk-adjusted view of the workload has the
+	// same graph and platform but other durations: common random numbers
+	// cannot cover both workloads, so the mix is refused as sim refuses it.
+	view, err := stoch.RiskAdjusted(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebound, err := stoch.Rebind(ss[0], view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := []*schedule.Schedule{ss[0], rebound}
+	_, want := sim.EvaluateAll(mixed, sim.Options{Realizations: 5}, rng.New(1))
+	if _, err := coord.EvaluateAll(mixed, sim.Options{Realizations: 5}, rng.New(1)); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("schedules of two workloads: error %v, want sim's %v", err, want)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"robsched/internal/dist"
 	"robsched/internal/gen"
+	"robsched/internal/obs"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
 	"robsched/internal/schedule"
@@ -479,11 +481,7 @@ func TestSimHookCoversEveryRunner(t *testing.T) {
 func TestRunnersPinned(t *testing.T) {
 	var b strings.Builder
 	for _, r := range runnerCases() {
-		v, err := r.run(runnerConfig())
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		fmt.Fprintf(&b, "%s %x\n", r.name, sha256.Sum256([]byte(fmt.Sprintf("%v", v))))
+		b.WriteString(runnerDigest(t, r, runnerConfig()))
 	}
 	got := b.String()
 	golden := filepath.Join("testdata", "runners.golden")
@@ -502,5 +500,80 @@ func TestRunnersPinned(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("runner outputs differ from %s (refresh with -update):\n--- got ---\n%s--- want ---\n%s",
 			golden, got, want)
+	}
+}
+
+// runnerDigest runs r on c and returns its line of runners.golden.
+func runnerDigest(t *testing.T, r runnerCase, c Config) string {
+	t.Helper()
+	v, err := r.run(c)
+	if err != nil {
+		t.Fatalf("%s: %v", r.name, err)
+	}
+	return fmt.Sprintf("%s %x\n", r.name, sha256.Sum256([]byte(fmt.Sprintf("%v", v))))
+}
+
+// TestRunnersPinnedThroughPool runs every sampling runner with Config.Sim
+// on a 2-worker dist pool, over in-memory pipes and over loopback TCP, and
+// checks its digest against the unchanged runners.golden: sharding the
+// realizations must not move a byte. Ranges of 3 realizations spread every
+// evaluation over both workers, and no range may run in process.
+func TestRunnersPinnedThroughPool(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "runners.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(map[string]bool)
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		pinned[line] = true
+	}
+	pools := []struct {
+		name string
+		open func(t *testing.T) *dist.Pool
+	}{
+		{"pipes", func(*testing.T) *dist.Pool { return dist.NewLocalPool(2) }},
+		{"tcp", func(t *testing.T) *dist.Pool {
+			addrs := make([]string, 2)
+			for i := range addrs {
+				srv, err := dist.ListenWorker("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() { _ = srv.Serve() }()
+				t.Cleanup(srv.Shutdown)
+				addrs[i] = srv.Addr()
+			}
+			pool, err := dist.NewSpawnPool(len(addrs), dist.TCPSpawner(addrs, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pool
+		}},
+	}
+	for _, p := range pools {
+		t.Run(p.name, func(t *testing.T) {
+			pool := p.open(t)
+			defer pool.Close()
+			reg := obs.NewRegistry()
+			c := runnerConfig()
+			c.Sim = (&dist.Coordinator{Pool: pool, Obs: reg, RangeSize: 3}).EvaluateAll
+			for _, r := range runnerCases() {
+				if !r.samples {
+					continue
+				}
+				if line := runnerDigest(t, r, c); !pinned[line] {
+					t.Errorf("through the pool, %s differs from runners.golden: %s", r.name, line)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if reg.Counter(fmt.Sprintf("dist.worker%d.sim_ranges", i)).Value() == 0 {
+					t.Errorf("worker %d took no range", i)
+				}
+			}
+			if n := reg.Counter("dist.inline_ranges").Value(); n != 0 {
+				t.Errorf("%d ranges ran in process, want every range on a worker", n)
+			}
+			t.Logf("ranges per worker: %d, %d", reg.Counter("dist.worker0.sim_ranges").Value(), reg.Counter("dist.worker1.sim_ranges").Value())
+		})
 	}
 }

@@ -675,14 +675,9 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 	if base < 0 {
 		return nil, &OptionError{"base", float64(base), "must be >= 0"}
 	}
-	if len(ss) == 0 {
-		return nil, fmt.Errorf("sim: no schedules to evaluate")
-	}
-	w := ss[0].Workload()
-	for _, s := range ss[1:] {
-		if s.Workload() != w {
-			return nil, fmt.Errorf("sim: schedules must share one workload for common random numbers")
-		}
+	w, err := SharedWorkload(ss)
+	if err != nil {
+		return nil, err
 	}
 	n, m := w.N(), w.M()
 	R := len(seeds)
@@ -777,6 +772,22 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 	}
 	wg.Wait()
 	return mks, nil
+}
+
+// SharedWorkload returns the one workload every schedule of ss is bound to.
+// Common random numbers sample one duration matrix per realization for all
+// of them, so schedules of two workloads cannot be realized together.
+func SharedWorkload(ss []*schedule.Schedule) (*platform.Workload, error) {
+	if len(ss) == 0 {
+		return nil, fmt.Errorf("sim: no schedules to evaluate")
+	}
+	w := ss[0].Workload()
+	for _, s := range ss[1:] {
+		if s.Workload() != w {
+			return nil, fmt.Errorf("sim: schedules must share one workload for common random numbers")
+		}
+	}
+	return w, nil
 }
 
 // Evaluate runs opt.Realizations Monte-Carlo executions of the schedule and
