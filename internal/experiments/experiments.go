@@ -170,6 +170,23 @@ func (c Config) gaOptions() robust.Options {
 	return opt
 }
 
+// epsOptions returns gaOptions in ε-constraint mode at eps.
+func (c Config) epsOptions(eps float64) robust.Options {
+	opt := c.gaOptions()
+	opt.Mode = robust.EpsilonConstraint
+	opt.Eps = eps
+	return opt
+}
+
+// ablationOptions returns the ε-constraint GA options the ablations run:
+// at the configured GA.Eps, or at 1.5 when it is unset.
+func (c Config) ablationOptions() robust.Options {
+	if c.GA.Eps == 0 {
+		return c.epsOptions(1.5)
+	}
+	return c.epsOptions(c.GA.Eps)
+}
+
 // simOptions returns the Monte-Carlo options every runner evaluates with,
 // carrying the experiment-wide telemetry sinks and, when a scenario is
 // configured, its duration-model overlay.
@@ -241,6 +258,63 @@ func (c Config) parallelFor(n int, f func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// perGraph runs f on the workload of every graph at uncertainty level
+// index u (mean UL ul), passing the graph's seed, and returns f's rows in
+// graph order: the one per-graph loop of every runner that averages over
+// graphs. It returns the first error by graph index.
+func (c Config) perGraph(u int, ul float64, f func(seed uint64, w *platform.Workload) ([]float64, error)) ([][]float64, error) {
+	rows := make([][]float64, c.Graphs)
+	err := c.parallelFor(c.Graphs, func(g int) error {
+		w, err := c.workload(u, g, ul)
+		if err != nil {
+			return err
+		}
+		rows[g], err = f(c.graphSeed(u, g), w)
+		return err
+	})
+	return rows, err
+}
+
+// ulSeries runs f on every graph at every uncertainty level and returns
+// one series per name over x = UL: series k at level u is the mean of
+// column k of that level's rows.
+func (c Config) ulSeries(names []string, mean func([]float64) float64, f func(seed uint64, w *platform.Workload) ([]float64, error)) ([]Series, error) {
+	x := append([]float64(nil), c.ULs...)
+	out := make([]Series, len(names))
+	for k, name := range names {
+		out[k] = Series{Name: name, X: x, Y: make([]float64, len(c.ULs))}
+	}
+	for u, ul := range c.ULs {
+		rows, err := c.perGraph(u, ul, f)
+		if err != nil {
+			return nil, err
+		}
+		for k, m := range columnMeans(rows, mean) {
+			out[k].Y[u] = m
+		}
+	}
+	return out, nil
+}
+
+// columnMeans averages rows column by column with mean (meanFinite or
+// stats.Mean), summing each column in graph order.
+func columnMeans(rows [][]float64, mean func([]float64) float64) []float64 {
+	out := make([]float64, len(rows[0]))
+	for k := range out {
+		out[k] = mean(column(rows, k))
+	}
+	return out
+}
+
+// column returns entry k of every row, in graph order.
+func column(rows [][]float64, k int) []float64 {
+	col := make([]float64, len(rows))
+	for g, row := range rows {
+		col[g] = row[k]
+	}
+	return col
 }
 
 // meanFinite averages xs ignoring NaN; returns NaN if nothing remains.

@@ -14,6 +14,7 @@ import (
 
 	"robsched/internal/fault"
 	"robsched/internal/heft"
+	"robsched/internal/platform"
 	"robsched/internal/repair"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
@@ -109,41 +110,31 @@ func (c Config) FaultResilience(fc FaultConfig) (*FaultResilienceResult, error) 
 	if err := fc.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	ul := c.midUL()
-	gaOpt := c.gaOptions()
-	gaOpt.Mode = robust.EpsilonConstraint
-	gaOpt.Eps = slackEps
+	gaOpt := c.epsOptions(slackEps)
 	saOpt := robust.PaperishAnnealOptions(slackEps)
 	saOpt.Steps = gaOpt.PopSize * gaOpt.MaxGenerations // comparable budget
 
 	names := []string{"heft", "anneal", "ga"}
-	type point struct {
-		slack, noFault, faultMean, inflation float64
-		completion, retries, migr, drops     float64
-	}
-	points := make([][]point, c.Graphs) // [graph][scheduler]
-	err := c.parallelFor(c.Graphs, func(g int) error {
-		w, err := c.workload(0, g, ul)
-		if err != nil {
-			return err
-		}
+	// Per graph, for each scheduler in names: the eight fields of its
+	// FaultResilienceRow, in their order.
+	rows, err := c.perGraph(0, c.midUL(), func(seed uint64, w *platform.Workload) ([]float64, error) {
 		hs, err := heft.HEFT(w, heft.Options{})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sa, err := robust.SolveAnneal(w, saOpt, rng.New(c.graphSeed(0, g)^0xfa1))
+		sa, err := robust.SolveAnneal(w, saOpt, rng.New(seed^0xfa1))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ga, err := robust.Solve(w, gaOpt, rng.New(c.graphSeed(0, g)^0xfa2))
+		ga, err := robust.Solve(w, gaOpt, rng.New(seed^0xfa2))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ss := []*schedule.Schedule{hs, sa.Schedule, ga.Schedule}
 		opt := c.simOptions()
-		noFault, err := c.evaluateAll(ss, opt, rng.New(c.graphSeed(0, g)^0xfa3))
+		noFault, err := c.evaluateAll(ss, opt, rng.New(seed^0xfa3))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Fault lane: every schedule of this graph sees the same duration
 		// and scenario streams (same seed), model and horizon.
@@ -152,56 +143,46 @@ func (c Config) FaultResilience(fc FaultConfig) (*FaultResilienceResult, error) 
 		horizon := 4 * m0
 		pol := fc.Policy
 		pol.Obs, pol.Trace = c.Obs, c.Trace
-		points[g] = make([]point, len(ss))
+		var row []float64
 		for i, s := range ss {
-			fm, err := repair.EvaluateFaults(s, pol, mo, horizon, opt, rng.New(c.graphSeed(0, g)^0xfa4))
+			fm, err := repair.EvaluateFaults(s, pol, mo, horizon, opt, rng.New(seed^0xfa4))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			points[g][i] = point{
-				slack:      s.AvgSlack() / s.Makespan(),
-				noFault:    noFault[i].MeanMakespan / m0,
-				faultMean:  fm.MeanMakespan / m0,
-				inflation:  fm.MeanMakespan / noFault[i].MeanMakespan,
-				completion: fm.MeanCompletion,
-				retries:    fm.MeanRetries,
-				migr:       fm.MeanMigrations,
-				drops:      fm.MeanDropped,
-			}
+			row = append(row,
+				s.AvgSlack()/s.Makespan(),
+				noFault[i].MeanMakespan/m0,
+				fm.MeanMakespan/m0,
+				fm.MeanMakespan/noFault[i].MeanMakespan,
+				fm.MeanCompletion,
+				fm.MeanRetries,
+				fm.MeanMigrations,
+				fm.MeanDropped)
 		}
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &FaultResilienceResult{Graphs: c.Graphs}
+	m := columnMeans(rows, stats.Mean)
 	var slacks, inflations []float64
 	for i, name := range names {
-		row := FaultResilienceRow{Scheduler: name}
-		for g := 0; g < c.Graphs; g++ {
-			pt := points[g][i]
-			row.NormSlack += pt.slack
-			row.NoFaultMean += pt.noFault
-			row.FaultMean += pt.faultMean
-			row.Inflation += pt.inflation
-			row.Completion += pt.completion
-			row.Retries += pt.retries
-			row.Migrations += pt.migr
-			row.Drops += pt.drops
-			slacks = append(slacks, pt.slack)
-			inflations = append(inflations, pt.inflation)
-		}
-		gf := float64(c.Graphs)
-		row.NormSlack /= gf
-		row.NoFaultMean /= gf
-		row.FaultMean /= gf
-		row.Inflation /= gf
-		row.Completion /= gf
-		row.Retries /= gf
-		row.Migrations /= gf
-		row.Drops /= gf
-		res.Rows = append(res.Rows, row)
+		p := m[8*i:]
+		res.Rows = append(res.Rows, FaultResilienceRow{
+			Scheduler:   name,
+			NormSlack:   p[0],
+			NoFaultMean: p[1],
+			FaultMean:   p[2],
+			Inflation:   p[3],
+			Completion:  p[4],
+			Retries:     p[5],
+			Migrations:  p[6],
+			Drops:       p[7],
+		})
+		slacks = append(slacks, column(rows, 8*i)...)
+		inflations = append(inflations, column(rows, 8*i+3)...)
 	}
 	res.Points = len(slacks)
 	res.SlackCorr = stats.Pearson(slacks, inflations)

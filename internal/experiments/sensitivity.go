@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
 	"robsched/internal/schedule"
@@ -52,14 +53,11 @@ func (c Config) Sensitivity(param SensitivityParam, grid []float64, eps float64)
 		eps = 1.4
 	}
 	ul := c.ULs[0]
-	base := c.gaOptions()
-	base.Mode = robust.EpsilonConstraint
-	base.Eps = eps
+	opt := c.epsOptions(eps)
 	r1Y := make([]float64, len(grid))
 	m0Y := make([]float64, len(grid))
 	for gi, val := range grid {
 		cfg := c
-		cfg.Gen = c.Gen // copy
 		switch param {
 		case SweepCCR:
 			cfg.Gen.CCR = val
@@ -76,33 +74,23 @@ func (c Config) Sensitivity(param SensitivityParam, grid []float64, eps float64)
 		if err := cfg.Gen.Validate(); err != nil {
 			return nil, err
 		}
-		r1s := make([]float64, cfg.Graphs)
-		m0s := make([]float64, cfg.Graphs)
-		err := cfg.parallelFor(cfg.Graphs, func(g int) error {
-			w, err := cfg.workload(gi+100, g, ul)
+		rows, err := cfg.perGraph(gi+100, ul, func(seed uint64, w *platform.Workload) ([]float64, error) {
+			res, err := robust.Solve(w, opt, rng.New(seed^0x5e51))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			res, err := robust.Solve(w, base, rng.New(cfg.graphSeed(gi+100, g)^0x5e51))
+			ms, err := cfg.evaluateAll([]*schedule.Schedule{res.Schedule, res.HEFT}, cfg.simOptions(), rng.New(seed^0x5e52))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			ms, err := cfg.evaluateAll(
-				[]*schedule.Schedule{res.Schedule, res.HEFT},
-				cfg.simOptions(),
-				rng.New(cfg.graphSeed(gi+100, g)^0x5e52))
-			if err != nil {
-				return err
-			}
-			r1s[g] = stats.LogRatio(ms[0].R1, ms[1].R1)
-			m0s[g] = res.Schedule.Makespan() / res.MHEFT
-			return nil
+			return []float64{stats.LogRatio(ms[0].R1, ms[1].R1), res.Schedule.Makespan() / res.MHEFT}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		r1Y[gi] = meanFinite(r1s)
-		m0Y[gi] = stats.Mean(m0s)
+		// M0/MHEFT is never NaN, so meanFinite averages it as stats.Mean does.
+		m := columnMeans(rows, meanFinite)
+		r1Y[gi], m0Y[gi] = m[0], m[1]
 	}
 	x := append([]float64(nil), grid...)
 	return []Series{

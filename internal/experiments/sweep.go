@@ -40,7 +40,6 @@ func (c Config) RunSweep() (*Sweep, error) {
 	if len(c.Eps) == 0 {
 		return nil, fmt.Errorf("experiments: empty ε grid")
 	}
-	base := c.gaOptions()
 	sw := &Sweep{Cfg: c, ULs: c.ULs, Eps: c.Eps}
 	sw.GA = make([][][]Point, len(c.ULs))
 	sw.HEFT = make([][]Point, len(c.ULs))
@@ -79,9 +78,7 @@ func (c Config) RunSweep() (*Sweep, error) {
 		// same realizations.
 		schedules := make([]*schedule.Schedule, 0, len(c.Eps)+1)
 		for e, eps := range c.Eps {
-			opt := base
-			opt.Mode = robust.EpsilonConstraint
-			opt.Eps = eps
+			opt := c.epsOptions(eps)
 			opt.HEFT = heftSched
 			opt.Cache = cache
 			res, err := robust.Solve(w, opt, rng.New(c.graphSeed(u, g)^uint64(0x1111*(e+1))))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
 	"robsched/internal/schedule"
@@ -35,80 +36,54 @@ func (c Config) EvolutionTrace(mode robust.Mode) (*Trace, error) {
 	if mode != robust.MinMakespan && mode != robust.MaxSlack {
 		return nil, fmt.Errorf("experiments: EvolutionTrace needs a single-objective mode, got %v", mode)
 	}
-	base := c.gaOptions()
-	maxGen := base.MaxGenerations
-	steps := sampleSteps(maxGen, c.TraceEvery)
+	opt := c.gaOptions()
+	opt.Mode = mode
+	opt.Stagnation = 0 // traces need the full horizon
+	// The paper's Fig. 2/3 trajectories span large log-ratios, which
+	// requires the single-objective GAs to start from a fully random
+	// population: with a HEFT seed, generation 0 is already near-optimal
+	// and the evolution effect is invisible.
+	opt.NoHEFTSeed = true
+	steps := sampleSteps(opt.MaxGenerations, c.TraceEvery)
+	n := len(steps)
 	tr := &Trace{Mode: mode, Steps: steps, ULs: c.ULs}
-	tr.Makespan = make([][]float64, len(c.ULs))
-	tr.Slack = make([][]float64, len(c.ULs))
-	tr.R1 = make([][]float64, len(c.ULs))
-
 	for u, ul := range c.ULs {
-		// Per graph, per sampled step: the three metrics.
-		type row struct{ mk, sl, r1 []float64 }
-		rows := make([]row, c.Graphs)
-		err := c.parallelFor(c.Graphs, func(g int) error {
-			w, err := c.workload(u, g, ul)
-			if err != nil {
-				return err
-			}
+		// Per graph: the makespan, slack and R1 log-ratios at every
+		// sampled step, in three blocks of n.
+		rows, err := c.perGraph(u, ul, func(seed uint64, w *platform.Workload) ([]float64, error) {
 			// Capture the best schedule at each sampled generation.
-			snapshots := make([]*schedule.Schedule, len(steps))
+			snapshots := make([]*schedule.Schedule, n)
 			next := 0
-			opt := base
-			opt.Mode = mode
-			opt.Stagnation = 0 // traces need the full horizon
-			// The paper's Fig. 2/3 trajectories span large log-ratios,
-			// which requires the single-objective GAs to start from a
-			// fully random population: with a HEFT seed, generation 0 is
-			// already near-optimal and the evolution effect is invisible.
-			opt.NoHEFTSeed = true
-			opt.OnGeneration = func(gen int, best *schedule.Schedule) {
-				if next < len(steps) && gen == steps[next] {
+			run := opt
+			run.OnGeneration = func(gen int, best *schedule.Schedule) {
+				if next < n && gen == steps[next] {
 					snapshots[next] = best
 					next++
 				}
 			}
-			gaRNG := rng.New(c.graphSeed(u, g) ^ 0xabcdef12345)
-			if _, err := robust.Solve(w, opt, gaRNG); err != nil {
-				return err
+			if _, err := robust.Solve(w, run, rng.New(seed^0xabcdef12345)); err != nil {
+				return nil, err
 			}
 			// Evaluate every snapshot under common random numbers.
-			ms, err := c.evaluateAll(snapshots, c.simOptions(), rng.New(c.graphSeed(u, g)^0x5555))
+			ms, err := c.evaluateAll(snapshots, c.simOptions(), rng.New(seed^0x5555))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			rows[g] = row{
-				mk: make([]float64, len(steps)),
-				sl: make([]float64, len(steps)),
-				r1: make([]float64, len(steps)),
-			}
+			row := make([]float64, 3*n)
 			for i := range steps {
-				rows[g].mk[i] = stats.LogRatio(ms[i].MeanMakespan, ms[0].MeanMakespan)
-				rows[g].sl[i] = stats.LogRatio(snapshots[i].AvgSlack(), snapshots[0].AvgSlack())
-				rows[g].r1[i] = stats.LogRatio(ms[i].R1, ms[0].R1)
+				row[i] = stats.LogRatio(ms[i].MeanMakespan, ms[0].MeanMakespan)
+				row[n+i] = stats.LogRatio(snapshots[i].AvgSlack(), snapshots[0].AvgSlack())
+				row[2*n+i] = stats.LogRatio(ms[i].R1, ms[0].R1)
 			}
-			return nil
+			return row, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		tr.Makespan[u] = make([]float64, len(steps))
-		tr.Slack[u] = make([]float64, len(steps))
-		tr.R1[u] = make([]float64, len(steps))
-		for i := range steps {
-			mk := make([]float64, c.Graphs)
-			sl := make([]float64, c.Graphs)
-			r1 := make([]float64, c.Graphs)
-			for g := 0; g < c.Graphs; g++ {
-				mk[g] = rows[g].mk[i]
-				sl[g] = rows[g].sl[i]
-				r1[g] = rows[g].r1[i]
-			}
-			tr.Makespan[u][i] = meanFinite(mk)
-			tr.Slack[u][i] = meanFinite(sl)
-			tr.R1[u][i] = meanFinite(r1)
-		}
+		m := columnMeans(rows, meanFinite)
+		tr.Makespan = append(tr.Makespan, m[:n:n])
+		tr.Slack = append(tr.Slack, m[n:2*n:2*n])
+		tr.R1 = append(tr.R1, m[2*n:])
 	}
 	return tr, nil
 }
