@@ -136,8 +136,8 @@ func RealizeMatrix(w *platform.Workload, r *rng.Source) platform.Matrix {
 // sim.Evaluate on static schedules under the independent uniform model, the
 // only one it samples (see sim.Options.CheckUniform).
 func Evaluate(w *platform.Workload, opt sim.Options, root *rng.Source) (sim.Metrics, error) {
-	if opt.Realizations < 1 {
-		return sim.Metrics{}, fmt.Errorf("dynamic: Realizations=%d must be >= 1", opt.Realizations)
+	if err := opt.Validate(); err != nil {
+		return sim.Metrics{}, err
 	}
 	if err := opt.CheckUniform(); err != nil {
 		return sim.Metrics{}, err

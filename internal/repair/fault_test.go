@@ -539,8 +539,10 @@ func TestEvaluateFaultsValidation(t *testing.T) {
 
 // TestEvaluatorsRejectNonUniformModels: repair, faulty execution and
 // dynamic dispatch sample the independent uniform model only, so every
-// other duration model or correlation mode is an *sim.OptionError naming
-// the field, never a run sampled under the uniform model instead.
+// other duration model, correlation mode or antithetic pairing is an
+// *sim.OptionError naming the field, never a run sampled under the plain
+// uniform model instead. Option sets sim.Options.Validate rejects are the
+// same error from every evaluator.
 func TestEvaluatorsRejectNonUniformModels(t *testing.T) {
 	w := testWorkload(t, 3, 20, 3, 2)
 	s, err := heft.HEFT(w, heft.Options{})
@@ -572,6 +574,17 @@ func TestEvaluatorsRejectNonUniformModels(t *testing.T) {
 		{"lognormal", sim.Options{Realizations: 5, Model: sim.ModelLognormal}, "Model"},
 		{"pareto", sim.Options{Realizations: 5, Model: sim.ModelBoundedPareto, ParetoShape: 1.5}, "Model"},
 		{"shared-load", sim.Options{Realizations: 5, Corr: sim.CorrShared, LoadCOV: 0.3}, "Corr"},
+		{"antithetic", sim.Options{Realizations: 5, Antithetic: true}, "Antithetic"},
+	}
+	invalid := []struct {
+		name  string
+		opt   sim.Options
+		field string
+	}{
+		{"a NaN deadline", sim.Options{Realizations: 5, Deadline: math.NaN()}, "Deadline"},
+		{"an infinite deadline", sim.Options{Realizations: 5, Deadline: math.Inf(1)}, "Deadline"},
+		{"negative workers", sim.Options{Realizations: 5, Workers: -3}, "Workers"},
+		{"a negative batch size", sim.Options{Realizations: 5, BatchSize: -1}, "BatchSize"},
 	}
 	for _, ev := range evaluators {
 		if err := ev.run(sim.Options{Realizations: 5}); err != nil {
@@ -585,6 +598,13 @@ func TestEvaluatorsRejectNonUniformModels(t *testing.T) {
 			var oe *sim.OptionError
 			if !errors.As(err, &oe) || oe.Field != md.field {
 				t.Errorf("%s under %s: got %v, want an *sim.OptionError on %s", ev.name, md.name, err, md.field)
+			}
+		}
+		for _, in := range invalid {
+			err := ev.run(in.opt)
+			var oe *sim.OptionError
+			if !errors.As(err, &oe) || oe.Field != in.field {
+				t.Errorf("%s with %s: got %v, want an *sim.OptionError on %s", ev.name, in.name, err, in.field)
 			}
 		}
 	}

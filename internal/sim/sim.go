@@ -129,7 +129,8 @@ type Options struct {
 	// duration, so the paired makespans are negatively correlated and the
 	// mean estimator's variance strictly drops for the same sample count —
 	// classic antithetic-variates variance reduction. Odd realization
-	// counts leave the last sample unpaired.
+	// counts leave the last sample unpaired. Repair, dynamic dispatch and
+	// faulty execution reject it (see CheckUniform).
 	Antithetic bool
 	// BatchSize is the number of realizations evaluated per batched kernel
 	// sweep; 0 means DefaultBatchSize. Any width yields bit-identical
@@ -217,16 +218,20 @@ func (o Options) Validate() error {
 }
 
 // CheckUniform returns an *OptionError unless o selects the paper's
-// independent uniform duration model (the zero Model and Corr). Repair,
-// dynamic dispatch and faulty execution sample durations through
-// platform.Workload.SampleDuration, which implements that model only, so
-// they reject any other instead of sampling a different one silently.
+// independent uniform duration model (the zero Model and Corr) without
+// antithetic pairing. Repair, dynamic dispatch and faulty execution sample
+// durations through platform.Workload.SampleDuration, which implements that
+// model only and has no mirrored draw, so they reject anything else instead
+// of silently sampling something different.
 func (o Options) CheckUniform() error {
 	if o.Model != ModelUniform {
 		return &OptionError{"Model", float64(o.Model), fmt.Sprintf("(%s): only the uniform model is supported here", o.Model)}
 	}
 	if o.Corr != CorrNone {
 		return &OptionError{"Corr", float64(o.Corr), fmt.Sprintf("(%s): only independent durations are supported here", o.Corr)}
+	}
+	if o.Antithetic {
+		return &OptionError{"Antithetic", 1, "(true): mirrored draws are not supported here"}
 	}
 	return nil
 }
