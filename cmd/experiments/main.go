@@ -159,7 +159,6 @@ func execute(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer stop()
-		obs.PublishExpvar(reg)
 		fmt.Fprintf(stderr, "experiments: pprof serving on http://%s/debug/pprof/\n", addr)
 	}
 

@@ -144,7 +144,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer stop()
-		obs.PublishExpvar(reg)
 		fmt.Fprintf(stderr, "pprof serving on http://%s/debug/pprof/\n", addr)
 	}
 
