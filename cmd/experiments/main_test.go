@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +11,12 @@ import (
 	"testing"
 )
 
-// TestFigAllWritesCSVs runs every figure at a tiny scale with -csv and
-// checks that Figs. 2–8 each leave a CSV with its header and at least one
-// data row.
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestFigAllWritesCSVs runs every figure at a tiny scale with -csv, pins
+// the complete stdout against testdata/fig_all.golden and checks that
+// Figs. 2–8 each leave a CSV with its header and at least one data row.
+// Refresh the golden with: go test ./cmd/experiments -update
 func TestFigAllWritesCSVs(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
@@ -22,6 +26,23 @@ func TestFigAllWritesCSVs(t *testing.T) {
 	}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit status %d\nstderr:\n%s", code, stderr.String())
+	}
+	golden := filepath.Join("testdata", "fig_all.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Errorf("stdout differs from %s (refresh with -update):\n--- got ---\n%s\n--- want ---\n%s",
+			golden, got, want)
 	}
 	var trace []string
 	for _, ul := range []string{"2.0", "4.0", "6.0", "8.0"} {
