@@ -159,13 +159,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Repair and faulty execution sample the uniform model only, so
-		// their lanes cannot be compared with a scenario's.
-		if *repairTheta > 0 || *faults != "" {
-			if err := sc.Apply(sim.Options{}).CheckUniform(); err != nil {
-				return fmt.Errorf("-repair and -faults cannot run under -scenario %s: %w", *scenName, err)
-			}
-		}
 		scen = &sc
 	}
 	w, err := loadOrGenerate(*workloadPath, *n, *m, *seed, *meanUL, *cc, *ccr, *shape, scen)
@@ -291,6 +284,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// Every Monte-Carlo lane — static, repair and faults — samples with these
+	// options, the scenario's duration model included.
 	simOpt := sim.Options{Realizations: *realizations, Deadline: *deadline, Workers: *workers, Obs: reg, Trace: tracer}
 	if scen != nil {
 		simOpt = scen.Apply(simOpt)
@@ -334,8 +329,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			a.Makespan.Mean, a.Makespan.Std(), a.Quantile(0.95))
 	}
 	if *repairTheta > 0 {
-		rm, err := repair.Evaluate(s, repair.Policy{Threshold: *repairTheta},
-			sim.Options{Realizations: *realizations, Workers: *workers}, rng.New(*seed^0xcafe))
+		rm, err := repair.Evaluate(s, repair.Policy{Threshold: *repairTheta}, simOpt, rng.New(*seed^0xcafe))
 		if err != nil {
 			return err
 		}
@@ -382,12 +376,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// Both schedules face the same fault and duration streams (common
 		// random numbers) over a shared horizon.
 		horizon := 4 * baseline.Makespan()
-		opt := sim.Options{Realizations: *realizations, Deadline: *deadline, Workers: *workers}
-		fm, err := repair.EvaluateFaults(s, pol, src, horizon, opt, rng.New(*seed^0xdead))
+		fm, err := repair.EvaluateFaults(s, pol, src, horizon, simOpt, rng.New(*seed^0xdead))
 		if err != nil {
 			return err
 		}
-		fb, err := repair.EvaluateFaults(baseline, pol, src, horizon, opt, rng.New(*seed^0xdead))
+		fb, err := repair.EvaluateFaults(baseline, pol, src, horizon, simOpt, rng.New(*seed^0xdead))
 		if err != nil {
 			return err
 		}

@@ -199,32 +199,46 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// TestRepairAndFaultsNeedUniformScenario: repair and faulty execution
-// sample the uniform model only, so -repair and -faults under a scenario
-// with another duration model fail before anything is solved or printed,
-// with an error naming the model. A uniform scenario still runs them.
-func TestRepairAndFaultsNeedUniformScenario(t *testing.T) {
-	base := []string{"-n", "20", "-m", "3", "-seed", "5", "-scheduler", "heft", "-realizations", "20", "-q"}
-	for _, lane := range [][]string{{"-repair", "1e9"}, {"-faults", "auto"}} {
-		for _, sc := range []struct{ name, model string }{
-			{"random-lognormal", "lognormal"},
-			{"random-pareto", "pareto"},
-			{"random-correlated", "shared"},
-		} {
-			var out, errb bytes.Buffer
-			args := append(append([]string{"-scenario", sc.name}, base...), lane...)
-			err := run(args, &out, &errb)
-			if err == nil || !strings.Contains(err.Error(), "("+sc.model+")") {
-				t.Errorf("%s under %s: err = %v, want one naming %s", lane[0], sc.name, err, sc.model)
+// TestRepairAndFaultsUnderEveryScenarioModel: -repair and -faults sample the
+// scenario's duration model, as the main evaluation does. Every model runs
+// both lanes, prints identical stdout twice, and prints repair and fault
+// lines of its own rather than the uniform model's.
+func TestRepairAndFaultsUnderEveryScenarioModel(t *testing.T) {
+	lanes := func(model string) []string {
+		args := []string{"-scenario", "random-" + model, "-n", "20", "-m", "3", "-seed", "5",
+			"-scheduler", "heft", "-realizations", "20", "-q", "-repair", "0.05", "-faults", "auto"}
+		var out [2]string
+		for i := range out {
+			var stdout, stderr bytes.Buffer
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("%s: %v", model, err)
 			}
-			if out.Len() != 0 {
-				t.Errorf("%s under %s printed before failing:\n%s", lane[0], sc.name, out.String())
+			out[i] = stdout.String()
+		}
+		if out[0] != out[1] {
+			t.Errorf("%s: two identical invocations printed\n%s\nand\n%s", model, out[0], out[1])
+		}
+		var repair, faults string
+		for _, line := range strings.Split(out[0], "\n") {
+			switch {
+			case strings.HasPrefix(line, "repair "):
+				repair = line
+			case strings.HasPrefix(line, "faults: "):
+				faults = line
 			}
 		}
-		var out, errb bytes.Buffer
-		args := append(append([]string{"-scenario", "random-uniform"}, base...), lane...)
-		if err := run(args, &out, &errb); err != nil {
-			t.Errorf("%s under random-uniform: %v", lane[0], err)
+		if repair == "" || faults == "" {
+			t.Fatalf("%s: no repair or fault line in\n%s", model, out[0])
+		}
+		return []string{repair, faults}
+	}
+	uniform := lanes("uniform")
+	for _, model := range []string{"lognormal", "pareto", "correlated"} {
+		got := lanes(model)
+		for i, line := range got {
+			if line == uniform[i] {
+				t.Errorf("%s printed the uniform model's line %q", model, line)
+			}
 		}
 	}
 }

@@ -185,7 +185,9 @@ func (c Config) AblationGAParams(pcs, pms []float64) ([]Series, error) {
 // PolicyComparison pits the four execution strategies against each other
 // across the uncertainty levels, all on identical workloads: static HEFT
 // (right-shift), reactive repair of the HEFT schedule, the fully dynamic
-// dispatcher, and the paper's ε-constraint robust GA schedule. Reported per
+// dispatcher, and the paper's ε-constraint robust GA schedule. One
+// evaluation seed gives every strategy the same duration matrix per
+// realization, under the configured scenario's model. Reported per
 // strategy: the realized mean makespan normalized by static HEFT's
 // (x = UL). Values below 1 beat the static baseline.
 func (c Config) PolicyComparison(eps, repairThreshold float64) ([]Series, error) {

@@ -17,9 +17,6 @@ package repair
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"robsched/internal/fault"
 	"robsched/internal/heft"
@@ -387,23 +384,21 @@ type FaultMetrics struct {
 }
 
 // EvaluateFaults Monte-Carlo evaluates the schedule under the fault policy:
-// each realization samples a fresh duration matrix and draws a scenario
-// from the sampler over the given horizon of simulated time (<= 0 defaults
-// to 4·M0). Realizations fan out across opt.Workers goroutines, but every
-// per-realization stream is seeded from the root sequentially and results
-// are folded in realization order, so all outputs — retries, migrations,
-// drops and the makespan distribution — are identical for every worker
-// count.
+// each realization samples a fresh duration matrix through sim.Durations
+// (every duration model, correlation mode and antithetic pairing applies)
+// and draws a scenario from the sampler over the given horizon of simulated
+// time (<= 0 defaults to 4·M0). The root draws a duration seed and a
+// scenario seed per realization, in that order; under Options.Antithetic
+// the odd realization of a pair reuses its partner's duration seed instead
+// of drawing one, as sim.SeedVector pairs do. Realizations fan out across
+// opt.Workers goroutines and results are folded in realization order, so
+// all outputs — retries, migrations, drops and the makespan distribution —
+// are identical for every worker count.
 //
 // Makespans of partially completed runs cover the completed tasks only;
 // MeanCompletion and FailRate report how much work those runs shed.
-// Durations follow the independent uniform model (see
-// sim.Options.CheckUniform).
 func EvaluateFaults(s *schedule.Schedule, pol FaultPolicy, src fault.Sampler, horizon float64, opt sim.Options, root *rng.Source) (FaultMetrics, error) {
 	if err := opt.Validate(); err != nil {
-		return FaultMetrics{}, err
-	}
-	if err := opt.CheckUniform(); err != nil {
 		return FaultMetrics{}, err
 	}
 	if err := pol.Validate(); err != nil {
@@ -422,64 +417,34 @@ func EvaluateFaults(s *schedule.Schedule, pol FaultPolicy, src fault.Sampler, ho
 		)()
 	}
 	w := s.Workload()
-	n, m := w.N(), w.M()
 	ranks := heft.UpwardRanks(w)
 	R := opt.Realizations
 	durSeeds := make([]uint64, R)
 	scenSeeds := make([]uint64, R)
-	for k := 0; k < R; k++ {
-		durSeeds[k] = root.Uint64()
+	for k := range durSeeds {
+		if opt.Antithetic && k%2 == 1 {
+			durSeeds[k] = durSeeds[k-1]
+		} else {
+			durSeeds[k] = root.Uint64()
+		}
 		scenSeeds[k] = root.Uint64()
 	}
-	type result struct {
-		out FaultOutcome
-		err error
+	outs := make([]FaultOutcome, R)
+	err := sim.Durations(w, opt, durSeeds, func(k int, durs platform.Matrix) error {
+		sc, err := src.Scenario(w.M(), horizon, rng.New(scenSeeds[k]))
+		if err != nil {
+			return err
+		}
+		outs[k], err = executeFaults(s, durs, sc, pol, ranks)
+		return err
+	})
+	if err != nil {
+		return FaultMetrics{}, err
 	}
-	results := make([]result, R)
-	nw := opt.Workers
-	if nw == 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > R {
-		nw = R
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			durs := platform.NewMatrix(n, m)
-			for {
-				k := int(cursor.Add(1)) - 1
-				if k >= R {
-					return
-				}
-				r := rng.New(durSeeds[k])
-				for i := 0; i < n; i++ {
-					for p := 0; p < m; p++ {
-						durs.Set(i, p, w.SampleDuration(i, p, r))
-					}
-				}
-				sc, err := src.Scenario(m, horizon, rng.New(scenSeeds[k]))
-				if err != nil {
-					results[k] = result{err: err}
-					continue
-				}
-				o, err := executeFaults(s, durs, sc, pol, ranks)
-				results[k] = result{out: o, err: err}
-			}
-		}()
-	}
-	wg.Wait()
 	makespans := make([]float64, R)
 	var fm FaultMetrics
 	totalResched := 0
-	for k, res := range results {
-		if res.err != nil {
-			return FaultMetrics{}, res.err
-		}
-		o := res.out
+	for k, o := range outs {
 		makespans[k] = o.Makespan
 		totalResched += o.Reschedules
 		fm.MeanRetries += float64(o.Retries)

@@ -537,13 +537,10 @@ func TestEvaluateFaultsValidation(t *testing.T) {
 	}
 }
 
-// TestEvaluatorsRejectNonUniformModels: repair, faulty execution and
-// dynamic dispatch sample the independent uniform model only, so every
-// other duration model, correlation mode or antithetic pairing is an
-// *sim.OptionError naming the field, never a run sampled under the plain
-// uniform model instead. Option sets sim.Options.Validate rejects are the
-// same error from every evaluator.
-func TestEvaluatorsRejectNonUniformModels(t *testing.T) {
+// TestEvaluatorsRejectInvalidOptions: option sets sim.Options.Validate
+// rejects are the same *sim.OptionError, naming the field, from every
+// evaluator.
+func TestEvaluatorsRejectInvalidOptions(t *testing.T) {
 	w := testWorkload(t, 3, 20, 3, 2)
 	s, err := heft.HEFT(w, heft.Options{})
 	if err != nil {
@@ -566,16 +563,6 @@ func TestEvaluatorsRejectNonUniformModels(t *testing.T) {
 			return err
 		}},
 	}
-	models := []struct {
-		name  string
-		opt   sim.Options
-		field string
-	}{
-		{"lognormal", sim.Options{Realizations: 5, Model: sim.ModelLognormal}, "Model"},
-		{"pareto", sim.Options{Realizations: 5, Model: sim.ModelBoundedPareto, ParetoShape: 1.5}, "Model"},
-		{"shared-load", sim.Options{Realizations: 5, Corr: sim.CorrShared, LoadCOV: 0.3}, "Corr"},
-		{"antithetic", sim.Options{Realizations: 5, Antithetic: true}, "Antithetic"},
-	}
 	invalid := []struct {
 		name  string
 		opt   sim.Options
@@ -585,21 +572,10 @@ func TestEvaluatorsRejectNonUniformModels(t *testing.T) {
 		{"an infinite deadline", sim.Options{Realizations: 5, Deadline: math.Inf(1)}, "Deadline"},
 		{"negative workers", sim.Options{Realizations: 5, Workers: -3}, "Workers"},
 		{"a negative batch size", sim.Options{Realizations: 5, BatchSize: -1}, "BatchSize"},
+		{"an unknown model", sim.Options{Realizations: 5, Model: 9}, "Model"},
+		{"a load mode without COV", sim.Options{Realizations: 5, Corr: sim.CorrShared}, "LoadCOV"},
 	}
 	for _, ev := range evaluators {
-		if err := ev.run(sim.Options{Realizations: 5}); err != nil {
-			t.Fatalf("%s rejected the uniform model: %v", ev.name, err)
-		}
-		for _, md := range models {
-			if err := md.opt.Validate(); err != nil {
-				t.Fatalf("%s options invalid: %v", md.name, err)
-			}
-			err := ev.run(md.opt)
-			var oe *sim.OptionError
-			if !errors.As(err, &oe) || oe.Field != md.field {
-				t.Errorf("%s under %s: got %v, want an *sim.OptionError on %s", ev.name, md.name, err, md.field)
-			}
-		}
 		for _, in := range invalid {
 			err := ev.run(in.opt)
 			var oe *sim.OptionError

@@ -170,36 +170,30 @@ type Metrics struct {
 // Evaluate Monte-Carlo evaluates the schedule under the repair policy.
 // M0 is the schedule's planned makespan, so tardiness and miss rate are
 // directly comparable with the static (right-shift) evaluation. Durations
-// follow the independent uniform model (see sim.Options.CheckUniform).
+// are sampled by sim.Durations from sim.SeedVector, so every duration model,
+// correlation mode and antithetic pairing applies, and right-shift execution
+// reproduces sim.Evaluate's makespans from the same root bit for bit.
 func Evaluate(s *schedule.Schedule, pol Policy, opt sim.Options, root *rng.Source) (Metrics, error) {
 	if err := opt.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	if err := opt.CheckUniform(); err != nil {
+	ranks := heft.UpwardRanks(s.Workload())
+	makespans := make([]float64, opt.Realizations)
+	resched := make([]int, opt.Realizations)
+	err := sim.Durations(s.Workload(), opt, sim.SeedVector(opt.Realizations, opt.Antithetic, root), func(k int, durs platform.Matrix) error {
+		o, err := execute(s, durs, pol, ranks)
+		makespans[k], resched[k] = o.Makespan, o.Reschedules
+		return err
+	})
+	if err != nil {
 		return Metrics{}, err
 	}
-	w := s.Workload()
-	n, m := w.N(), w.M()
-	ranks := heft.UpwardRanks(w)
-	makespans := make([]float64, opt.Realizations)
-	totalResched := 0
-	durs := platform.NewMatrix(n, m)
-	for k := range makespans {
-		r := rng.New(root.Uint64())
-		for i := 0; i < n; i++ {
-			for p := 0; p < m; p++ {
-				durs.Set(i, p, w.SampleDuration(i, p, r))
-			}
-		}
-		o, err := execute(s, durs, pol, ranks)
-		if err != nil {
-			return Metrics{}, err
-		}
-		makespans[k] = o.Makespan
-		totalResched += o.Reschedules
+	total := 0
+	for _, r := range resched {
+		total += r
 	}
 	return Metrics{
 		Metrics:         sim.MetricsFromSamples(s.Makespan(), makespans, opt.Deadline),
-		MeanReschedules: float64(totalResched) / float64(opt.Realizations),
+		MeanReschedules: float64(total) / float64(opt.Realizations),
 	}, nil
 }

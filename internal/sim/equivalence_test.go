@@ -47,23 +47,8 @@ func refMakespans(tb testing.TB, ss []*schedule.Schedule, opt Options, root *rng
 	dur := make([]float64, n)
 	startBuf := make([]float64, n)
 	finishBuf := make([]float64, n)
-	general := opt.Model != ModelUniform || opt.Corr != CorrNone
 	for i := 0; i < opt.Realizations; i++ {
-		r := rng.New(seeds[i])
-		mirrored := opt.Antithetic && i%2 == 1
-		if general {
-			refGeneralMatrix(durs, w, opt, r, mirrored)
-		} else {
-			var src interface{ Uniform(a, b float64) float64 } = r
-			if mirrored {
-				src = refMirrored{r}
-			}
-			for t := 0; t < n; t++ {
-				for p := 0; p < m; p++ {
-					durs[t*m+p] = w.SampleDuration(t, p, src)
-				}
-			}
-		}
+		refMatrix(durs, w, opt, rng.New(seeds[i]), opt.Antithetic && i%2 == 1)
 		for j, s := range ss {
 			for t := 0; t < n; t++ {
 				dur[t] = durs[t*m+s.Proc(t)]
@@ -72,6 +57,24 @@ func refMakespans(tb testing.TB, ss []*schedule.Schedule, opt Options, root *rng
 		}
 	}
 	return out
+}
+
+// refMatrix samples one full n×m duration matrix, row-major, as the scalar
+// engine did: through Workload.SampleDuration (midpoint-mirrored when
+// mirrored) under the uniform model, through refGeneralMatrix otherwise.
+func refMatrix(durs []float64, w *platform.Workload, opt Options, r *rng.Source, mirrored bool) {
+	if opt.Model != ModelUniform || opt.Corr != CorrNone {
+		refGeneralMatrix(durs, w, opt, r, mirrored)
+		return
+	}
+	var src interface{ Uniform(a, b float64) float64 } = r
+	if mirrored {
+		src = refMirrored{r}
+	}
+	m := w.M()
+	for k := range durs {
+		durs[k] = w.SampleDuration(k/m, k%m, src)
+	}
 }
 
 // refGeneralMatrix samples one full n×m duration matrix under opt's model

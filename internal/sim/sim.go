@@ -130,7 +130,7 @@ type Options struct {
 	// mean estimator's variance strictly drops for the same sample count —
 	// classic antithetic-variates variance reduction. Odd realization
 	// counts leave the last sample unpaired. Repair, dynamic dispatch and
-	// faulty execution reject it (see CheckUniform).
+	// faulty execution pair their realizations the same way (see Durations).
 	Antithetic bool
 	// BatchSize is the number of realizations evaluated per batched kernel
 	// sweep; 0 means DefaultBatchSize. Any width yields bit-identical
@@ -213,25 +213,6 @@ func (o Options) Validate() error {
 	}
 	if o.Model == ModelBoundedPareto && o.ParetoShape == 0 {
 		return &OptionError{"ParetoShape", o.ParetoShape, "must be > 0 for the bounded-Pareto model"}
-	}
-	return nil
-}
-
-// CheckUniform returns an *OptionError unless o selects the paper's
-// independent uniform duration model (the zero Model and Corr) without
-// antithetic pairing. Repair, dynamic dispatch and faulty execution sample
-// durations through platform.Workload.SampleDuration, which implements that
-// model only and has no mirrored draw, so they reject anything else instead
-// of silently sampling something different.
-func (o Options) CheckUniform() error {
-	if o.Model != ModelUniform {
-		return &OptionError{"Model", float64(o.Model), fmt.Sprintf("(%s): only the uniform model is supported here", o.Model)}
-	}
-	if o.Corr != CorrNone {
-		return &OptionError{"Corr", float64(o.Corr), fmt.Sprintf("(%s): only independent durations are supported here", o.Corr)}
-	}
-	if o.Antithetic {
-		return &OptionError{"Antithetic", 1, "(true): mirrored draws are not supported here"}
 	}
 	return nil
 }
@@ -561,6 +542,21 @@ func (sp *sampler) sampleMirroredInto(dst []float64, stride, lane int, r *rng.So
 	}
 }
 
+// sample draws the realization seeded by seed into lane `lane` of dst on
+// the path the options select: general for any non-default Model/Corr,
+// else uniform, mirrored for the odd half of an antithetic pair.
+func (sp *sampler) sample(dst []float64, stride, lane int, seed uint64, mirror bool, u, load []float64) {
+	r := rng.New(seed)
+	switch {
+	case sp.general():
+		sp.sampleGeneralInto(dst, stride, lane, r, u, load, mirror)
+	case mirror:
+		sp.sampleMirroredInto(dst, stride, lane, r, u)
+	default:
+		sp.sampleInto(dst, stride, lane, r, u)
+	}
+}
+
 // flip returns the antithetic counterpart 1−u of a draw when mirrored.
 func flip(u float64, mirrored bool) float64 {
 	if mirrored {
@@ -750,19 +746,10 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 				occupancy.Observe(float64(b))
 				for l := 0; l < b; l++ {
 					i := lo + l
-					r := rng.New(seeds[i])
 					// The antithetic mirror follows the global realization
 					// index, so a window starting on an odd index keeps
 					// mirroring exactly the realizations the full run would.
-					mirror := opt.Antithetic && (base+i)%2 == 1
-					switch {
-					case sp.general():
-						sp.sampleGeneralInto(durs, b, l, r, u, load, mirror)
-					case mirror:
-						sp.sampleMirroredInto(durs, b, l, r, u)
-					default:
-						sp.sampleInto(durs, b, l, r, u)
-					}
+					sp.sample(durs, b, l, seeds[i], opt.Antithetic && (base+i)%2 == 1, u, load)
 				}
 				for j, s := range ss {
 					for t, e := range gather[j*n : j*n+n] {
@@ -777,6 +764,57 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 	}
 	wg.Wait()
 	return mks, nil
+}
+
+// Durations is the realization loop of the evaluators that play whole
+// duration matrices (runtime repair, faulty execution, dynamic dispatch):
+// it hands fn(k, durs) realization k's full n×m matrix, sampled from
+// seeds[k] exactly as RealizeSeeded samples it at base 0 — same uniform
+// block, model, correlation and antithetic mirror — so right-shift
+// execution reproduces RealizeSeeded's makespans bit for bit.
+// opt.Realizations is ignored. Realizations fan out across opt.Workers
+// goroutines that each reuse one matrix, so fn runs concurrently for
+// distinct k and must not retain durs. The error returned is that of the
+// lowest k whose fn failed.
+func Durations(w *platform.Workload, opt Options, seeds []uint64, fn func(k int, durs platform.Matrix) error) error {
+	vopt := opt
+	vopt.Realizations = len(seeds)
+	if err := vopt.Validate(); err != nil {
+		return err
+	}
+	n, m := w.N(), w.M()
+	pairs := make([]int32, n*m)
+	for k := range pairs {
+		pairs[k] = int32(k)
+	}
+	sp := newSampler(w, opt, pairs)
+	errs := make([]error, len(seeds))
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for range min(opt.workers(), len(seeds)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			durs := platform.NewMatrix(n, m)
+			flat := make([]float64, n*m)       // the sampled matrix, row-major
+			u := make([]float64, sp.scratch()) // one realization's uniform block
+			load := make([]float64, m)         // CorrShared per-processor factors
+			for k := int(cursor.Add(1)) - 1; k < len(seeds); k = int(cursor.Add(1)) - 1 {
+				sp.sample(flat, 1, 0, seeds[k], opt.Antithetic && k%2 == 1, u, load)
+				for t := 0; t < n; t++ {
+					copy(durs.Row(t), flat[t*m:])
+				}
+				errs[k] = fn(k, durs)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SharedWorkload returns the one workload every schedule of ss is bound to.
