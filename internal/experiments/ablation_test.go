@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -153,8 +155,13 @@ func TestSensitivity(t *testing.T) {
 	if _, err := c.Sensitivity(SweepCCR, nil, 1.4); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := c.Sensitivity(SweepProcs, []float64{0}, 1.4); err == nil {
-		t.Error("zero processors accepted")
+	// A processor count must be a finite integer >= 1; anything else is an
+	// error naming the value, never a truncated count.
+	for _, procs := range []float64{0, 2.7, math.NaN(), math.Inf(1)} {
+		_, err := c.Sensitivity(SweepProcs, []float64{procs}, 1.4)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%g", procs)) {
+			t.Errorf("%g processors: got error %v, want one naming the value", procs, err)
+		}
 	}
 }
 

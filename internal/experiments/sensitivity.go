@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"robsched/internal/platform"
 	"robsched/internal/rng"
@@ -64,10 +65,12 @@ func (c Config) Sensitivity(param SensitivityParam, grid []float64, eps float64)
 		case SweepShape:
 			cfg.Gen.Shape = val
 		case SweepProcs:
-			cfg.Gen.M = int(val)
-			if cfg.Gen.M < 1 {
-				return nil, fmt.Errorf("experiments: processor count %g invalid", val)
+			// NaN fails every comparison; the upper bound keeps int(val)
+			// defined on every platform.
+			if !(val >= 1 && val <= math.MaxInt32 && val == math.Trunc(val)) {
+				return nil, fmt.Errorf("experiments: processor count %g is not an integer >= 1", val)
 			}
+			cfg.Gen.M = int(val)
 		default:
 			return nil, fmt.Errorf("experiments: unknown sensitivity parameter %v", param)
 		}
