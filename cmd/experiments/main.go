@@ -252,27 +252,41 @@ func execute(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, out)
 		fmt.Fprintln(stdout)
 	}
-	if want["2"] || want["3"] {
-		modes := []struct {
-			fig   string
-			mode  robust.Mode
-			title string
-		}{
-			{"2", robust.MinMakespan, "Fig. 2 — GA minimizing the makespan: ln ratio vs generation 0"},
-			{"3", robust.MaxSlack, "Fig. 3 — GA maximizing the slack: ln ratio vs generation 0"},
-		}
-		for _, m := range modes {
-			if !want[m.fig] {
+	// An emission table: each entry whose key is wanted runs and is emitted
+	// as fig<prefix><key>, in table order.
+	type figure struct {
+		key, title, xlabel string
+		run                func() ([]experiments.Series, error)
+	}
+	emitTable := func(prefix string, want map[string]bool, figs []figure) error {
+		for _, f := range figs {
+			if !want[f.key] {
 				continue
 			}
-			tr, err := cfg.EvolutionTrace(m.mode)
+			s, err := f.run()
 			if err != nil {
 				return err
 			}
-			if err := emit(m.fig, m.title, "step", tr.Series()); err != nil {
+			if err := emit(prefix+f.key, f.title, f.xlabel, s); err != nil {
 				return err
 			}
 		}
+		return nil
+	}
+	trace := func(mode robust.Mode) func() ([]experiments.Series, error) {
+		return func() ([]experiments.Series, error) {
+			tr, err := cfg.EvolutionTrace(mode)
+			if err != nil {
+				return nil, err
+			}
+			return tr.Series(), nil
+		}
+	}
+	if err := emitTable("", want, []figure{
+		{"2", "Fig. 2 — GA minimizing the makespan: ln ratio vs generation 0", "step", trace(robust.MinMakespan)},
+		{"3", "Fig. 3 — GA maximizing the slack: ln ratio vs generation 0", "step", trace(robust.MaxSlack)},
+	}); err != nil {
+		return err
 	}
 	if want["4"] || want["5"] || want["6"] || want["7"] || want["8"] {
 		fmt.Fprintf(stderr, "experiments: running UL×ε sweep (%d ULs × %d ε × %d graphs)...\n",
@@ -281,79 +295,30 @@ func execute(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if want["4"] {
-			s, err := sw.Fig4()
-			if err != nil {
-				return err
-			}
-			if err := emit("4", "Fig. 4 — improvement over HEFT at ε = 1.0 (ln ratio)", "UL", s); err != nil {
-				return err
-			}
+		byMetric := func(fig func(experiments.Metric) ([]experiments.Series, error), m experiments.Metric) func() ([]experiments.Series, error) {
+			return func() ([]experiments.Series, error) { return fig(m) }
 		}
-		if want["5"] {
-			s, err := sw.FigEpsImprovement(experiments.R1)
-			if err != nil {
-				return err
-			}
-			if err := emit("5", "Fig. 5 — R1 improvement over ε = 1.0 (relative)", "eps", s); err != nil {
-				return err
-			}
-		}
-		if want["6"] {
-			s, err := sw.FigEpsImprovement(experiments.R2)
-			if err != nil {
-				return err
-			}
-			if err := emit("6", "Fig. 6 — R2 improvement over ε = 1.0 (relative)", "eps", s); err != nil {
-				return err
-			}
-		}
-		if want["7"] {
-			s, err := sw.FigBestEps(experiments.R1)
-			if err != nil {
-				return err
-			}
-			if err := emit("7", "Fig. 7 — best ε for overall performance (R1)", "r", s); err != nil {
-				return err
-			}
-		}
-		if want["8"] {
-			s, err := sw.FigBestEps(experiments.R2)
-			if err != nil {
-				return err
-			}
-			if err := emit("8", "Fig. 8 — best ε for overall performance (R2)", "r", s); err != nil {
-				return err
-			}
+		if err := emitTable("", want, []figure{
+			{"4", "Fig. 4 — improvement over HEFT at ε = 1.0 (ln ratio)", "UL", sw.Fig4},
+			{"5", "Fig. 5 — R1 improvement over ε = 1.0 (relative)", "eps", byMetric(sw.FigEpsImprovement, experiments.R1)},
+			{"6", "Fig. 6 — R2 improvement over ε = 1.0 (relative)", "eps", byMetric(sw.FigEpsImprovement, experiments.R2)},
+			{"7", "Fig. 7 — best ε for overall performance (R1)", "r", byMetric(sw.FigBestEps, experiments.R1)},
+			{"8", "Fig. 8 — best ε for overall performance (R2)", "r", byMetric(sw.FigBestEps, experiments.R2)},
+		}); err != nil {
+			return err
 		}
 	}
-	if len(wantAbl) > 0 {
-		type abl struct {
-			key, title, xlabel string
-			run                func() ([]experiments.Series, error)
-		}
-		abls := []abl{
-			{"seed", "Ablation — HEFT seed in the initial population", "UL", cfg.AblationSeed},
-			{"slackmetric", "Ablation — average vs minimum slack surrogate", "UL", cfg.AblationSlackMetric},
-			{"risk", "Ablation — risk-adjusted HEFT (E[c]+k·σ): relative change vs plain HEFT", "k",
-				func() ([]experiments.Series, error) { return cfg.AblationRiskFactor(nil) }},
-			{"policies", "Comparison — static / repair / dynamic / robust-GA realized mean (÷ static HEFT)", "UL",
-				func() ([]experiments.Series, error) { return cfg.PolicyComparison(1.4, 0.05) }},
-			{"gaparams", "Ablation — GA crossover/mutation rate grid (final slack ÷ pc=0.9,pm=0.1)", "pm",
-				func() ([]experiments.Series, error) { return cfg.AblationGAParams(nil, nil) }},
-		}
-		for _, a := range abls {
-			if !wantAbl[a.key] {
-				continue
-			}
-			s, err := a.run()
-			if err != nil {
-				return err
-			}
-			if err := emit("abl_"+a.key, a.title, a.xlabel, s); err != nil {
-				return err
-			}
-		}
+	if err := emitTable("abl_", wantAbl, []figure{
+		{"seed", "Ablation — HEFT seed in the initial population", "UL", cfg.AblationSeed},
+		{"slackmetric", "Ablation — average vs minimum slack surrogate", "UL", cfg.AblationSlackMetric},
+		{"risk", "Ablation — risk-adjusted HEFT (E[c]+k·σ): relative change vs plain HEFT", "k",
+			func() ([]experiments.Series, error) { return cfg.AblationRiskFactor(nil) }},
+		{"policies", "Comparison — static / repair / dynamic / robust-GA realized mean (÷ static HEFT)", "UL",
+			func() ([]experiments.Series, error) { return cfg.PolicyComparison(1.4, 0.05) }},
+		{"gaparams", "Ablation — GA crossover/mutation rate grid (final slack ÷ pc=0.9,pm=0.1)", "pm",
+			func() ([]experiments.Series, error) { return cfg.AblationGAParams(nil, nil) }},
+	}); err != nil {
+		return err
 	}
 	if *sensitivity != "" {
 		var (
