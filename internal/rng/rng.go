@@ -46,18 +46,23 @@ func splitMix64(x *uint64) uint64 {
 // New returns a Source seeded from the given 64-bit seed. Distinct seeds
 // yield streams that are, for all practical purposes, independent.
 func New(seed uint64) *Source {
-	var s Source
+	return &Source{s: seedState(seed)}
+}
+
+// seedState returns the xoshiro256++ state New(seed) starts from.
+func seedState(seed uint64) [4]uint64 {
+	var s [4]uint64
 	x := seed
-	for i := range s.s {
-		s.s[i] = splitMix64(&x)
+	for i := range s {
+		s[i] = splitMix64(&x)
 	}
 	// A pathological all-zero state cannot occur: SplitMix64 is a bijection
 	// pipeline and produces four zero outputs only for specific inputs that
 	// the increment rules out, but guard anyway.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9e3779b97f4a7c15
 	}
-	return &s
+	return s
 }
 
 // Split returns a new Source whose stream is independent of the parent's

@@ -129,13 +129,12 @@ func TestGeneralMirrorExact(t *testing.T) {
 		if !sp.general() {
 			t.Fatalf("case %d: expected general sampler", ci)
 		}
-		u := make([]float64, sp.scratch())
-		load := make([]float64, m)
+		ls := sp.newLanes()
 		fwd := make([]float64, n*m)
 		mir := make([]float64, n*m)
 		const seed = 777
-		sp.sampleGeneralInto(fwd, 1, 0, rng.New(seed), u, load, false)
-		sp.sampleGeneralInto(mir, 1, 0, rng.New(seed), u, load, true)
+		sp.sample(fwd, 1, 0, []uint64{seed}, 0, ls)
+		sp.sample(mir, 1, 0, []uint64{seed}, 1, ls)
 
 		// Reference: draw the same block, flip every uniform, apply the
 		// documented transforms.
@@ -219,13 +218,12 @@ func TestEqualMarginals(t *testing.T) {
 	const N = 30000
 	moments := func(corr Correlation) (mean, variance float64) {
 		sp := newSampler(w, Options{Corr: corr, LoadCOV: 0.5}, allPairs(w))
-		u := make([]float64, sp.scratch())
-		load := make([]float64, m)
+		ls := sp.newLanes()
 		dst := make([]float64, n*m)
 		root := rng.New(55)
 		var sum, sumsq float64
 		for i := 0; i < N; i++ {
-			sp.sampleGeneralInto(dst, 1, 0, rng.New(root.Uint64()), u, load, false)
+			sp.sample(dst, 1, 0, []uint64{root.Uint64()}, 0, ls)
 			v := dst[0] // entry (task 0, proc 0)
 			sum += v
 			sumsq += v * v
