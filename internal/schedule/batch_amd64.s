@@ -1,46 +1,25 @@
 #include "textflag.h"
 
-// func cpuAVX() bool
-//
-// CPUID.1:ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0
-// (XGETBV with ECX=0) must show the OS saving the SSE and AVX state
-// (bits 1 and 2); XGETBV faults unless OSXSAVE is set, so it runs last.
-TEXT ·cpuAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  noavx
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
-	RET
-
-noavx:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func batch8AVX(topo, predOff, predTo, dpred []int32, predComm, dur, finish []float64, out *[8]float64)
+// func batch8AVX(topo, predOff, predTo, dpred, idx []int32, predComm, dur, finish []float64, out *[8]float64)
 //
 // makespanBatch8 on two ymm halves: Y0/Y1 hold lanes 0-3/4-7 of the
-// current task's start time and Y4/Y5 those of the running makespan. Go's
+// current task's start time and Y4/Y5 those of the running makespan. Task
+// v's durations are block idx[v] of dur, or block v when idx is nil. Go's
 // AVX operand order is reversed from Intel's: "VADDPD b, a, d" sets
 // d = a + b and "VMAXPD b, a, d" sets d = (a > b ? a : b), which is the
 // scalar "if a > b { b = a }" in every case, NaN and ±0 included, when
-// d is b. Every slice length is checked by the Go caller.
-TEXT ·batch8AVX(SB), NOSPLIT, $0-176
+// d is b. Every slice length and every block idx names is checked by the
+// Go caller.
+TEXT ·batch8AVX(SB), NOSPLIT, $0-200
 	MOVQ topo_base+0(FP), SI
 	MOVQ topo_len+8(FP), CX
 	MOVQ predOff_base+24(FP), R8
 	MOVQ predTo_base+48(FP), R9
 	MOVQ dpred_base+72(FP), R10
-	MOVQ predComm_base+96(FP), R11
-	MOVQ dur_base+120(FP), R12
-	MOVQ finish_base+144(FP), R13
+	MOVQ idx_base+96(FP), R14
+	MOVQ predComm_base+120(FP), R11
+	MOVQ dur_base+144(FP), R12
+	MOVQ finish_base+168(FP), R13
 	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
 	TESTQ  CX, CX
@@ -82,9 +61,16 @@ disjunctive:
 	VMAXPD  Y1, Y7, Y1
 
 store:
+	MOVQ    AX, DX              // block v without an index
+	TESTQ   R14, R14
+	JEQ     block
+	MOVLQSX (R14)(AX*4), DX     // block idx[v]
+
+block:
+	SHLQ    $6, DX
 	SHLQ    $6, AX
-	VADDPD  (R12)(AX*1), Y0, Y0 // finish = st + dur
-	VADDPD  32(R12)(AX*1), Y1, Y1
+	VADDPD  (R12)(DX*1), Y0, Y0 // finish = st + dur
+	VADDPD  32(R12)(DX*1), Y1, Y1
 	VMOVUPD Y0, (R13)(AX*1)
 	VMOVUPD Y1, 32(R13)(AX*1)
 	VMAXPD  Y4, Y0, Y4          // if finish > out { out = finish }
@@ -93,7 +79,7 @@ store:
 	JNE     task
 
 done:
-	MOVQ    out+168(FP), DI
+	MOVQ    out+192(FP), DI
 	VMOVUPD Y4, (DI)
 	VMOVUPD Y5, 32(DI)
 	VZEROUPPER

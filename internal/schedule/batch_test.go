@@ -31,6 +31,23 @@ func TestMakespanBatchMatchesScalar(t *testing.T) {
 			finish := make([]float64, n*lanes)
 			s.MakespanBatchInto(lanes, dur, st, finish, out)
 
+			// The indexed form on the same durations stored in shuffled
+			// blocks, two spare ones included, gives the same bits.
+			idx := make([]int32, n)
+			shuffled := make([]float64, (n+2)*lanes)
+			for v, b := range r.Perm(n + 2)[:n] {
+				idx[v] = int32(b)
+				copy(shuffled[b*lanes:(b+1)*lanes], dur[v*lanes:(v+1)*lanes])
+			}
+			outIdx := make([]float64, lanes)
+			s.MakespanBatchIndexed(lanes, shuffled, idx, st, make([]float64, n*lanes), outIdx)
+			for l := range out {
+				if !sameBits(outIdx[l], out[l]) {
+					t.Fatalf("trial %d lanes %d: lane %d indexed makespan %v != %v",
+						trial, lanes, l, outIdx[l], out[l])
+				}
+			}
+
 			scalarDur := make([]float64, n)
 			startBuf := make([]float64, n)
 			finishBuf := make([]float64, n)
@@ -69,9 +86,10 @@ var batchSpecials = []float64{
 // write the same bits into every finish time and every makespan, on random
 // workloads (n 1–60, m 1–5) and paper-size ones, with durations and
 // communication costs drawn from ordinary values mixed with NaN, −0, ±Inf,
-// subnormals and huge values. makespanBatch8 is the kernel every host
-// without AVX runs, so this holds the fallback to the dispatched path's
-// output.
+// subnormals and huge values, and task durations read from block v (no
+// index), from shuffled blocks and from repeated ones (several tasks
+// reading one block). makespanBatch8 is the kernel every host without AVX
+// runs, so this holds the fallback to the dispatched path's output.
 func TestMakespanBatch8AVXMatchesGo(t *testing.T) {
 	if !hasAVX {
 		t.Skip("the CPU or OS lacks AVX, so the assembly kernel never runs on this host")
@@ -87,13 +105,30 @@ func TestMakespanBatch8AVXMatchesGo(t *testing.T) {
 	check := func(ctx string, w *platform.Workload, s *Schedule) {
 		t.Helper()
 		n := w.N()
-		for _, special := range []float64{0, 0.05, 0.3} {
+		for c := 0; c < 9; c++ {
+			special, layout := []float64{0, 0.05, 0.3}[c%3], c/3
 			for k := range s.predComm {
 				s.predComm[k] = value(special, r.Uniform(0, 8))
 			}
-			dur := make([]float64, n*L)
+			var idx []int32
+			blocks := n
+			switch layout {
+			case 1: // shuffled blocks, three of them spare
+				blocks = n + 3
+				idx = make([]int32, n)
+				for v, b := range r.Perm(blocks)[:n] {
+					idx[v] = int32(b)
+				}
+			case 2: // repeated blocks
+				blocks = max(1, n/2)
+				idx = make([]int32, n)
+				for v := range idx {
+					idx[v] = int32(r.Intn(blocks))
+				}
+			}
+			dur := make([]float64, blocks*L)
 			for i := range dur {
-				dur[i] = value(special, w.SampleDuration(i/L, s.Proc(i/L), r))
+				dur[i] = value(special, w.SampleDuration(i/L%n, s.Proc(i/L%n), r))
 			}
 			// Different fill in each kernel's buffers, so an entry one of
 			// them leaves unwritten cannot match by accident.
@@ -102,18 +137,18 @@ func TestMakespanBatch8AVXMatchesGo(t *testing.T) {
 				finAsm[i], finGo[i] = -1, -2
 			}
 			outAsm, outGo := make([]float64, L), make([]float64, L)
-			s.makespanBatch8AVX(n, dur, finAsm, outAsm)
-			s.makespanBatch8(n, dur, finGo, outGo)
+			s.makespanBatch8AVX(n, dur, idx, finAsm, outAsm)
+			s.makespanBatch8(n, dur, idx, finGo, outGo)
 			for i := range finAsm {
 				if !sameBits(finAsm[i], finGo[i]) {
-					t.Fatalf("%s, special share %v: finish %d lane %d: go %v asm %v",
-						ctx, special, i/L, i%L, finGo[i], finAsm[i])
+					t.Fatalf("%s, special share %v, index %v: finish %d lane %d: go %v asm %v",
+						ctx, special, idx, i/L, i%L, finGo[i], finAsm[i])
 				}
 			}
 			for l := range outAsm {
 				if !sameBits(outAsm[l], outGo[l]) {
-					t.Fatalf("%s, special share %v: lane %d makespan: go %v asm %v",
-						ctx, special, l, outGo[l], outAsm[l])
+					t.Fatalf("%s, special share %v, index %v: lane %d makespan: go %v asm %v",
+						ctx, special, idx, l, outGo[l], outAsm[l])
 				}
 			}
 		}
@@ -136,20 +171,40 @@ func TestMakespanBatch8AVXMatchesGo(t *testing.T) {
 }
 
 // TestMakespanBatch8AVXChecksLengths: the assembly does no bounds checks, so
-// its wrapper refuses inputs whose lengths disagree instead of reading past
-// a slice.
+// its wrapper refuses inputs whose lengths disagree, and an index naming a
+// block outside dur, instead of reading past a slice.
 func TestMakespanBatch8AVXChecksLengths(t *testing.T) {
 	r := rng.New(311)
 	w := randomWorkload(t, r, 12, 3)
 	s := randomSchedule(t, r, w)
 	n := w.N()
-	s.dpred = s.dpred[:n-1]
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a short dpred did not panic")
-		}
-	}()
-	s.makespanBatch8AVX(n, make([]float64, n*batchLanes), make([]float64, n*batchLanes), make([]float64, batchLanes))
+	dur := make([]float64, n*batchLanes)
+	idx := func(last int32) []int32 {
+		x := make([]int32, n)
+		x[n-1] = last
+		return x
+	}
+	shortDpred := *s
+	shortDpred.dpred = s.dpred[:n-1]
+	for _, c := range []struct {
+		name string
+		s    *Schedule
+		idx  []int32
+	}{
+		{"a short dpred", &shortDpred, nil},
+		{"a short index", s, make([]int32, n-1)},
+		{"a negative block", s, idx(-1)},
+		{"a block past dur", s, idx(int32(n))},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.s.makespanBatch8AVX(n, dur, c.idx, make([]float64, n*batchLanes), make([]float64, batchLanes))
+		}()
+	}
 }
 
 func benchWorkloadAndSchedule(b *testing.B) (*platform.Workload, *Schedule) {
@@ -217,7 +272,7 @@ func BenchmarkRealizeBatch(b *testing.B) {
 	})
 	b.Run("go", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.makespanBatch8(n, dur, finish, out)
+			s.makespanBatch8(n, dur, nil, finish, out)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/realization")
 	})
