@@ -2,10 +2,19 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"robsched/internal/rng"
 )
+
+// quantileSorted is the reference the quantile selection is held to: the
+// exact empirical p-quantile of a sorted sample, the smallest sampled value
+// x such that at least a p fraction of the samples are <= x
+// (sorted[ceil(p·n)−1]).
+func quantileSorted(sorted []float64, p float64) float64 {
+	return sorted[quantileIndex(len(sorted), p)]
+}
 
 func TestQuantileSortedConvention(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -92,5 +101,71 @@ func TestQuantileStableAcrossWorkerCounts(t *testing.T) {
 	}
 	if a.P50 != b.P50 || a.P95 != b.P95 || a.P99 != b.P99 {
 		t.Errorf("quantiles differ across worker counts: %+v vs %+v", a, b)
+	}
+}
+
+// TestQuantilesMatchSort: the P50, P95 and P99 MetricsFromSamples selects
+// are the bits quantileSorted reads after sort.Float64s, for every sample
+// size 1–300 and 1,000, on distinct values, heavy ties, ±Inf and NaN (which
+// sort.Float64s orders first), and already sorted or reversed samples. The
+// selection DeadlineForConfidence reads is checked at further levels, and
+// MetricsFromSamples must leave the caller's slice as it was.
+func TestQuantilesMatchSort(t *testing.T) {
+	r := rng.New(613)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 7}
+	sizes := []int{1000}
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for shape := 0; shape < 5; shape++ {
+			x := make([]float64, n)
+			for i := range x {
+				switch shape {
+				case 0, 3, 4: // distinct
+					x[i] = r.Uniform(100, 200)
+				case 1: // ties
+					x[i] = float64(r.Intn(4))
+				case 2: // specials among ordinary values
+					x[i] = r.Uniform(100, 200)
+					if r.Float64() < 0.2 {
+						x[i] = specials[r.Intn(len(specials))]
+					}
+				}
+			}
+			sorted := append([]float64(nil), x...)
+			sort.Float64s(sorted)
+			switch shape {
+			case 3:
+				copy(x, sorted)
+			case 4:
+				for i := range x {
+					x[i] = sorted[n-1-i]
+				}
+			}
+			orig := append([]float64(nil), x...)
+			m := MetricsFromSamples(150, x, 0)
+			for _, q := range []struct {
+				name string
+				p    float64
+				got  float64
+			}{{"P50", 0.50, m.P50}, {"P95", 0.95, m.P95}, {"P99", 0.99, m.P99}} {
+				if want := quantileSorted(sorted, q.p); math.Float64bits(q.got) != math.Float64bits(want) {
+					t.Fatalf("n=%d shape %d: %s %v, sort gives %v", n, shape, q.name, q.got, want)
+				}
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("n=%d shape %d: MetricsFromSamples reordered its input", n, shape)
+				}
+			}
+			for _, p := range []float64{0.001, 0.1, 0.5, 0.9, 0.975, 1} {
+				y := append([]float64(nil), x...)
+				got := selectNth(y, quantileIndex(n, p))
+				if want := quantileSorted(sorted, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d shape %d: quantile %v selected %v, sort gives %v", n, shape, p, got, want)
+				}
+			}
+		}
 	}
 }
