@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +220,22 @@ func TestWorkloadValidation(t *testing.T) {
 	badU.Set(1, 1, 0.5)
 	if _, err := NewWorkload(g, sys, good, badU); err == nil {
 		t.Error("UL < 1 accepted")
+	}
+	// Non-finite values: the checks above are false for NaN, and +Inf
+	// passes both, so each needs its own rejection naming the pair.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		badB := good.Clone()
+		badB.Set(2, 1, v)
+		_, err := NewWorkload(g, sys, badB, good)
+		if err == nil || !strings.Contains(err.Error(), "task 2 on processor 1") {
+			t.Errorf("BCET %v: error %v, want one naming task 2 on processor 1", v, err)
+		}
+		badU := good.Clone()
+		badU.Set(1, 0, v)
+		_, err = NewWorkload(g, sys, good, badU)
+		if err == nil || !strings.Contains(err.Error(), "task 1 on processor 0") {
+			t.Errorf("UL %v: error %v, want one naming task 1 on processor 0", v, err)
+		}
 	}
 }
 

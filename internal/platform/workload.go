@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 
 	"robsched/internal/dag"
 )
@@ -19,8 +20,9 @@ type Workload struct {
 }
 
 // NewWorkload validates dimensions and value ranges and returns the bundle.
-// UL entries must be >= 1 so that the duration distribution
-// U(b, (2*UL-1)*b) has a non-negative width.
+// BCET entries must be finite and positive, and UL entries finite and
+// >= 1, so that the duration distribution U(b, (2*UL-1)*b) has finite
+// bounds and a non-negative width.
 func NewWorkload(g *dag.Graph, sys *System, bcet, ul Matrix) (*Workload, error) {
 	if g == nil || sys == nil {
 		return nil, fmt.Errorf("platform: workload needs a graph and a system")
@@ -34,11 +36,11 @@ func NewWorkload(g *dag.Graph, sys *System, bcet, ul Matrix) (*Workload, error) 
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
-			if bcet.At(i, j) <= 0 {
-				return nil, fmt.Errorf("platform: non-positive BCET %g for task %d on processor %d", bcet.At(i, j), i, j)
+			if b := bcet.At(i, j); !(b > 0) || math.IsInf(b, 1) {
+				return nil, fmt.Errorf("platform: BCET %g for task %d on processor %d is not finite and positive", b, i, j)
 			}
-			if ul.At(i, j) < 1 {
-				return nil, fmt.Errorf("platform: uncertainty level %g < 1 for task %d on processor %d", ul.At(i, j), i, j)
+			if u := ul.At(i, j); !(u >= 1) || math.IsInf(u, 1) {
+				return nil, fmt.Errorf("platform: uncertainty level %g for task %d on processor %d is not finite and >= 1", u, i, j)
 			}
 		}
 	}
