@@ -2,5 +2,5 @@
 
 package cpu
 
-// AVX and AVX2 are false off amd64: every kernel runs its Go form.
-const AVX, AVX2 = false, false
+// AVX, AVX2 and FMA are false off amd64: every kernel runs its Go form.
+const AVX, AVX2, FMA = false, false, false

@@ -501,18 +501,14 @@ func (d *simDispatch) recvRange(conn *Conn, it flight) error {
 }
 
 // EvaluateAll is the scatter/gather form of sim.EvaluateAll: metrics
-// assembled from the sharded realization vectors, bit-identical to the
-// single-process call for any shard count.
+// assembled in place from the sharded realization vectors, which it owns,
+// bit-identical to the single-process call for any shard count.
 func (c *Coordinator) EvaluateAll(ss []*schedule.Schedule, opt sim.Options, root *rng.Source) ([]sim.Metrics, error) {
 	mks, err := c.RealizeAll(ss, opt, root)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]sim.Metrics, len(ss))
-	for j, s := range ss {
-		out[j] = sim.MetricsFromSamples(s.Makespan(), mks[j], opt.Deadline)
-	}
-	return out, nil
+	return sim.MetricsAll(ss, mks, opt.Deadline), nil
 }
 
 // solveHost is one island-hosting worker of a solve: its connection (nil

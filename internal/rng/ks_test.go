@@ -310,12 +310,17 @@ func TestQuantileMirrorExact(t *testing.T) {
 		}
 	}
 	// Edge cases: u = 0 must not yield 0 (lognormal) or escape [lo, hi]
-	// (Pareto), and the mirror at u = 1 must stay finite.
+	// (Pareto), and the mirrors of the draws 0 and 2^-53, u = 1 and
+	// 1−2^-53, must stay finite: u = 1 is clamped to 1−2^-53 as u = 0 is to
+	// 2^-53.
 	if v := LogNormalQuantile(0, 1, 0); v <= 0 || math.IsInf(v, 0) {
 		t.Errorf("LogNormalQuantile(0,1,0) = %g, want finite positive", v)
 	}
 	if v := LogNormalQuantile(0, 1, 1-0x1p-53); math.IsInf(v, 0) || v <= 0 {
 		t.Errorf("LogNormalQuantile at max u = %g, want finite positive", v)
+	}
+	if v, want := LogNormalQuantile(0, 1, 1), LogNormalQuantile(0, 1, 1-0x1p-53); v != want {
+		t.Errorf("LogNormalQuantile(0,1,1) = %g, want the value at 1−2^-53, %g", v, want)
 	}
 	if v := BoundedParetoQuantile(1, 50, 1.5, 0); v != 1 {
 		t.Errorf("BoundedParetoQuantile at u=0 = %g, want lo", v)

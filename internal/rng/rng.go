@@ -278,12 +278,14 @@ func (r *Source) GammaMeanCOV(mean, cov float64) float64 {
 // distribution of exp(N(mu, sigma²)). It is a pure function of (mu, sigma, u)
 // so that the Monte-Carlo SoA sampler and the antithetic mirror can evaluate
 // the same variate at u and 1−u with bit-identical floating-point op order
-// (every Float64 output k/2^53 makes 1−u exactly representable). u must lie
-// in [0, 1); u == 0 is clamped to the smallest positive draw so the mirror at
-// u = 1 never produces +Inf.
+// (every Float64 output k/2^53 makes 1−u exactly representable). u is
+// clamped to [2^-53, 1−2^-53], the smallest and largest positive draws, so
+// neither a draw of 0 nor its mirror 1 yields 0 or +Inf.
 func LogNormalQuantile(mu, sigma, u float64) float64 {
 	if u <= 0 {
 		u = 0x1p-53
+	} else if u >= 1 {
+		u = 1 - 0x1p-53
 	}
 	return math.Exp(mu + sigma*(math.Sqrt2*math.Erfinv(2*u-1)))
 }

@@ -13,7 +13,10 @@ import (
 // contiguous windows and realizing each window independently (with its
 // global base index) must concatenate to exactly — bit for bit — the
 // makespans of the single full-range run, for even and uneven partitions,
-// with and without antithetic pairing.
+// with and without antithetic pairing, under the uniform model and every
+// model case. A window moves realizations between full groups of eight,
+// which the assembly transforms serve, and partial groups, which take the
+// Go loops.
 func TestRealizeSeededWindowsConcat(t *testing.T) {
 	w := testWorkload(t, 7, 40, 4, 4)
 	ss := []*schedule.Schedule{heftSchedule(t, w)}
@@ -34,36 +37,40 @@ func TestRealizeSeededWindowsConcat(t *testing.T) {
 		{13, 13, 13, 13, 12, 12, 12, 13},
 		{1, 2, 3, 5, 90},
 	}
-	for _, antithetic := range []bool{false, true} {
-		opt := Options{Realizations: R, Antithetic: antithetic}
-		want, err := RealizeAll(ss, opt, rng.New(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds := SeedVector(R, antithetic, rng.New(42))
-		for _, parts := range partitions {
-			base := 0
-			for _, width := range parts {
-				window := seeds[base : base+width]
-				// Vary batch size and workers per window: neither may
-				// change a single bit.
-				opt := Options{Antithetic: antithetic, BatchSize: 1 + base%7, Workers: 1 + base%3}
-				got, err := RealizeSeeded(ss, opt, window, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := range ss {
-					if len(got[j]) != width {
-						t.Fatalf("window [%d,%d): got %d makespans", base, base+width, len(got[j]))
+	for _, model := range append([]Options{{}}, modelCases()...) {
+		for _, antithetic := range []bool{false, true} {
+			opt := model
+			opt.Realizations, opt.Antithetic = R, antithetic
+			want, err := RealizeAll(ss, opt, rng.New(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := SeedVector(R, antithetic, rng.New(42))
+			for _, parts := range partitions {
+				base := 0
+				for _, width := range parts {
+					window := seeds[base : base+width]
+					// Vary batch size and workers per window: neither may
+					// change a single bit.
+					opt := opt
+					opt.BatchSize, opt.Workers = 1+base%7, 1+base%3
+					got, err := RealizeSeeded(ss, opt, window, base)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for l, m := range got[j] {
-						if math.Float64bits(m) != math.Float64bits(want[j][base+l]) {
-							t.Fatalf("antithetic=%v partition %v: schedule %d realization %d: window %v != full %v",
-								antithetic, parts, j, base+l, m, want[j][base+l])
+					for j := range ss {
+						if len(got[j]) != width {
+							t.Fatalf("window [%d,%d): got %d makespans", base, base+width, len(got[j]))
+						}
+						for l, m := range got[j] {
+							if math.Float64bits(m) != math.Float64bits(want[j][base+l]) {
+								t.Fatalf("%v/%v antithetic=%v partition %v: schedule %d realization %d: window %v != full %v",
+									model.Model, model.Corr, antithetic, parts, j, base+l, m, want[j][base+l])
+							}
 						}
 					}
+					base += width
 				}
-				base += width
 			}
 		}
 	}

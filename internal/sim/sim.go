@@ -601,11 +601,22 @@ func (sp *sampler) uniformLanes(dst []float64, stride, l0, c int, u []float64, d
 	if !hasAVX || c != 8 || mirror != 0 {
 		return sp.uniformLanesGo(dst, stride, l0, c, u, d0, d1, e, mirror)
 	}
-	if k := len(sp.ui); len(sp.lo) != k || len(sp.width) != k || len(u) < (d1-d0)*8 ||
-		k > 0 && len(dst) < l0+(k-1)*stride+8 {
+	sp.checkLanes(dst, stride, l0, u, d0, d1, sp.width)
+	return uniform8AVX(sp.ui, sp.lo, sp.width, u, dst[l0:], stride, d0, d1, e)
+}
+
+// checkLanes panics unless lo and every table have one value per entry, u
+// holds the chunk [d0, d1) and dst the eight lanes from l0 of every entry:
+// the assembly transforms check no bounds.
+func (sp *sampler) checkLanes(dst []float64, stride, l0 int, u []float64, d0, d1 int, tables ...[]float64) {
+	k := len(sp.ui)
+	ok := len(sp.lo) == k && len(u) >= (d1-d0)*8 && (k == 0 || len(dst) >= l0+(k-1)*stride+8)
+	for _, t := range tables {
+		ok = ok && len(t) == k
+	}
+	if !ok {
 		panic("sim: lane transform inputs have inconsistent lengths")
 	}
-	return uniform8AVX(sp.ui, sp.lo, sp.width, u, dst[l0:], stride, d0, d1, e)
 }
 
 // uniformLanesGo is the Go form of uniformLanes and the reference its
@@ -664,7 +675,32 @@ func flip(u float64, mirrored bool) float64 {
 //
 // load is the lanes' CorrShared scratch, filled from the block's first
 // chunk.
+//
+// Eight unmirrored lanes of the lognormal model under CorrNone run in AVX2
+// and FMA assembly where the CPU has both and the init check passed; the
+// kernel stops at an entry with a lane outside its fast path (Erfinv's far
+// tail, or an Exp argument archExp treats as a special case), which the Go
+// loop transforms before the kernel resumes. Both forms give the same
+// bits.
 func (sp *sampler) generalLanes(dst []float64, stride, l0, c int, u []float64, d0, d1, e int, mirror uint8, load []float64) int {
+	if !hasLognormal || sp.model != ModelLognormal || sp.corr != CorrNone || c != 8 || mirror != 0 {
+		return sp.generalLanesGo(dst, stride, l0, c, u, d0, d1, e, mirror, load)
+	}
+	sp.checkLanes(dst, stride, l0, u, d0, d1, sp.mu, sp.sigma)
+	for {
+		e = lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst[l0:], stride, d0, d1, e)
+		if e == len(sp.ui) || int(sp.ui[e]) >= d1 {
+			return e
+		}
+		// Entry e's draw is in the chunk, so the kernel left it: the Go
+		// loop transforms it and the degenerate entries after it.
+		e = sp.generalLanesGo(dst, stride, l0, c, u, d0, int(sp.ui[e])+1, e, mirror, load)
+	}
+}
+
+// generalLanesGo is the Go form of generalLanes and the reference its
+// assembly form is tested against.
+func (sp *sampler) generalLanesGo(dst []float64, stride, l0, c int, u []float64, d0, d1, e int, mirror uint8, load []float64) int {
 	if sp.corr == CorrShared && d0 == 0 {
 		for p := 0; p < sp.m; p++ {
 			for l := 0; l < c; l++ {
@@ -944,11 +980,21 @@ func EvaluateAll(ss []*schedule.Schedule, opt Options, root *rng.Source) ([]Metr
 	if err != nil {
 		return nil, err
 	}
+	return MetricsAll(ss, mks, opt.Deadline), nil
+}
+
+// MetricsAll assembles the metrics of every schedule from its realized
+// makespans, mks[j] for ss[j], as RealizeAll returns them; deadline <= 0
+// disables the deadline miss rate. It selects the quantiles in place, so
+// it reorders every vector of mks: EvaluateAll and the sharded evaluation
+// pass vectors they own, and a caller that keeps its sample uses
+// MetricsFromSamples.
+func MetricsAll(ss []*schedule.Schedule, mks [][]float64, deadline float64) []Metrics {
 	out := make([]Metrics, len(ss))
 	for j, s := range ss {
-		out[j] = metricsOf(s.Makespan(), mks[j], opt.Deadline)
+		out[j] = metricsOf(s.Makespan(), mks[j], deadline)
 	}
-	return out, nil
+	return out
 }
 
 // quantileIndex returns the index of the exact empirical p-quantile in a
