@@ -13,6 +13,7 @@ package dag
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -54,7 +55,7 @@ func NewBuilder(n int) *Builder {
 
 // AddEdge records a directed edge from -> to carrying data units of
 // communication. It returns an error for out-of-range endpoints, self loops,
-// duplicate edges, or negative data sizes.
+// duplicate edges, or data sizes that are negative, NaN or infinite.
 func (b *Builder) AddEdge(from, to int, data float64) error {
 	switch {
 	case from < 0 || from >= b.n:
@@ -63,8 +64,8 @@ func (b *Builder) AddEdge(from, to int, data float64) error {
 		return fmt.Errorf("dag: edge target %d out of range [0,%d)", to, b.n)
 	case from == to:
 		return fmt.Errorf("dag: self loop on node %d", from)
-	case data < 0:
-		return fmt.Errorf("dag: negative data size %g on edge %d->%d", data, from, to)
+	case !(data >= 0) || math.IsInf(data, 1):
+		return fmt.Errorf("dag: data size %g on edge %d->%d is not finite and non-negative", data, from, to)
 	}
 	key := [2]int{from, to}
 	if b.seen[key] {

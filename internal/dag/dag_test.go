@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -49,6 +50,13 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if err := b.AddEdge(0, 1, -2); err == nil {
 		t.Error("negative data accepted")
+	}
+	// Non-finite data: data < 0 is false for NaN and +Inf, so each needs
+	// its own rejection naming the edge.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := b.AddEdge(0, 2, v); err == nil || !strings.Contains(err.Error(), "edge 0->2") {
+			t.Errorf("data %v: error %v, want one naming edge 0->2", v, err)
+		}
 	}
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatalf("valid edge rejected: %v", err)

@@ -120,6 +120,16 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(bad); err == nil {
 		t.Error("zero off-diagonal rate accepted")
 	}
+	// Non-finite rates: rate <= 0 is false for NaN and +Inf, so each needs
+	// its own rejection naming the processor pair.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := NewMatrix(3, 3)
+		bad.Fill(1)
+		bad.Set(2, 0, v)
+		if _, err := NewSystem(bad); err == nil || !strings.Contains(err.Error(), "processors 2 and 0") {
+			t.Errorf("rate %v: error %v, want one naming processors 2 and 0", v, err)
+		}
+	}
 }
 
 func TestUniformSystem(t *testing.T) {

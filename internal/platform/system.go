@@ -1,6 +1,9 @@
 package platform
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // System is a set of m fully connected heterogeneous processors with a
 // data-transfer-rate matrix. Intra-processor communication is free and
@@ -10,8 +13,8 @@ type System struct {
 	rates Matrix // rates.At(p, q) = transfer rate between p and q, p != q
 }
 
-// NewSystem validates the rate matrix (square, m×m, positive off-diagonal
-// entries) and returns the system.
+// NewSystem validates the rate matrix (square, m×m, finite and positive
+// off-diagonal entries) and returns the system.
 func NewSystem(rates Matrix) (*System, error) {
 	if rates.IsZero() {
 		return nil, fmt.Errorf("platform: rate matrix is unset")
@@ -22,8 +25,8 @@ func NewSystem(rates Matrix) (*System, error) {
 	m := rates.Rows()
 	for p := 0; p < m; p++ {
 		for q := 0; q < m; q++ {
-			if p != q && rates.At(p, q) <= 0 {
-				return nil, fmt.Errorf("platform: non-positive transfer rate %g between processors %d and %d", rates.At(p, q), p, q)
+			if x := rates.At(p, q); p != q && (!(x > 0) || math.IsInf(x, 1)) {
+				return nil, fmt.Errorf("platform: transfer rate %g between processors %d and %d is not finite and positive", x, p, q)
 			}
 		}
 	}

@@ -167,19 +167,31 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 		remainingPreds[v] = w.G.InDegree(v)
 	}
 	procFree := make([]float64, m)
-	notBefore := make([]float64, n)
-	attempts := make([]int, n)
-	lastProc := make([]int, n)
-	for v := range lastProc {
-		lastProc[v] = out.Proc[v]
+
+	// The fault bookkeeping: each task's earliest restart after a kill, its
+	// kills, the processor its last killed attempt ran on, and whether it
+	// was abandoned. A run that never kills, abandons or re-plans — right
+	// shift under an empty scenario — never reads it, so it is allocated
+	// at the first of those.
+	var (
+		notBefore []float64
+		attempts  []int
+		lastProc  []int
+		abandoned []bool
+	)
+	book := func() {
+		if abandoned == nil {
+			notBefore, attempts = make([]float64, n), make([]int, n)
+			lastProc, abandoned = make([]int, n), make([]bool, n)
+		}
 	}
-	abandoned := make([]bool, n)
 	nAbandoned := 0
 
 	// abandon removes v (and, transitively, every descendant that can now
 	// never become ready) from the run.
 	var abandon func(v int)
 	abandon = func(v int) {
+		book()
 		if abandoned[v] || completed[v] {
 			return
 		}
@@ -219,6 +231,7 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 		if ranks == nil {
 			ranks = heft.UpwardRanks(w)
 		}
+		book()
 		replanWith(w, ranks, completed, abandoned, alive, notBefore, out.Outcome, procFree, queues, planned)
 		return true
 	}
@@ -228,7 +241,7 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 	for done+nAbandoned < n {
 		// Drop abandoned tasks off the queue heads so the scan below only
 		// sees live work.
-		for p := 0; p < m; p++ {
+		for p := 0; p < m && nAbandoned > 0; p++ {
 			for len(queues[p]) > 0 && abandoned[queues[p][0]] {
 				queues[p] = queues[p][1:]
 			}
@@ -254,8 +267,8 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 					start = t
 				}
 			}
-			if nb := notBefore[v]; nb > start {
-				start = nb
+			if notBefore != nil && notBefore[v] > start {
+				start = notBefore[v]
 			}
 			start = sc.NextStart(p, start)
 			if math.IsInf(start, 1) {
@@ -301,7 +314,7 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 			continue
 		}
 		queues[bestProc] = queues[bestProc][1:]
-		if attempts[v] > 0 && bestProc != lastProc[v] {
+		if attempts != nil && attempts[v] > 0 && bestProc != lastProc[v] {
 			out.Migrations++
 			cMigrations.Inc()
 			tsc.Event("migrate",
@@ -311,9 +324,10 @@ func executeFaults(s *schedule.Schedule, durs platform.Matrix, sc fault.Scenario
 				obs.F("time", bestStart),
 			)
 		}
-		lastProc[v] = bestProc
 		fin, killed, killTime := sc.Run(bestProc, bestStart, durs.At(v, bestProc))
 		if killed {
+			book()
+			lastProc[v] = bestProc
 			out.Kills++
 			cKills.Inc()
 			tsc.Event("kill",

@@ -77,7 +77,7 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	// end.
 	dec := schedule.NewDecoder(w)
 	energy := func(c *Chromosome) (float64, error) {
-		m, err := c.metrics(dec)
+		m, err := c.metrics(dec, math.Inf(1))
 		if err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package robust
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"robsched/internal/rng"
@@ -277,5 +278,141 @@ func TestMetricsCacheEvictionResetsShard(t *testing.T) {
 	last := mkChrom(cacheShardCap)
 	if met, ok := mc.lookup(uint64(cacheShardCap)*cacheShardCount, last); !ok || met.m0 != float64(cacheShardCap) {
 		t.Fatalf("post-eviction entry lost: ok=%v met=%+v", ok, met)
+	}
+}
+
+// cacheEntries returns every entry of mc by packed genotype.
+func cacheEntries(mc *MetricsCache) map[string]cacheEntry {
+	out := make(map[string]cacheEntry)
+	for i := range mc.shards {
+		for _, entries := range mc.shards[i].m {
+			for _, e := range entries {
+				out[fmt.Sprint(e.geno)] = e
+			}
+		}
+	}
+	return out
+}
+
+// TestSharedCacheCompletesM0OnlyEntries: an ε = 1.0 solve leaves the
+// entries of its infeasible misses M0-only in a cache, and an ε = 2.0
+// solve with the same seed shares it. Its hits on M0-only entries whose M0
+// it reads as feasible complete those entries in place with the full
+// triple, and its result is bit-identical to the same solve on a private
+// cache and with no cache.
+func TestSharedCacheCompletesM0OnlyEntries(t *testing.T) {
+	w := testWorkload(t, 13, 30, 4)
+	hs, err := HEFTBaseline(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := func(eps float64) Options {
+		return Options{
+			Mode: EpsilonConstraint, Eps: eps, HEFT: hs,
+			PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.15,
+			MaxGenerations: 40, Stagnation: 0,
+		}
+	}
+	shared := NewMetricsCache()
+	first := opt(1.0)
+	first.Cache = shared
+	if _, err := Solve(w, first, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	before := cacheEntries(shared)
+	m0Only := 0
+	for _, e := range before {
+		if math.IsNaN(e.met.avgSlack) {
+			m0Only++
+			if !math.IsNaN(e.met.minSlack) || e.met.m0 <= hs.Makespan() {
+				t.Fatalf("M0-only entry %+v within the bound %v", e.met, hs.Makespan())
+			}
+		}
+	}
+	if m0Only == 0 {
+		t.Fatal("the ε = 1.0 solve left no M0-only entry")
+	}
+
+	var results []*Result
+	for _, variant := range []func(*Options){
+		func(o *Options) { o.Cache = shared },
+		func(o *Options) {},
+		func(o *Options) { o.NoMetricsCache = true },
+	} {
+		o := opt(2.0)
+		variant(&o)
+		res, err := Solve(w, o, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	for _, res := range results[1:] {
+		got, want := results[0], res
+		if !eqInts(got.Schedule.Order(), want.Schedule.Order()) ||
+			!eqInts(got.Schedule.ProcAssignment(), want.Schedule.ProcAssignment()) ||
+			got.Schedule.Makespan() != want.Schedule.Makespan() ||
+			got.Schedule.AvgSlack() != want.Schedule.AvgSlack() ||
+			got.Generations != want.Generations {
+			t.Fatal("the shared-cache solve differs from a private-cache or cache-off solve")
+		}
+	}
+
+	completed := 0
+	for key, e := range cacheEntries(shared) {
+		old, ok := before[key]
+		if !ok || !math.IsNaN(old.met.avgSlack) || math.IsNaN(e.met.avgSlack) {
+			continue
+		}
+		completed++
+		n := len(e.geno) / 2
+		order, proc := make([]int, n), make([]int, n)
+		for i := range order {
+			order[i], proc[i] = int(e.geno[i]), int(e.geno[n+i])
+		}
+		s, err := schedule.FromOrder(w, order, proc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := metricsFromSchedule(s); e.met != want || e.met.m0 > 2.0*hs.Makespan() {
+			t.Fatalf("completed entry %+v, was %+v, the schedule's triple %+v", e.met, old.met, want)
+		}
+	}
+	if completed == 0 {
+		t.Fatal("the ε = 2.0 solve completed no M0-only entry")
+	}
+}
+
+// TestDuplicateMissesShareOneTriple: two chromosomes of one population
+// with the same new genotype both miss, get one triple — the full one's
+// bits — and leave one cache entry; the second insert copies no genotype.
+func TestDuplicateMissesShareOneTriple(t *testing.T) {
+	w := testWorkload(t, 17, 25, 3)
+	c := Random(w, rng.New(3))
+	s, err := c.Decode(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := newEvaluator(w, Options{}, 0, nil, math.Inf(1))
+	pop := []*Chromosome{c.Clone(), c.Clone()}
+	eval.ensureMetrics(pop)
+	if st := eval.cache.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("cache traffic %+v, want two misses", st)
+	}
+	if len(cacheEntries(eval.cache)) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(cacheEntries(eval.cache)))
+	}
+	want := metricsFromSchedule(s)
+	for i, d := range pop {
+		if !d.hasMetr || d.metr != want {
+			t.Fatalf("chromosome %d carries %+v, want %+v", i, d.metr, want)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	k := eval.cache.key(c)
+	if allocs := testing.AllocsPerRun(10, func() { eval.cache.insert(k, c, want) }); allocs != 0 {
+		t.Fatalf("inserting a cached genotype again costs %.0f allocations, want 0", allocs)
 	}
 }

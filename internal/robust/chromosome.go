@@ -29,10 +29,12 @@ type Chromosome struct {
 
 	// metr memoizes the fitness-relevant metrics triple: the only thing the
 	// GA reads of a chromosome's schedule. It is populated either by the
-	// metrics-only decode (schedule.Decoder.Metrics), which never builds
-	// the schedule, or — via the solver's MetricsCache — without computing
-	// anything, which is what makes re-evaluations and genotype-duplicate
-	// individuals free. Code that needs the full schedule decodes it on
+	// metrics-only decode (schedule.Decoder.MetricsUpTo), which never
+	// builds the schedule, or — via the solver's MetricsCache — without
+	// computing anything, which is what makes re-evaluations and
+	// genotype-duplicate individuals free. One evaluator fills it, so an
+	// M0-only triple always has M0 above that evaluator's bound (see
+	// evaluator.upTo). Code that needs the full schedule decodes it on
 	// demand (Decode).
 	metr    schedMetrics
 	hasMetr bool
@@ -110,8 +112,10 @@ func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
 
 // metrics computes the metrics triple of the schedule the chromosome
 // represents without building it, rejecting the genotypes Decode rejects.
-func (c *Chromosome) metrics(d *schedule.Decoder) (schedMetrics, error) {
-	m0, avgSlack, minSlack, err := d.Metrics(c.Order, c.Proc)
+// The slacks are computed only when M0 <= upTo; otherwise they are NaN
+// (schedule.Decoder.MetricsUpTo), and the triple is M0-only.
+func (c *Chromosome) metrics(d *schedule.Decoder, upTo float64) (schedMetrics, error) {
+	m0, avgSlack, minSlack, _, err := d.MetricsUpTo(c.Order, c.Proc, upTo)
 	if err != nil {
 		return schedMetrics{}, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}

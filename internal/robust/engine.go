@@ -2,6 +2,7 @@ package robust
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"robsched/internal/ga"
@@ -50,11 +51,15 @@ func newEngine(w *platform.Workload, opt Options, score func(m schedMetrics, mhe
 	// replaced slot. The ε-constraint fitness (Eqn. 8) is
 	// population-relative (score stays nil) and keeps the full
 	// re-evaluation — which the metrics cache turns into a pure
-	// recombination over already-known metrics.
+	// recombination over already-known metrics. upTo is the makespan up
+	// to which the objective reads a triple's slacks: never under
+	// MinMakespan, up to ε·M_HEFT under Eqn. 8, always otherwise.
+	upTo := math.Inf(1)
 	switch {
 	case score != nil:
 	case opt.Mode == MinMakespan:
 		score = func(m schedMetrics, _ float64) float64 { return -m.m0 }
+		upTo = math.Inf(-1)
 	case opt.Mode == MaxSlack:
 		score = func(m schedMetrics, _ float64) float64 { return m.slack(opt.SlackMetric) }
 	case opt.Mode == EpsilonConstraint:
@@ -73,8 +78,11 @@ func newEngine(w *platform.Workload, opt Options, score func(m schedMetrics, mhe
 		}
 	}
 	mheft := hs.Makespan()
+	if score == nil {
+		upTo = opt.Eps * mheft
+	}
 
-	eval := newEvaluator(w, opt, mheft, score)
+	eval := newEvaluator(w, opt, mheft, score, upTo)
 	cfg := ga.Config[*Chromosome]{
 		PopSize:        opt.PopSize,
 		CrossoverRate:  opt.CrossoverRate,
@@ -106,7 +114,7 @@ func (e *Engine) Config() ga.Config[*Chromosome] { return e.cfg }
 // operators — migrants read off the wire — must pass it before they reach
 // the evaluator, which treats a decode failure as a bug.
 func (e *Engine) Validate(c *Chromosome) error {
-	_, err := c.metrics(e.eval.dec)
+	_, err := c.metrics(e.eval.dec, math.Inf(1))
 	return err
 }
 

@@ -4,18 +4,13 @@ import (
 	"testing"
 
 	"robsched/internal/rng"
-	"robsched/internal/schedule"
 )
 
 // BenchmarkEvaluatePopulation times the evaluation of 20 undecoded
 // chromosomes with no metrics cache: every one is a miss.
 func BenchmarkEvaluatePopulation(b *testing.B) {
 	w := testWorkload(b, 5, 100, 8)
-	eval := &evaluator{
-		opt:   Options{Mode: EpsilonConstraint, Eps: 1.4},
-		mheft: 100,
-		dec:   schedule.NewDecoder(w),
-	}
+	eval := newEvaluator(w, Options{Mode: EpsilonConstraint, Eps: 1.4, NoMetricsCache: true}, 100, nil, 1.4*100)
 	r := rng.New(1)
 	template := make([]*Chromosome, 20)
 	for i := range template {

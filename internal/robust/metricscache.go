@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -20,6 +21,14 @@ type schedMetrics struct {
 func metricsFromSchedule(s *schedule.Schedule) schedMetrics {
 	return schedMetrics{m0: s.Makespan(), avgSlack: s.AvgSlack(), minSlack: s.MinSlack()}
 }
+
+// covers reports whether m holds what an objective that reads the slacks
+// only when M0 <= upTo needs: the slacks, or an M0 above upTo. A triple
+// computed with a bound (Chromosome.metrics) holds NaN slacks when M0 was
+// above that bound. A computed slack is NaN only when expected durations
+// overflow to +Inf; such a triple is then recomputed whenever its slacks
+// are read, to the same bits.
+func (m schedMetrics) covers(upTo float64) bool { return !math.IsNaN(m.avgSlack) || m.m0 > upTo }
 
 // slack returns the robustness surrogate the slack metric selects.
 func (m schedMetrics) slack(metric SlackMetric) float64 {
@@ -160,9 +169,8 @@ func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
 // copying the genotype so later mutations of the caller's slices cannot
 // corrupt the entry. Duplicate inserts of the same genotype (two
 // chromosomes of one generation, or of two islands, that share a new
-// genotype) collapse to one entry.
+// genotype) collapse to one entry, and copy nothing.
 func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
-	geno := packGenes(make([]int32, 0, len(c.Order)+len(c.Proc)), c)
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -179,8 +187,25 @@ func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
 			return
 		}
 	}
+	geno := packGenes(make([]int32, 0, len(c.Order)+len(c.Proc)), c)
 	sh.m[k] = append(sh.m[k], cacheEntry{geno: geno, met: met})
 	sh.n++
+}
+
+// complete overwrites the M0-only metrics recorded for c's genotype under
+// key k with met, its full triple. An entry evicted since its lookup is
+// left evicted. Neither counts as cache traffic.
+func (mc *MetricsCache) complete(k uint64, c *Chromosome, met schedMetrics) {
+	sh := &mc.shards[k%cacheShardCount]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	entries := sh.m[k]
+	for i := range entries {
+		if genoEqual(entries[i].geno, c.Order, c.Proc) {
+			entries[i].met = met
+			return
+		}
+	}
 }
 
 // packGenes appends c's genotype, order then proc, to dst as int32.

@@ -3,6 +3,7 @@ package robust
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"robsched/internal/ga"
 	"robsched/internal/heft"
@@ -248,7 +249,12 @@ type evaluator struct {
 	// score is the fitness of one metrics triple under a
 	// population-independent objective; nil selects Eqn. 8.
 	score func(m schedMetrics, mheft float64) float64
-	dec   *schedule.Decoder
+	// upTo is the makespan up to which the objective reads a triple's
+	// slacks: a miss above it is scored M0-only (Decoder.MetricsUpTo).
+	// Under Eqn. 8 it is ε·M_HEFT, the feasibility bound evaluateInto
+	// tests.
+	upTo float64
+	dec  *schedule.Decoder
 	// cache is the genotype→metrics cache; nil when Options.NoMetricsCache
 	// disabled it.
 	cache *MetricsCache
@@ -258,9 +264,10 @@ type evaluator struct {
 
 // newEvaluator builds the evaluator of one run on w, with the metrics cache
 // opt asks for: opt.Cache, a private one, or none under NoMetricsCache. A
-// run that only reads metrics, never fitness, passes mheft 0 and no score.
-func newEvaluator(w *platform.Workload, opt Options, mheft float64, score func(schedMetrics, float64) float64) *evaluator {
-	e := &evaluator{opt: opt, mheft: mheft, score: score, dec: schedule.NewDecoder(w)}
+// run that only reads metrics, never fitness, passes mheft 0, no score and
+// an upTo of +Inf.
+func newEvaluator(w *platform.Workload, opt Options, mheft float64, score func(schedMetrics, float64) float64, upTo float64) *evaluator {
+	e := &evaluator{opt: opt, mheft: mheft, score: score, upTo: upTo, dec: schedule.NewDecoder(w)}
 	if !opt.NoMetricsCache {
 		e.cache = opt.Cache
 		if e.cache == nil {
@@ -316,8 +323,14 @@ func (sc *evalScratch) pendingOf(pop []*Chromosome) []*Chromosome {
 // chromosomes are free, cache hits (genotype-equal to any individual seen
 // before, across generations, islands and — via a shared Options.Cache —
 // sibling Solve runs) cost a lookup, and only the misses run the
-// metrics-only decode (schedule.Decoder.Metrics), one after another, each
-// inserting its triple into the cache. No schedule is built.
+// metrics-only decode (schedule.Decoder.MetricsUpTo at the evaluator's
+// bound), one after another, each inserting its triple into the cache. A
+// miss with the genotype of an earlier miss of the same call copies that
+// miss's triple. No schedule is built.
+//
+// A hit on an M0-only entry whose M0 is within the bound — an entry a run
+// with a lower bound left in a shared cache — computes the full triple and
+// completes the entry in place. It still counts as a hit.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	sc := e.scratch.get()
 	defer e.scratch.put(sc)
@@ -332,25 +345,53 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 		keys = sc.keys[:0]
 		for _, c := range pending {
 			k := e.cache.key(c)
-			if met, ok := e.cache.lookup(k, c); ok {
-				c.metr, c.hasMetr = met, true
+			met, ok := e.cache.lookup(k, c)
+			if !ok {
+				misses = append(misses, c)
+				keys = append(keys, k)
 				continue
 			}
-			misses = append(misses, c)
-			keys = append(keys, k)
+			if !met.covers(e.upTo) {
+				met = e.metrics(c)
+				e.cache.complete(k, c, met)
+			}
+			c.metr, c.hasMetr = met, true
 		}
 		sc.keys = keys
 	}
 	for i, c := range misses {
-		met, err := c.metrics(e.dec)
-		if err != nil {
-			panic(err) // operators guarantee validity
-		}
-		c.metr, c.hasMetr = met, true
+		c.metr = e.copyOrCompute(misses[:i], keys, c)
+		c.hasMetr = true
 		if e.cache != nil {
+			// Insert the copies too: the insert's capacity check can
+			// evict, and the cache counters of pinned runs count that.
 			e.cache.insert(keys[i], c, c.metr)
 		}
 	}
+}
+
+// copyOrCompute returns the metrics of c, the miss after earlier: the
+// triple of an earlier miss with c's genotype, or a new one. keys holds
+// the cache key of every miss; with no cache it is nil and c is computed.
+func (e *evaluator) copyOrCompute(earlier []*Chromosome, keys []uint64, c *Chromosome) schedMetrics {
+	if keys != nil {
+		k := keys[len(earlier)]
+		for j, d := range earlier {
+			if keys[j] == k && slices.Equal(d.Order, c.Order) && slices.Equal(d.Proc, c.Proc) {
+				return d.metr
+			}
+		}
+	}
+	return e.metrics(c)
+}
+
+// metrics computes c's triple at the evaluator's bound.
+func (e *evaluator) metrics(c *Chromosome) schedMetrics {
+	met, err := c.metrics(e.dec, e.upTo)
+	if err != nil {
+		panic(err) // operators guarantee validity
+	}
+	return met
 }
 
 // evaluateInto writes the population's fitness into fit (the GA engine's
@@ -368,8 +409,9 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 	}
 	// Eqn. 8. Feasible individuals score their slack; infeasible ones
 	// score min(feasible fitness) · ε·M_HEFT / M0, which is strictly below
-	// every feasible score and decreases with the violation.
-	bound := e.opt.Eps * e.mheft
+	// every feasible score and decreases with the violation. The bound is
+	// the evaluator's, so every feasible triple carries its slacks.
+	bound := e.upTo
 	minFeasible := math.Inf(1)
 	for _, c := range pop {
 		if slack := c.metr.slack(e.opt.SlackMetric); c.metr.m0 <= bound && slack < minFeasible {

@@ -229,8 +229,8 @@ func TestEqn8FitnessOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := evaluator{opt: Options{Mode: EpsilonConstraint, Eps: 1.2}, mheft: hs.Makespan(), dec: schedule.NewDecoder(w)}
 	bound := 1.2 * hs.Makespan()
+	eval := newEvaluator(w, Options{Mode: EpsilonConstraint, Eps: 1.2, NoMetricsCache: true}, hs.Makespan(), nil, bound)
 	// Collect a population with both kinds.
 	var pop []*Chromosome
 	for len(pop) < 30 {
@@ -297,7 +297,7 @@ func TestEqn8NoFeasibleFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An absurdly tight bound makes everything infeasible.
-	eval := evaluator{opt: Options{Mode: EpsilonConstraint, Eps: 0.01}, mheft: hs.Makespan(), dec: schedule.NewDecoder(w)}
+	eval := newEvaluator(w, Options{Mode: EpsilonConstraint, Eps: 0.01, NoMetricsCache: true}, hs.Makespan(), nil, 0.01*hs.Makespan())
 	var pop []*Chromosome
 	for len(pop) < 10 {
 		pop = append(pop, Random(w, r))

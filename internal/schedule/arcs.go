@@ -1,22 +1,19 @@
 package schedule
 
-import (
-	"sync"
-
-	"robsched/internal/dag"
-)
+import "robsched/internal/dag"
 
 // arcSet is the processor-independent half of a disjunctive graph in CSR
 // form: the task graph's data arcs, in both directions, with the raw data
 // size of every arc and the mapping from each succ arc to its pred twin.
 //
-// Every schedule of the same task graph shares one arcSet; only the
-// per-arc communication costs (which depend on the processor assignment)
-// and the at-most-one disjunctive arc per task (which depends on the
-// processor orders) vary per schedule, and those live in the Schedule
-// itself. Splitting the CSR this way means a chromosome decode never
-// re-derives the adjacency structure: it fills one cost per arc (mirrored
-// into the pred direction through sMirror) and the two analysis sweeps.
+// Every schedule of the same workload shares one arcSet, built with the
+// workload's cost tables (tablesFor); only the per-arc communication costs
+// (which depend on the processor assignment) and the at-most-one
+// disjunctive arc per task (which depends on the processor orders) vary
+// per schedule, and those live in the Schedule itself. Splitting the CSR
+// this way means a chromosome decode never re-derives the adjacency
+// structure: it reads each arc's cost from the tables and runs the two
+// analysis sweeps.
 type arcSet struct {
 	succOff  []int32   // n+1 offsets into succTo/succData/sMirror
 	succTo   []int32   // data-arc targets, grouped by source
@@ -65,30 +62,5 @@ func newArcSet(g *dag.Graph) *arcSet {
 			a.sMirror[k] = j
 		}
 	}
-	return a
-}
-
-// arcCache memoizes one arcSet per task graph. Graphs are immutable, so
-// pointer identity is a sound key. The cache is bounded: at capacity it is
-// reset wholesale rather than evicted, which keeps long-running processes
-// that churn through many workloads from pinning every graph forever.
-var arcCache = struct {
-	sync.Mutex
-	m map[*dag.Graph]*arcSet
-}{m: make(map[*dag.Graph]*arcSet)}
-
-const arcCacheCap = 64
-
-func arcsFor(g *dag.Graph) *arcSet {
-	arcCache.Lock()
-	a := arcCache.m[g]
-	if a == nil {
-		a = newArcSet(g)
-		if len(arcCache.m) >= arcCacheCap {
-			arcCache.m = make(map[*dag.Graph]*arcSet)
-		}
-		arcCache.m[g] = a
-	}
-	arcCache.Unlock()
 	return a
 }

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"robsched/internal/dag"
@@ -9,10 +10,11 @@ import (
 )
 
 // Decoder is the fast path for GA chromosomes (scheduling string +
-// assignment string) on one workload. Metrics computes a chromosome's
-// expected makespan and slack summary without building its schedule;
-// Decode and DecodeInto build the schedule. All transient state comes from
-// a package-level pool and the data-arc CSR is shared per task graph. A
+// assignment string) on one workload. Metrics and MetricsUpTo compute a
+// chromosome's expected makespan and slack summary without building its
+// schedule; Decode and DecodeInto build the schedule. All transient state
+// comes from a package-level pool, the data-arc CSR is shared per task
+// graph and the analysis's cost tables per workload. A
 // fresh schedule costs two heap allocations (its int32 and float64
 // arenas); decoding into a reused target whose arenas are large enough
 // allocates nothing, and neither does Metrics.
@@ -20,13 +22,13 @@ import (
 // A Decoder is safe for concurrent use by multiple goroutines as long as
 // each goroutine decodes distinct Schedule targets.
 type Decoder struct {
-	w    *platform.Workload
-	arcs *arcSet
+	w *platform.Workload
+	t *costTables
 }
 
 // NewDecoder returns a decoder for the given workload.
 func NewDecoder(w *platform.Workload) *Decoder {
-	return &Decoder{w: w, arcs: arcsFor(w.G)}
+	return &Decoder{w: w, t: tablesFor(w)}
 }
 
 // Decode builds the schedule of a trusted (order, proc) chromosome.
@@ -48,11 +50,11 @@ func (d *Decoder) Decode(order, proc []int) (*Schedule, error) {
 func (d *Decoder) DecodeInto(s *Schedule, order, proc []int) error {
 	sc := getScratch(d.w.N(), d.w.M())
 	defer putScratch(sc)
-	return buildWith(s, d.w, d.arcs, sc, order, proc)
+	return buildWith(s, d.w, d.t, sc, order, proc)
 }
 
 // decodeScratch holds every transient buffer one schedule construction or
-// one Metrics call needs. Instances are pooled; getScratch grows them to
+// one MetricsUpTo call needs. Instances are pooled; getScratch grows them to
 // the workload at hand.
 type decodeScratch struct {
 	pos   []int32 // position of each task in the scheduling string
@@ -65,7 +67,7 @@ type decodeScratch struct {
 	indeg []int32
 	order []int
 
-	// Metrics' analysis, carved from floats.
+	// MetricsUpTo's analysis, carved from floats.
 	an     analysis
 	floats []float64
 }
@@ -148,9 +150,11 @@ func carveF(a []float64, k int) ([]float64, []float64) { return a[:k:k], a[k:] }
 // disjunctive arcs between consecutive same-processor tasks that are not
 // already data edges. The scheduling string doubles as the stored
 // topological order of G_s: the expected-duration analysis, the code
-// Decoder.Metrics runs, checks it arc by arc and rejects every inversion.
-func buildWith(s *Schedule, w *platform.Workload, arcs *arcSet, sc *decodeScratch, order, proc []int) error {
+// Decoder.MetricsUpTo runs, checks it arc by arc and rejects every
+// inversion.
+func buildWith(s *Schedule, w *platform.Workload, t *costTables, sc *decodeScratch, order, proc []int) error {
 	n, m := w.N(), w.M()
+	arcs := t.arcs
 	nE := len(arcs.succTo)
 	pos := sc.pos[:n]
 	if err := checkChromosome(n, m, order, proc, pos); err != nil {
@@ -174,7 +178,9 @@ func buildWith(s *Schedule, w *platform.Workload, arcs *arcSet, sc *decodeScratc
 	s.porderOff, ints = carveI(ints, m+1)
 	s.dsucc, ints = carveI(ints, n)
 	s.dpred, _ = carveI(ints, n)
-	s.predComm, _ = carveF(s.analysis.carve(s.floats, n, nE), nE)
+	floats := s.analysis.carve(s.floats, n)
+	s.succComm, floats = carveF(floats, nE)
+	s.predComm, _ = carveF(floats, nE)
 	s.w = w
 	s.arcs = arcs
 
@@ -209,10 +215,16 @@ func buildWith(s *Schedule, w *platform.Workload, arcs *arcSet, sc *decodeScratc
 		plast[p] = int32(v)
 	}
 
-	// The analysis's forward pass fills the per-arc communication costs;
-	// the realized-duration passes read them in the pred direction.
-	if err := s.analysis.run(w, arcs, order, proc, pos, plast); err != nil {
+	if _, err := s.analysis.run(t, order, proc, pos, plast, math.Inf(1)); err != nil {
 		return err
+	}
+	// The realized-duration passes read the per-arc communication costs,
+	// in both directions.
+	for v, p := range proc {
+		out := t.col[p*m : p*m+m]
+		for k := arcs.succOff[v]; k < arcs.succOff[v+1]; k++ {
+			s.succComm[k] = t.succQ[int(k)*t.cols+int(out[proc[arcs.succTo[k]]])]
+		}
 	}
 	for k, j := range arcs.sMirror {
 		s.predComm[j] = s.succComm[k]

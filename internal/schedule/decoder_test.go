@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -306,7 +307,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMetricsSteadyStateAllocs: once the pool is warm, the metrics kernel
-// allocates nothing.
+// allocates nothing, bounded or not.
 func TestMetricsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -331,6 +332,16 @@ func TestMetricsSteadyStateAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state Metrics costs %.1f allocs, want 0", avg)
 	}
+	for _, upTo := range []float64{math.Inf(-1), 0, math.Inf(1)} {
+		avg := testing.AllocsPerRun(200, func() {
+			if _, _, _, _, err := dec.MetricsUpTo(order, proc, upTo); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("steady-state MetricsUpTo(%v) costs %.1f allocs, want 0", upTo, avg)
+		}
+	}
 }
 
 func BenchmarkDecode(b *testing.B) {
@@ -353,7 +364,8 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkDecodeMetrics is BenchmarkDecode's chromosome through the
-// metrics kernel, which computes the triple without building the schedule.
+// metrics kernel, which computes the triple without building the schedule:
+// full computes the whole triple, m0 only the makespan (a bound below M0).
 func BenchmarkDecodeMetrics(b *testing.B) {
 	r := rng.New(1)
 	w := benchWorkload(b, r, 100, 8)
@@ -363,12 +375,18 @@ func BenchmarkDecodeMetrics(b *testing.B) {
 		proc[i] = r.Intn(w.M())
 	}
 	dec := NewDecoder(w)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := dec.Metrics(order, proc); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		upTo float64
+	}{{"full", math.Inf(1)}, {"m0", math.Inf(-1)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, _, err := dec.MetricsUpTo(order, proc, bc.upTo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

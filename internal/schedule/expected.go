@@ -3,19 +3,20 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	"robsched/internal/platform"
 )
 
 // analysis is a schedule's analysis under expected durations (Definition
 // 3.3): each task's expected duration on its processor, its ASAP start
-// (the top level Tl) and finish, its bottom level Bl and slack, the
-// makespan M0 with the average and minimum slack, and the communication
-// cost of every data arc those passes read. Schedule embeds one over its
-// float arena; Decoder.Metrics runs one over pooled scratch. Both fill it
-// with run, the one implementation of the expected-duration analysis.
+// (the top level Tl) and finish, its bottom level Bl and slack, and the
+// makespan M0 with the average and minimum slack. Schedule embeds one over
+// its float arena; Decoder.MetricsUpTo runs one over pooled scratch. Both
+// fill it with run, the one implementation of the expected-duration
+// analysis.
 type analysis struct {
-	succComm []float64 // communication cost of each data arc, parallel to arcs.succTo
 	expDur   []float64 // expected duration of each task on its processor
 	start    []float64 // earliest (ASAP) start times; equals top level
 	finish   []float64
@@ -27,9 +28,8 @@ type analysis struct {
 }
 
 // carve points a's vectors at consecutive windows of floats, which must
-// hold 5n+nE values, and returns what is left of it.
-func (a *analysis) carve(floats []float64, n, nE int) []float64 {
-	a.succComm, floats = carveF(floats, nE)
+// hold 5n values, and returns what is left of it.
+func (a *analysis) carve(floats []float64, n int) []float64 {
 	a.expDur, floats = carveF(floats, n)
 	a.start, floats = carveF(floats, n)
 	a.finish, floats = carveF(floats, n)
@@ -40,88 +40,189 @@ func (a *analysis) carve(floats []float64, n, nE int) []float64 {
 
 var errNotTopological = errors.New("schedule: scheduling string is not a topological order of the task graph")
 
-// run analyses the schedule in which every processor executes its tasks
-// (proc[v] for task v) in their relative order within order. pos must hold
-// the position of each task in order, which checkChromosome has shown to
-// be a permutation with in-range processors; plast is scratch of m entries.
-// An arc to a task placed earlier in order is a precedence inversion and
-// fails the run.
-//
-// The disjunctive predecessor of a task is the previous task of order on
-// its processor, with no test for a data arc between the two. That is
-// exact: such an arc costs CommCost(p, p, ·) = 0, so it offers the same
-// finish time (forward) or bottom level (backward) the disjunctive arc
-// does, and the duplicate changes no maximum. The passes take maxima in a
-// different order than Schedule.forward and backward do, which a maximum
-// does not see; every sum keeps their operands.
-func (a *analysis) run(w *platform.Workload, arcs *arcSet, order, proc []int, pos, plast []int32) error {
-	sys := w.Sys
-	n := len(order)
-	succOff, succTo, succData := arcs.succOff, arcs.succTo, arcs.succData
-	comm, dur, start, finish, bl := a.succComm, a.expDur[:n], a.start[:n], a.finish[:n], a.bl[:n]
+// costTables holds what the analysis reads of a workload, built once per
+// workload: the expected durations, and the communication cost of every
+// data arc in both CSR directions at each processor pair, stored once per
+// distinct transfer rate. Each arc has a row of cols costs: column 0 is 0,
+// the cost on one processor, and column r > 0 is the arc's data over the
+// system's r-th distinct rate. An m×m index gives the column of each
+// processor pair. A system built by UniformSystem has one distinct rate,
+// so a row holds two costs; any system has at most m(m−1) distinct rates.
+// Each cost is System.CommCost's division data/rate, or its 0 when both
+// ends share a processor, so it has the bits CommCost returns.
+type costTables struct {
+	arcs  *arcSet
+	m     int
+	dur   []float64 // n×m expected durations, row-major
+	col   []int32   // m×m: the column of processor pair (p, q); 0 when p == q
+	cols  int
+	succQ []float64 // succQ[k*cols+c]: succ arc k's cost in column c
+	predQ []float64 // predQ[j*cols+c]: pred arc j's cost in column c
+}
 
-	// Forward, in string order: each task takes the latest arrival its
-	// predecessors pushed and pushes its own finish plus the arc's
-	// communication cost, computed here once per arc, to its successors.
-	clear(start)
+func newCostTables(w *platform.Workload, arcs *arcSet) *costTables {
+	n, m := w.N(), w.M()
+	t := &costTables{arcs: arcs, m: m, dur: make([]float64, n*m), col: make([]int32, m*m)}
+	for v := 0; v < n; v++ {
+		copy(t.dur[v*m:(v+1)*m], w.Expected().Row(v))
+	}
+	rates := []float64{0} // column 0 holds no rate
+	index := make(map[float64]int32)
+	for p := 0; p < m; p++ {
+		for q := 0; q < m; q++ {
+			if p == q {
+				continue
+			}
+			x := w.Sys.Rate(p, q)
+			c, ok := index[x]
+			if !ok {
+				c = int32(len(rates))
+				index[x] = c
+				rates = append(rates, x)
+			}
+			t.col[p*m+q] = c
+		}
+	}
+	cols := len(rates)
+	t.cols = cols
+	t.succQ = make([]float64, len(arcs.succData)*cols)
+	t.predQ = make([]float64, len(arcs.succData)*cols)
+	for k, data := range arcs.succData {
+		j := int(arcs.sMirror[k])
+		for c := 1; c < cols; c++ {
+			t.succQ[k*cols+c] = data / rates[c]
+			t.predQ[j*cols+c] = data / rates[c]
+		}
+	}
+	return t
+}
+
+// tableCache memoizes the data-arc CSR and the cost tables of each
+// workload. A workload does not change once NewWorkload has built it (it
+// caches its expected durations the same way), so pointer identity is a
+// sound key. The cache is bounded: at capacity it is reset wholesale
+// rather than evicted, which keeps long-running processes that churn
+// through many workloads from pinning every one forever.
+var tableCache = struct {
+	sync.Mutex
+	m map[*platform.Workload]*costTables
+}{m: make(map[*platform.Workload]*costTables)}
+
+const tableCacheCap = 64
+
+func tablesFor(w *platform.Workload) *costTables {
+	tableCache.Lock()
+	t := tableCache.m[w]
+	if t == nil {
+		t = newCostTables(w, newArcSet(w.G))
+		if len(tableCache.m) >= tableCacheCap {
+			tableCache.m = make(map[*platform.Workload]*costTables)
+		}
+		tableCache.m[w] = t
+	}
+	tableCache.Unlock()
+	return t
+}
+
+// run analyses the schedule in which every processor executes its tasks
+// (proc[v] for task v) in their relative order within order, and reports
+// whether it computed the slacks. pos must hold the position of each task
+// in order, which checkChromosome has shown to be a permutation with
+// in-range processors; plast is scratch of m entries. An arc from a task
+// placed later in order is a precedence inversion and fails the run.
+//
+// The analysis has two passes. The forward pass gives the start and finish
+// times and the makespan M0. The backward pass gives the bottom levels,
+// then the slacks and their average and minimum; it runs only when
+// M0 <= upTo, and otherwise the average and minimum slack are NaN. A
+// caller whose objective reads only M0 above some bound passes that bound.
+//
+// Both passes pull: a task's start is the latest of its processor
+// predecessor's finish and, over its pred arcs, the source's finish plus
+// the arc's cost; its bottom level adds its duration to the largest of its
+// processor successor's bottom level and, over its succ arcs, the arc's
+// cost plus the target's bottom level. The processor neighbour is the
+// adjacent task of order on the processor, with no test for a data arc
+// between the two. That is exact: such an arc costs 0, so it offers the
+// same finish time or bottom level the disjunctive arc does, and the
+// duplicate changes no maximum. The maxima are the builtin max, which
+// differs from compare-and-store only on a NaN or −0 operand, and there is
+// none: expected durations are positive and costs non-negative. Adding a
+// zero cost changes no bit for the same reason. Every sum keeps the
+// operands of Schedule.forward and backward.
+func (a *analysis) run(t *costTables, order, proc []int, pos, plast []int32, upTo float64) (bool, error) {
+	if err := a.topLevels(t, order, proc, pos, plast); err != nil {
+		return false, err
+	}
+	if !(a.makespan <= upTo) {
+		a.avgSlack, a.minSlack = math.NaN(), math.NaN()
+		return false, nil
+	}
+	a.bottomLevels(t, order, proc, plast)
+	return true, nil
+}
+
+// topLevels is run's forward pass, in string order: the start times (top
+// levels), the finish times and the makespan. plast holds the previous
+// task on each processor.
+func (a *analysis) topLevels(t *costTables, order, proc []int, pos, plast []int32) error {
+	n, m, cols := len(order), t.m, t.cols
+	col, durs := t.col, t.dur
+	dur, start, finish := a.expDur[:n], a.start[:n], a.finish[:n]
+	predOff, predTo, predQ := t.arcs.predOff, t.arcs.predTo, t.predQ
 	for p := range plast {
 		plast[p] = -1
 	}
 	makespan := 0.0
 	for i, v := range order {
 		p := proc[v]
-		st := start[v]
+		st := 0.0
 		if u := plast[p]; u >= 0 {
-			if t := finish[u]; t > st {
-				st = t
-			}
+			st = finish[u]
 		}
 		plast[p] = int32(v)
-		d := w.ExpectedAt(v, p)
-		f := st + d
-		dur[v], start[v], finish[v] = d, st, f
-		if f > makespan {
-			makespan = f
-		}
-		for k := succOff[v]; k < succOff[v+1]; k++ {
-			to := succTo[k]
-			if pos[to] < int32(i) {
+		for j := predOff[v]; j < predOff[v+1]; j++ {
+			u := predTo[j]
+			if pos[u] > int32(i) {
 				return errNotTopological
 			}
-			c := sys.CommCost(p, proc[to], succData[k])
-			comm[k] = c
-			if t := f + c; t > start[to] {
-				start[to] = t
-			}
+			st = max(st, finish[u]+predQ[int(j)*cols+int(col[proc[u]*m+p])])
 		}
+		d := durs[v*m+p]
+		f := st + d
+		dur[v], start[v], finish[v] = d, st, f
+		makespan = max(makespan, f)
 	}
+	a.makespan = makespan
+	return nil
+}
 
-	// Backward, in reverse string order over the stored costs; plast now
-	// holds the next task on each processor.
+// bottomLevels is run's backward pass, in reverse string order: the bottom
+// levels, then the slacks. plast holds the next task on each processor.
+func (a *analysis) bottomLevels(t *costTables, order, proc []int, plast []int32) {
+	n, m, cols := len(order), t.m, t.cols
+	col := t.col
+	dur, bl := a.expDur[:n], a.bl[:n]
+	succOff, succTo, succQ := t.arcs.succOff, t.arcs.succTo, t.succQ
 	for p := range plast {
 		plast[p] = -1
 	}
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
-		best := 0.0
-		for k := succOff[v]; k < succOff[v+1]; k++ {
-			if c := comm[k] + bl[succTo[k]]; c > best {
-				best = c
-			}
-		}
 		p := proc[v]
+		best := 0.0
 		if u := plast[p]; u >= 0 {
-			if c := bl[u]; c > best {
-				best = c
-			}
+			best = bl[u]
 		}
 		plast[p] = int32(v)
+		out := col[p*m : p*m+m]
+		for k := succOff[v]; k < succOff[v+1]; k++ {
+			to := succTo[k]
+			best = max(best, succQ[int(k)*cols+int(out[proc[to]])]+bl[to])
+		}
 		bl[v] = dur[v] + best
 	}
-
-	a.makespan = makespan
-	a.avgSlack, a.minSlack = slackInto(a.slack[:n], makespan, start, bl)
-	return nil
+	a.avgSlack, a.minSlack = slackInto(a.slack[:n], a.makespan, a.start[:n], bl)
 }
 
 // slackInto fills slack with σ_v = M − Bl(v) − Tl(v) (Definition 3.3) for
@@ -177,25 +278,35 @@ func checkChromosome(n, m int, order, proc []int, pos []int32) error {
 // Metrics returns the expected makespan M0, the average slack and the
 // minimum slack of the chromosome (order, proc) — bit for bit what the
 // schedule DecodeInto builds would report as Makespan, AvgSlack and
-// MinSlack — without building that schedule. It rejects exactly the
-// chromosomes DecodeInto rejects, with the same errors, and allocates
-// nothing once the pooled scratch has grown to the workload.
+// MinSlack — without building that schedule. It is MetricsUpTo with no
+// bound.
 func (d *Decoder) Metrics(order, proc []int) (m0, avgSlack, minSlack float64, err error) {
+	m0, avgSlack, minSlack, _, err = d.MetricsUpTo(order, proc, math.Inf(1))
+	return m0, avgSlack, minSlack, err
+}
+
+// MetricsUpTo is Metrics for a caller that reads the slacks only when
+// M0 <= upTo: it computes them only then, and full reports whether it did.
+// Otherwise avgSlack and minSlack are NaN, and the analysis stops after
+// the pass that gives M0. It rejects exactly the chromosomes DecodeInto
+// rejects, with the same errors, and allocates nothing once the pooled
+// scratch has grown to the workload.
+func (d *Decoder) MetricsUpTo(order, proc []int, upTo float64) (m0, avgSlack, minSlack float64, full bool, err error) {
 	n, m := d.w.N(), d.w.M()
 	sc := getScratch(n, m)
 	defer putScratch(sc)
 	pos := sc.pos[:n]
 	if err := checkChromosome(n, m, order, proc, pos); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, false, err
 	}
 	a := &sc.an
-	nE := len(d.arcs.succTo)
-	if k := 5*n + nE; cap(sc.floats) < k {
-		sc.floats = make([]float64, k)
+	if cap(sc.floats) < 5*n {
+		sc.floats = make([]float64, 5*n)
 	}
-	a.carve(sc.floats, n, nE)
-	if err := a.run(d.w, d.arcs, order, proc, pos, sc.plast[:m]); err != nil {
-		return 0, 0, 0, err
+	a.carve(sc.floats, n)
+	full, err = a.run(d.t, order, proc, pos, sc.plast[:m], upTo)
+	if err != nil {
+		return 0, 0, 0, false, err
 	}
-	return a.makespan, a.avgSlack, a.minSlack, nil
+	return a.makespan, a.avgSlack, a.minSlack, full, nil
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"testing"
 
 	"robsched/internal/gen"
@@ -20,7 +21,9 @@ import (
 // same target and must still match FromOrder bit for bit. The metrics
 // kernel (Decoder.Metrics) must accept exactly the chromosomes DecodeInto
 // accepts, fail with DecodeInto's error on the others, and return the
-// decoded schedule's makespan and slack summary bit for bit.
+// decoded schedule's makespan and slack summary bit for bit; the push-form
+// reference must agree with both, and the bounded kernel must agree with
+// the unbounded one at bounds below, at and above M0 and at ±Inf.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint64(1), uint64(2), 0, []byte(nil))
 	f.Add(uint64(7), uint64(11), 5, []byte{2, 3, 9})
@@ -99,15 +102,22 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("FromOrder rejected a chromosome DecodeInto accepted: %v", err)
 		}
 		sameSchedule(t, "fuzz", &got, want)
+		samePush(t, "fuzz", w, order, proc, &got)
 	})
 }
 
 // sameMetrics fails the test unless Metrics agrees with the DecodeInto
-// call on (order, proc) that left s and derr: the same error, or on
-// success the triple of s bit for bit.
+// call on (order, proc) that left s and derr: the same error, which the
+// push-form reference also returns, or on success the triple of s bit for
+// bit. MetricsUpTo must agree with Metrics at every bound sameBounded
+// tries.
 func sameMetrics(t *testing.T, dec *Decoder, order, proc []int, s *Schedule, derr error) {
 	t.Helper()
 	m0, avg, lowest, err := dec.Metrics(order, proc)
+	sameBounded(t, dec, order, proc, m0, avg, lowest, err)
+	if _, _, rerr := pushAnalysis(dec.w, order, proc); fmt.Sprint(rerr) != fmt.Sprint(err) {
+		t.Fatalf("Metrics error %v, the reference's %v", err, rerr)
+	}
 	switch {
 	case (err == nil) != (derr == nil):
 		t.Fatalf("Metrics error %v, DecodeInto error %v: order=%v proc=%v", err, derr, order, proc)

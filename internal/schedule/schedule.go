@@ -12,18 +12,19 @@
 //
 // The disjunctive graph is stored in CSR (compressed sparse row) form,
 // split into a static and a dynamic half: the data arcs (targets, offsets,
-// data sizes) are built once per task graph and shared by every schedule of
-// it (arcs.go), while each schedule carries only what the chromosome
-// determines — per-arc communication costs, the at-most-one disjunctive arc
-// per task, and the analysis vectors. All per-schedule integer state lives
+// data sizes) are built once per workload, with the table of every arc's
+// communication cost at every processor pair, and shared by every schedule
+// of it (arcs.go, expected.go), while each schedule carries only what the
+// chromosome determines — per-arc communication costs, the at-most-one
+// disjunctive arc per task, and the analysis vectors. All per-schedule integer state lives
 // in one int32 arena and all float state in one float64 arena, so building
 // a new schedule costs two heap allocations beyond its struct and the
 // longest-path passes walk contiguous memory. See Decoder (decoder.go) for
-// the pooled fast paths the GA uses: Metrics computes a chromosome's
-// expected makespan and slack summary without building a schedule, with
-// the same code every constructor runs for its expected-duration analysis
-// (expected.go), and DecodeInto reuses a target schedule's arenas. Neither
-// allocates in steady state.
+// the pooled fast paths the GA uses: MetricsUpTo computes a chromosome's
+// expected makespan and, up to a bound, its slack summary without building
+// a schedule, with the same code every constructor runs for its
+// expected-duration analysis (expected.go), and DecodeInto reuses a target
+// schedule's arenas. Neither allocates in steady state.
 package schedule
 
 import (
@@ -59,12 +60,12 @@ type Schedule struct {
 	dsucc []int32
 	dpred []int32
 
-	// Communication cost of each data arc, parallel to arcs.predTo: the
-	// analysis's succComm mirrored, for the realized-duration passes.
+	// Communication cost of each data arc, parallel to arcs.succTo and
+	// to arcs.predTo, for the realized-duration passes.
+	succComm []float64
 	predComm []float64
 
-	// The analysis under expected durations, with the per-arc
-	// communication costs in the succ direction.
+	// The analysis under expected durations.
 	analysis
 
 	// The two arenas the slices above are carved from, kept whole so
@@ -113,13 +114,13 @@ func New(w *platform.Workload, proc []int, procOrder [][]int) (*Schedule, error)
 	}
 	sc := getScratch(n, m)
 	defer putScratch(sc)
-	arcs := arcsFor(w.G)
-	order, err := sc.kahnOrder(w.G, arcs, procOrder)
+	t := tablesFor(w)
+	order, err := sc.kahnOrder(w.G, t.arcs, procOrder)
 	if err != nil {
 		return nil, err
 	}
 	s := new(Schedule)
-	if err := buildWith(s, w, arcs, sc, order, proc); err != nil {
+	if err := buildWith(s, w, t, sc, order, proc); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -133,7 +134,7 @@ func FromOrder(w *platform.Workload, order []int, proc []int) (*Schedule, error)
 	sc := getScratch(w.N(), w.M())
 	defer putScratch(sc)
 	s := new(Schedule)
-	if err := buildWith(s, w, arcsFor(w.G), sc, order, proc); err != nil {
+	if err := buildWith(s, w, tablesFor(w), sc, order, proc); err != nil {
 		return nil, err
 	}
 	return s, nil
