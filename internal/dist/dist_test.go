@@ -396,7 +396,7 @@ func TestIslandSolveRejectsHooks(t *testing.T) {
 		MaxGenerations: 5, Islands: 2,
 	}
 	bad := opt
-	bad.OnGeneration = func(int, *schedule.Schedule) {}
+	bad.OnGeneration = func(int, *robust.Chromosome) {}
 	if _, err := coord.Solve(w, bad, rng.New(1)); err == nil {
 		t.Error("OnGeneration accepted across processes")
 	}

@@ -51,18 +51,22 @@ func (c Config) EvolutionTrace(mode robust.Mode) (*Trace, error) {
 		// Per graph: the makespan, slack and R1 log-ratios at every
 		// sampled step, in three blocks of n.
 		rows, err := c.perGraph(u, ul, func(seed uint64, w *platform.Workload) ([]float64, error) {
-			// Capture the best schedule at each sampled generation.
+			// Decode the best schedule at each sampled generation only.
 			snapshots := make([]*schedule.Schedule, n)
 			next := 0
+			var decodeErr error
 			run := opt
-			run.OnGeneration = func(gen int, best *schedule.Schedule) {
-				if next < n && gen == steps[next] {
-					snapshots[next] = best
+			run.OnGeneration = func(gen int, best *robust.Chromosome) {
+				if next < n && gen == steps[next] && decodeErr == nil {
+					snapshots[next], decodeErr = best.Decode(w)
 					next++
 				}
 			}
 			if _, err := robust.Solve(w, run, rng.New(seed^0xabcdef12345)); err != nil {
 				return nil, err
+			}
+			if decodeErr != nil {
+				return nil, decodeErr
 			}
 			// Evaluate every snapshot under common random numbers.
 			ms, err := c.evaluateAll(snapshots, c.simOptions(), rng.New(seed^0x5555))

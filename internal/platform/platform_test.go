@@ -247,6 +247,17 @@ func TestWorkloadValidation(t *testing.T) {
 			t.Errorf("UL %v: error %v, want one naming task 1 on processor 0", v, err)
 		}
 	}
+	// Finite entries whose durations overflow: the expected duration UL*b,
+	// and the worst case (2*UL-1)*b, the sampler's upper end, alone.
+	for _, tc := range []struct{ b, u float64 }{{1e200, 1e200}, {1e308, 1.5}} {
+		bcet, ul := good.Clone(), good.Clone()
+		bcet.Set(2, 0, tc.b)
+		ul.Set(2, 0, tc.u)
+		_, err := NewWorkload(g, sys, bcet, ul)
+		if err == nil || !strings.Contains(err.Error(), "task 2 on processor 0") {
+			t.Errorf("BCET %g, UL %g: error %v, want one naming task 2 on processor 0", tc.b, tc.u, err)
+		}
+	}
 }
 
 func TestWorkloadExpected(t *testing.T) {

@@ -21,8 +21,9 @@ type Workload struct {
 
 // NewWorkload validates dimensions and value ranges and returns the bundle.
 // BCET entries must be finite and positive, and UL entries finite and
-// >= 1, so that the duration distribution U(b, (2*UL-1)*b) has finite
-// bounds and a non-negative width.
+// >= 1, so that the duration distribution U(b, (2*UL-1)*b) has a
+// non-negative width. Each pair's expected duration UL*b and worst case
+// (2*UL-1)*b must also be finite: two finite entries can overflow.
 func NewWorkload(g *dag.Graph, sys *System, bcet, ul Matrix) (*Workload, error) {
 	if g == nil || sys == nil {
 		return nil, fmt.Errorf("platform: workload needs a graph and a system")
@@ -36,11 +37,17 @@ func NewWorkload(g *dag.Graph, sys *System, bcet, ul Matrix) (*Workload, error) 
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
-			if b := bcet.At(i, j); !(b > 0) || math.IsInf(b, 1) {
+			b, u := bcet.At(i, j), ul.At(i, j)
+			if !(b > 0) || math.IsInf(b, 1) {
 				return nil, fmt.Errorf("platform: BCET %g for task %d on processor %d is not finite and positive", b, i, j)
 			}
-			if u := ul.At(i, j); !(u >= 1) || math.IsInf(u, 1) {
+			if !(u >= 1) || math.IsInf(u, 1) {
 				return nil, fmt.Errorf("platform: uncertainty level %g for task %d on processor %d is not finite and >= 1", u, i, j)
+			}
+			// (2*UL-1)*b is at least UL*b, so a finite worst case also
+			// bounds the expected duration.
+			if math.IsInf((2*u-1)*b, 1) {
+				return nil, fmt.Errorf("platform: BCET %g and uncertainty level %g for task %d on processor %d overflow the worst-case duration", b, u, i, j)
 			}
 		}
 	}

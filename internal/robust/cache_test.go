@@ -1,10 +1,13 @@
 package robust
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
@@ -30,9 +33,10 @@ func solveTraced(t *testing.T, opt Options, seed uint64, wseed uint64, n, m int)
 	w := testWorkload(t, wseed, n, m)
 	var tr solveTrace
 	if opt.Islands <= 1 {
-		opt.OnGeneration = func(gen int, best *schedule.Schedule) {
-			tr.trajM0 = append(tr.trajM0, best.Makespan())
-			tr.trajSlack = append(tr.trajSlack, best.AvgSlack())
+		opt.OnGeneration = func(gen int, best *Chromosome) {
+			s := decodeBest(t, w, best)
+			tr.trajM0 = append(tr.trajM0, s.Makespan())
+			tr.trajSlack = append(tr.trajSlack, s.AvgSlack())
 		}
 	}
 	res, err := Solve(w, opt, rng.New(seed))
@@ -46,6 +50,16 @@ func solveTraced(t *testing.T, opt Options, seed uint64, wseed uint64, n, m int)
 	tr.gens = res.Generations
 	tr.stagnated = res.Stagnated
 	return tr
+}
+
+// decodeBest decodes the chromosome an OnGeneration callback observes.
+func decodeBest(t testing.TB, w *platform.Workload, best *Chromosome) *schedule.Schedule {
+	t.Helper()
+	s, err := best.Decode(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func eqInts(a, b []int) bool {
@@ -188,10 +202,12 @@ func TestMetricsCacheHitReturnsExactMetrics(t *testing.T) {
 	}
 	met := metricsFromSchedule(s)
 	mc := NewMetricsCache()
-	mc.insert(mc.key(c), c, met)
+	g, k := mc.pack(nil, c)
+	mc.insert(k, g, met)
 
 	dup := c.Clone() // genotype-equal, fresh pointer, no memoized state
-	got, ok := mc.lookup(mc.key(dup), dup)
+	g, k = mc.pack(nil, dup)
+	got, ok := mc.lookup(k, g)
 	if !ok {
 		t.Fatal("genotype-equal chromosome missed the cache")
 	}
@@ -219,11 +235,16 @@ func TestMetricsCacheCollisionFallsBackToDecode(t *testing.T) {
 	}
 	mc := NewMetricsCache()
 	mc.keyFn = func(*Chromosome) uint64 { return 42 }
-	mc.insert(mc.key(a), a, metricsFromSchedule(sa))
-	if _, ok := mc.lookup(mc.key(b), b); ok {
+	ga, ka := mc.pack(nil, a)
+	gb, kb := mc.pack(nil, b)
+	if ka != 42 || kb != 42 {
+		t.Fatalf("keys %d and %d, want the injected 42", ka, kb)
+	}
+	mc.insert(ka, ga, metricsFromSchedule(sa))
+	if _, ok := mc.lookup(kb, gb); ok {
 		t.Fatal("colliding key with different genotype reported a hit")
 	}
-	if _, ok := mc.lookup(mc.key(a), a); !ok {
+	if _, ok := mc.lookup(ka, ga); !ok {
 		t.Fatal("genuine entry lost under colliding keys")
 	}
 
@@ -266,16 +287,16 @@ func TestMetricsCacheEvictionResetsShard(t *testing.T) {
 		return NewChromosome([]int{0, 1, 2}, []int{i, i + 1, i + 2})
 	}
 	for i := 0; i <= cacheShardCap; i++ {
-		c := mkChrom(i)
+		g, _ := mc.pack(nil, mkChrom(i))
 		k := uint64(i) * cacheShardCount
-		mc.insert(k, c, schedMetrics{m0: float64(i)})
+		mc.insert(k, g, schedMetrics{m0: float64(i)})
 	}
 	sh := &mc.shards[0]
 	if sh.n > cacheShardCap {
 		t.Fatalf("shard grew past cap: n=%d", sh.n)
 	}
 	// The post-reset insert must still be retrievable.
-	last := mkChrom(cacheShardCap)
+	last, _ := mc.pack(nil, mkChrom(cacheShardCap))
 	if met, ok := mc.lookup(uint64(cacheShardCap)*cacheShardCount, last); !ok || met.m0 != float64(cacheShardCap) {
 		t.Fatalf("post-eviction entry lost: ok=%v met=%+v", ok, met)
 	}
@@ -287,11 +308,26 @@ func cacheEntries(mc *MetricsCache) map[string]cacheEntry {
 	for i := range mc.shards {
 		for _, entries := range mc.shards[i].m {
 			for _, e := range entries {
-				out[fmt.Sprint(e.geno)] = e
+				out[e.geno] = e
 			}
 		}
 	}
 	return out
+}
+
+// unpackGenes decodes a packed genotype: one uvarint per gene.
+func unpackGenes(t *testing.T, geno string) []int {
+	t.Helper()
+	var genes []int
+	for b := []byte(geno); len(b) > 0; {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			t.Fatalf("malformed packed genotype %q", geno)
+		}
+		genes = append(genes, int(v))
+		b = b[n:]
+	}
+	return genes
 }
 
 // TestSharedCacheCompletesM0OnlyEntries: an ε = 1.0 solve leaves the
@@ -365,12 +401,9 @@ func TestSharedCacheCompletesM0OnlyEntries(t *testing.T) {
 			continue
 		}
 		completed++
-		n := len(e.geno) / 2
-		order, proc := make([]int, n), make([]int, n)
-		for i := range order {
-			order[i], proc[i] = int(e.geno[i]), int(e.geno[n+i])
-		}
-		s, err := schedule.FromOrder(w, order, proc)
+		genes := unpackGenes(t, e.geno)
+		n := len(genes) / 2
+		s, err := schedule.FromOrder(w, genes[:n], genes[n:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,8 +444,142 @@ func TestDuplicateMissesShareOneTriple(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	k := eval.cache.key(c)
-	if allocs := testing.AllocsPerRun(10, func() { eval.cache.insert(k, c, want) }); allocs != 0 {
+	g, k := eval.cache.pack(nil, c)
+	if allocs := testing.AllocsPerRun(10, func() { eval.cache.insert(k, g, want) }); allocs != 0 {
 		t.Fatalf("inserting a cached genotype again costs %.0f allocations, want 0", allocs)
 	}
+}
+
+// TestPackedGenotypeExact: two packed genotypes are equal exactly when the
+// genotypes are. It covers random genotypes, pairs one gene apart, genes
+// that share their low seven bits (1 and 129), and a gene of 2^31 or more
+// against its int32 and uint32 truncations (the key reads genes as uint32,
+// so the last pair also shares a key).
+func TestPackedGenotypeExact(t *testing.T) {
+	mc := NewMetricsCache()
+	check := func(a, b *Chromosome) {
+		t.Helper()
+		ga, _ := mc.pack(nil, a)
+		gb, _ := mc.pack(nil, b)
+		same := eqInts(a.Order, b.Order) && eqInts(a.Proc, b.Proc)
+		if (string(ga) == string(gb)) != same {
+			t.Fatalf("%v|%v against %v|%v: packed equal %v, genes equal %v", a.Order, a.Proc, b.Order, b.Proc, !same, same)
+		}
+	}
+	// Variables, not constants, so the conversions compile where int has
+	// 32 bits; there the wide genes truncate and the pairs are equal.
+	var wide, wider uint64 = 1<<31 + 3, 1<<32 + 5
+	tricky := [][2]int{{1, 129}, {0, 128}, {127, 255}, {int(wide), int(int32(wide))}, {int(wider), 5}, {-1, math.MaxInt}}
+	for _, p := range tricky {
+		for pos := 0; pos < 6; pos++ {
+			a := keyCase(3, func(i int) int { return i }, func(i int) int { return i % 2 })
+			b := a.Clone()
+			if pos < 3 {
+				a.Order[pos], b.Order[pos] = p[0], p[1]
+			} else {
+				a.Proc[pos-3], b.Proc[pos-3] = p[0], p[1]
+			}
+			check(a, b)
+			check(a, a.Clone())
+		}
+	}
+	r := rng.New(41)
+	genes := []int{0, 1, 2, 127, 128, 129, 255, 16383, 16384, math.MaxInt32, int(wide), int(wider), -1}
+	gene := func() int { return genes[r.Intn(len(genes))] }
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(5)
+		a := keyCase(n, func(int) int { return gene() }, func(int) int { return gene() })
+		b := keyCase(n, func(int) int { return gene() }, func(int) int { return gene() })
+		check(a, b)
+		one := a.Clone()
+		if i := r.Intn(2 * n); i < n {
+			one.Order[i] = gene()
+		} else {
+			one.Proc[i-n] = gene()
+		}
+		check(a, one)
+	}
+}
+
+// TestMetricsCacheBytesPerEntry bounds what an entry costs: 1,000 distinct
+// n=100, m=8 genotypes inserted into a new cache allocate at most 400
+// bytes each, the packed genotype, the entry lists and the shards' maps
+// included.
+func TestMetricsCacheBytesPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	w := testWorkload(t, 43, 100, 8)
+	r := rng.New(44)
+	const entries = 1000
+	genos := make([][]byte, entries)
+	keys := make([]uint64, entries)
+	distinct := make(map[string]bool, entries)
+	probe := NewMetricsCache()
+	for i := range genos {
+		genos[i], keys[i] = probe.pack(nil, Random(w, r))
+		distinct[string(genos[i])] = true
+	}
+	if len(distinct) != entries {
+		t.Fatalf("%d distinct genotypes, want %d", len(distinct), entries)
+	}
+	best := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mc := NewMetricsCache()
+		for i, g := range genos {
+			mc.insert(keys[i], g, schedMetrics{m0: float64(i)})
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/entries)
+	}
+	if best > 400 {
+		t.Fatalf("%.0f bytes allocated per entry, want at most 400", best)
+	}
+	t.Logf("%.0f bytes per entry", best)
+}
+
+// BenchmarkMetricsCache times the cache on n=100, m=8 genotypes: hit packs
+// a genotype and finds it, and miss packs one, looks it up and inserts it.
+func BenchmarkMetricsCache(b *testing.B) {
+	w := testWorkload(b, 5, 100, 8)
+	r := rng.New(1)
+	pool := make([]*Chromosome, 1024)
+	for i := range pool {
+		pool[i] = Random(w, r)
+	}
+	var buf []byte
+	b.Run("hit", func(b *testing.B) {
+		mc := NewMetricsCache()
+		for _, c := range pool {
+			g, k := mc.pack(nil, c)
+			mc.insert(k, g, schedMetrics{})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var k uint64
+			buf, k = mc.pack(buf[:0], pool[i%len(pool)])
+			if _, ok := mc.lookup(k, buf); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		var mc *MetricsCache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(pool) == 0 {
+				mc = NewMetricsCache()
+			}
+			var k uint64
+			buf, k = mc.pack(buf[:0], pool[i%len(pool)])
+			if _, ok := mc.lookup(k, buf); ok {
+				b.Fatal("hit")
+			}
+			mc.insert(k, buf, schedMetrics{})
+		}
+	})
 }

@@ -9,7 +9,6 @@ package robust
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"robsched/internal/platform"
 	"robsched/internal/rng"
@@ -120,74 +119,6 @@ func (c *Chromosome) metrics(d *schedule.Decoder, upTo float64) (schedMetrics, e
 		return schedMetrics{}, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
 	return schedMetrics{m0: m0, avgSlack: avgSlack, minSlack: minSlack}, nil
-}
-
-// keyBase is the odd weight base of the genotype hash; keyGene biases
-// every gene by one so task/processor 0 still contributes to its
-// position's term.
-const keyBase = 0x9e3779b97f4a7c15
-
-func keyGene(v int) uint64 { return uint64(uint32(v)) + 1 }
-
-// keyPow serves the grow-only table of keyBase powers; readers are
-// lock-free (atomic load), growth copies under a mutex.
-var keyPow struct {
-	mu  sync.Mutex
-	tab atomic.Value // []uint64; tab[i] = keyBase^i
-}
-
-func keyPowers(k int) []uint64 {
-	if t, _ := keyPow.tab.Load().([]uint64); len(t) >= k {
-		return t
-	}
-	keyPow.mu.Lock()
-	defer keyPow.mu.Unlock()
-	t, _ := keyPow.tab.Load().([]uint64)
-	if len(t) >= k {
-		return t
-	}
-	nt := make([]uint64, k+k/2+8)
-	nt[0] = 1
-	for i := 1; i < len(nt); i++ {
-		nt[i] = nt[i-1] * keyBase
-	}
-	keyPow.tab.Store(nt)
-	return nt
-}
-
-// mixKey is the 64-bit murmur3 finalizer: the raw hash is additive and
-// position-weighted, so low-entropy genotypes need the avalanche to spread
-// across the metrics-cache shards.
-func mixKey(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// Key fingerprints the genotype for the GA's initial-population uniqueness
-// check and the solver's metrics cache: the avalanched form of the
-// position-weighted polynomial Σ keyGene(g_i)·keyBase^i over the order
-// genes (positions 0..n-1) then the proc genes (positions n..2n-1). It is
-// a pure function of the genes, computed afresh on every call and never
-// written to the chromosome, so islands may key a shared migrant
-// concurrently. Equal genotypes always collide by construction; a
-// collision between distinct genotypes is benign everywhere it is
-// consumed — the GA redraws one "duplicate" random individual, and the
-// metrics cache verifies full genotype equality before trusting a hit.
-func (c *Chromosome) Key() uint64 {
-	n := len(c.Order)
-	pow := keyPowers(n + len(c.Proc))
-	raw := uint64(0)
-	for i, v := range c.Order {
-		raw += keyGene(v) * pow[i]
-	}
-	for v, p := range c.Proc {
-		raw += keyGene(p) * pow[n+v]
-	}
-	return mixKey(raw)
 }
 
 // Crossover implements the paper's single-point operator (Section 4.2.5).

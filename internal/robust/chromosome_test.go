@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -292,26 +293,49 @@ func keyCase(n int, order, proc func(i int) int) *Chromosome {
 
 // TestKeyPinned pins Chromosome.Key on fixed genotypes. The key places a
 // genotype's metrics-cache entry in its shard, so every cache counter of a
-// pinned run depends on these values.
+// pinned run depends on these values. The cache's packing pass must return
+// the same key, and the genotype as one uvarint per gene: n=300 has order
+// genes of two bytes, and processor 2^31-1 takes five.
 func TestKeyPinned(t *testing.T) {
 	zero := func(int) int { return 0 }
+	mc := NewMetricsCache()
 	for _, tc := range []struct {
-		name string
-		c    *Chromosome
-		want uint64
+		name   string
+		c      *Chromosome
+		want   uint64
+		packed int // bytes of the packed genotype
 	}{
-		{"one task", keyCase(1, zero, zero), 0xe5fdc025e13eeed5},
-		{"all zero", keyCase(6, zero, zero), 0x353f4b32caf2e831},
-		{"identity", keyCase(8, func(i int) int { return i }, func(i int) int { return i % 3 }), 0x20a87b89553c1455},
-		{"highest processor of 8", keyCase(5, func(i int) int { return 4 - i }, func(int) int { return 7 }), 0x91fb6bb5ea2df867},
-		{"processor 2^31-1", keyCase(3, func(i int) int { return i }, func(i int) int { return math.MaxInt32 - i }), 0xf1ea2334a8aace00},
-		{"n=65", keyCase(65, func(i int) int { return i * 2 % 65 }, func(i int) int { return i * i % 4 }), 0x770138c6e589d6f6},
-		{"n=300", keyCase(300, func(i int) int { return i * 7 % 300 }, func(i int) int { return (i*i + 3*i) % 16 }), 0xa7e273116e8d6d54},
+		{"one task", keyCase(1, zero, zero), 0xe5fdc025e13eeed5, 2},
+		{"all zero", keyCase(6, zero, zero), 0x353f4b32caf2e831, 12},
+		{"identity", keyCase(8, func(i int) int { return i }, func(i int) int { return i % 3 }), 0x20a87b89553c1455, 16},
+		{"highest processor of 8", keyCase(5, func(i int) int { return 4 - i }, func(int) int { return 7 }), 0x91fb6bb5ea2df867, 10},
+		{"processor 2^31-1", keyCase(3, func(i int) int { return i }, func(i int) int { return math.MaxInt32 - i }), 0xf1ea2334a8aace00, 3 + 3*5},
+		{"n=65", keyCase(65, func(i int) int { return i * 2 % 65 }, func(i int) int { return i * i % 4 }), 0x770138c6e589d6f6, 130},
+		{"n=300", keyCase(300, func(i int) int { return i * 7 % 300 }, func(i int) int { return (i*i + 3*i) % 16 }), 0xa7e273116e8d6d54, 128 + 172*2 + 300},
 	} {
 		if got := tc.c.Key(); got != tc.want {
 			t.Errorf("%s: Key() = %#x, want %#x", tc.name, got, tc.want)
 		}
+		g, k := mc.pack([]byte("prefix"), tc.c)
+		if k != tc.want {
+			t.Errorf("%s: pack's key %#x, want %#x", tc.name, k, tc.want)
+		}
+		if want := uvarints(tc.c); string(g) != "prefix"+string(want) || len(want) != tc.packed {
+			t.Errorf("%s: packed %d bytes %x, want %d bytes %x", tc.name, len(g)-len("prefix"), g[len("prefix"):], tc.packed, want)
+		}
 	}
+}
+
+// uvarints is the packed genotype by definition: one uvarint per gene,
+// order genes then processor genes.
+func uvarints(c *Chromosome) []byte {
+	var b []byte
+	for _, genes := range [][]int{c.Order, c.Proc} {
+		for _, v := range genes {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	return b
 }
 
 // TestOperatorKeys: a child's key depends on its genes alone. A population

@@ -1,7 +1,9 @@
 package robust
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +27,11 @@ func metricsFromSchedule(s *schedule.Schedule) schedMetrics {
 // covers reports whether m holds what an objective that reads the slacks
 // only when M0 <= upTo needs: the slacks, or an M0 above upTo. A triple
 // computed with a bound (Chromosome.metrics) holds NaN slacks when M0 was
-// above that bound. A computed slack is NaN only when expected durations
-// overflow to +Inf; such a triple is then recomputed whenever its slacks
-// are read, to the same bits.
+// above that bound. A computed slack is NaN only when the schedule's times
+// overflow to +Inf: platform.NewWorkload rejects every duration that
+// overflows on its own, but finite durations can still sum past the float
+// range. Such a triple is recomputed whenever its slacks are read, to the
+// same bits.
 func (m schedMetrics) covers(upTo float64) bool { return !math.IsNaN(m.avgSlack) || m.m0 > upTo }
 
 // slack returns the robustness surrogate the slack metric selects.
@@ -43,8 +47,9 @@ const (
 	// contend on the same mutex.
 	cacheShardCount = 16
 	// cacheShardCap bounds the entries per shard; a full shard is reset
-	// wholesale. At the paper's n=100 this caps the cache near 26 MB —
-	// an eviction can only cost a redundant metrics computation, never
+	// wholesale. At the paper's n=100, m=8 a full cache holds 16,384
+	// entries in about 5.4 MB (332 bytes each, maps included) — an
+	// eviction can only cost a redundant metrics computation, never
 	// correctness.
 	cacheShardCap = 1024
 )
@@ -127,31 +132,50 @@ type cacheShard struct {
 	n  int
 }
 
-// cacheEntry keeps the full genotype (order then proc, packed as int32)
-// alongside the metrics so hits can be verified exactly.
+// cacheEntry keeps the packed genotype (see pack) alongside the metrics so
+// hits can be verified exactly.
 type cacheEntry struct {
-	geno []int32
+	geno string
 	met  schedMetrics
 }
 
 // NewMetricsCache returns an empty cache ready for concurrent use.
 func NewMetricsCache() *MetricsCache { return &MetricsCache{} }
 
-func (mc *MetricsCache) key(c *Chromosome) uint64 {
-	if mc.keyFn != nil {
-		return mc.keyFn(c)
+// pack appends c's packed genotype to dst and returns it with c's key
+// (mc.keyFn's, when set). The packed form is one uvarint per gene, order
+// genes then processor genes. uvarint is a prefix code, so two packed
+// genotypes of one workload are equal exactly when their genes are, for
+// every int. A gene below 128 takes one byte, its own value, so while
+// every gene is below 128 (n and m at most 128) the key loop writes the
+// packed form as it goes; otherwise a second pass writes the uvarints.
+func (mc *MetricsCache) pack(dst []byte, c *Chromosome) ([]byte, uint64) {
+	start, genes := len(dst), len(c.Order)+len(c.Proc)
+	dst = slices.Grow(dst, genes)[:start+genes]
+	k, or := keyGenes(c, dst[start:])
+	if or >= 0x80 {
+		dst = dst[:start]
+		for _, v := range c.Order {
+			dst = binary.AppendUvarint(dst, uint64(v))
+		}
+		for _, v := range c.Proc {
+			dst = binary.AppendUvarint(dst, uint64(v))
+		}
 	}
-	return c.Key()
+	if mc.keyFn != nil {
+		k = mc.keyFn(c)
+	}
+	return dst, k
 }
 
-// lookup returns the metrics recorded for c's genotype, if any. k must be
-// mc.key(c); callers pass it in so the hot path hashes the genotype once.
-func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
+// lookup returns the metrics recorded for the packed genotype g under key
+// k; mc.pack returns both, so the hot path walks the genes once.
+func (mc *MetricsCache) lookup(k uint64, g []byte) (schedMetrics, bool) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	entries := sh.m[k]
 	for _, e := range entries {
-		if genoEqual(e.geno, c.Order, c.Proc) {
+		if e.geno == string(g) {
 			sh.mu.Unlock()
 			mc.hits.Add(1)
 			return e.met, true
@@ -165,12 +189,12 @@ func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
 	return schedMetrics{}, false
 }
 
-// insert records the metrics of c's genotype under key k (= mc.key(c)),
-// copying the genotype so later mutations of the caller's slices cannot
-// corrupt the entry. Duplicate inserts of the same genotype (two
-// chromosomes of one generation, or of two islands, that share a new
-// genotype) collapse to one entry, and copy nothing.
-func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
+// insert records met for the packed genotype g under key k, copying g so
+// later reuse of the caller's buffer cannot corrupt the entry. Duplicate
+// inserts of the same genotype (two chromosomes of one generation, or of
+// two islands, that share a new genotype) collapse to one entry, and copy
+// nothing.
+func (mc *MetricsCache) insert(k uint64, g []byte, met schedMetrics) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -183,57 +207,112 @@ func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
 		sh.m = make(map[uint64][]cacheEntry, 64)
 	}
 	for _, e := range sh.m[k] {
-		if genoEqual(e.geno, c.Order, c.Proc) {
+		if e.geno == string(g) {
 			return
 		}
 	}
-	geno := packGenes(make([]int32, 0, len(c.Order)+len(c.Proc)), c)
-	sh.m[k] = append(sh.m[k], cacheEntry{geno: geno, met: met})
+	sh.m[k] = append(sh.m[k], cacheEntry{geno: string(g), met: met})
 	sh.n++
 }
 
-// complete overwrites the M0-only metrics recorded for c's genotype under
-// key k with met, its full triple. An entry evicted since its lookup is
-// left evicted. Neither counts as cache traffic.
-func (mc *MetricsCache) complete(k uint64, c *Chromosome, met schedMetrics) {
+// complete overwrites the M0-only metrics recorded for the packed genotype
+// g under key k with met, its full triple. An entry evicted since its
+// lookup is left evicted. Neither counts as cache traffic.
+func (mc *MetricsCache) complete(k uint64, g []byte, met schedMetrics) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	entries := sh.m[k]
 	for i := range entries {
-		if genoEqual(entries[i].geno, c.Order, c.Proc) {
+		if entries[i].geno == string(g) {
 			entries[i].met = met
 			return
 		}
 	}
 }
 
-// packGenes appends c's genotype, order then proc, to dst as int32.
-func packGenes(dst []int32, c *Chromosome) []int32 {
-	for _, v := range c.Order {
-		dst = append(dst, int32(v))
-	}
-	for _, v := range c.Proc {
-		dst = append(dst, int32(v))
-	}
-	return dst
+// keyBase is the odd weight base of the genotype hash; keyGene biases
+// every gene by one so task/processor 0 still contributes to its
+// position's term.
+const keyBase = 0x9e3779b97f4a7c15
+
+func keyGene(v int) uint64 { return uint64(uint32(v)) + 1 }
+
+// keyPow serves the grow-only table of keyBase powers; readers are
+// lock-free (atomic load), growth copies under a mutex.
+var keyPow struct {
+	mu  sync.Mutex
+	tab atomic.Value // []uint64; tab[i] = keyBase^i
 }
 
-// genoEqual reports whether the packed genotype equals (order, proc).
-func genoEqual(geno []int32, order, proc []int) bool {
-	if len(geno) != len(order)+len(proc) {
-		return false
+func keyPowers(k int) []uint64 {
+	if t, _ := keyPow.tab.Load().([]uint64); len(t) >= k {
+		return t
 	}
-	for i, v := range order {
-		if geno[i] != int32(v) {
-			return false
+	keyPow.mu.Lock()
+	defer keyPow.mu.Unlock()
+	t, _ := keyPow.tab.Load().([]uint64)
+	if len(t) >= k {
+		return t
+	}
+	nt := make([]uint64, k+k/2+8)
+	nt[0] = 1
+	for i := 1; i < len(nt); i++ {
+		nt[i] = nt[i-1] * keyBase
+	}
+	keyPow.tab.Store(nt)
+	return nt
+}
+
+// mixKey is the 64-bit murmur3 finalizer: the raw hash is additive and
+// position-weighted, so low-entropy genotypes need the avalanche to spread
+// across the metrics-cache shards.
+func mixKey(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// Key fingerprints the genotype for the GA's initial-population uniqueness
+// check and the solver's metrics cache: the avalanched form of the
+// position-weighted polynomial Σ keyGene(g_i)·keyBase^i over the order
+// genes (positions 0..n-1) then the proc genes (positions n..2n-1). It is
+// a pure function of the genes, computed afresh on every call and never
+// written to the chromosome, so islands may key a shared migrant
+// concurrently. Equal genotypes always collide by construction; a
+// collision between distinct genotypes is benign everywhere it is
+// consumed — the GA redraws one "duplicate" random individual, and the
+// metrics cache verifies full genotype equality before trusting a hit.
+func (c *Chromosome) Key() uint64 {
+	k, _ := keyGenes(c, nil)
+	return k
+}
+
+// keyGenes is the key loop of Key and pack: it returns c's key. Given a
+// non-nil b of one byte per gene, it also writes each gene's low byte to
+// b, order genes then processor genes, and returns the bitwise OR of the
+// genes, so pack can tell whether b is the packed genotype.
+func keyGenes(c *Chromosome, b []byte) (key uint64, or uint) {
+	n := len(c.Order)
+	pow := keyPowers(n + len(c.Proc))
+	pack := b != nil
+	raw := uint64(0)
+	for i, v := range c.Order {
+		raw += keyGene(v) * pow[i]
+		if pack {
+			or |= uint(v)
+			b[i] = byte(v)
 		}
 	}
-	off := len(order)
-	for i, v := range proc {
-		if geno[off+i] != int32(v) {
-			return false
+	for i, v := range c.Proc {
+		raw += keyGene(v) * pow[n+i]
+		if pack {
+			or |= uint(v)
+			b[n+i] = byte(v)
 		}
 	}
-	return true
+	return mixKey(raw), or
 }

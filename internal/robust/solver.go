@@ -3,7 +3,6 @@ package robust
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"robsched/internal/ga"
 	"robsched/internal/heft"
@@ -105,10 +104,13 @@ type Options struct {
 	// cache only skips recomputing the metrics of genotypes already seen.
 	NoMetricsCache bool
 
-	// OnGeneration, if set, observes the best schedule of each generation
-	// (generation 0 is the initial population). Used to trace Figs. 2–3.
-	// The schedule is the callback's to keep.
-	OnGeneration func(gen int, best *schedule.Schedule)
+	// OnGeneration, if set, observes the best chromosome of each
+	// generation, the first with the highest fitness (generation 0 is the
+	// initial population). Used to trace Figs. 2–3. The chromosome belongs
+	// to the engine, which may recycle it once the callback returns: a
+	// callback that keeps the schedule decodes it (best.Decode), and one
+	// that keeps the genes copies them (best.Genes).
+	OnGeneration func(gen int, best *Chromosome)
 
 	// Obs, if non-nil, receives solver telemetry: per-generation engine
 	// counters/gauges (ga.generations, ga.crossovers, ga.mutations,
@@ -181,8 +183,16 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 	opt = eng.Opt
 	eval := eng.eval
 	cfg := eng.cfg
-	if opt.OnGeneration != nil {
-		cfg.OnGeneration = bestScheduleHook(eng.w, opt.OnGeneration)
+	if on := opt.OnGeneration; on != nil {
+		cfg.OnGeneration = func(gen int, pop []*Chromosome, fit []float64) {
+			best := 0
+			for i, f := range fit {
+				if f > fit[best] {
+					best = i
+				}
+			}
+			on(gen, pop[best])
+		}
 	}
 	if opt.Trace != nil {
 		defer opt.Trace.Scope("robust").Span("solve",
@@ -209,33 +219,6 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 		recordCacheStats(opt.Obs, opt.Trace, eval.cache.Stats().Sub(cachePre))
 	}
 	return eng.Result(res)
-}
-
-// bestScheduleHook adapts Options.OnGeneration to the engine's hook: each
-// generation's best individual is decoded into a new schedule the callback
-// keeps. The individual may be recycled once the hook returns, so the hook
-// remembers the genotype it last decoded, not the pointer, and hands the
-// same schedule on while the best genotype stays the same.
-func bestScheduleHook(w *platform.Workload, on func(gen int, best *schedule.Schedule)) func(int, []*Chromosome, []float64) {
-	var last *schedule.Schedule
-	var lastGenes []int32
-	return func(gen int, pop []*Chromosome, fit []float64) {
-		best := 0
-		for i, f := range fit {
-			if f > fit[best] {
-				best = i
-			}
-		}
-		c := pop[best]
-		if last == nil || !genoEqual(lastGenes, c.Order, c.Proc) {
-			s, err := c.Decode(w)
-			if err != nil {
-				panic(err) // operators guarantee validity
-			}
-			last, lastGenes = s, packGenes(lastGenes[:0], c)
-		}
-		on(gen, last)
-	}
 }
 
 // evaluator computes the population fitness, computing the metrics of
@@ -278,11 +261,23 @@ func newEvaluator(w *platform.Workload, opt Options, mheft float64, score func(s
 }
 
 // evalScratch is the working state of one evaluator call, reused across
-// generations: ensureMetrics' dedup map, pending list and cache keys.
+// generations: ensureMetrics' dedup map, pending list, and the cache keys
+// and packed genotypes of its misses.
 type evalScratch struct {
 	seen    map[*Chromosome]struct{}
 	pending []*Chromosome
 	keys    []uint64
+	genes   []byte // the misses' packed genotypes, back to back
+	ends    []int  // miss i's packed genotype ends at genes[ends[i]]
+}
+
+// packed returns miss i's packed genotype.
+func (sc *evalScratch) packed(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = sc.ends[i-1]
+	}
+	return sc.genes[start:sc.ends[i]]
 }
 
 // metricsOf returns the chromosome's metrics triple, through ensureMetrics
@@ -339,50 +334,53 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	// chromosomes of one generation sharing a new genotype both miss. Cache
 	// counters of pinned runs depend on that order.
 	misses := pending
-	var keys []uint64
 	if e.cache != nil {
 		misses = pending[:0]
-		keys = sc.keys[:0]
+		keys, genes, ends := sc.keys[:0], sc.genes[:0], sc.ends[:0]
 		for _, c := range pending {
-			k := e.cache.key(c)
-			met, ok := e.cache.lookup(k, c)
+			start := len(genes)
+			var k uint64
+			genes, k = e.cache.pack(genes, c)
+			met, ok := e.cache.lookup(k, genes[start:])
 			if !ok {
 				misses = append(misses, c)
 				keys = append(keys, k)
+				ends = append(ends, len(genes))
 				continue
 			}
 			if !met.covers(e.upTo) {
 				met = e.metrics(c)
-				e.cache.complete(k, c, met)
+				e.cache.complete(k, genes[start:], met)
 			}
+			genes = genes[:start]
 			c.metr, c.hasMetr = met, true
 		}
-		sc.keys = keys
+		sc.keys, sc.genes, sc.ends = keys, genes, ends
 	}
 	for i, c := range misses {
-		c.metr = e.copyOrCompute(misses[:i], keys, c)
+		c.metr = e.copyOrCompute(sc, misses, i)
 		c.hasMetr = true
 		if e.cache != nil {
 			// Insert the copies too: the insert's capacity check can
 			// evict, and the cache counters of pinned runs count that.
-			e.cache.insert(keys[i], c, c.metr)
+			e.cache.insert(sc.keys[i], sc.packed(i), c.metr)
 		}
 	}
 }
 
-// copyOrCompute returns the metrics of c, the miss after earlier: the
-// triple of an earlier miss with c's genotype, or a new one. keys holds
-// the cache key of every miss; with no cache it is nil and c is computed.
-func (e *evaluator) copyOrCompute(earlier []*Chromosome, keys []uint64, c *Chromosome) schedMetrics {
-	if keys != nil {
-		k := keys[len(earlier)]
-		for j, d := range earlier {
-			if keys[j] == k && slices.Equal(d.Order, c.Order) && slices.Equal(d.Proc, c.Proc) {
+// copyOrCompute returns the metrics of misses[i]: the triple of an earlier
+// miss with its genotype, or a new one. With a cache, sc holds the packed
+// genotype of every miss; with none, the miss is computed.
+func (e *evaluator) copyOrCompute(sc *evalScratch, misses []*Chromosome, i int) schedMetrics {
+	if e.cache != nil {
+		g := sc.packed(i)
+		for j, d := range misses[:i] {
+			if string(sc.packed(j)) == string(g) {
 				return d.metr
 			}
 		}
 	}
-	return e.metrics(c)
+	return e.metrics(misses[i])
 }
 
 // metrics computes c's triple at the evaluator's bound.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"robsched/internal/ga"
 	"robsched/internal/heft"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
@@ -168,26 +169,34 @@ func TestSolveRejectsBadEps(t *testing.T) {
 	}
 }
 
+// TestOnGenerationObservesEveryGeneration: the callback sees every
+// generation's best chromosome, the one the Observer's best fitness
+// scores: under MinMakespan its decoded makespan is -GenStats.Best.
 func TestOnGenerationObservesEveryGeneration(t *testing.T) {
 	w := testWorkload(t, 900, 15, 3)
 	opt := quickOptions(MinMakespan, 0)
 	opt.MaxGenerations = 10
 	var gens []int
 	var spans []float64
-	opt.OnGeneration = func(gen int, best *schedule.Schedule) {
+	opt.OnGeneration = func(gen int, best *Chromosome) {
 		gens = append(gens, gen)
-		spans = append(spans, best.Makespan())
+		spans = append(spans, decodeBest(t, w, best).Makespan())
 	}
+	var stats []ga.GenStats
+	opt.Observer = ga.ObserverFunc(func(s ga.GenStats) { stats = append(stats, s) })
 	if _, err := Solve(w, opt, rng.New(10)); err != nil {
 		t.Fatal(err)
 	}
 	// Generation 0 (initial population) plus 10 evolved generations.
-	if len(gens) != 11 {
-		t.Fatalf("observer called %d times, want 11", len(gens))
+	if len(gens) != 11 || len(stats) != 11 {
+		t.Fatalf("callback called %d times, observer %d, want 11 each", len(gens), len(stats))
 	}
 	for i, g := range gens {
-		if g != i {
+		if g != i || stats[i].Gen != i {
 			t.Fatalf("generation sequence %v not consecutive", gens)
+		}
+		if spans[i] != -stats[i].Best {
+			t.Fatalf("generation %d: best chromosome's makespan %v, observer's best fitness %v", i, spans[i], stats[i].Best)
 		}
 	}
 	// In MinMakespan mode with elitism, the observed best makespan is
@@ -332,7 +341,7 @@ func TestSolveWithIslands(t *testing.T) {
 		t.Fatal("island result below HEFT slack (seed lost)")
 	}
 	// Islands must be incompatible with the trace observer.
-	opt.OnGeneration = func(int, *schedule.Schedule) {}
+	opt.OnGeneration = func(int, *Chromosome) {}
 	if _, err := Solve(w, opt, rng.New(21)); err == nil {
 		t.Fatal("islands with OnGeneration accepted")
 	}
@@ -397,7 +406,7 @@ func TestMinSlackIsZeroOnGASchedules(t *testing.T) {
 		opt := quickOptions(EpsilonConstraint, 1.3)
 		opt.SlackMetric = metric
 		opt.Cache = NewMetricsCache()
-		opt.OnGeneration = func(_ int, best *schedule.Schedule) { zero("generation best", best.MinSlack()) }
+		opt.OnGeneration = func(_ int, best *Chromosome) { zero("generation best", decodeBest(t, w, best).MinSlack()) }
 		res, err := Solve(w, opt, rng.New(uint64(metric)+5))
 		if err != nil {
 			t.Fatal(err)

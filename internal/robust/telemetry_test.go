@@ -89,12 +89,12 @@ func TestCacheStatsCounters(t *testing.T) {
 	r := rng.New(9)
 	a, b := Random(w, r), Random(w, r)
 	mc := NewMetricsCache()
-	ka := mc.key(a)
-	if _, ok := mc.lookup(ka, a); ok {
+	ga, ka := mc.pack(nil, a)
+	if _, ok := mc.lookup(ka, ga); ok {
 		t.Fatal("lookup in empty cache must miss")
 	}
-	mc.insert(ka, a, schedMetrics{m0: 1})
-	if _, ok := mc.lookup(ka, a); !ok {
+	mc.insert(ka, ga, schedMetrics{m0: 1})
+	if _, ok := mc.lookup(ka, ga); !ok {
 		t.Fatal("lookup after insert must hit")
 	}
 	st := mc.Stats()
@@ -106,8 +106,9 @@ func TestCacheStatsCounters(t *testing.T) {
 	// second lookup walks a non-empty bucket and must count a collision.
 	col := NewMetricsCache()
 	col.keyFn = func(*Chromosome) uint64 { return 7 }
-	col.insert(7, a, schedMetrics{m0: 1})
-	if _, ok := col.lookup(7, b); ok {
+	gb, _ := col.pack(nil, b)
+	col.insert(7, ga, schedMetrics{m0: 1})
+	if _, ok := col.lookup(7, gb); ok {
 		t.Fatal("distinct genotype must not hit despite equal key")
 	}
 	if st := col.Stats(); st.Collisions != 1 || st.Misses != 1 {

@@ -13,7 +13,6 @@ import (
 
 	"robsched/internal/ga"
 	"robsched/internal/rng"
-	"robsched/internal/schedule"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -46,8 +45,9 @@ func trajectoryDigest(t *testing.T, mode Mode, islands, every int, noCache bool,
 		opt.Islands = islands
 		opt.MigrationEvery = every
 	} else {
-		opt.OnGeneration = func(gen int, best *schedule.Schedule) {
-			put(uint64(gen), math.Float64bits(best.Makespan()), math.Float64bits(best.AvgSlack()))
+		opt.OnGeneration = func(gen int, best *Chromosome) {
+			s := decodeBest(t, w, best)
+			put(uint64(gen), math.Float64bits(s.Makespan()), math.Float64bits(s.AvgSlack()))
 		}
 	}
 	res, err := Solve(w, opt, rng.New(7000+uint64(n)))

@@ -89,6 +89,7 @@ func TestReadWorkloadErrors(t *testing.T) {
 		{"ragged bcet", `{"tasks": 2, "rates": [[0,1],[1,0]], "bcet": [[1,1],[1]]}`},
 		{"bcet shape", `{"tasks": 2, "rates": [[0,1],[1,0]], "bcet": [[1,1]]}`},
 		{"ul below one", `{"tasks": 1, "rates": [[0]], "bcet": [[1]], "ul": [[0.5]]}`},
+		{"duration overflow", `{"tasks": 1, "rates": [[0]], "bcet": [[1e200]], "ul": [[1e200]]}`},
 		{"zero rate", `{"tasks": 1, "rates": [[0,0],[0,0]], "bcet": [[1,1]]}`},
 	}
 	for _, c := range cases {
