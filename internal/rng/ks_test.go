@@ -203,7 +203,8 @@ func TestKSGammaMeanCOV(t *testing.T) {
 	})
 }
 
-// TestKSLogNormal pins the inverse-CDF lognormal sampler against the
+// TestKSLogNormal pins the inverse-CDF lognormal transform, LogNormalQuantile
+// at uniform draws as the Monte-Carlo sampler evaluates it, against the
 // analytic CDF Φ((ln x − mu)/sigma) across both a narrow and a heavy-tailed
 // parameterization.
 func TestKSLogNormal(t *testing.T) {
@@ -218,7 +219,7 @@ func TestKSLogNormal(t *testing.T) {
 		r := New(tc.seed)
 		sample := make([]float64, ksN)
 		for i := range sample {
-			sample[i] = r.LogNormal(tc.mu, tc.sigma)
+			sample[i] = LogNormalQuantile(tc.mu, tc.sigma, r.Float64())
 		}
 		mu, sigma := tc.mu, tc.sigma
 		checkKS(t, "LogNormal", sample, func(x float64) float64 {
@@ -230,32 +231,8 @@ func TestKSLogNormal(t *testing.T) {
 	}
 }
 
-// TestKSLogNormalMeanCOV pins the (mean, cov) parameterization by checking
-// the sample against the CDF derived from sigma² = ln(1+cov²),
-// mu = ln(mean) − sigma²/2, and the sample mean against the requested mean.
-func TestKSLogNormalMeanCOV(t *testing.T) {
-	const mean, cov = 1.0, 0.3
-	r := New(114)
-	sample := make([]float64, ksN)
-	sum := 0.0
-	for i := range sample {
-		sample[i] = r.LogNormalMeanCOV(mean, cov)
-		sum += sample[i]
-	}
-	sigma := math.Sqrt(math.Log(1 + cov*cov))
-	mu := math.Log(mean) - sigma*sigma/2
-	checkKS(t, "LogNormalMeanCOV(1,0.3)", sample, func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return normalCDF(mu, sigma, math.Log(x))
-	})
-	if got := sum / ksN; math.Abs(got-mean) > 4*cov/math.Sqrt(ksN) {
-		t.Errorf("sample mean %.5f deviates from requested mean %g", got, mean)
-	}
-}
-
-// TestKSBoundedPareto pins the truncated Pareto sampler against
+// TestKSBoundedPareto pins the truncated Pareto transform,
+// BoundedParetoQuantile at uniform draws, against
 // F(x) = (1 − (lo/x)^α) / (1 − (lo/hi)^α) for a heavy tail (α < 2, infinite
 // variance untruncated) and a moderate one.
 func TestKSBoundedPareto(t *testing.T) {
@@ -270,9 +247,9 @@ func TestKSBoundedPareto(t *testing.T) {
 		r := New(tc.seed)
 		sample := make([]float64, ksN)
 		for i := range sample {
-			x := r.BoundedPareto(tc.lo, tc.hi, tc.alpha)
+			x := BoundedParetoQuantile(tc.lo, tc.hi, tc.alpha, r.Float64())
 			if x < tc.lo || x > tc.hi {
-				t.Fatalf("BoundedPareto(%g,%g,%g) = %g outside bounds", tc.lo, tc.hi, tc.alpha, x)
+				t.Fatalf("BoundedParetoQuantile(%g,%g,%g) = %g outside bounds", tc.lo, tc.hi, tc.alpha, x)
 			}
 			sample[i] = x
 		}

@@ -301,37 +301,3 @@ func BoundedParetoQuantile(lo, hi, alpha, u float64) float64 {
 	ratio := math.Pow(lo/hi, alpha)
 	return lo / math.Pow(1-u*(1-ratio), 1/alpha)
 }
-
-// LogNormal returns a lognormal variate exp(N(mu, sigma²)) by inverse-CDF
-// transform of a single uniform draw. Exactly one Float64 is consumed per
-// call — unlike Norm's polar method, the draw count is fixed, which is what
-// the lane-batched realization sampler requires to stay bit-identical across
-// worker counts.
-func (r *Source) LogNormal(mu, sigma float64) float64 {
-	if sigma < 0 {
-		panic(fmt.Sprintf("rng: LogNormal called with sigma=%g", sigma))
-	}
-	return LogNormalQuantile(mu, sigma, r.Float64())
-}
-
-// LogNormalMeanCOV returns a lognormal variate parameterized by its mean and
-// coefficient of variation: sigma² = ln(1+COV²), mu = ln(mean) − sigma²/2.
-// The correlated-load duration model uses this with mean 1 to perturb whole
-// processors per realization without shifting expected durations.
-func (r *Source) LogNormalMeanCOV(mean, cov float64) float64 {
-	if mean <= 0 || cov < 0 {
-		panic(fmt.Sprintf("rng: LogNormalMeanCOV called with mean=%g cov=%g", mean, cov))
-	}
-	sigma2 := math.Log(1 + cov*cov)
-	return r.LogNormal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2))
-}
-
-// BoundedPareto returns a Pareto(alpha) variate truncated to [lo, hi] by
-// inverse-CDF transform of a single uniform draw (fixed draw count, like
-// LogNormal).
-func (r *Source) BoundedPareto(lo, hi, alpha float64) float64 {
-	if !(lo > 0) || hi < lo || alpha <= 0 {
-		panic(fmt.Sprintf("rng: BoundedPareto called with lo=%g hi=%g alpha=%g", lo, hi, alpha))
-	}
-	return BoundedParetoQuantile(lo, hi, alpha, r.Float64())
-}

@@ -292,8 +292,8 @@ func TestMetricsCacheEvictionResetsShard(t *testing.T) {
 		mc.insert(k, g, schedMetrics{m0: float64(i)})
 	}
 	sh := &mc.shards[0]
-	if sh.n > cacheShardCap {
-		t.Fatalf("shard grew past cap: n=%d", sh.n)
+	if len(sh.m) > cacheShardCap {
+		t.Fatalf("shard grew past cap: %d entries", len(sh.m))
 	}
 	// The post-reset insert must still be retrievable.
 	last, _ := mc.pack(nil, mkChrom(cacheShardCap))
@@ -306,10 +306,8 @@ func TestMetricsCacheEvictionResetsShard(t *testing.T) {
 func cacheEntries(mc *MetricsCache) map[string]cacheEntry {
 	out := make(map[string]cacheEntry)
 	for i := range mc.shards {
-		for _, entries := range mc.shards[i].m {
-			for _, e := range entries {
-				out[e.geno] = e
-			}
+		for _, e := range mc.shards[i].m {
+			out[e.geno] = e
 		}
 	}
 	return out
@@ -503,8 +501,7 @@ func TestPackedGenotypeExact(t *testing.T) {
 
 // TestMetricsCacheBytesPerEntry bounds what an entry costs: 1,000 distinct
 // n=100, m=8 genotypes inserted into a new cache allocate at most 400
-// bytes each, the packed genotype, the entry lists and the shards' maps
-// included.
+// bytes each, the packed genotype and the shards' maps included.
 func TestMetricsCacheBytesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -48,7 +48,7 @@ const (
 	cacheShardCount = 16
 	// cacheShardCap bounds the entries per shard; a full shard is reset
 	// wholesale. At the paper's n=100, m=8 a full cache holds 16,384
-	// entries in about 5.4 MB (332 bytes each, maps included) — an
+	// entries in about 5.1 MB (314 bytes each, maps included) — an
 	// eviction can only cost a redundant metrics computation, never
 	// correctness.
 	cacheShardCap = 1024
@@ -92,9 +92,9 @@ type CacheStats struct {
 	// Hits and Misses partition every lookup.
 	Hits   int64
 	Misses int64
-	// Collisions counts the misses that found entries under the same
-	// fingerprint but failed the full genotype comparison — the collision
-	// fallback degrading to a recomputation instead of a wrong metric.
+	// Collisions counts the misses that found an entry under the same
+	// fingerprint holding another genotype — the collision fallback
+	// degrading to a recomputation instead of a wrong metric.
 	Collisions int64
 	// Evictions counts wholesale shard resets (capacity pressure).
 	Evictions int64
@@ -126,10 +126,12 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 	}
 }
 
+// cacheShard holds at most one entry per fingerprint: the first genotype
+// inserted under a key keeps it, and a colliding genotype is scored on
+// every miss but never cached.
 type cacheShard struct {
 	mu sync.Mutex
-	m  map[uint64][]cacheEntry
-	n  int
+	m  map[uint64]cacheEntry
 }
 
 // cacheEntry keeps the packed genotype (see pack) alongside the metrics so
@@ -173,46 +175,39 @@ func (mc *MetricsCache) pack(dst []byte, c *Chromosome) ([]byte, uint64) {
 func (mc *MetricsCache) lookup(k uint64, g []byte) (schedMetrics, bool) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
-	entries := sh.m[k]
-	for _, e := range entries {
-		if e.geno == string(g) {
-			sh.mu.Unlock()
-			mc.hits.Add(1)
-			return e.met, true
-		}
-	}
+	e, ok := sh.m[k]
 	sh.mu.Unlock()
+	if ok && e.geno == string(g) {
+		mc.hits.Add(1)
+		return e.met, true
+	}
 	mc.misses.Add(1)
-	if len(entries) > 0 {
+	if ok {
 		mc.collisions.Add(1)
 	}
 	return schedMetrics{}, false
 }
 
 // insert records met for the packed genotype g under key k, copying g so
-// later reuse of the caller's buffer cannot corrupt the entry. Duplicate
-// inserts of the same genotype (two chromosomes of one generation, or of
-// two islands, that share a new genotype) collapse to one entry, and copy
-// nothing.
+// later reuse of the caller's buffer cannot corrupt the entry, unless the
+// key already holds an entry: duplicate inserts of the same genotype (two
+// chromosomes of one generation, or of two islands, that share a new
+// genotype) collapse to one entry and copy nothing, and a colliding
+// genotype is not cached.
 func (mc *MetricsCache) insert(k uint64, g []byte, met schedMetrics) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.n >= cacheShardCap {
+	if len(sh.m) >= cacheShardCap {
 		sh.m = nil
-		sh.n = 0
 		mc.evictions.Add(1)
 	}
 	if sh.m == nil {
-		sh.m = make(map[uint64][]cacheEntry, 64)
+		sh.m = make(map[uint64]cacheEntry, 64)
 	}
-	for _, e := range sh.m[k] {
-		if e.geno == string(g) {
-			return
-		}
+	if _, ok := sh.m[k]; !ok {
+		sh.m[k] = cacheEntry{geno: string(g), met: met}
 	}
-	sh.m[k] = append(sh.m[k], cacheEntry{geno: string(g), met: met})
-	sh.n++
 }
 
 // complete overwrites the M0-only metrics recorded for the packed genotype
@@ -222,12 +217,9 @@ func (mc *MetricsCache) complete(k uint64, g []byte, met schedMetrics) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	entries := sh.m[k]
-	for i := range entries {
-		if entries[i].geno == string(g) {
-			entries[i].met = met
-			return
-		}
+	if e, ok := sh.m[k]; ok && e.geno == string(g) {
+		e.met = met
+		sh.m[k] = e
 	}
 }
 

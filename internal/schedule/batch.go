@@ -1,116 +1,64 @@
 package schedule
 
-// MakespanBatchInto computes the realized makespans of `lanes` duration
+// MakespanBatchInto computes the realized makespans of eight duration
 // realizations in a single structure-of-arrays forward longest-path sweep
 // over the schedule's CSR disjunctive graph. The graph topology (topological
 // order, arc targets, communication costs) is loaded once per batch and each
-// arc updates all lanes, instead of re-walking the graph once per
+// arc updates all eight lanes, instead of re-walking the graph once per
 // realization as MakespanInto does — the batching that makes the paper's
 // 1000-realization evaluations cheap.
 //
-// dur and finishBuf are lane-major with stride `lanes`: index [v*lanes+l]
-// holds task v's value in lane l, so the per-arc inner loop walks contiguous
-// memory. dur and finishBuf must have length >= N*lanes, stBuf (the current
-// node's start-time scratch) length >= lanes, and out (which receives the
-// makespans) length >= lanes.
+// dur and finishBuf are lane-major with stride eight: index [v*8+l] holds
+// task v's value in lane l, so the per-arc inner loop walks contiguous
+// memory. dur and finishBuf must have length >= N*8 and out (which receives
+// the makespans) length >= 8. lanes must be 8, and the call panics
+// otherwise; stBuf is not used. Both remain so existing callers compile.
 //
 // Every lane's floating-point operations are performed in exactly the order
 // of the scalar forward pass, so out[l] is bit-identical to
-// MakespanInto(dur-of-lane-l, ...) for any lane count. Eight lanes run the
-// AVX kernel where the CPU and OS support AVX and makespanBatch8 elsewhere;
-// both give the same bits.
+// MakespanInto(dur-of-lane-l, ...). The sweep runs the AVX kernel where the
+// CPU and OS support AVX and makespanBatch8 elsewhere; both give the same
+// bits.
 func (s *Schedule) MakespanBatchInto(lanes int, dur, stBuf, finishBuf, out []float64) {
-	s.makespanBatch(lanes, dur, nil, stBuf, finishBuf, out)
+	if lanes != batchLanes {
+		panic("schedule: the batched kernel sweeps eight lanes")
+	}
+	s.makespanBatch(dur, nil, finishBuf, out)
 }
 
 // MakespanBatchIndexed is MakespanBatchInto reading task v's durations from
-// block idx[v] of dur, dur[int(idx[v])*lanes+l] for lane l, instead of from
+// block idx[v] of dur, dur[int(idx[v])*8+l] for lane l, instead of from
 // block v: a caller that samples the (task, processor) pairs of several
 // schedules once passes each schedule's index into the shared blocks
 // instead of copying its durations out. idx must have length N and every
 // entry must name a whole block of dur; the call panics otherwise.
-func (s *Schedule) MakespanBatchIndexed(lanes int, dur []float64, idx []int32, stBuf, finishBuf, out []float64) {
+func (s *Schedule) MakespanBatchIndexed(dur []float64, idx []int32, finishBuf, out []float64) {
 	if len(idx) != len(s.proc) {
 		panic("schedule: batched kernel index has the wrong length")
 	}
-	s.makespanBatch(lanes, dur, idx, stBuf, finishBuf, out)
+	s.makespanBatch(dur, idx, finishBuf, out)
 }
 
 // makespanBatch is the sweep behind MakespanBatchInto (idx nil: task v
 // reads block v) and MakespanBatchIndexed.
-func (s *Schedule) makespanBatch(lanes int, dur []float64, idx []int32, stBuf, finishBuf, out []float64) {
-	L := lanes
-	n := len(s.proc)
-	if idx == nil {
-		dur = dur[: n*L : n*L]
-	}
-	finish := finishBuf[: n*L : n*L]
-	if L == batchLanes {
-		if hasAVX {
-			s.makespanBatch8AVX(n, dur, idx, finish, out)
-		} else {
-			s.makespanBatch8(n, dur, idx, finish, out)
-		}
-		return
-	}
-	st := stBuf[:L:L]
-	out = out[:L:L]
-	for l := range out {
-		out[l] = 0
-	}
-	predOff, predTo, predComm := s.arcs.predOff, s.arcs.predTo, s.predComm
-	dpred := s.dpred
-	for _, v32 := range s.topo {
-		v := int(v32)
-		for l := range st {
-			st[l] = 0
-		}
-		for k := predOff[v]; k < predOff[v+1]; k++ {
-			fin := finish[int(predTo[k])*L:]
-			fin = fin[:L:L]
-			c := predComm[k]
-			for l, f := range fin {
-				if t := f + c; t > st[l] {
-					st[l] = t
-				}
-			}
-		}
-		// The disjunctive predecessor costs zero communication.
-		if u := dpred[v]; u >= 0 {
-			fin := finish[int(u)*L:]
-			fin = fin[:L:L]
-			for l, f := range fin {
-				if f > st[l] {
-					st[l] = f
-				}
-			}
-		}
-		blk := v
-		if idx != nil {
-			blk = int(idx[v])
-		}
-		dv := dur[blk*L : blk*L+L]
-		fv := finish[v*L : v*L+L]
-		for l, d := range dv {
-			f := st[l] + d
-			fv[l] = f
-			if f > out[l] {
-				out[l] = f
-			}
-		}
+func (s *Schedule) makespanBatch(dur []float64, idx []int32, finish, out []float64) {
+	if hasAVX {
+		s.makespanBatch8AVX(len(s.proc), dur, idx, finish, out)
+	} else {
+		s.makespanBatch8(len(s.proc), dur, idx, finish, out)
 	}
 }
 
-// batchLanes is the lane width the specialized sweep below is compiled for;
-// sim.DefaultBatchSize matches it so the common path takes the fast kernel.
+// batchLanes is the lane width of the batched sweep, and of every group
+// sim samples and sweeps.
 const batchLanes = 8
 
-// makespanBatch8 is MakespanBatchInto specialized to the default lane width.
+// makespanBatch8 is the batched sweep in Go: the form every host without
+// AVX runs and the reference the assembly kernel is tested against.
 // Converting the per-node slices to fixed-size array pointers lets the
-// compiler drop the per-element bounds checks in the arc inner loop, which
-// dominate the generic sweep's cost at small lane counts. The per-lane
-// floating-point operations and their order are exactly those of the generic
-// path, so results remain bit-identical.
+// compiler drop the per-element bounds checks in the arc inner loop. Each
+// lane's floating-point operations and their order are exactly those of
+// the scalar forward pass, so results are bit-identical to MakespanInto.
 func (s *Schedule) makespanBatch8(n int, dur []float64, idx []int32, finish, out []float64) {
 	const L = batchLanes
 	o := (*[L]float64)(out)

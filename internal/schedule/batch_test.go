@@ -11,65 +11,82 @@ import (
 )
 
 // TestMakespanBatchMatchesScalar: the batched SoA sweep must reproduce the
-// scalar forward pass bit for bit in every lane, for every lane count,
-// across random workloads and schedules.
+// scalar forward pass bit for bit in every lane, across random workloads
+// and schedules.
 func TestMakespanBatchMatchesScalar(t *testing.T) {
+	const lanes = batchLanes
 	r := rng.New(301)
 	for trial := 0; trial < 40; trial++ {
 		w := randomWorkload(t, r, 2+r.Intn(60), 1+r.Intn(5))
 		s := randomSchedule(t, r, w)
 		n := w.N()
-		for _, lanes := range []int{1, 2, 3, 8, 17} {
-			dur := make([]float64, n*lanes)
-			for v := 0; v < n; v++ {
-				for l := 0; l < lanes; l++ {
-					dur[v*lanes+l] = w.SampleDuration(v, s.Proc(v), r)
-				}
-			}
-			out := make([]float64, lanes)
-			st := make([]float64, lanes)
-			finish := make([]float64, n*lanes)
-			s.MakespanBatchInto(lanes, dur, st, finish, out)
-
-			// The indexed form on the same durations stored in shuffled
-			// blocks, two spare ones included, gives the same bits.
-			idx := make([]int32, n)
-			shuffled := make([]float64, (n+2)*lanes)
-			for v, b := range r.Perm(n + 2)[:n] {
-				idx[v] = int32(b)
-				copy(shuffled[b*lanes:(b+1)*lanes], dur[v*lanes:(v+1)*lanes])
-			}
-			outIdx := make([]float64, lanes)
-			s.MakespanBatchIndexed(lanes, shuffled, idx, st, make([]float64, n*lanes), outIdx)
-			for l := range out {
-				if !sameBits(outIdx[l], out[l]) {
-					t.Fatalf("trial %d lanes %d: lane %d indexed makespan %v != %v",
-						trial, lanes, l, outIdx[l], out[l])
-				}
-			}
-
-			scalarDur := make([]float64, n)
-			startBuf := make([]float64, n)
-			finishBuf := make([]float64, n)
+		dur := make([]float64, n*lanes)
+		for v := 0; v < n; v++ {
 			for l := 0; l < lanes; l++ {
-				for v := 0; v < n; v++ {
-					scalarDur[v] = dur[v*lanes+l]
-				}
-				want := s.MakespanInto(scalarDur, startBuf, finishBuf)
-				if out[l] != want {
-					t.Fatalf("trial %d lanes %d: lane %d makespan %v != scalar %v",
-						trial, lanes, l, out[l], want)
-				}
-				// Finish times are lane-exact too (downstream slack analyses
-				// may build on them).
-				for v := 0; v < n; v++ {
-					if finish[v*lanes+l] != finishBuf[v] {
-						t.Fatalf("trial %d lanes %d: lane %d finish[%d] %v != scalar %v",
-							trial, lanes, l, v, finish[v*lanes+l], finishBuf[v])
-					}
+				dur[v*lanes+l] = w.SampleDuration(v, s.Proc(v), r)
+			}
+		}
+		out := make([]float64, lanes)
+		finish := make([]float64, n*lanes)
+		s.MakespanBatchInto(lanes, dur, nil, finish, out)
+
+		// The indexed form on the same durations stored in shuffled
+		// blocks, two spare ones included, gives the same bits.
+		idx := make([]int32, n)
+		shuffled := make([]float64, (n+2)*lanes)
+		for v, b := range r.Perm(n + 2)[:n] {
+			idx[v] = int32(b)
+			copy(shuffled[b*lanes:(b+1)*lanes], dur[v*lanes:(v+1)*lanes])
+		}
+		outIdx := make([]float64, lanes)
+		s.MakespanBatchIndexed(shuffled, idx, make([]float64, n*lanes), outIdx)
+		for l := range out {
+			if !sameBits(outIdx[l], out[l]) {
+				t.Fatalf("trial %d: lane %d indexed makespan %v != %v", trial, l, outIdx[l], out[l])
+			}
+		}
+
+		scalarDur := make([]float64, n)
+		startBuf := make([]float64, n)
+		finishBuf := make([]float64, n)
+		for l := 0; l < lanes; l++ {
+			for v := 0; v < n; v++ {
+				scalarDur[v] = dur[v*lanes+l]
+			}
+			want := s.MakespanInto(scalarDur, startBuf, finishBuf)
+			if out[l] != want {
+				t.Fatalf("trial %d: lane %d makespan %v != scalar %v", trial, l, out[l], want)
+			}
+			// Finish times are lane-exact too (downstream slack analyses
+			// may build on them).
+			for v := 0; v < n; v++ {
+				if finish[v*lanes+l] != finishBuf[v] {
+					t.Fatalf("trial %d: lane %d finish[%d] %v != scalar %v",
+						trial, l, v, finish[v*lanes+l], finishBuf[v])
 				}
 			}
 		}
+	}
+}
+
+// TestMakespanBatchIntoRejectsOtherWidths: the batched sweep has one
+// width, so MakespanBatchInto panics on any lane count but eight, before
+// it reads or writes a buffer.
+func TestMakespanBatchIntoRejectsOtherWidths(t *testing.T) {
+	r := rng.New(303)
+	w := randomWorkload(t, r, 10, 3)
+	s := randomSchedule(t, r, w)
+	n := w.N()
+	for _, lanes := range []int{-1, 0, 1, 3, 7, 9, 16, 17} {
+		buf := max(lanes, batchLanes)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("lanes %d did not panic", lanes)
+				}
+			}()
+			s.MakespanBatchInto(lanes, make([]float64, n*buf), make([]float64, buf), make([]float64, n*buf), make([]float64, buf))
+		}()
 	}
 }
 

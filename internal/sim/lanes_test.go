@@ -44,10 +44,9 @@ func randomLaneSampler(r *rng.Source, special float64) (sp sampler, draws int) {
 
 // TestUniformLanesAVXMatchesGo: the assembly transform writes the bits
 // uniformLanesGo writes, into the same lanes, and stops at the same entry
-// of every chunk, for chunk sizes from one draw to the whole block, lane
-// strides 8–12 and lane offsets, with special values among lo and width.
-// uniformLanesGo is the transform of every host without AVX and of every
-// mirrored or partial group.
+// of every chunk, for chunk sizes from one draw to the whole block, with
+// special values among lo and width. uniformLanesGo is the transform of
+// every host without AVX and of every mirrored or partial group.
 func TestUniformLanesAVXMatchesGo(t *testing.T) {
 	if !hasAVX {
 		t.Skip("the CPU or OS lacks AVX, so the assembly transform never runs on this host")
@@ -64,10 +63,8 @@ func TestUniformLanesAVXMatchesGo(t *testing.T) {
 		gen.Seed(&seeds)
 		u := make([]float64, draws*8)
 		gen.Float64s(u)
-		stride := 8 + r.Intn(5)
-		l0 := r.Intn(stride - 7)
 		chunk := 1 + r.Intn(max(draws, 1))
-		asm := make([]float64, l0+len(sp.ui)*stride)
+		asm := make([]float64, len(sp.ui)*8)
 		ref := make([]float64, len(asm))
 		for i := range asm {
 			asm[i], ref[i] = -7, -7
@@ -75,8 +72,8 @@ func TestUniformLanesAVXMatchesGo(t *testing.T) {
 		eAsm, eRef := 0, 0
 		for d0 := 0; ; d0 += chunk {
 			d1 := min(d0+chunk, draws)
-			eAsm = sp.uniformLanes(asm, stride, l0, 8, u[d0*8:d1*8], d0, d1, eAsm, 0)
-			eRef = sp.uniformLanesGo(ref, stride, l0, 8, u[d0*8:d1*8], d0, d1, eRef, 0)
+			eAsm = sp.uniformLanes(asm, 8, u[d0*8:d1*8], d0, d1, eAsm, 0)
+			eRef = sp.uniformLanesGo(ref, 8, u[d0*8:d1*8], d0, d1, eRef, 0)
 			if eAsm != eRef {
 				t.Fatalf("trial %d, chunk [%d, %d): assembly stopped at entry %d, Go at %d", trial, d0, d1, eAsm, eRef)
 			}
@@ -90,7 +87,7 @@ func TestUniformLanesAVXMatchesGo(t *testing.T) {
 		for i := range asm {
 			if math.Float64bits(asm[i]) != math.Float64bits(ref[i]) {
 				t.Fatalf("trial %d, special share %v: entry %d lane %d: go %v asm %v",
-					trial, special, i/stride, i%stride-l0, ref[i], asm[i])
+					trial, special, i/8, i%8, ref[i], asm[i])
 			}
 		}
 	}
@@ -109,7 +106,7 @@ func TestUniformLanesChecksLengths(t *testing.T) {
 			t.Fatal("a short destination did not panic")
 		}
 	}()
-	sp.uniformLanes(make([]float64, len(sp.ui)*8-1), 8, 0, 8, u, 0, draws, 0, 0)
+	sp.uniformLanes(make([]float64, len(sp.ui)*8-1), 8, u, 0, draws, 0, 0)
 }
 
 // lognormalParams are (mu, sigma) pairs at which the lognormal kernel and
@@ -169,11 +166,11 @@ func randomLognormalSampler(r *rng.Source, special float64) (sp sampler, draws i
 // TestLognormalLanesMatchesGo: the lognormal kernel, with the Go loop it
 // hands the entries outside its fast path, writes the bits generalLanesGo
 // writes, into the same lanes, and stops at the same entry of every chunk,
-// for chunk sizes from one draw to the whole block, lane strides 8–12 and
-// lane offsets, with lognormalDraws among the draws and lognormalParams
-// among the parameters. On typical parameters and filled draws the kernel
-// alone covers the block. generalLanesGo is the transform of every host
-// without AVX2 and FMA and of every mirrored, partial or correlated group.
+// for chunk sizes from one draw to the whole block, with lognormalDraws
+// among the draws and lognormalParams among the parameters. On typical
+// parameters and filled draws the kernel alone covers the block.
+// generalLanesGo is the transform of every host without AVX2 and FMA and
+// of every mirrored, partial or correlated group.
 func TestLognormalLanesMatchesGo(t *testing.T) {
 	if !hasLognormal {
 		t.Skip("the CPU or OS lacks AVX2 or FMA, or math.Exp runs without FMA, so the lognormal kernel never runs on this host")
@@ -201,10 +198,8 @@ func TestLognormalLanesMatchesGo(t *testing.T) {
 				u[i] = lognormalDraws[r.Intn(len(lognormalDraws))]
 			}
 		}
-		stride := 8 + r.Intn(5)
-		l0 := r.Intn(stride - 7)
 		chunk := 1 + r.Intn(max(draws, 1))
-		asm := make([]float64, l0+len(sp.ui)*stride)
+		asm := make([]float64, len(sp.ui)*8)
 		ref := make([]float64, len(asm))
 		for i := range asm {
 			asm[i], ref[i] = -7, -7
@@ -212,8 +207,8 @@ func TestLognormalLanesMatchesGo(t *testing.T) {
 		eAsm, eRef := 0, 0
 		for d0 := 0; ; d0 += chunk {
 			d1 := min(d0+chunk, draws)
-			eAsm = sp.generalLanes(asm, stride, l0, 8, u[d0*8:d1*8], d0, d1, eAsm, 0, nil)
-			eRef = sp.generalLanesGo(ref, stride, l0, 8, u[d0*8:d1*8], d0, d1, eRef, 0, nil)
+			eAsm = sp.generalLanes(asm, 8, u[d0*8:d1*8], d0, d1, eAsm, 0, nil)
+			eRef = sp.generalLanesGo(ref, 8, u[d0*8:d1*8], d0, d1, eRef, 0, nil)
 			if eAsm != eRef {
 				t.Fatalf("trial %d, chunk [%d, %d): assembly stopped at entry %d, Go at %d", trial, d0, d1, eAsm, eRef)
 			}
@@ -226,9 +221,9 @@ func TestLognormalLanesMatchesGo(t *testing.T) {
 		}
 		for i := range asm {
 			if math.Float64bits(asm[i]) != math.Float64bits(ref[i]) {
-				e := i / stride
+				e := i / 8
 				t.Fatalf("trial %d, special share %v: entry %d (mu %v, sigma %v) lane %d: go %v asm %v",
-					trial, special, e, sp.mu[e], sp.sigma[e], i%stride-l0, ref[i], asm[i])
+					trial, special, e, sp.mu[e], sp.sigma[e], i%8, ref[i], asm[i])
 			}
 		}
 	}
@@ -245,12 +240,12 @@ func TestLognormalLanesChecksLengths(t *testing.T) {
 	u := make([]float64, draws*8)
 	for name, call := range map[string]func(){
 		"short destination": func() {
-			sp.generalLanes(make([]float64, len(sp.ui)*8-1), 8, 0, 8, u, 0, draws, 0, 0, nil)
+			sp.generalLanes(make([]float64, len(sp.ui)*8-1), 8, u, 0, draws, 0, 0, nil)
 		},
 		"short sigma": func() {
 			short := sp
 			short.sigma = sp.sigma[:len(sp.sigma)-1]
-			short.generalLanes(make([]float64, len(sp.ui)*8), 8, 0, 8, u, 0, draws, 0, 0, nil)
+			short.generalLanes(make([]float64, len(sp.ui)*8), 8, u, 0, draws, 0, 0, nil)
 		},
 	} {
 		func() {
@@ -275,7 +270,7 @@ func TestMirroredZeroDrawFinite(t *testing.T) {
 		ls := sp.newLanes()
 		total := sp.scratch()
 		dst := make([]float64, len(sp.ui)*8)
-		sp.generalLanes(dst, 8, 0, 8, make([]float64, total*8), 0, total, 0, 0xAA, ls.load)
+		sp.generalLanes(dst, 8, make([]float64, total*8), 0, total, 0, 0xAA, ls.load)
 		for i, v := range dst {
 			if math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
 				t.Fatalf("case %d (%v, %v): entry %d lane %d is %v", ci, opt.Model, opt.Corr, i/8, i%8, v)
@@ -302,8 +297,8 @@ func BenchmarkLognormalLanes(b *testing.B) {
 		name string
 		run  func() int
 	}{
-		{"fma", func() int { return sp.generalLanes(dst, 8, 0, 8, u, 0, total, 0, 0, nil) }},
-		{"go", func() int { return sp.generalLanesGo(dst, 8, 0, 8, u, 0, total, 0, 0, nil) }},
+		{"fma", func() int { return sp.generalLanes(dst, 8, u, 0, total, 0, 0, nil) }},
+		{"go", func() int { return sp.generalLanesGo(dst, 8, u, 0, total, 0, 0, nil) }},
 	} {
 		b.Run(form.name, func(b *testing.B) {
 			if form.name == "fma" && !hasLognormal {

@@ -130,11 +130,11 @@ func TestGeneralMirrorExact(t *testing.T) {
 			t.Fatalf("case %d: expected general sampler", ci)
 		}
 		ls := sp.newLanes()
-		fwd := make([]float64, n*m)
-		mir := make([]float64, n*m)
+		fwd := make([]float64, n*m*8) // entry k's lane 0 at k*8
+		mir := make([]float64, n*m*8)
 		const seed = 777
-		sp.sample(fwd, 1, 0, []uint64{seed}, 0, ls)
-		sp.sample(mir, 1, 0, []uint64{seed}, 1, ls)
+		sp.sample(fwd, []uint64{seed}, 0, ls)
+		sp.sample(mir, []uint64{seed}, 1, ls)
 
 		// Reference: draw the same block, flip every uniform, apply the
 		// documented transforms.
@@ -164,15 +164,15 @@ func TestGeneralMirrorExact(t *testing.T) {
 			case CorrIndep:
 				v *= rng.LogNormalQuantile(sp.loadMu, sp.loadSigma, ref[k])
 			}
-			if mir[k] != v {
-				t.Fatalf("case %d entry %d: mirrored sample %v, want exact %v", ci, k, mir[k], v)
+			if mir[k*8] != v {
+				t.Fatalf("case %d entry %d: mirrored sample %v, want exact %v", ci, k, mir[k*8], v)
 			}
 		}
 		// Sanity: the forward and mirrored draws must actually differ
 		// somewhere (the mirror is not the identity).
 		same := true
-		for k := range fwd {
-			if fwd[k] != mir[k] {
+		for k := 0; k < n*m; k++ {
+			if fwd[k*8] != mir[k*8] {
 				same = false
 				break
 			}
@@ -208,6 +208,27 @@ func TestLognormalMomentMatch(t *testing.T) {
 	}
 }
 
+// TestLoadFactorMomentMatch pins the sampler's load-factor parameters the
+// way TestLognormalMomentMatch pins the duration tables: under both
+// correlation modes, the lognormal factor's mean exp(loadMu + loadSigma²/2)
+// is 1 and its coefficient of variation √(exp(loadSigma²) − 1) is LoadCOV,
+// to 1e-12.
+func TestLoadFactorMomentMatch(t *testing.T) {
+	w := testWorkload(t, 16, 10, 3, 3)
+	for _, corr := range []Correlation{CorrShared, CorrIndep} {
+		for _, cov := range []float64{0.05, 0.25, 0.4, 1, 3} {
+			sp := newSampler(w, Options{Corr: corr, LoadCOV: cov}, allPairs(w))
+			s2 := sp.loadSigma * sp.loadSigma
+			if mean := math.Exp(sp.loadMu + s2/2); math.Abs(mean-1) > 1e-12 {
+				t.Errorf("%v, LoadCOV %v: load-factor mean %v, want 1", corr, cov, mean)
+			}
+			if got := math.Sqrt(math.Exp(s2) - 1); math.Abs(got-cov) > 1e-12*cov {
+				t.Errorf("%v, LoadCOV %v: load-factor COV %v", corr, cov, got)
+			}
+		}
+	}
+}
+
 // TestEqualMarginals pins the CorrShared/CorrIndep construction: each matrix
 // entry has the identical marginal distribution under both modes (only the
 // cross-task dependence differs). Checked empirically entry-wise: sample
@@ -219,12 +240,12 @@ func TestEqualMarginals(t *testing.T) {
 	moments := func(corr Correlation) (mean, variance float64) {
 		sp := newSampler(w, Options{Corr: corr, LoadCOV: 0.5}, allPairs(w))
 		ls := sp.newLanes()
-		dst := make([]float64, n*m)
+		dst := make([]float64, n*m*8)
 		root := rng.New(55)
 		var sum, sumsq float64
 		for i := 0; i < N; i++ {
-			sp.sample(dst, 1, 0, []uint64{root.Uint64()}, 0, ls)
-			v := dst[0] // entry (task 0, proc 0)
+			sp.sample(dst, []uint64{root.Uint64()}, 0, ls)
+			v := dst[0] // entry (task 0, proc 0), lane 0
 			sum += v
 			sumsq += v * v
 		}

@@ -4,23 +4,25 @@
 // metrics computed from them — R1, the inverse expected relative tardiness
 // (Definition 3.6), and R2, the inverse schedule miss rate (Definition 3.7).
 //
-// Realizations are processed in lane-batched groups: a worker samples
-// Options.BatchSize realizations of the read set — the (task, processor)
-// pairs the call's schedules assign, a makespan depends on no other pair —
-// eight at a time from eight lockstep RNG streams (rng.Lanes8), and runs
-// one structure-of-arrays forward longest-path sweep per schedule over its
-// precomputed CSR disjunctive graph that advances all lanes per arc and
-// reads each task's durations from the read-set entry the schedule's
-// gather index names (schedule.MakespanBatchIndexed). Each realization
-// draws the uniform block of the whole n×m matrix, so a pair's sample does
-// not depend on which other schedules share the call. Batches fan out
-// across Options.Workers goroutines with per-realization deterministic RNG
-// streams.
+// Realizations are processed in groups of eight lanes: a worker claims
+// Options.BatchSize realizations per cursor step and takes them eight at a
+// time, sampling each group's read set — the (task, processor) pairs the
+// call's schedules assign, a makespan depends on no other pair — from
+// eight lockstep RNG streams (rng.Lanes8), and running one
+// structure-of-arrays forward longest-path sweep per schedule over its
+// precomputed CSR disjunctive graph that advances all eight lanes per arc
+// and reads each task's durations from the read-set entry the schedule's
+// gather index names (schedule.MakespanBatchIndexed). A group of fewer
+// than eight realizations (the end of a claim) is swept on all eight lanes
+// and keeps only its own. Each realization draws the uniform block of the
+// whole n×m matrix, so a pair's sample does not depend on which other
+// schedules share the call. Claims fan out across Options.Workers
+// goroutines with per-realization deterministic RNG streams.
 //
 // Every metric — including the P50/P95/P99 quantiles, which are exact order
 // statistics of the retained per-realization makespan vector — is computed
 // from the makespans in realization order, so all results are bit-identical
-// regardless of worker count and batch width.
+// regardless of worker count and claim size.
 package sim
 
 import (
@@ -38,10 +40,11 @@ import (
 	"robsched/internal/schedule"
 )
 
-// DefaultBatchSize is the number of realizations a worker processes per
-// kernel batch when Options.BatchSize is zero. Eight lanes of float64 fill
-// one cache line and two ymm registers of the AVX kernel, and only this
-// width has a specialized kernel (schedule.MakespanBatchIndexed).
+// DefaultBatchSize is the number of realizations a worker claims per
+// cursor step when Options.BatchSize is zero: one group of eight lanes,
+// the width of every group the engine samples and sweeps. Eight lanes of
+// float64 fill one cache line and two ymm registers of the AVX kernel
+// (schedule.MakespanBatchIndexed).
 const DefaultBatchSize = 8
 
 // DurationModel selects the per-(task, processor) duration distribution.
@@ -135,9 +138,10 @@ type Options struct {
 	// counts leave the last sample unpaired. Repair, dynamic dispatch and
 	// faulty execution pair their realizations the same way (see Durations).
 	Antithetic bool
-	// BatchSize is the number of realizations evaluated per batched kernel
-	// sweep; 0 means DefaultBatchSize. Any width yields bit-identical
-	// results — this is purely a throughput knob.
+	// BatchSize is the number of realizations a worker claims per cursor
+	// step; 0 means DefaultBatchSize. A claim is sampled and swept in
+	// groups of eight lanes. Any size yields bit-identical results — this
+	// only sets how finely workers share the realizations.
 	BatchSize int
 
 	// Model selects the duration distribution. The zero value is the
@@ -228,7 +232,7 @@ func (o Options) workers() int {
 	return w
 }
 
-// batch returns the kernel batch width for a run of r realizations.
+// batch returns the claim size for a run of r realizations.
 func (o Options) batch(r int) int {
 	b := o.BatchSize
 	if b == 0 {
@@ -555,15 +559,15 @@ func mirrorLanes(antithetic bool, g, c int) uint8 {
 }
 
 // sample draws the realizations seeded by seeds, one to eight of them, into
-// lanes l0, l0+1, … of dst, which is entry-major with the given lane
-// stride: entry e of realization seeds[l] lands at dst[e*stride+l0+l], and
-// lane l is mirrored when bit l of mirror is set. Lane l's uniform block is
-// the stream rng.New(seeds[l]) draws, filled chunk by chunk for all eight
-// lanes at once; the entries whose draws a chunk holds are transformed
-// right after it is filled, which is one pass because ui ascends. A
-// partial group pads its unused lanes with a real seed and ignores their
-// draws.
-func (sp *sampler) sample(dst []float64, stride, l0 int, seeds []uint64, mirror uint8, ls *lanes) {
+// dst, which is entry-major with stride eight: entry e of realization
+// seeds[l] lands at dst[e*8+l], and lane l is mirrored when bit l of
+// mirror is set. Lane l's uniform block is the stream rng.New(seeds[l])
+// draws, filled chunk by chunk for all eight lanes at once; the entries
+// whose draws a chunk holds are transformed right after it is filled,
+// which is one pass because ui ascends. A partial group pads its unused
+// lanes with a real seed, ignores their draws and leaves their lanes of
+// dst as they were.
+func (sp *sampler) sample(dst []float64, seeds []uint64, mirror uint8, ls *lanes) {
 	var s8 [8]uint64
 	for l := range s8 {
 		s8[l] = seeds[min(l, len(seeds)-1)]
@@ -578,9 +582,9 @@ func (sp *sampler) sample(dst []float64, stride, l0 int, seeds []uint64, mirror 
 		u := ls.u[:(d1-d0)*8]
 		ls.gen.Float64s(u)
 		if sp.general() {
-			e = sp.generalLanes(dst, stride, l0, c, u, d0, d1, e, mirror, ls.load)
+			e = sp.generalLanes(dst, c, u, d0, d1, e, mirror, ls.load)
 		} else {
-			e = sp.uniformLanes(dst, stride, l0, c, u, d0, d1, e, mirror)
+			e = sp.uniformLanes(dst, c, u, d0, d1, e, mirror)
 		}
 		if d1 == total {
 			return
@@ -597,20 +601,20 @@ func (sp *sampler) sample(dst []float64, stride, l0 int, seeds []uint64, mirror 
 // counterpart; a degenerate pair is lo and reads no draw. Eight unmirrored
 // lanes run in AVX assembly where the CPU has it; both forms give the same
 // bits.
-func (sp *sampler) uniformLanes(dst []float64, stride, l0, c int, u []float64, d0, d1, e int, mirror uint8) int {
+func (sp *sampler) uniformLanes(dst []float64, c int, u []float64, d0, d1, e int, mirror uint8) int {
 	if !hasAVX || c != 8 || mirror != 0 {
-		return sp.uniformLanesGo(dst, stride, l0, c, u, d0, d1, e, mirror)
+		return sp.uniformLanesGo(dst, c, u, d0, d1, e, mirror)
 	}
-	sp.checkLanes(dst, stride, l0, u, d0, d1, sp.width)
-	return uniform8AVX(sp.ui, sp.lo, sp.width, u, dst[l0:], stride, d0, d1, e)
+	sp.checkLanes(dst, u, d0, d1, sp.width)
+	return uniform8AVX(sp.ui, sp.lo, sp.width, u, dst, 8, d0, d1, e)
 }
 
 // checkLanes panics unless lo and every table have one value per entry, u
-// holds the chunk [d0, d1) and dst the eight lanes from l0 of every entry:
-// the assembly transforms check no bounds.
-func (sp *sampler) checkLanes(dst []float64, stride, l0 int, u []float64, d0, d1 int, tables ...[]float64) {
+// holds the chunk [d0, d1) and dst the eight lanes of every entry: the
+// assembly transforms check no bounds.
+func (sp *sampler) checkLanes(dst, u []float64, d0, d1 int, tables ...[]float64) {
 	k := len(sp.ui)
-	ok := len(sp.lo) == k && len(u) >= (d1-d0)*8 && (k == 0 || len(dst) >= l0+(k-1)*stride+8)
+	ok := len(sp.lo) == k && len(u) >= (d1-d0)*8 && len(dst) >= k*8
 	for _, t := range tables {
 		ok = ok && len(t) == k
 	}
@@ -621,13 +625,13 @@ func (sp *sampler) checkLanes(dst []float64, stride, l0 int, u []float64, d0, d1
 
 // uniformLanesGo is the Go form of uniformLanes and the reference its
 // assembly form is tested against.
-func (sp *sampler) uniformLanesGo(dst []float64, stride, l0, c int, u []float64, d0, d1, e int, mirror uint8) int {
+func (sp *sampler) uniformLanesGo(dst []float64, c int, u []float64, d0, d1, e int, mirror uint8) int {
 	for ; e < len(sp.ui); e++ {
 		i := int(sp.ui[e])
 		if i >= d1 {
 			break
 		}
-		out := dst[e*stride+l0:][:c]
+		out := dst[e*8:][:c]
 		lo := sp.lo[e]
 		if i < 0 {
 			for l := range out {
@@ -661,7 +665,7 @@ func flip(u float64, mirrored bool) float64 {
 // realization's block is sp.scratch() uniforms — load-factor draws first,
 // then one draw per non-degenerate pair — so the draw schedule is a pure
 // function of the workload shape and the realization seed, independent of
-// worker count, batch width, shard boundaries and the read set. A
+// worker count, claim size, shard boundaries and the read set. A
 // correlated model's block is one chunk (newLanes), so its load-factor
 // draws are all in u.
 //
@@ -682,25 +686,25 @@ func flip(u float64, mirrored bool) float64 {
 // tail, or an Exp argument archExp treats as a special case), which the Go
 // loop transforms before the kernel resumes. Both forms give the same
 // bits.
-func (sp *sampler) generalLanes(dst []float64, stride, l0, c int, u []float64, d0, d1, e int, mirror uint8, load []float64) int {
+func (sp *sampler) generalLanes(dst []float64, c int, u []float64, d0, d1, e int, mirror uint8, load []float64) int {
 	if !hasLognormal || sp.model != ModelLognormal || sp.corr != CorrNone || c != 8 || mirror != 0 {
-		return sp.generalLanesGo(dst, stride, l0, c, u, d0, d1, e, mirror, load)
+		return sp.generalLanesGo(dst, c, u, d0, d1, e, mirror, load)
 	}
-	sp.checkLanes(dst, stride, l0, u, d0, d1, sp.mu, sp.sigma)
+	sp.checkLanes(dst, u, d0, d1, sp.mu, sp.sigma)
 	for {
-		e = lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst[l0:], stride, d0, d1, e)
+		e = lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst, 8, d0, d1, e)
 		if e == len(sp.ui) || int(sp.ui[e]) >= d1 {
 			return e
 		}
 		// Entry e's draw is in the chunk, so the kernel left it: the Go
 		// loop transforms it and the degenerate entries after it.
-		e = sp.generalLanesGo(dst, stride, l0, c, u, d0, int(sp.ui[e])+1, e, mirror, load)
+		e = sp.generalLanesGo(dst, c, u, d0, int(sp.ui[e])+1, e, mirror, load)
 	}
 }
 
 // generalLanesGo is the Go form of generalLanes and the reference its
 // assembly form is tested against.
-func (sp *sampler) generalLanesGo(dst []float64, stride, l0, c int, u []float64, d0, d1, e int, mirror uint8, load []float64) int {
+func (sp *sampler) generalLanesGo(dst []float64, c int, u []float64, d0, d1, e int, mirror uint8, load []float64) int {
 	if sp.corr == CorrShared && d0 == 0 {
 		for p := 0; p < sp.m; p++ {
 			for l := 0; l < c; l++ {
@@ -736,7 +740,7 @@ func (sp *sampler) generalLanesGo(dst []float64, stride, l0, c int, u []float64,
 			case CorrIndep:
 				v *= rng.LogNormalQuantile(sp.loadMu, sp.loadSigma, flip(u[int(sp.pair[e])*8+l], mirrored))
 			}
-			dst[e*stride+l0+l] = v
+			dst[e*8+l] = v
 		}
 	}
 	return e
@@ -824,8 +828,8 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 		nw = nBatches
 	}
 	// Telemetry: the counters and the occupancy histogram aggregate
-	// worker-independent facts (every run issues the same batch widths);
-	// only worker_claims reflects the actual racy batch assignment.
+	// worker-independent facts (every run makes claims of the same sizes);
+	// only worker_claims reflects the actual racy claim assignment.
 	opt.Obs.Counter("sim.realize_calls").Inc()
 	opt.Obs.Counter("sim.realizations").Add(int64(R))
 	opt.Obs.Counter("sim.schedules").Add(int64(len(ss)))
@@ -841,18 +845,18 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 			obs.F("workers", float64(nw)),
 		)()
 	}
-	// Workers claim whole batches off a shared cursor; since every batch
-	// writes a disjoint [lo, lo+b) realization range, the assignment of
-	// batches to workers cannot affect the result.
+	// Workers claim B realizations at a time off a shared cursor; since
+	// every claim writes a disjoint [lo, hi) realization range, the
+	// assignment of claims to workers cannot affect the result.
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < nw; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			durs := make([]float64, len(pairs)*B) // sampled read sets, entry e of lane l at e*b+l
-			st := make([]float64, B)
-			finish := make([]float64, n*B)
+			durs := make([]float64, len(pairs)*8) // one group's read sets, entry e of lane l at e*8+l
+			finish := make([]float64, n*8)
+			var out [8]float64
 			ls := sp.newLanes()
 			claimed := 0
 			defer func() { claims.Observe(float64(claimed)) }()
@@ -862,19 +866,17 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 					return
 				}
 				claimed++
-				b := B
-				if lo+b > R {
-					b = R - lo
-				}
-				occupancy.Observe(float64(b))
-				for l0 := 0; l0 < b; l0 += 8 {
-					c := min(8, b-l0)
-					sp.sample(durs, b, l0, seeds[lo+l0:lo+l0+c], mirrorLanes(opt.Antithetic, base+lo+l0, c), ls)
-				}
-				// Schedule j reads task t's durations from the read-set
-				// entry gather[j*n+t] names.
-				for j, s := range ss {
-					s.MakespanBatchIndexed(b, durs[:len(pairs)*b], gather[j*n:j*n+n], st[:b], finish[:n*b], mks[j][lo:lo+b])
+				hi := min(lo+B, R)
+				occupancy.Observe(float64(hi - lo))
+				for g := lo; g < hi; g += 8 {
+					c := min(8, hi-g)
+					sp.sample(durs, seeds[g:g+c], mirrorLanes(opt.Antithetic, base+g, c), ls)
+					// Schedule j reads task t's durations from the read-set
+					// entry gather[j*n+t] names.
+					for j, s := range ss {
+						s.MakespanBatchIndexed(durs, gather[j*n:j*n+n], finish, out[:])
+						copy(mks[j][g:g+c], out[:c])
+					}
 				}
 			}
 		}()
@@ -917,7 +919,7 @@ func Durations(w *platform.Workload, opt Options, seeds []uint64, fn func(k int,
 			ls := sp.newLanes()
 			for k0 := int(cursor.Add(8)) - 8; k0 < len(seeds); k0 = int(cursor.Add(8)) - 8 {
 				c := min(8, len(seeds)-k0)
-				sp.sample(flat, 8, 0, seeds[k0:k0+c], mirrorLanes(opt.Antithetic, k0, c), ls)
+				sp.sample(flat, seeds[k0:k0+c], mirrorLanes(opt.Antithetic, k0, c), ls)
 				for l := 0; l < c; l++ {
 					for t := 0; t < n; t++ {
 						row := durs.Row(t)
