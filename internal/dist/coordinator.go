@@ -211,7 +211,6 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 			Workload:    wlDoc,
 			Schedules:   sDocs,
 			Antithetic:  opt.Antithetic,
-			BatchSize:   opt.BatchSize,
 			Workers:     opt.Workers,
 			Model:       opt.Model,
 			Corr:        opt.Corr,
@@ -248,7 +247,7 @@ func (c *Coordinator) RealizeAll(ss []*schedule.Schedule, opt sim.Options, root 
 	// or empty from the start) is realized in-process — identical vectors by
 	// construction.
 	wOpt := sim.Options{
-		Antithetic: opt.Antithetic, BatchSize: opt.BatchSize, Workers: opt.Workers,
+		Antithetic: opt.Antithetic, Workers: opt.Workers,
 		Model: opt.Model, Corr: opt.Corr, LoadCOV: opt.LoadCOV, ParetoShape: opt.ParetoShape,
 	}
 	for ri, sh := range ranges {
@@ -554,13 +553,18 @@ var errUnhosted = errors.New("dist: no idle worker to host islands")
 //
 // Telemetry (Options.Obs/Trace/Observer) and OnGeneration stay in the
 // coordinator process and are not forwarded to workers; Solve rejects the
-// hooks that would require cross-process streaming.
+// hooks that would require cross-process streaming. Options.Cache stays
+// in the coordinator as well: its engine evaluates nothing and leaves the
+// cache unclaimed for the in-process solve, the one run that reads it.
 func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.Source) (*robust.Result, error) {
+	cache := opt.Cache
+	opt.Cache = nil
 	eng, err := robust.NewEngine(w, opt)
 	if err != nil {
 		return nil, err
 	}
 	opt = eng.Opt
+	opt.Cache = cache
 	if opt.Islands < 2 {
 		return nil, fmt.Errorf("dist: island solve needs Options.Islands >= 2, got %d", opt.Islands)
 	}

@@ -21,7 +21,7 @@ func FuzzControlMessage(f *testing.F) {
 	f.Add([]byte(`{"states":[{"island":0,"best_fitness_bits":4638387860618067575}]}`))
 	f.Add([]byte(`{"start_gen":6,"gens":6,"seq":9}`))
 	f.Add([]byte(`{"error":"dist: island 7 not hosted here","code":"setup"}`))
-	f.Add([]byte(`{"id":3,"workload":{"n":3,"m":2},"schedules":[],"batch_size":8}`))
+	f.Add([]byte(`{"id":3,"workload":{"n":3,"m":2},"schedules":[],"workers":2}`))
 	f.Add([]byte(`{"setup":3,"base":64,"seeds":[9,8,7],"seq":12}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`"not an object"`))

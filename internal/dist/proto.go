@@ -112,10 +112,9 @@ type SimSetup struct {
 	Schedules []wio.ScheduleJSON `json:"schedules"`
 	// Antithetic mirrors odd global realizations (matching the seed pairing
 	// of the coordinator's sim.SeedVector call); the parity comes from each
-	// range's global Base. BatchSize and Workers are the worker-side engine
-	// knobs; neither can change a bit of the results.
+	// range's global Base. Workers is the worker-side engine's goroutine
+	// count, which cannot change a bit of the results.
 	Antithetic bool `json:"antithetic,omitempty"`
-	BatchSize  int  `json:"batch_size,omitempty"`
 	Workers    int  `json:"workers,omitempty"`
 	// Model, Corr, LoadCOV and ParetoShape select the scenario layer's
 	// duration model (sim.Options fields of the same names). All four are

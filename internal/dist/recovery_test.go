@@ -359,7 +359,8 @@ func TestStaleResultNeverPasses(t *testing.T) {
 }
 
 // TestEmptyPoolSolvesInProcess: a pool with no workers at all still solves,
-// in process from the start.
+// in process from the start, on the caller's metrics cache: the
+// coordinator's own engine leaves it unclaimed.
 func TestEmptyPoolSolvesInProcess(t *testing.T) {
 	w := testWorkload(t, 13, 20, 3, 3)
 	opt := defaultIslandOpts()
@@ -371,6 +372,7 @@ func TestEmptyPoolSolvesInProcess(t *testing.T) {
 	defer pool.Close()
 	reg := obs.NewRegistry()
 	coord := &Coordinator{Pool: pool, Obs: reg}
+	opt.Cache = robust.NewMetricsCache()
 	got, err := coord.Solve(w, opt, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
@@ -378,6 +380,9 @@ func TestEmptyPoolSolvesInProcess(t *testing.T) {
 	checkSolveMatches(t, "empty-pool", got, want)
 	if reg.Counter("dist.degraded_solves").Value() == 0 {
 		t.Error("expected the empty pool to count a degraded solve")
+	}
+	if opt.Cache.Stats().Misses == 0 {
+		t.Error("the in-process solve did not use the caller's cache")
 	}
 }
 

@@ -143,7 +143,7 @@ func newSimState(payload []byte) (*simState, error) {
 		id: su.ID,
 		ss: ss,
 		opt: sim.Options{
-			Antithetic: su.Antithetic, BatchSize: su.BatchSize, Workers: su.Workers,
+			Antithetic: su.Antithetic, Workers: su.Workers,
 			Model: su.Model, Corr: su.Corr, LoadCOV: su.LoadCOV, ParetoShape: su.ParetoShape,
 		},
 	}, nil

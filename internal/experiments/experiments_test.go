@@ -465,6 +465,19 @@ func runnerCases() []runnerCase {
 		// non-uniform duration model.
 		{"policies-montage-lognormal", true, under("montage-lognormal", policies)},
 		{"faults-random-correlated", true, under("random-correlated", faults)},
+		// Antithetic pairing, through whatever Sim hook the harness set:
+		// through the pool, ranges of 3 start windows at odd bases.
+		{"sweep-antithetic", true, func(c Config) (any, error) {
+			evaluate := c.Sim
+			if evaluate == nil {
+				evaluate = sim.EvaluateAll
+			}
+			c.Sim = func(ss []*schedule.Schedule, opt sim.Options, root *rng.Source) ([]sim.Metrics, error) {
+				opt.Antithetic = true
+				return evaluate(ss, opt, root)
+			}
+			return sweep(c)
+		}},
 	}
 }
 

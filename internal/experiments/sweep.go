@@ -32,7 +32,10 @@ type Sweep struct {
 
 // RunSweep runs the ε-constraint GA for every uncertainty level, every ε
 // and every graph, evaluating each schedule against the HEFT baseline on
-// identical Monte-Carlo realizations.
+// identical Monte-Carlo realizations. The ε runs of a graph share its HEFT
+// baseline but no metrics cache: each Solve keeps the private cache it
+// gets when Options.Cache is nil, as runs at different ε meet almost no
+// genotype twice.
 func (c Config) RunSweep() (*Sweep, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -64,23 +67,18 @@ func (c Config) RunSweep() (*Sweep, error) {
 		}
 		// The HEFT baseline is ε-independent, so it is computed once per
 		// graph and threaded through Options.HEFT instead of re-derived by
-		// every Solve on the ε grid; likewise one genotype→metrics cache is
-		// shared across the grid — the metrics are ε-independent, so a
-		// genotype decoded for one ε is free for every other. Neither
-		// sharing changes any number: HEFT is deterministic and cache hits
-		// return the exact floats a decode would.
+		// every Solve on the ε grid; HEFT is deterministic, so this changes
+		// no number.
 		heftSched, err := robust.HEFTBaseline(w)
 		if err != nil {
 			return err
 		}
-		cache := robust.NewMetricsCache()
 		// One GA run per ε; all schedules (plus HEFT) evaluated on the
 		// same realizations.
 		schedules := make([]*schedule.Schedule, 0, len(c.Eps)+1)
 		for e, eps := range c.Eps {
 			opt := c.epsOptions(eps)
 			opt.HEFT = heftSched
-			opt.Cache = cache
 			res, err := robust.Solve(w, opt, rng.New(c.graphSeed(u, g)^uint64(0x1111*(e+1))))
 			if err != nil {
 				return err

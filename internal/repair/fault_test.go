@@ -571,7 +571,6 @@ func TestEvaluatorsRejectInvalidOptions(t *testing.T) {
 		{"a NaN deadline", sim.Options{Realizations: 5, Deadline: math.NaN()}, "Deadline"},
 		{"an infinite deadline", sim.Options{Realizations: 5, Deadline: math.Inf(1)}, "Deadline"},
 		{"negative workers", sim.Options{Realizations: 5, Workers: -3}, "Workers"},
-		{"a negative batch size", sim.Options{Realizations: 5, BatchSize: -1}, "BatchSize"},
 		{"an unknown model", sim.Options{Realizations: 5, Model: 9}, "Model"},
 		{"a load mode without COV", sim.Options{Realizations: 5, Corr: sim.CorrShared}, "LoadCOV"},
 	}

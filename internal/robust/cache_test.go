@@ -1,12 +1,15 @@
 package robust
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"robsched/internal/ga"
 	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
@@ -105,10 +108,10 @@ func assertTracesIdentical(t *testing.T, label string, a, b solveTrace) {
 }
 
 // TestSolveCacheIslandsBitIdentical is the cache's invariance property: for
-// one and for four islands, the metrics cache (off / private /
-// shared-prefilled) must leave the GA trajectory and final schedule
-// bit-identical — the cache only skips redundant decodes, so every float
-// the fitness combination sees is the same.
+// one and for four islands, the metrics cache (off / private) must leave
+// the GA trajectory and final schedule bit-identical — the cache only
+// skips redundant decodes, so every float the fitness combination sees is
+// the same.
 func TestSolveCacheIslandsBitIdentical(t *testing.T) {
 	base := Options{
 		Mode: EpsilonConstraint, Eps: 1.3,
@@ -121,71 +124,82 @@ func TestSolveCacheIslandsBitIdentical(t *testing.T) {
 		opt.NoMetricsCache = true
 		ref := solveTraced(t, opt, 99, 7, 40, 4)
 
-		for _, cache := range []string{"off", "private", "shared"} {
+		for _, noCache := range []bool{true, false} {
 			v := base
 			v.Islands = islands
-			switch cache {
-			case "off":
-				v.NoMetricsCache = true
-			case "shared":
-				// Pre-warm a shared cache with a full sibling solve: hits
-				// from a foreign run must return the exact floats a decode
-				// would.
-				c := NewMetricsCache()
-				warm := base
-				warm.Islands = islands
-				warm.Cache = c
-				if _, err := Solve(testWorkload(t, 7, 40, 4), warm, rng.New(1234)); err != nil {
-					t.Fatal(err)
-				}
-				v.Cache = c
-			}
+			v.NoMetricsCache = noCache
 			got := solveTraced(t, v, 99, 7, 40, 4)
-			assertTracesIdentical(t, fmt.Sprintf("islands=%d cache=%s", islands, cache), ref, got)
+			assertTracesIdentical(t, fmt.Sprintf("islands=%d nocache=%v", islands, noCache), ref, got)
 		}
 	}
 }
 
-// TestSolveSharedCacheAcrossEpsIdentical models experiments.RunSweep: one
-// cache and one HEFT baseline shared across an ε grid on the same workload
-// must reproduce the isolated per-ε runs exactly.
-func TestSolveSharedCacheAcrossEpsIdentical(t *testing.T) {
+// TestUsedCacheRefused: a cache that served one Solve is refused by a
+// second Solve, by SolveWeightedSum and by NewEngine, with an error and
+// before any generation evolves or the cache is read. Its M0-only entries
+// lack the slacks a run with a higher bound would read.
+func TestUsedCacheRefused(t *testing.T) {
 	w := testWorkload(t, 11, 35, 4)
+	cache := NewMetricsCache()
+	first := quickOptions(EpsilonConstraint, 1.0)
+	first.Cache = cache
+	if _, err := Solve(w, first, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	served := cache.Stats()
+	if served.Misses == 0 {
+		t.Fatal("the first solve left the cache untouched")
+	}
+	evolved := 0
+	again := quickOptions(EpsilonConstraint, 2.0)
+	again.Cache = cache
+	again.Observer = ga.ObserverFunc(func(ga.GenStats) { evolved++ })
+	again.OnGeneration = func(int, *Chromosome) { evolved++ }
+	runs := map[string]func() error{
+		"Solve": func() error { _, err := Solve(w, again, rng.New(2)); return err },
+		"SolveWeightedSum": func() error {
+			_, err := SolveWeightedSum(w, 0.5, again, rng.New(2))
+			return err
+		},
+		"NewEngine": func() error { _, err := NewEngine(w, again); return err },
+	}
+	for name, run := range runs {
+		if err := run(); !errors.Is(err, errCacheClaimed) {
+			t.Fatalf("%s on a used cache: err = %v, want %v", name, err, errCacheClaimed)
+		}
+	}
+	if evolved != 0 || cache.Stats() != served {
+		t.Fatalf("refused runs evolved %d generations and moved the cache from %+v to %+v", evolved, served, cache.Stats())
+	}
+	// NoMetricsCache ignores the cache, so it claims nothing.
+	off := again
+	off.NoMetricsCache, off.Observer, off.OnGeneration = true, nil, nil
+	if _, err := Solve(w, off, rng.New(2)); err != nil {
+		t.Fatalf("a cache-off run with a used cache: %v", err)
+	}
+	// Engines built concurrently on one new cache: exactly one claims it.
 	hs, err := HEFTBaseline(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewMetricsCache()
-	epsGrid := []float64{1.0, 1.2, 1.5}
-	for i, eps := range epsGrid {
-		opt := Options{
-			Mode: EpsilonConstraint, Eps: eps,
-			PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.15,
-			MaxGenerations: 40, Stagnation: 0,
-		}
-		iso := opt
-		iso.NoMetricsCache = true
-		want, err := Solve(w, iso, rng.New(uint64(1000+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.HEFT = hs
-		opt.Cache = cache
-		got, err := Solve(w, opt, rng.New(uint64(1000+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eqInts(want.Schedule.Order(), got.Schedule.Order()) ||
-			!eqInts(want.Schedule.ProcAssignment(), got.Schedule.ProcAssignment()) {
-			t.Fatalf("eps=%g: shared-cache schedule differs from isolated run", eps)
-		}
-		if want.Schedule.Makespan() != got.Schedule.Makespan() ||
-			want.Schedule.AvgSlack() != got.Schedule.AvgSlack() {
-			t.Fatalf("eps=%g: shared-cache metrics differ", eps)
-		}
-		if want.Generations != got.Generations || want.Stagnated != got.Stagnated {
-			t.Fatalf("eps=%g: termination differs", eps)
-		}
+	fresh := quickOptions(EpsilonConstraint, 1.0)
+	fresh.HEFT, fresh.Cache = hs, NewMetricsCache()
+	var built atomic.Int64
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := NewEngine(w, fresh); err == nil {
+				built.Add(1)
+			} else if !errors.Is(err, errCacheClaimed) {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := built.Load(); n != 1 {
+		t.Fatalf("%d of 8 concurrent engines claimed one cache, want 1", n)
 	}
 }
 
@@ -311,107 +325,6 @@ func cacheEntries(mc *MetricsCache) map[string]cacheEntry {
 		}
 	}
 	return out
-}
-
-// unpackGenes decodes a packed genotype: one uvarint per gene.
-func unpackGenes(t *testing.T, geno string) []int {
-	t.Helper()
-	var genes []int
-	for b := []byte(geno); len(b) > 0; {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			t.Fatalf("malformed packed genotype %q", geno)
-		}
-		genes = append(genes, int(v))
-		b = b[n:]
-	}
-	return genes
-}
-
-// TestSharedCacheCompletesM0OnlyEntries: an ε = 1.0 solve leaves the
-// entries of its infeasible misses M0-only in a cache, and an ε = 2.0
-// solve with the same seed shares it. Its hits on M0-only entries whose M0
-// it reads as feasible complete those entries in place with the full
-// triple, and its result is bit-identical to the same solve on a private
-// cache and with no cache.
-func TestSharedCacheCompletesM0OnlyEntries(t *testing.T) {
-	w := testWorkload(t, 13, 30, 4)
-	hs, err := HEFTBaseline(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := func(eps float64) Options {
-		return Options{
-			Mode: EpsilonConstraint, Eps: eps, HEFT: hs,
-			PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.15,
-			MaxGenerations: 40, Stagnation: 0,
-		}
-	}
-	shared := NewMetricsCache()
-	first := opt(1.0)
-	first.Cache = shared
-	if _, err := Solve(w, first, rng.New(5)); err != nil {
-		t.Fatal(err)
-	}
-	before := cacheEntries(shared)
-	m0Only := 0
-	for _, e := range before {
-		if math.IsNaN(e.met.avgSlack) {
-			m0Only++
-			if !math.IsNaN(e.met.minSlack) || e.met.m0 <= hs.Makespan() {
-				t.Fatalf("M0-only entry %+v within the bound %v", e.met, hs.Makespan())
-			}
-		}
-	}
-	if m0Only == 0 {
-		t.Fatal("the ε = 1.0 solve left no M0-only entry")
-	}
-
-	var results []*Result
-	for _, variant := range []func(*Options){
-		func(o *Options) { o.Cache = shared },
-		func(o *Options) {},
-		func(o *Options) { o.NoMetricsCache = true },
-	} {
-		o := opt(2.0)
-		variant(&o)
-		res, err := Solve(w, o, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	for _, res := range results[1:] {
-		got, want := results[0], res
-		if !eqInts(got.Schedule.Order(), want.Schedule.Order()) ||
-			!eqInts(got.Schedule.ProcAssignment(), want.Schedule.ProcAssignment()) ||
-			got.Schedule.Makespan() != want.Schedule.Makespan() ||
-			got.Schedule.AvgSlack() != want.Schedule.AvgSlack() ||
-			got.Generations != want.Generations {
-			t.Fatal("the shared-cache solve differs from a private-cache or cache-off solve")
-		}
-	}
-
-	completed := 0
-	for key, e := range cacheEntries(shared) {
-		old, ok := before[key]
-		if !ok || !math.IsNaN(old.met.avgSlack) || math.IsNaN(e.met.avgSlack) {
-			continue
-		}
-		completed++
-		genes := unpackGenes(t, e.geno)
-		n := len(genes) / 2
-		s, err := schedule.FromOrder(w, genes[:n], genes[n:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := metricsFromSchedule(s); e.met != want || e.met.m0 > 2.0*hs.Makespan() {
-			t.Fatalf("completed entry %+v, was %+v, the schedule's triple %+v", e.met, old.met, want)
-		}
-	}
-	if completed == 0 {
-		t.Fatal("the ε = 2.0 solve completed no M0-only entry")
-	}
 }
 
 // TestDuplicateMissesShareOneTriple: two chromosomes of one population

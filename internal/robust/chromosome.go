@@ -29,12 +29,12 @@ type Chromosome struct {
 	// metr memoizes the fitness-relevant metrics triple: the only thing the
 	// GA reads of a chromosome's schedule. It is populated either by the
 	// metrics-only decode (schedule.Decoder.MetricsUpTo), which never
-	// builds the schedule, or — via the solver's MetricsCache — without
-	// computing anything, which is what makes re-evaluations and
-	// genotype-duplicate individuals free. One evaluator fills it, so an
-	// M0-only triple always has M0 above that evaluator's bound (see
-	// evaluator.upTo). Code that needs the full schedule decodes it on
-	// demand (Decode).
+	// builds the schedule, or — via the run's MetricsCache, which holds
+	// triples computed at the same bound — without computing anything,
+	// which is what makes re-evaluations and genotype-duplicate
+	// individuals free. One run fills it, so an M0-only triple always has
+	// M0 above that run's bound (see evaluator.upTo). Code that needs the
+	// full schedule decodes it on demand (Decode).
 	metr    schedMetrics
 	hasMetr bool
 }

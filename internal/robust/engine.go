@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -10,6 +11,9 @@ import (
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
+
+// errCacheClaimed refuses an Options.Cache that already serves a run.
+var errCacheClaimed = errors.New("robust: Options.Cache already serves another run; a MetricsCache serves one solve")
 
 // Engine is the reusable core of Solve: the normalized options, the HEFT
 // baseline, and the fully-wired GA configuration for one workload. Solve
@@ -34,7 +38,8 @@ type Engine struct {
 // NewEngine normalizes the options (a zero GA block takes the paper's
 // configuration), computes or adopts the HEFT baseline, and wires the
 // evaluator into a ga.Config. It performs no evolution; callers hand the
-// Config to ga.Run, ga.RunIslands or ga.NewIsland.
+// Config to ga.Run, ga.RunIslands or ga.NewIsland. The engine claims
+// opt.Cache: a cache another engine claimed is refused with an error.
 func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 	return newEngine(w, opt, nil)
 }
@@ -80,6 +85,11 @@ func newEngine(w *platform.Workload, opt Options, score func(m schedMetrics, mhe
 	mheft := hs.Makespan()
 	if score == nil {
 		upTo = opt.Eps * mheft
+	}
+	// A cache serves one run: its M0-only entries lack the slacks a run
+	// with a higher bound would read.
+	if opt.Cache != nil && !opt.NoMetricsCache && opt.Cache.claimed.Swap(true) {
+		return nil, errCacheClaimed
 	}
 
 	eval := newEvaluator(w, opt, mheft, score, upTo)

@@ -2,7 +2,6 @@ package robust
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,16 +23,6 @@ func metricsFromSchedule(s *schedule.Schedule) schedMetrics {
 	return schedMetrics{m0: s.Makespan(), avgSlack: s.AvgSlack(), minSlack: s.MinSlack()}
 }
 
-// covers reports whether m holds what an objective that reads the slacks
-// only when M0 <= upTo needs: the slacks, or an M0 above upTo. A triple
-// computed with a bound (Chromosome.metrics) holds NaN slacks when M0 was
-// above that bound. A computed slack is NaN only when the schedule's times
-// overflow to +Inf: platform.NewWorkload rejects every duration that
-// overflows on its own, but finite durations can still sum past the float
-// range. Such a triple is recomputed whenever its slacks are read, to the
-// same bits.
-func (m schedMetrics) covers(upTo float64) bool { return !math.IsNaN(m.avgSlack) || m.m0 > upTo }
-
 // slack returns the robustness surrogate the slack metric selects.
 func (m schedMetrics) slack(metric SlackMetric) float64 {
 	if metric == MinSlack {
@@ -52,6 +41,10 @@ const (
 	// eviction can only cost a redundant metrics computation, never
 	// correctness.
 	cacheShardCap = 1024
+	// cacheShardSize is the size hint of a shard's map in a cache
+	// NewMetricsCache built. A run's private cache takes a smaller one when
+	// the run is short (Options.privateShardSize).
+	cacheShardSize = 64
 )
 
 // MetricsCache memoizes schedule metrics by genotype fingerprint
@@ -63,16 +56,20 @@ const (
 // equality, so a fingerprint collision degrades to a recomputation instead
 // of corrupting a run.
 //
-// A MetricsCache is safe for concurrent use and MAY be shared across Solve
-// calls — the metrics are independent of Mode, ε and the slack metric — but
-// only on the same workload: entries from a different workload would alias
-// genotypes with different schedules. experiments.RunSweep shares one cache
-// across its whole ε grid per graph.
+// A MetricsCache is the cache of exactly one run: the engine of the run it
+// serves claims it, and NewEngine refuses a cache another engine claimed.
+// Every entry is then computed at the bound of the one run that reads it
+// (see evaluator.upTo), so an M0-only entry is never read for its slacks.
+// The cache is safe for concurrent use: the islands of one run share it.
 type MetricsCache struct {
 	// keyFn overrides the genotype fingerprint, letting tests inject
 	// colliding keys; nil means (*Chromosome).Key.
 	keyFn  func(*Chromosome) uint64
 	shards [cacheShardCount]cacheShard
+	// shardSize is the size hint each shard's map is made with.
+	shardSize int
+	// claimed is set by the engine the cache serves.
+	claimed atomic.Bool
 
 	// Traffic counters (atomic; see Stats). For a single population the
 	// counts are deterministic: every lookup happens either in the cache
@@ -100,9 +97,8 @@ type CacheStats struct {
 	Evictions int64
 }
 
-// Stats returns the cache's traffic counters; nil-safe (a nil cache reads
-// all-zero). Callers observing a single run on a shared cache subtract a
-// before-snapshot with Sub.
+// Stats returns the cache's traffic counters, those of the one run it
+// served; nil-safe (a nil cache reads all-zero).
 func (mc *MetricsCache) Stats() CacheStats {
 	if mc == nil {
 		return CacheStats{}
@@ -112,17 +108,6 @@ func (mc *MetricsCache) Stats() CacheStats {
 		Misses:     mc.misses.Load(),
 		Collisions: mc.collisions.Load(),
 		Evictions:  mc.evictions.Load(),
-	}
-}
-
-// Sub returns the per-field difference s - prev, turning two monotonic
-// snapshots into the traffic of the interval between them.
-func (s CacheStats) Sub(prev CacheStats) CacheStats {
-	return CacheStats{
-		Hits:       s.Hits - prev.Hits,
-		Misses:     s.Misses - prev.Misses,
-		Collisions: s.Collisions - prev.Collisions,
-		Evictions:  s.Evictions - prev.Evictions,
 	}
 }
 
@@ -141,8 +126,9 @@ type cacheEntry struct {
 	met  schedMetrics
 }
 
-// NewMetricsCache returns an empty cache ready for concurrent use.
-func NewMetricsCache() *MetricsCache { return &MetricsCache{} }
+// NewMetricsCache returns an empty cache ready for concurrent use, for one
+// run whose Options.Cache it is.
+func NewMetricsCache() *MetricsCache { return &MetricsCache{shardSize: cacheShardSize} }
 
 // pack appends c's packed genotype to dst and returns it with c's key
 // (mc.keyFn's, when set). The packed form is one uvarint per gene, order
@@ -203,23 +189,10 @@ func (mc *MetricsCache) insert(k uint64, g []byte, met schedMetrics) {
 		mc.evictions.Add(1)
 	}
 	if sh.m == nil {
-		sh.m = make(map[uint64]cacheEntry, 64)
+		sh.m = make(map[uint64]cacheEntry, mc.shardSize)
 	}
 	if _, ok := sh.m[k]; !ok {
 		sh.m[k] = cacheEntry{geno: string(g), met: met}
-	}
-}
-
-// complete overwrites the M0-only metrics recorded for the packed genotype
-// g under key k with met, its full triple. An entry evicted since its
-// lookup is left evicted. Neither counts as cache traffic.
-func (mc *MetricsCache) complete(k uint64, g []byte, met schedMetrics) {
-	sh := &mc.shards[k%cacheShardCount]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.m[k]; ok && e.geno == string(g) {
-		e.met = met
-		sh.m[k] = e
 	}
 }
 

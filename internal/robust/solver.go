@@ -92,11 +92,11 @@ type Options struct {
 	// (graph, ε) — the result is identical because HEFT is deterministic.
 	HEFT *schedule.Schedule
 
-	// Cache, if non-nil, is the genotype→metrics cache consulted before a
-	// chromosome's metrics are computed and filled after. It may be shared
-	// across Solve calls on the same workload (metrics are independent of
-	// Mode, ε and SlackMetric) but never across workloads. Nil gives the
-	// run a private cache; sharing only changes speed, never any result.
+	// Cache, if non-nil, is the run's genotype→metrics cache, which a
+	// caller passes to read its Stats after the run. It serves this run
+	// alone, on this workload: a cache that served another run is refused
+	// with an error before anything evolves. Nil gives the run a private
+	// cache; the cache only changes speed, never any result.
 	Cache *MetricsCache
 
 	// NoMetricsCache disables the metrics cache entirely (ablation and
@@ -201,7 +201,6 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 			obs.F("max_generations", float64(opt.MaxGenerations)),
 		)()
 	}
-	cachePre := eval.cache.Stats()
 	var res ga.Result[*Chromosome]
 	if opt.Islands > 1 {
 		res, err = ga.RunIslands(ga.IslandConfig[*Chromosome]{
@@ -216,7 +215,7 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 		return nil, err
 	}
 	if eval.cache != nil && (opt.Obs != nil || opt.Trace != nil) {
-		recordCacheStats(opt.Obs, opt.Trace, eval.cache.Stats().Sub(cachePre))
+		recordCacheStats(opt.Obs, opt.Trace, eval.cache.Stats())
 	}
 	return eng.Result(res)
 }
@@ -254,10 +253,19 @@ func newEvaluator(w *platform.Workload, opt Options, mheft float64, score func(s
 	if !opt.NoMetricsCache {
 		e.cache = opt.Cache
 		if e.cache == nil {
-			e.cache = NewMetricsCache()
+			e.cache = &MetricsCache{shardSize: opt.privateShardSize()}
 		}
 	}
 	return e
+}
+
+// privateShardSize sizes the shard maps of a run's private cache by the
+// distinct genotypes the run can meet, PopSize per island and generation
+// with generation 0 included, spread over the shards: a short run then
+// makes no maps larger than it fills. It is at most cacheShardSize.
+func (o Options) privateShardSize() int {
+	genotypes := float64(max(o.Islands, 1)) * float64(o.PopSize) * (float64(o.MaxGenerations) + 1)
+	return int(max(0, min(cacheShardSize, math.Ceil(genotypes/cacheShardCount))))
 }
 
 // evalScratch is the working state of one evaluator call, reused across
@@ -316,16 +324,13 @@ func (sc *evalScratch) pendingOf(pop []*Chromosome) []*Chromosome {
 // ensureMetrics guarantees every chromosome of pop carries its metrics
 // triple, computing it only for genuinely novel genotypes: memoized
 // chromosomes are free, cache hits (genotype-equal to any individual seen
-// before, across generations, islands and — via a shared Options.Cache —
-// sibling Solve runs) cost a lookup, and only the misses run the
-// metrics-only decode (schedule.Decoder.MetricsUpTo at the evaluator's
-// bound), one after another, each inserting its triple into the cache. A
-// miss with the genotype of an earlier miss of the same call copies that
-// miss's triple. No schedule is built.
-//
-// A hit on an M0-only entry whose M0 is within the bound — an entry a run
-// with a lower bound left in a shared cache — computes the full triple and
-// completes the entry in place. It still counts as a hit.
+// before, across generations and islands) cost a lookup, and only the
+// misses run the metrics-only decode (schedule.Decoder.MetricsUpTo at the
+// evaluator's bound), one after another, each inserting its triple into
+// the cache. A miss with the genotype of an earlier miss of the same call
+// copies that miss's triple. No schedule is built. The cache serves this
+// run alone, so every entry was computed at this evaluator's bound and a
+// hit returns it as it is.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	sc := e.scratch.get()
 	defer e.scratch.put(sc)
@@ -347,10 +352,6 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 				keys = append(keys, k)
 				ends = append(ends, len(genes))
 				continue
-			}
-			if !met.covers(e.upTo) {
-				met = e.metrics(c)
-				e.cache.complete(k, genes[start:], met)
 			}
 			genes = genes[:start]
 			c.metr, c.hasMetr = met, true

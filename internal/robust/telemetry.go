@@ -50,9 +50,8 @@ func telemetryObserver(reg *obs.Registry, tr *obs.Tracer) ga.Observer {
 	})
 }
 
-// recordCacheStats adds one run's metrics-cache traffic (a delta between
-// two Stats snapshots, so shared caches attribute per-run counts correctly)
-// to the registry and emits it as a trace event.
+// recordCacheStats adds one run's metrics-cache traffic (the Stats of the
+// cache that served it) to the registry and emits it as a trace event.
 func recordCacheStats(reg *obs.Registry, tr *obs.Tracer, d CacheStats) {
 	reg.Counter("cache.hits").Add(d.Hits)
 	reg.Counter("cache.misses").Add(d.Misses)

@@ -150,9 +150,9 @@ func equivSchedules(tb testing.TB, w *platform.Workload, count int) []*schedule.
 // TestBatchedMatchesScalar is the batched-vs-scalar equivalence property:
 // over random workloads (including one with mean UL 1, whose many
 // degenerate pairs exercise the no-draw sampling path), the uniform model
-// and every modelCases() entry, batch widths 1, 3, 8 and 17, several worker
-// counts and antithetic on/off, every per-realization makespan and every
-// metric field must be bit-identical to the scalar reference pass.
+// and every modelCases() entry, several worker counts and antithetic
+// on/off, every per-realization makespan and every metric field must be
+// bit-identical to the scalar reference pass.
 func TestBatchedMatchesScalar(t *testing.T) {
 	workloads := []*platform.Workload{
 		testWorkload(t, 101, 30, 4, 4),
@@ -160,7 +160,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 		testWorkload(t, 105, 100, 8, 6),
 		testWorkload(t, 107, 23, 5, 1), // UL == 1: degenerate distributions
 	}
-	const realizations = 101 // odd: tail batch + an unpaired antithetic draw
+	const realizations = 101 // odd: a partial group + an unpaired antithetic draw
 	for _, model := range append([]Options{{}}, modelCases()...) {
 		for wi, w := range workloads {
 			ss := equivSchedules(t, w, 3)
@@ -169,36 +169,37 @@ func TestBatchedMatchesScalar(t *testing.T) {
 				base.Realizations = realizations
 				base.Antithetic = anti
 				ref := refMakespans(t, ss, base, rng.New(uint64(900+wi)))
-				refMetrics, err := EvaluateAll(ss, withWB(base, 1, 1), rng.New(uint64(900+wi)))
+				serial := base
+				serial.Workers = 1
+				refMetrics, err := EvaluateAll(ss, serial, rng.New(uint64(900+wi)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, batch := range []int{1, 3, 8, 17} {
-					for _, workers := range []int{1, 2, 5} {
-						opt := withWB(base, workers, batch)
-						label := fmt.Sprintf("model=%s-%s workload=%d anti=%v batch=%d workers=%d",
-							model.Model, model.Corr, wi, anti, batch, workers)
-						mks, err := RealizeAll(ss, opt, rng.New(uint64(900+wi)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						for j := range ss {
-							for i := range mks[j] {
-								if mks[j][i] != ref[j][i] {
-									t.Fatalf("%s: schedule %d realization %d: batched %v != scalar %v",
-										label, j, i, mks[j][i], ref[j][i])
-								}
+				for _, workers := range []int{1, 2, 5} {
+					opt := base
+					opt.Workers = workers
+					label := fmt.Sprintf("model=%s-%s workload=%d anti=%v workers=%d",
+						model.Model, model.Corr, wi, anti, workers)
+					mks, err := RealizeAll(ss, opt, rng.New(uint64(900+wi)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := range ss {
+						for i := range mks[j] {
+							if mks[j][i] != ref[j][i] {
+								t.Fatalf("%s: schedule %d realization %d: batched %v != scalar %v",
+									label, j, i, mks[j][i], ref[j][i])
 							}
 						}
-						ms, err := EvaluateAll(ss, opt, rng.New(uint64(900+wi)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						for j := range ss {
-							if !metricsIdentical(ms[j], refMetrics[j]) {
-								t.Fatalf("%s: schedule %d metrics diverged:\n%+v\n%+v",
-									label, j, ms[j], refMetrics[j])
-							}
+					}
+					ms, err := EvaluateAll(ss, opt, rng.New(uint64(900+wi)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := range ss {
+						if !metricsIdentical(ms[j], refMetrics[j]) {
+							t.Fatalf("%s: schedule %d metrics diverged:\n%+v\n%+v",
+								label, j, ms[j], refMetrics[j])
 						}
 					}
 				}
@@ -211,13 +212,13 @@ func TestBatchedMatchesScalar(t *testing.T) {
 // same batched engine, so with equal Options and root seed they must be
 // exactly consistent with Evaluate's sample — the 95% confidence deadline
 // IS the P95 order statistic, and CVaR at q is at least the q-quantile —
-// for every worker count, batch width and antithetic setting.
+// for every worker count and antithetic setting.
 func TestSharedEngineViews(t *testing.T) {
 	w := testWorkload(t, 111, 40, 4, 4)
 	s := heftSchedule(t, w)
 	for _, workers := range []int{1, 4} {
 		for _, anti := range []bool{false, true} {
-			opt := Options{Realizations: 400, Workers: workers, Antithetic: anti, BatchSize: 8}
+			opt := Options{Realizations: 400, Workers: workers, Antithetic: anti}
 			m, err := Evaluate(s, opt, rng.New(13))
 			if err != nil {
 				t.Fatal(err)
@@ -239,12 +240,12 @@ func TestSharedEngineViews(t *testing.T) {
 					workers, anti, cvar95, m.P95, m.MaxMakespan)
 			}
 			// Worker-independence of the derived views themselves.
-			d95Serial, err := DeadlineForConfidence(s, 0.95, Options{Realizations: 400, Workers: 1, Antithetic: anti, BatchSize: 3}, rng.New(13))
+			d95Serial, err := DeadlineForConfidence(s, 0.95, Options{Realizations: 400, Workers: 1, Antithetic: anti}, rng.New(13))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d95 != d95Serial {
-				t.Errorf("anti=%v: deadline varies with workers/batch: %v vs %v", anti, d95, d95Serial)
+				t.Errorf("anti=%v: deadline varies with workers: %v vs %v", anti, d95, d95Serial)
 			}
 		}
 	}

@@ -189,7 +189,7 @@ func TestLognormalLanesMatchesGo(t *testing.T) {
 		gen.Float64s(u)
 		if special == 0 {
 			dst := make([]float64, len(sp.ui)*8)
-			if e := lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst, 8, 0, draws, 0); e != len(sp.ui) {
+			if e := lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst, 0, draws, 0); e != len(sp.ui) {
 				t.Fatalf("trial %d: the kernel left entry %d of %d (mu %v, sigma %v)", trial, e, len(sp.ui), sp.mu[e], sp.sigma[e])
 			}
 		}

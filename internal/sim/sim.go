@@ -4,25 +4,24 @@
 // metrics computed from them — R1, the inverse expected relative tardiness
 // (Definition 3.6), and R2, the inverse schedule miss rate (Definition 3.7).
 //
-// Realizations are processed in groups of eight lanes: a worker claims
-// Options.BatchSize realizations per cursor step and takes them eight at a
-// time, sampling each group's read set — the (task, processor) pairs the
-// call's schedules assign, a makespan depends on no other pair — from
-// eight lockstep RNG streams (rng.Lanes8), and running one
+// Realizations are processed in groups of eight lanes: a worker claims one
+// group per cursor step, sampling its read set — the (task, processor)
+// pairs the call's schedules assign, a makespan depends on no other pair —
+// from eight lockstep RNG streams (rng.Lanes8), and running one
 // structure-of-arrays forward longest-path sweep per schedule over its
 // precomputed CSR disjunctive graph that advances all eight lanes per arc
 // and reads each task's durations from the read-set entry the schedule's
 // gather index names (schedule.MakespanBatchIndexed). A group of fewer
-// than eight realizations (the end of a claim) is swept on all eight lanes
+// than eight realizations (the end of the run) is swept on all eight lanes
 // and keeps only its own. Each realization draws the uniform block of the
 // whole n×m matrix, so a pair's sample does not depend on which other
-// schedules share the call. Claims fan out across Options.Workers
+// schedules share the call. Groups fan out across Options.Workers
 // goroutines with per-realization deterministic RNG streams.
 //
 // Every metric — including the P50/P95/P99 quantiles, which are exact order
 // statistics of the retained per-realization makespan vector — is computed
 // from the makespans in realization order, so all results are bit-identical
-// regardless of worker count and claim size.
+// regardless of worker count.
 package sim
 
 import (
@@ -39,13 +38,6 @@ import (
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
-
-// DefaultBatchSize is the number of realizations a worker claims per
-// cursor step when Options.BatchSize is zero: one group of eight lanes,
-// the width of every group the engine samples and sweeps. Eight lanes of
-// float64 fill one cache line and two ymm registers of the AVX kernel
-// (schedule.MakespanBatchIndexed).
-const DefaultBatchSize = 8
 
 // DurationModel selects the per-(task, processor) duration distribution.
 // The zero value is the paper's uniform model, and selecting it (with
@@ -138,10 +130,12 @@ type Options struct {
 	// counts leave the last sample unpaired. Repair, dynamic dispatch and
 	// faulty execution pair their realizations the same way (see Durations).
 	Antithetic bool
-	// BatchSize is the number of realizations a worker claims per cursor
-	// step; 0 means DefaultBatchSize. A claim is sampled and swept in
-	// groups of eight lanes. Any size yields bit-identical results — this
-	// only sets how finely workers share the realizations.
+	// BatchSize is ignored: a worker claims one group of eight
+	// realizations per cursor step, the width of every group the engine
+	// samples and sweeps (eight float64 lanes fill one cache line and two
+	// ymm registers of the AVX kernel, schedule.MakespanBatchIndexed). The
+	// field remains so that callers which set it, such as the benchmark
+	// harness in bench/, still compile.
 	BatchSize int
 
 	// Model selects the duration distribution. The zero value is the
@@ -197,9 +191,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return &OptionError{"Workers", float64(o.Workers), "must be >= 0"}
 	}
-	if o.BatchSize < 0 {
-		return &OptionError{"BatchSize", float64(o.BatchSize), "must be >= 0"}
-	}
 	if math.IsNaN(o.Deadline) || math.IsInf(o.Deadline, 0) {
 		return &OptionError{"Deadline", o.Deadline, "must be finite"}
 	}
@@ -230,18 +221,6 @@ func (o Options) workers() int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// batch returns the claim size for a run of r realizations.
-func (o Options) batch(r int) int {
-	b := o.BatchSize
-	if b == 0 {
-		b = DefaultBatchSize
-	}
-	if b > r {
-		b = r
-	}
-	return b
 }
 
 // Metrics summarizes the realized behaviour of one schedule.
@@ -606,7 +585,7 @@ func (sp *sampler) uniformLanes(dst []float64, c int, u []float64, d0, d1, e int
 		return sp.uniformLanesGo(dst, c, u, d0, d1, e, mirror)
 	}
 	sp.checkLanes(dst, u, d0, d1, sp.width)
-	return uniform8AVX(sp.ui, sp.lo, sp.width, u, dst, 8, d0, d1, e)
+	return uniform8AVX(sp.ui, sp.lo, sp.width, u, dst, d0, d1, e)
 }
 
 // checkLanes panics unless lo and every table have one value per entry, u
@@ -665,9 +644,8 @@ func flip(u float64, mirrored bool) float64 {
 // realization's block is sp.scratch() uniforms — load-factor draws first,
 // then one draw per non-degenerate pair — so the draw schedule is a pure
 // function of the workload shape and the realization seed, independent of
-// worker count, claim size, shard boundaries and the read set. A
-// correlated model's block is one chunk (newLanes), so its load-factor
-// draws are all in u.
+// worker count, shard boundaries and the read set. A correlated model's
+// block is one chunk (newLanes), so its load-factor draws are all in u.
 //
 // The antithetic mirror is uniform across every model: the mirrored
 // realization evaluates the identical transforms at 1−u for every uniform it
@@ -692,7 +670,7 @@ func (sp *sampler) generalLanes(dst []float64, c int, u []float64, d0, d1, e int
 	}
 	sp.checkLanes(dst, u, d0, d1, sp.mu, sp.sigma)
 	for {
-		e = lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst, 8, d0, d1, e)
+		e = lognormal8AVX(sp.ui, sp.lo, sp.mu, sp.sigma, u, dst, d0, d1, e)
 		if e == len(sp.ui) || int(sp.ui[e]) >= d1 {
 			return e
 		}
@@ -777,7 +755,7 @@ func SeedVector(realizations int, antithetic bool, root *rng.Source) []uint64 {
 //
 // The root source seeds one independent stream per realization, and each
 // lane's floating-point operations follow the scalar order, so the returned
-// vectors are bit-identical for every Workers and BatchSize setting.
+// vectors are bit-identical for every Workers setting.
 func RealizeAll(ss []*schedule.Schedule, opt Options, root *rng.Source) ([][]float64, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -812,7 +790,6 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 	}
 	n, m := w.N(), w.M()
 	R := len(seeds)
-	B := opt.batch(R)
 	buildDone := opt.Trace.Scope("sim").Span("build_sampler")
 	pairs, gather := readSet(ss, n, m)
 	sp := newSampler(w, opt, pairs)
@@ -822,14 +799,14 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 	for j := range mks {
 		mks[j], arena = arena[:R:R], arena[R:]
 	}
-	nBatches := (R + B - 1) / B
+	nBatches := (R + 7) / 8
 	nw := opt.workers()
 	if nw > nBatches {
 		nw = nBatches
 	}
 	// Telemetry: the counters and the occupancy histogram aggregate
-	// worker-independent facts (every run makes claims of the same sizes);
-	// only worker_claims reflects the actual racy claim assignment.
+	// worker-independent facts (every run claims the same groups); only
+	// worker_claims reflects the actual racy claim assignment.
 	opt.Obs.Counter("sim.realize_calls").Inc()
 	opt.Obs.Counter("sim.realizations").Add(int64(R))
 	opt.Obs.Counter("sim.schedules").Add(int64(len(ss)))
@@ -841,13 +818,12 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 			obs.F("realizations", float64(R)),
 			obs.F("schedules", float64(len(ss))),
 			obs.F("batches", float64(nBatches)),
-			obs.F("batch_size", float64(B)),
 			obs.F("workers", float64(nw)),
 		)()
 	}
-	// Workers claim B realizations at a time off a shared cursor; since
-	// every claim writes a disjoint [lo, hi) realization range, the
-	// assignment of claims to workers cannot affect the result.
+	// Workers claim a group of eight realizations at a time off a shared
+	// cursor; since every group writes a disjoint realization range, the
+	// assignment of groups to workers cannot affect the result.
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < nw; k++ {
@@ -860,23 +836,16 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 			ls := sp.newLanes()
 			claimed := 0
 			defer func() { claims.Observe(float64(claimed)) }()
-			for {
-				lo := int(cursor.Add(int64(B))) - B
-				if lo >= R {
-					return
-				}
+			for g := int(cursor.Add(8)) - 8; g < R; g = int(cursor.Add(8)) - 8 {
 				claimed++
-				hi := min(lo+B, R)
-				occupancy.Observe(float64(hi - lo))
-				for g := lo; g < hi; g += 8 {
-					c := min(8, hi-g)
-					sp.sample(durs, seeds[g:g+c], mirrorLanes(opt.Antithetic, base+g, c), ls)
-					// Schedule j reads task t's durations from the read-set
-					// entry gather[j*n+t] names.
-					for j, s := range ss {
-						s.MakespanBatchIndexed(durs, gather[j*n:j*n+n], finish, out[:])
-						copy(mks[j][g:g+c], out[:c])
-					}
+				c := min(8, R-g)
+				occupancy.Observe(float64(c))
+				sp.sample(durs, seeds[g:g+c], mirrorLanes(opt.Antithetic, base+g, c), ls)
+				// Schedule j reads task t's durations from the read-set
+				// entry gather[j*n+t] names.
+				for j, s := range ss {
+					s.MakespanBatchIndexed(durs, gather[j*n:j*n+n], finish, out[:])
+					copy(mks[j][g:g+c], out[:c])
 				}
 			}
 		}()
@@ -976,7 +945,7 @@ func Evaluate(s *schedule.Schedule, opt Options, root *rng.Source) (Metrics, err
 //
 // All metric fields, quantiles included, are computed from the full
 // per-realization makespan vector in realization order and are therefore
-// bit-identical for every Workers and BatchSize setting.
+// bit-identical for every Workers setting.
 func EvaluateAll(ss []*schedule.Schedule, opt Options, root *rng.Source) ([]Metrics, error) {
 	mks, err := RealizeAll(ss, opt, root)
 	if err != nil {
@@ -1094,9 +1063,9 @@ func metricsOf(m0 float64, makespans []float64, deadline float64) Metrics {
 // the empirical `confidence`-quantile of the realized makespan. This is
 // the planning question robustness ultimately answers — "what completion
 // time can I promise with 95% confidence?". It runs on the same batched
-// parallel engine as Evaluate and honours Options.Workers, Antithetic and
-// BatchSize; with equal Options and root seed it returns exactly the
-// corresponding order statistic of Evaluate's makespan sample.
+// parallel engine as Evaluate and honours Options.Workers and Antithetic;
+// with equal Options and root seed it returns exactly the corresponding
+// order statistic of Evaluate's makespan sample.
 func DeadlineForConfidence(s *schedule.Schedule, confidence float64, opt Options, root *rng.Source) (float64, error) {
 	if confidence <= 0 || confidence > 1 {
 		return 0, fmt.Errorf("sim: confidence %g out of (0, 1]", confidence)
@@ -1113,7 +1082,7 @@ func DeadlineForConfidence(s *schedule.Schedule, confidence float64, opt Options
 // level q: the mean of the worst (1−q) fraction of sampled realizations —
 // what "bad days" cost on average, the risk measure conservative planners
 // optimize for. Like DeadlineForConfidence it is a view over the shared
-// batched engine and honours Options.Workers, Antithetic and BatchSize.
+// batched engine and honours Options.Workers and Antithetic.
 func CVaR(s *schedule.Schedule, q float64, opt Options, root *rng.Source) (float64, error) {
 	if q <= 0 || q >= 1 {
 		return 0, fmt.Errorf("sim: CVaR level %g out of (0, 1)", q)

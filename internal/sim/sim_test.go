@@ -43,9 +43,6 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := Evaluate(s, Options{Realizations: 10, Workers: -1}, rng.New(1)); err == nil {
 		t.Error("negative workers accepted")
 	}
-	if _, err := Evaluate(s, Options{Realizations: 10, BatchSize: -1}, rng.New(1)); err == nil {
-		t.Error("negative batch size accepted")
-	}
 	if _, err := EvaluateAll(nil, PaperOptions(), rng.New(1)); err == nil {
 		t.Error("empty schedule list accepted")
 	}
@@ -65,7 +62,6 @@ func TestOptionsValidateTyped(t *testing.T) {
 		{Options{Realizations: 0}, "Realizations"},
 		{Options{Realizations: -5}, "Realizations"},
 		{Options{Realizations: 10, Workers: -1}, "Workers"},
-		{Options{Realizations: 10, BatchSize: -3}, "BatchSize"},
 		{Options{Realizations: 10, Deadline: math.NaN()}, "Deadline"},
 		{Options{Realizations: 10, Deadline: math.Inf(1)}, "Deadline"},
 		{Options{Realizations: 10, Deadline: math.Inf(-1)}, "Deadline"},
@@ -90,7 +86,7 @@ func TestOptionsValidateTyped(t *testing.T) {
 	}
 	good := []Options{
 		{Realizations: 1},
-		{Realizations: 1000, Workers: 8, BatchSize: 64, Deadline: 123.5},
+		{Realizations: 1000, Workers: 8, Deadline: 123.5},
 		PaperOptions(),
 	}
 	for i, opt := range good {

@@ -20,7 +20,7 @@ func TestRealizeAllTelemetry(t *testing.T) {
 	w := testWorkload(t, 61, 25, 3, 2)
 	s := heftSchedule(t, w)
 	reg := obs.NewRegistry()
-	opt := Options{Realizations: 103, BatchSize: 8, Workers: 3, Obs: reg}
+	opt := Options{Realizations: 103, Workers: 3, Obs: reg}
 	if _, err := RealizeAll([]*schedule.Schedule{s, s}, opt, rng.New(5)); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ var lognormalProbe = struct {
 func lognormalMatches() bool {
 	p := &lognormalProbe
 	var dst [8]float64
-	if lognormal8AVX([]int32{0}, []float64{0}, []float64{p.mu}, []float64{p.sigma}, p.u[:], dst[:], 8, 0, 1, 0) != 1 {
+	if lognormal8AVX([]int32{0}, []float64{0}, []float64{p.mu}, []float64{p.sigma}, p.u[:], dst[:], 0, 1, 0) != 1 {
 		return false
 	}
 	for l, u := range p.u {
@@ -49,7 +49,7 @@ func lognormalMatches() bool {
 // length first.
 //
 //go:noescape
-func uniform8AVX(ui []int32, lo, width, u, dst []float64, stride, d0, d1, e int) int
+func uniform8AVX(ui []int32, lo, width, u, dst []float64, d0, d1, e int) int
 
 // lognormal8AVX is generalLanesGo for eight unmirrored lanes of the
 // lognormal model under CorrNone in AVX2 and FMA assembly
@@ -57,4 +57,4 @@ func uniform8AVX(ui []int32, lo, width, u, dst []float64, stride, d0, d1, e int)
 // path. It does no bounds checks: generalLanes checks every length first.
 //
 //go:noescape
-func lognormal8AVX(ui []int32, lo, mu, sigma, u, dst []float64, stride, d0, d1, e int) int
+func lognormal8AVX(ui []int32, lo, mu, sigma, u, dst []float64, d0, d1, e int) int

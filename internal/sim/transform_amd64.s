@@ -1,29 +1,28 @@
 #include "textflag.h"
 
-// func uniform8AVX(ui []int32, lo, width, u, dst []float64, stride, d0, d1, e int) int
+// func uniform8AVX(ui []int32, lo, width, u, dst []float64, d0, d1, e int) int
 //
 // uniformLanesGo for eight unmirrored lanes: for entries e, e+1, … until
 // the first whose draw lies outside the chunk [d0, d1), it writes
-// lo[e] + width[e]·u to the eight lanes at dst[e*stride:], a multiply then
+// lo[e] + width[e]·u to the eight lanes at dst[e*8:], a multiply then
 // an add as in Go (never a fused multiply-add), or lo[e] for a degenerate
 // entry (ui[e] < 0), and returns the entry it stopped at. Y0 holds the
 // broadcast lo, Y1 the broadcast width. Go's operand order is reversed from
 // Intel's: "VMULPD b, a, d" sets d = a·b. Every length is checked by the Go
 // caller; a draw index below d0, which ui's ascending order rules out,
 // stops the loop instead of reading before the chunk.
-TEXT ·uniform8AVX(SB), NOSPLIT, $0-160
+TEXT ·uniform8AVX(SB), NOSPLIT, $0-152
 	MOVQ ui_base+0(FP), SI
 	MOVQ ui_len+8(FP), CX
 	MOVQ lo_base+24(FP), R8
 	MOVQ width_base+48(FP), R9
 	MOVQ u_base+72(FP), R10
 	MOVQ dst_base+96(FP), DI
-	MOVQ stride+120(FP), R12
-	SHLQ $3, R12                // stride in bytes
-	MOVQ d0+128(FP), R13
-	MOVQ d1+136(FP), DX
+	MOVQ $64, R12               // an entry's eight lanes in bytes
+	MOVQ d0+120(FP), R13
+	MOVQ d1+128(FP), DX
 	SUBQ R13, DX                // rows in the chunk
-	MOVQ e+144(FP), BX
+	MOVQ e+136(FP), BX
 	MOVQ BX, AX
 	IMULQ R12, AX
 	ADDQ AX, DI                 // entry e's lanes
@@ -60,7 +59,7 @@ degenerate:
 
 done:
 	VZEROUPPER
-	MOVQ BX, ret+152(FP)
+	MOVQ BX, ret+144(FP)
 	RET
 
 // The lognormal kernel's constants, each repeated in four lanes so that it
@@ -355,17 +354,17 @@ K4(ABS, $0x7FFFFFFFFFFFFFFF)
 	VPSLLQ  $52, k, k         /* 2^k */                 ; \
 	VMULPD  k, e, e
 
-// func lognormal8AVX(ui []int32, lo, mu, sigma, u, dst []float64, stride, d0, d1, e int) int
+// func lognormal8AVX(ui []int32, lo, mu, sigma, u, dst []float64, d0, d1, e int) int
 //
 // The lognormal model's transform for eight unmirrored, uncorrelated
 // lanes, in AVX2 and FMA: for entries e, e+1, … it writes
 // rng.LogNormalQuantile(mu[e], sigma[e], u) to the eight lanes at
-// dst[e*stride:], or lo[e] for a degenerate entry (ui[e] < 0), and returns
+// dst[e*8:], or lo[e] for a degenerate entry (ui[e] < 0), and returns
 // the entry it stopped at: the first whose draw lies outside the chunk
 // [d0, d1), or the first with a lane the replay above does not cover.
 // Lanes 0–3 run in Y0–Y6 and lanes 4–7 in Y7–Y13. Every length is checked
 // by the Go caller.
-TEXT ·lognormal8AVX(SB), NOSPLIT, $0-184
+TEXT ·lognormal8AVX(SB), NOSPLIT, $0-176
 	MOVQ ui_base+0(FP), SI
 	MOVQ ui_len+8(FP), CX
 	MOVQ lo_base+24(FP), R8
@@ -373,12 +372,11 @@ TEXT ·lognormal8AVX(SB), NOSPLIT, $0-184
 	MOVQ sigma_base+72(FP), R11
 	MOVQ u_base+96(FP), R10
 	MOVQ dst_base+120(FP), DI
-	MOVQ stride+144(FP), R12
-	SHLQ $3, R12                // stride in bytes
-	MOVQ d0+152(FP), R13
-	MOVQ d1+160(FP), DX
+	MOVQ $64, R12               // an entry's eight lanes in bytes
+	MOVQ d0+144(FP), R13
+	MOVQ d1+152(FP), DX
 	SUBQ R13, DX                // rows in the chunk
-	MOVQ e+168(FP), BX
+	MOVQ e+160(FP), BX
 	MOVQ BX, AX
 	IMULQ R12, AX
 	ADDQ AX, DI                 // entry e's lanes
@@ -424,5 +422,5 @@ degenerate:
 
 done:
 	VZEROUPPER
-	MOVQ BX, ret+176(FP)
+	MOVQ BX, ret+168(FP)
 	RET

@@ -350,7 +350,7 @@ func EvaluateAll(ss []*Schedule, opt SimOptions, r *RNG) ([]SimMetrics, error) {
 // random numbers. Evaluate, EvaluateAll, CVaR and DeadlineForConfidence are
 // views over this sample; it is the input for custom risk measures and
 // distributional comparisons (e.g. KSDistance). Results are bit-identical
-// for every Workers and BatchSize setting.
+// for every Workers setting.
 func RealizeAll(ss []*Schedule, opt SimOptions, r *RNG) ([][]float64, error) {
 	return sim.RealizeAll(ss, opt, r)
 }

@@ -239,14 +239,14 @@ func TestPublicRealizeAll(t *testing.T) {
 		t.Errorf("%.3f of the sample exceeds its own P95", got)
 	}
 	par, err := robsched.RealizeAll([]*robsched.Schedule{heft, cpop},
-		robsched.SimOptions{Realizations: 300, Workers: 4, BatchSize: 3}, robsched.NewRNG(18))
+		robsched.SimOptions{Realizations: 300, Workers: 4}, robsched.NewRNG(18))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range mks {
 		for i := range mks[j] {
 			if mks[j][i] != par[j][i] {
-				t.Fatalf("schedule %d realization %d varies with workers/batch", j, i)
+				t.Fatalf("schedule %d realization %d varies with workers", j, i)
 			}
 		}
 	}
