@@ -197,6 +197,14 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-scenario", "montage", "-workload", "w.json"}, &out, &errb); err == nil {
 		t.Error("-scenario with -workload accepted")
 	}
+	for _, sched := range []string{"ga", "anneal"} {
+		if err := run([]string{"-n", "10", "-m", "2", "-scheduler", sched, "-eps", "NaN"}, &out, &errb); err == nil {
+			t.Errorf("-scheduler %s -eps NaN accepted", sched)
+		}
+	}
+	if err := run([]string{"-n", "10", "-m", "2", "-scheduler", "weighted", "-weight", "NaN"}, &out, &errb); err == nil {
+		t.Error("-weight NaN accepted")
+	}
 }
 
 // TestRepairAndFaultsUnderEveryScenarioModel: -repair and -faults sample the

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Arc is one directed edge endpoint as seen from a node's adjacency list.
@@ -309,14 +310,24 @@ func (g *Graph) IsTopologicalOrder(perm []int) bool {
 	return true
 }
 
+// intSource is the randomness RandomTopologicalOrder needs; *rng.Source
+// satisfies it.
+type intSource interface{ Intn(int) int }
+
+// topoScratch pools RandomTopologicalOrder's in-degree and ready lists, so
+// a call allocates only the order it returns.
+var topoScratch = sync.Pool{New: func() any { return new([]int) }}
+
 // RandomTopologicalOrder returns a topological order sampled by running
 // Kahn's algorithm with a uniformly random choice among ready nodes. This is
 // how the GA generates initial scheduling strings (Section 4.2.2).
-type intSource interface{ Intn(int) int }
-
 func (g *Graph) RandomTopologicalOrder(r intSource) []int {
-	indeg := make([]int, g.n)
-	ready := make([]int, 0, g.n)
+	buf := topoScratch.Get().(*[]int)
+	defer topoScratch.Put(buf)
+	if cap(*buf) < 2*g.n {
+		*buf = make([]int, 2*g.n)
+	}
+	indeg, ready := (*buf)[:g.n], (*buf)[g.n:g.n]
 	for v := 0; v < g.n; v++ {
 		indeg[v] = len(g.pred[v])
 		if indeg[v] == 0 {

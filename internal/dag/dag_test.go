@@ -171,6 +171,21 @@ func TestRandomTopologicalOrderProperty(t *testing.T) {
 	}
 }
 
+// TestRandomTopologicalOrderAllocatesOnlyTheOrder: the in-degree and
+// ready lists come from a pool, so a call allocates the order it returns
+// and nothing else.
+func TestRandomTopologicalOrderAllocatesOnlyTheOrder(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch")
+	}
+	r := rng.New(11)
+	g := randomDAG(r, 100, 0.1)
+	g.RandomTopologicalOrder(r)
+	if allocs := testing.AllocsPerRun(100, func() { g.RandomTopologicalOrder(r) }); allocs != 1 {
+		t.Fatalf("RandomTopologicalOrder allocates %.0f times per call, want 1", allocs)
+	}
+}
+
 func TestRandomTopologicalOrderCoversAlternatives(t *testing.T) {
 	// In the diamond, nodes 1 and 2 can appear in either order; with enough
 	// samples both must occur.

@@ -96,9 +96,10 @@ func (c *Config[T]) validate() error {
 	switch {
 	case c.PopSize < 2:
 		return fmt.Errorf("ga: PopSize=%d must be >= 2", c.PopSize)
-	case c.CrossoverRate < 0 || c.CrossoverRate > 1:
+	// Each range check is written so that NaN fails it.
+	case !(c.CrossoverRate >= 0 && c.CrossoverRate <= 1):
 		return fmt.Errorf("ga: CrossoverRate=%g out of [0,1]", c.CrossoverRate)
-	case c.MutationRate < 0 || c.MutationRate > 1:
+	case !(c.MutationRate >= 0 && c.MutationRate <= 1):
 		return fmt.Errorf("ga: MutationRate=%g out of [0,1]", c.MutationRate)
 	case c.MaxGenerations < 1:
 		return fmt.Errorf("ga: MaxGenerations=%d must be >= 1", c.MaxGenerations)

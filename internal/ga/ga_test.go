@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"robsched/internal/rng"
@@ -59,25 +61,29 @@ func ones(ind bits) float64 {
 	return f
 }
 
+// TestValidate: every invalid field is rejected with an error naming it,
+// NaN rates included (a NaN rate would switch its operator off).
 func TestValidate(t *testing.T) {
 	base := oneMaxConfig(8)
 	muts := []struct {
-		name string
-		f    func(*Config[bits])
+		name, field string
+		f           func(*Config[bits])
 	}{
-		{"pop", func(c *Config[bits]) { c.PopSize = 1 }},
-		{"pc", func(c *Config[bits]) { c.CrossoverRate = 1.5 }},
-		{"pm", func(c *Config[bits]) { c.MutationRate = -0.1 }},
-		{"gens", func(c *Config[bits]) { c.MaxGenerations = 0 }},
-		{"stag", func(c *Config[bits]) { c.Stagnation = -1 }},
-		{"hooks", func(c *Config[bits]) { c.EvaluateInto = nil }},
-		{"seeds", func(c *Config[bits]) { c.Seeds = make([]bits, 21) }},
+		{"pop", "PopSize", func(c *Config[bits]) { c.PopSize = 1 }},
+		{"pc", "CrossoverRate", func(c *Config[bits]) { c.CrossoverRate = 1.5 }},
+		{"pc NaN", "CrossoverRate", func(c *Config[bits]) { c.CrossoverRate = math.NaN() }},
+		{"pm", "MutationRate", func(c *Config[bits]) { c.MutationRate = -0.1 }},
+		{"pm NaN", "MutationRate", func(c *Config[bits]) { c.MutationRate = math.NaN() }},
+		{"gens", "MaxGenerations", func(c *Config[bits]) { c.MaxGenerations = 0 }},
+		{"stag", "Stagnation", func(c *Config[bits]) { c.Stagnation = -1 }},
+		{"hooks", "EvaluateInto", func(c *Config[bits]) { c.EvaluateInto = nil }},
+		{"seeds", "seeds", func(c *Config[bits]) { c.Seeds = make([]bits, 21) }},
 	}
 	for _, m := range muts {
 		c := base
 		m.f(&c)
-		if _, err := Run(c, rng.New(1)); err == nil {
-			t.Errorf("%s: invalid config accepted", m.name)
+		if _, err := Run(c, rng.New(1)); err == nil || !strings.Contains(err.Error(), m.field) {
+			t.Errorf("%s: err = %v, want an error naming %s", m.name, err, m.field)
 		}
 	}
 }

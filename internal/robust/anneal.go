@@ -46,7 +46,9 @@ func PaperishAnnealOptions(eps float64) AnnealOptions {
 //
 // so every feasible state has lower energy than every infeasible one.
 func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Result, error) {
-	if opt.Eps <= 0 {
+	// Each float check is written so that NaN fails it; an Eps of +Inf
+	// means no constraint.
+	if !(opt.Eps > 0) {
 		return nil, fmt.Errorf("robust: SolveAnneal needs Eps > 0, got %g", opt.Eps)
 	}
 	if opt.Steps == 0 {
@@ -61,8 +63,11 @@ func SolveAnneal(w *platform.Workload, opt AnnealOptions, r *rng.Source) (*Resul
 	if opt.FinalTemp == 0 {
 		opt.FinalTemp = 1e-3
 	}
-	if opt.InitialTemp < opt.FinalTemp || opt.FinalTemp <= 0 {
-		return nil, fmt.Errorf("robust: temperatures (%g, %g) invalid", opt.InitialTemp, opt.FinalTemp)
+	if !(opt.FinalTemp > 0) {
+		return nil, fmt.Errorf("robust: FinalTemp=%g must be > 0", opt.FinalTemp)
+	}
+	if !(opt.InitialTemp >= opt.FinalTemp) || math.IsInf(opt.InitialTemp, 1) {
+		return nil, fmt.Errorf("robust: InitialTemp=%g must be finite and >= FinalTemp=%g", opt.InitialTemp, opt.FinalTemp)
 	}
 	hs, err := heft.HEFT(w, heft.Options{})
 	if err != nil {

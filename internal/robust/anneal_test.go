@@ -1,23 +1,41 @@
 package robust
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
 
+// TestSolveAnnealValidation: every invalid option is rejected with an
+// error naming it: NaN ε and temperatures, and an infinite initial
+// temperature, whose cooling factor would be 0. ε = +Inf means no
+// constraint and runs.
 func TestSolveAnnealValidation(t *testing.T) {
 	w := testWorkload(t, 2000, 10, 2)
 	r := rng.New(1)
-	if _, err := SolveAnneal(w, AnnealOptions{Eps: 0}, r); err == nil {
-		t.Error("Eps=0 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name, field string
+		opt         AnnealOptions
+	}{
+		{"Eps=0", "Eps", AnnealOptions{Eps: 0}},
+		{"Eps=NaN", "Eps", AnnealOptions{Eps: nan}},
+		{"negative steps", "Steps", AnnealOptions{Eps: 1.2, Steps: -1}},
+		{"inverted temperatures", "InitialTemp", AnnealOptions{Eps: 1.2, InitialTemp: 0.001, FinalTemp: 1}},
+		{"negative final", "FinalTemp", AnnealOptions{Eps: 1.2, FinalTemp: -1}},
+		{"NaN initial", "InitialTemp", AnnealOptions{Eps: 1.2, InitialTemp: nan}},
+		{"NaN final", "FinalTemp", AnnealOptions{Eps: 1.2, FinalTemp: nan}},
+		{"infinite initial", "InitialTemp", AnnealOptions{Eps: 1.2, InitialTemp: inf}},
+	} {
+		if _, err := SolveAnneal(w, tc.opt, r); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
-	if _, err := SolveAnneal(w, AnnealOptions{Eps: 1.2, Steps: -1}, r); err == nil {
-		t.Error("negative steps accepted")
-	}
-	if _, err := SolveAnneal(w, AnnealOptions{Eps: 1.2, InitialTemp: 0.001, FinalTemp: 1}, r); err == nil {
-		t.Error("inverted temperatures accepted")
+	if _, err := SolveAnneal(w, AnnealOptions{Eps: inf, Steps: 50}, r); err != nil {
+		t.Errorf("Eps=+Inf: %v", err)
 	}
 }
 

@@ -216,12 +216,10 @@ func TestMetricsCacheHitReturnsExactMetrics(t *testing.T) {
 	}
 	met := metricsFromSchedule(s)
 	mc := NewMetricsCache()
-	g, k := mc.pack(nil, c)
-	mc.insert(k, g, met)
+	mc.insert(pack(nil, c), met)
 
 	dup := c.Clone() // genotype-equal, fresh pointer, no memoized state
-	g, k = mc.pack(nil, dup)
-	got, ok := mc.lookup(k, g)
+	got, ok := mc.lookup(pack(nil, dup))
 	if !ok {
 		t.Fatal("genotype-equal chromosome missed the cache")
 	}
@@ -230,101 +228,52 @@ func TestMetricsCacheHitReturnsExactMetrics(t *testing.T) {
 	}
 }
 
-// TestMetricsCacheCollisionFallsBackToDecode injects a constant fingerprint
-// so every genotype collides on one key: lookups for a different genotype
-// must miss (the full-genotype guard rejects the colliding entry), and a
-// Solve using the colliding cache must still be bit-identical to a cache-off
-// run — a collision can only cost a redundant decode, never corrupt a result.
-func TestMetricsCacheCollisionFallsBackToDecode(t *testing.T) {
-	w := testWorkload(t, 31, 25, 3)
-	r := rng.New(6)
-	a := Random(w, r)
-	b := Random(w, r)
-	if eqInts(a.Order, b.Order) && eqInts(a.Proc, b.Proc) {
-		t.Fatal("test needs two distinct genotypes")
+// TestMetricsCacheHitAllocatesNothing: a hit packs the genotype into a
+// reused buffer and looks it up without allocating.
+func TestMetricsCacheHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
-	sa, err := a.Decode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorkload(t, 23, 100, 8)
+	c := Random(w, rng.New(7))
 	mc := NewMetricsCache()
-	mc.keyFn = func(*Chromosome) uint64 { return 42 }
-	ga, ka := mc.pack(nil, a)
-	gb, kb := mc.pack(nil, b)
-	if ka != 42 || kb != 42 {
-		t.Fatalf("keys %d and %d, want the injected 42", ka, kb)
-	}
-	mc.insert(ka, ga, metricsFromSchedule(sa))
-	if _, ok := mc.lookup(kb, gb); ok {
-		t.Fatal("colliding key with different genotype reported a hit")
-	}
-	if _, ok := mc.lookup(ka, ga); !ok {
-		t.Fatal("genuine entry lost under colliding keys")
-	}
-
-	// End to end: an all-colliding cache degrades to decode-everything but
-	// changes no result.
-	opt := Options{
-		Mode: EpsilonConstraint, Eps: 1.3,
-		PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.15,
-		MaxGenerations: 40, Stagnation: 0,
-	}
-	ref := opt
-	ref.NoMetricsCache = true
-	want, err := Solve(w, ref, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	colliding := NewMetricsCache()
-	colliding.keyFn = func(*Chromosome) uint64 { return 42 }
-	opt.Cache = colliding
-	got, err := Solve(w, opt, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eqInts(want.Schedule.Order(), got.Schedule.Order()) ||
-		!eqInts(want.Schedule.ProcAssignment(), got.Schedule.ProcAssignment()) ||
-		want.Schedule.Makespan() != got.Schedule.Makespan() ||
-		want.Generations != got.Generations {
-		t.Fatal("all-colliding cache changed the Solve result")
+	mc.insert(pack(nil, c), schedMetrics{m0: 1})
+	buf := pack(nil, c)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = pack(buf[:0], c)
+		if _, ok := mc.lookup(buf); !ok {
+			t.Fatal("cached genotype missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a hit allocates %.0f times, want 0", allocs)
 	}
 }
 
-// TestMetricsCacheEvictionResetsShard fills a shard past its cap and checks
-// the wholesale reset: the shard shrinks, stays consistent, and keeps
-// serving correct entries afterwards.
-func TestMetricsCacheEvictionResetsShard(t *testing.T) {
+// TestMetricsCacheEvictionResetsMap fills the cache past its cap: the
+// insert after the cacheCap-th resets the map wholesale, once, and the
+// entry it inserts is still served.
+func TestMetricsCacheEvictionResetsMap(t *testing.T) {
 	mc := NewMetricsCache()
-	// Pin every insert to shard 0 with distinct keys that are ≡ 0 mod the
-	// shard count.
 	mkChrom := func(i int) *Chromosome {
 		return NewChromosome([]int{0, 1, 2}, []int{i, i + 1, i + 2})
 	}
-	for i := 0; i <= cacheShardCap; i++ {
-		g, _ := mc.pack(nil, mkChrom(i))
-		k := uint64(i) * cacheShardCount
-		mc.insert(k, g, schedMetrics{m0: float64(i)})
+	for i := 0; i <= cacheCap; i++ {
+		mc.insert(pack(nil, mkChrom(i)), schedMetrics{m0: float64(i)})
 	}
-	sh := &mc.shards[0]
-	if len(sh.m) > cacheShardCap {
-		t.Fatalf("shard grew past cap: %d entries", len(sh.m))
+	if st := mc.Stats(); st.Evictions != 1 {
+		t.Fatalf("%d distinct inserts evicted %d times, want 1", cacheCap+1, st.Evictions)
 	}
-	// The post-reset insert must still be retrievable.
-	last, _ := mc.pack(nil, mkChrom(cacheShardCap))
-	if met, ok := mc.lookup(uint64(cacheShardCap)*cacheShardCount, last); !ok || met.m0 != float64(cacheShardCap) {
+	if len(mc.m) != 1 {
+		t.Fatalf("the reset cache holds %d entries, want 1", len(mc.m))
+	}
+	met, ok := mc.lookup(pack(nil, mkChrom(cacheCap)))
+	if !ok || met.m0 != cacheCap {
 		t.Fatalf("post-eviction entry lost: ok=%v met=%+v", ok, met)
 	}
-}
-
-// cacheEntries returns every entry of mc by packed genotype.
-func cacheEntries(mc *MetricsCache) map[string]cacheEntry {
-	out := make(map[string]cacheEntry)
-	for i := range mc.shards {
-		for _, e := range mc.shards[i].m {
-			out[e.geno] = e
-		}
+	if _, ok := mc.lookup(pack(nil, mkChrom(0))); ok {
+		t.Fatal("an entry from before the reset was served")
 	}
-	return out
 }
 
 // TestDuplicateMissesShareOneTriple: two chromosomes of one population
@@ -343,8 +292,8 @@ func TestDuplicateMissesShareOneTriple(t *testing.T) {
 	if st := eval.cache.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("cache traffic %+v, want two misses", st)
 	}
-	if len(cacheEntries(eval.cache)) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(cacheEntries(eval.cache)))
+	if len(eval.cache.m) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(eval.cache.m))
 	}
 	want := metricsFromSchedule(s)
 	for i, d := range pop {
@@ -355,23 +304,22 @@ func TestDuplicateMissesShareOneTriple(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	g, k := eval.cache.pack(nil, c)
-	if allocs := testing.AllocsPerRun(10, func() { eval.cache.insert(k, g, want) }); allocs != 0 {
+	g := pack(nil, c)
+	if allocs := testing.AllocsPerRun(10, func() { eval.cache.insert(g, want) }); allocs != 0 {
 		t.Fatalf("inserting a cached genotype again costs %.0f allocations, want 0", allocs)
 	}
 }
 
 // TestPackedGenotypeExact: two packed genotypes are equal exactly when the
-// genotypes are. It covers random genotypes, pairs one gene apart, genes
-// that share their low seven bits (1 and 129), and a gene of 2^31 or more
-// against its int32 and uint32 truncations (the key reads genes as uint32,
-// so the last pair also shares a key).
+// genotypes are, so the packed genotype can be the metrics cache's key. It
+// covers random genotypes, pairs one gene apart, genes that share their
+// low seven bits (1 and 129), and a gene of 2^31 or more against its int32
+// and uint32 truncations (Chromosome.Key reads genes as uint32, so the
+// last pair shares a Key).
 func TestPackedGenotypeExact(t *testing.T) {
-	mc := NewMetricsCache()
 	check := func(a, b *Chromosome) {
 		t.Helper()
-		ga, _ := mc.pack(nil, a)
-		gb, _ := mc.pack(nil, b)
+		ga, gb := pack(nil, a), pack(nil, b)
 		same := eqInts(a.Order, b.Order) && eqInts(a.Proc, b.Proc)
 		if (string(ga) == string(gb)) != same {
 			t.Fatalf("%v|%v against %v|%v: packed equal %v, genes equal %v", a.Order, a.Proc, b.Order, b.Proc, !same, same)
@@ -413,8 +361,8 @@ func TestPackedGenotypeExact(t *testing.T) {
 }
 
 // TestMetricsCacheBytesPerEntry bounds what an entry costs: 1,000 distinct
-// n=100, m=8 genotypes inserted into a new cache allocate at most 400
-// bytes each, the packed genotype and the shards' maps included.
+// n=100, m=8 genotypes inserted into a new cache allocate at most 330
+// bytes each, the packed genotype and the map included.
 func TestMetricsCacheBytesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -423,11 +371,9 @@ func TestMetricsCacheBytesPerEntry(t *testing.T) {
 	r := rng.New(44)
 	const entries = 1000
 	genos := make([][]byte, entries)
-	keys := make([]uint64, entries)
 	distinct := make(map[string]bool, entries)
-	probe := NewMetricsCache()
 	for i := range genos {
-		genos[i], keys[i] = probe.pack(nil, Random(w, r))
+		genos[i] = pack(nil, Random(w, r))
 		distinct[string(genos[i])] = true
 	}
 	if len(distinct) != entries {
@@ -439,13 +385,13 @@ func TestMetricsCacheBytesPerEntry(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		mc := NewMetricsCache()
 		for i, g := range genos {
-			mc.insert(keys[i], g, schedMetrics{m0: float64(i)})
+			mc.insert(g, schedMetrics{m0: float64(i)})
 		}
 		runtime.ReadMemStats(&after)
 		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/entries)
 	}
-	if best > 400 {
-		t.Fatalf("%.0f bytes allocated per entry, want at most 400", best)
+	if best > 330 {
+		t.Fatalf("%.0f bytes allocated per entry, want at most 330", best)
 	}
 	t.Logf("%.0f bytes per entry", best)
 }
@@ -463,15 +409,13 @@ func BenchmarkMetricsCache(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		mc := NewMetricsCache()
 		for _, c := range pool {
-			g, k := mc.pack(nil, c)
-			mc.insert(k, g, schedMetrics{})
+			mc.insert(pack(nil, c), schedMetrics{})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var k uint64
-			buf, k = mc.pack(buf[:0], pool[i%len(pool)])
-			if _, ok := mc.lookup(k, buf); !ok {
+			buf = pack(buf[:0], pool[i%len(pool)])
+			if _, ok := mc.lookup(buf); !ok {
 				b.Fatal("miss")
 			}
 		}
@@ -484,12 +428,11 @@ func BenchmarkMetricsCache(b *testing.B) {
 			if i%len(pool) == 0 {
 				mc = NewMetricsCache()
 			}
-			var k uint64
-			buf, k = mc.pack(buf[:0], pool[i%len(pool)])
-			if _, ok := mc.lookup(k, buf); ok {
+			buf = pack(buf[:0], pool[i%len(pool)])
+			if _, ok := mc.lookup(buf); ok {
 				b.Fatal("hit")
 			}
-			mc.insert(k, buf, schedMetrics{})
+			mc.insert(buf, schedMetrics{})
 		}
 	})
 }

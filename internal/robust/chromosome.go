@@ -87,6 +87,48 @@ func (c *Chromosome) cloneInto(dst *Chromosome) *Chromosome {
 	return dst
 }
 
+// keyBase is the odd weight base of the genotype hash; keyGene biases
+// every gene by one so task/processor 0 still contributes to its
+// position's term.
+const keyBase = 0x9e3779b97f4a7c15
+
+func keyGene(v int) uint64 { return uint64(uint32(v)) + 1 }
+
+// mixKey is the 64-bit murmur3 finalizer, which finishes every key: the
+// raw hash is additive and position-weighted, and the avalanche spreads
+// low-entropy genotypes over all 64 bits.
+func mixKey(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// Key fingerprints the genotype for the GA's initial-population uniqueness
+// check and its diversity gauge (ga.Config.Key): the avalanched form of the
+// position-weighted polynomial Σ keyGene(g_i)·keyBase^i over the order
+// genes (positions 0..n-1) then the proc genes (positions n..2n-1). It is
+// a pure function of the genes, computed afresh on every call and never
+// written to the chromosome, so islands may key a shared migrant
+// concurrently. Equal genotypes always collide by construction; a
+// collision between distinct genotypes is benign — the GA redraws one
+// "duplicate" random individual. The metrics cache does not use it: its
+// key is the packed genotype itself (pack).
+func (c *Chromosome) Key() uint64 {
+	raw, pow := uint64(0), uint64(1)
+	for _, v := range c.Order {
+		raw += keyGene(v) * pow
+		pow *= keyBase
+	}
+	for _, v := range c.Proc {
+		raw += keyGene(v) * pow
+		pow *= keyBase
+	}
+	return mixKey(raw)
+}
+
 // Genes returns independent copies of the genotype's order and assignment
 // strings. Serializers that outlive the chromosome use it instead of
 // aliasing Order/Proc, so a frozen copy can never observe a slice some later

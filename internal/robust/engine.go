@@ -68,7 +68,8 @@ func newEngine(w *platform.Workload, opt Options, score func(m schedMetrics, mhe
 	case opt.Mode == MaxSlack:
 		score = func(m schedMetrics, _ float64) float64 { return m.slack(opt.SlackMetric) }
 	case opt.Mode == EpsilonConstraint:
-		if opt.Eps <= 0 {
+		// NaN fails the check; +Inf means no constraint.
+		if !(opt.Eps > 0) {
 			return nil, fmt.Errorf("robust: epsilon-constraint mode needs Eps > 0, got %g", opt.Eps)
 		}
 	default:

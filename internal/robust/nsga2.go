@@ -54,8 +54,11 @@ func SolvePareto(w *platform.Workload, opt ParetoOptions, r *rng.Source) ([]Pare
 	if opt.MaxGenerations < 1 {
 		return nil, fmt.Errorf("robust: MaxGenerations=%d must be >= 1", opt.MaxGenerations)
 	}
-	if opt.CrossoverRate < 0 || opt.CrossoverRate > 1 || opt.MutationRate < 0 || opt.MutationRate > 1 {
-		return nil, fmt.Errorf("robust: rates out of [0,1]")
+	if !(opt.CrossoverRate >= 0 && opt.CrossoverRate <= 1) {
+		return nil, fmt.Errorf("robust: CrossoverRate=%g out of [0,1]", opt.CrossoverRate)
+	}
+	if !(opt.MutationRate >= 0 && opt.MutationRate <= 1) {
+		return nil, fmt.Errorf("robust: MutationRate=%g out of [0,1]", opt.MutationRate)
 	}
 
 	// Objectives are minimized: (makespan, -slack), read off each
@@ -194,7 +197,7 @@ func rankAndCrowd(objs [][]float64) ([]int, []float64) {
 // built as NewEngine builds Solve's, with this fitness in place of the
 // mode's, and is always a single population.
 func SolveWeightedSum(w *platform.Workload, weight float64, opt Options, r *rng.Source) (*Result, error) {
-	if weight < 0 || weight > 1 {
+	if !(weight >= 0 && weight <= 1) {
 		return nil, fmt.Errorf("robust: weight %g out of [0,1]", weight)
 	}
 	eng, err := newEngine(w, opt, func(m schedMetrics, mheft float64) float64 {

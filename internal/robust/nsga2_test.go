@@ -1,6 +1,8 @@
 package robust
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"robsched/internal/heft"
@@ -12,18 +14,39 @@ func paretoOpts() ParetoOptions {
 	return ParetoOptions{PopSize: 16, CrossoverRate: 0.9, MutationRate: 0.2, MaxGenerations: 40}
 }
 
+// TestSolveParetoValidation: every invalid option is rejected with an
+// error naming it, NaN rates included.
 func TestSolveParetoValidation(t *testing.T) {
 	w := testWorkload(t, 1000, 15, 3)
 	r := rng.New(1)
-	bad := []ParetoOptions{
-		{PopSize: 2, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 10},
-		{PopSize: 7, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 10},
-		{PopSize: 8, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 0},
-		{PopSize: 8, CrossoverRate: 1.9, MutationRate: 0.1, MaxGenerations: 10},
+	nan := math.NaN()
+	bad := []struct {
+		field string
+		opt   ParetoOptions
+	}{
+		{"PopSize", ParetoOptions{PopSize: 2, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 10}},
+		{"PopSize", ParetoOptions{PopSize: 7, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 10}},
+		{"MaxGenerations", ParetoOptions{PopSize: 8, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 0}},
+		{"CrossoverRate", ParetoOptions{PopSize: 8, CrossoverRate: 1.9, MutationRate: 0.1, MaxGenerations: 10}},
+		{"CrossoverRate", ParetoOptions{PopSize: 8, CrossoverRate: nan, MutationRate: 0.1, MaxGenerations: 10}},
+		{"MutationRate", ParetoOptions{PopSize: 8, CrossoverRate: 0.9, MutationRate: -0.1, MaxGenerations: 10}},
+		{"MutationRate", ParetoOptions{PopSize: 8, CrossoverRate: 0.9, MutationRate: nan, MaxGenerations: 10}},
 	}
-	for i, opt := range bad {
-		if _, err := SolvePareto(w, opt, r); err == nil {
-			t.Errorf("bad options %d accepted", i)
+	for i, tc := range bad {
+		if _, err := SolvePareto(w, tc.opt, r); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("bad options %d: err = %v, want an error naming %s", i, err, tc.field)
+		}
+	}
+}
+
+// TestSolveWeightedSumRejectsBadWeight: the weight must lie in [0,1], and
+// NaN does not.
+func TestSolveWeightedSumRejectsBadWeight(t *testing.T) {
+	w := testWorkload(t, 1002, 10, 2)
+	for _, weight := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1)} {
+		_, err := SolveWeightedSum(w, weight, quickOptions(EpsilonConstraint, 1.2), rng.New(1))
+		if err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("weight %g: err = %v, want an error naming the weight", weight, err)
 		}
 	}
 }

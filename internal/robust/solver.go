@@ -115,11 +115,11 @@ type Options struct {
 	// Obs, if non-nil, receives solver telemetry: per-generation engine
 	// counters/gauges (ga.generations, ga.crossovers, ga.mutations,
 	// ga.best_fitness, ga.mean_fitness, ga.diversity) and the metrics-cache
-	// traffic of this run (cache.hits/misses/collisions/evictions). Every
-	// registry value is a deterministic count over the GA trajectory —
-	// independent of wall-clock — so snapshots reproduce across runs; the
-	// one exception is the hit/miss split of an island run (see
-	// MetricsCache). Nil disables with zero overhead.
+	// traffic of this run (cache.hits/misses/evictions). Every registry
+	// value is a deterministic count over the GA trajectory — independent
+	// of wall-clock — so snapshots reproduce across runs; the one exception
+	// is the hit/miss split of an island run (see MetricsCache). Nil
+	// disables with zero overhead.
 	Obs *obs.Registry
 	// Trace, if non-nil, receives structured records: one "ga/generation"
 	// event per evaluated generation, a "cache/stats" event, and a
@@ -223,7 +223,7 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 // evaluator computes the population fitness, computing the metrics of
 // novel genotypes on the calling goroutine. It is reentrant — islands
 // evaluate concurrently. Each chromosome carries its own metrics memo, the
-// metrics cache is mutex-striped, and the mutable scratch is taken per call
+// metrics cache is mutex-guarded, and the mutable scratch is taken per call
 // from a free list, so no two goroutines share any.
 type evaluator struct {
 	opt   Options
@@ -253,28 +253,23 @@ func newEvaluator(w *platform.Workload, opt Options, mheft float64, score func(s
 	if !opt.NoMetricsCache {
 		e.cache = opt.Cache
 		if e.cache == nil {
-			e.cache = &MetricsCache{shardSize: opt.privateShardSize()}
+			// A private cache's map starts no larger than the distinct
+			// genotypes the run can meet, PopSize per island and
+			// generation with generation 0 included, so a short run makes
+			// no map larger than it fills.
+			genotypes := float64(max(opt.Islands, 1)) * float64(opt.PopSize) * (float64(opt.MaxGenerations) + 1)
+			e.cache = &MetricsCache{size: int(max(0, min(cacheSize, genotypes)))}
 		}
 	}
 	return e
 }
 
-// privateShardSize sizes the shard maps of a run's private cache by the
-// distinct genotypes the run can meet, PopSize per island and generation
-// with generation 0 included, spread over the shards: a short run then
-// makes no maps larger than it fills. It is at most cacheShardSize.
-func (o Options) privateShardSize() int {
-	genotypes := float64(max(o.Islands, 1)) * float64(o.PopSize) * (float64(o.MaxGenerations) + 1)
-	return int(max(0, min(cacheShardSize, math.Ceil(genotypes/cacheShardCount))))
-}
-
 // evalScratch is the working state of one evaluator call, reused across
-// generations: ensureMetrics' dedup map, pending list, and the cache keys
-// and packed genotypes of its misses.
+// generations: ensureMetrics' dedup map, pending list, and the packed
+// genotypes of its misses.
 type evalScratch struct {
 	seen    map[*Chromosome]struct{}
 	pending []*Chromosome
-	keys    []uint64
 	genes   []byte // the misses' packed genotypes, back to back
 	ends    []int  // miss i's packed genotype ends at genes[ends[i]]
 }
@@ -324,13 +319,14 @@ func (sc *evalScratch) pendingOf(pop []*Chromosome) []*Chromosome {
 // ensureMetrics guarantees every chromosome of pop carries its metrics
 // triple, computing it only for genuinely novel genotypes: memoized
 // chromosomes are free, cache hits (genotype-equal to any individual seen
-// before, across generations and islands) cost a lookup, and only the
-// misses run the metrics-only decode (schedule.Decoder.MetricsUpTo at the
-// evaluator's bound), one after another, each inserting its triple into
-// the cache. A miss with the genotype of an earlier miss of the same call
-// copies that miss's triple. No schedule is built. The cache serves this
-// run alone, so every entry was computed at this evaluator's bound and a
-// hit returns it as it is.
+// before, across generations and islands) cost packing the genotype and
+// one map lookup, and only the misses run the metrics-only decode
+// (schedule.Decoder.MetricsUpTo at the evaluator's bound), one after
+// another, each inserting its triple under its packed genotype. A miss
+// with the genotype of an earlier miss of the same call copies that miss's
+// triple. No schedule is built, and a hit allocates nothing. The cache
+// serves this run alone, so every entry was computed at this evaluator's
+// bound and a hit returns it as it is.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	sc := e.scratch.get()
 	defer e.scratch.put(sc)
@@ -341,22 +337,20 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 	misses := pending
 	if e.cache != nil {
 		misses = pending[:0]
-		keys, genes, ends := sc.keys[:0], sc.genes[:0], sc.ends[:0]
+		genes, ends := sc.genes[:0], sc.ends[:0]
 		for _, c := range pending {
 			start := len(genes)
-			var k uint64
-			genes, k = e.cache.pack(genes, c)
-			met, ok := e.cache.lookup(k, genes[start:])
+			genes = pack(genes, c)
+			met, ok := e.cache.lookup(genes[start:])
 			if !ok {
 				misses = append(misses, c)
-				keys = append(keys, k)
 				ends = append(ends, len(genes))
 				continue
 			}
 			genes = genes[:start]
 			c.metr, c.hasMetr = met, true
 		}
-		sc.keys, sc.genes, sc.ends = keys, genes, ends
+		sc.genes, sc.ends = genes, ends
 	}
 	for i, c := range misses {
 		c.metr = e.copyOrCompute(sc, misses, i)
@@ -364,7 +358,7 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 		if e.cache != nil {
 			// Insert the copies too: the insert's capacity check can
 			// evict, and the cache counters of pinned runs count that.
-			e.cache.insert(sc.keys[i], sc.packed(i), c.metr)
+			e.cache.insert(sc.packed(i), c.metr)
 		}
 	}
 }

@@ -162,10 +162,25 @@ func TestSolveDefaultsToPaperOptions(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsBadEps: an ε-constraint run needs ε > 0, and NaN is not
+// (it would make every triple M0-only and every Eqn. 8 fitness NaN). ε =
+// +Inf means no constraint and runs.
 func TestSolveRejectsBadEps(t *testing.T) {
 	w := testWorkload(t, 800, 10, 2)
-	if _, err := Solve(w, quickOptions(EpsilonConstraint, 0), rng.New(9)); err == nil {
-		t.Fatal("eps=0 accepted")
+	for _, tc := range []struct {
+		eps float64
+		ok  bool
+	}{
+		{0, false}, {-1, false}, {math.NaN(), false}, {math.Inf(-1), false},
+		{1.2, true}, {math.Inf(1), true},
+	} {
+		_, err := Solve(w, quickOptions(EpsilonConstraint, tc.eps), rng.New(9))
+		if tc.ok && err != nil {
+			t.Errorf("eps=%g: %v", tc.eps, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "Eps")) {
+			t.Errorf("eps=%g: err = %v, want an error naming Eps", tc.eps, err)
+		}
 	}
 }
 
@@ -350,7 +365,7 @@ func TestSolveWithIslands(t *testing.T) {
 // TestSolveGenerationAllocatesOnlyCacheInserts pins the allocation-free
 // generation: a serial ε-constraint Solve allocates more for more
 // generations only through the metrics cache's inserts — per novel
-// genotype its packed copy, plus the shards' map growth.
+// genotype its packed copy, plus a few for the map's growth.
 // Decode targets, dropped chromosomes and the evaluator's scratch are all
 // reused.
 func TestSolveGenerationAllocatesOnlyCacheInserts(t *testing.T) {
@@ -382,11 +397,14 @@ func TestSolveGenerationAllocatesOnlyCacheInserts(t *testing.T) {
 	if longMisses <= shortMisses {
 		t.Fatalf("%d misses in 400 generations, %d in 100", longMisses, shortMisses)
 	}
-	budget := float64(longMisses-shortMisses) + 2*cacheShardCount
-	if extra := longAllocs - shortAllocs; extra > budget {
+	const mapGrowth = 16
+	budget := float64(longMisses-shortMisses) + mapGrowth
+	extra := longAllocs - shortAllocs
+	if extra > budget {
 		t.Fatalf("300 more generations allocate %.0f more times (100 gens: %.0f, 400 gens: %.0f); "+
 			"their %d extra cache inserts allow %.0f", extra, shortAllocs, longAllocs, longMisses-shortMisses, budget)
 	}
+	t.Logf("%.0f extra allocations for %d extra misses", extra, longMisses-shortMisses)
 }
 
 // TestMinSlackIsZeroOnGASchedules pins what makes the MinSlack surrogate
@@ -413,11 +431,9 @@ func TestMinSlackIsZeroOnGASchedules(t *testing.T) {
 		}
 		zero("result", res.Schedule.MinSlack())
 		scored := 0
-		for i := range opt.Cache.shards {
-			for _, e := range opt.Cache.shards[i].m {
-				zero("cache entry", e.met.minSlack)
-				scored++
-			}
+		for _, met := range opt.Cache.m {
+			zero("cache entry", met.minSlack)
+			scored++
 		}
 		if scored < 100 {
 			t.Fatalf("only %d genotypes scored", scored)

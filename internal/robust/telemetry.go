@@ -55,12 +55,10 @@ func telemetryObserver(reg *obs.Registry, tr *obs.Tracer) ga.Observer {
 func recordCacheStats(reg *obs.Registry, tr *obs.Tracer, d CacheStats) {
 	reg.Counter("cache.hits").Add(d.Hits)
 	reg.Counter("cache.misses").Add(d.Misses)
-	reg.Counter("cache.collisions").Add(d.Collisions)
 	reg.Counter("cache.evictions").Add(d.Evictions)
 	tr.Scope("cache").Event("stats",
 		obs.F("hits", float64(d.Hits)),
 		obs.F("misses", float64(d.Misses)),
-		obs.F("collisions", float64(d.Collisions)),
 		obs.F("evictions", float64(d.Evictions)),
 	)
 }
