@@ -205,6 +205,20 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-n", "10", "-m", "2", "-scheduler", "weighted", "-weight", "NaN"}, &out, &errb); err == nil {
 		t.Error("-weight NaN accepted")
 	}
+	for _, shape := range []string{"NaN", "Inf"} {
+		if err := run([]string{"-n", "20", "-m", "2", "-shape", shape}, &out, &errb); err == nil || !strings.Contains(err.Error(), "Shape") {
+			t.Errorf("-shape %s: err = %v, want an error naming Shape", shape, err)
+		}
+	}
+}
+
+// TestRunWideShape: a shape parameter above 2·sqrt(n) asks for fewer than
+// one level; the generator builds two instead of panicking.
+func TestRunWideShape(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run([]string{"-n", "20", "-m", "2", "-shape", "9", "-scheduler", "heft", "-realizations", "20", "-q"}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRepairAndFaultsUnderEveryScenarioModel: -repair and -faults sample the

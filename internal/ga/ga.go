@@ -18,7 +18,7 @@ import (
 )
 
 // Config assembles the problem-specific hooks and the GA parameters.
-type Config[T any] struct {
+type Config[T comparable] struct {
 	// PopSize is Np, the constant population size.
 	PopSize int
 	// CrossoverRate is pc: the fraction of the intermediate population
@@ -35,7 +35,9 @@ type Config[T any] struct {
 	// Random generates one random individual.
 	Random func(r *rng.Source) T
 	// Crossover recombines two parents into two offspring. It must not
-	// modify the parents.
+	// modify the parents. It may return a parent itself (==) for an
+	// offspring that would have that parent's genes; the engine then holds
+	// it as it holds a parent copied without crossover.
 	Crossover func(a, b T, r *rng.Source) (T, T)
 	// Mutate returns a mutated copy of the individual. It must not modify
 	// its argument.
@@ -65,10 +67,12 @@ type Config[T any] struct {
 	// Recycle, if non-nil, receives every individual a generation dropped:
 	// one that no population slot, elite, running best or migrant refers to
 	// any more. The operators may then overwrite it instead of allocating a
-	// new one. Setting it promises that Random, Crossover and Mutate always
-	// return new individuals that share no storage with any live one. Seeds
-	// and individuals that crossed a migration are never recycled. Island
-	// runs call Recycle from several goroutines at once.
+	// new one. Setting it promises that Random, Mutate and Crossover return
+	// new individuals that share no storage with any live one, except that
+	// Crossover may return one of its own parents, which stays owned by the
+	// slot it was copied from. Seeds and individuals that crossed a
+	// migration are never recycled. Island runs call Recycle from several
+	// goroutines at once.
 	Recycle func(ind T)
 
 	// Seeds are injected into the initial population before random filling
@@ -132,7 +136,7 @@ type Result[T any] struct {
 // bookkeeping behind Recycle. With non-allocating hooks, a steady-state
 // generation performs zero allocations beyond what the operators
 // themselves require.
-type genArena[T any] struct {
+type genArena[T comparable] struct {
 	inter []T
 	spare []T
 	fit   []float64
@@ -141,8 +145,9 @@ type genArena[T any] struct {
 	seen map[uint64]struct{}
 
 	// src[i] is the slot of the current population that slot i of the
-	// next one copies (a tournament winner, or the elite), or freshSlot for
-	// an individual an operator returned.
+	// next one copies (a tournament winner, a parent a crossover returned,
+	// or the elite), or freshSlot for a new individual an operator
+	// returned.
 	src []int32
 	// Ownership, kept only when Config.Recycle is set. One individual may
 	// fill several slots (tournament copies, the elite), so id[i] names the
@@ -160,7 +165,7 @@ const (
 
 // newArena sizes the buffers for np individuals whose first seeds slots
 // hold the configured seeds.
-func newArena[T any](np, seeds int) *genArena[T] {
+func newArena[T comparable](np, seeds int) *genArena[T] {
 	ar := &genArena[T]{
 		inter:  make([]T, np),
 		spare:  make([]T, np),
@@ -299,7 +304,7 @@ func (c Config[T]) dropFresh(ind T, src int32) {
 // Run evolves a population and returns the best individual found. It is
 // one Island stepped a generation at a time, with OnGeneration, the
 // Observer and the stagnation stop applied after every step.
-func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
+func Run[T comparable](c Config[T], r *rng.Source) (Result[T], error) {
 	is, err := NewIsland(c, 0, r)
 	if err != nil {
 		return Result[T]{}, err
@@ -412,18 +417,20 @@ func (c Config[T]) tournamentInto(dst []T, src []int32, pop []T, fit []float64, 
 // population (pairing adjacent individuals, which the tournament already
 // shuffled) and mutation with probability pm per individual, writing the
 // offspring into dst (len(inter), disjoint from inter) and marking each
-// operator's output freshSlot in src. A crossover child that is mutated
-// in turn leaves the population at once, so it is recycled on the spot.
-// The returned operator counts feed the Observer; tallying them costs no
-// allocation.
+// new individual an operator returned freshSlot in src; a parent a
+// crossover returned keeps that parent's src. A new crossover child that
+// is mutated in turn leaves the population at once, so it is recycled on
+// the spot. The returned operator counts feed the Observer; tallying them
+// costs no allocation.
 func (c Config[T]) recombineInto(dst, inter []T, src []int32, r *rng.Source) opCounts {
 	np := len(inter)
 	var oc opCounts
 	copy(dst, inter)
 	for i := 0; i+1 < np; i += 2 {
 		if r.Float64() < c.CrossoverRate {
-			dst[i], dst[i+1] = c.Crossover(inter[i], inter[i+1], r)
-			src[i], src[i+1] = freshSlot, freshSlot
+			a, b, sa, sb := inter[i], inter[i+1], src[i], src[i+1]
+			dst[i], dst[i+1] = c.Crossover(a, b, r)
+			src[i], src[i+1] = srcOf(dst[i], a, b, sa, sb), srcOf(dst[i+1], a, b, sa, sb)
 			oc.crossovers++
 		}
 	}
@@ -436,6 +443,19 @@ func (c Config[T]) recombineInto(dst, inter []T, src []int32, r *rng.Source) opC
 		}
 	}
 	return oc
+}
+
+// srcOf returns the src of a crossover child: the src sa or sb of the
+// parent a or b when the crossover returned that parent, freshSlot when it
+// returned a new individual.
+func srcOf[T comparable](child, a, b T, sa, sb int32) int32 {
+	switch child {
+	case a:
+		return sa
+	case b:
+		return sb
+	}
+	return freshSlot
 }
 
 func argmax(xs []float64) int {

@@ -10,8 +10,13 @@ import (
 
 // oneMax is a bitstring test problem: fitness = number of ones. The GA must
 // reliably solve it, which exercises selection pressure, crossover,
-// mutation and elitism end to end.
-type bits []byte
+// mutation and elitism end to end. A chromosome is a string of 0 and 1
+// bytes, so it is comparable by value, as the engine's type parameter
+// requires.
+type bits string
+
+// allOnes is the optimal n-bit chromosome.
+func allOnes(n int) bits { return bits(strings.Repeat("\x01", n)) }
 
 func oneMaxConfig(n int) Config[bits] {
 	return Config[bits]{
@@ -19,22 +24,20 @@ func oneMaxConfig(n int) Config[bits] {
 		PopSize: 20, CrossoverRate: 0.9, MutationRate: 0.1,
 		MaxGenerations: 1000, Stagnation: 100,
 		Random: func(r *rng.Source) bits {
-			b := make(bits, n)
+			b := make([]byte, n)
 			for i := range b {
 				b[i] = byte(r.Intn(2))
 			}
-			return b
+			return bits(b)
 		},
 		Crossover: func(a, b bits, r *rng.Source) (bits, bits) {
 			cut := 1 + r.Intn(n-1)
-			c1 := append(append(bits{}, a[:cut]...), b[cut:]...)
-			c2 := append(append(bits{}, b[:cut]...), a[cut:]...)
-			return c1, c2
+			return a[:cut] + b[cut:], b[:cut] + a[cut:]
 		},
 		Mutate: func(ind bits, r *rng.Source) bits {
-			out := append(bits{}, ind...)
+			out := []byte(ind)
 			out[r.Intn(n)] ^= 1
-			return out
+			return bits(out)
 		},
 		EvaluateInto: func(pop []bits, fit []float64) {
 			for i, ind := range pop {
@@ -44,8 +47,8 @@ func oneMaxConfig(n int) Config[bits] {
 		Key: func(ind bits) uint64 {
 			const prime64 = 1099511628211
 			h := uint64(14695981039346656037)
-			for _, b := range ind {
-				h = (h ^ uint64(b)) * prime64
+			for i := 0; i < len(ind); i++ {
+				h = (h ^ uint64(ind[i])) * prime64
 			}
 			return h
 		},
@@ -55,8 +58,8 @@ func oneMaxConfig(n int) Config[bits] {
 // ones is oneMax's fitness of one individual.
 func ones(ind bits) float64 {
 	f := 0.0
-	for _, b := range ind {
-		f += float64(b)
+	for i := 0; i < len(ind); i++ {
+		f += float64(ind[i])
 	}
 	return f
 }
@@ -129,10 +132,7 @@ func TestBestFitnessMonotoneWithAbsoluteFitness(t *testing.T) {
 func TestSeedsEnterInitialPopulation(t *testing.T) {
 	const n = 16
 	c := oneMaxConfig(n)
-	seed := make(bits, n)
-	for i := range seed {
-		seed[i] = 1
-	}
+	seed := allOnes(n)
 	c.Seeds = []bits{seed}
 	sawSeed := false
 	c.OnGeneration = func(gen int, pop []bits, fit []float64) {
@@ -140,7 +140,7 @@ func TestSeedsEnterInitialPopulation(t *testing.T) {
 			return
 		}
 		for _, ind := range pop {
-			if string(ind) == string(seed) {
+			if ind == seed {
 				sawSeed = true
 			}
 		}
@@ -166,13 +166,12 @@ func TestInitialPopulationUnique(t *testing.T) {
 		if gen != 0 {
 			return
 		}
-		seen := map[string]bool{}
+		seen := map[bits]bool{}
 		for _, ind := range pop {
-			k := string(ind)
-			if seen[k] {
-				t.Fatalf("duplicate chromosome in initial population: %v", ind)
+			if seen[ind] {
+				t.Fatalf("duplicate chromosome in initial population: %v", []byte(ind))
 			}
-			seen[k] = true
+			seen[ind] = true
 		}
 	}
 	c.MaxGenerations = 1
@@ -186,9 +185,7 @@ func TestUniquenessFallbackOnTinySpace(t *testing.T) {
 	// uniqueness check must relax rather than loop forever.
 	c := oneMaxConfig(1)
 	c.PopSize = 4
-	c.Crossover = func(a, b bits, r *rng.Source) (bits, bits) {
-		return append(bits{}, a...), append(bits{}, b...)
-	}
+	c.Crossover = func(a, b bits, r *rng.Source) (bits, bits) { return a, b }
 	c.MaxGenerations = 2
 	res, err := Run(c, rng.New(9))
 	if err != nil {
@@ -236,7 +233,7 @@ func TestPopulationSizeConstant(t *testing.T) {
 
 func TestTournamentProperties(t *testing.T) {
 	c := oneMaxConfig(4)
-	pop := []bits{{0, 0, 0, 0}, {1, 0, 0, 0}, {1, 1, 0, 0}, {1, 1, 1, 0}, {1, 1, 1, 1}, {0, 1, 0, 0}}
+	pop := []bits{"\x00\x00\x00\x00", "\x01\x00\x00\x00", "\x01\x01\x00\x00", "\x01\x01\x01\x00", "\x01\x01\x01\x01", "\x00\x01\x00\x00"}
 	fit := []float64{0, 1, 2, 3, 4, 1}
 	r := rng.New(17)
 	out, src, perm := make([]bits, len(pop)), make([]int32, len(pop)), make([]int, len(pop))
@@ -244,10 +241,10 @@ func TestTournamentProperties(t *testing.T) {
 		c.tournamentInto(out, src, pop, fit, perm, r)
 		bestCopies, worstCopies := 0, 0
 		for _, ind := range out {
-			switch string(ind) {
-			case string(pop[4]):
+			switch ind {
+			case pop[4]:
 				bestCopies++
-			case string(pop[0]):
+			case pop[0]:
 				worstCopies++
 			}
 		}
@@ -312,7 +309,7 @@ func TestEvaluateOneElitismMatchesFullReevaluation(t *testing.T) {
 		if full.Generations != fast.Generations || full.Stagnated != fast.Stagnated {
 			t.Fatalf("seed %d: EvaluateOne run diverged: %+v vs %+v", seed, fast, full)
 		}
-		if string(full.Best) != string(fast.Best) {
+		if full.Best != fast.Best {
 			t.Fatalf("seed %d: best individuals differ", seed)
 		}
 	}

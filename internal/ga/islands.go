@@ -13,7 +13,7 @@ import (
 // wall-clock time on multicore machines and preserve diversity: separated
 // populations explore different basins before migration cross-pollinates
 // them.
-type IslandConfig[T any] struct {
+type IslandConfig[T comparable] struct {
 	// Base is the per-island configuration. Its Seeds go to island 0; all
 	// islands share the hooks and parameters. OnGeneration is not
 	// supported across islands and must be nil.
@@ -36,7 +36,7 @@ const DefaultMigrationEvery = 25
 // state machine across worker processes — both produce bit-identical
 // trajectories because every step is a pure function of the island's own
 // RNG stream, its population and the migrants it receives.
-type Island[T any] struct {
+type Island[T comparable] struct {
 	cfg Config[T]
 	idx int
 
@@ -63,7 +63,7 @@ type Island[T any] struct {
 // in island order) and records the initial best. Heuristic Seeds go to
 // island 0 only, exactly as in RunIslands. Island never calls OnGeneration;
 // Run, the one-island runner, does.
-func NewIsland[T any](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
+func NewIsland[T comparable](c Config[T], idx int, r *rng.Source) (*Island[T], error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (is *Island[T]) takeStats() []GenStats {
 
 // RunIslands evolves the islands and returns the best individual across
 // all of them, evaluated within its own island's final population.
-func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
+func RunIslands[T comparable](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 	var zero Result[T]
 	if c.Islands < 1 {
 		return zero, fmt.Errorf("ga: Islands=%d must be >= 1", c.Islands)
@@ -271,7 +271,7 @@ func RunIslands[T any](c IslandConfig[T], root *rng.Source) (Result[T], error) {
 // pickBest returns the island holding the globally best individual; ties
 // keep the lowest island index, the same rule a coordinator applies when
 // gathering bests over the wire.
-func pickBest[T any](states []*Island[T]) *Island[T] {
+func pickBest[T comparable](states []*Island[T]) *Island[T] {
 	out := states[0]
 	for _, s := range states[1:] {
 		if s.bf > out.bf {

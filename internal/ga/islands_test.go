@@ -56,11 +56,7 @@ func TestRunIslandsSeedMigrates(t *testing.T) {
 	// only migration can spread it, and the global best must be optimal.
 	const n = 12
 	c := oneMaxConfig(n)
-	seed := make(bits, n)
-	for i := range seed {
-		seed[i] = 1
-	}
-	c.Seeds = []bits{seed}
+	c.Seeds = []bits{allOnes(n)}
 	c.CrossoverRate = 0
 	c.MutationRate = 0
 	c.MaxGenerations = 60

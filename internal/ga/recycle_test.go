@@ -1,8 +1,10 @@
 package ga
 
 import (
+	"bytes"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"robsched/internal/rng"
@@ -56,12 +58,31 @@ func (rc *recycler) live(p *pooled) {
 
 // pooledConfig is oneMax over pooled individuals. With rc set, the
 // operators overwrite recycled individuals; without, they always allocate.
-func pooledConfig(n int, rc *recycler) Config[*pooled] {
+// With parents set, the crossover returns a parent itself for a child that
+// would have that parent's genes, and counts those children in *returned.
+func pooledConfig(n int, rc *recycler, parents bool, returned *atomic.Int64) Config[*pooled] {
 	get := func() *pooled { return &pooled{genes: make([]byte, n)} }
 	live := func(*pooled) {}
 	if rc != nil {
 		get = func() *pooled { return rc.get(n) }
 		live = rc.live
+	}
+	// child is p's genes before cut and q's from cut on.
+	child := func(p, q *pooled, cut int) *pooled {
+		if parents {
+			switch {
+			case bytes.Equal(p.genes[cut:], q.genes[cut:]):
+				returned.Add(1)
+				return p
+			case bytes.Equal(p.genes[:cut], q.genes[:cut]):
+				returned.Add(1)
+				return q
+			}
+		}
+		c := get()
+		copy(c.genes, p.genes[:cut])
+		copy(c.genes[cut:], q.genes[cut:])
+		return c
 	}
 	c := Config[*pooled]{
 		PopSize: 20, CrossoverRate: 0.9, MutationRate: 0.1, MaxGenerations: 60,
@@ -76,12 +97,7 @@ func pooledConfig(n int, rc *recycler) Config[*pooled] {
 			live(a)
 			live(b)
 			cut := 1 + r.Intn(n-1)
-			c1, c2 := get(), get()
-			copy(c1.genes, a.genes[:cut])
-			copy(c1.genes[cut:], b.genes[cut:])
-			copy(c2.genes, b.genes[:cut])
-			copy(c2.genes[cut:], a.genes[cut:])
-			return c1, c2
+			return child(a, b, cut), child(b, a, cut)
 		},
 		Mutate: func(ind *pooled, r *rng.Source) *pooled {
 			live(ind)
@@ -106,12 +122,22 @@ func pooledConfig(n int, rc *recycler) Config[*pooled] {
 	return c
 }
 
+// crossovers are the two crossovers the recycling tests run: one that
+// always returns new children, and one that returns a parent for every
+// child with that parent's genes.
+var crossovers = []struct {
+	name    string
+	parents bool
+}{{"new", false}, {"parents", true}}
+
 // TestRecycleKeepsTrajectory: handing dropped individuals back to the
 // operators changes no fitness of any generation and no result, never
-// touches an individual that is still live, and does reuse individuals.
+// touches an individual that is still live, and does reuse individuals,
+// also when the crossover returns parents as children.
 func TestRecycleKeepsTrajectory(t *testing.T) {
-	run := func(rc *recycler) ([]float64, Result[*pooled]) {
-		c := pooledConfig(24, rc)
+	run := func(rc *recycler, parents bool) ([]float64, Result[*pooled], int64) {
+		var returned atomic.Int64
+		c := pooledConfig(24, rc, parents, &returned)
 		c.Seeds = []*pooled{{genes: make([]byte, 24)}}
 		var trace []float64
 		c.OnGeneration = func(gen int, pop []*pooled, fit []float64) {
@@ -126,50 +152,78 @@ func TestRecycleKeepsTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return trace, res
+		return trace, res, returned.Load()
 	}
-	rc := &recycler{t: t}
-	want, wantRes := run(nil)
-	got, gotRes := run(rc)
-	if len(got) != len(want) {
-		t.Fatalf("%d fitness values with Recycle, %d without", len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("fitness %d differs with Recycle: %v != %v", i, got[i], want[i])
-		}
-	}
-	if string(gotRes.Best.genes) != string(wantRes.Best.genes) {
-		t.Fatal("Recycle changed the result")
-	}
-	rc.live(gotRes.Best)
-	if rc.reused == 0 {
-		t.Fatal("no individual was ever recycled")
+	want, wantRes, _ := run(nil, false)
+	for _, x := range crossovers {
+		t.Run(x.name, func(t *testing.T) {
+			rc := &recycler{t: t}
+			got, gotRes, returned := run(rc, x.parents)
+			if len(got) != len(want) {
+				t.Fatalf("%d fitness values with Recycle, %d without", len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("fitness %d differs with Recycle: %v != %v", i, got[i], want[i])
+				}
+			}
+			if string(gotRes.Best.genes) != string(wantRes.Best.genes) {
+				t.Fatal("Recycle changed the result")
+			}
+			rc.live(gotRes.Best)
+			if rc.reused == 0 {
+				t.Fatal("no individual was ever recycled")
+			}
+			if x.parents && returned == 0 {
+				t.Fatal("the crossover never returned a parent")
+			}
+		})
 	}
 }
 
 // TestRecycleIslandsMigratingEveryGeneration: with a migration after every
 // generation, each island's best also lives in its neighbour's population.
 // Neither side may recycle it, and the trajectory must match a run without
-// Recycle. Run under -race, a recycled migrant shows up as a data race too.
+// Recycle, also when the crossover returns parents as children. Run under
+// -race, a recycled migrant shows up as a data race too.
 func TestRecycleIslandsMigratingEveryGeneration(t *testing.T) {
-	run := func(rc *recycler) Result[*pooled] {
-		c := pooledConfig(24, rc)
+	run := func(rc *recycler, parents bool) ([]GenStats, Result[*pooled], int64) {
+		var returned atomic.Int64
+		c := pooledConfig(24, rc, parents, &returned)
 		c.Seeds = []*pooled{{genes: make([]byte, 24)}}
+		var stats []GenStats
+		c.Observer = ObserverFunc(func(s GenStats) { stats = append(stats, s) })
 		res, err := RunIslands(IslandConfig[*pooled]{Base: c, Islands: 4, MigrationEvery: 1}, rng.New(23))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return stats, res, returned.Load()
 	}
-	rc := &recycler{t: t}
-	want, got := run(nil), run(rc)
-	if string(got.Best.genes) != string(want.Best.genes) {
-		t.Fatal("Recycle changed the island result")
-	}
-	rc.live(got.Best)
-	if rc.reused == 0 {
-		t.Fatal("no individual was ever recycled")
+	want, wantRes, _ := run(nil, false)
+	for _, x := range crossovers {
+		t.Run(x.name, func(t *testing.T) {
+			rc := &recycler{t: t}
+			got, gotRes, returned := run(rc, x.parents)
+			if len(got) != len(want) {
+				t.Fatalf("%d generations observed with Recycle, %d without", len(got), len(want))
+			}
+			for i, g := range got {
+				w := want[i]
+				if math.Float64bits(g.Best) != math.Float64bits(w.Best) || math.Float64bits(g.Mean) != math.Float64bits(w.Mean) {
+					t.Fatalf("island %d generation %d differs with Recycle: %+v != %+v", g.Island, g.Gen, g, w)
+				}
+			}
+			if string(gotRes.Best.genes) != string(wantRes.Best.genes) {
+				t.Fatal("Recycle changed the island result")
+			}
+			rc.live(gotRes.Best)
+			if rc.reused == 0 {
+				t.Fatal("no individual was ever recycled")
+			}
+			if x.parents && returned == 0 {
+				t.Fatal("the crossover never returned a parent")
+			}
+		})
 	}
 }
 
@@ -208,7 +262,7 @@ func TestEvictRecyclesOnlyTheLastHolder(t *testing.T) {
 // migrant is recycled and no recycled individual stays in the population.
 func TestMigrantsAreNeverRecycled(t *testing.T) {
 	rc := &recycler{t: t}
-	c := pooledConfig(16, rc)
+	c := pooledConfig(16, rc, false, nil)
 	st, err := NewIsland(c, 0, rng.New(5))
 	if err != nil {
 		t.Fatal(err)

@@ -56,27 +56,32 @@ func PaperParams() Params {
 	}
 }
 
-// Validate reports the first invalid field.
+// Validate reports the first invalid field, naming it. Each float check is
+// written so that NaN fails it.
 func (p Params) Validate() error {
 	switch {
 	case p.N <= 0:
 		return fmt.Errorf("gen: N=%d must be positive", p.N)
-	case p.Shape <= 0:
-		return fmt.Errorf("gen: Shape=%g must be positive", p.Shape)
-	case p.CC <= 0:
+	case !(p.Shape > 0) || math.IsInf(p.Shape, 1):
+		return fmt.Errorf("gen: Shape=%g must be positive and finite", p.Shape)
+	case !(p.CC > 0):
 		return fmt.Errorf("gen: CC=%g must be positive", p.CC)
-	case p.CCR < 0:
+	case !(p.CCR >= 0):
 		return fmt.Errorf("gen: CCR=%g must be non-negative", p.CCR)
-	case p.VTask <= 0 || p.VMach <= 0:
-		return fmt.Errorf("gen: VTask=%g, VMach=%g must be positive", p.VTask, p.VMach)
-	case p.MeanUL < 1:
+	case !(p.VTask > 0):
+		return fmt.Errorf("gen: VTask=%g must be positive", p.VTask)
+	case !(p.VMach > 0):
+		return fmt.Errorf("gen: VMach=%g must be positive", p.VMach)
+	case !(p.MeanUL >= 1):
 		return fmt.Errorf("gen: MeanUL=%g must be >= 1", p.MeanUL)
-	case p.V1 <= 0 || p.V2 <= 0:
-		return fmt.Errorf("gen: V1=%g, V2=%g must be positive", p.V1, p.V2)
+	case !(p.V1 > 0):
+		return fmt.Errorf("gen: V1=%g must be positive", p.V1)
+	case !(p.V2 > 0):
+		return fmt.Errorf("gen: V2=%g must be positive", p.V2)
 	case p.M <= 0:
 		return fmt.Errorf("gen: M=%d must be positive", p.M)
-	case p.Rate <= 0:
-		return fmt.Errorf("gen: Rate=%g must be positive", p.Rate)
+	case !(p.Rate > 0) || math.IsInf(p.Rate, 1):
+		return fmt.Errorf("gen: Rate=%g must be positive and finite", p.Rate)
 	}
 	return nil
 }
@@ -117,15 +122,17 @@ func RandomGraph(p Params, r *rng.Source) (*dag.Graph, error) {
 	if n == 1 {
 		return dag.NewBuilder(1).Build()
 	}
+	// The draw's upper end is at least 1: a Shape above 2·sqrt(N) asks for
+	// fewer than one level. The count is clamped to n before it becomes an
+	// int, since a tiny Shape draws a level count far beyond any int (+Inf,
+	// or NaN from Inf·0, at a subnormal one).
 	meanHeight := math.Sqrt(float64(n)) / p.Shape
-	levels := int(math.Round(r.Uniform(1, 2*meanHeight)))
-	// With at least two tasks, keep at least two levels so the graph is a
-	// proper DAG with dependencies rather than an independent task set.
-	if levels < 2 {
-		levels = 2
-	}
-	if levels > n {
-		levels = n
+	levels := n
+	if x := math.Round(r.Uniform(1, max(1, 2*meanHeight))); x < float64(n) {
+		// With at least two tasks, keep at least two levels so the graph
+		// is a proper DAG with dependencies rather than an independent
+		// task set.
+		levels = max(int(x), 2)
 	}
 	// Assign each task a level; force at least one task per level by
 	// seeding the first `levels` tasks one per level, then spreading the

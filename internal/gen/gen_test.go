@@ -2,34 +2,80 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"robsched/internal/rng"
 )
 
+// TestParamsValidate: every invalid field is rejected with an error naming
+// it, NaN and infinite values included.
 func TestParamsValidate(t *testing.T) {
 	good := PaperParams()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("PaperParams invalid: %v", err)
 	}
-	mutations := []func(*Params){
-		func(p *Params) { p.N = 0 },
-		func(p *Params) { p.Shape = 0 },
-		func(p *Params) { p.CC = -1 },
-		func(p *Params) { p.CCR = -0.1 },
-		func(p *Params) { p.VTask = 0 },
-		func(p *Params) { p.VMach = 0 },
-		func(p *Params) { p.MeanUL = 0.5 },
-		func(p *Params) { p.V1 = 0 },
-		func(p *Params) { p.V2 = -1 },
-		func(p *Params) { p.M = 0 },
-		func(p *Params) { p.Rate = 0 },
-	}
-	for i, mut := range mutations {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		mut   func(*Params)
+	}{
+		{"N", func(p *Params) { p.N = 0 }},
+		{"Shape", func(p *Params) { p.Shape = 0 }},
+		{"Shape", func(p *Params) { p.Shape = nan }},
+		{"Shape", func(p *Params) { p.Shape = inf }},
+		{"CC", func(p *Params) { p.CC = -1 }},
+		{"CC", func(p *Params) { p.CC = nan }},
+		{"CCR", func(p *Params) { p.CCR = -0.1 }},
+		{"CCR", func(p *Params) { p.CCR = nan }},
+		{"VTask", func(p *Params) { p.VTask = 0 }},
+		{"VTask", func(p *Params) { p.VTask = nan }},
+		{"VMach", func(p *Params) { p.VMach = 0 }},
+		{"VMach", func(p *Params) { p.VMach = nan }},
+		{"MeanUL", func(p *Params) { p.MeanUL = 0.5 }},
+		{"MeanUL", func(p *Params) { p.MeanUL = nan }},
+		{"V1", func(p *Params) { p.V1 = 0 }},
+		{"V1", func(p *Params) { p.V1 = nan }},
+		{"V2", func(p *Params) { p.V2 = -1 }},
+		{"V2", func(p *Params) { p.V2 = nan }},
+		{"M", func(p *Params) { p.M = 0 }},
+		{"Rate", func(p *Params) { p.Rate = 0 }},
+		{"Rate", func(p *Params) { p.Rate = nan }},
+		{"Rate", func(p *Params) { p.Rate = inf }},
+	} {
 		p := PaperParams()
-		mut(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+		tc.mut(&p)
+		if err := p.Validate(); err == nil || !strings.HasPrefix(err.Error(), "gen: "+tc.field+"=") {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.field, err, tc.field)
+		}
+	}
+	// A NaN or infinite rate with no communication used to reach
+	// platform.UniformSystem, which panics on it.
+	for _, rate := range []float64{nan, inf} {
+		p := PaperParams()
+		p.N, p.CCR, p.Rate = 10, 0, rate
+		if _, err := Random(p, rng.New(1)); err == nil {
+			t.Errorf("Random accepted Rate=%g", rate)
+		}
+	}
+}
+
+// TestRandomGraphExtremeShapes: a Shape above 2·sqrt(N) builds two levels
+// instead of panicking in the level draw, and a tiny one builds N levels
+// (a chain) instead of overflowing the level count.
+func TestRandomGraphExtremeShapes(t *testing.T) {
+	for _, tc := range []struct {
+		shape float64
+		depth int
+	}{{9, 2}, {1e6, 2}, {1e-300, 20}, {5e-324, 20}} {
+		p := PaperParams()
+		p.N, p.Shape = 20, tc.shape
+		g, err := RandomGraph(p, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := g.Depth(); d != tc.depth {
+			t.Errorf("Shape=%g: depth %d, want %d", tc.shape, d, tc.depth)
 		}
 	}
 }

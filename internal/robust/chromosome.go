@@ -8,6 +8,7 @@ package robust
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"robsched/internal/platform"
@@ -174,51 +175,88 @@ func (c *Chromosome) metrics(d *schedule.Decoder, upTo float64) (schedMetrics, e
 //
 // Assignment strings: each parent's assignment is viewed as a processor
 // string indexed by task; a second random cut exchanges the right parts.
+//
+// Both children are new chromosomes without a metrics memo, even when one
+// has a parent's genes.
 func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
-	return crossoverInto(nil, nil, a, b, r)
-}
-
-// crossoverInto is Crossover writing the children into d1 and d2,
-// chromosomes nothing refers to any more (either may be nil).
-func crossoverInto(d1, d2, a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
-	n := len(a.Order)
-	c1, c2 := a.cloneInto(d1), b.cloneInto(d2)
-	if n >= 2 {
-		sc := getOpScratch(n)
-		cut := 1 + r.Intn(n-1)
-		reorderTail(c1.Order, cut, b.Order, sc.mark)
-		reorderTail(c2.Order, cut, a.Order, sc.mark)
-		putOpScratch(sc)
-		pcut := 1 + r.Intn(n-1)
-		for v := pcut; v < n; v++ {
-			c1.Proc[v], c2.Proc[v] = b.Proc[v], a.Proc[v]
-		}
+	c1, c2 := crossoverInto(nil, a, b, r)
+	if c1 == a || c1 == b {
+		c1 = c1.Clone()
+	}
+	if c2 == a || c2 == b {
+		c2 = c2.Clone()
 	}
 	return c1, c2
 }
 
-// reorderTail rewrites order[cut:] so its tasks appear in the relative
-// order they have in ref. mark must be an all-false slice of at least
-// len(order) entries; it is restored to all-false before returning.
-func reorderTail(order []int, cut int, ref []int, mark []bool) {
-	for _, v := range order[cut:] {
-		mark[v] = true
+// crossoverInto is the GA's Crossover. It draws the same cuts and computes
+// the same genes, but a child with a parent's genes is that parent itself,
+// metrics memo included, and only a new child takes a chromosome from free
+// (nil allocates). On converged parents most children are parents.
+func crossoverInto(free *freeList[Chromosome], a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
+	n := len(a.Order)
+	if n < 2 {
+		return a, b
 	}
-	i := cut
-	for _, v := range ref {
-		if mark[v] {
-			order[i] = v
-			i++
+	cut := 1 + r.Intn(n-1)
+	pcut := 1 + r.Intn(n-1)
+	sameProcTail := slices.Equal(a.Proc[pcut:], b.Proc[pcut:])
+	if slices.Equal(a.Order[:cut], b.Order[:cut]) {
+		// The tails hold the same tasks, so child 1's order is b's and
+		// child 2's is a's. The children are (b, a) when the processors
+		// agree before pcut, (a, b) when the orders are equal and the
+		// processors agree from pcut on, and new otherwise.
+		switch {
+		case slices.Equal(a.Proc[:pcut], b.Proc[:pcut]):
+			return b, a
+		case sameProcTail && slices.Equal(a.Order[cut:], b.Order[cut:]):
+			return a, b
 		}
 	}
-	for _, v := range order[cut:] {
-		mark[v] = false
+	sc := getOpScratch(n)
+	defer putOpScratch(sc)
+	return crossChild(free, a, b, cut, pcut, sameProcTail, sc), crossChild(free, b, a, cut, pcut, sameProcTail, sc)
+}
+
+// crossChild returns the child of p that keeps p.Order[:cut] and
+// p.Proc[:pcut], reorders the rest of its order by q.Order and takes
+// q.Proc[pcut:]: p itself when that is p's genotype (sameProcTail says
+// whether p and q agree from pcut on), otherwise a chromosome from free.
+func crossChild(free *freeList[Chromosome], p, q *Chromosome, cut, pcut int, sameProcTail bool, sc *opScratch) *Chromosome {
+	tail := sc.pos[cut:len(p.Order)]
+	reorderTail(tail, p.Order[cut:], q.Order, sc.mark)
+	if sameProcTail && slices.Equal(tail, p.Order[cut:]) {
+		return p
+	}
+	c := p.cloneInto(free.get())
+	copy(c.Order[cut:], tail)
+	copy(c.Proc[pcut:], q.Proc[pcut:])
+	return c
+}
+
+// reorderTail writes the tasks of tail into dst (len(tail)) in the relative
+// order they have in ref. It scans ref from its end, placing each task of
+// tail from the back of dst, and stops once all are placed: in a converged
+// population a tail's tasks sit at ref's end. mark must be an all-false
+// slice of at least len(ref) entries; each mark is cleared as its task is
+// placed, so mark is all-false again on return.
+func reorderTail(dst, tail, ref []int, mark []bool) {
+	for _, v := range tail {
+		mark[v] = true
+	}
+	j := len(dst) - 1
+	for i := len(ref) - 1; j >= 0; i-- {
+		if v := ref[i]; mark[v] {
+			mark[v] = false
+			dst[j] = v
+			j--
+		}
 	}
 }
 
-// opScratch pools the per-operator working buffers that used to be per-call
-// map allocations in Crossover and Mutate. The mark slice is kept all-false
-// between uses.
+// opScratch pools the operators' working buffers: pos holds Mutate's
+// position index, or the reordered tail a crossover child is compared with
+// before it takes a chromosome, and mark is kept all-false between uses.
 type opScratch struct {
 	pos  []int
 	mark []bool

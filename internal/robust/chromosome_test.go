@@ -3,6 +3,7 @@ package robust
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"robsched/internal/dag"
@@ -338,7 +339,9 @@ func uvarints(c *Chromosome) []byte {
 // evolves by chains of crossovers and mutations that overwrite the
 // chromosomes it dropped, whose buffers held other genotypes and were
 // keyed before; every child must have the key of a new chromosome built
-// from copies of its genes.
+// from copies of its genes. A crossover may return a parent, so one
+// chromosome can fill several slots: a chromosome goes to the free list
+// only once no slot holds it.
 func TestOperatorKeys(t *testing.T) {
 	w := testWorkload(t, 33, 30, 4)
 	r := rng.New(34)
@@ -347,33 +350,30 @@ func TestOperatorKeys(t *testing.T) {
 		pop[i] = Random(w, r)
 		pop[i].Key()
 	}
-	var free []*Chromosome
-	recycled := func() *Chromosome {
-		n := len(free)
-		if n == 0 {
-			return nil
-		}
-		c := free[n-1]
-		free = free[:n-1]
-		return c
-	}
+	free := new(freeList[Chromosome])
 	for step := 0; step < 600; step++ {
 		a, b := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
 		var kids []*Chromosome
 		if step%3 == 2 {
-			kids = append(kids, mutateInto(recycled(), w, a, r))
+			kids = append(kids, mutateInto(free.get(), w, a, r))
 		} else {
-			c1, c2 := crossoverInto(recycled(), recycled(), a, b, r)
+			c1, c2 := crossoverInto(free, a, b, r)
 			kids = append(kids, c1, c2)
 		}
+		var dropped []*Chromosome
 		for _, c := range kids {
 			order, proc := c.Genes()
 			if got, want := c.Key(), NewChromosome(order, proc).Key(); got != want {
 				t.Fatalf("step %d: child key %#x, a new chromosome with its genes %#x", step, got, want)
 			}
 			k := r.Intn(len(pop))
-			free = append(free, pop[k])
+			dropped = append(dropped, pop[k])
 			pop[k] = c
+		}
+		for _, c := range dropped {
+			if !slices.Contains(pop, c) && !slices.Contains(free.items, c) {
+				free.put(c)
+			}
 		}
 	}
 }
@@ -381,7 +381,8 @@ func TestOperatorKeys(t *testing.T) {
 // TestOperatorsAllocationFree pins the operator allocation budget: after
 // scratch pools warm up, Crossover costs its two child clones (one backing
 // array each) and Mutate one — nothing else, and nothing at all when they
-// overwrite chromosomes a generation dropped.
+// overwrite chromosomes a generation dropped, or when both of a
+// crossover's children are its parents.
 func TestOperatorsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -389,31 +390,71 @@ func TestOperatorsAllocationFree(t *testing.T) {
 	w := testWorkload(t, 37, 60, 4)
 	r := rng.New(38)
 	a, b := Random(w, r), Random(w, r)
+	twin := a.Clone()
 	Crossover(a, b, r) // warm the scratch pool
-	if avg := testing.AllocsPerRun(200, func() { Crossover(a, b, r) }); avg > 4 {
-		t.Fatalf("Crossover allocates %.1f times per call, budget 4", avg)
+	for _, pb := range []*Chromosome{b, twin} {
+		if avg := testing.AllocsPerRun(200, func() { Crossover(a, pb, r) }); avg > 4 {
+			t.Fatalf("Crossover allocates %.1f times per call, budget 4", avg)
+		}
 	}
 	if avg := testing.AllocsPerRun(200, func() { Mutate(w, a, r) }); avg > 2 {
 		t.Fatalf("Mutate allocates %.1f times per call, budget 2", avg)
 	}
 	// Overwriting chromosomes a generation dropped allocates nothing.
-	d1, d2 := a.Clone(), b.Clone()
-	if avg := testing.AllocsPerRun(200, func() { crossoverInto(d1, d2, a, b, r) }); avg != 0 {
+	free := new(freeList[Chromosome])
+	free.put(a.Clone())
+	free.put(b.Clone())
+	if avg := testing.AllocsPerRun(200, func() {
+		c1, c2 := crossoverInto(free, a, b, r)
+		for _, c := range [2]*Chromosome{c1, c2} {
+			if c != a && c != b {
+				free.put(c)
+			}
+		}
+	}); avg != 0 {
 		t.Fatalf("crossover into dropped chromosomes allocates %.1f times per call", avg)
 	}
-	if avg := testing.AllocsPerRun(200, func() { mutateInto(d1, w, a, r) }); avg != 0 {
+	d := a.Clone()
+	if avg := testing.AllocsPerRun(200, func() { mutateInto(d, w, a, r) }); avg != 0 {
 		t.Fatalf("mutation into a dropped chromosome allocates %.1f times per call", avg)
+	}
+	// Children that are their parents allocate nothing, even with an empty
+	// free list.
+	empty := new(freeList[Chromosome])
+	if avg := testing.AllocsPerRun(200, func() {
+		if c1, c2 := crossoverInto(empty, a, twin, r); c1 != twin || c2 != a {
+			t.Fatal("the children of equal genotypes are not their parents")
+		}
+	}); avg != 0 {
+		t.Fatalf("a crossover returning its parents allocates %.1f times per call", avg)
 	}
 }
 
+// BenchmarkCrossover times the GA's crossover, its new children recycled
+// as a generation recycles them: on two random parents, whose children are
+// new, and on converged parents (one mutation apart), whose children are
+// mostly the parents themselves.
 func BenchmarkCrossover(b *testing.B) {
 	w := testWorkload(b, 39, 100, 8)
 	r := rng.New(40)
-	pa, pb := Random(w, r), Random(w, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Crossover(pa, pb, r)
+	pa := Random(w, r)
+	for _, bc := range []struct {
+		name string
+		pb   *Chromosome
+	}{{"random", Random(w, r)}, {"converged", Mutate(w, pa, r)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			free := new(freeList[Chromosome])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c1, c2 := crossoverInto(free, pa, bc.pb, r)
+				for _, c := range [2]*Chromosome{c1, c2} {
+					if c != pa && c != bc.pb {
+						free.put(c)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -152,7 +152,7 @@ func setOperators(cfg *ga.Config[*Chromosome], w *platform.Workload) {
 	free := new(freeList[Chromosome])
 	cfg.Random = func(r *rng.Source) *Chromosome { return Random(w, r) }
 	cfg.Crossover = func(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
-		return crossoverInto(free.get(), free.get(), a, b, r)
+		return crossoverInto(free, a, b, r)
 	}
 	cfg.Mutate = func(c *Chromosome, r *rng.Source) *Chromosome { return mutateInto(free.get(), w, c, r) }
 	cfg.Recycle = free.put
@@ -166,8 +166,12 @@ type freeList[T any] struct {
 	items []*T
 }
 
-// get pops a value, or returns a new zero one when the list is empty.
+// get pops a value, or returns a new zero one when the list is empty or
+// nil.
 func (f *freeList[T]) get() *T {
+	if f == nil {
+		return new(T)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.items)

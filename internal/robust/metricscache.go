@@ -45,10 +45,12 @@ const (
 
 // MetricsCache memoizes schedule metrics by packed genotype (see pack), so
 // the GA only pays the O(V+E) metrics-only decode
-// (schedule.Decoder.MetricsUpTo) for genuinely novel genotypes: crossovers
-// of converged parents and no-op mutations produce children with
-// already-seen genotypes. The packed genotype is the map key itself, so a
-// hit is exact by construction.
+// (schedule.Decoder.MetricsUpTo) for genuinely novel genotypes: no-op
+// mutations, and crossover children equal to an individual other than
+// their parents, are new chromosomes with already-seen genotypes. (A child
+// with a parent's genes is that parent, memo included, and never reaches
+// the cache.) The packed genotype is the map key itself, so a hit is exact
+// by construction.
 //
 // A MetricsCache is the cache of exactly one run: the engine of the run it
 // serves claims it, and NewEngine refuses a cache another engine claimed.
